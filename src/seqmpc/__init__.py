@@ -5,10 +5,12 @@ Library layout:
 - `transforms`: Clarke/Park frames and the pseudo-inverse reconstruction
 - `plant`: ground-truth NPC back-to-back PMSG simulation
 - `prediction`: Euler one-step and condensed multistep models, imbalance rollout
-- `solver`: condensation, k-best sphere decoder, enumeration oracle, pair selection
+- `solver`: condensation, one-pass list sphere decoder (k best), enumeration oracle,
+  pair selection
 - `controller`: one receding-horizon control step
 - `harness`: scenarios, closed-loop driver, metrics, sweeps, CSV/config I/O
-- `_kernels`: numba-compiled hot loops (set SEQMPC_NUMBA=0 for the pure path)
+- `_kernels`: hot loops, compiled by numba when it is installed (SEQMPC_NUMBA=0 forces
+  the pure path)
 """
 
 from ._kernels import JIT_ENABLED

@@ -272,37 +272,48 @@ def _order_values(order_row, center):
 
 
 @jit_kernel
-def sd_search(h, u_check, exclude, seed, have_seed, seed_cost, radius_sq, rho_trace):
-    """Exact branch-and-bound search over {-1,0,1}^n under a triangular form.
+def _lex_cmp(a, b):
+    # -1, 0 or 1 as sequence `a` sorts before, equal to or after `b`
+    for j in range(a.shape[0]):
+        if a[j] != b[j]:
+            return -1 if a[j] < b[j] else 1
+    return 0
 
-    Walks layers 0..n-1 depth first, accumulating the incremental residual
-    and pruning strictly above the current squared radius.  Equal-cost leaves
-    are kept alive (strict-> pruning) so the lexicographically smallest
-    minimizer wins, matching the enumeration oracle's tie-break.
 
-    Returns (best, best_cost, found, runner, runner_cost, have_runner,
-    nodes, n_trace) where `runner` is the last demoted incumbent and `nodes`
-    counts residual evaluations performed by the search.
+@jit_kernel
+def sd_search(h, u_check, k, seed, have_seed, seed_cost, radius_sq, rho_trace):
+    """Exact k-best branch-and-bound search over {-1,0,1}^n, in one pass.
+
+    A list sphere decoder: walks layers 0..n-1 depth first, accumulating the
+    incremental residual, and keeps the k best leaves ordered by (cost,
+    lexicographic).  Until the list holds k leaves the radius is `radius_sq`;
+    afterwards it is the k-th cost.  Pruning is strictly above the radius, so
+    equal-cost leaves stay alive and ties resolve as in the enumeration
+    oracle.  An optional seed leaf (with its `sequence_cost`) starts the
+    list; the walk skips it when it meets it again.
+
+    Returns (seqs, costs, count, nodes, n_trace): the first `count` rows of
+    `seqs` and entries of `costs` are the list, `nodes` counts residual
+    evaluations, and `rho_trace[:n_trace]` holds the radius after each change
+    made while the list was full (writes stop when the buffer is full).
     """
     n = h.shape[0]
-    inc = np.zeros(n, np.int64)
-    run = np.zeros(n, np.int64)
-    have_inc = False
-    have_run = False
-    inc_cost = np.inf
-    run_cost = np.inf
+    seqs = np.zeros((k, n), np.int64)
+    costs = np.full(k, np.inf)
+    count = 0
     rho2 = radius_sq
     n_trace = 0
     if have_seed:
         for j in range(n):
-            inc[j] = seed[j]
-        inc_cost = seed_cost
-        have_inc = True
-        if seed_cost < rho2:
-            rho2 = seed_cost
-        if rho_trace.shape[0] > 0:
-            rho_trace[0] = rho2
-            n_trace = 1
+            seqs[0, j] = seed[j]
+        costs[0] = seed_cost
+        count = 1
+        if k == 1:
+            if seed_cost < rho2:
+                rho2 = seed_cost
+            if rho_trace.shape[0] > 0:
+                rho_trace[0] = rho2
+                n_trace = 1
 
     u = np.zeros(n, np.int64)
     order = np.zeros((n, 3), np.int64)
@@ -312,71 +323,63 @@ def sd_search(h, u_check, exclude, seed, have_seed, seed_cost, radius_sq, rho_tr
 
     nodes = 0
 
-    k = 0
+    i = 0
     partial[0] = 0.0
     _order_values(order[0], u_check[0] / h[0, 0])
     vidx[0] = 0
 
-    while k >= 0:
-        if vidx[k] >= 3:
-            k -= 1
+    while i >= 0:
+        if vidx[i] >= 3:
+            i -= 1
             continue
-        v = order[k, vidx[k]]
-        vidx[k] += 1
-        resid = u_check[k] - (partial[k] + h[k, k] * v)
-        d2 = pref[k] + resid * resid
+        v = order[i, vidx[i]]
+        vidx[i] += 1
+        resid = u_check[i] - (partial[i] + h[i, i] * v)
+        d2 = pref[i] + resid * resid
         nodes += 1
         if d2 > rho2:
             continue
-        u[k] = v
-        if k == n - 1:
-            excluded = False
-            for e in range(exclude.shape[0]):
-                same = True
-                for j in range(n):
-                    if exclude[e, j] != u[j]:
-                        same = False
-                        break
-                if same:
-                    excluded = True
+        u[i] = v
+        if i == n - 1:
+            # rank of the leaf in the list; equal costs order lexicographically
+            pos = count
+            cmp = 1
+            while pos > 0:
+                if costs[pos - 1] < d2:
                     break
-            if excluded:
-                continue
-            accept = False
-            if not have_inc:
-                accept = True
-            elif d2 < inc_cost:
-                accept = True
-            elif d2 == inc_cost:
-                for j in range(n):
-                    if u[j] != inc[j]:
-                        accept = u[j] < inc[j]
+                if costs[pos - 1] == d2:
+                    cmp = _lex_cmp(u, seqs[pos - 1])
+                    if cmp >= 0:
                         break
-            if accept:
-                if have_inc:
-                    for j in range(n):
-                        run[j] = inc[j]
-                    run_cost = inc_cost
-                    have_run = True
+                pos -= 1
+            if pos == k or cmp == 0:
+                continue
+            last = count if count < k else k - 1
+            for r in range(last, pos, -1):
                 for j in range(n):
-                    inc[j] = u[j]
-                inc_cost = d2
-                have_inc = True
-                rho2 = d2
+                    seqs[r, j] = seqs[r - 1, j]
+                costs[r] = costs[r - 1]
+            for j in range(n):
+                seqs[pos, j] = u[j]
+            costs[pos] = d2
+            if count < k:
+                count += 1
+            if count == k:
+                rho2 = costs[k - 1]
                 if n_trace < rho_trace.shape[0]:
-                    rho_trace[n_trace] = d2
+                    rho_trace[n_trace] = rho2
                     n_trace += 1
             continue
-        pref[k + 1] = d2
-        k += 1
+        pref[i + 1] = d2
+        i += 1
         s = 0.0
-        for j in range(k):
-            s += h[k, j] * u[j]
-        partial[k] = s
-        _order_values(order[k], (u_check[k] - s) / h[k, k])
-        vidx[k] = 0
+        for j in range(i):
+            s += h[i, j] * u[j]
+        partial[i] = s
+        _order_values(order[i], (u_check[i] - s) / h[i, i])
+        vidx[i] = 0
 
-    return inc, inc_cost, have_inc, run, run_cost, have_run, nodes, n_trace
+    return seqs, costs, count, nodes, n_trace
 
 
 def warmup():
@@ -404,9 +407,4 @@ def warmup():
     seqs = np.array([[0, 1], [1, -1]], np.int64)
     costs = np.zeros(2)
     sequence_costs_batch(h, u_check, seqs, costs)
-    sd_search(
-        h, u_check,
-        np.empty((0, 2), np.int64),
-        np.zeros(2, np.int64), False, 0.0, np.inf,
-        np.zeros(64),
-    )
+    sd_search(h, u_check, 2, seq, True, 0.0, np.inf, np.zeros(64))

@@ -54,6 +54,11 @@ class ControllerConfig:
             raise ValueError("n_h, n_k and n_l must be >= 1")
         if self.t_s <= 0:
             raise ValueError("sampling period must be positive")
+        if not self.lam > 0:
+            # the common-mode direction (1,1,1) of every stage is in the null
+            # space of the converter map, so only the effort term makes the
+            # condensed Gram matrix positive definite
+            raise ValueError("effort weight lam must be positive")
         if self.mode == "standard_sd":
             # baseline runs without the imbalance stage, so extra candidates
             # would never be used

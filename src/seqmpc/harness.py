@@ -122,23 +122,23 @@ class ScenarioConfig:
         for name in ("horizons", "n_ks", "n_ls", "lambdas", "modes"):
             if len(getattr(self, name)) != 1:
                 raise ConfigError(f"`run` needs a single value for {name}")
-        return ControllerConfig(
-            n_h=self.horizons[0],
-            n_k=self.n_ks[0],
-            n_l=self.n_ls[0],
-            lam=self.lambdas[0],
-            t_s=self.t_s,
-            mode=self.modes[0],
+        return self._controller(
+            self.horizons[0], self.n_ks[0], self.n_ls[0], self.lambdas[0], self.modes[0]
         )
 
     def controller_grid(self):
         combos = itertools.product(
             self.horizons, self.n_ks, self.n_ls, self.lambdas, self.modes
         )
-        return [
-            ControllerConfig(n_h=h, n_k=nk, n_l=nl, lam=lam, t_s=self.t_s, mode=mode)
-            for h, nk, nl, lam, mode in combos
-        ]
+        return [self._controller(*combo) for combo in combos]
+
+    def _controller(self, n_h, n_k, n_l, lam, mode) -> ControllerConfig:
+        try:
+            return ControllerConfig(
+                n_h=n_h, n_k=n_k, n_l=n_l, lam=lam, t_s=self.t_s, mode=mode
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def n_steps(self) -> int:
         return int(round(self.duration / self.t_s))

@@ -3,18 +3,19 @@
 Each outer-loop subproblem  min ||Y - Yref||^2 + lambda ||dU||^2  over switch
 sequences in {-1,0,1}^(3N) is condensed to an equivalent triangular form
 min ||target - factor @ U||^2 with `factor` lower triangular, then solved
-exactly by depth-first branch and bound (`sphere_decode`).  `k_best` repeats
-the search, excluding each returned sequence, to produce the ordered k
-cheapest candidates; `brute_force_kbest` is the independent enumeration
-oracle.  The inner loop (`select_pair`) scores every machine/grid candidate
-pair by its predicted DC-link imbalance and keeps the minimizer.
+exactly by depth-first branch and bound.  `k_best` runs one pass of a list
+sphere decoder that keeps the k cheapest sequences and shrinks the radius to
+the k-th cost once it has k; `sphere_decode` is its k=1 case.
+`brute_force_kbest` is the independent enumeration oracle.  The inner loop
+(`select_pair`) scores every machine/grid candidate pair by its predicted
+DC-link imbalance and keeps the minimizer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .transforms import CLARKE_PINV_MAT, park_matrix
 MAX_BRUTE_HORIZON = 4
 
 _RHO_TRACE_LEN = 4096
+_NO_TRACE = np.zeros(0)
 
 
 class SolverError(RuntimeError):
@@ -50,10 +52,6 @@ class NotPositiveDefiniteError(SolverError):
 
 class RadiusTooSmallError(SolverError):
     """The provided search radius contains no admissible sequence."""
-
-
-class EmptyCandidateSpaceError(SolverError):
-    """Every sequence of the alphabet has been excluded."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,6 @@ class QpForm:
 class DecodeResult:
     best: SwitchSequence
     best_cost: float
-    runner_up: Optional[SwitchSequence]
-    runner_cost: float
     nodes: int
     rho_trace: np.ndarray
 
@@ -189,110 +185,60 @@ def assemble_qp(
     )
 
 
-def residual_cost(qp: QpForm, seq: SwitchSequence) -> float:
-    """Decoder-metric cost of one sequence (same arithmetic as the search)."""
-    return float(_k.sequence_cost(qp.factor, qp.target, seq.levels))
-
-
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
 
 
-def _babai_point(qp: QpForm) -> SwitchSequence:
-    rounded = np.clip(np.rint(qp.unconstrained), -1, 1).astype(np.int64)
-    return SwitchSequence(levels=rounded, horizon=qp.horizon)
+def _list_decode(qp: QpForm, k: int, radius_sq: float, rho_trace: np.ndarray):
+    """One `sd_search` pass: ([(sequence, cost)] in order, nodes, trace length).
 
-
-def _exclude_array(exclude, n: int) -> np.ndarray:
-    rows = [np.asarray(seq.levels, np.int64) for seq in exclude]
-    if not rows:
-        return np.empty((0, n), np.int64)
-    return np.ascontiguousarray(np.stack(rows))
-
-
-def sphere_decode(
-    qp: QpForm,
-    radius_sq: float = np.inf,
-    exclude: Iterable[SwitchSequence] = (),
-    warm_start: Optional[tuple] = None,
-) -> DecodeResult:
-    """Exact minimizer of the triangular form over non-excluded sequences.
-
-    `warm_start` is an optional (sequence, cost) pair used to seed the
-    incumbent (and hence the initial radius).  Without a warm start and with
-    an infinite radius, the search seeds itself with the alphabet-clamped
+    With an infinite radius the search is seeded with the alphabet-clamped
     rounding of the unconstrained solution, which is always admissible.
-
-    Raises RadiusTooSmallError if a finite radius admits no sequence, and
-    EmptyCandidateSpaceError if the exclusions cover the whole alphabet.
     """
     n = qp.factor.shape[0]
-    exclude = set(exclude)
-    if len(exclude) >= 3 ** n:
-        raise EmptyCandidateSpaceError("all sequences excluded")
-    excl_arr = _exclude_array(exclude, n)
-
-    have_seed = False
     seed_levels = np.zeros(n, np.int64)
     seed_cost = 0.0
-    explicit_radius = np.isfinite(radius_sq)
-    if warm_start is not None:
-        seq, cost = warm_start
-        if seq not in exclude:
-            have_seed = True
-            seed_levels = np.asarray(seq.levels, np.int64)
-            seed_cost = float(cost)
-    elif not explicit_radius:
-        babai = _babai_point(qp)
-        if babai not in exclude:
-            have_seed = True
-            seed_levels = babai.levels
-            seed_cost = float(_k.sequence_cost(qp.factor, qp.target, babai.levels))
-
-    rho_trace = np.zeros(_RHO_TRACE_LEN)
-    best, best_cost, found, runner, runner_cost, have_runner, nodes, n_trace = _k.sd_search(
-        qp.factor, qp.target, excl_arr,
+    have_seed = not np.isfinite(radius_sq)
+    if have_seed:
+        seed_levels = np.clip(np.rint(qp.unconstrained), -1, 1).astype(np.int64)
+        seed_cost = float(_k.sequence_cost(qp.factor, qp.target, seed_levels))
+    seqs, costs, count, nodes, n_trace = _k.sd_search(
+        qp.factor, qp.target, min(k, 3 ** n),
         seed_levels, have_seed, seed_cost, float(radius_sq), rho_trace,
     )
-    if not found:
-        if explicit_radius:
-            raise RadiusTooSmallError(
-                f"no sequence within squared radius {radius_sq}"
-            )
-        raise EmptyCandidateSpaceError("search exhausted without a candidate")
+    items = [
+        (SwitchSequence(levels=seqs[i], horizon=qp.horizon), float(costs[i]))
+        for i in range(count)
+    ]
+    return items, int(nodes), int(n_trace)
+
+
+def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
+    """Exact minimizer of the triangular form (the k=1 list decoder).
+
+    `rho_trace` is the nonincreasing sequence of squared radii the search
+    used.  Raises RadiusTooSmallError if a finite radius admits no sequence.
+    """
+    rho_trace = np.zeros(_RHO_TRACE_LEN)
+    items, nodes, n_trace = _list_decode(qp, 1, radius_sq, rho_trace)
+    if not items:
+        raise RadiusTooSmallError(f"no sequence within squared radius {radius_sq}")
+    (best, best_cost), = items
     return DecodeResult(
-        best=SwitchSequence(levels=best, horizon=qp.horizon),
-        best_cost=float(best_cost),
-        runner_up=SwitchSequence(levels=runner, horizon=qp.horizon) if have_runner else None,
-        runner_cost=float(runner_cost),
-        nodes=int(nodes),
-        rho_trace=rho_trace[: int(n_trace)].copy(),
+        best=best,
+        best_cost=best_cost,
+        nodes=nodes,
+        rho_trace=rho_trace[:n_trace].copy(),
     )
 
 
 def k_best(qp: QpForm, k: int) -> CandidateList:
-    """The k cheapest sequences in cost order, exact against enumeration.
-
-    Each round excludes the sequences already returned and warm-starts the
-    next search from the previous round's runner-up; the runner-up is a
-    feasible point of the shrunken problem, so its cost is a valid radius
-    that can never prune the true next-best.
-    """
+    """The k cheapest sequences in (cost, lexicographic) order, exact
+    against enumeration, from a single list-decoder pass."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = qp.factor.shape[0]
-    total = 3 ** n
-    exclude: set = set()
-    items = []
-    nodes = 0
-    warm = None
-    for _ in range(min(k, total)):
-        res = sphere_decode(qp, exclude=exclude, warm_start=warm)
-        items.append((res.best, res.best_cost))
-        exclude.add(res.best)
-        nodes += res.nodes
-        warm = (res.runner_up, res.runner_cost) if res.runner_up is not None else None
+    items, nodes, _ = _list_decode(qp, k, np.inf, _NO_TRACE)
     return CandidateList(items=items, k=k, nodes_visited=nodes)
 
 

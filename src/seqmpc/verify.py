@@ -161,7 +161,7 @@ def check_stacking(seed: int, cases: int, horizons=(1, 2, 3)):
 
 
 def check_exclusion_soundness(seed: int, cases: int):
-    """No sequence may repeat across the iterations of one k_best call."""
+    """Each k_best list must be duplicate-free and in (cost, lexicographic) order."""
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         qp = random_qp_instance(rng, 1)
@@ -169,8 +169,9 @@ def check_exclusion_soundness(seed: int, cases: int):
         keys = [s.as_tuple() for s in cands.sequences]
         if len(set(keys)) != len(keys):
             return False, "duplicate sequence in a k-best list"
-        if any(b < a for a, b in zip(cands.costs, cands.costs[1:])):
-            return False, "k-best costs are not nondecreasing"
+        ranked = list(zip(cands.costs, keys))
+        if any(b < a for a, b in zip(ranked, ranked[1:])):
+            return False, "k-best list is not in (cost, lexicographic) order"
     return True, f"{cases} k-best lists were duplicate-free and sorted"
 
 

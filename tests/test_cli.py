@@ -62,6 +62,18 @@ class TestRun:
         result = runner.invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--nk", "0"], ["--horizon", "0"], ["--lambda", "0"], ["--lambda", "-1"]]
+    )
+    def test_bad_controller_setting_exits_one(self, runner, tmp_path, flags):
+        result = runner.invoke(
+            main, ["run", "--duration", "0.01", *flags, "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler
         # integration violently unstable within a few periods
@@ -83,6 +95,16 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one configuration
+
+    @pytest.mark.parametrize("flags", [["--nk", "0"], ["--horizon", "0"], ["--lambda", "0"]])
+    def test_bad_controller_setting_exits_one(self, runner, tmp_path, flags):
+        result = runner.invoke(
+            main, ["sweep", "--duration", "0.01", *flags, "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerify:

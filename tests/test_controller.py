@@ -50,6 +50,12 @@ class TestControllerConfig:
         with pytest.raises(ValueError):
             ControllerConfig(n_h=0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_effort_weight(self, lam):
+        # the common-mode direction makes the lam = 0 Gram matrix singular
+        with pytest.raises(ValueError):
+            ControllerConfig(lam=lam)
+
 
 class TestBuildReferences:
     def test_all_zero_at_equilibrium(self):
