@@ -1,9 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernel path against the pure-Python fallback.
-
-The two paths cannot coexist in one process (the flag is read at import), so
-the script measures the current mode and, when compiled kernels are active,
-re-launches itself with SEQMPC_NUMBA=0 to collect the fallback numbers.
+"""Time the hot kernels: one k-best decode, one plant step, one startup step.
 
 The closed-loop figure times the first `--steps` control periods from
 standstill (N_h=3, N_k=N_l=4), i.e. the startup transient, whose decoder
@@ -15,17 +11,11 @@ Usage:
 """
 
 import argparse
-import json
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-import seqmpc
-from seqmpc import _kernels
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import ScenarioConfig, run_scenario
 from seqmpc.plant import GridParams, MachineParams, PlantState, SwitchState, plant_step
@@ -77,57 +67,26 @@ def bench_startup(steps: int, repeat: int) -> float:
     return best / steps
 
 
-def collect(steps: int, repeat: int) -> dict:
-    _kernels.warmup()
-    return {
-        "jit": seqmpc.JIT_ENABLED,
-        "decoder_kbest4_nh2_s": bench_decoder(repeat),
-        "plant_step_substeps10_s": bench_plant(repeat),
-        "closed_loop_startup_step_nh3_nk4_s": bench_startup(steps, repeat),
-    }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=200,
                         help="startup-transient steps per measurement")
     parser.add_argument("--repeat", type=int, default=3,
                         help="repetitions; the best time wins")
-    parser.add_argument("--emit-json", action="store_true",
-                        help="print raw numbers as JSON and exit (internal)")
     args = parser.parse_args()
 
-    mine = collect(args.steps, args.repeat)
-    if args.emit_json:
-        print(json.dumps(mine))
-        return
-
-    results = {("numba" if mine["jit"] else "pure"): mine}
-    if mine["jit"]:
-        env = dict(os.environ, SEQMPC_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, __file__, "--steps", str(max(20, args.steps // 10)),
-             "--repeat", "1", "--emit-json"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        results["pure"] = json.loads(out.stdout)
-    else:
-        print("numba path disabled or unavailable; measuring the pure path only\n")
-
-    names = [
-        ("decoder_kbest4_nh2_s", "k-best decode (k=4, 6 layers)"),
-        ("plant_step_substeps10_s", "plant step (10 substeps)"),
-        ("closed_loop_startup_step_nh3_nk4_s", "startup step (N_h=3, N_k=4)"),
+    rows = [
+        ("decoder_kbest4_nh2_s", "k-best decode (k=4, 6 layers)",
+         bench_decoder(args.repeat)),
+        ("plant_step_substeps10_s", "plant step (10 substeps)",
+         bench_plant(args.repeat)),
+        ("closed_loop_startup_step_nh3_nk4_s", "startup step (N_h=3, N_k=4)",
+         bench_startup(args.steps, args.repeat)),
     ]
-    print(f"{'kernel':<34} {'numba':>12} {'pure':>12} {'speedup':>9}")
-    print("-" * 70)
-    for key, label in names:
-        jit_t = results.get("numba", {}).get(key)
-        pure_t = results.get("pure", {}).get(key)
-        jit_txt = f"{jit_t * 1e6:9.1f} us" if jit_t else "-"
-        pure_txt = f"{pure_t * 1e6:9.1f} us" if pure_t else "-"
-        speedup = f"{pure_t / jit_t:8.1f}x" if jit_t and pure_t else "-"
-        print(f"{label:<34} {jit_txt:>12} {pure_txt:>12} {speedup:>9}")
+    print(f"{'kernel':<34} {'time':>12}   key")
+    print("-" * 86)
+    for key, label, seconds in rows:
+        print(f"{label:<34} {seconds * 1e6:9.1f} us   {key}")
 
 
 if __name__ == "__main__":

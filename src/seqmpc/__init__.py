@@ -9,11 +9,10 @@ Library layout:
   pair selection
 - `controller`: one receding-horizon control step
 - `harness`: scenarios, closed-loop driver, metrics, sweeps, CSV/config I/O
-- `_kernels`: hot loops, compiled by numba when it is installed (SEQMPC_NUMBA=0 forces
-  the pure path)
+- `_kernels`: hot loops (plant integration, Cholesky, decoder search) on Python floats
+  and lists
 """
 
-from ._kernels import JIT_ENABLED
 from .controller import ControllerConfig, ControlDecision, ReferenceState, control_step
 from .harness import RunMetrics, ScenarioConfig, TimeSeries, run_scenario, sweep
 from .plant import (
@@ -31,7 +30,6 @@ from .solver import CandidateList, QpForm, brute_force_kbest, k_best, sphere_dec
 __version__ = "0.1.0"
 
 __all__ = [
-    "JIT_ENABLED",
     "ControllerConfig",
     "ControlDecision",
     "ReferenceState",

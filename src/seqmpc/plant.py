@@ -4,7 +4,7 @@ The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
 holding the applied switch states constant over each controller period
 (zero-order hold).  The integration itself runs in `_kernels.integrate_plant`
-so the hot loop benefits from the numba path.
+on Python floats.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class SwitchSequence:
         object.__setattr__(self, "levels", lv)
         if lv.shape != (3 * self.horizon,):
             raise ValueError("sequence length must be 3 * horizon")
-        if not np.isin(lv, (-1, 0, 1)).all():
+        if lv.size and (lv.min() < -1 or lv.max() > 1):
             raise ValueError("sequence entries must lie in {-1, 0, 1}")
 
     def as_tuple(self) -> tuple:

@@ -36,9 +36,6 @@ from .transforms import CLARKE_PINV_MAT, park_matrix
 #: guard for exhaustive enumeration (27**4 = 531441 sequences)
 MAX_BRUTE_HORIZON = 4
 
-_RHO_TRACE_LEN = 4096
-_NO_TRACE = np.zeros(0)
-
 
 class SolverError(RuntimeError):
     """Base class for decoder-level failures."""
@@ -190,28 +187,24 @@ def assemble_qp(
 # ---------------------------------------------------------------------------
 
 
-def _list_decode(qp: QpForm, k: int, radius_sq: float, rho_trace: np.ndarray):
-    """One `sd_search` pass: ([(sequence, cost)] in order, nodes, trace length).
+def _list_decode(qp: QpForm, k: int, radius_sq: float):
+    """One `sd_search` pass: ([(sequence, cost)] in order, nodes, radius trace).
 
     With an infinite radius the search is seeded with the alphabet-clamped
     rounding of the unconstrained solution, which is always admissible.
     """
     n = qp.factor.shape[0]
-    seed_levels = np.zeros(n, np.int64)
-    seed_cost = 0.0
-    have_seed = not np.isfinite(radius_sq)
-    if have_seed:
-        seed_levels = np.clip(np.rint(qp.unconstrained), -1, 1).astype(np.int64)
-        seed_cost = float(_k.sequence_cost(qp.factor, qp.target, seed_levels))
-    seqs, costs, count, nodes, n_trace = _k.sd_search(
-        qp.factor, qp.target, min(k, 3 ** n),
-        seed_levels, have_seed, seed_cost, float(radius_sq), rho_trace,
+    seed = None
+    if not np.isfinite(radius_sq):
+        seed = tuple(np.clip(np.rint(qp.unconstrained), -1, 1).astype(np.int64).tolist())
+    best, nodes, rho_trace = _k.sd_search(
+        qp.factor, qp.target, min(k, 3 ** n), float(radius_sq), seed
     )
     items = [
-        (SwitchSequence(levels=seqs[i], horizon=qp.horizon), float(costs[i]))
-        for i in range(count)
+        (SwitchSequence(levels=np.array(levels), horizon=qp.horizon), cost)
+        for cost, levels in best
     ]
-    return items, int(nodes), int(n_trace)
+    return items, nodes, rho_trace
 
 
 def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
@@ -220,8 +213,7 @@ def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
     `rho_trace` is the nonincreasing sequence of squared radii the search
     used.  Raises RadiusTooSmallError if a finite radius admits no sequence.
     """
-    rho_trace = np.zeros(_RHO_TRACE_LEN)
-    items, nodes, n_trace = _list_decode(qp, 1, radius_sq, rho_trace)
+    items, nodes, rho_trace = _list_decode(qp, 1, radius_sq)
     if not items:
         raise RadiusTooSmallError(f"no sequence within squared radius {radius_sq}")
     (best, best_cost), = items
@@ -229,7 +221,7 @@ def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
         best=best,
         best_cost=best_cost,
         nodes=nodes,
-        rho_trace=rho_trace[:n_trace].copy(),
+        rho_trace=np.array(rho_trace, dtype=np.float64),
     )
 
 
@@ -238,7 +230,7 @@ def k_best(qp: QpForm, k: int) -> CandidateList:
     against enumeration, from a single list-decoder pass."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    items, nodes, _ = _list_decode(qp, k, np.inf, _NO_TRACE)
+    items, nodes, _ = _list_decode(qp, k, np.inf)
     return CandidateList(items=items, k=k, nodes_visited=nodes)
 
 

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from seqmpc import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay the JIT compile cost once, before any timed test
-    _kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

@@ -43,6 +43,12 @@ class TestSwitchSequence:
             SwitchSequence(levels=np.array([0, 2, 0]), horizon=1)
         with pytest.raises(ValueError):
             SwitchSequence(levels=np.array([0, 0, 0, 1]), horizon=1)
+        for levels in ([2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -2], [1, -1, 0, 2, -2, 0]):
+            with pytest.raises(ValueError, match="entries"):
+                SwitchSequence(levels=np.array(levels), horizon=2)
+        for levels in ([], [0, 0], [1, 0, -1, 1, 0]):
+            with pytest.raises(ValueError, match="length"):
+                SwitchSequence(levels=np.array(levels, dtype=np.int64), horizon=2)
 
     def test_blocks_and_hash(self):
         seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
