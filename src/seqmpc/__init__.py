@@ -4,7 +4,8 @@ Library layout:
 
 - `transforms`: Clarke/Park frames and the pseudo-inverse reconstruction
 - `plant`: ground-truth NPC back-to-back PMSG simulation
-- `prediction`: Euler one-step and condensed multistep models, imbalance rollout
+- `prediction`: Euler one-step models built once per step, condensed multistep models,
+  batched imbalance rollout
 - `solver`: condensation, one-pass list sphere decoder (k best), enumeration oracle,
   pair selection
 - `controller`: one receding-horizon control step

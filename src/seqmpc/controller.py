@@ -16,19 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .plant import (
-    GridParams,
-    MachineParams,
-    PlantState,
-    SwitchState,
-    grid_emf,
-)
+from .plant import GridParams, MachineParams, PlantState, SwitchState
 from .prediction import (
     SwitchSequence,
-    build_grid_subsystem,
-    build_machine_subsystem,
     build_multistep,
-    discretize,
+    build_step_models,
     predict_imbalance,
 )
 from .solver import assemble_qp, k_best, select_pair
@@ -148,12 +140,14 @@ def control_step(
     u_prev_m: SwitchState,
     u_prev_n: SwitchState,
 ) -> ControlDecision:
-    """Solve both subproblems and the imbalance stage for one period."""
-    e_ab = grid_emf(st.t, grid)
-    sys_m = build_machine_subsystem(machine, st.mech.omega_e, st.dc, st.mech.theta_e)
-    sys_n = build_grid_subsystem(grid, e_ab, st.dc)
-    multi_m = build_multistep(discretize(sys_m, cfg.t_s), cfg.n_h)
-    multi_n = build_multistep(discretize(sys_n, cfg.t_s), cfg.n_h)
+    """Solve both subproblems and the imbalance stage for one period.
+
+    Each side's model is built and discretized once; the multistep stacking
+    and the imbalance stage share it.
+    """
+    models = build_step_models(st, machine, grid, cfg.t_s)
+    multi_m = build_multistep(models.machine, cfg.n_h)
+    multi_n = build_multistep(models.grid, cfg.n_h)
     y_ref_m, y_ref_n = stack_reference(refs, cfg.n_h)
 
     qp_m = assemble_qp(multi_m, st.i_m_dq, y_ref_m, u_prev_m, cfg.lam)
@@ -162,15 +156,16 @@ def control_step(
     cands_n = k_best(qp_n, cfg.n_l)
 
     if cfg.mode == "sequential":
-        u_m, u_n, j_o = select_pair(st, cands_m, cands_n, machine, grid, cfg.t_s)
+        u_m, u_n, j_o = select_pair(st, cands_m, cands_n, models)
     else:
-        u_m = cands_m.sequences[0]
-        u_n = cands_n.sequences[0]
-        path = predict_imbalance(st, u_m, u_n, machine, grid, cfg.t_s)
+        u_m = cands_m.items[0][0]
+        u_n = cands_n.items[0][0]
+        path = predict_imbalance(st, u_m, u_n, models)
         j_o = float(path @ path)
 
-    j_m = cands_m.costs[cands_m.sequences.index(u_m)]
-    j_n = cands_n.costs[cands_n.sequences.index(u_n)]
+    # select_pair returns the lists' own sequence objects
+    j_m = next(c for s, c in cands_m.items if s is u_m)
+    j_n = next(c for s, c in cands_n.items if s is u_n)
     return ControlDecision(
         s_m=SwitchState.from_array(u_m.first_block()),
         s_n=SwitchState.from_array(u_n.first_block()),

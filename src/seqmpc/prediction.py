@@ -8,11 +8,23 @@ DC-link imbalance prediction forward stage by stage.
 
 All model matrices are frozen at their time-k values within a horizon: the
 electrical angle, speed, grid EMF and DC-link gain are not advanced between
-stages.
+stages.  `build_step_models` builds and discretizes both sides once per
+control step; the multistep stacking and the imbalance rollout reuse them.
+
+Arithmetic convention of the imbalance rollout: all k candidates of a side
+move forward together as stacked matrix-vector products (`A @ X[:, :, None]`)
+and are scored with a stacked self-product (`P[:, None, :] @ P[:, :, None]`).
+NumPy runs each stacked item through the same BLAS gemv or dot call as a
+single `A @ x` or `p @ p`, so the batch is bit-identical to rolling out one
+candidate at a time.  A 2-D `A @ X` (gemm) and plain Python floats are not:
+OpenBLAS's gemv and dot fuse multiply-adds, gemm blocks differently and
+Python rounds every product, so either would move the predicted imbalance in
+its last bits and could change which of two near-equal pairs is applied.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +69,22 @@ class DiscreteModel:
 class MultistepModel:
     """Condensed horizon model  Y = forced_map U + free_map x0 + drift_vec.
 
-    `diff_mat` and `prev_sel` express the stacked switching effort
-    diff_mat @ U - prev_sel @ u_prev as consecutive input differences.
+    The switching effort diff_mat @ U - prev_sel @ u_prev depends on the
+    horizon alone; both maps are the shared read-only `effort_maps(horizon)`.
     """
 
     forced_map: np.ndarray  # (2N, 3N), block lower triangular
     free_map: np.ndarray    # (2N, 2)
     drift_vec: np.ndarray   # (2N,)
-    diff_mat: np.ndarray    # (3N, 3N)
-    prev_sel: np.ndarray    # (3N, 3)
     horizon: int
+
+    @property
+    def diff_mat(self) -> np.ndarray:  # (3N, 3N)
+        return effort_maps(self.horizon)[0]
+
+    @property
+    def prev_sel(self) -> np.ndarray:  # (3N, 3)
+        return effort_maps(self.horizon)[1]
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,26 @@ class SwitchSequence:
             raise ValueError("sequence length must be 3 * horizon")
         if lv.size and (lv.min() < -1 or lv.max() > 1):
             raise ValueError("sequence entries must lie in {-1, 0, 1}")
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, horizon: int) -> list:
+        """One sequence per row of a (k, 3 * horizon) level stack.
+
+        The stack is validated once and made read-only; each sequence's
+        `levels` is a view of its row.
+        """
+        if rows.shape[1:] != (3 * horizon,):
+            raise ValueError("sequence length must be 3 * horizon")
+        if rows.size and (rows.min() < -1 or rows.max() > 1):
+            raise ValueError("sequence entries must lie in {-1, 0, 1}")
+        rows.flags.writeable = False
+        out = []
+        for row in rows:
+            seq = object.__new__(cls)
+            object.__setattr__(seq, "levels", row)
+            object.__setattr__(seq, "horizon", horizon)
+            out.append(seq)
+        return out
 
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.levels)
@@ -133,41 +171,61 @@ def discretize(sys: LinearSubsystem, t_s: float) -> DiscreteModel:
     )
 
 
-def build_multistep(d: DiscreteModel, n_h: int) -> MultistepModel:
-    """Stack the one-step model over `n_h` stages into condensed form."""
+@functools.lru_cache(maxsize=None)
+def effort_maps(n_h: int) -> tuple:
+    """Read-only (diff_mat, prev_sel) of the switching effort over `n_h` stages.
+
+    Built once per horizon and shared by every multistep model.
+    """
     if n_h < 1:
         raise ValueError("horizon must be >= 1")
-    a, b, c, n = d.state_mat, d.input_mat, d.output_mat, d.drift
-    ny, nu = c.shape[0], b.shape[1]
-
-    powers = [np.eye(2)]
-    for _ in range(n_h):
-        powers.append(a @ powers[-1])
-
-    forced = np.zeros((ny * n_h, nu * n_h))
-    free = np.zeros((ny * n_h, 2))
-    drift = np.zeros(ny * n_h)
-    acc = n.copy()  # running sum of A^l n, l = 0..r
-    for r in range(n_h):
-        if r > 0:
-            acc = acc + powers[r] @ n
-        for col in range(r + 1):
-            forced[ny * r : ny * r + ny, nu * col : nu * col + nu] = c @ powers[r - col] @ b
-        free[ny * r : ny * r + ny, :] = c @ powers[r + 1]
-        drift[ny * r : ny * r + ny] = c @ acc
-
+    nu = 3
     diff = np.eye(nu * n_h)
     for r in range(1, n_h):
         diff[nu * r : nu * r + nu, nu * (r - 1) : nu * r] = -np.eye(nu)
     prev = np.zeros((nu * n_h, nu))
     prev[:nu, :] = np.eye(nu)
+    diff.flags.writeable = False
+    prev.flags.writeable = False
+    return diff, prev
+
+
+@functools.lru_cache(maxsize=None)
+def _delay_index(n_h: int) -> np.ndarray:
+    """(N, N) delay r - col of each block of the forced map; N marks the zero
+    blocks above the diagonal."""
+    r, col = np.indices((n_h, n_h))
+    index = np.where(col <= r, r - col, n_h)
+    index.flags.writeable = False
+    return index
+
+
+def build_multistep(d: DiscreteModel, n_h: int) -> MultistepModel:
+    """Stack the one-step model over `n_h` stages into condensed form."""
+    if n_h < 1:
+        raise ValueError("horizon must be >= 1")
+    a, b, c, n = d.state_mat, d.input_mat, d.output_mat, d.drift
+    (ny, nx), nu = c.shape, b.shape[1]
+
+    powers = np.empty((n_h + 1, nx, nx))  # A^d, d = 0..N
+    powers[0] = np.eye(nx)
+    for r in range(n_h):
+        np.matmul(a, powers[r], out=powers[r + 1])
+    c_powers = c @ powers  # C A^d
+    blocks = np.zeros((n_h + 1, ny, nu))  # C A^d B once per delay d < N, then zero
+    np.matmul(c_powers[:n_h], b, out=blocks[:n_h])
+    forced = blocks[_delay_index(n_h)].transpose(0, 2, 1, 3).reshape(ny * n_h, nu * n_h)
+    free = c_powers[1:].reshape(ny * n_h, nx)
+    acc = powers[:n_h] @ n[:, None]  # A^l n, then running sums over l = 0..r
+    acc[0] = n[:, None]
+    for r in range(1, n_h):
+        acc[r] += acc[r - 1]
+    drift = (c @ acc).reshape(ny * n_h)
 
     return MultistepModel(
         forced_map=forced,
         free_map=free,
         drift_vec=drift,
-        diff_mat=diff,
-        prev_sel=prev,
         horizon=n_h,
     )
 
@@ -182,44 +240,73 @@ def predict_outputs(m: MultistepModel, x0, u: SwitchSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StepModels:
+    """Both discretized side models of one control step and the imbalance
+    stage's inputs, all frozen at time-k quantities.
+
+    `proj_m` reconstructs the machine phase currents from the dq state (the
+    Clarke pseudo-inverse with the Park rotation folded in); `gain` is Ts / C.
+    """
+
+    machine: DiscreteModel
+    grid: DiscreteModel
+    proj_m: np.ndarray
+    gain: float
+
+
+def build_step_models(
+    st: PlantState, machine: MachineParams, grid: GridParams, t_s: float
+) -> StepModels:
+    """Build and discretize each side once for the control step at `st`."""
+    model_m = discretize(
+        build_machine_subsystem(machine, st.mech.omega_e, st.dc, st.mech.theta_e), t_s
+    )
+    model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
+    return StepModels(
+        machine=model_m,
+        grid=model_n,
+        proj_m=CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T,
+        gain=t_s / st.dc.c,
+    )
+
+
 def imbalance_contributions(
-    x0, model: DiscreteModel, u: SwitchSequence, proj: np.ndarray, gain: float
+    x0, model: DiscreteModel, levels: np.ndarray, proj: np.ndarray, gain: float
 ) -> np.ndarray:
-    """Per-stage imbalance increment of one converter side.
+    """(k, N) per-stage imbalance increments of k candidate sequences of one
+    converter side, given as a (k, 3N) level stack.
 
     `proj` reconstructs the three-phase current from the model state (Clarke
     pseudo-inverse, with the Park rotation folded in on the machine side);
     `gain` is Ts / C.  Stage j uses the state before that stage's input is
-    applied, then propagates the state one Euler step.
+    applied, then propagates the state one Euler step.  All candidates move
+    together as stacked matrix-vector products (see the module docstring).
     """
-    x = np.asarray(x0, float).copy()
-    out = np.empty(u.horizon)
-    for j in range(u.horizon):
-        blk = u.block(j)
-        i_abc = proj @ x
-        out[j] = gain * float(np.abs(blk) @ i_abc)
-        x = model.state_mat @ x + model.input_mat @ blk + model.drift
-    return out
+    k = levels.shape[0]
+    n = levels.shape[1] // 3
+    blocks = levels.reshape(k, n, 3, 1).astype(np.float64)
+    driven = model.input_mat @ blocks  # B u_j of every stage, (k, N, 2, 1)
+    drift = model.drift[:, None]
+    states = np.empty((k, n, 2, 1))  # the state before each stage's input
+    states[:, 0] = np.asarray(x0, float)[:, None]
+    for j in range(n - 1):
+        np.add(model.state_mat @ states[:, j] + driven[:, j], drift, out=states[:, j + 1])
+    currents = proj @ states
+    active = np.abs(blocks).swapaxes(2, 3)  # |u_j| as (k, N, 1, 3) rows
+    return gain * (active @ currents)[:, :, 0, 0]
 
 
 def imbalance_path(v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray) -> np.ndarray:
-    """Fold per-stage contributions into the predicted imbalance trajectory."""
-    n = contrib_m.shape[0]
-    out = np.empty(n)
-    v = v_imb0
-    for j in range(n):
-        v = v + (contrib_m[j] - contrib_n[j])
-        out[j] = v
-    return out
+    """Fold (k_m, N) and (k_n, N) per-stage contributions into the (k_m, k_n, N)
+    predicted imbalance trajectories of every candidate pair."""
+    step = contrib_m[:, None, :] - contrib_n[None, :, :]
+    step[:, :, 0] += v_imb0
+    return np.cumsum(step, axis=2)  # left to right: v_j = v_(j-1) + step_j
 
 
 def predict_imbalance(
-    st: PlantState,
-    u_m: SwitchSequence,
-    u_n: SwitchSequence,
-    machine: MachineParams,
-    grid: GridParams,
-    t_s: float,
+    st: PlantState, u_m: SwitchSequence, u_n: SwitchSequence, models: StepModels
 ) -> np.ndarray:
     """Predicted DC-link imbalance trajectory for one candidate pair.
 
@@ -230,12 +317,10 @@ def predict_imbalance(
         raise HorizonMismatchError(
             f"machine horizon {u_m.horizon} != grid horizon {u_n.horizon}"
         )
-    model_m = discretize(
-        build_machine_subsystem(machine, st.mech.omega_e, st.dc, st.mech.theta_e), t_s
+    contrib_m = imbalance_contributions(
+        st.i_m_dq, models.machine, u_m.levels[None, :], models.proj_m, models.gain
     )
-    model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
-    gain = t_s / st.dc.c
-    proj_m = CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T
-    contrib_m = imbalance_contributions(st.i_m_dq, model_m, u_m, proj_m, gain)
-    contrib_n = imbalance_contributions(st.i_n_ab, model_n, u_n, CLARKE_PINV_MAT, gain)
-    return imbalance_path(st.dc.v_imb, contrib_m, contrib_n)
+    contrib_n = imbalance_contributions(
+        st.i_n_ab, models.grid, u_n.levels[None, :], CLARKE_PINV_MAT, models.gain
+    )
+    return imbalance_path(st.dc.v_imb, contrib_m, contrib_n)[0, 0]

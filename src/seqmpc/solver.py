@@ -9,29 +9,35 @@ the k-th cost once it has k; `sphere_decode` is its k=1 case.
 `brute_force_kbest` is the independent enumeration oracle.  The inner loop
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
+
+`select_pair` rolls out each side's k candidates at once and scores all
+k_m * k_n paths with one stacked self-product.  Stacked matmuls run NumPy's
+per-item gemv and dot, the same OpenBLAS calls (fused multiply-adds
+included) as scoring one pair at a time, so the scores are bit-identical to
+the per-pair loop; a 2-D gemm or Python-float arithmetic would not be.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels as _k
-from .plant import GridParams, MachineParams, PlantState, SwitchState, grid_emf
+from .plant import PlantState, SwitchState
 from .prediction import (
     HorizonMismatchError,
     MultistepModel,
+    StepModels,
     SwitchSequence,
-    build_grid_subsystem,
-    build_machine_subsystem,
-    discretize,
+    effort_maps,
     imbalance_contributions,
     imbalance_path,
 )
-from .transforms import CLARKE_PINV_MAT, park_matrix
+from .transforms import CLARKE_PINV_MAT
 
 #: guard for exhaustive enumeration (27**4 = 531441 sequences)
 MAX_BRUTE_HORIZON = 4
@@ -79,16 +85,23 @@ class DecodeResult:
 
 @dataclass
 class CandidateList:
-    """Ordered k-best sequences with costs and search statistics."""
+    """Ordered k-best sequences with costs and search statistics.
+
+    `levels` is the read-only (len, 3N) stack of the sequences' levels in
+    list order, built from `items`.
+    """
 
     items: list  # list[(SwitchSequence, float)]
     k: int
     nodes_visited: int = 0
+    levels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         costs = [c for _, c in self.items]
         if any(b < a for a, b in zip(costs, costs[1:])):
             raise ValueError("candidate costs must be nondecreasing")
+        self.levels = np.array([s.levels for s, _ in self.items], dtype=np.int64)
+        self.levels.flags.writeable = False
 
     @property
     def sequences(self) -> list:
@@ -155,12 +168,20 @@ def condense(
         raise ValueError("effort weight must be nonnegative")
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
+    diff, prev = effort_maps(m.horizon)
     residual = m.free_map @ x0 + m.drift_vec - y_ref
-    quad = m.forced_map.T @ m.forced_map + weight * (m.diff_mat.T @ m.diff_mat)
-    lin = -(m.forced_map.T @ residual) + weight * (
-        m.diff_mat.T @ (m.prev_sel @ u_prev.as_array())
-    )
+    quad = m.forced_map.T @ m.forced_map + effort_gram(m.horizon, weight)
+    lin = -(m.forced_map.T @ residual) + weight * (diff.T @ (prev @ u_prev.as_array()))
     return quad, lin
+
+
+@functools.lru_cache(maxsize=64)
+def effort_gram(n_h: int, weight: float) -> np.ndarray:
+    """Read-only weight * D'D of the shared `effort_maps(n_h)` difference map."""
+    diff, _ = effort_maps(n_h)
+    gram = weight * (diff.T @ diff)
+    gram.flags.writeable = False
+    return gram
 
 
 def assemble_qp(
@@ -196,14 +217,14 @@ def _list_decode(qp: QpForm, k: int, radius_sq: float):
     n = qp.factor.shape[0]
     seed = None
     if not np.isfinite(radius_sq):
-        seed = tuple(np.clip(np.rint(qp.unconstrained), -1, 1).astype(np.int64).tolist())
+        # equal to clip(rint(v), -1, 1): halves round to even, so to 0 here
+        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained.tolist())
     best, nodes, rho_trace = _k.sd_search(
         qp.factor, qp.target, min(k, 3 ** n), float(radius_sq), seed
     )
-    items = [
-        (SwitchSequence(levels=np.array(levels), horizon=qp.horizon), cost)
-        for cost, levels in best
-    ]
+    levels = np.array([lv for _, lv in best], dtype=np.int64).reshape(len(best), n)
+    seqs = SwitchSequence.from_rows(levels, qp.horizon)
+    items = [(seq, cost) for seq, (cost, _) in zip(seqs, best)]
     return items, nodes, rho_trace
 
 
@@ -280,44 +301,31 @@ def select_pair(
     st: PlantState,
     machine_cands: CandidateList,
     grid_cands: CandidateList,
-    machine: MachineParams,
-    grid: GridParams,
-    t_s: float,
+    models: StepModels,
 ):
     """Candidate pair minimizing the predicted squared imbalance norm.
 
     All len(machine_cands) * len(grid_cands) pairs are evaluated; ties keep
-    the pair with the lowest (machine index, grid index).
+    the pair with the lowest (machine index, grid index).  Returns the two
+    chosen sequences, taken from the candidate lists, and the pair's score.
     """
     if not machine_cands.items or not grid_cands.items:
         raise ValueError("candidate lists must be nonempty")
-    hor_m = machine_cands.sequences[0].horizon
-    hor_n = grid_cands.sequences[0].horizon
+    hor_m = machine_cands.items[0][0].horizon
+    hor_n = grid_cands.items[0][0].horizon
     if hor_m != hor_n:
         raise HorizonMismatchError(f"horizons differ: {hor_m} vs {hor_n}")
 
-    model_m = discretize(
-        build_machine_subsystem(machine, st.mech.omega_e, st.dc, st.mech.theta_e), t_s
+    contrib_m = imbalance_contributions(
+        st.i_m_dq, models.machine, machine_cands.levels, models.proj_m, models.gain
     )
-    model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
-    gain = t_s / st.dc.c
-    proj_m = CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T
-
-    contribs_m = [
-        imbalance_contributions(st.i_m_dq, model_m, seq, proj_m, gain)
-        for seq in machine_cands.sequences
-    ]
-    contribs_n = [
-        imbalance_contributions(st.i_n_ab, model_n, seq, CLARKE_PINV_MAT, gain)
-        for seq in grid_cands.sequences
-    ]
-
-    best = None
-    for im, cm in enumerate(contribs_m):
-        for il, cn in enumerate(contribs_n):
-            path = imbalance_path(st.dc.v_imb, cm, cn)
-            j_o = float(path @ path)
-            if best is None or j_o < best[0]:
-                best = (j_o, im, il)
-    j_o, im, il = best
-    return machine_cands.sequences[im], grid_cands.sequences[il], j_o
+    contrib_n = imbalance_contributions(
+        st.i_n_ab, models.grid, grid_cands.levels, CLARKE_PINV_MAT, models.gain
+    )
+    paths = imbalance_path(st.dc.v_imb, contrib_m, contrib_n).reshape(-1, hor_m)
+    scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
+    # argmin keeps the first minimum; row-major order makes that the lowest
+    # (machine index, grid index)
+    best = int(np.argmin(scores))
+    im, il = divmod(best, len(grid_cands.items))
+    return machine_cands.items[im][0], grid_cands.items[il][0], float(scores[best])

@@ -18,7 +18,7 @@ from seqmpc.plant import (
     PlantState,
     SwitchState,
 )
-from seqmpc.prediction import predict_imbalance
+from seqmpc.prediction import build_step_models, predict_imbalance
 from seqmpc.solver import k_best
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
@@ -198,9 +198,10 @@ class TestControlStep:
             cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, SwitchState.zero(), cfg.lam), cfg.n_l)
             assert out.full_u_m in cands_m.sequences
             assert out.full_u_n in cands_n.sequences
+            models = build_step_models(st, MACHINE, GRID, T_S)
             for u_m in cands_m.sequences:
                 for u_n in cands_n.sequences:
-                    path = predict_imbalance(st, u_m, u_n, MACHINE, GRID, T_S)
+                    path = predict_imbalance(st, u_m, u_n, models)
                     assert out.j_o <= float(path @ path) + 1e-15
 
     def test_node_telemetry_positive(self, rng):

@@ -14,6 +14,7 @@ from seqmpc.prediction import (
     build_grid_subsystem,
     build_machine_subsystem,
     build_multistep,
+    build_step_models,
     discretize,
     predict_imbalance,
     predict_outputs,
@@ -37,6 +38,10 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
     )
 
 
+def step_models(st):
+    return build_step_models(st, MACHINE, GRID, T_S)
+
+
 class TestSwitchSequence:
     def test_validates_alphabet(self):
         with pytest.raises(ValueError):
@@ -49,6 +54,16 @@ class TestSwitchSequence:
         for levels in ([], [0, 0], [1, 0, -1, 1, 0]):
             with pytest.raises(ValueError, match="length"):
                 SwitchSequence(levels=np.array(levels, dtype=np.int64), horizon=2)
+
+    def test_from_rows_validates_the_stack_once(self):
+        rows = np.array([[1, 0, -1, 0, 1, 1], [0, 0, 0, -1, -1, 1]])
+        seqs = SwitchSequence.from_rows(rows, horizon=2)
+        assert seqs == [SwitchSequence(levels=row.copy(), horizon=2) for row in rows]
+        assert not rows.flags.writeable and seqs[1].levels.base is rows
+        with pytest.raises(ValueError, match="entries"):
+            SwitchSequence.from_rows(np.array([[0, 2, 0]]), horizon=1)
+        with pytest.raises(ValueError, match="length"):
+            SwitchSequence.from_rows(np.zeros((2, 3), dtype=np.int64), horizon=2)
 
     def test_blocks_and_hash(self):
         seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
@@ -114,7 +129,41 @@ class TestGridSubsystem:
         assert_allclose(np.linalg.eigvals(sys.state_mat), [-7.8, -7.8])
 
 
+def stacked_block_by_block(d, n_h):
+    """(forced, free, drift) assembled one block at a time with 2-D products."""
+    a, b, c, n = d.state_mat, d.input_mat, d.output_mat, d.drift
+    powers = [np.eye(2)]
+    for _ in range(n_h):
+        powers.append(a @ powers[-1])
+    forced = np.zeros((2 * n_h, 3 * n_h))
+    free = np.zeros((2 * n_h, 2))
+    drift = np.zeros(2 * n_h)
+    acc = n.copy()
+    for r in range(n_h):
+        if r > 0:
+            acc = acc + powers[r] @ n
+        for col in range(r + 1):
+            forced[2 * r : 2 * r + 2, 3 * col : 3 * col + 3] = c @ powers[r - col] @ b
+        free[2 * r : 2 * r + 2, :] = c @ powers[r + 1]
+        drift[2 * r : 2 * r + 2] = c @ acc
+    return forced, free, drift
+
+
 class TestMultistep:
+    @pytest.mark.parametrize("n_h", [1, 2, 3, 5])
+    def test_batched_stacking_equals_block_by_block_exactly(self, n_h, rng):
+        for i in range(20):
+            omega = 0.0 if i == 0 else rng.uniform(-400, 400)  # rest gives a -0.0 drift
+            if i % 2 == 0:
+                sys = build_machine_subsystem(MACHINE, omega, DC, rng.uniform(0, 2 * math.pi))
+            else:
+                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), DC)
+            d = discretize(sys, T_S)
+            m = build_multistep(d, n_h)
+            want = stacked_block_by_block(d, n_h)
+            for got, ref in zip((m.forced_map, m.free_map, m.drift_vec), want):
+                assert got.tobytes() == ref.tobytes()
+
     def test_single_stage_blocks(self):
         d = discretize(build_machine_subsystem(MACHINE, 150.0, DC, 0.3), T_S)
         m = build_multistep(d, 1)
@@ -171,14 +220,14 @@ class TestPredictImbalance:
         st = make_state(v_imb=1.25)
         n_h = 3
         zeros = SwitchSequence(levels=np.zeros(3 * n_h, dtype=int), horizon=n_h)
-        path = predict_imbalance(st, zeros, zeros, MACHINE, GRID, T_S)
+        path = predict_imbalance(st, zeros, zeros, step_models(st))
         assert_allclose(path, np.full(n_h, 1.25))
 
     def test_single_stage_matches_direct_update(self):
         st = make_state()
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         u_n = SwitchSequence(levels=np.array([0, 1, 1]), horizon=1)
-        path = predict_imbalance(st, u_m, u_n, MACHINE, GRID, T_S)
+        path = predict_imbalance(st, u_m, u_n, step_models(st))
         gain = T_S / st.dc.c
         i_m_abc = tr.CLARKE_PINV_MAT @ tr.park_matrix(st.mech.theta_e).T @ st.i_m_dq
         i_n_abc = tr.CLARKE_PINV_MAT @ st.i_n_ab
@@ -197,8 +246,8 @@ class TestPredictImbalance:
         )
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         zeros = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)
-        base = predict_imbalance(st, u_m, zeros, MACHINE, GRID, T_S) - st.dc.v_imb
-        neg = predict_imbalance(flipped, u_m, zeros, MACHINE, GRID, T_S) - st.dc.v_imb
+        base = predict_imbalance(st, u_m, zeros, step_models(st)) - st.dc.v_imb
+        neg = predict_imbalance(flipped, u_m, zeros, step_models(flipped)) - st.dc.v_imb
         assert_allclose(neg, -base, rtol=1e-9)
 
     def test_horizon_mismatch_raises(self):
@@ -206,4 +255,4 @@ class TestPredictImbalance:
         u_m = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)
         u_n = SwitchSequence(levels=np.zeros(6, dtype=int), horizon=2)
         with pytest.raises(HorizonMismatchError):
-            predict_imbalance(st, u_m, u_n, MACHINE, GRID, T_S)
+            predict_imbalance(st, u_m, u_n, step_models(st))

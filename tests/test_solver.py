@@ -12,7 +12,10 @@ from seqmpc.prediction import (
     build_grid_subsystem,
     build_machine_subsystem,
     build_multistep,
+    build_step_models,
     discretize,
+    imbalance_contributions,
+    imbalance_path,
     predict_imbalance,
 )
 from seqmpc.solver import (
@@ -30,12 +33,17 @@ from seqmpc.solver import (
     select_pair,
     sphere_decode,
 )
+from seqmpc.transforms import CLARKE_PINV_MAT
 from seqmpc.verify import random_qp_instance, raw_cost_closure
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
 DC = DcLinkState(700.0, 0.0, 1100e-6)
 T_S = 50e-6
+
+
+def step_models(st):
+    return build_step_models(st, MACHINE, GRID, T_S)
 
 
 def qp_from_factor(factor, u_unc, horizon):
@@ -105,8 +113,6 @@ class TestCondensation:
             forced_map=np.eye(3),
             free_map=np.ones((3, 2)),
             drift_vec=np.array([0.5, -1.0, 2.0]),
-            diff_mat=np.zeros((3, 3)),
-            prev_sel=np.zeros((3, 3)),
             horizon=1,
         )
         x0 = np.array([1.0, 2.0])
@@ -183,6 +189,13 @@ class TestKBest:
         want = brute_force_kbest(qp, 27, 1)
         assert [s.as_tuple() for s in got.sequences] == [s.as_tuple() for s in want.sequences]
         assert_allclose(got.costs, want.costs, rtol=0, atol=1e-9)
+
+    def test_candidate_stack_matches_sequences(self, rng):
+        for n_h, k in ((1, 4), (2, 10), (3, 4)):
+            got = k_best(random_qp_instance(rng, n_h), k)
+            assert got.levels.shape == (k, 3 * n_h) and not got.levels.flags.writeable
+            for row, seq in zip(got.levels, got.sequences):
+                assert np.array_equal(row, seq.levels) and seq.horizon == n_h
 
     def test_k_one_reduces_to_sphere_decode(self, rng):
         for _ in range(10):
@@ -295,10 +308,10 @@ class TestSelectPair:
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         u_n = SwitchSequence(levels=np.array([0, 1, -1]), horizon=1)
         got_m, got_n, j_o = select_pair(
-            st, self.listify([u_m]), self.listify([u_n]), MACHINE, GRID, T_S
+            st, self.listify([u_m]), self.listify([u_n]), step_models(st)
         )
         assert got_m == u_m and got_n == u_n
-        path = predict_imbalance(st, u_m, u_n, MACHINE, GRID, T_S)
+        path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
 
     def test_minimizes_over_all_pairs(self, rng):
@@ -310,10 +323,10 @@ class TestSelectPair:
         cands_n = self.listify(
             [SwitchSequence(levels=rng.integers(-1, 2, 6), horizon=n_h) for _ in range(4)]
         )
-        _, _, j_o = select_pair(st, cands_m, cands_n, MACHINE, GRID, T_S)
+        _, _, j_o = select_pair(st, cands_m, cands_n, step_models(st))
         for u_m in cands_m.sequences:
             for u_n in cands_n.sequences:
-                path = predict_imbalance(st, u_m, u_n, MACHINE, GRID, T_S)
+                path = predict_imbalance(st, u_m, u_n, step_models(st))
                 assert j_o <= float(path @ path) + 1e-15
 
     def test_exact_cancellation_pair_wins(self):
@@ -328,7 +341,7 @@ class TestSelectPair:
             st,
             self.listify([off_m, matched]),
             self.listify([off_n, matched]),
-            MACHINE, GRID, T_S,
+            step_models(st),
         )
         assert j_o == pytest.approx(0.0, abs=1e-18)
         assert got_m == matched and got_n == matched
@@ -340,10 +353,120 @@ class TestSelectPair:
             SwitchSequence(levels=np.array([0, 1, -1]), horizon=1),
         ]
         got_m, got_n, j_o = select_pair(
-            st, self.listify(seqs), self.listify(seqs), MACHINE, GRID, T_S
+            st, self.listify(seqs), self.listify(seqs), step_models(st)
         )
         # zero currents make every pair cost identical, so indices decide
         assert got_m == seqs[0] and got_n == seqs[0]
+
+    @staticmethod
+    def per_pair_reference(st, cands_m, cands_n, models):
+        """Lowest (im, il) of the least score, pair by pair, and every path."""
+        best, paths = None, {}
+        for im, (u_m, _) in enumerate(cands_m.items):
+            for il, (u_n, _) in enumerate(cands_n.items):
+                path = predict_imbalance(st, u_m, u_n, models)
+                paths[im, il] = path
+                j_o = float(path @ path)
+                if best is None or j_o < best[0]:
+                    best = (j_o, im, il)
+        return best, paths
+
+    @staticmethod
+    def one_at_a_time(st, u_m, u_n, models):
+        """The imbalance path of one pair with 1-D NumPy matvecs and dots,
+        stage by stage: the arithmetic the batched stage must reproduce."""
+        def contributions(x, model, seq, proj):
+            out = []
+            for j in range(seq.horizon):
+                blk = seq.block(j)
+                out.append(models.gain * float(np.abs(blk) @ (proj @ x)))
+                x = model.state_mat @ x + model.input_mat @ blk + model.drift
+            return out
+
+        c_m = contributions(st.i_m_dq, models.machine, u_m, models.proj_m)
+        c_n = contributions(st.i_n_ab, models.grid, u_n, CLARKE_PINV_MAT)
+        v, path = st.dc.v_imb, []
+        for a, b in zip(c_m, c_n):
+            v = v + (a - b)
+            path.append(v)
+        return np.array(path)
+
+    def check_against_reference(self, st, cands_m, cands_n):
+        models = step_models(st)
+        (want_j, im, il), paths = self.per_pair_reference(st, cands_m, cands_n, models)
+        for (a, b), path in paths.items():
+            want = self.one_at_a_time(st, cands_m.items[a][0], cands_n.items[b][0], models)
+            assert np.array_equal(path, want)
+        got_m, got_n, j_o = select_pair(st, cands_m, cands_n, models)
+        assert got_m is cands_m.items[im][0] and got_n is cands_n.items[il][0]
+        assert j_o == want_j
+        # the batched rollout reproduces every per-pair path bit for bit
+        contrib_m = imbalance_contributions(
+            st.i_m_dq, models.machine, cands_m.levels, models.proj_m, models.gain
+        )
+        contrib_n = imbalance_contributions(
+            st.i_n_ab, models.grid, cands_n.levels, CLARKE_PINV_MAT, models.gain
+        )
+        batched = imbalance_path(st.dc.v_imb, contrib_m, contrib_n)
+        for (a, b), path in paths.items():
+            assert np.array_equal(batched[a, b], path)
+        return im, il
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_batched_stage_equals_per_pair_reference_exactly(self, n_h, k, rng):
+        for _ in range(6):
+            st = self.make_state(
+                rng.normal(0, 15, 2), rng.normal(0, 15, 2), v_imb=rng.normal(0, 2),
+                omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
+            )
+            k_n = int(rng.integers(1, k + 1))
+            cands_m = self.listify(
+                [SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in range(k)]
+            )
+            cands_n = self.listify(
+                [SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in range(k_n)]
+            )
+            self.check_against_reference(st, cands_m, cands_n)
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_duplicates_and_exact_ties_keep_lowest_indices(self, n_h, rng):
+        # a repeated sequence scores exactly like its first copy, and so does
+        # one whose last block is negated: the last block's signs never reach
+        # the predicted imbalance (only |switch| and the states before it do)
+        for _ in range(6):
+            st = self.make_state(
+                rng.normal(0, 15, 2), rng.normal(0, 15, 2), v_imb=rng.normal(0, 2),
+                omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
+            )
+            sides = []
+            for _ in range(2):
+                base = [rng.integers(-1, 2, 3 * n_h) for _ in range(3)]
+                twins = [np.concatenate([lv[:-3], -lv[-3:]]) for lv in base]
+                levels = base + twins + base
+                sides.append(self.listify([SwitchSequence(levels=lv, horizon=n_h) for lv in levels]))
+            im, il = self.check_against_reference(st, *sides)
+            assert im < 3 and il < 3
+
+    def test_effort_matrices_are_shared_and_read_only(self):
+        from seqmpc.prediction import effort_maps
+        from seqmpc.solver import effort_gram
+
+        d = discretize(build_machine_subsystem(MACHINE, 120.0, DC, 0.4), T_S)
+        for n_h in (1, 2, 3):
+            m = build_multistep(d, n_h)
+            diff, prev = effort_maps(n_h)
+            assert m.diff_mat is diff and m.prev_sel is prev
+            assert build_multistep(d, n_h).diff_mat is diff
+            gram = effort_gram(n_h, 0.1)
+            assert effort_gram(n_h, 0.1) is gram
+            assert np.array_equal(gram, 0.1 * (diff.T @ diff))
+            for arr in (diff, prev, gram):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 5.0
+            quad, _ = condense(m, np.zeros(2), np.zeros(2 * n_h), SwitchState.zero(), 0.1)
+            assert np.array_equal(quad, m.forced_map.T @ m.forced_map + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):
         from seqmpc.prediction import HorizonMismatchError
@@ -352,4 +475,4 @@ class TestSelectPair:
         one = self.listify([SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)])
         two = self.listify([SwitchSequence(levels=np.zeros(6, dtype=int), horizon=2)])
         with pytest.raises(HorizonMismatchError):
-            select_pair(st, one, two, MACHINE, GRID, T_S)
+            select_pair(st, one, two, step_models(st))
