@@ -33,6 +33,8 @@ from .plant import (
     plant_step,
     power_output,
 )
+from .prediction import build_multistep, build_step_models
+from .solver import NotPositiveDefiniteError, assemble_qp
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
@@ -41,6 +43,10 @@ FLOAT_FMT = "%.9g"
 
 #: any state magnitude beyond this is treated as a diverged simulation
 _DIVERGENCE_LIMIT = 1e9
+
+#: an accepted effort weight must still factor on step 0 when divided by
+#: this, which covers e.g. a DC-link voltage or grid EMF twice the initial one
+EFFORT_WEIGHT_MARGIN = 4.0
 
 
 class ConfigError(ValueError):
@@ -134,11 +140,37 @@ class ScenarioConfig:
 
     def _controller(self, n_h, n_k, n_l, lam, mode) -> ControllerConfig:
         try:
-            return ControllerConfig(
+            ctrl = ControllerConfig(
                 n_h=n_h, n_k=n_k, n_l=n_l, lam=lam, t_s=self.t_s, mode=mode
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # along the common-mode switch vector only the effort term keeps the
+        # condensed Gram matrix positive definite, so a positive but tiny
+        # weight fails the factorization; reject it here, not on step 0
+        models = build_step_models(self.initial_state(), self.machine(), self.grid(), self.t_s)
+        for side in (models.machine, models.grid):
+            try:
+                assemble_qp(
+                    build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
+                    SwitchState.zero(), lam / EFFORT_WEIGHT_MARGIN,
+                )
+            except NotPositiveDefiniteError as exc:
+                raise ConfigError(
+                    f"effort weight lam={lam:g} is too small for this plant at horizon {n_h}"
+                ) from exc
+        return ctrl
+
+    def initial_state(self) -> PlantState:
+        return PlantState.initial(
+            self.machine(),
+            v_dc=self.v_dc0,
+            v_imb=self.v_imb0,
+            c=self.c_dc,
+            inertia=self.inertia,
+            omega_m=self.omega_m0,
+            theta_e=self.theta_e0,
+        )
 
     def n_steps(self) -> int:
         return int(round(self.duration / self.t_s))
@@ -232,15 +264,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     ctrl = controller if controller is not None else cfg.controller()
     machine = cfg.machine()
     grid = cfg.grid()
-    state = PlantState.initial(
-        machine,
-        v_dc=cfg.v_dc0,
-        v_imb=cfg.v_imb0,
-        c=cfg.c_dc,
-        inertia=cfg.inertia,
-        omega_m=cfg.omega_m0,
-        theta_e=cfg.theta_e0,
-    )
+    state = cfg.initial_state()
     refs = ReferenceState(
         pi_kp=cfg.pi_kp,
         pi_ki=cfg.pi_ki,

@@ -74,6 +74,17 @@ class TestRun:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o").exists()
 
+    def test_tiny_effort_weight_exits_one(self, runner, tmp_path):
+        # positive, but too small for the subproblems to factor on step 0
+        result = runner.invoke(
+            main,
+            ["run", "--duration", "0.01", "--lambda", "1e-12", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "too small" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler
         # integration violently unstable within a few periods
@@ -103,6 +114,17 @@ class TestSweep:
         )
         assert result.exit_code == 1, result.output
         assert "config error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
+
+    def test_tiny_effort_weight_exits_one(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["sweep", "--duration", "0.01", "--lambda", "1e-12", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "too small" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o").exists()
 

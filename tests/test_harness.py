@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from seqmpc.harness import (
     sweep,
     write_sweep_csv,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # short but long enough for a one-period THD window at 56.25 Hz
 QUICK = dict(duration=0.04, substeps=2, thd_periods=1)
@@ -248,6 +251,16 @@ class TestConfigFiles:
         path.write_text("[scenario]\nduraton = 1.0\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_effort_weight_floor(self):
+        # every shipped config passes; a positive but tiny weight is rejected
+        # at load time instead of failing the factorization on step 0
+        for path in sorted(CONFIG_DIR.glob("*.ini")):
+            assert load_config(path).controller_grid()
+        ScenarioConfig().controller()
+        for n_h in (1, 3):
+            with pytest.raises(ConfigError, match="too small"):
+                ScenarioConfig(horizons=(n_h,), lambdas=(1e-12,)).controller()
 
     def test_bad_profile_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
