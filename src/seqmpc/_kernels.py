@@ -1,15 +1,17 @@
 """Hot numeric kernels, written for the Python interpreter that runs them.
 
-The plant kernels take and return Python floats.  `cholesky_lower` and
-`sd_search` convert their array arguments with ``.tolist()`` on entry and
-then work on Python floats, ints and lists only: indexing a NumPy array
-element by element creates a NumPy scalar each time and pays NumPy-scalar
-arithmetic, which made the search several times slower than the same
-IEEE-754 operations on plain floats.
+The plant kernels take and return Python floats.  `cholesky_lower` takes
+and returns lists of rows, and `sd_search` converts its array arguments with
+``.tolist()`` on entry; both then work on Python floats, ints and lists
+only: indexing a NumPy array element by element creates a NumPy scalar each
+time and pays NumPy-scalar arithmetic, which made the search several times
+slower than the same IEEE-754 operations on plain floats.
 
 The decoder (`sd_search`) and the enumeration cost (`sequence_cost`) share
 the same left-to-right accumulation order on purpose: equal-cost candidates
-must compare identically in the search and in the brute-force oracle.
+must compare identically in the search and in the brute-force oracle.  The
+decoder's box bound (`box_tail`) sums each row's widths in that order too,
+which is what makes it exact in floating point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from bisect import bisect_left
 SQRT23 = math.sqrt(2.0 / 3.0)
 SQRT3_2 = math.sqrt(3.0) / 2.0
 TWO_PI = 2.0 * math.pi
+EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +163,17 @@ def integrate_plant(
 # ---------------------------------------------------------------------------
 
 
-def cholesky_lower(a, out, tol):
-    """Lower Cholesky factor of `a` into `out`; returns failing pivot or -1.
+def cholesky_lower(a):
+    """Lower Cholesky factor of `a`, a list of rows: (rows of L, pivot).
 
-    A pivot at or below `tol` counts as failure so that numerically singular
-    Gram matrices are rejected instead of producing garbage factors; `out`
-    then holds the entries computed before the failing pivot.
+    `pivot` is -1 on success, else the index of the failing pivot.  A pivot
+    at or below n * eps * max|a_ii| counts as failure so that numerically
+    singular Gram matrices are rejected instead of producing garbage
+    factors; the rows then hold the entries computed before that pivot.
     """
-    a = a.tolist()
     n = len(a)
+    tol = n * EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
     low = [[0.0] * n for _ in range(n)]
-    pivot = -1
     for i in range(n):
         a_i = a[i]
         l_i = low[i]
@@ -184,11 +187,9 @@ def cholesky_lower(a, out, tol):
         for k in range(i):
             s -= l_i[k] * l_i[k]
         if s <= tol:
-            pivot = i
-            break
+            return low, i
         l_i[i] = math.sqrt(s)
-    out[...] = low
-    return pivot
+    return low, -1
 
 
 def sequence_cost(h, u_check, u):
@@ -219,7 +220,36 @@ def sequence_costs_batch(h, u_check, seqs, out):
 # ---------------------------------------------------------------------------
 
 
-def sd_search(h, u_check, k, radius_sq, seed):
+def box_tail(h, u_check):
+    """Path-independent lower bounds on the cost of the trailing layers.
+
+    Every entry lies in [-1, 1], so whatever the path, row r's residual is
+    at least g_r = |u_check[r]| - w_r in magnitude, with w_r = sum_l
+    |h[r][l]|.  `tail[i]` sums max(g_r, 0)^2 over r >= i; tail[n] = 0.
+
+    This holds for the computed values too.  The decoder and
+    `sequence_cost` sum a row's products h[r][l] * u[l] left to right from
+    0.0, and w_r here is summed over the same l in the same order.  Each
+    product is exact and at most |h[r][l]| in magnitude, and rounding to
+    nearest is monotone, so the computed row sum is at most the computed
+    w_r in magnitude; hence the computed residual is at least the computed
+    g_r in magnitude, and its computed square at least that of g_r.
+    """
+    n = len(h)
+    tail = [0.0] * (n + 1)
+    acc = 0.0
+    for r in range(n - 1, -1, -1):
+        width = 0.0
+        for x in h[r][: r + 1]:
+            width += abs(x)
+        gap = abs(u_check[r]) - width
+        if gap > 0.0:
+            acc += gap * gap
+        tail[r] = acc
+    return tail
+
+
+def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     """Exact k-best branch-and-bound search over {-1,0,1}^n, in one pass.
 
     A list sphere decoder: walks layers 0..n-1 depth first, accumulating the
@@ -229,6 +259,23 @@ def sd_search(h, u_check, k, radius_sq, seed):
     equal-cost leaves stay alive and ties resolve as in the enumeration
     oracle.  Unless `seed` is None, that leaf (a tuple of levels) starts the
     list with its `sequence_cost`; the walk skips it when it meets it again.
+
+    Box bound: a child at layer i that passes the radius test is also cut
+    when its cost plus `box_tail(h, u_check)[i + 1]` exceeds the radius
+    grown by the factor 1 + 2(n+2) eps.  By `box_tail`, every completion's
+    computed squared residuals are at least the squares the tail sums, so
+    its computed cost, the running sum of its prefix cost and those squares
+    left to right, is at least the same running sum of the tail's squares.
+    That sum and cost + tail[i + 1], whose tail is summed right to left,
+    are two roundings of one exact sum of at most n + 1 nonnegative terms;
+    each differs from it by a relative n u at most (u = eps / 2), which the
+    grown radius covers.  So a cut child has no completion of computed cost at or
+    below the radius, and a leaf whose cost ties the radius is never cut.
+    The plain search would reject every leaf of a cut subtree at that
+    moment, so the list and the radius evolve as in the plain search, and
+    `best` and `rho_trace` are unchanged; only the node count falls.
+    `box_bound=False` skips computing the bound, for callers that know it
+    cannot prune; the result is the same either way.
 
     Returns (best, nodes, rho_trace): `best` is the sorted list of
     (cost, levels tuple), `nodes` counts residual evaluations, and
@@ -240,6 +287,10 @@ def sd_search(h, u_check, k, radius_sq, seed):
     n = len(h)
     last = n - 1
     diag = [h[i][i] for i in range(n)]
+    grow = 1.0 + 2 * (n + 2) * EPS
+    tail = box_tail(h, u_check) if box_bound else None
+    # only tail[1:] is ever read
+    bounded = tail is not None and tail[1] > 0.0
     best = []
     rho2 = radius_sq
     rho_trace = []
@@ -250,6 +301,7 @@ def sd_search(h, u_check, k, radius_sq, seed):
             if seed_cost < rho2:
                 rho2 = seed_cost
             rho_trace.append(rho2)
+    cut = rho2 * grow
 
     u = [0] * n
     order = [None] * n
@@ -292,6 +344,8 @@ def sd_search(h, u_check, k, radius_sq, seed):
             nodes += 1
             if cost > rho2:
                 continue
+            if bounded and cost + tail[i + 1] > cut:
+                continue
             u[i] = v
             if i < last:
                 break
@@ -305,6 +359,7 @@ def sd_search(h, u_check, k, radius_sq, seed):
                 best.pop()
             if len(best) == k:
                 rho2 = best[-1][0]
+                cut = rho2 * grow
                 rho_trace.append(rho2)
         if i < 0:
             return best, nodes, rho_trace

@@ -348,10 +348,11 @@ class RunMetrics:
     f_sw_machine: float
     f_sw_grid: float
     avg_nodes: float
+    max_nodes: int  # worst control step, machine plus grid decoder nodes
 
     FIELDS: ClassVar[tuple] = (
         "thd_machine", "rmse_te", "rmse_q", "rmse_p", "rmse_v_imb",
-        "rmse_v_dc", "f_sw_machine", "f_sw_grid", "avg_nodes",
+        "rmse_v_dc", "f_sw_machine", "f_sw_grid", "avg_nodes", "max_nodes",
     )
 
     def as_row(self):
@@ -415,7 +416,8 @@ def compute_switching_frequency(switch_series, t_s: float) -> float:
 
 
 def compute_metrics(series: TimeSeries, cfg: ScenarioConfig) -> RunMetrics:
-    """Steady-state metrics over the trailing fraction of the run."""
+    """Steady-state metrics over the trailing fraction of the run; the
+    decoder node counts (mean and worst step) cover every step."""
     sl = series.steady_slice(cfg.steady_fraction)
     f1 = cfg.fundamental_hz()
     thd = compute_thd(series.column("i_m_a"), cfg.t_s, f1, cfg.thd_periods)
@@ -441,6 +443,7 @@ def compute_metrics(series: TimeSeries, cfg: ScenarioConfig) -> RunMetrics:
         f_sw_machine=compute_switching_frequency(sw_m, cfg.t_s),
         f_sw_grid=compute_switching_frequency(sw_n, cfg.t_s),
         avg_nodes=float(np.mean(nodes)),
+        max_nodes=int(np.max(nodes)),
     )
 
 

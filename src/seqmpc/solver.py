@@ -5,7 +5,13 @@ sequences in {-1,0,1}^(3N) is condensed to an equivalent triangular form
 min ||target - factor @ U||^2 with `factor` lower triangular, then solved
 exactly by depth-first branch and bound.  `k_best` runs one pass of a list
 sphere decoder that keeps the k cheapest sequences and shrinks the radius to
-the k-th cost once it has k; `sphere_decode` is its k=1 case.
+the k-th cost once it has k; `sphere_decode` is its k=1 case.  Besides the
+radius test the search cuts a node when its cost plus a lower bound on the
+layers below it exceeds the radius: every level lies in [-1, 1], so row r
+leaves a residual of at least |target_r| - sum_l |factor_rl| whatever the
+path (see `_kernels.box_tail` and `_kernels.sd_search` for why the cut is
+exact in floating point, ties included).  It is skipped when the
+unconstrained optimum lies in the box, where it is zero up to rounding.
 `brute_force_kbest` is the independent enumeration oracle.  The inner loop
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
@@ -120,19 +126,12 @@ class CandidateList:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_floor(q: np.ndarray) -> float:
-    # reject numerically singular matrices, not just indefinite ones
-    return float(q.shape[0] * np.finfo(np.float64).eps * max(np.abs(np.diag(q)).max(), 1e-300))
-
-
 def cholesky(q: np.ndarray) -> np.ndarray:
     """Standard lower Cholesky factor L with L @ L.T == q."""
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    out = np.zeros_like(q)
-    pivot = _k.cholesky_lower(q, out, _pivot_floor(q))
+    low, pivot = _k.cholesky_lower(np.asarray(q, dtype=np.float64).tolist())
     if pivot >= 0:
-        raise NotPositiveDefiniteError(int(pivot))
-    return out
+        raise NotPositiveDefiniteError(pivot)
+    return np.array(low)
 
 
 def reverse_cholesky(q: np.ndarray) -> np.ndarray:
@@ -142,12 +141,11 @@ def reverse_cholesky(q: np.ndarray) -> np.ndarray:
     the decoder needs so that row k of H touches only entries 1..k and the
     layer-by-layer residual accumulation over 1..3N is exact.
     """
-    qf = np.ascontiguousarray(q[::-1, ::-1], dtype=np.float64)
-    out = np.zeros_like(qf)
-    pivot = _k.cholesky_lower(qf, out, _pivot_floor(q))
+    low, pivot = _k.cholesky_lower(np.asarray(q, dtype=np.float64)[::-1, ::-1].tolist())
     if pivot >= 0:
-        raise NotPositiveDefiniteError(int(q.shape[0] - 1 - pivot))
-    return np.ascontiguousarray(out.T[::-1, ::-1])
+        raise NotPositiveDefiniteError(len(low) - 1 - pivot)
+    # H[i][j] = low[n-1-j][n-1-i]: the columns of low, last first, reversed
+    return np.array([col[::-1] for col in zip(*low)][::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,9 @@ def assemble_qp(
     return QpForm(
         quad=quad,
         lin=lin,
-        factor=np.ascontiguousarray(factor),
+        factor=factor,
         unconstrained=unconstrained,
-        target=np.ascontiguousarray(target),
+        target=target,
         weight=weight,
         horizon=m.horizon,
     )
@@ -213,14 +211,20 @@ def _list_decode(qp: QpForm, k: int, radius_sq: float):
 
     With an infinite radius the search is seeded with the alphabet-clamped
     rounding of the unconstrained solution, which is always admissible.
+    The search's box bound is skipped when the unconstrained solution lies
+    in the box [-1, 1]^n: then |target_r| <= sum_l |factor_rl| up to the
+    rounding of `factor @ unconstrained`, so the bound could prune nothing
+    beyond rounding noise.  Skipping a bound never changes the result.
     """
     n = qp.factor.shape[0]
+    unc = qp.unconstrained.tolist()
     seed = None
     if not np.isfinite(radius_sq):
         # equal to clip(rint(v), -1, 1): halves round to even, so to 0 here
-        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained.tolist())
+        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in unc)
     best, nodes, rho_trace = _k.sd_search(
-        qp.factor, qp.target, min(k, 3 ** n), float(radius_sq), seed
+        qp.factor, qp.target, min(k, 3 ** n), float(radius_sq), seed,
+        max(map(abs, unc)) > 1.0,
     )
     levels = np.array([lv for _, lv in best], dtype=np.int64).reshape(len(best), n)
     seqs = SwitchSequence.from_rows(levels, qp.horizon)

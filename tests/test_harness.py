@@ -175,6 +175,15 @@ class TestMetricsPipeline:
         nodes = series.column("nodes_m") + series.column("nodes_n")
         got = compute_metrics(series, cfg)
         assert got.avg_nodes == pytest.approx(nodes.mean())
+        assert got.max_nodes == nodes.max()
+
+    def test_worst_step_work_is_bounded(self):
+        # the default controller's startup current transient is the
+        # decoder's worst case: 36 558 nodes in one step without the box
+        # bound, 2 382 with it
+        series = run_scenario(ScenarioConfig(duration=0.02))
+        nodes = series.column("nodes_m") + series.column("nodes_n")
+        assert nodes.max() <= 4000
 
 
 class TestSweep:

@@ -1,11 +1,13 @@
 """The decoder and Cholesky kernels reproduce recorded outputs exactly.
 
-The node counts, radius traces, factor digests and failing pivots below were
-recorded from the NumPy-scalar implementation of `sd_search` and
-`cholesky_lower` that the list-based kernels replaced.  The kernels run the
-same IEEE-754 operations in the same order, so every value must match bit
-for bit; the candidate lists must also equal enumeration, costs compared
-with `==`.
+The radius traces, factor digests, failing pivots and plain-search node
+counts below were recorded from the NumPy-scalar implementation of
+`sd_search` and `cholesky_lower` that the list-based kernels replaced.  The
+kernels run the same IEEE-754 operations in the same order, so every value
+must match bit for bit; the candidate lists must also equal enumeration,
+costs compared with `==`.  The box bound of `sd_search` cuts only subtrees
+the plain search would reject anyway, so with it the lists and traces are
+the same and only the node counts fall, to the second recorded set.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from seqmpc import _kernels
 from seqmpc.solver import (
     NotPositiveDefiniteError,
     brute_force_kbest,
@@ -27,25 +30,29 @@ SEED = 20261018
 KS = (1, 4, 10)
 
 # one row per `random_qp_instance` drawn from SEED, three per horizon 1, 2, 3:
-# (k_best nodes for each k in KS, sphere_decode radius trace in hex,
+# (k_best nodes for each k in KS, the same without the box bound,
+#  sphere_decode radius trace in hex,
 #  digest of cholesky(quad), digest of reverse_cholesky(quad))
 RECORDED = [
-    ((39, 39, 39), ["0x1.028637983b07ap+5"], "7cb8df299114d36d", "ff88ab2c9a0e2a1c"),
-    ((39, 39, 39), ["0x1.0f74b6a0e9e1ep+5"], "b6fc045fcf67ac71", "cbf08a8d9de77998"),
-    ((15, 21, 30), ["0x1.2ed7db9741dfbp+11"], "54ece7103a913f80", "45e4fdea5cace393"),
+    ((12, 39, 39), (39, 39, 39), ["0x1.028637983b07ap+5"],
+     "7cb8df299114d36d", "ff88ab2c9a0e2a1c"),
+    ((24, 39, 39), (39, 39, 39), ["0x1.0f74b6a0e9e1ep+5"],
+     "b6fc045fcf67ac71", "cbf08a8d9de77998"),
+    ((9, 21, 30), (15, 21, 30), ["0x1.2ed7db9741dfbp+11"],
+     "54ece7103a913f80", "45e4fdea5cace393"),
     (
-        (1068, 1068, 1089),
+        (213, 252, 429), (1068, 1068, 1089),
         ["0x1.ca8d967f5606ep+24", "0x1.b61e0994492b9p+24", "0x1.b44869eb4c7f4p+24",
          "0x1.b3f4c9ff4d948p+24", "0x1.b3d9318595bf0p+24"],
         "70763c940609a437", "f2f7f6fb2f57c985",
     ),
     (
-        (372, 384, 402),
+        (45, 72, 147), (372, 384, 402),
         ["0x1.f83eaf90061bep+27", "0x1.ec24eb92e76fbp+27"],
         "f325ce3654c79d7d", "7d8bf1827fa602cd",
     ),
     (
-        (1092, 1092, 1092),
+        (183, 252, 393), (1092, 1092, 1092),
         ["0x1.23115ffc2991bp+25", "0x1.19582ce0206a4p+25", "0x1.15623ab3a165ep+25",
          "0x1.122fba7ad61ebp+25", "0x1.116992c5994b2p+25", "0x1.0e36fed639978p+25",
          "0x1.0bc7dcda8da12p+25", "0x1.0b01b58da9f13p+25", "0x1.08927fdb698e5p+25",
@@ -53,18 +60,18 @@ RECORDED = [
         "ede7cbfc5ffaeef3", "52b0abbf9a36f1c5",
     ),
     (
-        (1602, 2208, 2874),
+        (327, 642, 945), (1602, 2208, 2874),
         ["0x1.f249c1309a6e8p+23", "0x1.9891cd67cbd63p+23"],
         "765be273f6acefe5", "d8d633c6a9b90d36",
     ),
     (
-        (13566, 13623, 13944),
+        (1743, 1773, 2016), (13566, 13623, 13944),
         ["0x1.b6184b7271992p+25", "0x1.5f2d24e93a9c7p+25", "0x1.5db9ddc0810bep+25",
          "0x1.5cd6c9658a50fp+25", "0x1.5c5c8aa6a585ep+25", "0x1.5c099a80ae09ap+25"],
         "a91d8b6d66e89683", "d1704b849b8823e9",
     ),
     (
-        (29520, 29520, 29523),
+        (1296, 1380, 1689), (29520, 29520, 29523),
         ["0x1.c65d73df015fcp+12", "0x1.bd5e8657ba9a9p+12"],
         "6c0698c9136f9f4c", "ef33547305e97522",
     ),
@@ -88,13 +95,13 @@ def _digest(a: np.ndarray) -> str:
 @pytest.mark.parametrize("case", range(len(RECORDED)))
 def test_decoder_matches_enumeration_and_recorded_search(instances, case):
     n_h, qp = instances[case]
-    nodes, trace, _, _ = RECORDED[case]
+    nodes, plain_nodes, trace, _, _ = RECORDED[case]
     oracle = brute_force_kbest(qp, max(KS), n_h)
-    for k, k_nodes in zip(KS, nodes):
+    for k, k_nodes, k_plain in zip(KS, nodes, plain_nodes):
         cands = k_best(qp, k)
         assert cands.sequences == oracle.sequences[:k]
         assert cands.costs == oracle.costs[:k]
-        assert cands.nodes_visited == k_nodes
+        assert cands.nodes_visited == k_nodes <= k_plain
     res = sphere_decode(qp)
     assert res.nodes == nodes[0]
     assert res.rho_trace.dtype == np.float64
@@ -102,9 +109,23 @@ def test_decoder_matches_enumeration_and_recorded_search(instances, case):
 
 
 @pytest.mark.parametrize("case", range(len(RECORDED)))
+def test_box_bound_only_removes_nodes(instances, case):
+    _, qp = instances[case]
+    nodes, plain_nodes, _, _, _ = RECORDED[case]
+    seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained.tolist())
+    for k, k_nodes, k_plain in zip(KS, nodes, plain_nodes):
+        args = (qp.factor, qp.target, k, float("inf"), seed)
+        best, got_nodes, trace = _kernels.sd_search(*args, True)
+        plain_best, got_plain, plain_trace = _kernels.sd_search(*args, False)
+        assert best == plain_best
+        assert trace == plain_trace
+        assert (got_nodes, got_plain) == (k_nodes, k_plain)
+
+
+@pytest.mark.parametrize("case", range(len(RECORDED)))
 def test_factors_match_recorded_digests(instances, case):
     _, qp = instances[case]
-    _, _, chol, rev = RECORDED[case]
+    _, _, _, chol, rev = RECORDED[case]
     assert _digest(cholesky(qp.quad)) == chol
     assert _digest(reverse_cholesky(qp.quad)) == rev
 

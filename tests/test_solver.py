@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from seqmpc import _kernels
 from seqmpc.plant import DcLinkState, GridParams, MachineParams, MechState, PlantState, SwitchState
 from seqmpc.prediction import (
     MultistepModel,
@@ -270,6 +271,98 @@ class TestKBest:
         qp = random_qp_instance(rng, 1)
         with pytest.raises(ValueError):
             k_best(qp, 0)
+
+
+class TestBoxBound:
+    """The decoder's box bound cuts nodes but never a listable leaf.
+
+    Every family below puts the unconstrained optimum outside the box, so
+    the bound is computed and prunes; lists and costs must still equal
+    enumeration exactly, ties included.
+    """
+
+    KS = (1, 4, 10)
+
+    @staticmethod
+    def assert_exact(qp, n_h, ks=KS):
+        want = brute_force_kbest(qp, max(ks), n_h)
+        for k in ks:
+            got = k_best(qp, k)
+            assert got.sequences == want.sequences[:k]
+            assert got.costs == want.costs[:k]
+        # a leaf whose cost ties a finite radius survives the bound
+        res = sphere_decode(qp, radius_sq=want.costs[0])
+        assert res.best == want.sequences[0] and res.best_cost == want.costs[0]
+
+    @staticmethod
+    def plain_and_bounded(qp, k):
+        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained)
+        args = (qp.factor, qp.target, k, float("inf"), seed)
+        return _kernels.sd_search(*args, False), _kernels.sd_search(*args, True)
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_far_outside_box_matches_enumeration(self, n_h, rng):
+        cut = 0
+        for scale in (2.0, 3.0, 5.0, 8.0, 13.0, 20.0):
+            base = random_qp_instance(rng, n_h)
+            x = rng.uniform(-1.0, 1.0, size=3 * n_h)
+            x *= scale / np.abs(x).max()
+            qp = qp_from_factor(base.factor, x, n_h)
+            self.assert_exact(qp, n_h)
+            for k in self.KS:
+                (best, nodes, trace), (b_best, b_nodes, b_trace) = self.plain_and_bounded(qp, k)
+                assert (b_best, b_trace) == (best, trace)
+                assert b_nodes <= nodes
+                cut += nodes - b_nodes
+        assert cut > 0
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_exact_tie_twins_outside_box(self, n_h, rng):
+        # small integers make every cost exact, so many leaves tie
+        ties = 0
+        for _ in range(4):
+            n = 3 * n_h
+            factor = np.tril(rng.integers(-2, 3, size=(n, n))).astype(float)
+            factor[np.diag_indices(n)] = rng.integers(1, 3, size=n)
+            x = rng.integers(-12, 13, size=n).astype(float)
+            x[rng.integers(n)] = 12.0
+            qp = qp_from_factor(factor, x, n_h)
+            self.assert_exact(qp, n_h, ks=(1, 2, 3, 4, 10, 27))
+            costs = brute_force_kbest(qp, 27, n_h).costs
+            ties += sum(a == b for a, b in zip(costs, costs[1:]))
+        assert ties > 0
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tight_bound_ties_the_radius(self, n_h, exact, rng):
+        # positive factor, optimum far out on the positive side: the best
+        # leaf is all ones and the bound equals its cost on every node of
+        # its path, up to rounding, or exactly on small integers
+        n = 3 * n_h
+        for _ in range(20 if not exact else 5):
+            if exact:
+                factor = np.tril(rng.integers(1, 4, size=(n, n))).astype(float)
+                x = rng.integers(2, 21, size=n).astype(float)
+            else:
+                factor = np.tril(rng.uniform(0.1, 3.0, size=(n, n)))
+                x = rng.uniform(2.0, 20.0, size=n)
+            qp = qp_from_factor(factor, x, n_h)
+            self.assert_exact(qp, n_h)
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3])
+    def test_gap_within_ulps_of_zero(self, n_h, rng):
+        # the optimum sits a few ulps outside the box: every row's gap
+        # |target_r| - sum_l |factor_rl| is a few ulps from 0, and so is the
+        # best cost, which leaves the radius growth no room to hide a cut
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            n = 3 * n_h
+            factor = np.tril(rng.uniform(0.1, 3.0, size=(n, n)))
+            signs = rng.choice([-1.0, 1.0], size=n)
+            factor *= signs[None, :]
+            x = signs * (1.0 + eps * rng.integers(1, 4, size=n))
+            qp = qp_from_factor(factor, x, n_h)
+            self.assert_exact(qp, n_h)
 
 
 class TestBruteForce:
