@@ -209,12 +209,6 @@ def sequence_cost(h, u_check, u):
     return total
 
 
-def sequence_costs_batch(h, u_check, seqs, out):
-    h = h.tolist()
-    u_check = u_check.tolist()
-    out[:] = [sequence_cost(h, u_check, u) for u in seqs.tolist()]
-
-
 # ---------------------------------------------------------------------------
 # depth-first k-best sphere decoder core
 # ---------------------------------------------------------------------------

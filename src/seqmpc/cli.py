@@ -1,17 +1,19 @@
 """Command-line interface: single runs, parameter sweeps and verification.
 
-Exit codes: 0 success, 1 configuration error, 2 simulation blow-up,
-3 solver/verification error.
+Exit codes: 0 success, 1 configuration or usage error, 2 simulation
+blow-up, 3 solver/verification error.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import click
 
+from .controller import MODES
 from .harness import (
     ConfigError,
     ScenarioConfig,
@@ -40,7 +42,7 @@ def _load(config_path, **overrides) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _scalar_overrides(horizon, nk, nl, lam, mode, duration, seed, substeps):
+def _scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps):
     out = {}
     if horizon is not None:
         out["horizons"] = (horizon,)
@@ -54,8 +56,6 @@ def _scalar_overrides(horizon, nk, nl, lam, mode, duration, seed, substeps):
         out["modes"] = (mode,)
     if duration is not None:
         out["duration"] = duration
-    if seed is not None:
-        out["seed"] = seed
     if substeps is not None:
         out["substeps"] = substeps
     return out
@@ -69,9 +69,8 @@ def _common_options(fn):
         click.option("--nk", type=int, default=None, help="Machine-side candidate count."),
         click.option("--nl", type=int, default=None, help="Grid-side candidate count."),
         click.option("--lambda", "lam", type=float, default=None, help="Switching-effort weight."),
-        click.option("--mode", type=click.Choice(["sequential", "standard_sd"]), default=None),
+        click.option("--mode", type=click.Choice(MODES), default=None),
         click.option("--duration", type=float, default=None, help="Simulated seconds."),
-        click.option("--seed", type=int, default=None),
         click.option("--substeps", type=int, default=None, help="Plant sub-integrations per period."),
         click.option("--out", "out_dir", type=click.Path(), default="runs/latest",
                      help="Output directory for CSV files."),
@@ -81,19 +80,41 @@ def _common_options(fn):
     return fn
 
 
-@click.group()
+@contextmanager
+def _usage_errors_exit_config():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Cli(click.Group):
+    """Usage errors (a bad flag or value, an unknown command) exit with
+    EXIT_CONFIG: click's own code for them, 2, is EXIT_BLOWUP here."""
+
+    def make_context(self, *args, **kwargs):  # parses the group's arguments
+        with _usage_errors_exit_config():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):  # resolves the subcommand and parses its arguments
+        with _usage_errors_exit_config():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Cli)
 def main():
     """Sequential multistep MPC simulator for an NPC back-to-back PMSG plant."""
 
 
 @main.command()
 @_common_options
-def run(config_path, horizon, nk, nl, lam, mode, duration, seed, substeps, out_dir):
+def run(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
     """Simulate one scenario and write timeseries/metrics/spectrum CSV files."""
     try:
         cfg = _load(
             config_path,
-            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, seed, substeps),
+            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
         )
         ctrl = cfg.controller()
     except ConfigError as exc:
@@ -125,12 +146,12 @@ def run(config_path, horizon, nk, nl, lam, mode, duration, seed, substeps, out_d
 
 @main.command(name="sweep")
 @_common_options
-def sweep_cmd(config_path, horizon, nk, nl, lam, mode, duration, seed, substeps, out_dir):
+def sweep_cmd(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
     """Run the controller-parameter grid and write one metrics row per cell."""
     try:
         cfg = _load(
             config_path,
-            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, seed, substeps),
+            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
         )
         rows = sweep(cfg)
     except ConfigError as exc:

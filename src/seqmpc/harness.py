@@ -64,7 +64,6 @@ class ScenarioConfig:
     duration: float = 0.5
     t_s: float = 50e-6
     substeps: int = 10
-    seed: int = 1
 
     # plant constants
     r_s: float = 0.1379
@@ -102,7 +101,6 @@ class ScenarioConfig:
     n_ls: tuple = (4,)
     lambdas: tuple = (0.1,)
     modes: tuple = ("sequential",)
-    lambda_v: float = 0.02  # accepted for config compatibility; unused here
 
     # metrics
     thd_periods: int = 5
@@ -209,7 +207,6 @@ TS_COLUMNS = (
 class TimeSeries:
     """Column store of per-step records, sampled at the controller period."""
 
-    t_s: float
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -273,7 +270,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     )
     u_prev_m = SwitchState.zero()
     u_prev_n = SwitchState.zero()
-    series = TimeSeries(t_s=cfg.t_s)
+    series = TimeSeries()
 
     for step in range(cfg.n_steps()):
         scale = max(
@@ -508,7 +505,7 @@ def write_spectrum_csv(series: TimeSeries, cfg: ScenarioConfig, path):
 # ---------------------------------------------------------------------------
 
 _SECTIONS = {
-    "scenario": ("duration", "t_s", "substeps", "seed"),
+    "scenario": ("duration", "t_s", "substeps"),
     "plant": (
         "r_s", "l_s", "psi_pm", "pole_pairs", "r_n", "l_n", "e_peak",
         "omega_n", "c_dc", "inertia", "v_dc_ref",
@@ -517,11 +514,11 @@ _SECTIONS = {
     "references": (
         "speed_rpm", "torque_nm", "speed_kp", "t_e_max", "pi_kp", "pi_ki", "pi_clamp",
     ),
-    "controller": ("horizons", "n_ks", "n_ls", "lambdas", "modes", "lambda_v"),
+    "controller": ("horizons", "n_ks", "n_ls", "lambdas", "modes"),
     "metrics": ("thd_periods", "steady_fraction"),
 }
 
-_INT_FIELDS = {"substeps", "seed", "pole_pairs", "thd_periods"}
+_INT_FIELDS = {"substeps", "pole_pairs", "thd_periods"}
 _PROFILE_FIELDS = {"speed_rpm", "torque_nm"}
 _INT_LIST_FIELDS = {"horizons", "n_ks", "n_ls"}
 _FLOAT_LIST_FIELDS = {"lambdas"}

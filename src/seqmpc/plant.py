@@ -97,7 +97,6 @@ class GridParams:
 @dataclass(frozen=True)
 class MechState:
     omega_m: float
-    omega_e: float
     theta_e: float
     inertia_j: float
     t_m: float
@@ -131,7 +130,6 @@ class PlantState:
     ) -> "PlantState":
         mech = MechState(
             omega_m=omega_m,
-            omega_e=machine.pole_pairs * omega_m,
             theta_e=theta_e % TWO_PI,
             inertia_j=inertia,
             t_m=t_m,
@@ -155,46 +153,10 @@ class PlantState:
 # ---------------------------------------------------------------------------
 
 
-def converter_voltage(s: SwitchState, dc: DcLinkState) -> np.ndarray:
-    """Three-phase terminal voltage produced by one switch state."""
-    return np.array(_k.converter_voltage3(s.s_a, s.s_b, s.s_c, dc.v_dc, dc.v_imb))
-
-
 def converter_matrix(dc: DcLinkState) -> np.ndarray:
     """3x3 map from a switch vector to the three-phase voltage."""
     g = (dc.v_dc + dc.v_imb) / 6.0
     return g * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
-
-
-def dc_link_derivative(s_m: SwitchState, s_n: SwitchState, i_m_abc, i_n_abc, c: float):
-    """Rates of change of the total DC voltage and of the imbalance."""
-    dv_dc, dv_imb = _k.dc_link_deriv2(
-        s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
-        float(i_m_abc[0]), float(i_m_abc[1]), float(i_m_abc[2]),
-        float(i_n_abc[0]), float(i_n_abc[1]), float(i_n_abc[2]),
-        c,
-    )
-    return dv_dc, dv_imb
-
-
-def machine_derivative(x_dq, u_dq, omega_e: float, p: MachineParams) -> np.ndarray:
-    """dq current derivative of the PMSG stator including back-EMF."""
-    return np.array(
-        _k.machine_deriv2(
-            float(x_dq[0]), float(x_dq[1]), float(u_dq[0]), float(u_dq[1]),
-            omega_e, p.r_s, p.l_s, p.psi_pm,
-        )
-    )
-
-
-def grid_derivative(x_ab, u_ab, e_ab, p: GridParams) -> np.ndarray:
-    """alpha/beta current derivative of the RL grid filter."""
-    return np.array(
-        _k.grid_deriv2(
-            float(x_ab[0]), float(x_ab[1]), float(u_ab[0]), float(u_ab[1]),
-            float(e_ab[0]), float(e_ab[1]), p.r_n, p.l_n,
-        )
-    )
 
 
 def grid_emf(t: float, p: GridParams) -> np.ndarray:
@@ -213,14 +175,6 @@ def power_output(x_ab, e_ab):
 
 def electromagnetic_torque(i_q: float, p: MachineParams) -> float:
     return _k.torque_of_iq(float(i_q), p.pole_pairs, p.psi_pm)
-
-
-def mech_step(m: MechState, t_e: float, dt: float, pole_pairs: int) -> MechState:
-    """One Euler step of the rotor speed; the angle integrates the new speed."""
-    omega_m = m.omega_m + dt * (m.t_m - t_e) / m.inertia_j
-    omega_e = pole_pairs * omega_m
-    theta_e = (m.theta_e + dt * omega_e) % TWO_PI
-    return replace(m, omega_m=omega_m, omega_e=omega_e, theta_e=theta_e)
 
 
 def plant_step(
@@ -256,11 +210,6 @@ def plant_step(
         i_m_dq=np.array([i_md, i_mq]),
         i_n_ab=np.array([i_na, i_nb]),
         dc=DcLinkState(v_dc=v_dc, v_imb=v_imb, c=st.dc.c),
-        mech=replace(
-            st.mech,
-            omega_m=omega_m,
-            omega_e=machine.pole_pairs * omega_m,
-            theta_e=theta_e,
-        ),
+        mech=replace(st.mech, omega_m=omega_m, theta_e=theta_e),
         t=t,
     )

@@ -62,7 +62,6 @@ class DiscreteModel:
     input_mat: np.ndarray
     drift: np.ndarray
     output_mat: np.ndarray
-    t_s: float
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,6 @@ def discretize(sys: LinearSubsystem, t_s: float) -> DiscreteModel:
         input_mat=t_s * sys.input_mat,
         drift=t_s * sys.drift,
         output_mat=sys.output_mat.copy(),
-        t_s=t_s,
     )
 
 
@@ -260,7 +258,10 @@ def build_step_models(
 ) -> StepModels:
     """Build and discretize each side once for the control step at `st`."""
     model_m = discretize(
-        build_machine_subsystem(machine, st.mech.omega_e, st.dc, st.mech.theta_e), t_s
+        build_machine_subsystem(
+            machine, machine.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e
+        ),
+        t_s,
     )
     model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
     return StepModels(

@@ -77,7 +77,6 @@ class QpForm:
     factor: np.ndarray
     unconstrained: np.ndarray
     target: np.ndarray
-    weight: float
     horizon: int
 
 
@@ -98,7 +97,6 @@ class CandidateList:
     """
 
     items: list  # list[(SwitchSequence, float)]
-    k: int
     nodes_visited: int = 0
     levels: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -124,14 +122,6 @@ class CandidateList:
 # ---------------------------------------------------------------------------
 # factorization
 # ---------------------------------------------------------------------------
-
-
-def cholesky(q: np.ndarray) -> np.ndarray:
-    """Standard lower Cholesky factor L with L @ L.T == q."""
-    low, pivot = _k.cholesky_lower(np.asarray(q, dtype=np.float64).tolist())
-    if pivot >= 0:
-        raise NotPositiveDefiniteError(pivot)
-    return np.array(low)
 
 
 def reverse_cholesky(q: np.ndarray) -> np.ndarray:
@@ -196,7 +186,6 @@ def assemble_qp(
         factor=factor,
         unconstrained=unconstrained,
         target=target,
-        weight=weight,
         horizon=m.horizon,
     )
 
@@ -256,7 +245,7 @@ def k_best(qp: QpForm, k: int) -> CandidateList:
     if k < 1:
         raise ValueError("k must be >= 1")
     items, nodes, _ = _list_decode(qp, k, np.inf)
-    return CandidateList(items=items, k=k, nodes_visited=nodes)
+    return CandidateList(items=items, nodes_visited=nodes)
 
 
 def all_sequences(n_h: int) -> np.ndarray:
@@ -279,8 +268,9 @@ def brute_force_kbest(
         raise ValueError("k must be >= 1")
     seqs = all_sequences(n_h)
     if isinstance(qp_or_cost, QpForm):
-        costs = np.empty(seqs.shape[0])
-        _k.sequence_costs_batch(qp_or_cost.factor, qp_or_cost.target, seqs, costs)
+        h = qp_or_cost.factor.tolist()
+        t = qp_or_cost.target.tolist()
+        costs = np.array([_k.sequence_cost(h, t, u) for u in seqs.tolist()])
     else:
         cost_fn: Callable = qp_or_cost
         costs = np.array(
@@ -293,7 +283,7 @@ def brute_force_kbest(
         (SwitchSequence(levels=seqs[i], horizon=n_h), float(costs[i]))
         for i in ranked[:k]
     ]
-    return CandidateList(items=items, k=k, nodes_visited=seqs.shape[0])
+    return CandidateList(items=items, nodes_visited=seqs.shape[0])
 
 
 # ---------------------------------------------------------------------------

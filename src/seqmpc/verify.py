@@ -24,30 +24,29 @@ from .prediction import (
 from .solver import QpForm, assemble_qp, brute_force_kbest, k_best
 
 
-def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
-    """A condensed subproblem from a random but plausible controller state."""
-    cfg = ScenarioConfig()
-    machine = cfg.machine()
-    grid = cfg.grid()
+def _random_side(rng: np.random.Generator, cfg: ScenarioConfig):
+    """(continuous side model, output reference scale) of a random but
+    plausible controller state: the machine side or the grid side, each with
+    probability one half, at a random DC-link state."""
     dc = DcLinkState(
         v_dc=float(rng.uniform(600.0, 800.0)),
         v_imb=float(rng.uniform(-5.0, 5.0)),
         c=cfg.c_dc,
     )
     if rng.random() < 0.5:
-        sys = build_machine_subsystem(
-            machine,
-            omega_e=float(rng.uniform(-400.0, 400.0)),
-            dc=dc,
-            theta_e=float(rng.uniform(0.0, 2.0 * np.pi)),
-        )
-        x0 = rng.normal(0.0, 15.0, size=2)
-        y_ref = np.tile(rng.normal(0.0, 15.0, size=2), n_h)
-    else:
-        e_ab = grid_emf(float(rng.uniform(0.0, 0.02)), grid)
-        sys = build_grid_subsystem(grid, e_ab, dc)
-        x0 = rng.normal(0.0, 15.0, size=2)
-        y_ref = np.tile(rng.normal(0.0, 3000.0, size=2), n_h)
+        omega_e = float(rng.uniform(-400.0, 400.0))
+        theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
+        return build_machine_subsystem(cfg.machine(), omega_e, dc, theta_e), 15.0
+    e_ab = grid_emf(float(rng.uniform(0.0, 0.02)), cfg.grid())
+    return build_grid_subsystem(cfg.grid(), e_ab, dc), 3000.0
+
+
+def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
+    """A condensed subproblem from a random but plausible controller state."""
+    cfg = ScenarioConfig()
+    sys, ref_scale = _random_side(rng, cfg)
+    x0 = rng.normal(0.0, 15.0, size=2)
+    y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
     u_prev = SwitchState(*(int(v) for v in rng.integers(-1, 2, size=3)))
     model = build_multistep(discretize(sys, cfg.t_s), n_h)
     return assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
@@ -92,24 +91,10 @@ def check_condensation(seed: int, cases: int, horizons=(1, 2)):
     """Raw-cost argmin must equal the triangular-form argmin by enumeration."""
     rng = np.random.default_rng(seed)
     cfg = ScenarioConfig()
-    machine = cfg.machine()
-    grid = cfg.grid()
     for i in range(cases):
         n_h = horizons[i % len(horizons)]
-        dc = DcLinkState(
-            v_dc=float(rng.uniform(600.0, 800.0)),
-            v_imb=float(rng.uniform(-5.0, 5.0)),
-            c=cfg.c_dc,
-        )
-        if rng.random() < 0.5:
-            sys = build_machine_subsystem(
-                machine, float(rng.uniform(-400, 400)), dc,
-                float(rng.uniform(0, 2 * np.pi)),
-            )
-            y_ref = np.tile(rng.normal(0.0, 15.0, size=2), n_h)
-        else:
-            sys = build_grid_subsystem(grid, grid_emf(float(rng.uniform(0, 0.02)), grid), dc)
-            y_ref = np.tile(rng.normal(0.0, 3000.0, size=2), n_h)
+        sys, ref_scale = _random_side(rng, cfg)
+        y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
         x0 = rng.normal(0.0, 15.0, size=2)
         u_prev = SwitchState(*(int(v) for v in rng.integers(-1, 2, size=3)))
         model = build_multistep(discretize(sys, cfg.t_s), n_h)
@@ -126,22 +111,9 @@ def check_stacking(seed: int, cases: int, horizons=(1, 2, 3)):
     """Condensed prediction must equal iterating the one-step model."""
     rng = np.random.default_rng(seed)
     cfg = ScenarioConfig()
-    machine = cfg.machine()
-    grid = cfg.grid()
     for i in range(cases):
         n_h = horizons[i % len(horizons)]
-        dc = DcLinkState(
-            v_dc=float(rng.uniform(600.0, 800.0)),
-            v_imb=float(rng.uniform(-5.0, 5.0)),
-            c=cfg.c_dc,
-        )
-        if rng.random() < 0.5:
-            sys = build_machine_subsystem(
-                machine, float(rng.uniform(-400, 400)), dc,
-                float(rng.uniform(0, 2 * np.pi)),
-            )
-        else:
-            sys = build_grid_subsystem(grid, grid_emf(float(rng.uniform(0, 0.02)), grid), dc)
+        sys, _ = _random_side(rng, cfg)
         model = discretize(sys, cfg.t_s)
         multi = build_multistep(model, n_h)
         x0 = rng.normal(0.0, 15.0, size=2)

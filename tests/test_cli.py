@@ -129,6 +129,32 @@ class TestSweep:
         assert not (tmp_path / "o").exists()
 
 
+class TestUsageErrors:
+    """click's usage errors exit 1, like a config error; 2 means a blow-up."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizon", "abc"], "Invalid value for '--horizon'"),
+            (["--bogus", "1"], "No such option"),
+            (["--mode", "x"], "'sequential', 'standard_sd'"),
+            (["--seed", "1"], "No such option"),
+        ],
+        ids=["horizon-abc", "bogus", "mode-x", "seed"],
+    )
+    def test_bad_flag_exits_one(self, runner, tmp_path, command, flags, message):
+        result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_command_exits_one(self, runner):
+        result = runner.invoke(main, ["nosuch"])
+        assert result.exit_code == 1, result.output
+        assert "No such command" in result.output
+
+
 class TestVerify:
     def test_verify_passes(self, runner):
         result = runner.invoke(main, ["verify", "--seed", "3", "--cases", "5"])

@@ -32,7 +32,7 @@ def running_state(rng):
         i_m_dq=rng.normal(0, 8, 2),
         i_n_ab=rng.normal(0, 8, 2),
         dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5), 1100e-6),
-        mech=MechState(omega_m, 3 * omega_m, rng.uniform(0, 2 * math.pi), 0.05, 20.0),
+        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi), 0.05, 20.0),
         t=rng.uniform(0, 0.02),
     )
 
@@ -187,7 +187,7 @@ class TestControlStep:
             )
             y_m, y_n = stack_reference(refs_k, cfg.n_h)
             multi_m = build_multistep(
-                discretize(build_machine_subsystem(MACHINE, st.mech.omega_e, st.dc, st.mech.theta_e), T_S),
+                discretize(build_machine_subsystem(MACHINE, MACHINE.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e), T_S),
                 cfg.n_h,
             )
             multi_n = build_multistep(

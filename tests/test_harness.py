@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqmpc import harness
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import (
     ConfigError,
@@ -256,10 +258,22 @@ class TestConfigFiles:
             load_config(tmp_path / "nope.ini")
 
     def test_unknown_key_rejected(self, tmp_path):
+        # a misspelt key, and the retired `seed` and `lambda_v` keys that
+        # nothing read
         path = tmp_path / "bad.ini"
-        path.write_text("[scenario]\nduraton = 1.0\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for section, key, value in (
+            ("scenario", "duraton", "1.0"),
+            ("scenario", "seed", "1"),
+            ("controller", "lambda_v", "0.02"),
+        ):
+            path.write_text(f"[{section}]\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
+                load_config(path)
+
+    def test_sections_cover_exactly_the_fields(self):
+        keys = [name for names in harness._SECTIONS.values() for name in names]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in dataclasses.fields(ScenarioConfig)}
 
     def test_effort_weight_floor(self):
         # every shipped config passes; a positive but tiny weight is rejected

@@ -2,7 +2,9 @@
 
 The radius traces, factor digests, failing pivots and plain-search node
 counts below were recorded from the NumPy-scalar implementation of
-`sd_search` and `cholesky_lower` that the list-based kernels replaced.  The
+`sd_search` and `cholesky_lower` that the list-based kernels replaced.
+The unreversed factors and pivots come from `cholesky_lower` itself, the
+reversed ones from `reverse_cholesky`, which the controller runs.  The
 kernels run the same IEEE-754 operations in the same order, so every value
 must match bit for bit; the candidate lists must also equal enumeration,
 costs compared with `==`.  The box bound of `sd_search` cuts only subtrees
@@ -19,7 +21,6 @@ from seqmpc import _kernels
 from seqmpc.solver import (
     NotPositiveDefiniteError,
     brute_force_kbest,
-    cholesky,
     k_best,
     reverse_cholesky,
     sphere_decode,
@@ -32,7 +33,7 @@ KS = (1, 4, 10)
 # one row per `random_qp_instance` drawn from SEED, three per horizon 1, 2, 3:
 # (k_best nodes for each k in KS, the same without the box bound,
 #  sphere_decode radius trace in hex,
-#  digest of cholesky(quad), digest of reverse_cholesky(quad))
+#  digest of cholesky_lower(quad), digest of reverse_cholesky(quad))
 RECORDED = [
     ((12, 39, 39), (39, 39, 39), ["0x1.028637983b07ap+5"],
      "7cb8df299114d36d", "ff88ab2c9a0e2a1c"),
@@ -77,8 +78,8 @@ RECORDED = [
     ),
 ]
 
-# (n, rank, cholesky pivot, reverse_cholesky pivot) of rank-deficient Gram
-# matrices b @ b.T, b drawn from SEED with shape (n, rank)
+# (n, rank, cholesky_lower pivot, reverse_cholesky pivot) of rank-deficient
+# Gram matrices b @ b.T, b drawn from SEED with shape (n, rank)
 RECORDED_PIVOTS = [(3, 2, 2, 0), (6, 4, 4, 1), (9, 5, 5, 3), (9, 8, 8, 0), (6, 1, 1, 4)]
 
 
@@ -126,7 +127,9 @@ def test_box_bound_only_removes_nodes(instances, case):
 def test_factors_match_recorded_digests(instances, case):
     _, qp = instances[case]
     _, _, _, chol, rev = RECORDED[case]
-    assert _digest(cholesky(qp.quad)) == chol
+    low, pivot = _kernels.cholesky_lower(qp.quad.tolist())
+    assert pivot == -1
+    assert _digest(np.array(low)) == chol
     assert _digest(reverse_cholesky(qp.quad)) == rev
 
 
@@ -135,9 +138,7 @@ def test_failing_pivots_match_recorded():
     for n, rank, pivot, rev_pivot in RECORDED_PIVOTS:
         b = rng.normal(size=(n, rank))
         q = b @ b.T
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky(q)
-        assert err.value.pivot == pivot
+        assert _kernels.cholesky_lower(q.tolist())[1] == pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
             reverse_cholesky(q)
         assert err.value.pivot == rev_pivot

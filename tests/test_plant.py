@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from seqmpc import _kernels
 from seqmpc import transforms as tr
 from seqmpc.plant import (
     DcLinkState,
@@ -13,13 +14,8 @@ from seqmpc.plant import (
     PlantState,
     SwitchState,
     converter_matrix,
-    converter_voltage,
-    dc_link_derivative,
     electromagnetic_torque,
-    grid_derivative,
     grid_emf,
-    machine_derivative,
-    mech_step,
     plant_step,
     power_output,
 )
@@ -27,6 +23,7 @@ from seqmpc.plant import (
 MACHINE = MachineParams(r_s=0.1379, l_s=0.019, psi_pm=0.42675, pole_pairs=3)
 GRID = GridParams(r_n=0.156, l_n=0.020, e_peak=250.0, omega_n=100.0 * math.pi)
 DC = DcLinkState(v_dc=700.0, v_imb=0.0, c=1100e-6)
+QUIET_GRID = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
 
 
 def random_state(rng, t_m=0.0):
@@ -36,7 +33,6 @@ def random_state(rng, t_m=0.0):
         dc=DcLinkState(v_dc=700.0 + rng.normal(0, 5), v_imb=rng.normal(0, 2), c=1100e-6),
         mech=MechState(
             omega_m=rng.uniform(0, 120),
-            omega_e=0.0,
             theta_e=rng.uniform(0, 2 * math.pi),
             inertia_j=0.05,
             t_m=t_m,
@@ -57,88 +53,96 @@ class TestSwitchState:
 
 class TestConverterVoltage:
     def test_zero_switches(self):
-        assert_allclose(converter_voltage(SwitchState(0, 0, 0), DC), np.zeros(3))
+        assert_allclose(_kernels.converter_voltage3(0, 0, 0, DC.v_dc, DC.v_imb), np.zeros(3))
 
     def test_line_to_line(self):
-        u = converter_voltage(SwitchState(1, -1, 0), DC)
+        u = _kernels.converter_voltage3(1, -1, 0, DC.v_dc, DC.v_imb)
         assert_allclose(u, [350.0, -350.0, 0.0])
 
     def test_common_mode_nullspace(self):
-        assert_allclose(converter_voltage(SwitchState(1, 1, 1), DC), np.zeros(3))
-        assert_allclose(converter_voltage(SwitchState(-1, -1, -1), DC), np.zeros(3))
+        assert_allclose(_kernels.converter_voltage3(1, 1, 1, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(_kernels.converter_voltage3(-1, -1, -1, DC.v_dc, DC.v_imb), np.zeros(3))
 
     def test_rows_sum_to_zero(self, rng):
         for _ in range(50):
-            s = SwitchState(*(int(v) for v in rng.integers(-1, 2, 3)))
-            dc = DcLinkState(700.0, float(rng.normal(0, 3)), 1100e-6)
-            assert converter_voltage(s, dc).sum() == pytest.approx(0.0, abs=1e-9)
+            s = [int(v) for v in rng.integers(-1, 2, 3)]
+            u = _kernels.converter_voltage3(*s, 700.0, float(rng.normal(0, 3)))
+            assert sum(u) == pytest.approx(0.0, abs=1e-9)
 
     def test_matrix_agrees_with_op(self, rng):
         for _ in range(20):
-            s = SwitchState(*(int(v) for v in rng.integers(-1, 2, 3)))
-            assert_allclose(converter_matrix(DC) @ s.as_array(), converter_voltage(s, DC))
+            s = [int(v) for v in rng.integers(-1, 2, 3)]
+            assert_allclose(
+                converter_matrix(DC) @ s, _kernels.converter_voltage3(*s, DC.v_dc, DC.v_imb)
+            )
+
+
+def dc_link_deriv(s_m, s_n, i_m_abc, i_n_abc, c):
+    return _kernels.dc_link_deriv2(*s_m, *s_n, *i_m_abc, *i_n_abc, c)
 
 
 class TestDcLinkDerivative:
     def test_zero_switches(self):
-        out = dc_link_derivative(
-            SwitchState(0, 0, 0), SwitchState(0, 0, 0), np.ones(3), np.ones(3), 1100e-6
-        )
+        out = dc_link_deriv((0, 0, 0), (0, 0, 0), np.ones(3), np.ones(3), 1100e-6)
         assert out == (0.0, 0.0)
 
     def test_machine_phase_injection(self):
-        dv_dc, dv_imb = dc_link_derivative(
-            SwitchState(1, 0, 0), SwitchState(0, 0, 0),
-            np.array([10.0, 0.0, 0.0]), np.zeros(3), 1100e-6,
+        dv_dc, dv_imb = dc_link_deriv(
+            (1, 0, 0), (0, 0, 0), np.array([10.0, 0.0, 0.0]), np.zeros(3), 1100e-6,
         )
         assert dv_dc == pytest.approx(10.0 / 1100e-6, rel=1e-12)
         assert dv_imb == pytest.approx(10.0 / 1100e-6, rel=1e-12)
 
     def test_sign_split_between_level_and_magnitude(self):
-        dv_dc, dv_imb = dc_link_derivative(
-            SwitchState(-1, 0, 0), SwitchState(0, 0, 0),
-            np.array([10.0, 0.0, 0.0]), np.zeros(3), 1100e-6,
+        dv_dc, dv_imb = dc_link_deriv(
+            (-1, 0, 0), (0, 0, 0), np.array([10.0, 0.0, 0.0]), np.zeros(3), 1100e-6,
         )
         assert dv_dc == pytest.approx(-9090.909, rel=1e-4)
         assert dv_imb == pytest.approx(9090.909, rel=1e-4)
 
     def test_bilinear_in_currents(self, rng):
-        s_m = SwitchState(1, -1, 0)
-        s_n = SwitchState(0, 1, -1)
+        s_m = (1, -1, 0)
+        s_n = (0, 1, -1)
         i_m = rng.normal(size=3)
         i_n = rng.normal(size=3)
-        one = dc_link_derivative(s_m, s_n, i_m, i_n, 1.0)
-        three = dc_link_derivative(s_m, s_n, 3 * i_m, 3 * i_n, 1.0)
+        one = dc_link_deriv(s_m, s_n, i_m, i_n, 1.0)
+        three = dc_link_deriv(s_m, s_n, 3 * i_m, 3 * i_n, 1.0)
         assert_allclose(three, np.multiply(one, 3.0), rtol=1e-12)
+
+
+def machine_deriv(x_dq, u_dq, omega_e):
+    return _kernels.machine_deriv2(*x_dq, *u_dq, omega_e, MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm)
 
 
 class TestMachineDerivative:
     def test_rest(self):
-        assert_allclose(
-            machine_derivative(np.zeros(2), np.zeros(2), 0.0, MACHINE), np.zeros(2)
-        )
+        assert_allclose(machine_deriv((0.0, 0.0), (0.0, 0.0), 0.0), np.zeros(2))
 
     def test_input_gain(self):
-        out = machine_derivative(np.zeros(2), np.array([1.0, 0.0]), 0.0, MACHINE)
+        out = machine_deriv((0.0, 0.0), (1.0, 0.0), 0.0)
         assert_allclose(out, [1.0 / 0.019, 0.0])
 
     def test_back_emf(self):
-        out = machine_derivative(np.zeros(2), np.zeros(2), 100.0, MACHINE)
+        out = machine_deriv((0.0, 0.0), (0.0, 0.0), 100.0)
         assert_allclose(out, [0.0, -0.42675 / 0.019 * 100.0])
+
+
+def grid_deriv(x_ab, u_ab, e_ab):
+    return _kernels.grid_deriv2(*x_ab, *u_ab, *e_ab, GRID.r_n, GRID.l_n)
 
 
 class TestGridDerivative:
     def test_rest(self):
-        z = np.zeros(2)
-        assert_allclose(grid_derivative(z, z, z, GRID), z)
+        z = (0.0, 0.0)
+        assert_allclose(grid_deriv(z, z, z), z)
 
     def test_rl_decay(self):
-        out = grid_derivative(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), GRID)
+        out = grid_deriv((1.0, 0.0), (0.0, 0.0), (0.0, 0.0))
         assert_allclose(out, [-7.8, 0.0])
 
     def test_source_cancellation(self):
-        u = np.array([10.0, 0.0])
-        assert_allclose(grid_derivative(np.zeros(2), u, u, GRID), np.zeros(2))
+        u = (10.0, 0.0)
+        assert_allclose(grid_deriv((0.0, 0.0), u, u), np.zeros(2))
 
 
 class TestGridEmf:
@@ -179,29 +183,45 @@ class TestTorque:
         assert electromagnetic_torque(i_q, MACHINE) == pytest.approx(t_ref)
 
 
+def rotor_state(omega_m, theta_e, inertia_j, t_m, i_q=0.0):
+    return PlantState(
+        i_m_dq=np.array([0.0, i_q]),
+        i_n_ab=np.zeros(2),
+        dc=DC,
+        mech=MechState(omega_m, theta_e, inertia_j, t_m),
+        t=0.0,
+    )
+
+
 class TestMechStep:
+    """Rotor speed and angle as `plant_step` integrates them."""
+
     def test_torque_balance(self):
-        m = MechState(50.0, 150.0, 1.0, 0.05, t_m=12.0)
-        out = mech_step(m, t_e=12.0, dt=1e-3, pole_pairs=3)
-        assert out.omega_m == m.omega_m
+        i_q = 10.0
+        st = rotor_state(50.0, 1.0, 0.05, electromagnetic_torque(i_q, MACHINE), i_q)
+        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1e-3, 1)
+        assert out.mech.omega_m == st.mech.omega_m
 
     def test_acceleration(self):
-        m = MechState(0.0, 0.0, 0.0, 0.1, t_m=10.0)
-        out = mech_step(m, t_e=0.0, dt=1e-3, pole_pairs=3)
-        assert out.omega_m == pytest.approx(0.1)
+        st = rotor_state(0.0, 0.0, 0.1, 10.0)
+        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1e-3, 1)
+        assert out.mech.omega_m == pytest.approx(0.1)
 
     def test_angle_stays_wrapped(self):
-        m = MechState(100.0, 300.0, 0.0, 0.05, t_m=5.0)
-        for _ in range(100_000):
-            m = mech_step(m, t_e=4.9, dt=1e-4, pole_pairs=3)
-        assert 0.0 <= m.theta_e < 2 * math.pi
+        # a huge inertia holds ~100 rad/s, so one second turns the rotor
+        # through ~48 electrical revolutions
+        st = rotor_state(100.0, 0.0, 1e9, 0.0)
+        out = plant_step(
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1.0, 10_000
+        )
+        assert out.mech.omega_m == pytest.approx(100.0)
+        assert 0.0 <= out.mech.theta_e < 2 * math.pi
 
 
 class TestPlantStep:
     def test_fixed_point(self):
-        quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         st = PlantState.initial(MACHINE, t_m=0.0)
-        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, quiet_grid, 50e-6, 10)
+        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 50e-6, 10)
         assert_allclose(out.i_m_dq, st.i_m_dq)
         assert_allclose(out.i_n_ab, st.i_n_ab)
         assert out.dc.v_dc == st.dc.v_dc
@@ -215,26 +235,29 @@ class TestPlantStep:
         out = plant_step(st, s_m, s_n, MACHINE, GRID, dt, substeps=1)
 
         omega_e = MACHINE.pole_pairs * st.mech.omega_m
-        u_m_dq = tr.park(tr.clarke(converter_voltage(s_m, st.dc)), st.mech.theta_e)
-        u_n_ab = tr.clarke(converter_voltage(s_n, st.dc))
+        u_m = _kernels.converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
+        u_n = _kernels.converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.dc.v_dc, st.dc.v_imb)
+        u_m_dq = tr.park(tr.clarke(u_m), st.mech.theta_e)
+        u_n_ab = tr.clarke(u_n)
         e_ab = grid_emf(st.t, GRID)
-        d_m = machine_derivative(st.i_m_dq, u_m_dq, omega_e, MACHINE)
-        d_n = grid_derivative(st.i_n_ab, u_n_ab, e_ab, GRID)
+        d_m = machine_deriv(st.i_m_dq, u_m_dq, omega_e)
+        d_n = grid_deriv(st.i_n_ab, u_n_ab, e_ab)
         i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.mech.theta_e))
         i_n_abc = tr.clarke_pinv(st.i_n_ab)
-        dv_dc, dv_imb = dc_link_derivative(s_m, s_n, i_m_abc, i_n_abc, st.dc.c)
-        t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
-        mech = mech_step(
-            MechState(st.mech.omega_m, omega_e, st.mech.theta_e, st.mech.inertia_j, st.mech.t_m),
-            t_e, dt, MACHINE.pole_pairs,
+        dv_dc, dv_imb = dc_link_deriv(
+            (s_m.s_a, s_m.s_b, s_m.s_c), (s_n.s_a, s_n.s_b, s_n.s_c), i_m_abc, i_n_abc, st.dc.c
         )
+        t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
+        # the rotor angle integrates the freshly updated speed
+        omega_m = st.mech.omega_m + dt * (st.mech.t_m - t_e) / st.mech.inertia_j
+        theta_e = (st.mech.theta_e + dt * (MACHINE.pole_pairs * omega_m)) % (2 * math.pi)
 
-        assert_allclose(out.i_m_dq, st.i_m_dq + dt * d_m, rtol=1e-12)
-        assert_allclose(out.i_n_ab, st.i_n_ab + dt * d_n, rtol=1e-12)
+        assert_allclose(out.i_m_dq, st.i_m_dq + dt * np.array(d_m), rtol=1e-12)
+        assert_allclose(out.i_n_ab, st.i_n_ab + dt * np.array(d_n), rtol=1e-12)
         assert out.dc.v_dc == pytest.approx(st.dc.v_dc + dt * dv_dc, rel=1e-12)
         assert out.dc.v_imb == pytest.approx(st.dc.v_imb + dt * dv_imb, rel=1e-12)
-        assert out.mech.omega_m == pytest.approx(mech.omega_m, rel=1e-12)
-        assert out.mech.theta_e == pytest.approx(mech.theta_e, rel=1e-12)
+        assert out.mech.omega_m == pytest.approx(omega_m, rel=1e-12)
+        assert out.mech.theta_e == pytest.approx(theta_e, rel=1e-12)
 
     def test_substep_refinement_is_first_order(self, rng):
         # halving the substep size should roughly halve the distance to a
@@ -264,35 +287,33 @@ class TestPlantStep:
             i_m_dq=np.array([7.0, 0.0]),
             i_n_ab=np.zeros(2),
             dc=DC,
-            mech=MechState(0.0, 0.0, 0.0, 0.05, t_m=0.0),
+            mech=MechState(0.0, 0.0, 0.05, t_m=0.0),
             t=0.0,
         )
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
-        quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         v_prev = st.dc.v_dc
         s_m = SwitchState(1, 0, 0)
         i_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, 0.0))
         assert s_m.as_array() @ i_abc > 0
         for _ in range(50):
-            st = plant_step(st, s_m, SwitchState.zero(), stiff_machine, quiet_grid, 50e-6, 1)
+            st = plant_step(st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, 50e-6, 1)
             assert st.dc.v_dc > v_prev
             v_prev = st.dc.v_dc
 
     def test_unforced_decay(self, rng):
         # enormous inertia pins the speed at zero, so no back-EMF source
         # re-excites the machine current
-        quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         st = PlantState(
             i_m_dq=rng.normal(0, 10, 2),
             i_n_ab=rng.normal(0, 10, 2),
             dc=DC,
-            mech=MechState(0.0, 0.0, 0.3, 1e9, t_m=0.0),
+            mech=MechState(0.0, 0.3, 1e9, t_m=0.0),
             t=0.0,
         )
         prev_m = np.linalg.norm(st.i_m_dq)
         prev_n = np.linalg.norm(st.i_n_ab)
         for _ in range(100):
-            st = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, quiet_grid, 50e-6, 5)
+            st = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 50e-6, 5)
             cur_m = np.linalg.norm(st.i_m_dq)
             cur_n = np.linalg.norm(st.i_n_ab)
             assert cur_m <= prev_m * (1 + 1e-12)

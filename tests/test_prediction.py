@@ -33,7 +33,7 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
         i_m_dq=i_m,
         i_n_ab=i_n,
         dc=DcLinkState(700.0, v_imb, 1100e-6),
-        mech=MechState(omega_m, 3 * omega_m, theta, 0.05, 0.0),
+        mech=MechState(omega_m, theta, 0.05, 0.0),
         t=0.004,
     )
 
@@ -174,7 +174,7 @@ class TestMultistep:
         assert_allclose(m.prev_sel, np.eye(3))
 
     def test_identity_transition_stacks_input_blocks(self):
-        d = DiscreteModel(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2), T_S)
+        d = DiscreteModel(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
         m = build_multistep(d, 2)
         cb = d.input_mat
         assert_allclose(m.forced_map[:2, :3], cb)

@@ -27,7 +27,6 @@ from seqmpc.solver import (
     all_sequences,
     assemble_qp,
     brute_force_kbest,
-    cholesky,
     condense,
     k_best,
     reverse_cholesky,
@@ -58,31 +57,36 @@ def qp_from_factor(factor, u_unc, horizon):
         factor=np.ascontiguousarray(factor),
         unconstrained=u_unc,
         target=np.ascontiguousarray(factor @ u_unc),
-        weight=0.0,
         horizon=horizon,
     )
 
 
+def cholesky(q):
+    """`_kernels.cholesky_lower` on an array: (factor array, failing pivot)."""
+    low, pivot = _kernels.cholesky_lower(np.asarray(q, float).tolist())
+    return np.array(low), pivot
+
+
 class TestCholesky:
     def test_identity(self):
-        assert_allclose(cholesky(np.eye(4)), np.eye(4))
+        assert_allclose(cholesky(np.eye(4))[0], np.eye(4))
 
     def test_hand_factor(self):
-        assert_allclose(cholesky(np.array([[4.0, 2.0], [2.0, 2.0]])), [[2.0, 0.0], [1.0, 1.0]])
+        low, _ = cholesky([[4.0, 2.0], [2.0, 2.0]])
+        assert_allclose(low, [[2.0, 0.0], [1.0, 1.0]])
 
     def test_reconstruction(self, rng):
         for n in (2, 5, 9):
             for _ in range(20):
                 a = rng.normal(size=(n, n))
                 q = a @ a.T + n * np.eye(n)
-                low = cholesky(q)
+                low, pivot = cholesky(q)
+                assert pivot == -1
                 assert_allclose(low, np.tril(low))
                 assert np.linalg.norm(low @ low.T - q) <= 1e-12 * np.linalg.norm(q)
 
     def test_not_pd_reports_pivot(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky(np.diag([1.0, 1.0, -1.0]))
-        assert err.value.pivot == 2
+        assert cholesky(np.diag([1.0, 1.0, -1.0]))[1] == 2
 
     def test_reverse_factor(self, rng):
         for n in (2, 6, 9):
@@ -265,7 +269,7 @@ class TestKBest:
     def test_costs_validated(self):
         seq = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)
         with pytest.raises(ValueError):
-            CandidateList(items=[(seq, 2.0), (seq, 1.0)], k=2)
+            CandidateList(items=[(seq, 2.0), (seq, 1.0)])
 
     def test_rejects_nonpositive_k(self, rng):
         qp = random_qp_instance(rng, 1)
@@ -387,14 +391,14 @@ class TestSelectPair:
             i_m_dq=np.asarray(i_m_dq, float),
             i_n_ab=np.asarray(i_n_ab, float),
             dc=DcLinkState(700.0, v_imb, 1100e-6),
-            mech=MechState(omega_m, 3 * omega_m, theta, 0.05, 0.0),
+            mech=MechState(omega_m, theta, 0.05, 0.0),
             t=0.001,
         )
 
     @staticmethod
     def listify(seqs):
         items = [(s, float(i)) for i, s in enumerate(seqs)]
-        return CandidateList(items=items, k=len(items))
+        return CandidateList(items=items)
 
     def test_single_pair_is_returned(self):
         st = self.make_state([4.0, -2.0], [1.0, 3.0])
