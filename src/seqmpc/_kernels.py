@@ -12,10 +12,18 @@ the same left-to-right accumulation order on purpose: equal-cost candidates
 must compare identically in the search and in the brute-force oracle.  The
 decoder's box bound (`box_tail`) sums each row's widths in that order too,
 which is what makes it exact in floating point.
+
+The decoder's walk is generated per tree depth: its source, one nested
+`for` per layer with each layer's state in local variables, is compiled
+once per depth (`_search_of_depth`).  A generic walk indexes per-layer
+lists on every node, and that indexing, not the arithmetic, was most of
+its time.  Every expanded node evaluates all three of its children.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from bisect import bisect_left
 
@@ -243,16 +251,29 @@ def box_tail(h, u_check):
     return tail
 
 
+#: layers of the deepest search: CPython compiles at most 20 statically
+#: nested blocks, and the generated search nests one `for` per layer
+MAX_LAYERS = 20
+
+
 def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     """Exact k-best branch-and-bound search over {-1,0,1}^n, in one pass.
 
     A list sphere decoder: walks layers 0..n-1 depth first, accumulating the
     incremental residual, and keeps the k best leaves ordered by (cost,
-    lexicographic).  Until the list holds k leaves the radius is `radius_sq`;
-    afterwards it is the k-th cost.  Pruning is strictly above the radius, so
-    equal-cost leaves stay alive and ties resolve as in the enumeration
-    oracle.  Unless `seed` is None, that leaf (a tuple of levels) starts the
-    list with its `sequence_cost`; the walk skips it when it meets it again.
+    lexicographic).  Each node visits its children {-1, 0, 1} in increasing
+    distance from its conditional estimate (the Schnorr-Euchner order).
+    Until the list holds k leaves the radius is `radius_sq`; afterwards it
+    is the k-th cost.  Pruning is strictly above the radius, so equal-cost
+    leaves stay alive and ties resolve as in the enumeration oracle.  Unless
+    `seed` is None, that leaf (a tuple of levels) starts the list with its
+    `sequence_cost`; the walk skips it when it meets it again.
+
+    Row sums accumulate left to right from 0.0, as in `sequence_cost`: a
+    node adds its column's term h[r][i] * u[i] to the partial sum of every
+    row r below it, so each row's sum is built by the same additions in the
+    same order as summing the row from scratch, and equal-cost leaves
+    compare identically here and in the oracle.
 
     Box bound: a child at layer i that passes the radius test is also cut
     when its cost plus `box_tail(h, u_check)[i + 1]` exceeds the radius
@@ -269,7 +290,14 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     moment, so the list and the radius evolve as in the plain search, and
     `best` and `rho_trace` are unchanged; only the node count falls.
     `box_bound=False` skips computing the bound, for callers that know it
-    cannot prune; the result is the same either way.
+    cannot prune: the search then runs with a zero tail, which never cuts a
+    child that passed the radius test, since its cost is at most the radius
+    and the radius at most the grown one.  The result is the same either way.
+
+    The walk is generated per depth (`_search_of_depth`) with one nested
+    `for` per layer, so n is at most MAX_LAYERS.  Every expanded node
+    evaluates all three of its children, so `nodes` is three times the
+    number of expanded nodes.
 
     Returns (best, nodes, rho_trace): `best` is the sorted list of
     (cost, levels tuple), `nodes` counts residual evaluations, and
@@ -279,12 +307,8 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     h = h.tolist()
     u_check = u_check.tolist()
     n = len(h)
-    last = n - 1
-    diag = [h[i][i] for i in range(n)]
-    grow = 1.0 + 2 * (n + 2) * EPS
-    tail = box_tail(h, u_check) if box_bound else None
-    # only tail[1:] is ever read
-    bounded = tail is not None and tail[1] > 0.0
+    search = _search_of_depth(n)
+    tail = box_tail(h, u_check) if box_bound else [0.0] * (n + 1)
     best = []
     rho2 = radius_sq
     rho_trace = []
@@ -295,73 +319,142 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
             if seed_cost < rho2:
                 rho2 = seed_cost
             rho_trace.append(rho2)
-    cut = rho2 * grow
+    grow = 1.0 + 2 * (n + 2) * EPS
+    nodes = search(h, u_check, tail, k, rho2, grow, best, rho_trace)
+    return best, nodes, rho_trace
 
-    u = [0] * n
-    order = [None] * n
-    vidx = [0] * n
-    pref = [0.0] * (n + 1)
-    partial = [0.0] * n
-    nodes = 0
 
-    i = 0
-    s = 0.0
-    while True:
-        # visit {-1, 0, 1} in increasing distance from the conditional
-        # estimate; ties resolved toward the smaller value (affects speed only)
-        center = (u_check[i] - s) / diag[i]
-        v0, v1, v2 = -1, 0, 1
-        e0 = abs(-1.0 - center)
-        e1 = abs(0.0 - center)
-        e2 = abs(1.0 - center)
+def child_order(center):
+    """A node's children as (level, level as float) pairs, in increasing
+    distance from its conditional estimate `center`, ties toward the
+    smaller level.
+
+    The reference for the generated search's threshold tests
+    (`_order_lines`), which call it only for centers of 2^53 and above.
+    """
+    v0, v1, v2 = -1, 0, 1
+    e0 = abs(-1.0 - center)
+    e1 = abs(0.0 - center)
+    e2 = abs(1.0 - center)
+    if e1 < e0:
+        v0, v1 = v1, v0
+        e0, e1 = e1, e0
+    if e2 < e1:
+        v1, v2 = v2, v1
+        e1 = e2
         if e1 < e0:
             v0, v1 = v1, v0
-            e0, e1 = e1, e0
-        if e2 < e1:
-            v1, v2 = v2, v1
-            e1 = e2
-            if e1 < e0:
-                v0, v1 = v1, v0
-        order[i] = (v0, v1, v2)
-        vidx[i] = 0
+    return tuple((v, float(v)) for v in (v0, v1, v2))
 
-        # advance to the next surviving child, backtracking as needed
-        while i >= 0:
-            vi = vidx[i]
-            if vi >= 3:
-                i -= 1
-                continue
-            v = order[i][vi]
-            vidx[i] = vi + 1
-            resid = u_check[i] - (partial[i] + diag[i] * v)
-            cost = pref[i] + resid * resid
-            nodes += 1
-            if cost > rho2:
-                continue
-            if bounded and cost + tail[i + 1] > cut:
-                continue
-            u[i] = v
-            if i < last:
-                break
-            # leaf: rank it in the list; an equal entry is already listed
-            entry = (cost, tuple(u))
-            pos = bisect_left(best, entry)
-            if pos == k or (pos < len(best) and best[pos] == entry):
-                continue
-            best.insert(pos, entry)
-            if len(best) > k:
-                best.pop()
-            if len(best) == k:
-                rho2 = best[-1][0]
-                cut = rho2 * grow
-                rho_trace.append(rho2)
-        if i < 0:
-            return best, nodes, rho_trace
 
-        pref[i + 1] = cost
-        i += 1
-        row = h[i]
-        s = 0.0
-        for j in range(i):
-            s += row[j] * u[j]
-        partial[i] = s
+def _order_lines(pad):
+    """Lines that set `o` to `child_order(center)` with at most four
+    comparisons of `center` against constants.
+
+    `child_order` compares the rounded distances e0 = |fl(1 + c)|,
+    e1 = |c| and e2 = |fl(1 - c)| (c the center; fl(-1 - c) = -fl(1 + c)).
+    Rounding is monotone, and 1 - c or 1 + c is exact where c is within a
+    factor 2 of 1 in magnitude (Sterbenz), so for every c below 2^53:
+    - c in (0.5, 2^53): e1 < e0 since fl(1 + c) is at least the float after
+      c (the gap there is at most 1), and e2 < e1 since fl(|1 - c|) is at
+      most the float before c; order (1, 0, -1);
+    - c in (2^-54, 0.5]: e1 <= 0.5 < 1 <= e0, e2 >= e1 since 1 - c >= c,
+      and e2 < e0 since 1 - c rounds below 1; order (0, 1, -1);
+    - c in (-0.5, 2^-54]: e1 < 0.5 <= e0, and e2 >= e0: 1 - c >= 1 + c,
+      and for c in (0, 2^-54] both round to 1, a tie; order (0, -1, 1);
+    - c <= -0.5 or NaN: e1 >= e0 and e2 >= e1; order (-1, 0, 1).
+    From 2^53 up, rounding can tie or swap the distances, so those centers
+    take `child_order` itself.
+    """
+    top, mid, low, bottom = (
+        repr(child_order(c)) for c in (1.0, 0.25, 0.0, -1.0)
+    )
+    return [
+        f"{pad}if center > 0.5:",
+        f"{pad}    o = {top} if center < {2.0 ** 53!r} else child_order(center)",
+        f"{pad}elif center > {2.0 ** -54!r}:",
+        f"{pad}    o = {mid}",
+        f"{pad}elif center > -0.5:",
+        f"{pad}    o = {low}",
+        f"{pad}else:",
+        f"{pad}    o = {bottom}",
+    ]
+
+
+def _search_source(n):
+    """Source of `search(h, c, t, k, rho2, grow, best, rho_trace) -> nodes`,
+    the depth-first walk of `sd_search` over n layers.
+
+    Layer i keeps its state in locals: the target c_i, the diagonal d_i, the
+    row entries h_i_j, the tail t_i, the prefix cost p_i, and s_r_i, row r's
+    partial sum over the columns up to i.  Its loop variables are the level
+    u_i and the same level as a float, f_i.
+    """
+    lines = ["def search(h, c, t, k, rho2, grow, best, rho_trace):"]
+    for i in range(n):
+        names = [f"h_{i}_{j}" for j in range(i)] + [f"d_{i}"] + ["_"] * (n - 1 - i)
+        lines.append(f"    {', '.join(names)}, = h[{i}]")
+    lines.append(f"    {', '.join(f'c_{i}' for i in range(n))}, = c")
+    lines.append(f"    {', '.join(['_'] + [f't_{i}' for i in range(1, n)] + ['_'])} = t")
+    lines += ["    cut = rho2 * grow", "    nodes = 0", "    p_0 = 0.0"]
+    for i in range(n):
+        pad = "    " * (i + 1)
+        partial = f"s_{i}_{i - 1}" if i else "0.0"
+        lines.append(f"{pad}center = (c_{i} - {partial}) / d_{i}")
+        lines += _order_lines(pad)
+        lines += [
+            f"{pad}nodes += 3",
+            f"{pad}for u_{i}, f_{i} in o:",
+            f"{pad}    r = c_{i} - ({partial} + d_{i} * f_{i})",
+        ]
+        pad += "    "
+        if i < n - 1:
+            lines += [
+                f"{pad}p_{i + 1} = p_{i} + r * r",
+                f"{pad}if p_{i + 1} > rho2:",
+                f"{pad}    continue",
+                f"{pad}if p_{i + 1} + t_{i + 1} > cut:",
+                f"{pad}    continue",
+            ]
+            for r in range(i + 1, n):
+                before = f"s_{r}_{i - 1}" if i else "0.0"
+                lines.append(f"{pad}s_{r}_{i} = {before} + h_{r}_{i} * f_{i}")
+            continue
+        # leaf: rank it in the list; an equal entry is already listed.  The
+        # zero tail of the leaf layer never cuts, so it has no box test.
+        levels = ", ".join(f"u_{j}" for j in range(n))
+        lines += [
+            f"{pad}cost = p_{i} + r * r",
+            f"{pad}if cost > rho2:",
+            f"{pad}    continue",
+            f"{pad}entry = (cost, ({levels},))",
+            f"{pad}pos = bisect_left(best, entry)",
+            f"{pad}if pos == k or (pos < len(best) and best[pos] == entry):",
+            f"{pad}    continue",
+            f"{pad}best.insert(pos, entry)",
+            f"{pad}if len(best) > k:",
+            f"{pad}    best.pop()",
+            f"{pad}if len(best) == k:",
+            f"{pad}    rho2 = best[-1][0]",
+            f"{pad}    cut = rho2 * grow",
+            f"{pad}    rho_trace.append(rho2)",
+        ]
+    lines.append("    return nodes")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _search_of_depth(n):
+    """The compiled `_search_source(n)`, built once per depth.
+
+    Its source is registered with `linecache` under the file name
+    ``<sd_search n=...>``, so tracebacks through it show its lines.
+    """
+    if not 1 <= n <= MAX_LAYERS:
+        raise ValueError(f"sd_search handles 1 to {MAX_LAYERS} layers, got {n}")
+    source = _search_source(n)
+    filename = f"<sd_search n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"bisect_left": bisect_left, "child_order": child_order}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["search"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import MAX_LAYERS
 from .plant import GridParams, MachineParams, PlantState, SwitchState
 from .prediction import (
     SwitchSequence,
@@ -26,6 +27,10 @@ from .prediction import (
 from .solver import assemble_qp, k_best, select_pair
 
 MODES = ("sequential", "standard_sd")
+
+#: longest horizon: the decoder is generated with one nested loop per switch
+#: level, three per stage, and compiles at most MAX_LAYERS of them
+MAX_HORIZON = MAX_LAYERS // 3
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,12 @@ class ControllerConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.n_h < 1 or self.n_k < 1 or self.n_l < 1:
             raise ValueError("n_h, n_k and n_l must be >= 1")
+        if self.n_h > MAX_HORIZON:
+            raise ValueError(
+                f"n_h must be <= {MAX_HORIZON}: the sphere decoder nests one loop "
+                f"per switch level (3 per stage) and Python compiles at most "
+                f"{MAX_LAYERS} nested loops"
+            )
         if self.t_s <= 0:
             raise ValueError("sampling period must be positive")
         if not self.lam > 0:
@@ -126,8 +137,8 @@ def stack_reference(refs: ReferenceState, n_h: int):
     """Stacked constant-over-horizon output references for both sides."""
     if n_h < 1:
         raise ValueError("horizon must be >= 1")
-    y_m = np.tile(np.asarray(refs.i_dq_ref, float), n_h)
-    y_n = np.tile(np.asarray(refs.pq_ref, float), n_h)
+    y_m = np.array(refs.i_dq_ref * n_h, dtype=float)
+    y_n = np.array(refs.pq_ref * n_h, dtype=float)
     return y_m, y_n
 
 

@@ -26,7 +26,6 @@ the per-pair loop; a 2-D gemm or Python-float arithmetic would not be.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -252,8 +251,26 @@ def all_sequences(n_h: int) -> np.ndarray:
     """Every switch sequence of the horizon in lexicographic order."""
     if n_h > MAX_BRUTE_HORIZON:
         raise ValueError(f"enumeration horizon capped at {MAX_BRUTE_HORIZON}")
-    combos = itertools.product((-1, 0, 1), repeat=3 * n_h)
-    return np.array(list(combos), dtype=np.int64)
+    n = 3 * n_h
+    # the last level varies fastest, as in itertools.product
+    return np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T - 1
+
+
+def _enumeration_costs(qp: QpForm, seqs: np.ndarray) -> np.ndarray:
+    """`_kernels.sequence_cost` of every row of `seqs`, bit for bit.
+
+    Each row sum and the total accumulate left to right from 0.0, one
+    elementwise multiply or add at a time, as `sequence_cost` does on
+    Python floats, so every cost is the same IEEE-754 value.
+    """
+    h, t = qp.factor, qp.target
+    total = np.zeros(seqs.shape[0])
+    for r in range(h.shape[0]):
+        s = np.zeros(seqs.shape[0])
+        for j in range(r + 1):
+            s = s + h[r, j] * seqs[:, j]
+        total = total + (t[r] - s) ** 2
+    return total
 
 
 def brute_force_kbest(
@@ -268,21 +285,16 @@ def brute_force_kbest(
         raise ValueError("k must be >= 1")
     seqs = all_sequences(n_h)
     if isinstance(qp_or_cost, QpForm):
-        h = qp_or_cost.factor.tolist()
-        t = qp_or_cost.target.tolist()
-        costs = np.array([_k.sequence_cost(h, t, u) for u in seqs.tolist()])
+        costs = _enumeration_costs(qp_or_cost, seqs)
     else:
         cost_fn: Callable = qp_or_cost
         costs = np.array(
             [cost_fn(SwitchSequence(levels=row, horizon=n_h)) for row in seqs]
         )
-    ranked = sorted(
-        range(seqs.shape[0]), key=lambda i: (costs[i], tuple(seqs[i]))
-    )
-    items = [
-        (SwitchSequence(levels=seqs[i], horizon=n_h), float(costs[i]))
-        for i in ranked[:k]
-    ]
+    # lexsort's last key is the primary one: cost, then the levels in order
+    ranked = np.lexsort((*seqs.T[::-1], costs))[:k]
+    seqs_k = SwitchSequence.from_rows(seqs[ranked], n_h)
+    items = list(zip(seqs_k, costs[ranked].tolist()))
     return CandidateList(items=items, nodes_visited=seqs.shape[0])
 
 

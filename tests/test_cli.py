@@ -74,6 +74,13 @@ class TestRun:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o").exists()
 
+    def test_horizon_beyond_decoder_depth_exits_one(self, runner, tmp_path):
+        result = runner.invoke(main, ["run", "--horizon", "7", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "config error: n_h must be <= 6" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
     def test_tiny_effort_weight_exits_one(self, runner, tmp_path):
         # positive, but too small for the subproblems to factor on step 0
         result = runner.invoke(
@@ -107,7 +114,9 @@ class TestSweep:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one configuration
 
-    @pytest.mark.parametrize("flags", [["--nk", "0"], ["--horizon", "0"], ["--lambda", "0"]])
+    @pytest.mark.parametrize(
+        "flags", [["--nk", "0"], ["--horizon", "0"], ["--lambda", "0"], ["--horizon", "7"]]
+    )
     def test_bad_controller_setting_exits_one(self, runner, tmp_path, flags):
         result = runner.invoke(
             main, ["sweep", "--duration", "0.01", *flags, "--out", str(tmp_path / "o")]

@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc.controller import (
+    MAX_HORIZON,
     ControllerConfig,
     ReferenceState,
     build_references,
@@ -49,6 +50,13 @@ class TestControllerConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             ControllerConfig(n_h=0)
+
+    def test_rejects_horizon_beyond_decoder_depth(self):
+        # 3 * 6 = 18 decoder layers compile, 21 would not
+        assert MAX_HORIZON == 6
+        assert ControllerConfig(n_h=MAX_HORIZON).n_h == MAX_HORIZON
+        with pytest.raises(ValueError, match="n_h must be <= 6: .* nested loops"):
+            ControllerConfig(n_h=MAX_HORIZON + 1)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_effort_weight(self, lam):

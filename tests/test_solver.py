@@ -1,5 +1,6 @@
 import itertools
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -369,6 +370,73 @@ class TestBoxBound:
             self.assert_exact(qp, n_h)
 
 
+class TestLongHorizons:
+    """The searches generated for N_h = 4, 5 and 6 (12, 15 and 18 layers)."""
+
+    def test_nh4_matches_enumeration_ties_included(self, rng):
+        # small integers make every cost exact, so many leaves tie
+        n = 12
+        factor = np.tril(rng.integers(-2, 3, size=(n, n))).astype(float)
+        factor[np.diag_indices(n)] = rng.integers(1, 3, size=n)
+        x = rng.integers(-12, 13, size=n).astype(float)
+        tied = qp_from_factor(factor, x, 4)
+        for qp in (random_qp_instance(rng, 4), tied):
+            TestBoxBound.assert_exact(qp, 4, ks=(1, 4, 10, 27))
+        costs = brute_force_kbest(tied, 27, 4).costs
+        assert any(a == b for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("n_h", [5, 6])
+    def test_lists_are_consistent(self, n_h, rng):
+        for _ in range(3):
+            qp = random_qp_instance(rng, n_h)
+            h, t = qp.factor.tolist(), qp.target.tolist()
+            short, full = k_best(qp, 4), k_best(qp, 10)
+            assert short.items == full.items[:4]
+            for seq, cost in full.items:
+                assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
+            # the k-th cost as a finite radius, without a seed
+            best, _, _ = _kernels.sd_search(qp.factor, qp.target, 10, full.costs[-1], None)
+            assert best == [(c, s.as_tuple()) for s, c in full.items]
+
+
+class TestGeneratedSearch:
+    """What the generated search does besides the walk itself."""
+
+    def test_threshold_order_equals_child_order(self, rng):
+        namespace = {"child_order": _kernels.child_order}
+        exec("def pick(center):\n" + "\n".join(_kernels._order_lines("    ")) + "\n    return o\n",
+             namespace)
+        centers = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for edge in (0.5, 2.0 ** -54, 2.0 ** -53, 1.0, 2.0, 2.0 ** 52, 2.0 ** 53, 5e-324):
+            for start in (edge, -edge):
+                for direction in (math.inf, -math.inf):
+                    x = start
+                    for _ in range(4):
+                        centers.append(x)
+                        x = math.nextafter(x, direction)
+        centers += [2.0 ** 53 + 2.0 * i for i in range(-4, 5)]
+        centers += (rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000)).tolist()
+        centers += rng.uniform(-3.0, 3.0, 20000).tolist()
+        for center in centers:
+            assert namespace["pick"](center) == _kernels.child_order(center), center
+
+    def test_depth_limit(self):
+        deepest = _kernels.MAX_LAYERS
+        best, nodes, _ = _kernels.sd_search(
+            np.eye(deepest), np.zeros(deepest), 1, np.inf, (0,) * deepest
+        )
+        assert best == [(0.0, (0,) * deepest)] and nodes > 0
+        with pytest.raises(ValueError, match="1 to 20 layers, got 21"):
+            _kernels.sd_search(np.eye(deepest + 1), np.zeros(deepest + 1), 1, np.inf, None)
+
+    def test_traceback_shows_generated_lines(self):
+        with pytest.raises(ZeroDivisionError) as err:
+            _kernels.sd_search(np.zeros((3, 3)), np.ones(3), 1, np.inf, None)
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == "<sd_search n=3>"
+        assert frame.line == "center = (c_0 - 0.0) / d_0"
+
+
 class TestBruteForce:
     def test_constant_cost_is_pure_lexicographic(self):
         got = brute_force_kbest(lambda seq: 1.0, 5, 1)
@@ -382,6 +450,19 @@ class TestBruteForce:
     def test_horizon_guard(self):
         with pytest.raises(ValueError):
             all_sequences(5)
+
+    @pytest.mark.parametrize("n_h", [1, 2])
+    def test_matches_per_sequence_loop(self, n_h, rng):
+        # the loop reference: one `sequence_cost` per sequence, ranked by a
+        # Python sort on (cost, levels)
+        qp = random_qp_instance(rng, n_h)
+        h, t = qp.factor.tolist(), qp.target.tolist()
+        seqs = list(itertools.product((-1, 0, 1), repeat=3 * n_h))
+        assert all_sequences(n_h).tolist() == [list(u) for u in seqs]
+        want = sorted((_kernels.sequence_cost(h, t, u), u) for u in seqs)
+        got = brute_force_kbest(qp, len(seqs), n_h)
+        assert got.costs == [c for c, _ in want]
+        assert [s.as_tuple() for s in got.sequences] == [u for _, u in want]
 
 
 class TestSelectPair:
