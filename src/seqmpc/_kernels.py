@@ -362,7 +362,8 @@ def _order_lines(pad):
       and e2 < e0 since 1 - c rounds below 1; order (0, 1, -1);
     - c in (-0.5, 2^-54]: e1 < 0.5 <= e0, and e2 >= e0: 1 - c >= 1 + c,
       and for c in (0, 2^-54] both round to 1, a tie; order (0, -1, 1);
-    - c <= -0.5 or NaN: e1 >= e0 and e2 >= e1; order (-1, 0, 1).
+    - c <= -0.5: e1 >= e0 and e2 >= e1; order (-1, 0, 1), which is also
+      what a NaN gets, as it fails every comparison in both.
     From 2^53 up, rounding can tie or swap the distances, so those centers
     take `child_order` itself.
     """

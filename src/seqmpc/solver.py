@@ -253,7 +253,9 @@ def all_sequences(n_h: int) -> np.ndarray:
         raise ValueError(f"enumeration horizon capped at {MAX_BRUTE_HORIZON}")
     n = 3 * n_h
     # the last level varies fastest, as in itertools.product
-    return np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T - 1
+    seqs = np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T
+    seqs -= 1
+    return seqs
 
 
 def _enumeration_costs(qp: QpForm, seqs: np.ndarray) -> np.ndarray:
