@@ -18,6 +18,8 @@ The decoder's walk is generated per tree depth: its source, one nested
 once per depth (`_search_of_depth`).  A generic walk indexes per-layer
 lists on every node, and that indexing, not the arithmetic, was most of
 its time.  Every expanded node evaluates all three of its children.
+`cholesky_lower` is generated the same way, once per matrix size
+(`_cholesky_of_size`): straight-line code with one local per entry.
 """
 
 from __future__ import annotations
@@ -178,26 +180,70 @@ def cholesky_lower(a):
     at or below n * eps * max|a_ii| counts as failure so that numerically
     singular Gram matrices are rejected instead of producing garbage
     factors; the rows then hold the entries computed before that pivot.
+
+    The factorization runs in straight-line code generated once per size
+    (`_cholesky_of_size`).
     """
-    n = len(a)
-    tol = n * EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
-    low = [[0.0] * n for _ in range(n)]
+    return _cholesky_of_size(len(a))(a)
+
+
+def _cholesky_source(n):
+    """Source of `cholesky(a) -> (rows, pivot)` for n x n matrices.
+
+    Entry (i, j) of the lower triangle lives in the locals a_i_j and l_i_j.
+    Entry l_i_j, j < i, is a_i_j minus the products l_i_k * l_j_k for
+    k = 0..j-1, subtracted left to right, divided by l_j_j; the diagonal
+    subtracts the squares l_i_k * l_i_k the same way before the pivot test
+    and the square root.  That is the row-by-row (Cholesky-Banachiewicz)
+    loop, operation for operation, so the factor, the failing pivot and the
+    partial rows are the loop's to the bit.
+    """
+    def rows(done):
+        # the rows with the entries before index pair `done` computed
+        out = []
+        for i in range(n):
+            row = [f"l_{i}_{j}" if (i, j) < done else "0.0" for j in range(i + 1)]
+            out.append("[" + ", ".join(row + ["0.0"] * (n - 1 - i)) + "]")
+        return "[" + ", ".join(out) + "]"
+
+    lines = ["def cholesky(a):"]
     for i in range(n):
-        a_i = a[i]
-        l_i = low[i]
+        names = [f"a_{i}_{j}" for j in range(i + 1)] + ["_"] * (n - 1 - i)
+        lines.append(f"    {', '.join(names)}, = a[{i}]")
+    diag = ", ".join(f"abs(a_{i}_{i})" for i in range(n))
+    lines.append(f"    tol = {n} * EPS * max(max([{diag}]), 1e-300)")
+    for i in range(n):
         for j in range(i):
-            l_j = low[j]
-            s = a_i[j]
-            for k in range(j):
-                s -= l_i[k] * l_j[k]
-            l_i[j] = s / l_j[j]
-        s = a_i[i]
-        for k in range(i):
-            s -= l_i[k] * l_i[k]
-        if s <= tol:
-            return low, i
-        l_i[i] = math.sqrt(s)
-    return low, -1
+            terms = "".join(f" - l_{i}_{k} * l_{j}_{k}" for k in range(j))
+            lines.append(f"    l_{i}_{j} = (a_{i}_{j}{terms}) / l_{j}_{j}")
+        terms = "".join(f" - l_{i}_{k} * l_{i}_{k}" for k in range(i))
+        lines += [
+            f"    s = a_{i}_{i}{terms}",
+            "    if s <= tol:",
+            f"        return {rows((i, i))}, {i}",
+            f"    l_{i}_{i} = sqrt(s)",
+        ]
+    lines.append(f"    return {rows((n, 0))}, -1")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _cholesky_of_size(n):
+    """The compiled `_cholesky_source(n)`, built once per size and
+    registered with `linecache` as ``<cholesky_lower n=...>``."""
+    if n < 1:
+        raise ValueError("cholesky_lower needs a nonempty matrix")
+    return _compile(_cholesky_source(n), f"<cholesky_lower n={n}>", "cholesky",
+                    EPS=EPS, sqrt=math.sqrt)
+
+
+def _compile(source, filename, name, **namespace):
+    """Function `name` defined by `source`, with `namespace` as its globals;
+    the source is registered with `linecache` under `filename`, so
+    tracebacks through it show its lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 def sequence_cost(h, u_check, u):
@@ -453,9 +499,5 @@ def _search_of_depth(n):
     """
     if not 1 <= n <= MAX_LAYERS:
         raise ValueError(f"sd_search handles 1 to {MAX_LAYERS} layers, got {n}")
-    source = _search_source(n)
-    filename = f"<sd_search n={n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"bisect_left": bisect_left, "child_order": child_order}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["search"]
+    return _compile(_search_source(n), f"<sd_search n={n}>", "search",
+                    bisect_left=bisect_left, child_order=child_order)

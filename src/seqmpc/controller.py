@@ -120,9 +120,9 @@ def build_references(
     integral = refs.integral + dt * err
     if refs.pi_ki != 0.0:
         bound = abs(refs.pi_clamp / refs.pi_ki)
-        integral = float(np.clip(integral, -bound, bound))
+        integral = float(min(max(integral, -bound), bound))
     i_g_ref = float(
-        np.clip(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp, refs.pi_clamp)
+        min(max(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp), refs.pi_clamp)
     )
     p_ref = st.dc.v_dc * i_g_ref + refs.omega_m_ref * refs.t_e_ref
     return replace(
@@ -133,13 +133,12 @@ def build_references(
     )
 
 
-def stack_reference(refs: ReferenceState, n_h: int):
-    """Stacked constant-over-horizon output references for both sides."""
+def stack_reference(refs: ReferenceState, n_h: int) -> np.ndarray:
+    """Stacked constant-over-horizon output references, (2, 2N): the machine
+    side's row first, then the grid side's."""
     if n_h < 1:
         raise ValueError("horizon must be >= 1")
-    y_m = np.array(refs.i_dq_ref * n_h, dtype=float)
-    y_n = np.array(refs.pq_ref * n_h, dtype=float)
-    return y_m, y_n
+    return np.array((refs.i_dq_ref * n_h, refs.pq_ref * n_h), dtype=float)
 
 
 def control_step(
@@ -154,15 +153,16 @@ def control_step(
     """Solve both subproblems and the imbalance stage for one period.
 
     Each side's model is built and discretized once; the multistep stacking
-    and the imbalance stage share it.
+    and the imbalance stage share it.  Both sides' subproblems are stacked
+    and go through the multistep stacking and the condensation together,
+    machine side first.
     """
     models = build_step_models(st, machine, grid, cfg.t_s)
-    multi_m = build_multistep(models.machine, cfg.n_h)
-    multi_n = build_multistep(models.grid, cfg.n_h)
-    y_ref_m, y_ref_n = stack_reference(refs, cfg.n_h)
-
-    qp_m = assemble_qp(multi_m, st.i_m_dq, y_ref_m, u_prev_m, cfg.lam)
-    qp_n = assemble_qp(multi_n, st.i_n_ab, y_ref_n, u_prev_n, cfg.lam)
+    multi = build_multistep(models.sides, cfg.n_h)
+    x0 = np.array((st.i_m_dq, st.i_n_ab))
+    u_prev = np.array([(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)])
+    qp = assemble_qp(multi, x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam)
+    qp_m, qp_n = qp.sides()
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
 

@@ -35,6 +35,7 @@ from .plant import (
 )
 from .prediction import build_multistep, build_step_models
 from .solver import NotPositiveDefiniteError, assemble_qp
+from .transforms import clarke_pinv, park_inv
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
@@ -147,16 +148,15 @@ class ScenarioConfig:
         # condensed Gram matrix positive definite, so a positive but tiny
         # weight fails the factorization; reject it here, not on step 0
         models = build_step_models(self.initial_state(), self.machine(), self.grid(), self.t_s)
-        for side in (models.machine, models.grid):
-            try:
-                assemble_qp(
-                    build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
-                    SwitchState.zero(), lam / EFFORT_WEIGHT_MARGIN,
-                )
-            except NotPositiveDefiniteError as exc:
-                raise ConfigError(
-                    f"effort weight lam={lam:g} is too small for this plant at horizon {n_h}"
-                ) from exc
+        try:
+            assemble_qp(
+                build_multistep(models.sides, n_h), np.zeros((2, 2)), np.zeros((2, 2 * n_h)),
+                np.zeros((2, 3)), lam / EFFORT_WEIGHT_MARGIN,
+            )
+        except NotPositiveDefiniteError as exc:
+            raise ConfigError(
+                f"effort weight lam={lam:g} is too small for this plant at horizon {n_h}"
+            ) from exc
         return ctrl
 
     def initial_state(self) -> PlantState:
@@ -287,7 +287,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
         # proportional speed loop with load feedforward supplies the torque
         # reference; positive gain brakes above the speed reference
         t_e_ref = cfg.speed_kp * (state.mech.omega_m - omega_ref) + t_mech
-        t_e_ref = float(np.clip(t_e_ref, -cfg.t_e_max, cfg.t_e_max))
+        t_e_ref = float(min(max(t_e_ref, -cfg.t_e_max), cfg.t_e_max))
         refs = replace(refs, t_e_ref=t_e_ref, omega_m_ref=omega_ref)
         refs = build_references(state, machine, refs, cfg.t_s)
 
@@ -324,8 +324,6 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
 
 
 def _machine_abc(state: PlantState) -> np.ndarray:
-    from .transforms import clarke_pinv, park_inv
-
     return clarke_pinv(park_inv(state.i_m_dq, state.mech.theta_e))
 
 

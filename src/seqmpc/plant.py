@@ -153,10 +153,15 @@ class PlantState:
 # ---------------------------------------------------------------------------
 
 
+#: converter_matrix up to the factor (v_dc + v_imb) / 6
+_CONVERTER_PATTERN = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+_CONVERTER_PATTERN.flags.writeable = False
+
+
 def converter_matrix(dc: DcLinkState) -> np.ndarray:
     """3x3 map from a switch vector to the three-phase voltage."""
     g = (dc.v_dc + dc.v_imb) / 6.0
-    return g * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+    return g * _CONVERTER_PATTERN
 
 
 def grid_emf(t: float, p: GridParams) -> np.ndarray:

@@ -11,6 +11,19 @@ electrical angle, speed, grid EMF and DC-link gain are not advanced between
 stages.  `build_step_models` builds and discretizes both sides once per
 control step; the multistep stacking and the imbalance rollout reuse them.
 
+Two-side convention: the machine and grid subproblems have the same shape,
+so `build_step_models` also stacks the two discretized models over a
+leading side axis, machine first (`StepModels.sides`).  `build_multistep`,
+like `solver.condense` and `solver.assemble_qp`, broadcasts over leading
+axes, so one call serves both sides; on one side's model it is the same
+function with no leading axis.  Each product is a stacked matmul, which
+NumPy runs item by item through the same OpenBLAS call (gemm or gemv) on
+the same item layout as the single-side product; every other operation is
+elementwise or a copy.  So each side's arrays are bit-identical to those of
+a call on that side alone.  Putting both sides into one 2-D matmul, a gemm
+over the rows of both, would not be: gemm blocks a larger operand
+differently and would move results in their last bits.
+
 Arithmetic convention of the imbalance rollout: all k candidates of a side
 move forward together as stacked matrix-vector products (`A @ X[:, :, None]`)
 and are scored with a stacked self-product (`P[:, None, :] @ P[:, :, None]`).
@@ -144,13 +157,13 @@ def build_machine_subsystem(
     f = np.array([[-p.r_s / p.l_s, omega_e], [-omega_e, -p.r_s / p.l_s]])
     g = (park_matrix(theta_e) @ CLARKE_MAT @ converter_matrix(dc)) / p.l_s
     h = np.array([0.0, -(p.psi_pm / p.l_s) * omega_e])
-    return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=np.eye(2))
+    return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=_identity(2))
 
 
 def build_grid_subsystem(p: GridParams, e_ab, dc: DcLinkState) -> LinearSubsystem:
     """RL grid-filter model in alpha/beta with (P, Q) as the output."""
     e_a, e_b = float(e_ab[0]), float(e_ab[1])
-    f = (-p.r_n / p.l_n) * np.eye(2)
+    f = (-p.r_n / p.l_n) * _identity(2)
     g = (CLARKE_MAT @ converter_matrix(dc)) / p.l_n
     h = np.array([-e_a / p.l_n, -e_b / p.l_n])
     c = np.array([[e_a, e_b], [e_b, -e_a]])
@@ -162,11 +175,19 @@ def discretize(sys: LinearSubsystem, t_s: float) -> DiscreteModel:
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
     return DiscreteModel(
-        state_mat=np.eye(2) + t_s * sys.state_mat,
+        state_mat=_identity(2) + t_s * sys.state_mat,
         input_mat=t_s * sys.input_mat,
         drift=t_s * sys.drift,
         output_mat=sys.output_mat.copy(),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, built once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,26 +220,36 @@ def _delay_index(n_h: int) -> np.ndarray:
 
 
 def build_multistep(d: DiscreteModel, n_h: int) -> MultistepModel:
-    """Stack the one-step model over `n_h` stages into condensed form."""
+    """Stack the one-step model over `n_h` stages into condensed form.
+
+    Broadcasts over leading axes of the model's arrays, such as the side
+    axis of `StepModels.sides` (see the module docstring).
+    """
     if n_h < 1:
         raise ValueError("horizon must be >= 1")
     a, b, c, n = d.state_mat, d.input_mat, d.output_mat, d.drift
-    (ny, nx), nu = c.shape, b.shape[1]
+    lead = a.shape[:-2]
+    k = len(lead)
+    (ny, nx), nu = c.shape[-2:], b.shape[-1]
+    # the stage axis comes first, the leading axes follow it, and moves
+    # behind them once the stages are done
+    stage_last = (*range(1, k + 1), 0, k + 1, k + 2)
 
-    powers = np.empty((n_h + 1, nx, nx))  # A^d, d = 0..N
-    powers[0] = np.eye(nx)
+    powers = np.empty((n_h + 1,) + a.shape)  # A^d, d = 0..N
+    powers[0] = _identity(nx)
     for r in range(n_h):
         np.matmul(a, powers[r], out=powers[r + 1])
     c_powers = c @ powers  # C A^d
-    blocks = np.zeros((n_h + 1, ny, nu))  # C A^d B once per delay d < N, then zero
+    blocks = np.zeros((n_h + 1,) + lead + (ny, nu))  # C A^d B once per delay d < N, then zero
     np.matmul(c_powers[:n_h], b, out=blocks[:n_h])
-    forced = blocks[_delay_index(n_h)].transpose(0, 2, 1, 3).reshape(ny * n_h, nu * n_h)
-    free = c_powers[1:].reshape(ny * n_h, nx)
-    acc = powers[:n_h] @ n[:, None]  # A^l n, then running sums over l = 0..r
-    acc[0] = n[:, None]
+    forced = blocks[_delay_index(n_h)].transpose(*range(2, k + 2), 0, k + 2, 1, k + 3)
+    forced = forced.reshape(lead + (ny * n_h, nu * n_h))
+    free = c_powers[1:].transpose(stage_last).reshape(lead + (ny * n_h, nx))
+    acc = powers[:n_h] @ n[..., None]  # A^l n, then running sums over l = 0..r
+    acc[0] = n[..., None]
     for r in range(1, n_h):
         acc[r] += acc[r - 1]
-    drift = (c @ acc).reshape(ny * n_h)
+    drift = (c @ acc).transpose(stage_last).reshape(lead + (ny * n_h,))
 
     return MultistepModel(
         forced_map=forced,
@@ -243,10 +274,13 @@ class StepModels:
     """Both discretized side models of one control step and the imbalance
     stage's inputs, all frozen at time-k quantities.
 
+    `sides` stacks copies of `machine` and `grid` over a leading side axis,
+    machine first (see the module docstring).
     `proj_m` reconstructs the machine phase currents from the dq state (the
     Clarke pseudo-inverse with the Park rotation folded in); `gain` is Ts / C.
     """
 
+    sides: DiscreteModel
     machine: DiscreteModel
     grid: DiscreteModel
     proj_m: np.ndarray
@@ -256,7 +290,8 @@ class StepModels:
 def build_step_models(
     st: PlantState, machine: MachineParams, grid: GridParams, t_s: float
 ) -> StepModels:
-    """Build and discretize each side once for the control step at `st`."""
+    """Build and discretize each side once for the control step at `st`,
+    and stack the two models."""
     model_m = discretize(
         build_machine_subsystem(
             machine, machine.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e
@@ -264,7 +299,14 @@ def build_step_models(
         t_s,
     )
     model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
+    sides = DiscreteModel(
+        state_mat=np.array((model_m.state_mat, model_n.state_mat)),
+        input_mat=np.array((model_m.input_mat, model_n.input_mat)),
+        drift=np.array((model_m.drift, model_n.drift)),
+        output_mat=np.array((model_m.output_mat, model_n.output_mat)),
+    )
     return StepModels(
+        sides=sides,
         machine=model_m,
         grid=model_n,
         proj_m=CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T,

@@ -16,6 +16,18 @@ unconstrained optimum lies in the box, where it is zero up to rounding.
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
 
+`assemble_qp` condenses one subproblem or, in the controller, the stack of
+both sides' subproblems over a leading side axis, machine first (see the
+module docstring of `prediction`).  Its products are stacked matmuls, which
+run each side through the same OpenBLAS call as one side alone (the Gram
+matrix forced' forced is a syrk per item either way); `np.linalg.solve`
+runs one LAPACK gesv per item; `reverse_cholesky` factors the items one
+after the other, machine first, before the solve.  So every array is
+bit-identical to assembling each side by itself, and a side that is not
+positive definite raises NotPositiveDefiniteError with its own pivot, as
+it would alone.  A 2-D gemm over both sides' rows would not be
+bit-identical.
+
 `select_pair` rolls out each side's k candidates at once and scores all
 k_m * k_n paths with one stacked self-product.  Stacked matmuls run NumPy's
 per-item gemv and dot, the same OpenBLAS calls (fused multiply-adds
@@ -68,7 +80,9 @@ class QpForm:
 
     Invariants: factor is lower triangular with positive diagonal,
     factor.T @ factor == quad, quad @ unconstrained == lin, and
-    target == factor @ unconstrained.
+    target == factor @ unconstrained.  The form of a stack of subproblems
+    carries the stack's leading axes on every array; `sides` splits a
+    two-side stack.
     """
 
     quad: np.ndarray
@@ -77,6 +91,14 @@ class QpForm:
     unconstrained: np.ndarray
     target: np.ndarray
     horizon: int
+
+    def sides(self) -> tuple:
+        """(machine, grid): views of the items of a two-side stack."""
+        return tuple(
+            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i],
+                   self.target[i], self.horizon)
+            for i in (0, 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -124,17 +146,23 @@ class CandidateList:
 
 
 def reverse_cholesky(q: np.ndarray) -> np.ndarray:
-    """Lower-triangular H with H.T @ H == q.
+    """Lower-triangular H with H.T @ H == q, for each matrix of a stack.
 
     Obtained by factoring the index-reversed matrix; this is the orientation
     the decoder needs so that row k of H touches only entries 1..k and the
-    layer-by-layer residual accumulation over 1..3N is exact.
+    layer-by-layer residual accumulation over 1..3N is exact.  The matrices
+    of a stack are factored in order, so the first that is not positive
+    definite raises.
     """
-    low, pivot = _k.cholesky_lower(np.asarray(q, dtype=np.float64)[::-1, ::-1].tolist())
-    if pivot >= 0:
-        raise NotPositiveDefiniteError(len(low) - 1 - pivot)
-    # H[i][j] = low[n-1-j][n-1-i]: the columns of low, last first, reversed
-    return np.array([col[::-1] for col in zip(*low)][::-1])
+    q = np.asarray(q, dtype=np.float64)
+    n = q.shape[-1]
+    factor = np.empty_like(q)
+    for q_i, h_i in zip(q.reshape(-1, n, n), factor.reshape(-1, n, n)):
+        low, pivot = _k.cholesky_lower(q_i[::-1, ::-1].tolist())
+        if pivot >= 0:
+            raise NotPositiveDefiniteError(n - 1 - pivot)
+        h_i.T[::-1, ::-1] = low  # H[i][j] = low[n-1-j][n-1-i]
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +170,27 @@ def reverse_cholesky(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def condense(
-    m: MultistepModel, x0, y_ref, u_prev: SwitchState, weight: float
-):
+def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float):
     """Quadratic coefficients (quad, lin) of the subproblem cost.
 
     The cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
-    U' quad U - 2 lin' U + const.
+    U' quad U - 2 lin' U + const.  `u_prev` holds the previous switch
+    levels, a SwitchState or an array of them; like `x0` and `y_ref` it
+    carries the leading axes of a stacked `m` (see the module docstring).
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
+    if isinstance(u_prev, SwitchState):
+        u_prev = u_prev.as_array()
     diff, prev = effort_maps(m.horizon)
-    residual = m.free_map @ x0 + m.drift_vec - y_ref
-    quad = m.forced_map.T @ m.forced_map + effort_gram(m.horizon, weight)
-    lin = -(m.forced_map.T @ residual) + weight * (diff.T @ (prev @ u_prev.as_array()))
-    return quad, lin
+    forced_t = m.forced_map.swapaxes(-1, -2)
+    residual = (m.free_map @ x0[..., None])[..., 0] + m.drift_vec - y_ref
+    quad = forced_t @ m.forced_map + effort_gram(m.horizon, weight)
+    lin = -(forced_t @ residual[..., None]) + weight * (diff.T @ (prev @ u_prev[..., None]))
+    return quad, lin[..., 0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -171,20 +202,21 @@ def effort_gram(n_h: int, weight: float) -> np.ndarray:
     return gram
 
 
-def assemble_qp(
-    m: MultistepModel, x0, y_ref, u_prev: SwitchState, weight: float
-) -> QpForm:
-    """Condense one subproblem and bring it to triangular decoding form."""
+def assemble_qp(m: MultistepModel, x0, y_ref, u_prev, weight: float) -> QpForm:
+    """Condense a subproblem, or a stack of them, and bring it to triangular
+    decoding form.  Every matrix is factored before the first solve, so a
+    Gram matrix that is not positive definite raises
+    NotPositiveDefiniteError, the first of a stack first."""
     quad, lin = condense(m, x0, y_ref, u_prev, weight)
     factor = reverse_cholesky(quad)
-    unconstrained = np.linalg.solve(quad, lin)
+    unconstrained = np.linalg.solve(quad, lin[..., None])
     target = factor @ unconstrained
     return QpForm(
         quad=quad,
         lin=lin,
         factor=factor,
-        unconstrained=unconstrained,
-        target=target,
+        unconstrained=unconstrained[..., 0],
+        target=target[..., 0],
         horizon=m.horizon,
     )
 
@@ -248,12 +280,13 @@ def k_best(qp: QpForm, k: int) -> CandidateList:
 
 
 def all_sequences(n_h: int) -> np.ndarray:
-    """Every switch sequence of the horizon in lexicographic order."""
+    """Every switch sequence of the horizon in lexicographic order, as int8
+    levels (an eighth of the memory of int64; every level converts exactly)."""
     if n_h > MAX_BRUTE_HORIZON:
         raise ValueError(f"enumeration horizon capped at {MAX_BRUTE_HORIZON}")
     n = 3 * n_h
     # the last level varies fastest, as in itertools.product
-    seqs = np.indices((3,) * n, dtype=np.int64).reshape(n, -1).T
+    seqs = np.indices((3,) * n, dtype=np.int8).reshape(n, -1).T
     seqs -= 1
     return seqs
 
@@ -295,7 +328,7 @@ def brute_force_kbest(
         )
     # lexsort's last key is the primary one: cost, then the levels in order
     ranked = np.lexsort((*seqs.T[::-1], costs))[:k]
-    seqs_k = SwitchSequence.from_rows(seqs[ranked], n_h)
+    seqs_k = SwitchSequence.from_rows(seqs[ranked].astype(np.int64), n_h)
     items = list(zip(seqs_k, costs[ranked].tolist()))
     return CandidateList(items=items, nodes_visited=seqs.shape[0])
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -103,6 +105,55 @@ class TestBuildReferences:
         out = build_references(st, MACHINE, refs, T_S)
         assert out.pq_ref[0] == pytest.approx(110.0 * 20.0)
         assert out.pq_ref[1] == 0.0
+
+
+def np_clip_references(st, machine, refs, dt):
+    """(integral, i_dq_ref, pq_ref) of `build_references`, clamped with
+    `np.clip` instead of `min(max(x, lo), hi)`."""
+    i_q_ref = refs.t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
+    err = refs.v_dc_ref - st.dc.v_dc
+    integral = refs.integral + dt * err
+    if refs.pi_ki != 0.0:
+        bound = abs(refs.pi_clamp / refs.pi_ki)
+        integral = float(np.clip(integral, -bound, bound))
+    i_g_ref = float(
+        np.clip(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp, refs.pi_clamp)
+    )
+    p_ref = st.dc.v_dc * i_g_ref + refs.omega_m_ref * refs.t_e_ref
+    return integral, (0.0, i_q_ref), (p_ref, 0.0)
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5, 1e300)
+
+
+class TestClampsMatchNpClip:
+    """The scalar clamps `min(max(x, lo), hi)` give `np.clip`'s value and
+    sign on NaN, signed zeros, infinities and the bounds themselves."""
+
+    @pytest.mark.parametrize("bound", [60.0, 0.0, math.inf, 5e-324])
+    def test_torque_reference_clamp(self, bound):
+        # the form of run_scenario's t_e_ref clamp, bounds +-t_e_max
+        for x in SPECIAL + (bound, -bound):
+            want = float(np.clip(x, -bound, bound))
+            assert repr(float(min(max(x, -bound), bound))) == repr(want)
+
+    def test_build_references(self):
+        st = PlantState.initial(MACHINE, v_dc=700.0)
+        grid = itertools.product(
+            SPECIAL,                               # integral
+            (700.0, 600.0, 800.0, math.inf, -math.inf, math.nan),  # v_dc_ref
+            (50.0, 0.0, -0.0, math.inf, -50.0),   # pi_clamp, zero included
+            (-20.0, 20.0, 0.0),                    # pi_ki
+            (-0.5, 0.0, -0.0),                     # pi_kp
+        )
+        for integral, v_dc_ref, pi_clamp, pi_ki, pi_kp in grid:
+            refs = ReferenceState(
+                t_e_ref=10.0, integral=integral, pi_kp=pi_kp, pi_ki=pi_ki,
+                pi_clamp=pi_clamp, v_dc_ref=v_dc_ref, omega_m_ref=-0.0,
+            )
+            out = build_references(st, MACHINE, refs, T_S)
+            got = (out.integral, out.i_dq_ref, out.pq_ref)
+            assert repr(got) == repr(np_clip_references(st, MACHINE, refs, T_S))
 
 
 class TestStackReference:

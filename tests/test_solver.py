@@ -68,6 +68,30 @@ def cholesky(q):
     return np.array(low), pivot
 
 
+def loop_cholesky(a):
+    """The row-by-row loop that `_kernels.cholesky_lower` unrolls per size:
+    the reference for its rows, failing pivot and partial rows."""
+    n = len(a)
+    tol = n * _kernels.EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        a_i = a[i]
+        l_i = low[i]
+        for j in range(i):
+            l_j = low[j]
+            s = a_i[j]
+            for k in range(j):
+                s -= l_i[k] * l_j[k]
+            l_i[j] = s / l_j[j]
+        s = a_i[i]
+        for k in range(i):
+            s -= l_i[k] * l_i[k]
+        if s <= tol:
+            return low, i
+        l_i[i] = math.sqrt(s)
+    return low, -1
+
+
 class TestCholesky:
     def test_identity(self):
         assert_allclose(cholesky(np.eye(4))[0], np.eye(4))
@@ -88,6 +112,36 @@ class TestCholesky:
 
     def test_not_pd_reports_pivot(self):
         assert cholesky(np.diag([1.0, 1.0, -1.0]))[1] == 2
+
+    def test_stack_raises_for_its_first_failing_matrix(self, rng):
+        # rank-deficient Gram matrices whose reversed factors fail at
+        # different pivots; a stack is factored item by item, in order
+        b_1, b_2 = rng.normal(size=(9, 3)), rng.normal(size=(9, 7))
+        pivots = []
+        for q in (b_1 @ b_1.T, b_2 @ b_2.T):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                reverse_cholesky(q)
+            pivots.append(err.value.pivot)
+        assert pivots[0] != pivots[1]
+        for stack, pivot in (((b_1, b_2), pivots[0]), ((b_2, b_1), pivots[1])):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                reverse_cholesky(np.array([b @ b.T for b in stack]))
+            assert err.value.pivot == pivot
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_generated_equals_loop_reference(self, n, rng):
+        # full-rank, rank-deficient and indefinite matrices over a wide
+        # range of scales; repr compares every float bit for bit, zero
+        # signs included, and the failing pivot with its partial rows
+        cases = []
+        for rank in range(n + 1):
+            b = rng.normal(size=(n, max(rank, 1))) * 10.0 ** rng.uniform(-4, 4)
+            q = b @ b.T if rank else -np.eye(n)
+            cases += [q, q + rng.uniform(0, 1) * np.eye(n)]
+        cases.append(np.diag(rng.normal(size=n)))
+        for q in cases:
+            a = q.tolist()
+            assert repr(_kernels.cholesky_lower(a)) == repr(loop_cholesky(a))
 
     def test_reverse_factor(self, rng):
         for n in (2, 6, 9):
@@ -156,6 +210,76 @@ class TestCondensation:
             qp = assemble_qp(m, x0, y_ref, u_prev, 0.1)
             raw = raw_cost_closure(m, x0, y_ref, u_prev, 0.1)
             assert brute_force_kbest(raw, 1, n_h).sequences[0] == brute_force_kbest(qp, 1, n_h).sequences[0]
+
+
+class TestTwoSideStack:
+    """The controller assembles both sides as one two-item stack; every array
+    must equal that of assembling each side alone, byte for byte."""
+
+    FIELDS = ("forced_map", "free_map", "drift_vec")
+    QP_FIELDS = ("quad", "lin", "factor", "unconstrained", "target")
+
+    @staticmethod
+    def random_state(rng):
+        return PlantState(
+            i_m_dq=rng.normal(0, 20, 2),
+            i_n_ab=rng.normal(0, 20, 2),
+            dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
+            mech=MechState(
+                float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi)), 0.05, 0.0
+            ),
+            t=float(rng.uniform(0, 0.02)),
+        )
+
+    @pytest.mark.parametrize("n_h", range(1, 7))
+    def test_stacked_equals_single_sides_byte_for_byte(self, n_h, rng):
+        for _ in range(200):
+            st = self.random_state(rng)
+            models = step_models(st)
+            x0 = (st.i_m_dq, st.i_n_ab)
+            y_ref = (np.tile(rng.normal(0, 15, 2), n_h), np.tile(rng.normal(0, 3000, 2), n_h))
+            u_prev = [SwitchState(*(int(v) for v in rng.integers(-1, 2, 3))) for _ in range(2)]
+            lam = float(rng.uniform(0.01, 1.0))
+            multi = build_multistep(models.sides, n_h)
+            qp = assemble_qp(
+                multi, np.array(x0), np.array(y_ref), np.array([u.as_array() for u in u_prev]), lam
+            )
+            for i, side in enumerate((models.machine, models.grid)):
+                for name in ("state_mat", "input_mat", "drift", "output_mat"):
+                    assert getattr(models.sides, name)[i].tobytes() == getattr(side, name).tobytes()
+                alone = build_multistep(side, n_h)
+                for name in self.FIELDS:
+                    assert getattr(multi, name)[i].tobytes() == getattr(alone, name).tobytes()
+                qp_alone = assemble_qp(alone, x0[i], y_ref[i], u_prev[i], lam)
+                for name in self.QP_FIELDS:
+                    assert getattr(qp, name)[i].tobytes() == getattr(qp_alone, name).tobytes()
+            for view, i in zip(qp.sides(), (0, 1)):
+                for name in self.QP_FIELDS:
+                    assert np.shares_memory(getattr(view, name), getattr(qp, name))
+                    assert getattr(view, name).tobytes() == getattr(qp, name)[i].tobytes()
+
+    @pytest.mark.parametrize(
+        "lam, failing",
+        # at standstill the grid side's Gram matrix fails its pivot test
+        # below lam ~1e-10 at N_h = 3, the machine side's below ~1e-15
+        [(1e-12, "grid"), (0.0, "machine")],
+    )
+    def test_pivot_failure_names_the_failing_side(self, lam, failing):
+        st = PlantState.initial(MACHINE, v_dc=700.0, c=1100e-6)
+        models = step_models(st)
+        n_h = 3
+        pivots = {}
+        for name, side in (("machine", models.machine), ("grid", models.grid)):
+            try:
+                assemble_qp(build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
+                            SwitchState.zero(), lam)
+            except NotPositiveDefiniteError as exc:
+                pivots[name] = exc.pivot
+        assert failing in pivots and ("machine" in pivots) == (failing == "machine")
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            assemble_qp(build_multistep(models.sides, n_h), np.zeros((2, 2)),
+                        np.zeros((2, 2 * n_h)), np.zeros((2, 3), dtype=np.int64), lam)
+        assert err.value.pivot == pivots[failing]
 
 
 class TestSphereDecode:
@@ -458,11 +582,15 @@ class TestBruteForce:
         qp = random_qp_instance(rng, n_h)
         h, t = qp.factor.tolist(), qp.target.tolist()
         seqs = list(itertools.product((-1, 0, 1), repeat=3 * n_h))
+        assert all_sequences(n_h).dtype == np.int8
         assert all_sequences(n_h).tolist() == [list(u) for u in seqs]
         want = sorted((_kernels.sequence_cost(h, t, u), u) for u in seqs)
         got = brute_force_kbest(qp, len(seqs), n_h)
         assert got.costs == [c for c, _ in want]
         assert [s.as_tuple() for s in got.sequences] == [u for _, u in want]
+        # the oracle's sequences carry int64 levels, as the decoder's do
+        assert got.levels.dtype == np.int64
+        assert all(s.levels.dtype == np.int64 for s in got.sequences)
 
 
 class TestSelectPair:
