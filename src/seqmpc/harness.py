@@ -16,7 +16,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -108,14 +108,29 @@ class ScenarioConfig:
     steady_fraction: float = 0.4
 
     def __post_init__(self):
+        for f in fields(self):
+            if not all(math.isfinite(v) for v in _floats(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
         if self.duration <= 0 or self.t_s <= 0:
             raise ConfigError("duration and t_s must be positive")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
+        if self.t_e_max < 0 or self.pi_clamp < 0:
+            raise ConfigError("t_e_max and pi_clamp must be >= 0")
+        if not 0 < self.steady_fraction <= 1:
+            raise ConfigError("steady_fraction must lie in (0, 1]")
+        if self.thd_periods < 1:
+            raise ConfigError("thd_periods must be >= 1")
         for prof in (self.speed_rpm, self.torque_nm):
             times = [t for t, _ in prof]
             if times != sorted(times):
                 raise ConfigError("profiles must be sorted by time")
+        # the plant parameters and the initial state check themselves
+        try:
+            self.grid()
+            self.initial_state()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def machine(self) -> MachineParams:
         return MachineParams(self.r_s, self.l_s, self.psi_pm, self.pole_pairs)
@@ -177,6 +192,15 @@ class ScenarioConfig:
         """Machine electrical frequency implied by the final speed reference."""
         rpm = self.speed_rpm[-1][1]
         return self.pole_pairs * rpm / 60.0
+
+
+def _floats(value):
+    """Every float in a config field's value, nested tuples included."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
 
 
 def profile_value(profile, t: float) -> float:

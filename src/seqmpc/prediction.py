@@ -12,8 +12,9 @@ stages.  `build_step_models` builds and discretizes both sides once per
 control step; the multistep stacking and the imbalance rollout reuse them.
 
 Two-side convention: the machine and grid subproblems have the same shape,
-so `build_step_models` also stacks the two discretized models over a
-leading side axis, machine first (`StepModels.sides`).  `build_multistep`,
+so `build_step_models` stacks the two discretized models over a leading
+side axis, machine first (`StepModels.sides`); `StepModels.machine` and
+`StepModels.grid` are views of its two items.  `build_multistep`,
 like `solver.condense` and `solver.assemble_qp`, broadcasts over leading
 axes, so one call serves both sides; on one side's model it is the same
 function with no leading axis.  Each product is a stacked matmul, which
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import (
+    LEVELS,
     DcLinkState,
     GridParams,
     MachineParams,
@@ -109,30 +111,7 @@ class SwitchSequence:
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=np.int64)
         object.__setattr__(self, "levels", lv)
-        if lv.shape != (3 * self.horizon,):
-            raise ValueError("sequence length must be 3 * horizon")
-        if lv.size and (lv.min() < -1 or lv.max() > 1):
-            raise ValueError("sequence entries must lie in {-1, 0, 1}")
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray, horizon: int) -> list:
-        """One sequence per row of a (k, 3 * horizon) level stack.
-
-        The stack is validated once and made read-only; each sequence's
-        `levels` is a view of its row.
-        """
-        if rows.shape[1:] != (3 * horizon,):
-            raise ValueError("sequence length must be 3 * horizon")
-        if rows.size and (rows.min() < -1 or rows.max() > 1):
-            raise ValueError("sequence entries must lie in {-1, 0, 1}")
-        rows.flags.writeable = False
-        out = []
-        for row in rows:
-            seq = object.__new__(cls)
-            object.__setattr__(seq, "levels", row)
-            object.__setattr__(seq, "horizon", horizon)
-            out.append(seq)
-        return out
+        check_levels(lv, (3 * self.horizon,))
 
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.levels)
@@ -148,6 +127,19 @@ class SwitchSequence:
 
     def __hash__(self):
         return hash(self.as_tuple())
+
+
+_ALPHABET = frozenset(LEVELS)
+
+
+def check_levels(levels: np.ndarray, shape: tuple) -> None:
+    """Raise ValueError unless `levels` has `shape`, whose last axis is the
+    3 * horizon levels of a sequence, and every entry lies in {-1, 0, 1}."""
+    if levels.shape != shape:
+        raise ValueError(f"sequence length must be 3 * horizon: shape {levels.shape}, not {shape}")
+    # on Python ints: two NumPy reductions cost ~3x more on a few levels
+    if not _ALPHABET.issuperset(levels.ravel().tolist()):
+        raise ValueError("sequence entries must lie in {-1, 0, 1}")
 
 
 def build_machine_subsystem(
@@ -274,17 +266,27 @@ class StepModels:
     """Both discretized side models of one control step and the imbalance
     stage's inputs, all frozen at time-k quantities.
 
-    `sides` stacks copies of `machine` and `grid` over a leading side axis,
-    machine first (see the module docstring).
+    `sides` stacks the two models over a leading side axis, machine first
+    (see the module docstring); `machine` and `grid` are views of its items.
     `proj_m` reconstructs the machine phase currents from the dq state (the
     Clarke pseudo-inverse with the Park rotation folded in); `gain` is Ts / C.
     """
 
     sides: DiscreteModel
-    machine: DiscreteModel
-    grid: DiscreteModel
     proj_m: np.ndarray
     gain: float
+
+    @property
+    def machine(self) -> DiscreteModel:
+        return self._side(0)
+
+    @property
+    def grid(self) -> DiscreteModel:
+        return self._side(1)
+
+    def _side(self, i: int) -> DiscreteModel:
+        s = self.sides
+        return DiscreteModel(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
 
 
 def build_step_models(
@@ -307,8 +309,6 @@ def build_step_models(
     )
     return StepModels(
         sides=sides,
-        machine=model_m,
-        grid=model_n,
         proj_m=CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T,
         gain=t_s / st.dc.c,
     )
@@ -354,7 +354,9 @@ def predict_imbalance(
     """Predicted DC-link imbalance trajectory for one candidate pair.
 
     Both side models are frozen at time-k quantities; the imbalance update
-    is bilinear in |switch| and the reconstructed phase currents.
+    is bilinear in |switch| and the reconstructed phase currents.  The
+    controller scores pairs with `solver.select_pair`; this one-pair form is
+    the reference that tests compare it with.
     """
     if u_m.horizon != u_n.horizon:
         raise HorizonMismatchError(

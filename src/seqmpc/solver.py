@@ -16,6 +16,10 @@ unconstrained optimum lies in the box, where it is zero up to rounding.
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
 
+A k-best list (`CandidateList`) is the (k, 3N) level stack that the decoder
+or the oracle builds once from its leaves, with their costs; `select_pair`
+rolls the stack out, and the list's `sequences` are row views of it.
+
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first (see the
 module docstring of `prediction`).  Its products are stacked matmuls, which
@@ -33,12 +37,14 @@ k_m * k_n paths with one stacked self-product.  Stacked matmuls run NumPy's
 per-item gemv and dot, the same OpenBLAS calls (fused multiply-adds
 included) as scoring one pair at a time, so the scores are bit-identical to
 the per-pair loop; a 2-D gemm or Python-float arithmetic would not be.
+The `standard_sd` baseline is its 1x1 case: the stacked self-product of the
+single path runs the same dot call as `path @ path`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,6 +56,7 @@ from .prediction import (
     MultistepModel,
     StepModels,
     SwitchSequence,
+    check_levels,
     effort_maps,
     imbalance_contributions,
     imbalance_path,
@@ -109,35 +116,35 @@ class DecodeResult:
     rho_trace: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class CandidateList:
-    """Ordered k-best sequences with costs and search statistics.
+    """Ordered k-best sequences as one (k, 3N) level stack, with their costs
+    and search statistics.
 
-    `levels` is the read-only (len, 3N) stack of the sequences' levels in
-    list order, built from `items`.
+    `levels` holds the sequences' levels in list order as a read-only int64
+    array (an int64 array passed in is made read-only itself); `costs` are
+    nondecreasing.  `sequences` are SwitchSequences whose levels are row
+    views of the stack, built on first use.
     """
 
-    items: list  # list[(SwitchSequence, float)]
+    levels: np.ndarray
+    costs: list
+    horizon: int
     nodes_visited: int = 0
-    levels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        costs = [c for _, c in self.items]
-        if any(b < a for a, b in zip(costs, costs[1:])):
+        self.levels = levels = np.asarray(self.levels, dtype=np.int64)
+        check_levels(levels, (len(self.costs), 3 * self.horizon))
+        if any(b < a for a, b in zip(self.costs, self.costs[1:])):
             raise ValueError("candidate costs must be nondecreasing")
-        self.levels = np.array([s.levels for s, _ in self.items], dtype=np.int64)
-        self.levels.flags.writeable = False
+        levels.flags.writeable = False
 
-    @property
+    @functools.cached_property
     def sequences(self) -> list:
-        return [s for s, _ in self.items]
-
-    @property
-    def costs(self) -> list:
-        return [c for _, c in self.items]
+        return [SwitchSequence(row, self.horizon) for row in self.levels]
 
     def __len__(self):
-        return len(self.items)
+        return len(self.costs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +234,7 @@ def assemble_qp(m: MultistepModel, x0, y_ref, u_prev, weight: float) -> QpForm:
 
 
 def _list_decode(qp: QpForm, k: int, radius_sq: float):
-    """One `sd_search` pass: ([(sequence, cost)] in order, nodes, radius trace).
+    """One `sd_search` pass: (CandidateList, radius trace).
 
     With an infinite radius the search is seeded with the alphabet-clamped
     rounding of the unconstrained solution, which is always admissible.
@@ -247,9 +254,8 @@ def _list_decode(qp: QpForm, k: int, radius_sq: float):
         max(map(abs, unc)) > 1.0,
     )
     levels = np.array([lv for _, lv in best], dtype=np.int64).reshape(len(best), n)
-    seqs = SwitchSequence.from_rows(levels, qp.horizon)
-    items = [(seq, cost) for seq, (cost, _) in zip(seqs, best)]
-    return items, nodes, rho_trace
+    cands = CandidateList(levels, [cost for cost, _ in best], qp.horizon, nodes)
+    return cands, rho_trace
 
 
 def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
@@ -258,14 +264,13 @@ def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
     `rho_trace` is the nonincreasing sequence of squared radii the search
     used.  Raises RadiusTooSmallError if a finite radius admits no sequence.
     """
-    items, nodes, rho_trace = _list_decode(qp, 1, radius_sq)
-    if not items:
+    cands, rho_trace = _list_decode(qp, 1, radius_sq)
+    if not len(cands):
         raise RadiusTooSmallError(f"no sequence within squared radius {radius_sq}")
-    (best, best_cost), = items
     return DecodeResult(
-        best=best,
-        best_cost=best_cost,
-        nodes=nodes,
+        best=cands.sequences[0],
+        best_cost=cands.costs[0],
+        nodes=cands.nodes_visited,
         rho_trace=np.array(rho_trace, dtype=np.float64),
     )
 
@@ -275,8 +280,7 @@ def k_best(qp: QpForm, k: int) -> CandidateList:
     against enumeration, from a single list-decoder pass."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    items, nodes, _ = _list_decode(qp, k, np.inf)
-    return CandidateList(items=items, nodes_visited=nodes)
+    return _list_decode(qp, k, np.inf)[0]
 
 
 def all_sequences(n_h: int) -> np.ndarray:
@@ -328,9 +332,9 @@ def brute_force_kbest(
         )
     # lexsort's last key is the primary one: cost, then the levels in order
     ranked = np.lexsort((*seqs.T[::-1], costs))[:k]
-    seqs_k = SwitchSequence.from_rows(seqs[ranked].astype(np.int64), n_h)
-    items = list(zip(seqs_k, costs[ranked].tolist()))
-    return CandidateList(items=items, nodes_visited=seqs.shape[0])
+    return CandidateList(
+        seqs[ranked].astype(np.int64), costs[ranked].tolist(), n_h, seqs.shape[0]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +354,11 @@ def select_pair(
     the pair with the lowest (machine index, grid index).  Returns the two
     chosen sequences, taken from the candidate lists, and the pair's score.
     """
-    if not machine_cands.items or not grid_cands.items:
+    if not len(machine_cands) or not len(grid_cands):
         raise ValueError("candidate lists must be nonempty")
-    hor_m = machine_cands.items[0][0].horizon
-    hor_n = grid_cands.items[0][0].horizon
-    if hor_m != hor_n:
-        raise HorizonMismatchError(f"horizons differ: {hor_m} vs {hor_n}")
+    n_h = machine_cands.horizon
+    if n_h != grid_cands.horizon:
+        raise HorizonMismatchError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
 
     contrib_m = imbalance_contributions(
         st.i_m_dq, models.machine, machine_cands.levels, models.proj_m, models.gain
@@ -363,10 +366,10 @@ def select_pair(
     contrib_n = imbalance_contributions(
         st.i_n_ab, models.grid, grid_cands.levels, CLARKE_PINV_MAT, models.gain
     )
-    paths = imbalance_path(st.dc.v_imb, contrib_m, contrib_n).reshape(-1, hor_m)
+    paths = imbalance_path(st.dc.v_imb, contrib_m, contrib_n).reshape(-1, n_h)
     scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
     # argmin keeps the first minimum; row-major order makes that the lowest
     # (machine index, grid index)
-    best = int(np.argmin(scores))
-    im, il = divmod(best, len(grid_cands.items))
-    return machine_cands.items[im][0], grid_cands.items[il][0], float(scores[best])
+    best = int(scores.argmin())
+    im, il = divmod(best, len(grid_cands))
+    return machine_cands.sequences[im], grid_cands.sequences[il], float(scores[best])

@@ -1,6 +1,7 @@
 import pytest
 from click.testing import CliRunner
 
+from seqmpc import harness
 from seqmpc.cli import main
 from seqmpc.harness import ScenarioConfig, dump_config
 
@@ -91,6 +92,36 @@ class TestRun:
         assert "config error:" in result.output and "too small" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("references", "t_e_max", "nan"),
+            ("references", "pi_clamp", "-5"),
+            ("references", "speed_kp", "nan"),
+            ("controller", "lambdas", "inf"),
+            ("metrics", "steady_fraction", "0"),
+            ("metrics", "steady_fraction", "1.5"),
+            ("metrics", "thd_periods", "0"),
+            ("plant", "r_s", "-1"),
+            ("plant", "l_n", "0"),
+            ("plant", "inertia", "0"),
+            ("initial", "v_dc0", "inf"),
+            ("initial", "v_imb0", "800"),
+        ],
+    )
+    def test_bad_scenario_number_exits_one(
+        self, runner, tmp_path, monkeypatch, section, key, value
+    ):
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\nduration = 0.1\n[{section}]\n{key} = {value}\n")
+        result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and not (tmp_path / "o").exists()
 
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler

@@ -55,16 +55,6 @@ class TestSwitchSequence:
             with pytest.raises(ValueError, match="length"):
                 SwitchSequence(levels=np.array(levels, dtype=np.int64), horizon=2)
 
-    def test_from_rows_validates_the_stack_once(self):
-        rows = np.array([[1, 0, -1, 0, 1, 1], [0, 0, 0, -1, -1, 1]])
-        seqs = SwitchSequence.from_rows(rows, horizon=2)
-        assert seqs == [SwitchSequence(levels=row.copy(), horizon=2) for row in rows]
-        assert not rows.flags.writeable and seqs[1].levels.base is rows
-        with pytest.raises(ValueError, match="entries"):
-            SwitchSequence.from_rows(np.array([[0, 2, 0]]), horizon=1)
-        with pytest.raises(ValueError, match="length"):
-            SwitchSequence.from_rows(np.zeros((2, 3), dtype=np.int64), horizon=2)
-
     def test_blocks_and_hash(self):
         seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
         assert_allclose(seq.first_block(), [1, 0, -1])

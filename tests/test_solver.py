@@ -324,8 +324,24 @@ class TestKBest:
         for n_h, k in ((1, 4), (2, 10), (3, 4)):
             got = k_best(random_qp_instance(rng, n_h), k)
             assert got.levels.shape == (k, 3 * n_h) and not got.levels.flags.writeable
+            assert got.levels.dtype == np.int64 and len(got.costs) == len(got) == k
             for row, seq in zip(got.levels, got.sequences):
                 assert np.array_equal(row, seq.levels) and seq.horizon == n_h
+                # a row view of the stack, not a copy
+                assert np.shares_memory(seq.levels, got.levels)
+            assert got.sequences is got.sequences
+
+    def test_candidate_list_validates_its_stack(self):
+        rows = np.array([[1, 0, -1, 0, 1, 1], [0, 0, 0, -1, -1, 1]])
+        cands = CandidateList(rows, [0.5, 2.0], 2)
+        assert cands.levels is rows and not rows.flags.writeable
+        assert cands.sequences == [SwitchSequence(levels=row.copy(), horizon=2) for row in rows]
+        with pytest.raises(ValueError, match="entries"):
+            CandidateList(np.array([[0, 2, 0]]), [1.0], 1)
+        with pytest.raises(ValueError, match="length"):
+            CandidateList(np.zeros((2, 3), dtype=np.int64), [1.0, 2.0], 2)
+        with pytest.raises(ValueError, match="length"):
+            CandidateList(np.zeros((2, 3), dtype=np.int64), [1.0], 1)
 
     def test_k_one_reduces_to_sphere_decode(self, rng):
         for _ in range(10):
@@ -392,9 +408,8 @@ class TestKBest:
                 assert got.nodes_visited <= full_tree
 
     def test_costs_validated(self):
-        seq = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)
-        with pytest.raises(ValueError):
-            CandidateList(items=[(seq, 2.0), (seq, 1.0)])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            CandidateList(np.zeros((2, 3), dtype=np.int64), [2.0, 1.0], 1)
 
     def test_rejects_nonpositive_k(self, rng):
         qp = random_qp_instance(rng, 1)
@@ -515,12 +530,13 @@ class TestLongHorizons:
             qp = random_qp_instance(rng, n_h)
             h, t = qp.factor.tolist(), qp.target.tolist()
             short, full = k_best(qp, 4), k_best(qp, 10)
-            assert short.items == full.items[:4]
-            for seq, cost in full.items:
+            assert np.array_equal(short.levels, full.levels[:4])
+            assert short.costs == full.costs[:4]
+            for seq, cost in zip(full.sequences, full.costs):
                 assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
             # the k-th cost as a finite radius, without a seed
             best, _, _ = _kernels.sd_search(qp.factor, qp.target, 10, full.costs[-1], None)
-            assert best == [(c, s.as_tuple()) for s, c in full.items]
+            assert best == [(c, s.as_tuple()) for c, s in zip(full.costs, full.sequences)]
 
 
 class TestGeneratedSearch:
@@ -606,8 +622,8 @@ class TestSelectPair:
 
     @staticmethod
     def listify(seqs):
-        items = [(s, float(i)) for i, s in enumerate(seqs)]
-        return CandidateList(items=items)
+        levels = np.array([s.levels for s in seqs])
+        return CandidateList(levels, [float(i) for i in range(len(seqs))], seqs[0].horizon)
 
     def test_single_pair_is_returned(self):
         st = self.make_state([4.0, -2.0], [1.0, 3.0])
@@ -619,6 +635,26 @@ class TestSelectPair:
         assert got_m == u_m and got_n == u_n
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3, 4])
+    def test_single_candidates_score_like_the_one_pair_reference(self, n_h, rng):
+        # standard_sd's imbalance stage: one-candidate lists go through the
+        # stacked self-product, which must give the bits of `path @ path`
+        for _ in range(40):
+            st = self.make_state(
+                rng.normal(0, 15, 2), rng.normal(0, 15, 2), v_imb=rng.normal(0, 2),
+                omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
+            )
+            models = step_models(st)
+            u_m, u_n = (
+                SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in "mn"
+            )
+            cands_m, cands_n = self.listify([u_m]), self.listify([u_n])
+            got_m, got_n, j_o = select_pair(st, cands_m, cands_n, models)
+            assert got_m is cands_m.sequences[0] and got_n is cands_n.sequences[0]
+            assert got_m == u_m and got_n == u_n
+            path = predict_imbalance(st, u_m, u_n, models)
+            assert j_o.hex() == float(path @ path).hex()
 
     def test_minimizes_over_all_pairs(self, rng):
         st = self.make_state(rng.normal(0, 10, 2), rng.normal(0, 10, 2), v_imb=0.8)
@@ -668,8 +704,8 @@ class TestSelectPair:
     def per_pair_reference(st, cands_m, cands_n, models):
         """Lowest (im, il) of the least score, pair by pair, and every path."""
         best, paths = None, {}
-        for im, (u_m, _) in enumerate(cands_m.items):
-            for il, (u_n, _) in enumerate(cands_n.items):
+        for im, u_m in enumerate(cands_m.sequences):
+            for il, u_n in enumerate(cands_n.sequences):
                 path = predict_imbalance(st, u_m, u_n, models)
                 paths[im, il] = path
                 j_o = float(path @ path)
@@ -701,10 +737,10 @@ class TestSelectPair:
         models = step_models(st)
         (want_j, im, il), paths = self.per_pair_reference(st, cands_m, cands_n, models)
         for (a, b), path in paths.items():
-            want = self.one_at_a_time(st, cands_m.items[a][0], cands_n.items[b][0], models)
+            want = self.one_at_a_time(st, cands_m.sequences[a], cands_n.sequences[b], models)
             assert np.array_equal(path, want)
         got_m, got_n, j_o = select_pair(st, cands_m, cands_n, models)
-        assert got_m is cands_m.items[im][0] and got_n is cands_n.items[il][0]
+        assert got_m is cands_m.sequences[im] and got_n is cands_n.sequences[il]
         assert j_o == want_j
         # the batched rollout reproduces every per-pair path bit for bit
         contrib_m = imbalance_contributions(
