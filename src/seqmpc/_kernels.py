@@ -20,6 +20,16 @@ lists on every node, and that indexing, not the arithmetic, was most of
 its time.  Every expanded node evaluates all three of its children.
 `cholesky_lower` is generated the same way, once per matrix size
 (`_cholesky_of_size`): straight-line code with one local per entry.
+
+The plant integrator's substep is straight-line code too: the converter
+voltages, the transforms and the derivatives are written out in the loop
+body, what is constant over a period is computed once before the loop, and
+Park and inverse Park share one cos/sin of the rotor angle.  Every value
+still goes through the same IEEE-754 operations in the same order as in a
+substep composed of one function per operation, so the integrated state is
+bit-identical to that composition (kept as the reference in
+`tests/test_plant.py`); the calls and argument passing had cost about as
+much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -74,36 +84,6 @@ def park_inv2(d, q, theta):
 # ---------------------------------------------------------------------------
 
 
-def converter_voltage3(sa, sb, sc, v_dc, v_imb):
-    # per-phase voltage of the three-level NPC bridge for one switch state
-    g = (v_dc + v_imb) / 6.0
-    ua = g * (2.0 * sa - sb - sc)
-    ub = g * (2.0 * sb - sa - sc)
-    uc = g * (2.0 * sc - sa - sb)
-    return ua, ub, uc
-
-
-def machine_deriv2(i_d, i_q, u_d, u_q, omega_e, r_s, l_s, psi_pm):
-    di_d = (-r_s / l_s) * i_d + omega_e * i_q + u_d / l_s
-    di_q = -omega_e * i_d + (-r_s / l_s) * i_q + u_q / l_s - (psi_pm / l_s) * omega_e
-    return di_d, di_q
-
-
-def grid_deriv2(i_a, i_b, u_a, u_b, e_a, e_b, r_n, l_n):
-    di_a = (-r_n / l_n) * i_a + u_a / l_n - e_a / l_n
-    di_b = (-r_n / l_n) * i_b + u_b / l_n - e_b / l_n
-    return di_a, di_b
-
-
-def dc_link_deriv2(sma, smb, smc, sna, snb, snc, ima, imb, imc, ina, inb, inc, c_dc):
-    dv_dc = (sma * ima + smb * imb + smc * imc - (sna * ina + snb * inb + snc * inc)) / c_dc
-    dv_imb = (
-        abs(sma) * ima + abs(smb) * imb + abs(smc) * imc
-        - (abs(sna) * ina + abs(snb) * inb + abs(snc) * inc)
-    ) / c_dc
-    return dv_dc, dv_imb
-
-
 def grid_emf2(t, e_peak, omega_n):
     # balanced three-phase source mapped through the Clarke transform
     ph = omega_n * t
@@ -129,32 +109,96 @@ def integrate_plant(
 
     Explicit Euler with `substeps` sub-intervals; each substep evaluates all
     derivatives at the current state before updating, except the electrical
-    angle which integrates the freshly updated speed.
+    angle which integrates the freshly updated speed.  Per substep: the
+    converter's phase voltages (v_dc + v_imb) / 6 * (2 s_a - s_b - s_c) of
+    both bridges, the Clarke and Park transforms of the machine voltage, the
+    grid EMF, the machine dq and grid alpha/beta current derivatives, the
+    phase currents by inverse Park and the Clarke pseudo-inverse, the
+    DC-link derivatives sum(s i) / C and sum(|s| i) / C, and the torque
+    1.5 p psi i_q.
+
+    The substep is straight-line code: the transforms and derivatives are
+    written out, and what stays constant over the period is computed once
+    before the loop: the switch patterns 2 s_a - s_b - s_c and |s| as
+    floats, -r/l, psi/l, 2 pi/3 and 1.5 p psi.  Park and inverse Park
+    share one cos/sin of theta_e, the same angle in both.  Each value is
+    still computed by the same IEEE-754 operations in the same order as a
+    substep composed of one function per operation: a hoisted constant is
+    the value that function computes each time (the patterns are exact
+    small integers, and an int level converts exactly), so the result is
+    that composition's bit for bit (`tests/test_plant.py` keeps it as the
+    reference).
     """
     h = dt / substeps
+    pp = float(pole_pairs)
+    # per phase: converter pattern 2 s_a - s_b - s_c, level, |level|
+    pm_a = 2.0 * s_ma - s_mb - s_mc
+    pm_b = 2.0 * s_mb - s_ma - s_mc
+    pm_c = 2.0 * s_mc - s_ma - s_mb
+    pn_a = 2.0 * s_na - s_nb - s_nc
+    pn_b = 2.0 * s_nb - s_na - s_nc
+    pn_c = 2.0 * s_nc - s_na - s_nb
+    sm_a, sm_b, sm_c = float(s_ma), float(s_mb), float(s_mc)
+    sn_a, sn_b, sn_c = float(s_na), float(s_nb), float(s_nc)
+    am_a, am_b, am_c = float(abs(s_ma)), float(abs(s_mb)), float(abs(s_mc))
+    an_a, an_b, an_c = float(abs(s_na)), float(abs(s_nb)), float(abs(s_nc))
+    decay_m = -r_s / l_s
+    flux_m = psi_pm / l_s
+    decay_n = -r_n / l_n
+    third = TWO_PI / 3.0
+    k_t = 1.5 * pole_pairs * psi_pm
+    cos, sin = math.cos, math.sin
     for _ in range(substeps):
-        omega_e = pole_pairs * omega_m
+        omega_e = pp * omega_m
+        g = (v_dc + v_imb) / 6.0
+        ct = cos(theta_e)
+        st = sin(theta_e)
 
-        u_ma, u_mb, u_mc = converter_voltage3(s_ma, s_mb, s_mc, v_dc, v_imb)
-        u_mal, u_mbe = clarke3(u_ma, u_mb, u_mc)
-        u_md, u_mq = park2(u_mal, u_mbe, theta_e)
+        # machine voltage: phases, Clarke, Park
+        u_a = g * pm_a
+        u_b = g * pm_b
+        u_c = g * pm_c
+        u_al = SQRT23 * (u_a - 0.5 * u_b - 0.5 * u_c)
+        u_be = SQRT23 * (SQRT3_2 * (u_b - u_c))
+        u_md = ct * u_al + st * u_be
+        u_mq = -st * u_al + ct * u_be
 
-        u_na, u_nb, u_nc = converter_voltage3(s_na, s_nb, s_nc, v_dc, v_imb)
-        u_nal, u_nbe = clarke3(u_na, u_nb, u_nc)
-        e_al, e_be = grid_emf2(t, e_peak, omega_n)
+        # grid voltage: phases, Clarke
+        u_a = g * pn_a
+        u_b = g * pn_b
+        u_c = g * pn_c
+        u_nal = SQRT23 * (u_a - 0.5 * u_b - 0.5 * u_c)
+        u_nbe = SQRT23 * (SQRT3_2 * (u_b - u_c))
 
-        dmd, dmq = machine_deriv2(i_md, i_mq, u_md, u_mq, omega_e, r_s, l_s, psi_pm)
-        dna, dnb = grid_deriv2(i_na, i_nb, u_nal, u_nbe, e_al, e_be, r_n, l_n)
+        # grid EMF: phases, Clarke
+        ph = omega_n * t
+        e_a = e_peak * cos(ph)
+        e_b = e_peak * cos(ph - third)
+        e_c = e_peak * cos(ph + third)
+        e_al = SQRT23 * (e_a - 0.5 * e_b - 0.5 * e_c)
+        e_be = SQRT23 * (SQRT3_2 * (e_b - e_c))
 
-        i_mal, i_mbe = park_inv2(i_md, i_mq, theta_e)
-        ima, imb, imc = clarke_pinv2(i_mal, i_mbe)
-        ina, inb, inc = clarke_pinv2(i_na, i_nb)
-        dv_dc, dv_imb = dc_link_deriv2(
-            s_ma, s_mb, s_mc, s_na, s_nb, s_nc, ima, imb, imc, ina, inb, inc, c_dc
-        )
+        dmd = decay_m * i_md + omega_e * i_mq + u_md / l_s
+        dmq = -omega_e * i_md + decay_m * i_mq + u_mq / l_s - flux_m * omega_e
+        dna = decay_n * i_na + u_nal / l_n - e_al / l_n
+        dnb = decay_n * i_nb + u_nbe / l_n - e_be / l_n
 
-        t_e = torque_of_iq(i_mq, pole_pairs, psi_pm)
-        domega = (t_mech - t_e) / inertia
+        # phase currents: inverse Park and Clarke pseudo-inverse
+        i_al = ct * i_md - st * i_mq
+        i_be = st * i_md + ct * i_mq
+        ima = SQRT23 * i_al
+        imb = SQRT23 * (-0.5 * i_al + SQRT3_2 * i_be)
+        imc = SQRT23 * (-0.5 * i_al - SQRT3_2 * i_be)
+        ina = SQRT23 * i_na
+        inb = SQRT23 * (-0.5 * i_na + SQRT3_2 * i_nb)
+        inc = SQRT23 * (-0.5 * i_na - SQRT3_2 * i_nb)
+        dv_dc = (sm_a * ima + sm_b * imb + sm_c * imc - (sn_a * ina + sn_b * inb + sn_c * inc)) / c_dc
+        dv_imb = (
+            am_a * ima + am_b * imb + am_c * imc
+            - (an_a * ina + an_b * inb + an_c * inc)
+        ) / c_dc
+
+        domega = (t_mech - k_t * i_mq) / inertia
 
         i_md = i_md + h * dmd
         i_mq = i_mq + h * dmq
@@ -163,7 +207,7 @@ def integrate_plant(
         v_dc = v_dc + h * dv_dc
         v_imb = v_imb + h * dv_imb
         omega_m = omega_m + h * domega
-        theta_e = (theta_e + h * (pole_pairs * omega_m)) % TWO_PI
+        theta_e = (theta_e + h * (pp * omega_m)) % TWO_PI
         t = t + h
     return i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t
 

@@ -117,6 +117,7 @@ def run(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
             **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
         )
         ctrl = cfg.controller()
+        cfg.check_thd_window()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -131,7 +132,7 @@ def run(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
     try:
         metrics = compute_metrics(series, cfg)
     except ValueError as exc:
-        # e.g. the run is shorter than the requested THD window
+        # e.g. a run without fundamental current
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     out = Path(out_dir)
@@ -153,6 +154,8 @@ def sweep_cmd(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_d
             config_path,
             **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
         )
+        cfg.controller_grid()  # the controller checks first: their messages are more specific
+        cfg.check_thd_window()
         rows = sweep(cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -12,7 +12,7 @@ candidate, so the imbalance stage only scores the one pair of best sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,11 +122,16 @@ def build_references(
         min(max(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp), refs.pi_clamp)
     )
     p_ref = st.dc.v_dc * i_g_ref + refs.omega_m_ref * refs.t_e_ref
-    return replace(
-        refs,
+    return ReferenceState(
+        t_e_ref=refs.t_e_ref,
         i_dq_ref=(0.0, i_q_ref),
         pq_ref=(p_ref, 0.0),
         integral=integral,
+        pi_kp=refs.pi_kp,
+        pi_ki=refs.pi_ki,
+        pi_clamp=refs.pi_clamp,
+        v_dc_ref=refs.v_dc_ref,
+        omega_m_ref=refs.omega_m_ref,
     )
 
 
@@ -162,18 +167,14 @@ def control_step(
     qp_m, qp_n = qp.sides()
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
-    u_m, u_n, j_o = select_pair(st, cands_m, cands_n, models)
-
-    # select_pair returns the lists' own sequence objects
-    j_m = next(c for s, c in zip(cands_m.sequences, cands_m.costs) if s is u_m)
-    j_n = next(c for s, c in zip(cands_n.sequences, cands_n.costs) if s is u_n)
+    u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
     return ControlDecision(
         s_m=SwitchState.from_array(u_m.first_block()),
         s_n=SwitchState.from_array(u_n.first_block()),
         full_u_m=u_m,
         full_u_n=u_n,
-        j_m=j_m,
-        j_n=j_n,
+        j_m=cands_m.costs[im],
+        j_n=cands_n.costs[il],
         j_o=j_o,
         nodes_m=cands_m.nodes_visited,
         nodes_n=cands_n.nodes_visited,

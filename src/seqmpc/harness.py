@@ -16,11 +16,12 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
+from . import _kernels as _k
 from .controller import ControllerConfig, ReferenceState, build_references, control_step
 from .plant import (
     GridParams,
@@ -29,13 +30,11 @@ from .plant import (
     SimulationBlowUpError,
     SwitchState,
     electromagnetic_torque,
-    grid_emf,
     plant_step,
     power_output,
 )
 from .prediction import build_multistep, build_step_models
 from .solver import NotPositiveDefiniteError, assemble_qp
-from .transforms import clarke_pinv, park_inv
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
@@ -193,6 +192,22 @@ class ScenarioConfig:
         rpm = self.speed_rpm[-1][1]
         return self.pole_pairs * rpm / 60.0
 
+    def check_thd_window(self):
+        """Raise ConfigError unless the run covers the window that
+        `compute_metrics` takes the THD over.
+
+        Not part of the construction checks: a scenario that never computes
+        metrics may be shorter.  The CLI calls it before the first step.
+        """
+        steps = self.n_steps()
+        try:
+            thd_window(self.t_s, self.fundamental_hz(), self.thd_periods, steps)
+        except ValueError as exc:
+            raise ConfigError(
+                f"THD window of {self.thd_periods} periods at {self.fundamental_hz():g} Hz "
+                f"against a run of {steps} steps: {exc}"
+            ) from exc
+
 
 def _floats(value):
     """Every float in a config field's value, nested tuples included."""
@@ -286,21 +301,15 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     machine = cfg.machine()
     grid = cfg.grid()
     state = cfg.initial_state()
-    refs = ReferenceState(
-        pi_kp=cfg.pi_kp,
-        pi_ki=cfg.pi_ki,
-        pi_clamp=cfg.pi_clamp,
-        v_dc_ref=cfg.v_dc_ref,
-    )
+    integral = 0.0  # of the DC-link PI regulator
     u_prev_m = SwitchState.zero()
     u_prev_n = SwitchState.zero()
     series = TimeSeries()
 
     for step in range(cfg.n_steps()):
-        scale = max(
-            np.abs(state.i_m_dq).max(), np.abs(state.i_n_ab).max(),
-            abs(state.dc.v_dc), abs(state.mech.omega_m),
-        )
+        i_md, i_mq = state.i_m_dq.tolist()
+        i_na, i_nb = state.i_n_ab.tolist()
+        scale = _state_scale(i_md, i_mq, i_na, i_nb, state.dc.v_dc, state.mech.omega_m)
         if scale > _DIVERGENCE_LIMIT:
             raise SimulationBlowUpError(f"step {step}: state diverged (|x| > {_DIVERGENCE_LIMIT:g})")
         t = step * cfg.t_s
@@ -312,24 +321,31 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
         # reference; positive gain brakes above the speed reference
         t_e_ref = cfg.speed_kp * (state.mech.omega_m - omega_ref) + t_mech
         t_e_ref = float(min(max(t_e_ref, -cfg.t_e_max), cfg.t_e_max))
-        refs = replace(refs, t_e_ref=t_e_ref, omega_m_ref=omega_ref)
-        refs = build_references(state, machine, refs, cfg.t_s)
+        refs = build_references(
+            state,
+            machine,
+            ReferenceState(
+                t_e_ref=t_e_ref, integral=integral, pi_kp=cfg.pi_kp, pi_ki=cfg.pi_ki,
+                pi_clamp=cfg.pi_clamp, v_dc_ref=cfg.v_dc_ref, omega_m_ref=omega_ref,
+            ),
+            cfg.t_s,
+        )
+        integral = refs.integral
 
         try:
             decision = control_step(
                 state, ctrl, refs, machine, grid, u_prev_m, u_prev_n
             )
-            e_ab = grid_emf(state.t, grid)
-            p, q = power_output(state.i_n_ab, e_ab)
-            i_m_abc = _machine_abc(state)
+            p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
+            i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
             series.append(
                 t=t,
-                i_m_d=state.i_m_dq[0], i_m_q=state.i_m_dq[1],
-                i_m_a=i_m_abc[0], i_m_b=i_m_abc[1], i_m_c=i_m_abc[2],
-                i_n_al=state.i_n_ab[0], i_n_be=state.i_n_ab[1],
+                i_m_d=i_md, i_m_q=i_mq,
+                i_m_a=i_ma, i_m_b=i_mb, i_m_c=i_mc,
+                i_n_al=i_na, i_n_be=i_nb,
                 v_dc=state.dc.v_dc, v_imb=state.dc.v_imb,
                 omega_m=state.mech.omega_m,
-                t_e=electromagnetic_torque(state.i_m_dq[1], machine),
+                t_e=electromagnetic_torque(i_mq, machine),
                 t_e_ref=refs.t_e_ref, i_q_ref=refs.i_dq_ref[1],
                 p=p, q=q, p_ref=refs.pq_ref[0], q_ref=refs.pq_ref[1],
                 s_m_a=decision.s_m.s_a, s_m_b=decision.s_m.s_b, s_m_c=decision.s_m.s_c,
@@ -347,8 +363,18 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     return series
 
 
-def _machine_abc(state: PlantState) -> np.ndarray:
-    return clarke_pinv(park_inv(state.i_m_dq, state.mech.theta_e))
+def _state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m) -> float:
+    """max(np.abs(i_m_dq).max(), np.abs(i_n_ab).max(), abs(v_dc), abs(omega_m))
+    on Python floats, NaN and inf included: NumPy's max of a current pair is
+    NaN if either entry is, and Python's max keeps a NaN in first place and
+    skips one after it."""
+    m_a, m_b, n_a, n_b = abs(i_md), abs(i_mq), abs(i_na), abs(i_nb)
+    return max(
+        m_a if m_a >= m_b or m_a != m_a else m_b,
+        n_a if n_a >= n_b or n_a != n_a else n_b,
+        abs(v_dc),
+        abs(omega_m),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +414,30 @@ def compute_rmse(series, ref_series) -> float:
     return float(np.sqrt(np.mean((series - ref) ** 2)))
 
 
+def thd_window(t_s: float, fundamental_hz: float, window_periods: int, n_samples: int) -> int:
+    """Samples in the THD window: `window_periods` periods of the
+    fundamental, rounded to the nearest whole number of samples.
+
+    Raises ValueError unless the fundamental is positive and the window
+    fits `n_samples` samples with at least two samples per period.
+    """
+    if fundamental_hz <= 0:
+        raise ValueError("fundamental frequency must be positive")
+    n = int(round(window_periods / (fundamental_hz * t_s)))
+    if n < 2 * window_periods or n > n_samples:
+        raise ValueError("window does not fit the signal")
+    return n
+
+
 def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int = 5):
     """Total harmonic distortion over a trailing integer-period window.
 
-    The window length is rounded to the nearest whole number of samples, the
+    The window (`thd_window`) is rounded to a whole number of samples, the
     fundamental lands on DFT bin `window_periods`, and only integer harmonic
     bins up to Nyquist enter the distortion sum.
     """
     signal = np.asarray(signal, float)
-    if fundamental_hz <= 0:
-        raise ValueError("fundamental frequency must be positive")
-    n = int(round(window_periods / (fundamental_hz * t_s)))
-    if n < 2 * window_periods or n > signal.size:
-        raise ValueError("window does not fit the signal")
+    n = thd_window(t_s, fundamental_hz, window_periods, signal.size)
     window = signal[-n:]
     spectrum = np.abs(np.fft.rfft(window))
     fund = spectrum[window_periods]
@@ -413,9 +450,7 @@ def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int =
 def thd_spectrum(signal, t_s: float, fundamental_hz: float, window_periods: int = 5):
     """(frequency, magnitude) arrays of the THD window, amplitude-scaled."""
     signal = np.asarray(signal, float)
-    n = int(round(window_periods / (fundamental_hz * t_s)))
-    if n > signal.size:
-        raise ValueError("window does not fit the signal")
+    n = thd_window(t_s, fundamental_hz, window_periods, signal.size)
     window = signal[-n:]
     mags = np.abs(np.fft.rfft(window)) * 2.0 / n
     freqs = np.fft.rfftfreq(n, t_s)

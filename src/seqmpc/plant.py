@@ -4,13 +4,17 @@ The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
 holding the applied switch states constant over each controller period
 (zero-order hold).  The integration itself runs in `_kernels.integrate_plant`
-on Python floats.
+on Python floats, one straight-line substep per sub-interval (see the
+`_kernels` module docstring for why it is bit-identical to composing the
+per-operation physics).  The state types are frozen dataclasses, built
+directly rather than through `dataclasses.replace`, which costs several
+microseconds per call on every control step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +149,11 @@ class PlantState:
         )
 
     def with_torque(self, t_m: float) -> "PlantState":
-        return replace(self, mech=replace(self.mech, t_m=t_m))
+        m = self.mech
+        return PlantState(
+            self.i_m_dq, self.i_n_ab, self.dc,
+            MechState(m.omega_m, m.theta_e, m.inertia_j, t_m), self.t,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +223,6 @@ def plant_step(
         i_m_dq=np.array([i_md, i_mq]),
         i_n_ab=np.array([i_na, i_nb]),
         dc=DcLinkState(v_dc=v_dc, v_imb=v_imb, c=st.dc.c),
-        mech=replace(st.mech, omega_m=omega_m, theta_e=theta_e),
+        mech=MechState(omega_m, theta_e, st.mech.inertia_j, st.mech.t_m),
         t=t,
     )

@@ -8,16 +8,22 @@ DC-link imbalance prediction forward stage by stage.
 
 All model matrices are frozen at their time-k values within a horizon: the
 electrical angle, speed, grid EMF and DC-link gain are not advanced between
-stages.  `build_step_models` builds and discretizes both sides once per
-control step; the multistep stacking and the imbalance rollout reuse them.
+stages.  `build_step_models` builds both sides' discretized models once per
+control step, writing them into the two-side stack directly, bit-identically
+to `discretize` of `build_machine_subsystem` and `build_grid_subsystem`
+(which stay as the per-side definition); the multistep stacking and the
+imbalance rollout reuse them.
 
 Two-side convention: the machine and grid subproblems have the same shape,
 so `build_step_models` stacks the two discretized models over a leading
-side axis, machine first (`StepModels.sides`); `StepModels.machine` and
-`StepModels.grid` are views of its two items.  `build_multistep`,
-like `solver.condense` and `solver.assemble_qp`, broadcasts over leading
-axes, so one call serves both sides; on one side's model it is the same
-function with no leading axis.  Each product is a stacked matmul, which
+side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
+maps to phase currents); `StepModels.machine` and `StepModels.grid` are
+views of its two items.  `build_multistep` and `imbalance_contributions`,
+like `solver.condense` and `solver.assemble_qp`, broadcast over leading
+axes, so one call serves both sides; on one side's model each is the same
+function with no leading axis.  `solver.select_pair` rolls out both
+candidate lists in one call, the shorter padded with zero rows that it
+drops before scoring.  Each product is a stacked matmul, which
 NumPy runs item by item through the same OpenBLAS call (gemm or gemv) on
 the same item layout as the single-side product; every other operation is
 elementwise or a copy.  So each side's arrays are bit-identical to those of
@@ -43,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as _k
 from .plant import (
     LEVELS,
     DcLinkState,
@@ -50,7 +57,6 @@ from .plant import (
     MachineParams,
     PlantState,
     converter_matrix,
-    grid_emf,
 )
 from .transforms import CLARKE_MAT, CLARKE_PINV_MAT, park_matrix
 
@@ -268,12 +274,14 @@ class StepModels:
 
     `sides` stacks the two models over a leading side axis, machine first
     (see the module docstring); `machine` and `grid` are views of its items.
-    `proj_m` reconstructs the machine phase currents from the dq state (the
-    Clarke pseudo-inverse with the Park rotation folded in); `gain` is Ts / C.
+    `proj` stacks the two sides' maps from the model state to the phase
+    currents the same way: the machine side's is the Clarke pseudo-inverse
+    with the Park rotation folded in (`proj_m`), the grid side's the Clarke
+    pseudo-inverse.  `gain` is Ts / C.
     """
 
     sides: DiscreteModel
-    proj_m: np.ndarray
+    proj: np.ndarray
     gain: float
 
     @property
@@ -284,6 +292,10 @@ class StepModels:
     def grid(self) -> DiscreteModel:
         return self._side(1)
 
+    @property
+    def proj_m(self) -> np.ndarray:
+        return self.proj[0]
+
     def _side(self, i: int) -> DiscreteModel:
         s = self.sides
         return DiscreteModel(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
@@ -292,24 +304,44 @@ class StepModels:
 def build_step_models(
     st: PlantState, machine: MachineParams, grid: GridParams, t_s: float
 ) -> StepModels:
-    """Build and discretize each side once for the control step at `st`,
-    and stack the two models."""
-    model_m = discretize(
-        build_machine_subsystem(
-            machine, machine.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e
-        ),
-        t_s,
-    )
-    model_n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), t_s)
+    """Both sides' discretized models for the control step at `st`, written
+    into the two-side stack directly.
+
+    Each entry is the one that `discretize` computes from
+    `build_machine_subsystem` and `build_grid_subsystem`, by the same
+    operations in the same order: I + Ts F, Ts h and the output maps on
+    Python floats (1.0 + Ts f_ii, 0.0 + Ts f_ij and Ts h_i, signed zeros
+    included), and the input maps as the same NumPy products
+    (BLAS fuses their multiply-adds, which Python floats would not).  So the
+    stack is bit-identical to building, discretizing and stacking each side.
+    """
+    if t_s <= 0:
+        raise ValueError("sampling period must be positive")
+    omega_e = machine.pole_pairs * st.mech.omega_m
+    decay_m = -machine.r_s / machine.l_s
+    decay_n = -grid.r_n / grid.l_n
+    zero_n = 0.0 + t_s * (decay_n * 0.0)  # off the diagonal of I + Ts (decay_n I)
+    e_a, e_b = _k.grid_emf2(st.t, grid.e_peak, grid.omega_n)
+    park = park_matrix(st.mech.theta_e)
+    conv = converter_matrix(st.dc)
+    input_mat = np.array((park @ CLARKE_MAT @ conv / machine.l_s, CLARKE_MAT @ conv / grid.l_n))
+    input_mat *= t_s
     sides = DiscreteModel(
-        state_mat=np.array((model_m.state_mat, model_n.state_mat)),
-        input_mat=np.array((model_m.input_mat, model_n.input_mat)),
-        drift=np.array((model_m.drift, model_n.drift)),
-        output_mat=np.array((model_m.output_mat, model_n.output_mat)),
+        state_mat=np.array((
+            ((1.0 + t_s * decay_m, 0.0 + t_s * omega_e),
+             (0.0 + t_s * -omega_e, 1.0 + t_s * decay_m)),
+            ((1.0 + t_s * (decay_n * 1.0), zero_n), (zero_n, 1.0 + t_s * (decay_n * 1.0))),
+        )),
+        input_mat=input_mat,
+        drift=np.array((
+            (t_s * 0.0, t_s * (-(machine.psi_pm / machine.l_s) * omega_e)),
+            (t_s * (-e_a / grid.l_n), t_s * (-e_b / grid.l_n)),
+        )),
+        output_mat=np.array((((1.0, 0.0), (0.0, 1.0)), ((e_a, e_b), (e_b, -e_a)))),
     )
     return StepModels(
         sides=sides,
-        proj_m=CLARKE_PINV_MAT @ park_matrix(st.mech.theta_e).T,
+        proj=np.array((CLARKE_PINV_MAT @ park.T, CLARKE_PINV_MAT)),
         gain=t_s / st.dc.c,
     )
 
@@ -317,27 +349,33 @@ def build_step_models(
 def imbalance_contributions(
     x0, model: DiscreteModel, levels: np.ndarray, proj: np.ndarray, gain: float
 ) -> np.ndarray:
-    """(k, N) per-stage imbalance increments of k candidate sequences of one
-    converter side, given as a (k, 3N) level stack.
+    """(..., k, N) per-stage imbalance increments of k candidate sequences
+    of a converter side, given as a (..., k, 3N) level stack.
 
     `proj` reconstructs the three-phase current from the model state (Clarke
     pseudo-inverse, with the Park rotation folded in on the machine side);
     `gain` is Ts / C.  Stage j uses the state before that stage's input is
     applied, then propagates the state one Euler step.  All candidates move
     together as stacked matrix-vector products (see the module docstring).
+    Broadcasts over leading axes of `x0`, the model's arrays, `levels` and
+    `proj`, such as the side axis of `StepModels.sides` and `StepModels.proj`.
     """
-    k = levels.shape[0]
-    n = levels.shape[1] // 3
-    blocks = levels.reshape(k, n, 3, 1).astype(np.float64)
-    driven = model.input_mat @ blocks  # B u_j of every stage, (k, N, 2, 1)
-    drift = model.drift[:, None]
-    states = np.empty((k, n, 2, 1))  # the state before each stage's input
-    states[:, 0] = np.asarray(x0, float)[:, None]
+    lead = levels.shape[:-2]
+    k, n = levels.shape[-2], levels.shape[-1] // 3
+    blocks = levels.reshape(lead + (k, n, 3, 1)).astype(np.float64)
+    driven = model.input_mat[..., None, None, :, :] @ blocks  # B u_j of every stage
+    state_mat = model.state_mat[..., None, :, :]
+    drift = model.drift[..., None, :, None]
+    states = np.empty(lead + (k, n, 2, 1))  # the state before each stage's input
+    states[..., 0, :, :] = np.asarray(x0, float)[..., None, :, None]
     for j in range(n - 1):
-        np.add(model.state_mat @ states[:, j] + driven[:, j], drift, out=states[:, j + 1])
-    currents = proj @ states
-    active = np.abs(blocks).swapaxes(2, 3)  # |u_j| as (k, N, 1, 3) rows
-    return gain * (active @ currents)[:, :, 0, 0]
+        np.add(
+            state_mat @ states[..., j, :, :] + driven[..., j, :, :], drift,
+            out=states[..., j + 1, :, :],
+        )
+    currents = proj[..., None, None, :, :] @ states
+    active = np.abs(blocks).swapaxes(-1, -2)  # |u_j| as (1, 3) rows
+    return gain * (active @ currents)[..., 0, 0]
 
 
 def imbalance_path(v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ DC-link imbalance and keeps the minimizer.
 
 A k-best list (`CandidateList`) is the (k, 3N) level stack that the decoder
 or the oracle builds once from its leaves, with their costs; `select_pair`
-rolls the stack out, and the list's `sequences` are row views of it.
+rolls the stack out and builds SwitchSequences of the two chosen rows only,
+and the list's `sequences` are row views of it.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first (see the
@@ -32,7 +33,8 @@ positive definite raises NotPositiveDefiniteError with its own pivot, as
 it would alone.  A 2-D gemm over both sides' rows would not be
 bit-identical.
 
-`select_pair` rolls out each side's k candidates at once and scores all
+`select_pair` rolls out both sides' candidates in one call, over the
+leading side axis of `prediction`'s two-side convention, and scores all
 k_m * k_n paths with one stacked self-product.  Stacked matmuls run NumPy's
 per-item gemv and dot, the same OpenBLAS calls (fused multiply-adds
 included) as scoring one pair at a time, so the scores are bit-identical to
@@ -61,7 +63,6 @@ from .prediction import (
     imbalance_contributions,
     imbalance_path,
 )
-from .transforms import CLARKE_PINV_MAT
 
 #: guard for exhaustive enumeration (27**4 = 531441 sequences)
 MAX_BRUTE_HORIZON = 4
@@ -351,25 +352,34 @@ def select_pair(
     """Candidate pair minimizing the predicted squared imbalance norm.
 
     All len(machine_cands) * len(grid_cands) pairs are evaluated; ties keep
-    the pair with the lowest (machine index, grid index).  Returns the two
-    chosen sequences, taken from the candidate lists, and the pair's score.
+    the pair with the lowest (machine index, grid index).  Both lists are
+    rolled out in one call over a leading side axis, the shorter one padded
+    with zero rows that are dropped before scoring.  Returns the two chosen
+    sequences, the pair's score and the chosen indices (machine, grid).
     """
-    if not len(machine_cands) or not len(grid_cands):
+    k_m, k_n = len(machine_cands), len(grid_cands)
+    if not k_m or not k_n:
         raise ValueError("candidate lists must be nonempty")
     n_h = machine_cands.horizon
     if n_h != grid_cands.horizon:
         raise HorizonMismatchError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
 
-    contrib_m = imbalance_contributions(
-        st.i_m_dq, models.machine, machine_cands.levels, models.proj_m, models.gain
+    levels = np.zeros((2, max(k_m, k_n), 3 * n_h), dtype=np.int64)
+    levels[0, :k_m] = machine_cands.levels
+    levels[1, :k_n] = grid_cands.levels
+    contrib = imbalance_contributions(
+        np.array((st.i_m_dq, st.i_n_ab)), models.sides, levels, models.proj, models.gain
     )
-    contrib_n = imbalance_contributions(
-        st.i_n_ab, models.grid, grid_cands.levels, CLARKE_PINV_MAT, models.gain
-    )
-    paths = imbalance_path(st.dc.v_imb, contrib_m, contrib_n).reshape(-1, n_h)
+    paths = imbalance_path(st.dc.v_imb, contrib[0, :k_m], contrib[1, :k_n]).reshape(-1, n_h)
     scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
     # argmin keeps the first minimum; row-major order makes that the lowest
     # (machine index, grid index)
     best = int(scores.argmin())
-    im, il = divmod(best, len(grid_cands))
-    return machine_cands.sequences[im], grid_cands.sequences[il], float(scores[best])
+    im, il = divmod(best, k_n)
+    return (
+        SwitchSequence(machine_cands.levels[im], n_h),
+        SwitchSequence(grid_cands.levels[il], n_h),
+        float(scores[best]),
+        im,
+        il,
+    )

@@ -50,6 +50,18 @@ class TestRun:
         result = runner.invoke(main, ["run", *QUICK_ARGS, "--out", str(out)])
         assert result.exit_code == 1
 
+    def test_run_shorter_than_thd_window_exits_one_before_step_zero(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # 5 periods at 1125 rpm take 1 778 steps (~89 ms); 80 ms has 1 600
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        result = runner.invoke(main, ["run", "--duration", "0.08", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "THD window" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and not (tmp_path / "o").exists()
+
     def test_bad_config_exits_one(self, runner, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\nmystery = 1\n")
@@ -126,7 +138,7 @@ class TestRun:
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler
         # integration violently unstable within a few periods
-        cfg = ScenarioConfig(duration=0.01, substeps=2, l_s=1e-9, horizons=(1,))
+        cfg = ScenarioConfig(duration=0.09, substeps=2, l_s=1e-9, horizons=(1,))
         path = tmp_path / "unstable.ini"
         path.write_text(dump_config(cfg))
         result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -144,6 +156,19 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2  # header + one configuration
+
+    def test_sweep_shorter_than_thd_window_exits_one_before_step_zero(
+        self, runner, tmp_path, monkeypatch
+    ):
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        result = runner.invoke(
+            main, ["sweep", "--duration", "0.02", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "THD window" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flags", [["--nk", "0"], ["--horizon", "0"], ["--lambda", "0"], ["--horizon", "7"]]

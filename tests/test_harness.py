@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -151,6 +152,22 @@ class TestRunScenario:
         assert np.abs(series.column("i_n_al")).max() == 0.0
         assert np.abs(series.column("v_imb")).max() == 0.0
         assert series.column("v_dc").max() == 700.0
+
+    def test_divergence_scale_decides_like_numpy(self):
+        # the divergence test runs on Python floats; it must decide as the
+        # NumPy form max(|i_m|.max(), |i_n|.max(), |v_dc|, |omega_m|) > limit
+        # does, NaN and inf included
+        values = (0.0, -3.0, 2e9, -2e9, math.inf, -math.inf, math.nan)
+        limit = harness._DIVERGENCE_LIMIT
+        for i_md, i_mq, i_na, i_nb in itertools.product(values, repeat=4):
+            for v_dc, omega_m in ((700.0, 5.0), (math.nan, 2e9), (2e9, math.nan)):
+                want = max(
+                    np.abs(np.array([i_md, i_mq])).max(), np.abs(np.array([i_na, i_nb])).max(),
+                    abs(v_dc), abs(omega_m),
+                )
+                got = harness._state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m)
+                assert (got > limit) == (want > limit)
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_determinism_bytes(self, tmp_path):
         cfg = quick_cfg()

@@ -26,6 +26,109 @@ DC = DcLinkState(v_dc=700.0, v_imb=0.0, c=1100e-6)
 QUIET_GRID = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
 
 
+# ---------------------------------------------------------------------------
+# the plant's physics one operation per function: the reference that
+# `_kernels.integrate_plant`'s straight-line substep must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+
+def converter_voltage3(sa, sb, sc, v_dc, v_imb):
+    # per-phase voltage of the three-level NPC bridge for one switch state
+    g = (v_dc + v_imb) / 6.0
+    ua = g * (2.0 * sa - sb - sc)
+    ub = g * (2.0 * sb - sa - sc)
+    uc = g * (2.0 * sc - sa - sb)
+    return ua, ub, uc
+
+
+def machine_deriv2(i_d, i_q, u_d, u_q, omega_e, r_s, l_s, psi_pm):
+    di_d = (-r_s / l_s) * i_d + omega_e * i_q + u_d / l_s
+    di_q = -omega_e * i_d + (-r_s / l_s) * i_q + u_q / l_s - (psi_pm / l_s) * omega_e
+    return di_d, di_q
+
+
+def grid_deriv2(i_a, i_b, u_a, u_b, e_a, e_b, r_n, l_n):
+    di_a = (-r_n / l_n) * i_a + u_a / l_n - e_a / l_n
+    di_b = (-r_n / l_n) * i_b + u_b / l_n - e_b / l_n
+    return di_a, di_b
+
+
+def dc_link_deriv2(sma, smb, smc, sna, snb, snc, ima, imb, imc, ina, inb, inc, c_dc):
+    dv_dc = (sma * ima + smb * imb + smc * imc - (sna * ina + snb * inb + snc * inc)) / c_dc
+    dv_imb = (
+        abs(sma) * ima + abs(smb) * imb + abs(smc) * imc
+        - (abs(sna) * ina + abs(snb) * inb + abs(snc) * inc)
+    ) / c_dc
+    return dv_dc, dv_imb
+
+
+def composed_integrate_plant(
+    i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t,
+    s_ma, s_mb, s_mc, s_na, s_nb, s_nc,
+    r_s, l_s, psi_pm, pole_pairs,
+    r_n, l_n, e_peak, omega_n,
+    c_dc, inertia, t_mech,
+    dt, substeps,
+):
+    """`_kernels.integrate_plant` as a loop over the per-operation helpers."""
+    h = dt / substeps
+    for _ in range(substeps):
+        omega_e = pole_pairs * omega_m
+
+        u_ma, u_mb, u_mc = converter_voltage3(s_ma, s_mb, s_mc, v_dc, v_imb)
+        u_mal, u_mbe = _kernels.clarke3(u_ma, u_mb, u_mc)
+        u_md, u_mq = _kernels.park2(u_mal, u_mbe, theta_e)
+
+        u_na, u_nb, u_nc = converter_voltage3(s_na, s_nb, s_nc, v_dc, v_imb)
+        u_nal, u_nbe = _kernels.clarke3(u_na, u_nb, u_nc)
+        e_al, e_be = _kernels.grid_emf2(t, e_peak, omega_n)
+
+        dmd, dmq = machine_deriv2(i_md, i_mq, u_md, u_mq, omega_e, r_s, l_s, psi_pm)
+        dna, dnb = grid_deriv2(i_na, i_nb, u_nal, u_nbe, e_al, e_be, r_n, l_n)
+
+        i_mal, i_mbe = _kernels.park_inv2(i_md, i_mq, theta_e)
+        ima, imb, imc = _kernels.clarke_pinv2(i_mal, i_mbe)
+        ina, inb, inc = _kernels.clarke_pinv2(i_na, i_nb)
+        dv_dc, dv_imb = dc_link_deriv2(
+            s_ma, s_mb, s_mc, s_na, s_nb, s_nc, ima, imb, imc, ina, inb, inc, c_dc
+        )
+
+        t_e = _kernels.torque_of_iq(i_mq, pole_pairs, psi_pm)
+        domega = (t_mech - t_e) / inertia
+
+        i_md = i_md + h * dmd
+        i_mq = i_mq + h * dmq
+        i_na = i_na + h * dna
+        i_nb = i_nb + h * dnb
+        v_dc = v_dc + h * dv_dc
+        v_imb = v_imb + h * dv_imb
+        omega_m = omega_m + h * domega
+        theta_e = (theta_e + h * (pole_pairs * omega_m)) % (2 * math.pi)
+        t = t + h
+    return i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t
+
+
+class TestIntegratePlant:
+    @pytest.mark.parametrize("substeps", [1, 10])
+    def test_equals_composed_reference(self, substeps, rng):
+        # every output by repr, so to the bit; at standstill (omega = 0) and
+        # at speed, with an unbalanced link and sampled switch pairs
+        levels = [int(v) for v in rng.integers(-1, 2, (300, 6)).ravel()]
+        for case in range(300):
+            state = (
+                *rng.normal(0, 20, 4), 700.0 + rng.normal(0, 20), rng.normal(0, 5),
+                0.0 if case % 2 else rng.uniform(-150, 150),
+                rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.1),
+            )
+            args = (
+                *(float(v) for v in state), *levels[6 * case : 6 * case + 6],
+                MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm, MACHINE.pole_pairs,
+                GRID.r_n, GRID.l_n, GRID.e_peak, GRID.omega_n,
+                DC.c, 0.05, float(rng.normal(0, 30)), 50e-6, substeps,
+            )
+            assert repr(_kernels.integrate_plant(*args)) == repr(composed_integrate_plant(*args))
+
+
 def random_state(rng, t_m=0.0):
     return PlantState(
         i_m_dq=rng.normal(0, 10, 2),
@@ -53,32 +156,32 @@ class TestSwitchState:
 
 class TestConverterVoltage:
     def test_zero_switches(self):
-        assert_allclose(_kernels.converter_voltage3(0, 0, 0, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(converter_voltage3(0, 0, 0, DC.v_dc, DC.v_imb), np.zeros(3))
 
     def test_line_to_line(self):
-        u = _kernels.converter_voltage3(1, -1, 0, DC.v_dc, DC.v_imb)
+        u = converter_voltage3(1, -1, 0, DC.v_dc, DC.v_imb)
         assert_allclose(u, [350.0, -350.0, 0.0])
 
     def test_common_mode_nullspace(self):
-        assert_allclose(_kernels.converter_voltage3(1, 1, 1, DC.v_dc, DC.v_imb), np.zeros(3))
-        assert_allclose(_kernels.converter_voltage3(-1, -1, -1, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(converter_voltage3(1, 1, 1, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(converter_voltage3(-1, -1, -1, DC.v_dc, DC.v_imb), np.zeros(3))
 
     def test_rows_sum_to_zero(self, rng):
         for _ in range(50):
             s = [int(v) for v in rng.integers(-1, 2, 3)]
-            u = _kernels.converter_voltage3(*s, 700.0, float(rng.normal(0, 3)))
+            u = converter_voltage3(*s, 700.0, float(rng.normal(0, 3)))
             assert sum(u) == pytest.approx(0.0, abs=1e-9)
 
     def test_matrix_agrees_with_op(self, rng):
         for _ in range(20):
             s = [int(v) for v in rng.integers(-1, 2, 3)]
             assert_allclose(
-                converter_matrix(DC) @ s, _kernels.converter_voltage3(*s, DC.v_dc, DC.v_imb)
+                converter_matrix(DC) @ s, converter_voltage3(*s, DC.v_dc, DC.v_imb)
             )
 
 
 def dc_link_deriv(s_m, s_n, i_m_abc, i_n_abc, c):
-    return _kernels.dc_link_deriv2(*s_m, *s_n, *i_m_abc, *i_n_abc, c)
+    return dc_link_deriv2(*s_m, *s_n, *i_m_abc, *i_n_abc, c)
 
 
 class TestDcLinkDerivative:
@@ -111,7 +214,7 @@ class TestDcLinkDerivative:
 
 
 def machine_deriv(x_dq, u_dq, omega_e):
-    return _kernels.machine_deriv2(*x_dq, *u_dq, omega_e, MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm)
+    return machine_deriv2(*x_dq, *u_dq, omega_e, MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm)
 
 
 class TestMachineDerivative:
@@ -128,7 +231,7 @@ class TestMachineDerivative:
 
 
 def grid_deriv(x_ab, u_ab, e_ab):
-    return _kernels.grid_deriv2(*x_ab, *u_ab, *e_ab, GRID.r_n, GRID.l_n)
+    return grid_deriv2(*x_ab, *u_ab, *e_ab, GRID.r_n, GRID.l_n)
 
 
 class TestGridDerivative:
@@ -235,8 +338,8 @@ class TestPlantStep:
         out = plant_step(st, s_m, s_n, MACHINE, GRID, dt, substeps=1)
 
         omega_e = MACHINE.pole_pairs * st.mech.omega_m
-        u_m = _kernels.converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
-        u_n = _kernels.converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.dc.v_dc, st.dc.v_imb)
+        u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
+        u_n = converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.dc.v_dc, st.dc.v_imb)
         u_m_dq = tr.park(tr.clarke(u_m), st.mech.theta_e)
         u_n_ab = tr.clarke(u_n)
         e_ab = grid_emf(st.t, GRID)

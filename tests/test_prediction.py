@@ -16,6 +16,7 @@ from seqmpc.prediction import (
     build_multistep,
     build_step_models,
     discretize,
+    imbalance_contributions,
     predict_imbalance,
     predict_outputs,
 )
@@ -203,6 +204,90 @@ class TestMultistep:
             iterated = np.concatenate(rows)
             scale = max(1.0, np.abs(iterated).max())
             assert_allclose(stacked, iterated, rtol=0, atol=1e-9 * scale)
+
+
+def random_state(rng, omega_m=None):
+    return PlantState(
+        i_m_dq=rng.normal(0, 20, 2),
+        i_n_ab=rng.normal(0, 20, 2),
+        dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
+        mech=MechState(
+            float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
+            float(rng.uniform(0, 2 * math.pi)), 0.05, 0.0,
+        ),
+        t=float(rng.uniform(0, 0.02)),
+    )
+
+
+class TestStepModels:
+    FIELDS = ("state_mat", "input_mat", "drift", "output_mat")
+
+    @staticmethod
+    def per_side(st, machine, grid):
+        """Each side built and discretized on its own, then stacked."""
+        m = discretize(
+            build_machine_subsystem(
+                machine, machine.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e
+            ),
+            T_S,
+        )
+        n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), T_S)
+        proj = (tr.CLARKE_PINV_MAT @ tr.park_matrix(st.mech.theta_e).T, tr.CLARKE_PINV_MAT)
+        return m, n, np.array(proj)
+
+    def check(self, st, machine=MACHINE, grid=GRID):
+        got = build_step_models(st, machine, grid, T_S)
+        m, n, proj = self.per_side(st, machine, grid)
+        for name in self.FIELDS:
+            want = np.array((getattr(m, name), getattr(n, name)))
+            assert getattr(got.sides, name).tobytes() == want.tobytes(), name
+        assert got.proj.tobytes() == proj.tobytes()
+        assert got.proj_m.tobytes() == proj[0].tobytes()
+        assert got.gain == T_S / st.dc.c
+
+    def test_direct_build_equals_per_side_build_at_standstill(self, rng):
+        # omega_e = 0 makes -0.0 entries: Ts * -omega_e and the back-EMF drift
+        self.check(PlantState.initial(MACHINE, v_dc=700.0, c=1100e-6))
+        for _ in range(50):
+            self.check(random_state(rng, omega_m=0.0))
+        # r_n = 0 gives the grid state matrix -0.0 * 0.0 off its diagonal
+        self.check(random_state(rng, omega_m=0.0), grid=GridParams(0.0, 0.02, 250.0, 100.0 * math.pi))
+
+    def test_direct_build_equals_per_side_build_at_random_states(self, rng):
+        for _ in range(300):
+            self.check(random_state(rng))
+
+    def test_sides_are_views(self, rng):
+        models = step_models(random_state(rng))
+        for i, side in enumerate((models.machine, models.grid)):
+            for name in self.FIELDS:
+                assert np.shares_memory(getattr(side, name), getattr(models.sides, name))
+
+
+class TestImbalanceContributions:
+    @pytest.mark.parametrize("n_h", range(1, 7))
+    def test_side_stack_equals_each_side_byte_for_byte(self, n_h, rng):
+        # the shorter list is padded with zero rows, as select_pair does
+        for _ in range(40):
+            st = random_state(rng)
+            models = step_models(st)
+            k_m, k_n = (int(k) for k in rng.integers(1, 11, 2))
+            lv_m = rng.integers(-1, 2, (k_m, 3 * n_h))
+            lv_n = rng.integers(-1, 2, (k_n, 3 * n_h))
+            levels = np.zeros((2, max(k_m, k_n), 3 * n_h), dtype=np.int64)
+            levels[0, :k_m] = lv_m
+            levels[1, :k_n] = lv_n
+            x0 = np.array((st.i_m_dq, st.i_n_ab))
+            both = imbalance_contributions(x0, models.sides, levels, models.proj, models.gain)
+            assert both.shape == (2, max(k_m, k_n), n_h)
+            alone_m = imbalance_contributions(
+                st.i_m_dq, models.machine, lv_m, models.proj_m, models.gain
+            )
+            alone_n = imbalance_contributions(
+                st.i_n_ab, models.grid, lv_n, tr.CLARKE_PINV_MAT, models.gain
+            )
+            assert both[0, :k_m].tobytes() == alone_m.tobytes()
+            assert both[1, :k_n].tobytes() == alone_n.tobytes()
 
 
 class TestPredictImbalance:

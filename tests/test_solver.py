@@ -629,10 +629,10 @@ class TestSelectPair:
         st = self.make_state([4.0, -2.0], [1.0, 3.0])
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         u_n = SwitchSequence(levels=np.array([0, 1, -1]), horizon=1)
-        got_m, got_n, j_o = select_pair(
+        got_m, got_n, j_o, im, il = select_pair(
             st, self.listify([u_m]), self.listify([u_n]), step_models(st)
         )
-        assert got_m == u_m and got_n == u_n
+        assert got_m == u_m and got_n == u_n and (im, il) == (0, 0)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
 
@@ -650,8 +650,8 @@ class TestSelectPair:
                 SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in "mn"
             )
             cands_m, cands_n = self.listify([u_m]), self.listify([u_n])
-            got_m, got_n, j_o = select_pair(st, cands_m, cands_n, models)
-            assert got_m is cands_m.sequences[0] and got_n is cands_n.sequences[0]
+            got_m, got_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
+            assert (im, il) == (0, 0)
             assert got_m == u_m and got_n == u_n
             path = predict_imbalance(st, u_m, u_n, models)
             assert j_o.hex() == float(path @ path).hex()
@@ -665,7 +665,7 @@ class TestSelectPair:
         cands_n = self.listify(
             [SwitchSequence(levels=rng.integers(-1, 2, 6), horizon=n_h) for _ in range(4)]
         )
-        _, _, j_o = select_pair(st, cands_m, cands_n, step_models(st))
+        _, _, j_o, _, _ = select_pair(st, cands_m, cands_n, step_models(st))
         for u_m in cands_m.sequences:
             for u_n in cands_n.sequences:
                 path = predict_imbalance(st, u_m, u_n, step_models(st))
@@ -679,14 +679,14 @@ class TestSelectPair:
         matched = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         off_m = SwitchSequence(levels=np.array([1, 1, 0]), horizon=1)
         off_n = SwitchSequence(levels=np.array([0, 0, 1]), horizon=1)
-        got_m, got_n, j_o = select_pair(
+        got_m, got_n, j_o, im, il = select_pair(
             st,
             self.listify([off_m, matched]),
             self.listify([off_n, matched]),
             step_models(st),
         )
         assert j_o == pytest.approx(0.0, abs=1e-18)
-        assert got_m == matched and got_n == matched
+        assert got_m == matched and got_n == matched and (im, il) == (1, 1)
 
     def test_tie_prefers_lowest_indices(self):
         st = self.make_state([0.0, 0.0], [0.0, 0.0])
@@ -694,11 +694,11 @@ class TestSelectPair:
             SwitchSequence(levels=np.array([1, -1, 0]), horizon=1),
             SwitchSequence(levels=np.array([0, 1, -1]), horizon=1),
         ]
-        got_m, got_n, j_o = select_pair(
+        got_m, got_n, j_o, im, il = select_pair(
             st, self.listify(seqs), self.listify(seqs), step_models(st)
         )
         # zero currents make every pair cost identical, so indices decide
-        assert got_m == seqs[0] and got_n == seqs[0]
+        assert got_m == seqs[0] and got_n == seqs[0] and (im, il) == (0, 0)
 
     @staticmethod
     def per_pair_reference(st, cands_m, cands_n, models):
@@ -739,8 +739,9 @@ class TestSelectPair:
         for (a, b), path in paths.items():
             want = self.one_at_a_time(st, cands_m.sequences[a], cands_n.sequences[b], models)
             assert np.array_equal(path, want)
-        got_m, got_n, j_o = select_pair(st, cands_m, cands_n, models)
-        assert got_m is cands_m.sequences[im] and got_n is cands_n.sequences[il]
+        got_m, got_n, j_o, got_im, got_il = select_pair(st, cands_m, cands_n, models)
+        assert (got_im, got_il) == (im, il)
+        assert got_m == cands_m.sequences[im] and got_n == cands_n.sequences[il]
         assert j_o == want_j
         # the batched rollout reproduces every per-pair path bit for bit
         contrib_m = imbalance_contributions(
