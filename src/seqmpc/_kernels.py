@@ -10,14 +10,18 @@ slower than the same IEEE-754 operations on plain floats.
 The decoder (`sd_search`) and the enumeration cost (`sequence_cost`) share
 the same left-to-right accumulation order on purpose: equal-cost candidates
 must compare identically in the search and in the brute-force oracle.  The
-decoder's box bound (`box_tail`) sums each row's widths in that order too,
-which is what makes it exact in floating point.
+decoder's box bound is path-dependent: below a node, row r keeps a
+residual of at least |target_r - s_r| less the widths of its columns not
+yet fixed, s_r being the row's partial sum so far.  A per-row slack in
+those widths covers the roundings, so a cut subtree holds no leaf the
+plain search would list, ties included (argument in `sd_search`).
 
 The decoder's walk is generated per tree depth: its source, one nested
 `for` per layer with each layer's state in local variables, is compiled
-once per depth (`_search_of_depth`).  A generic walk indexes per-layer
-lists on every node, and that indexing, not the arithmetic, was most of
-its time.  Every expanded node evaluates all three of its children.
+once per depth and walk, bounded or plain (`_search_of_depth`).  A generic
+walk indexes per-layer lists on every node, and that indexing, not the
+arithmetic, was most of its time.  Every expanded node evaluates all three
+of its children.
 `cholesky_lower` is generated the same way, once per matrix size
 (`_cholesky_of_size`): straight-line code with one local per entry.
 
@@ -312,33 +316,18 @@ def sequence_cost(h, u_check, u):
 # ---------------------------------------------------------------------------
 
 
-def box_tail(h, u_check):
-    """Path-independent lower bounds on the cost of the trailing layers.
+def outside_box(h, u_check):
+    """Whether some row r >= 1 has |u_check[r]| > sum_l |h[r][l]|: the
+    choice between the walks of `sd_search`, which give the same result.
 
-    Every entry lies in [-1, 1], so whatever the path, row r's residual is
-    at least g_r = |u_check[r]| - w_r in magnitude, with w_r = sum_l
-    |h[r][l]|.  `tail[i]` sums max(g_r, 0)^2 over r >= i; tail[n] = 0.
-
-    This holds for the computed values too.  The decoder and
-    `sequence_cost` sum a row's products h[r][l] * u[l] left to right from
-    0.0, and w_r here is summed over the same l in the same order.  Each
-    product is exact and at most |h[r][l]| in magnitude, and rounding to
-    nearest is monotone, so the computed row sum is at most the computed
-    w_r in magnitude; hence the computed residual is at least the computed
-    g_r in magnitude, and its computed square at least that of g_r.
+    With every row's target inside the range its row can reach, the box
+    bound cuts only paths that stray from the target, and that costs more
+    than it saves: on the 3 660 such decoder calls of perfbench `steady`
+    (seed 0) it cut 15 % of the nodes and took 24 % more time.
     """
-    n = len(h)
-    tail = [0.0] * (n + 1)
-    acc = 0.0
-    for r in range(n - 1, -1, -1):
-        width = 0.0
-        for x in h[r][: r + 1]:
-            width += abs(x)
-        gap = abs(u_check[r]) - width
-        if gap > 0.0:
-            acc += gap * gap
-        tail[r] = acc
-    return tail
+    return any(
+        abs(c) > sum(map(abs, h[r][: r + 1])) for r, c in enumerate(u_check) if r
+    )
 
 
 #: layers of the deepest search: CPython compiles at most 20 statically
@@ -360,31 +349,59 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     `sequence_cost`; the walk skips it when it meets it again.
 
     Row sums accumulate left to right from 0.0, as in `sequence_cost`: a
-    node adds its column's term h[r][i] * u[i] to the partial sum of every
-    row r below it, so each row's sum is built by the same additions in the
-    same order as summing the row from scratch, and equal-cost leaves
-    compare identically here and in the oracle.
+    node adds its column's term h[r][i] * u[i] to the partial sum s_r of
+    every row r below it, so each row's sum is built by the same additions
+    in the same order as summing the row from scratch, and equal-cost
+    leaves compare identically here and in the oracle.
 
-    Box bound: a child at layer i that passes the radius test is also cut
-    when its cost plus `box_tail(h, u_check)[i + 1]` exceeds the radius
-    grown by the factor 1 + 2(n+2) eps.  By `box_tail`, every completion's
-    computed squared residuals are at least the squares the tail sums, so
-    its computed cost, the running sum of its prefix cost and those squares
-    left to right, is at least the same running sum of the tail's squares.
-    That sum and cost + tail[i + 1], whose tail is summed right to left,
-    are two roundings of one exact sum of at most n + 1 nonnegative terms;
-    each differs from it by a relative n u at most (u = eps / 2), which the
-    grown radius covers.  So a cut child has no completion of computed cost at or
-    below the radius, and a leaf whose cost ties the radius is never cut.
-    The plain search would reject every leaf of a cut subtree at that
-    moment, so the list and the radius evolve as in the plain search, and
-    `best` and `rho_trace` are unchanged; only the node count falls.
-    `box_bound=False` skips computing the bound, for callers that know it
-    cannot prune: the search then runs with a zero tail, which never cuts a
-    child that passed the radius test, since its cost is at most the radius
-    and the radius at most the grown one.  The result is the same either way.
+    Box bound.  Every level lies in [-1, 1], so once layers 0..i are
+    fixed, row r > i keeps a residual of at least |c_r - s_r| - W_r in
+    magnitude, W_r = sum_{i<l<=r} |h[r][l]|, whatever the completion.  The
+    bounded walk cuts a child at layer i that passed the radius test when
+    b = p + sum_{r>i} g_r^2 > rho2, where p is the child's cost, c the
+    target `u_check`, g_r = |c_r - s_r| - w_r over the rows with g_r > 0,
+    added in ascending r, and w_r = W_r + e_r with the per-row slack
+    e_r = 4 (n+2) eps (|c_r| + sum_l |h[r][l]|).  The widths are suffix
+    sums from e_r, computed once per call.
 
-    The walk is generated per depth (`_search_of_depth`) with one nested
+    The cut is exact in floating point, ties included (u = eps / 2, and
+    all bounds below are the standard ones for recursive summation):
+    - Rounding.  Take a row r > i, A_r = sum_l |h[r][l]|, S the computed
+      s_r and a completion: its computed row sum T continues S by
+      m = r - i <= n - 1 additions of exact products h[r][l] * u_l, and
+      its residual is R_r = fl(c_r - T).  Continuing s_r: T is within
+      gamma_m (|S| + W_r) of the exact S + sum_l h[r][l] u_l, and
+      |S| + W_r <= (1 + gamma_n) A_r.  Computing c_r - s_r:
+      |fl(c_r - S)| <= (1 + u) |c_r - S|.  Computing w: the computed w_r
+      is at least (1 - u)^m (W_r + e_r).  With a factor 1 + u for
+      rounding g_r itself, |c_r - T| >= g_r follows once
+      (1 - m u) e_r >= 1.01 (m + 1) eps (|c_r| + A_r); the computed e_r
+      is at least (1 - u)^(n+1) 4 (n+2) eps (|c_r| + A_r), over four
+      times that since m + 1 <= n.  The margin also covers the one
+      rounding that can underflow, the product forming e_r (at most
+      2^-1075 absolute), when |c_r| + A_r >= 2^-1022; below that every
+      sum here is a multiple of 2^-1074 under 2^-1021 in magnitude, so
+      exact, and w_r >= W_r is enough.  (For finite inputs whose sums do
+      not overflow; a NaN fails every test, so it cuts nothing.)
+    - Monotone rounding.  As g_r is a float, |R_r| = fl(|c_r - T|) >= g_r,
+      so fl(R_r * R_r) >= fl(g_r * g_r).  The completion's computed cost
+      is the running sum, from p, of the R_r^2 in ascending r, and b the
+      running sum, from p, of the g_r^2 in the same order; a row that b
+      leaves out adds a nonnegative term, which never lowers a float sum.
+      So, addition by addition, the cost is at least b.
+    - Cut.  So b > rho2 cuts only a subtree all of whose leaves cost more
+      than the radius now, and the radius only falls: the plain walk would
+      reject each of them at that moment.  The list, the radius and
+      `rho_trace` evolve as in the plain walk, and no grown radius is
+      needed; only the node count falls.  A leaf that ties the radius has
+      cost <= rho2, so its path is never cut.
+
+    The bound costs O(n - i) per child, so it runs only where it pays:
+    with `box_bound` and `outside_box(h, u_check)`, the walk is the bounded
+    one, else the plain one, which has no bound test at all.  Both walks
+    return the same `best` and `rho_trace`.
+
+    The walks are generated per depth (`_search_of_depth`) with one nested
     `for` per layer, so n is at most MAX_LAYERS.  Every expanded node
     evaluates all three of its children, so `nodes` is three times the
     number of expanded nodes.
@@ -397,8 +414,7 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
     h = h.tolist()
     u_check = u_check.tolist()
     n = len(h)
-    search = _search_of_depth(n)
-    tail = box_tail(h, u_check) if box_bound else [0.0] * (n + 1)
+    search = _search_of_depth(n, box_bound and outside_box(h, u_check))
     best = []
     rho2 = radius_sq
     rho_trace = []
@@ -409,8 +425,7 @@ def sd_search(h, u_check, k, radius_sq, seed, box_bound=True):
             if seed_cost < rho2:
                 rho2 = seed_cost
             rho_trace.append(rho2)
-    grow = 1.0 + 2 * (n + 2) * EPS
-    nodes = search(h, u_check, tail, k, rho2, grow, best, rho_trace)
+    nodes = search(h, u_check, k, rho2, best, rho_trace)
     return best, nodes, rho_trace
 
 
@@ -472,26 +487,44 @@ def _order_lines(pad):
     ]
 
 
-def _search_source(n):
-    """Source of `search(h, c, t, k, rho2, grow, best, rho_trace) -> nodes`,
-    the depth-first walk of `sd_search` over n layers.
+def _search_source(n, bounded):
+    """Source of `search(h, c, k, rho2, best, rho_trace) -> nodes`, the
+    depth-first walk of `sd_search` over n layers, with the box bound if
+    `bounded`.
 
     Layer i keeps its state in locals: the target c_i, the diagonal d_i, the
-    row entries h_i_j, the tail t_i, the prefix cost p_i, and s_r_i, row r's
-    partial sum over the columns up to i.  Its loop variables are the level
-    u_i and the same level as a float, f_i.
+    row entries h_i_j, the prefix cost p_i, and s_r_i, row r's partial sum
+    over the columns up to i.  Its loop variables are the level u_i and the
+    same level as a float, f_i.  The bounded walk's prologue computes each
+    row's slack e_r and from it the widths w_r_i = W_r + e_r of the bound
+    at layer i, as suffix sums, and their negations m_r_i.  Its bound test
+    adds g_r^2 for a row with |c_r - s_r_i| > w_r_i as the square of
+    (c_r - s_r_i) - w_r_i or of (c_r - s_r_i) - m_r_i, whichever side the
+    difference lies on: fl(x + w) = -fl(-x - w), so that is fl(g_r^2).  The
+    difference of row i + 1, y, is the numerator of the next layer's center.
     """
-    lines = ["def search(h, c, t, k, rho2, grow, best, rho_trace):"]
+    lines = ["def search(h, c, k, rho2, best, rho_trace):"]
     for i in range(n):
         names = [f"h_{i}_{j}" for j in range(i)] + [f"d_{i}"] + ["_"] * (n - 1 - i)
         lines.append(f"    {', '.join(names)}, = h[{i}]")
     lines.append(f"    {', '.join(f'c_{i}' for i in range(n))}, = c")
-    lines.append(f"    {', '.join(['_'] + [f't_{i}' for i in range(1, n)] + ['_'])} = t")
-    lines += ["    cut = rho2 * grow", "    nodes = 0", "    p_0 = 0.0"]
+    if bounded:
+        slack = repr(4 * (n + 2) * EPS)  # exact: (n + 2) * 2^-50
+        for r in range(1, n):
+            row = "".join(f" + abs(h_{r}_{j})" for j in range(r))
+            lines.append(f"    w_{r}_{r - 1} = {slack} * (abs(c_{r}){row} + abs(d_{r})) + abs(d_{r})")
+            for i in range(r - 2, -1, -1):
+                lines.append(f"    w_{r}_{i} = w_{r}_{i + 1} + abs(h_{r}_{i + 1})")
+            lines += [f"    m_{r}_{i} = -w_{r}_{i}" for i in range(r)]
+    lines += ["    nodes = 0", "    p_0 = 0.0"]
     for i in range(n):
         pad = "    " * (i + 1)
         partial = f"s_{i}_{i - 1}" if i else "0.0"
-        lines.append(f"{pad}center = (c_{i} - {partial}) / d_{i}")
+        if bounded and i:
+            # the bound test above has just computed y = c_i - s_i_(i-1)
+            lines.append(f"{pad}center = y / d_{i}")
+        else:
+            lines.append(f"{pad}center = (c_{i} - {partial}) / d_{i}")
         lines += _order_lines(pad)
         lines += [
             f"{pad}nodes += 3",
@@ -504,15 +537,26 @@ def _search_source(n):
                 f"{pad}p_{i + 1} = p_{i} + r * r",
                 f"{pad}if p_{i + 1} > rho2:",
                 f"{pad}    continue",
-                f"{pad}if p_{i + 1} + t_{i + 1} > cut:",
-                f"{pad}    continue",
             ]
             for r in range(i + 1, n):
                 before = f"s_{r}_{i - 1}" if i else "0.0"
                 lines.append(f"{pad}s_{r}_{i} = {before} + h_{r}_{i} * f_{i}")
+            if bounded:
+                lines.append(f"{pad}b = p_{i + 1}")
+                for r in range(i + 1, n):
+                    x = "y" if r == i + 1 else "x"
+                    lines += [
+                        f"{pad}{x} = c_{r} - s_{r}_{i}",
+                        f"{pad}if {x} > w_{r}_{i}:",
+                        f"{pad}    g = {x} - w_{r}_{i}",
+                        f"{pad}    b = b + g * g",
+                        f"{pad}elif {x} < m_{r}_{i}:",
+                        f"{pad}    g = {x} - m_{r}_{i}",
+                        f"{pad}    b = b + g * g",
+                    ]
+                lines += [f"{pad}if b > rho2:", f"{pad}    continue"]
             continue
-        # leaf: rank it in the list; an equal entry is already listed.  The
-        # zero tail of the leaf layer never cuts, so it has no box test.
+        # leaf: rank it in the list; an equal entry is already listed
         levels = ", ".join(f"u_{j}" for j in range(n))
         lines += [
             f"{pad}cost = p_{i} + r * r",
@@ -527,7 +571,6 @@ def _search_source(n):
             f"{pad}    best.pop()",
             f"{pad}if len(best) == k:",
             f"{pad}    rho2 = best[-1][0]",
-            f"{pad}    cut = rho2 * grow",
             f"{pad}    rho_trace.append(rho2)",
         ]
     lines.append("    return nodes")
@@ -535,13 +578,16 @@ def _search_source(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _search_of_depth(n):
-    """The compiled `_search_source(n)`, built once per depth.
+def _search_of_depth(n, bounded):
+    """The compiled `_search_source(n, bounded)`, built once per depth and
+    walk.
 
     Its source is registered with `linecache` under the file name
-    ``<sd_search n=...>``, so tracebacks through it show its lines.
+    ``<sd_search n=... bounded>`` or ``<sd_search n=... plain>``, so
+    tracebacks through it show its lines.
     """
     if not 1 <= n <= MAX_LAYERS:
         raise ValueError(f"sd_search handles 1 to {MAX_LAYERS} layers, got {n}")
-    return _compile(_search_source(n), f"<sd_search n={n}>", "search",
+    walk = "bounded" if bounded else "plain"
+    return _compile(_search_source(n, bounded), f"<sd_search n={n} {walk}>", "search",
                     bisect_left=bisect_left, child_order=child_order)

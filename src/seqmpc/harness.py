@@ -251,10 +251,12 @@ class TimeSeries:
     def __post_init__(self):
         if not self.data:
             self.data = {name: [] for name in TS_COLUMNS}
+        self._appends = tuple(self.data[name].append for name in TS_COLUMNS)
 
-    def append(self, **kwargs):
-        for name in TS_COLUMNS:
-            self.data[name].append(kwargs[name])
+    def append(self, *row):
+        """Record one step: one value per column, in TS_COLUMNS order."""
+        for add, value in zip(self._appends, row, strict=True):
+            add(value)
 
     def column(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name])
@@ -338,28 +340,21 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             )
             p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
             i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
+            s_m, s_n = decision.s_m, decision.s_n
+            # one value per column, in TS_COLUMNS order
             series.append(
-                t=t,
-                i_m_d=i_md, i_m_q=i_mq,
-                i_m_a=i_ma, i_m_b=i_mb, i_m_c=i_mc,
-                i_n_al=i_na, i_n_be=i_nb,
-                v_dc=state.dc.v_dc, v_imb=state.dc.v_imb,
-                omega_m=state.mech.omega_m,
-                t_e=electromagnetic_torque(i_mq, machine),
-                t_e_ref=refs.t_e_ref, i_q_ref=refs.i_dq_ref[1],
-                p=p, q=q, p_ref=refs.pq_ref[0], q_ref=refs.pq_ref[1],
-                s_m_a=decision.s_m.s_a, s_m_b=decision.s_m.s_b, s_m_c=decision.s_m.s_c,
-                s_n_a=decision.s_n.s_a, s_n_b=decision.s_n.s_b, s_n_c=decision.s_n.s_c,
-                j_m=decision.j_m, j_n=decision.j_n, j_o=decision.j_o,
-                nodes_m=decision.nodes_m, nodes_n=decision.nodes_n,
+                t, i_md, i_mq, i_ma, i_mb, i_mc,
+                i_na, i_nb, state.dc.v_dc, state.dc.v_imb,
+                state.mech.omega_m, electromagnetic_torque(i_mq, machine),
+                refs.t_e_ref, refs.i_dq_ref[1],
+                p, q, refs.pq_ref[0], refs.pq_ref[1],
+                s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
+                decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
             )
-            state = plant_step(
-                state, decision.s_m, decision.s_n, machine, grid,
-                cfg.t_s, cfg.substeps,
-            )
+            state = plant_step(state, s_m, s_n, machine, grid, cfg.t_s, cfg.substeps)
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
-        u_prev_m, u_prev_n = decision.s_m, decision.s_n
+        u_prev_m, u_prev_n = s_m, s_n
     return series
 
 

@@ -7,11 +7,13 @@ exactly by depth-first branch and bound.  `k_best` runs one pass of a list
 sphere decoder that keeps the k cheapest sequences and shrinks the radius to
 the k-th cost once it has k; `sphere_decode` is its k=1 case.  Besides the
 radius test the search cuts a node when its cost plus a lower bound on the
-layers below it exceeds the radius: every level lies in [-1, 1], so row r
-leaves a residual of at least |target_r| - sum_l |factor_rl| whatever the
-path (see `_kernels.box_tail` and `_kernels.sd_search` for why the cut is
-exact in floating point, ties included).  It is skipped when the
-unconstrained optimum lies in the box, where it is zero up to rounding.
+layers below it exceeds the radius: every level lies in [-1, 1], so once
+the levels above are fixed, row r leaves a residual of at least
+|target_r - s_r| less the sum of |factor_rl| over its free levels l, s_r
+being the row's partial sum over the fixed ones (see `_kernels.sd_search`
+for why the cut is exact in floating point, ties included).  The bound
+runs only when some row's |target_r| exceeds sum_l |factor_rl|, and that
+is not even tested for when the unconstrained optimum lies in the box.
 `brute_force_kbest` is the independent enumeration oracle.  The inner loop
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
@@ -239,10 +241,12 @@ def _list_decode(qp: QpForm, k: int, radius_sq: float):
 
     With an infinite radius the search is seeded with the alphabet-clamped
     rounding of the unconstrained solution, which is always admissible.
-    The search's box bound is skipped when the unconstrained solution lies
-    in the box [-1, 1]^n: then |target_r| <= sum_l |factor_rl| up to the
-    rounding of `factor @ unconstrained`, so the bound could prune nothing
-    beyond rounding noise.  Skipping a bound never changes the result.
+    The search's box gate (`_kernels.outside_box`) is skipped when the
+    unconstrained solution lies in the box [-1, 1]^n: then
+    |target_r| <= sum_l |factor_rl| up to the rounding of
+    `factor @ unconstrained`, so the gate could pick the bounded walk only
+    on rounding noise, where its bound would cut next to nothing.  Either
+    walk gives the same result.
     """
     n = qp.factor.shape[0]
     unc = qp.unconstrained.tolist()

@@ -198,9 +198,19 @@ class TestMetricsPipeline:
 
     def test_worst_step_work_is_bounded(self):
         # the default controller's startup current transient is the
-        # decoder's worst case: 36 558 nodes in one step without the box
-        # bound, 2 382 with it
+        # decoder's worst case: 36 558 nodes in one step without a box
+        # bound, 2 382 with a path-independent one, 942 with the
+        # path-dependent one
         series = run_scenario(ScenarioConfig(duration=0.02))
+        nodes = series.column("nodes_m") + series.column("nodes_n")
+        assert nodes.max() <= 4000
+
+    @pytest.mark.parametrize("n_h, duration", [(4, 0.01), (5, 0.002)])
+    def test_long_horizon_worst_step_work_is_bounded(self, n_h, duration):
+        # from standstill, the worst step at N_h = 4 visited 18 180 nodes
+        # and at N_h = 5 143 319 with a path-independent box bound; the
+        # path-dependent one cuts them to 2 865 and 2 142
+        series = run_scenario(ScenarioConfig(duration=duration, horizons=(n_h,)))
         nodes = series.column("nodes_m") + series.column("nodes_n")
         assert nodes.max() <= 4000
 

@@ -497,7 +497,7 @@ class TestBoxBound:
     def test_gap_within_ulps_of_zero(self, n_h, rng):
         # the optimum sits a few ulps outside the box: every row's gap
         # |target_r| - sum_l |factor_rl| is a few ulps from 0, and so is the
-        # best cost, which leaves the radius growth no room to hide a cut
+        # best cost, which leaves the per-row slack no room to hide a cut
         eps = np.finfo(float).eps
         for _ in range(20):
             n = 3 * n_h
@@ -507,6 +507,50 @@ class TestBoxBound:
             x = signs * (1.0 + eps * rng.integers(1, 4, size=n))
             qp = qp_from_factor(factor, x, n_h)
             self.assert_exact(qp, n_h)
+
+    @staticmethod
+    def families(n_h, rng):
+        """Random instances and one of each family above at horizon n_h."""
+        n = 3 * n_h
+        eps = np.finfo(float).eps
+        for _ in range(2):
+            yield random_qp_instance(rng, n_h)
+        # far outside the box
+        x = rng.uniform(-1.0, 1.0, size=n)
+        yield qp_from_factor(random_qp_instance(rng, n_h).factor, x * 8.0 / np.abs(x).max(), n_h)
+        # exact-tie twins
+        factor = np.tril(rng.integers(-2, 3, size=(n, n))).astype(float)
+        factor[np.diag_indices(n)] = rng.integers(1, 3, size=n)
+        x = rng.integers(-12, 13, size=n).astype(float)
+        x[rng.integers(n)] = 12.0
+        yield qp_from_factor(factor, x, n_h)
+        # the bound ties the radius, exactly and up to rounding
+        factor = np.tril(rng.integers(1, 4, size=(n, n))).astype(float)
+        yield qp_from_factor(factor, rng.integers(2, 21, size=n).astype(float), n_h)
+        yield qp_from_factor(np.tril(rng.uniform(0.1, 3.0, size=(n, n))), rng.uniform(2.0, 20.0, size=n), n_h)
+        # gaps within ulps of zero
+        signs = rng.choice([-1.0, 1.0], size=n)
+        factor = np.tril(rng.uniform(0.1, 3.0, size=(n, n))) * signs[None, :]
+        yield qp_from_factor(factor, signs * (1.0 + eps * rng.integers(1, 4, size=n)), n_h)
+
+    @pytest.mark.parametrize("n_h", [1, 2, 3, 4])
+    def test_bounded_walk_equals_plain_walk(self, n_h, rng, monkeypatch):
+        # the bounded walk runs on every instance, whatever the box gate
+        # says; lists, costs and radius traces must be the plain walk's
+        monkeypatch.setattr(_kernels, "outside_box", lambda h, u_check: True)
+        cut = 0
+        for qp in self.families(n_h, rng):
+            for k in self.KS:
+                (best, nodes, trace), (b_best, b_nodes, b_trace) = self.plain_and_bounded(qp, k)
+                assert (b_best, b_trace) == (best, trace)
+                assert b_nodes <= nodes
+                cut += nodes - b_nodes
+            # without a seed, at a finite radius that the last leaf ties
+            args = (qp.factor, qp.target, 4, best[min(3, len(best) - 1)][0], None)
+            plain, bounded = _kernels.sd_search(*args, False), _kernels.sd_search(*args, True)
+            assert bounded[0] == plain[0] and bounded[2] == plain[2]
+            assert bounded[1] <= plain[1]
+        assert cut > 0
 
 
 class TestLongHorizons:
@@ -570,11 +614,36 @@ class TestGeneratedSearch:
             _kernels.sd_search(np.eye(deepest + 1), np.zeros(deepest + 1), 1, np.inf, None)
 
     def test_traceback_shows_generated_lines(self):
-        with pytest.raises(ZeroDivisionError) as err:
-            _kernels.sd_search(np.zeros((3, 3)), np.ones(3), 1, np.inf, None)
-        frame = traceback.extract_tb(err.value.__traceback__)[-1]
-        assert frame.filename == "<sd_search n=3>"
-        assert frame.line == "center = (c_0 - 0.0) / d_0"
+        for box_bound, walk in ((True, "bounded"), (False, "plain")):
+            with pytest.raises(ZeroDivisionError) as err:
+                _kernels.sd_search(np.zeros((3, 3)), np.ones(3), 1, np.inf, None, box_bound)
+            frame = traceback.extract_tb(err.value.__traceback__)[-1]
+            assert frame.filename == f"<sd_search n=3 {walk}>"
+            assert frame.line == "center = (c_0 - 0.0) / d_0"
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_both_walks_compile_at_every_depth(self, bounded):
+        for n in range(1, _kernels.MAX_LAYERS + 1):
+            assert callable(_kernels._search_of_depth(n, bounded))
+
+    def test_deepest_bounded_walk_outside_box(self, rng):
+        n = _kernels.MAX_LAYERS
+        factor = np.tril(rng.uniform(-0.2, 0.2, size=(n, n)))
+        factor[np.diag_indices(n)] = rng.uniform(1.0, 2.0, size=n)
+        x = rng.uniform(-0.45, 0.45, size=n)
+        x[:3] = (2.5, -2.0, 1.5)
+        target = factor @ x
+        h, t = factor.tolist(), target.tolist()
+        assert _kernels.outside_box(h, t)
+        seed = tuple(int(v) for v in np.clip(np.rint(x), -1, 1))
+        best, nodes, trace = _kernels.sd_search(factor, target, 4, np.inf, seed)
+        plain_best, plain_nodes, plain_trace = _kernels.sd_search(
+            factor, target, 4, np.inf, seed, False
+        )
+        assert (best, trace) == (plain_best, plain_trace)
+        assert nodes <= plain_nodes
+        assert best[0][1] == (1, -1, 1) + (0,) * (n - 3)
+        assert [cost for cost, _ in best] == [_kernels.sequence_cost(h, t, lv) for _, lv in best]
 
 
 class TestBruteForce:
