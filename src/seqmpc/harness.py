@@ -34,7 +34,7 @@ from .plant import (
     power_output,
 )
 from .prediction import build_multistep, build_step_models
-from .solver import NotPositiveDefiniteError, assemble_qp
+from .solver import NotPositiveDefiniteError, SolverError, assemble_qp
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 
@@ -296,8 +296,9 @@ def _write_rows(fh, header, rows):
 def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None) -> TimeSeries:
     """Simulate the closed loop and record every controller period.
 
-    Raises SimulationBlowUpError (annotated with the step index) if the
-    plant state leaves the finite range.
+    Raises SimulationBlowUpError if the plant state leaves the finite
+    range, and SolverError if a step's subproblem cannot be solved, each
+    annotated with the step index.
     """
     ctrl = controller if controller is not None else cfg.controller()
     machine = cfg.machine()
@@ -354,6 +355,8 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             state = plant_step(state, s_m, s_n, machine, grid, cfg.t_s, cfg.substeps)
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"step {step}: {exc}") from exc
         u_prev_m, u_prev_n = s_m, s_n
     return series
 

@@ -12,8 +12,7 @@ the levels above are fixed, row r leaves a residual of at least
 |target_r - s_r| less the sum of |factor_rl| over its free levels l, s_r
 being the row's partial sum over the fixed ones (see `_kernels.sd_search`
 for why the cut is exact in floating point, ties included).  The bound
-runs only when some row's |target_r| exceeds sum_l |factor_rl|, and that
-is not even tested for when the unconstrained optimum lies in the box.
+runs only when some row's |target_r| exceeds sum_l |factor_rl|.
 `brute_force_kbest` is the independent enumeration oracle.  The inner loop
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
@@ -78,10 +77,6 @@ class NotPositiveDefiniteError(SolverError):
     def __init__(self, pivot: int):
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
         self.pivot = pivot
-
-
-class RadiusTooSmallError(SolverError):
-    """The provided search radius contains no admissible sequence."""
 
 
 @dataclass(frozen=True)
@@ -236,42 +231,24 @@ def assemble_qp(m: MultistepModel, x0, y_ref, u_prev, weight: float) -> QpForm:
 # ---------------------------------------------------------------------------
 
 
-def _list_decode(qp: QpForm, k: int, radius_sq: float):
-    """One `sd_search` pass: (CandidateList, radius trace).
-
-    With an infinite radius the search is seeded with the alphabet-clamped
-    rounding of the unconstrained solution, which is always admissible.
-    The search's box gate (`_kernels.outside_box`) is skipped when the
-    unconstrained solution lies in the box [-1, 1]^n: then
-    |target_r| <= sum_l |factor_rl| up to the rounding of
-    `factor @ unconstrained`, so the gate could pick the bounded walk only
-    on rounding noise, where its bound would cut next to nothing.  Either
-    walk gives the same result.
-    """
+def _list_decode(qp: QpForm, k: int):
+    """One `sd_search` pass over `factor` and `target`: (CandidateList,
+    radius trace)."""
     n = qp.factor.shape[0]
-    unc = qp.unconstrained.tolist()
-    seed = None
-    if not np.isfinite(radius_sq):
-        # equal to clip(rint(v), -1, 1): halves round to even, so to 0 here
-        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in unc)
-    best, nodes, rho_trace = _k.sd_search(
-        qp.factor, qp.target, min(k, 3 ** n), float(radius_sq), seed,
-        max(map(abs, unc)) > 1.0,
-    )
+    best, nodes, rho_trace = _k.sd_search(qp.factor, qp.target, min(k, 3 ** n))
     levels = np.array([lv for _, lv in best], dtype=np.int64).reshape(len(best), n)
     cands = CandidateList(levels, [cost for cost, _ in best], qp.horizon, nodes)
     return cands, rho_trace
 
 
-def sphere_decode(qp: QpForm, radius_sq: float = np.inf) -> DecodeResult:
-    """Exact minimizer of the triangular form (the k=1 list decoder).
+def sphere_decode(qp: QpForm) -> DecodeResult:
+    """Exact minimizer of the triangular form: `k_best`'s decoder call at
+    k = 1.
 
     `rho_trace` is the nonincreasing sequence of squared radii the search
-    used.  Raises RadiusTooSmallError if a finite radius admits no sequence.
+    used, the first of them the cost of the first leaf it reached.
     """
-    cands, rho_trace = _list_decode(qp, 1, radius_sq)
-    if not len(cands):
-        raise RadiusTooSmallError(f"no sequence within squared radius {radius_sq}")
+    cands, rho_trace = _list_decode(qp, 1)
     return DecodeResult(
         best=cands.sequences[0],
         best_cost=cands.costs[0],
@@ -285,7 +262,7 @@ def k_best(qp: QpForm, k: int) -> CandidateList:
     against enumeration, from a single list-decoder pass."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _list_decode(qp, k, np.inf)[0]
+    return _list_decode(qp, k)[0]
 
 
 def all_sequences(n_h: int) -> np.ndarray:

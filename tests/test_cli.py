@@ -1,9 +1,10 @@
 import pytest
 from click.testing import CliRunner
 
-from seqmpc import harness
+from seqmpc import harness, solver
 from seqmpc.cli import main
 from seqmpc.harness import ScenarioConfig, dump_config
+from seqmpc.solver import NotPositiveDefiniteError
 
 QUICK_ARGS = ["--duration", "0.04", "--substeps", "2", "--horizon", "1", "--nk", "2", "--nl", "2"]
 
@@ -144,6 +145,29 @@ class TestRun:
         result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "blew up" in result.output
+
+    def test_solver_error_names_its_step_and_exits_three(self, runner, tmp_path, monkeypatch):
+        # every factorization from control step `failing` on fails
+        failing = 3
+        steps = []
+        control_step, reverse_cholesky = harness.control_step, solver.reverse_cholesky
+
+        def counted_step(*args):
+            steps.append(len(steps))
+            return control_step(*args)
+
+        def factor(q):
+            if len(steps) > failing:
+                raise NotPositiveDefiniteError(2)
+            return reverse_cholesky(q)
+
+        monkeypatch.setattr(harness, "control_step", counted_step)
+        monkeypatch.setattr(solver, "reverse_cholesky", factor)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", "--duration", "0.1", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"solver error: step {failing}: matrix is not positive definite (pivot 2)" in result.output
+        assert steps == list(range(failing + 1)) and not out.exists()
 
 
 class TestSweep:

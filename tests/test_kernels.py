@@ -1,19 +1,21 @@
 """The decoder and Cholesky kernels reproduce recorded outputs exactly.
 
-The radius traces, factor digests, failing pivots and plain-search node
-counts below were recorded from the NumPy-scalar implementation of
-`sd_search` and `cholesky_lower` that the list-based kernels replaced.
-The unreversed factors and pivots come from `cholesky_lower` itself, the
-reversed ones from `reverse_cholesky`, which the controller runs.  The
-kernels run the same IEEE-754 operations in the same order, so every value
-must match bit for bit; the candidate lists must also equal enumeration,
-costs compared with `==`.  The box bound of `sd_search` cuts only subtrees
-the plain search would reject anyway, so with it the lists and traces are
-the same and only the node counts fall, from the plain set to the bounded
-one, recorded from the path-dependent bound.
+The factor digests and failing pivots below were recorded from the
+NumPy-scalar implementation of `cholesky_lower` that the list-based kernel
+replaced.  The unreversed factors and pivots come from `cholesky_lower`
+itself, the reversed ones from `reverse_cholesky`, which the controller
+runs.  The kernel runs the same IEEE-754 operations in the same order, so
+every value must match bit for bit.  The node counts and radius traces
+were recorded from the decoder without an initial radius, its first leaf
+being the one the first descent reaches.  The candidate lists must equal
+enumeration, costs compared with `==`.  The box bound of `sd_search` cuts
+only subtrees the plain walk would reject anyway, so with it the lists and
+traces are the same and only the node counts fall, from the plain set to
+the bounded one.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -36,45 +38,44 @@ KS = (1, 4, 10)
 #  sphere_decode radius trace in hex,
 #  digest of cholesky_lower(quad), digest of reverse_cholesky(quad))
 RECORDED = [
-    ((9, 24, 36), (39, 39, 39), ["0x1.028637983b07ap+5"],
+    ((12, 24, 36), (39, 39, 39), ["0x1.224c62073f1f9p+5", "0x1.028637983b07ap+5"],
      "7cb8df299114d36d", "ff88ab2c9a0e2a1c"),
     ((9, 27, 36), (39, 39, 39), ["0x1.0f74b6a0e9e1ep+5"],
      "b6fc045fcf67ac71", "cbf08a8d9de77998"),
     ((9, 18, 30), (15, 21, 30), ["0x1.2ed7db9741dfbp+11"],
      "54ece7103a913f80", "45e4fdea5cace393"),
     (
-        (48, 60, 87), (1068, 1068, 1089),
-        ["0x1.ca8d967f5606ep+24", "0x1.b61e0994492b9p+24", "0x1.b44869eb4c7f4p+24",
-         "0x1.b3f4c9ff4d948p+24", "0x1.b3d9318595bf0p+24"],
+        (48, 60, 96), (1068, 1068, 1089),
+        ["0x1.b61e0994492b9p+24", "0x1.b44869eb4c7f4p+24", "0x1.b3f4c9ff4d948p+24",
+         "0x1.b3d9318595bf0p+24"],
         "70763c940609a437", "f2f7f6fb2f57c985",
     ),
     (
         (18, 36, 57), (372, 384, 402),
-        ["0x1.f83eaf90061bep+27", "0x1.ec24eb92e76fbp+27"],
+        ["0x1.ec24eb92e76fbp+27"],
         "f325ce3654c79d7d", "7d8bf1827fa602cd",
     ),
     (
-        (63, 78, 102), (1092, 1092, 1092),
-        ["0x1.23115ffc2991bp+25", "0x1.19582ce0206a4p+25", "0x1.15623ab3a165ep+25",
-         "0x1.122fba7ad61ebp+25", "0x1.116992c5994b2p+25", "0x1.0e36fed639978p+25",
-         "0x1.0bc7dcda8da12p+25", "0x1.0b01b58da9f13p+25", "0x1.08927fdb698e5p+25",
-         "0x1.06e6bc1cdce89p+25"],
+        (63, 78, 108), (1092, 1092, 1092),
+        ["0x1.19582ce0206a4p+25", "0x1.15623ab3a165ep+25", "0x1.122fba7ad61ebp+25",
+         "0x1.116992c5994b2p+25", "0x1.0e36fed639978p+25", "0x1.0bc7dcda8da12p+25",
+         "0x1.0b01b58da9f13p+25", "0x1.08927fdb698e5p+25", "0x1.06e6bc1cdce89p+25"],
         "ede7cbfc5ffaeef3", "52b0abbf9a36f1c5",
     ),
     (
         (36, 72, 120), (1602, 2208, 2874),
-        ["0x1.f249c1309a6e8p+23", "0x1.9891cd67cbd63p+23"],
+        ["0x1.9891cd67cbd63p+23"],
         "765be273f6acefe5", "d8d633c6a9b90d36",
     ),
     (
         (141, 168, 228), (13566, 13623, 13944),
-        ["0x1.b6184b7271992p+25", "0x1.5f2d24e93a9c7p+25", "0x1.5db9ddc0810bep+25",
-         "0x1.5cd6c9658a50fp+25", "0x1.5c5c8aa6a585ep+25", "0x1.5c099a80ae09ap+25"],
+        ["0x1.5f2d24e93a9c7p+25", "0x1.5db9ddc0810bep+25", "0x1.5cd6c9658a50fp+25",
+         "0x1.5c5c8aa6a585ep+25", "0x1.5c099a80ae09ap+25"],
         "a91d8b6d66e89683", "d1704b849b8823e9",
     ),
     (
         (129, 144, 219), (29520, 29520, 29523),
-        ["0x1.c65d73df015fcp+12", "0x1.bd5e8657ba9a9p+12"],
+        ["0x1.bd5e8657ba9a9p+12"],
         "6c0698c9136f9f4c", "ef33547305e97522",
     ),
 ]
@@ -110,15 +111,23 @@ def test_decoder_matches_enumeration_and_recorded_search(instances, case):
     assert [x.hex() for x in res.rho_trace.tolist()] == trace
 
 
+def walk(factor, target, k, bounded, rho2=math.inf):
+    """(best, nodes, rho_trace) of `sd_search`'s bounded or plain walk,
+    whatever `outside_box` says, started at squared radius `rho2` with an
+    empty list."""
+    best, rho_trace = [], []
+    search = _kernels._search_of_depth(len(factor), bounded)
+    nodes = search(factor.tolist(), target.tolist(), k, rho2, best, rho_trace)
+    return best, nodes, rho_trace
+
+
 @pytest.mark.parametrize("case", range(len(RECORDED)))
 def test_box_bound_only_removes_nodes(instances, case):
     _, qp = instances[case]
     nodes, plain_nodes, _, _, _ = RECORDED[case]
-    seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained.tolist())
     for k, k_nodes, k_plain in zip(KS, nodes, plain_nodes):
-        args = (qp.factor, qp.target, k, float("inf"), seed)
-        best, got_nodes, trace = _kernels.sd_search(*args, True)
-        plain_best, got_plain, plain_trace = _kernels.sd_search(*args, False)
+        best, got_nodes, trace = walk(qp.factor, qp.target, k, True)
+        plain_best, got_plain, plain_trace = walk(qp.factor, qp.target, k, False)
         assert best == plain_best
         assert trace == plain_trace
         assert (got_nodes, got_plain) == (k_nodes, k_plain)

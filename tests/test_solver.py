@@ -24,7 +24,6 @@ from seqmpc.solver import (
     CandidateList,
     NotPositiveDefiniteError,
     QpForm,
-    RadiusTooSmallError,
     all_sequences,
     assemble_qp,
     brute_force_kbest,
@@ -36,6 +35,7 @@ from seqmpc.solver import (
 )
 from seqmpc.transforms import CLARKE_PINV_MAT
 from seqmpc.verify import random_qp_instance, raw_cost_closure
+from test_kernels import walk
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -297,12 +297,6 @@ class TestSphereDecode:
         assert res.best.as_tuple() == (1, 0, -1)
         assert res.best_cost == 0.0
 
-    def test_tiny_radius_is_reported(self, rng):
-        qp = random_qp_instance(rng, 1)
-        floor = brute_force_kbest(qp, 1, 1).costs[0]
-        with pytest.raises(RadiusTooSmallError):
-            sphere_decode(qp, radius_sq=floor * 0.5)
-
     def test_radius_trace_is_nonincreasing(self, rng):
         for _ in range(50):
             qp = random_qp_instance(rng, 2)
@@ -435,14 +429,12 @@ class TestBoxBound:
             assert got.sequences == want.sequences[:k]
             assert got.costs == want.costs[:k]
         # a leaf whose cost ties a finite radius survives the bound
-        res = sphere_decode(qp, radius_sq=want.costs[0])
-        assert res.best == want.sequences[0] and res.best_cost == want.costs[0]
+        best, _, _ = walk(qp.factor, qp.target, 1, True, want.costs[0])
+        assert best == [(want.costs[0], want.sequences[0].as_tuple())]
 
     @staticmethod
     def plain_and_bounded(qp, k):
-        seed = tuple(1 if v > 0.5 else -1 if v < -0.5 else 0 for v in qp.unconstrained)
-        args = (qp.factor, qp.target, k, float("inf"), seed)
-        return _kernels.sd_search(*args, False), _kernels.sd_search(*args, True)
+        return walk(qp.factor, qp.target, k, False), walk(qp.factor, qp.target, k, True)
 
     @pytest.mark.parametrize("n_h", [1, 2, 3])
     def test_far_outside_box_matches_enumeration(self, n_h, rng):
@@ -534,10 +526,9 @@ class TestBoxBound:
         yield qp_from_factor(factor, signs * (1.0 + eps * rng.integers(1, 4, size=n)), n_h)
 
     @pytest.mark.parametrize("n_h", [1, 2, 3, 4])
-    def test_bounded_walk_equals_plain_walk(self, n_h, rng, monkeypatch):
+    def test_bounded_walk_equals_plain_walk(self, n_h, rng):
         # the bounded walk runs on every instance, whatever the box gate
         # says; lists, costs and radius traces must be the plain walk's
-        monkeypatch.setattr(_kernels, "outside_box", lambda h, u_check: True)
         cut = 0
         for qp in self.families(n_h, rng):
             for k in self.KS:
@@ -545,9 +536,10 @@ class TestBoxBound:
                 assert (b_best, b_trace) == (best, trace)
                 assert b_nodes <= nodes
                 cut += nodes - b_nodes
-            # without a seed, at a finite radius that the last leaf ties
-            args = (qp.factor, qp.target, 4, best[min(3, len(best) - 1)][0], None)
-            plain, bounded = _kernels.sd_search(*args, False), _kernels.sd_search(*args, True)
+            # at a finite radius that the last leaf ties
+            args = (qp.factor, qp.target, 4)
+            rho2 = best[min(3, len(best) - 1)][0]
+            plain, bounded = walk(*args, False, rho2), walk(*args, True, rho2)
             assert bounded[0] == plain[0] and bounded[2] == plain[2]
             assert bounded[1] <= plain[1]
         assert cut > 0
@@ -578,8 +570,8 @@ class TestLongHorizons:
             assert short.costs == full.costs[:4]
             for seq, cost in zip(full.sequences, full.costs):
                 assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
-            # the k-th cost as a finite radius, without a seed
-            best, _, _ = _kernels.sd_search(qp.factor, qp.target, 10, full.costs[-1], None)
+            # the k-th cost as a finite radius, on the walk `sd_search` picks
+            best, _, _ = walk(qp.factor, qp.target, 10, _kernels.outside_box(h, t), full.costs[-1])
             assert best == [(c, s.as_tuple()) for c, s in zip(full.costs, full.sequences)]
 
 
@@ -606,19 +598,21 @@ class TestGeneratedSearch:
 
     def test_depth_limit(self):
         deepest = _kernels.MAX_LAYERS
-        best, nodes, _ = _kernels.sd_search(
-            np.eye(deepest), np.zeros(deepest), 1, np.inf, (0,) * deepest
-        )
-        assert best == [(0.0, (0,) * deepest)] and nodes > 0
+        for bounded in (False, True):
+            best, nodes, _ = walk(np.eye(deepest), np.zeros(deepest), 1, bounded)
+            assert best == [(0.0, (0,) * deepest)] and nodes == 3 * deepest
+        assert _kernels.sd_search(np.eye(deepest), np.zeros(deepest), 1)[0] == best
         with pytest.raises(ValueError, match="1 to 20 layers, got 21"):
-            _kernels.sd_search(np.eye(deepest + 1), np.zeros(deepest + 1), 1, np.inf, None)
+            _kernels.sd_search(np.eye(deepest + 1), np.zeros(deepest + 1), 1)
 
     def test_traceback_shows_generated_lines(self):
-        for box_bound, walk in ((True, "bounded"), (False, "plain")):
+        # a target outside the box picks the bounded walk, and row 0's
+        # target does not count
+        for target, name in (((1.0, 1.0, 1.0), "bounded"), ((1.0, 0.0, 0.0), "plain")):
             with pytest.raises(ZeroDivisionError) as err:
-                _kernels.sd_search(np.zeros((3, 3)), np.ones(3), 1, np.inf, None, box_bound)
+                _kernels.sd_search(np.zeros((3, 3)), np.array(target), 1)
             frame = traceback.extract_tb(err.value.__traceback__)[-1]
-            assert frame.filename == f"<sd_search n=3 {walk}>"
+            assert frame.filename == f"<sd_search n=3 {name}>"
             assert frame.line == "center = (c_0 - 0.0) / d_0"
 
     @pytest.mark.parametrize("bounded", [False, True])
@@ -635,11 +629,9 @@ class TestGeneratedSearch:
         target = factor @ x
         h, t = factor.tolist(), target.tolist()
         assert _kernels.outside_box(h, t)
-        seed = tuple(int(v) for v in np.clip(np.rint(x), -1, 1))
-        best, nodes, trace = _kernels.sd_search(factor, target, 4, np.inf, seed)
-        plain_best, plain_nodes, plain_trace = _kernels.sd_search(
-            factor, target, 4, np.inf, seed, False
-        )
+        best, nodes, trace = walk(factor, target, 4, True)
+        assert _kernels.sd_search(factor, target, 4) == (best, nodes, trace)
+        plain_best, plain_nodes, plain_trace = walk(factor, target, 4, False)
         assert (best, trace) == (plain_best, plain_trace)
         assert nodes <= plain_nodes
         assert best[0][1] == (1, -1, 1) + (0,) * (n - 3)
