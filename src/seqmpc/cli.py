@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -33,43 +33,33 @@ EXIT_BLOWUP = 2
 EXIT_SOLVER = 3
 
 
-def _load(config_path, **overrides) -> ScenarioConfig:
+def _load(config_path, overrides) -> ScenarioConfig:
+    """The config file (or the defaults) with each given override flag on
+    top; a list field takes the flag's value as a one-item list."""
     cfg = load_config(config_path) if config_path else ScenarioConfig()
-    clean = {k: v for k, v in overrides.items() if v is not None}
+    given = {
+        name: (value,) if isinstance(getattr(cfg, name), tuple) else value
+        for name, value in overrides.items()
+        if value is not None
+    }
     try:
-        return replace(cfg, **clean)
+        return replace(cfg, **given)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps):
-    out = {}
-    if horizon is not None:
-        out["horizons"] = (horizon,)
-    if nk is not None:
-        out["n_ks"] = (nk,)
-    if nl is not None:
-        out["n_ls"] = (nl,)
-    if lam is not None:
-        out["lambdas"] = (lam,)
-    if mode is not None:
-        out["modes"] = (mode,)
-    if duration is not None:
-        out["duration"] = duration
-    if substeps is not None:
-        out["substeps"] = substeps
-    return out
-
-
 def _common_options(fn):
+    # each override flag stores its value under the ScenarioConfig field it sets
     options = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="Scenario config file (INI-style key/value sections)."),
-        click.option("--horizon", type=int, default=None, help="Prediction horizon."),
-        click.option("--nk", type=int, default=None, help="Machine-side candidate count."),
-        click.option("--nl", type=int, default=None, help="Grid-side candidate count."),
-        click.option("--lambda", "lam", type=float, default=None, help="Switching-effort weight."),
-        click.option("--mode", type=click.Choice(MODES), default=None),
+        click.option("--horizon", "horizons", type=int, default=None,
+                     help="Prediction horizon."),
+        click.option("--nk", "n_ks", type=int, default=None, help="Machine-side candidate count."),
+        click.option("--nl", "n_ls", type=int, default=None, help="Grid-side candidate count."),
+        click.option("--lambda", "lambdas", type=float, default=None,
+                     help="Switching-effort weight."),
+        click.option("--mode", "modes", type=click.Choice(MODES), default=None),
         click.option("--duration", type=float, default=None, help="Simulated seconds."),
         click.option("--substeps", type=int, default=None, help="Plant sub-integrations per period."),
         click.option("--out", "out_dir", type=click.Path(), default="runs/latest",
@@ -109,15 +99,12 @@ def main():
 
 @main.command()
 @_common_options
-def run(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
+def run(config_path, out_dir, **overrides):
     """Simulate one scenario and write timeseries/metrics/spectrum CSV files."""
     try:
-        cfg = _load(
-            config_path,
-            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
-        )
+        cfg = _load(config_path, overrides)
         ctrl = cfg.controller()
-        cfg.check_thd_window()
+        cfg.check_metric_windows()
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -141,21 +128,18 @@ def run(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
     write_metrics_csv(metrics, ctrl, out / "metrics.csv")
     write_spectrum_csv(series, cfg, out / "spectrum.csv")
     click.echo(f"{len(series)} steps -> {out}")
-    for name in metrics.FIELDS:
-        click.echo(f"  {name} = {getattr(metrics, name):.6g}")
+    for name, value in asdict(metrics).items():
+        click.echo(f"  {name} = {value:.6g}")
 
 
 @main.command(name="sweep")
 @_common_options
-def sweep_cmd(config_path, horizon, nk, nl, lam, mode, duration, substeps, out_dir):
+def sweep_cmd(config_path, out_dir, **overrides):
     """Run the controller-parameter grid and write one metrics row per cell."""
     try:
-        cfg = _load(
-            config_path,
-            **_scalar_overrides(horizon, nk, nl, lam, mode, duration, substeps),
-        )
+        cfg = _load(config_path, overrides)
         cfg.controller_grid()  # the controller checks first: their messages are more specific
-        cfg.check_thd_window()
+        cfg.check_metric_windows()
         rows = sweep(cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -4,7 +4,9 @@ Per sampling period: read the plant state, refresh the current/power
 references, condense and solve the machine-side and grid-side integer
 least-squares subproblems for their k best candidates, pick the candidate
 pair with the least predicted DC-link imbalance, and emit the first switch
-block of each chosen sequence.
+block of each chosen sequence.  The sampling period belongs to the scenario;
+the closed loop passes it to `build_references` and `control_step`, and
+`ControllerConfig` holds only the controller's own settings.
 
 `standard_sd` mode is the no-balancing baseline: each side keeps a single
 candidate, so the imbalance stage only scores the one pair of best sequences.
@@ -38,7 +40,6 @@ class ControllerConfig:
     n_k: int = 1
     n_l: int = 1
     lam: float = 0.1
-    t_s: float = 50e-6
     mode: str = "sequential"
 
     def __post_init__(self):
@@ -52,8 +53,6 @@ class ControllerConfig:
                 f"per switch level (3 per stage) and Python compiles at most "
                 f"{MAX_LAYERS} nested loops"
             )
-        if self.t_s <= 0:
-            raise ValueError("sampling period must be positive")
         if not self.lam > 0:
             # the common-mode direction (1,1,1) of every stage is in the null
             # space of the converter map, so only the effort term makes the
@@ -151,15 +150,17 @@ def control_step(
     grid: GridParams,
     u_prev_m: SwitchState,
     u_prev_n: SwitchState,
+    t_s: float,
 ) -> ControlDecision:
-    """Solve both subproblems and the imbalance stage for one period.
+    """Solve both subproblems and the imbalance stage for one sampling
+    period `t_s`.
 
     Each side's model is built and discretized once; the multistep stacking
     and the imbalance stage share it.  Both sides' subproblems are stacked
     and go through the multistep stacking and the condensation together,
     machine side first.
     """
-    models = build_step_models(st, machine, grid, cfg.t_s)
+    models = build_step_models(st, machine, grid, t_s)
     multi = build_multistep(models.sides, cfg.n_h)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
     u_prev = np.array([(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)])

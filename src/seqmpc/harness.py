@@ -3,10 +3,16 @@
 A scenario bundles the plant parameters, initial conditions, piecewise
 reference profiles and the controller configuration(s).  `run_scenario`
 alternates the controller and the plant for the requested duration and
-returns a uniformly sampled record of everything; metric helpers reduce a
-record to THD / RMSE / switching-frequency / node-count figures; `sweep`
-crosses controller-parameter lists and collects one metrics row per
-configuration.  Runs are fully deterministic for a given configuration.
+returns a uniformly sampled record of everything; on each step it passes
+the scenario's sampling period to the controller and the plant, and the
+load torque of the profile to the plant.  Metric helpers reduce a record to
+THD / RMSE / switching-frequency / node-count figures; `sweep` crosses
+controller-parameter lists and collects one metrics row per configuration.
+Runs are fully deterministic for a given configuration.
+
+`ScenarioConfig`'s field defaults are the only record of each config key's
+type and of whether it is a list: the config file reader and writer read
+both from them, and a CLI override flag sets a list field to a one-item list.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -153,9 +158,7 @@ class ScenarioConfig:
 
     def _controller(self, n_h, n_k, n_l, lam, mode) -> ControllerConfig:
         try:
-            ctrl = ControllerConfig(
-                n_h=n_h, n_k=n_k, n_l=n_l, lam=lam, t_s=self.t_s, mode=mode
-            )
+            ctrl = ControllerConfig(n_h=n_h, n_k=n_k, n_l=n_l, lam=lam, mode=mode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # along the common-mode switch vector only the effort term keeps the
@@ -192,9 +195,10 @@ class ScenarioConfig:
         rpm = self.speed_rpm[-1][1]
         return self.pole_pairs * rpm / 60.0
 
-    def check_thd_window(self):
-        """Raise ConfigError unless the run covers the window that
-        `compute_metrics` takes the THD over.
+    def check_metric_windows(self):
+        """Raise ConfigError unless the run covers the windows that
+        `compute_metrics` reduces: the THD window, and a steady window of at
+        least two steps, the fewest a switching frequency is counted over.
 
         Not part of the construction checks: a scenario that never computes
         metrics may be shorter.  The CLI calls it before the first step.
@@ -207,6 +211,13 @@ class ScenarioConfig:
                 f"THD window of {self.thd_periods} periods at {self.fundamental_hz():g} Hz "
                 f"against a run of {steps} steps: {exc}"
             ) from exc
+        window = steady_slice(steps, self.steady_fraction)
+        steady = window.stop - window.start
+        if steady < 2:
+            raise ConfigError(
+                f"steady window of steady_fraction={self.steady_fraction:g} covers "
+                f"{steady} of {steps} steps; metrics need at least 2"
+            )
 
 
 def _floats(value):
@@ -216,6 +227,12 @@ def _floats(value):
             yield from _floats(item)
     elif isinstance(value, float):
         yield value
+
+
+def steady_slice(n_samples: int, fraction: float) -> slice:
+    """The trailing `fraction` of `n_samples` samples, which the
+    steady-state metrics cover."""
+    return slice(int(round(n_samples * (1.0 - fraction))), n_samples)
 
 
 def profile_value(profile, t: float) -> float:
@@ -265,8 +282,7 @@ class TimeSeries:
         return len(self.data["t"])
 
     def steady_slice(self, fraction: float) -> slice:
-        n = len(self)
-        return slice(int(round(n * (1.0 - fraction))), n)
+        return steady_slice(len(self), fraction)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -318,7 +334,6 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
         t = step * cfg.t_s
         omega_ref = profile_value(cfg.speed_rpm, t) * RPM_TO_RAD_S
         t_mech = profile_value(cfg.torque_nm, t)
-        state = state.with_torque(t_mech)
 
         # proportional speed loop with load feedforward supplies the torque
         # reference; positive gain brakes above the speed reference
@@ -337,7 +352,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
 
         try:
             decision = control_step(
-                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n
+                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s
             )
             p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
             i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
@@ -352,7 +367,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
                 s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
                 decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
             )
-            state = plant_step(state, s_m, s_n, machine, grid, cfg.t_s, cfg.substeps)
+            state = plant_step(state, s_m, s_n, machine, grid, t_mech, cfg.t_s, cfg.substeps)
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
         except SolverError as exc:
@@ -392,14 +407,6 @@ class RunMetrics:
     f_sw_grid: float
     avg_nodes: float
     max_nodes: int  # worst control step, machine plus grid decoder nodes
-
-    FIELDS: ClassVar[tuple] = (
-        "thd_machine", "rmse_te", "rmse_q", "rmse_p", "rmse_v_imb",
-        "rmse_v_dc", "f_sw_machine", "f_sw_grid", "avg_nodes", "max_nodes",
-    )
-
-    def as_row(self):
-        return [getattr(self, name) for name in self.FIELDS]
 
 
 def compute_rmse(series, ref_series) -> float:
@@ -503,7 +510,8 @@ def compute_metrics(series: TimeSeries, cfg: ScenarioConfig) -> RunMetrics:
 # sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode", "status") + RunMetrics.FIELDS
+METRIC_COLUMNS = tuple(f.name for f in fields(RunMetrics))
+SWEEP_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode", "status") + METRIC_COLUMNS
 
 
 def sweep(cfg: ScenarioConfig):
@@ -522,14 +530,9 @@ def sweep(cfg: ScenarioConfig):
         }
         try:
             series = run_scenario(cfg, ctrl)
-            metrics = compute_metrics(series, cfg)
-            row["status"] = "ok"
-            for name in RunMetrics.FIELDS:
-                row[name] = getattr(metrics, name)
+            row.update(status="ok", **asdict(compute_metrics(series, cfg)))
         except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
-            row["status"] = f"error: {exc}"
-            for name in RunMetrics.FIELDS:
-                row[name] = math.nan
+            row.update(status=f"error: {exc}", **dict.fromkeys(METRIC_COLUMNS, math.nan))
         rows.append(row)
     return rows
 
@@ -540,8 +543,8 @@ def write_sweep_csv(rows, path):
 
 
 def write_metrics_csv(metrics: RunMetrics, ctrl: ControllerConfig, path):
-    header = ("n_h", "n_k", "n_l", "lambda", "mode") + RunMetrics.FIELDS
-    row = [ctrl.n_h, ctrl.n_k, ctrl.n_l, ctrl.lam, ctrl.mode] + metrics.as_row()
+    header = ("n_h", "n_k", "n_l", "lambda", "mode") + METRIC_COLUMNS
+    row = [ctrl.n_h, ctrl.n_k, ctrl.n_l, ctrl.lam, ctrl.mode, *astuple(metrics)]
     with open(path, "w", newline="") as fh:
         _write_rows(fh, header, [row])
 
@@ -573,11 +576,19 @@ _SECTIONS = {
     "metrics": ("thd_periods", "steady_fraction"),
 }
 
-_INT_FIELDS = {"substeps", "pole_pairs", "thd_periods"}
-_PROFILE_FIELDS = {"speed_rpm", "torque_nm"}
-_INT_LIST_FIELDS = {"horizons", "n_ks", "n_ls"}
-_FLOAT_LIST_FIELDS = {"lambdas"}
-_STR_LIST_FIELDS = {"modes"}
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+
+def _key_type(name: str) -> tuple:
+    """(item type, whether a list) of a config key, read from its default.
+
+    A scalar default gives its own type; a tuple default is a list of its
+    first item's type, and a profile is a list of (time, value) tuples.
+    """
+    default = _DEFAULTS[name]
+    if isinstance(default, tuple):
+        return type(default[0]), True
+    return type(default), False
 
 
 def _parse_profile(raw: str):
@@ -593,18 +604,13 @@ def _parse_profile(raw: str):
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
+    item, is_list = _key_type(name)
     try:
-        if name in _PROFILE_FIELDS:
+        if item is tuple:
             return _parse_profile(raw)
-        if name in _INT_LIST_FIELDS:
-            return tuple(int(v) for v in raw.split(","))
-        if name in _FLOAT_LIST_FIELDS:
-            return tuple(float(v) for v in raw.split(","))
-        if name in _STR_LIST_FIELDS:
-            return tuple(v.strip() for v in raw.split(","))
-        if name in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        if is_list:
+            return tuple(item(v.strip()) for v in raw.split(","))
+        return item(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 
@@ -631,15 +637,20 @@ def load_config(path) -> ScenarioConfig:
 
 
 def dump_config(cfg: ScenarioConfig) -> str:
-    """Render a ScenarioConfig back to the flat key-value format."""
+    """Render a ScenarioConfig back to the flat key-value format.
+
+    A float is written as its shortest round-tripping repr, so `load_config`
+    reads the dump back to an equal ScenarioConfig.
+    """
     parser = configparser.ConfigParser()
     for section, names in _SECTIONS.items():
         parser[section] = {}
         for name in names:
             value = getattr(cfg, name)
-            if name in _PROFILE_FIELDS:
-                text = ", ".join(f"{t:.12g}:{v:.12g}" for t, v in value)
-            elif isinstance(value, tuple):
+            item, is_list = _key_type(name)
+            if item is tuple:
+                text = ", ".join(f"{t}:{v}" for t, v in value)
+            elif is_list:
                 text = ", ".join(str(v) for v in value)
             else:
                 text = str(value)

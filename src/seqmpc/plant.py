@@ -2,13 +2,16 @@
 
 The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
-holding the applied switch states constant over each controller period
-(zero-order hold).  The integration itself runs in `_kernels.integrate_plant`
-on Python floats, one straight-line substep per sub-interval (see the
-`_kernels` module docstring for why it is bit-identical to composing the
-per-operation physics).  The state types are frozen dataclasses, built
-directly rather than through `dataclasses.replace`, which costs several
-microseconds per call on every control step.
+holding the applied switch states and the load torque constant over each
+controller period (zero-order hold).  Both are inputs of `plant_step`, which
+the closed loop passes on every step; the state holds what the integration
+advances, plus the DC-link capacitance and the rotor inertia.  The
+integration itself runs in `_kernels.integrate_plant` on Python floats, one
+straight-line substep per sub-interval (see the `_kernels` module docstring
+for why it is bit-identical to composing the per-operation physics).  The
+state types are frozen dataclasses, built directly rather than through
+`dataclasses.replace`, which costs several microseconds per call on every
+control step.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-
-TWO_PI = 2.0 * math.pi
 
 #: allowed per-phase switch levels of the three-level bridge
 LEVELS = (-1, 0, 1)
@@ -103,7 +104,6 @@ class MechState:
     omega_m: float
     theta_e: float
     inertia_j: float
-    t_m: float
 
     def __post_init__(self):
         if self.inertia_j <= 0:
@@ -130,14 +130,8 @@ class PlantState:
         inertia: float = 0.05,
         omega_m: float = 0.0,
         theta_e: float = 0.0,
-        t_m: float = 0.0,
     ) -> "PlantState":
-        mech = MechState(
-            omega_m=omega_m,
-            theta_e=theta_e % TWO_PI,
-            inertia_j=inertia,
-            t_m=t_m,
-        )
+        mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI, inertia_j=inertia)
         dc = DcLinkState(v_dc=v_dc, v_imb=v_imb, c=c)
         dc.validate_balanced()
         return cls(
@@ -146,13 +140,6 @@ class PlantState:
             dc=dc,
             mech=mech,
             t=0.0,
-        )
-
-    def with_torque(self, t_m: float) -> "PlantState":
-        m = self.mech
-        return PlantState(
-            self.i_m_dq, self.i_n_ab, self.dc,
-            MechState(m.omega_m, m.theta_e, m.inertia_j, t_m), self.t,
         )
 
 
@@ -196,10 +183,12 @@ def plant_step(
     s_n: SwitchState,
     machine: MachineParams,
     grid: GridParams,
+    t_m: float,
     dt: float,
     substeps: int = 10,
 ) -> PlantState:
-    """Advance the plant by one controller period under constant switches."""
+    """Advance the plant by one controller period under constant switches
+    and the load torque `t_m`."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
     out = _k.integrate_plant(
@@ -210,7 +199,7 @@ def plant_step(
         s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
         machine.r_s, machine.l_s, machine.psi_pm, machine.pole_pairs,
         grid.r_n, grid.l_n, grid.e_peak, grid.omega_n,
-        st.dc.c, st.mech.inertia_j, st.mech.t_m,
+        st.dc.c, st.mech.inertia_j, t_m,
         dt, substeps,
     )
     i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t = out
@@ -223,6 +212,6 @@ def plant_step(
         i_m_dq=np.array([i_md, i_mq]),
         i_n_ab=np.array([i_na, i_nb]),
         dc=DcLinkState(v_dc=v_dc, v_imb=v_imb, c=st.dc.c),
-        mech=MechState(omega_m, theta_e, st.mech.inertia_j, st.mech.t_m),
+        mech=MechState(omega_m, theta_e, st.mech.inertia_j),
         t=t,
     )

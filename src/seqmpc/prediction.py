@@ -90,21 +90,13 @@ class MultistepModel:
     """Condensed horizon model  Y = forced_map U + free_map x0 + drift_vec.
 
     The switching effort diff_mat @ U - prev_sel @ u_prev depends on the
-    horizon alone; both maps are the shared read-only `effort_maps(horizon)`.
+    horizon alone: `effort_maps(horizon)` gives both maps.
     """
 
     forced_map: np.ndarray  # (2N, 3N), block lower triangular
     free_map: np.ndarray    # (2N, 2)
     drift_vec: np.ndarray   # (2N,)
     horizon: int
-
-    @property
-    def diff_mat(self) -> np.ndarray:  # (3N, 3N)
-        return effort_maps(self.horizon)[0]
-
-    @property
-    def prev_sel(self) -> np.ndarray:  # (3N, 3)
-        return effort_maps(self.horizon)[1]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,8 @@ import numpy as np
 
 from . import _kernels as _k
 
-_SQ23 = math.sqrt(2.0 / 3.0)
-_S32 = math.sqrt(3.0) / 2.0
-
 #: 2x3 power-invariant Clarke matrix (abc -> alpha/beta)
-CLARKE_MAT = _SQ23 * np.array([[1.0, -0.5, -0.5], [0.0, _S32, -_S32]])
+CLARKE_MAT = _k.SQRT23 * np.array([[1.0, -0.5, -0.5], [0.0, _k.SQRT3_2, -_k.SQRT3_2]])
 
 #: 3x2 Moore-Penrose pseudo-inverse of CLARKE_MAT (equals its transpose here)
 CLARKE_PINV_MAT = CLARKE_MAT.T.copy()

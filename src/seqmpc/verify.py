@@ -19,6 +19,7 @@ from .prediction import (
     build_machine_subsystem,
     build_multistep,
     discretize,
+    effort_maps,
     predict_outputs,
 )
 from .solver import QpForm, assemble_qp, brute_force_kbest, k_best
@@ -57,10 +58,11 @@ def raw_cost_closure(model, x0, y_ref, u_prev: SwitchState, weight: float):
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
     prev = u_prev.as_array()
+    diff_mat, prev_sel = effort_maps(model.horizon)
 
     def cost(seq: SwitchSequence) -> float:
         y = predict_outputs(model, x0, seq)
-        du = model.diff_mat @ seq.levels - model.prev_sel @ prev
+        du = diff_mat @ seq.levels - prev_sel @ prev
         track = y - y_ref
         return float(track @ track + weight * (du @ du))
 

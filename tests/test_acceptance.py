@@ -16,7 +16,7 @@ import pytest
 from seqmpc import transforms as tr
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import ScenarioConfig, compute_metrics, run_scenario
-from seqmpc.prediction import build_multistep, discretize
+from seqmpc.prediction import build_multistep, discretize, effort_maps
 from seqmpc.solver import brute_force_kbest, k_best, sphere_decode
 from seqmpc.verify import random_qp_instance
 
@@ -37,9 +37,7 @@ def runs():
         key = (n_h, n_k, n_l, mode, duration)
         if key not in cache:
             cfg = ScenarioConfig(duration=duration)
-            ctrl = ControllerConfig(
-                n_h=n_h, n_k=n_k, n_l=n_l, t_s=cfg.t_s, mode=mode
-            )
+            ctrl = ControllerConfig(n_h=n_h, n_k=n_k, n_l=n_l, mode=mode)
             started = time.perf_counter()
             series = run_scenario(cfg, ctrl)
             elapsed = time.perf_counter() - started
@@ -231,7 +229,8 @@ class TestCriterion8Properties:
             d = discretize(build_grid_subsystem(cfg.grid(), rng.normal(0, 300, 2), dc), cfg.t_s)
             m = build_multistep(d, n_h)
             u = rng.integers(-1, 2, 3)
-            delta = m.diff_mat @ np.tile(u, n_h) - m.prev_sel @ u
+            diff_mat, prev_sel = effort_maps(m.horizon)
+            delta = diff_mat @ np.tile(u, n_h) - prev_sel @ u
             ok &= not delta.any()
         report("criterion 8c (constant-sequence effort is zero)", ok, f"{self.CASES} cases")
         assert ok
@@ -255,7 +254,7 @@ class TestCriterion8Properties:
 
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         cfg = ScenarioConfig(duration=0.02, substeps=2)
-        ctrl = ControllerConfig(n_h=2, n_k=2, n_l=2, t_s=cfg.t_s)
+        ctrl = ControllerConfig(n_h=2, n_k=2, n_l=2)
         paths = []
         for name in ("one.csv", "two.csv"):
             path = tmp_path / name

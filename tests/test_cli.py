@@ -22,6 +22,16 @@ def quick_config(tmp_path):
     return path
 
 
+def steady_window_config(tmp_path, fraction):
+    """An 800-step scenario whose one-period THD window fits, with
+    `steady_fraction` leaving 0 steps (1e-5) or 1 step (0.00125) to the
+    steady window."""
+    cfg = ScenarioConfig(duration=0.04, thd_periods=1, steady_fraction=fraction)
+    path = tmp_path / "steady.ini"
+    path.write_text(dump_config(cfg))
+    return path
+
+
 class TestRun:
     def test_writes_outputs(self, runner, tmp_path, quick_config):
         out = tmp_path / "out"
@@ -60,6 +70,21 @@ class TestRun:
         result = runner.invoke(main, ["run", "--duration", "0.08", "--out", str(tmp_path / "o")])
         assert result.exit_code == 1, result.output
         assert "config error:" in result.output and "THD window" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fraction", [1e-5, 0.00125])
+    def test_steady_window_under_two_steps_exits_one_before_step_zero(
+        self, runner, tmp_path, monkeypatch, fraction
+    ):
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        result = runner.invoke(
+            main, ["run", "--config", str(steady_window_config(tmp_path, fraction)),
+                   "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "steady_fraction" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not steps and not (tmp_path / "o").exists()
 
@@ -191,6 +216,21 @@ class TestSweep:
         )
         assert result.exit_code == 1, result.output
         assert "config error:" in result.output and "THD window" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fraction", [1e-5, 0.00125])
+    def test_steady_window_under_two_steps_exits_one_before_step_zero(
+        self, runner, tmp_path, monkeypatch, fraction
+    ):
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        result = runner.invoke(
+            main, ["sweep", "--config", str(steady_window_config(tmp_path, fraction)),
+                   "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "steady_fraction" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not steps and not (tmp_path / "o").exists()
 

@@ -35,7 +35,7 @@ def running_state(rng):
         i_m_dq=rng.normal(0, 8, 2),
         i_n_ab=rng.normal(0, 8, 2),
         dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5), 1100e-6),
-        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi), 0.05, 20.0),
+        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi), 0.05),
         t=rng.uniform(0, 0.02),
     )
 
@@ -184,12 +184,12 @@ class TestControlStep:
             st = running_state(rng)
             refs_k = build_references(st, MACHINE, refs, T_S)
             seq = control_step(
-                st, ControllerConfig(n_h=2, n_k=1, n_l=1, t_s=T_S), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(),
+                st, ControllerConfig(n_h=2, n_k=1, n_l=1), refs_k,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
             )
             std = control_step(
-                st, ControllerConfig(n_h=2, mode="standard_sd", t_s=T_S), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(),
+                st, ControllerConfig(n_h=2, mode="standard_sd"), refs_k,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
             )
             assert seq.full_u_m == std.full_u_m
             assert seq.full_u_n == std.full_u_n
@@ -203,8 +203,8 @@ class TestControlStep:
         refs = ReferenceState(t_e_ref=0.0, omega_m_ref=0.0)
         refs = build_references(st, MACHINE, refs, T_S)
         out = control_step(
-            st, ControllerConfig(n_h=2, n_k=3, n_l=3, t_s=T_S), refs,
-            MACHINE, quiet_grid, SwitchState.zero(), SwitchState.zero(),
+            st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
+            MACHINE, quiet_grid, SwitchState.zero(), SwitchState.zero(), T_S,
         )
         assert out.s_m == SwitchState.zero()
         assert out.s_n == SwitchState.zero()
@@ -217,8 +217,8 @@ class TestControlStep:
             st = running_state(rng)
             refs_k = build_references(st, MACHINE, refs, T_S)
             out = control_step(
-                st, ControllerConfig(n_h=2, n_k=3, n_l=2, t_s=T_S), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(),
+                st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
             )
             assert_allclose(out.s_m.as_array(), out.full_u_m.first_block())
             assert_allclose(out.s_n.as_array(), out.full_u_n.first_block())
@@ -236,13 +236,13 @@ class TestControlStep:
         )
         from seqmpc.solver import assemble_qp
 
-        cfg = ControllerConfig(n_h=2, n_k=4, n_l=4, t_s=T_S)
+        cfg = ControllerConfig(n_h=2, n_k=4, n_l=4)
         refs = ReferenceState(t_e_ref=12.0, omega_m_ref=100.0)
         for _ in range(5):
             st = running_state(rng)
             refs_k = _build(st, MACHINE, refs, T_S)
             out = control_step(
-                st, cfg, refs_k, MACHINE, GRID, SwitchState.zero(), SwitchState.zero()
+                st, cfg, refs_k, MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S
             )
             y_m, y_n = stack_reference(refs_k, cfg.n_h)
             multi_m = build_multistep(
@@ -267,8 +267,8 @@ class TestControlStep:
         st = running_state(rng)
         refs = build_references(st, MACHINE, ReferenceState(t_e_ref=5.0), T_S)
         out = control_step(
-            st, ControllerConfig(n_h=1, n_k=2, n_l=2, t_s=T_S), refs,
-            MACHINE, GRID, SwitchState.zero(), SwitchState.zero(),
+            st, ControllerConfig(n_h=1, n_k=2, n_l=2), refs,
+            MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
         )
         assert out.nodes_m >= 3 and out.nodes_n >= 3
         assert out.j_m >= 0.0 and out.j_n >= 0.0 and out.j_o >= 0.0

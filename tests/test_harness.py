@@ -137,7 +137,7 @@ class TestProfiles:
 class TestRunScenario:
     def test_record_count(self):
         cfg = ScenarioConfig(duration=0.001, substeps=2)
-        series = run_scenario(cfg, ControllerConfig(n_h=1, t_s=cfg.t_s))
+        series = run_scenario(cfg, ControllerConfig(n_h=1))
         assert len(series) == 20
 
     def test_zero_source_scenario_stays_at_zero(self):
@@ -147,7 +147,7 @@ class TestRunScenario:
             torque_nm=((0.0, 0.0),),
             pi_kp=0.0, pi_ki=0.0,
         )
-        series = run_scenario(cfg, ControllerConfig(n_h=1, t_s=cfg.t_s))
+        series = run_scenario(cfg, ControllerConfig(n_h=1))
         assert np.abs(series.column("i_m_d")).max() == 0.0
         assert np.abs(series.column("i_n_al")).max() == 0.0
         assert np.abs(series.column("v_imb")).max() == 0.0
@@ -171,7 +171,7 @@ class TestRunScenario:
 
     def test_determinism_bytes(self, tmp_path):
         cfg = quick_cfg()
-        ctrl = ControllerConfig(n_h=1, n_k=2, n_l=2, t_s=cfg.t_s)
+        ctrl = ControllerConfig(n_h=1, n_k=2, n_l=2)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         run_scenario(cfg, ctrl).write_csv(a)
@@ -182,15 +182,14 @@ class TestRunScenario:
 class TestMetricsPipeline:
     def test_metrics_are_finite_and_nonnegative(self):
         cfg = quick_cfg(duration=0.08)
-        series = run_scenario(cfg, ControllerConfig(n_h=1, n_k=2, n_l=2, t_s=cfg.t_s))
+        series = run_scenario(cfg, ControllerConfig(n_h=1, n_k=2, n_l=2))
         metrics = compute_metrics(series, cfg)
-        for name in metrics.FIELDS:
-            value = getattr(metrics, name)
+        for value in dataclasses.astuple(metrics):
             assert np.isfinite(value) and value >= 0.0
 
     def test_node_accounting_matches_series(self):
         cfg = quick_cfg()
-        series = run_scenario(cfg, ControllerConfig(n_h=1, t_s=cfg.t_s))
+        series = run_scenario(cfg, ControllerConfig(n_h=1))
         nodes = series.column("nodes_m") + series.column("nodes_n")
         got = compute_metrics(series, cfg)
         assert got.avg_nodes == pytest.approx(nodes.mean())
@@ -259,8 +258,8 @@ class TestModeEquivalence:
         # with one candidate per side the imbalance stage has nothing to
         # choose, so both modes must emit the same switches at every step
         cfg = quick_cfg(duration=0.02)
-        seq = run_scenario(cfg, ControllerConfig(n_h=2, n_k=1, n_l=1, t_s=cfg.t_s))
-        std = run_scenario(cfg, ControllerConfig(n_h=2, mode="standard_sd", t_s=cfg.t_s))
+        seq = run_scenario(cfg, ControllerConfig(n_h=2, n_k=1, n_l=1))
+        std = run_scenario(cfg, ControllerConfig(n_h=2, mode="standard_sd"))
         for col in ("s_m_a", "s_m_b", "s_m_c", "s_n_a", "s_n_b", "s_n_c"):
             assert (seq.column(col) == std.column(col)).all()
         assert (seq.column("v_imb") == std.column("v_imb")).all()
@@ -274,11 +273,28 @@ class TestConfigFiles:
             n_ks=(2,),
             modes=("sequential", "standard_sd"),
             speed_rpm=((0.0, 900.0), (0.1, 1125.0)),
+            # a load torque that perfbench's seed 7 draws: 17 significant digits
+            torque_nm=((0.0, 24.647665529666323),),
         )
         path = tmp_path / "scenario.ini"
         path.write_text(dump_config(cfg))
         loaded = load_config(path)
         assert loaded == cfg
+
+    def test_round_trip_is_exact_for_every_float(self, tmp_path):
+        # one ulp above each float default, profiles and lists included
+        def up(value):
+            if isinstance(value, tuple):
+                return tuple(up(v) for v in value)
+            return math.nextafter(value, math.inf) if isinstance(value, float) else value
+
+        cfg = ScenarioConfig(
+            **{f.name: up(f.default) for f in dataclasses.fields(ScenarioConfig)}
+        )
+        assert cfg != ScenarioConfig()
+        path = tmp_path / "scenario.ini"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

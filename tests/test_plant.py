@@ -129,7 +129,7 @@ class TestIntegratePlant:
             assert repr(_kernels.integrate_plant(*args)) == repr(composed_integrate_plant(*args))
 
 
-def random_state(rng, t_m=0.0):
+def random_state(rng):
     return PlantState(
         i_m_dq=rng.normal(0, 10, 2),
         i_n_ab=rng.normal(0, 10, 2),
@@ -138,7 +138,6 @@ def random_state(rng, t_m=0.0):
             omega_m=rng.uniform(0, 120),
             theta_e=rng.uniform(0, 2 * math.pi),
             inertia_j=0.05,
-            t_m=t_m,
         ),
         t=rng.uniform(0, 0.02),
     )
@@ -286,12 +285,12 @@ class TestTorque:
         assert electromagnetic_torque(i_q, MACHINE) == pytest.approx(t_ref)
 
 
-def rotor_state(omega_m, theta_e, inertia_j, t_m, i_q=0.0):
+def rotor_state(omega_m, theta_e, inertia_j, i_q=0.0):
     return PlantState(
         i_m_dq=np.array([0.0, i_q]),
         i_n_ab=np.zeros(2),
         dc=DC,
-        mech=MechState(omega_m, theta_e, inertia_j, t_m),
+        mech=MechState(omega_m, theta_e, inertia_j),
         t=0.0,
     )
 
@@ -301,21 +300,26 @@ class TestMechStep:
 
     def test_torque_balance(self):
         i_q = 10.0
-        st = rotor_state(50.0, 1.0, 0.05, electromagnetic_torque(i_q, MACHINE), i_q)
-        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1e-3, 1)
+        st = rotor_state(50.0, 1.0, 0.05, i_q)
+        t_m = electromagnetic_torque(i_q, MACHINE)
+        out = plant_step(
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, t_m, 1e-3, 1
+        )
         assert out.mech.omega_m == st.mech.omega_m
 
     def test_acceleration(self):
-        st = rotor_state(0.0, 0.0, 0.1, 10.0)
-        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1e-3, 1)
+        st = rotor_state(0.0, 0.0, 0.1)
+        out = plant_step(
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 10.0, 1e-3, 1
+        )
         assert out.mech.omega_m == pytest.approx(0.1)
 
     def test_angle_stays_wrapped(self):
         # a huge inertia holds ~100 rad/s, so one second turns the rotor
         # through ~48 electrical revolutions
-        st = rotor_state(100.0, 0.0, 1e9, 0.0)
+        st = rotor_state(100.0, 0.0, 1e9)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 1.0, 10_000
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 1.0, 10_000
         )
         assert out.mech.omega_m == pytest.approx(100.0)
         assert 0.0 <= out.mech.theta_e < 2 * math.pi
@@ -323,19 +327,22 @@ class TestMechStep:
 
 class TestPlantStep:
     def test_fixed_point(self):
-        st = PlantState.initial(MACHINE, t_m=0.0)
-        out = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 50e-6, 10)
+        st = PlantState.initial(MACHINE)
+        out = plant_step(
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 50e-6, 10
+        )
         assert_allclose(out.i_m_dq, st.i_m_dq)
         assert_allclose(out.i_n_ab, st.i_n_ab)
         assert out.dc.v_dc == st.dc.v_dc
         assert out.mech.omega_m == st.mech.omega_m
 
     def test_single_substep_equals_composed_euler(self, rng):
-        st = random_state(rng, t_m=3.0)
+        st = random_state(rng)
         s_m = SwitchState(1, 0, -1)
         s_n = SwitchState(-1, 1, 0)
+        t_m = 3.0
         dt = 50e-6
-        out = plant_step(st, s_m, s_n, MACHINE, GRID, dt, substeps=1)
+        out = plant_step(st, s_m, s_n, MACHINE, GRID, t_m, dt, substeps=1)
 
         omega_e = MACHINE.pole_pairs * st.mech.omega_m
         u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
@@ -352,7 +359,7 @@ class TestPlantStep:
         )
         t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
         # the rotor angle integrates the freshly updated speed
-        omega_m = st.mech.omega_m + dt * (st.mech.t_m - t_e) / st.mech.inertia_j
+        omega_m = st.mech.omega_m + dt * (t_m - t_e) / st.mech.inertia_j
         theta_e = (st.mech.theta_e + dt * (MACHINE.pole_pairs * omega_m)) % (2 * math.pi)
 
         assert_allclose(out.i_m_dq, st.i_m_dq + dt * np.array(d_m), rtol=1e-12)
@@ -365,13 +372,13 @@ class TestPlantStep:
     def test_substep_refinement_is_first_order(self, rng):
         # halving the substep size should roughly halve the distance to a
         # fine-grained reference (explicit Euler is order one)
-        st = random_state(rng, t_m=5.0)
+        st = random_state(rng)
         s_m = SwitchState(1, -1, 0)
         s_n = SwitchState(0, -1, 1)
         dt = 50e-6
 
         def state_vec(substeps):
-            out = plant_step(st, s_m, s_n, MACHINE, GRID, dt, substeps)
+            out = plant_step(st, s_m, s_n, MACHINE, GRID, 5.0, dt, substeps)
             return np.concatenate(
                 [out.i_m_dq, out.i_n_ab, [out.dc.v_dc, out.dc.v_imb, out.mech.omega_m]]
             )
@@ -390,7 +397,7 @@ class TestPlantStep:
             i_m_dq=np.array([7.0, 0.0]),
             i_n_ab=np.zeros(2),
             dc=DC,
-            mech=MechState(0.0, 0.0, 0.05, t_m=0.0),
+            mech=MechState(0.0, 0.0, 0.05),
             t=0.0,
         )
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
@@ -399,7 +406,9 @@ class TestPlantStep:
         i_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, 0.0))
         assert s_m.as_array() @ i_abc > 0
         for _ in range(50):
-            st = plant_step(st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, 50e-6, 1)
+            st = plant_step(
+                st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, 0.0, 50e-6, 1
+            )
             assert st.dc.v_dc > v_prev
             v_prev = st.dc.v_dc
 
@@ -410,13 +419,15 @@ class TestPlantStep:
             i_m_dq=rng.normal(0, 10, 2),
             i_n_ab=rng.normal(0, 10, 2),
             dc=DC,
-            mech=MechState(0.0, 0.3, 1e9, t_m=0.0),
+            mech=MechState(0.0, 0.3, 1e9),
             t=0.0,
         )
         prev_m = np.linalg.norm(st.i_m_dq)
         prev_n = np.linalg.norm(st.i_n_ab)
         for _ in range(100):
-            st = plant_step(st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 50e-6, 5)
+            st = plant_step(
+                st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 50e-6, 5
+            )
             cur_m = np.linalg.norm(st.i_m_dq)
             cur_n = np.linalg.norm(st.i_n_ab)
             assert cur_m <= prev_m * (1 + 1e-12)

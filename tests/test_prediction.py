@@ -16,6 +16,7 @@ from seqmpc.prediction import (
     build_multistep,
     build_step_models,
     discretize,
+    effort_maps,
     imbalance_contributions,
     predict_imbalance,
     predict_outputs,
@@ -34,7 +35,7 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
         i_m_dq=i_m,
         i_n_ab=i_n,
         dc=DcLinkState(700.0, v_imb, 1100e-6),
-        mech=MechState(omega_m, theta, 0.05, 0.0),
+        mech=MechState(omega_m, theta, 0.05),
         t=0.004,
     )
 
@@ -161,8 +162,9 @@ class TestMultistep:
         assert_allclose(m.forced_map, d.output_mat @ d.input_mat)
         assert_allclose(m.free_map, d.output_mat @ d.state_mat)
         assert_allclose(m.drift_vec, d.output_mat @ d.drift)
-        assert_allclose(m.diff_mat, np.eye(3))
-        assert_allclose(m.prev_sel, np.eye(3))
+        diff_mat, prev_sel = effort_maps(1)
+        assert_allclose(diff_mat, np.eye(3))
+        assert_allclose(prev_sel, np.eye(3))
 
     def test_identity_transition_stacks_input_blocks(self):
         d = DiscreteModel(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
@@ -174,12 +176,11 @@ class TestMultistep:
         assert_allclose(m.forced_map[2:, 3:], cb)
 
     def test_constant_sequence_has_zero_effort(self, rng):
-        d = discretize(build_grid_subsystem(GRID, grid_emf(0.0, GRID), DC), T_S)
         for n_h in (1, 2, 4):
-            m = build_multistep(d, n_h)
+            diff_mat, prev_sel = effort_maps(n_h)
             u = rng.integers(-1, 2, 3)
             stacked = np.tile(u, n_h)
-            assert_allclose(m.diff_mat @ stacked - m.prev_sel @ u, np.zeros(3 * n_h))
+            assert_allclose(diff_mat @ stacked - prev_sel @ u, np.zeros(3 * n_h))
 
     @pytest.mark.parametrize("n_h", [1, 2, 3, 5])
     def test_stacked_equals_iterated(self, n_h, rng):
@@ -213,7 +214,7 @@ def random_state(rng, omega_m=None):
         dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
         mech=MechState(
             float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
-            float(rng.uniform(0, 2 * math.pi)), 0.05, 0.0,
+            float(rng.uniform(0, 2 * math.pi)), 0.05,
         ),
         t=float(rng.uniform(0, 0.02)),
     )

@@ -226,7 +226,7 @@ class TestTwoSideStack:
             i_n_ab=rng.normal(0, 20, 2),
             dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
             mech=MechState(
-                float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi)), 0.05, 0.0
+                float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi)), 0.05
             ),
             t=float(rng.uniform(0, 0.02)),
         )
@@ -677,7 +677,7 @@ class TestSelectPair:
             i_m_dq=np.asarray(i_m_dq, float),
             i_n_ab=np.asarray(i_n_ab, float),
             dc=DcLinkState(700.0, v_imb, 1100e-6),
-            mech=MechState(omega_m, theta, 0.05, 0.0),
+            mech=MechState(omega_m, theta, 0.05),
             t=0.001,
         )
 
@@ -860,8 +860,7 @@ class TestSelectPair:
         for n_h in (1, 2, 3):
             m = build_multistep(d, n_h)
             diff, prev = effort_maps(n_h)
-            assert m.diff_mat is diff and m.prev_sel is prev
-            assert build_multistep(d, n_h).diff_mat is diff
+            assert effort_maps(n_h)[0] is diff and effort_maps(n_h)[1] is prev
             gram = effort_gram(n_h, 0.1)
             assert effort_gram(n_h, 0.1) is gram
             assert np.array_equal(gram, 0.1 * (diff.T @ diff))
