@@ -7,8 +7,9 @@ exactly the per-layer metrics that `BENCHMARK.json` lists.  A name that
 perfbench wraps and the code no longer has leaves its metrics absent, so
 the test fails.  A name that is still wrapped but no longer called reads 0,
 so the test also bounds the metrics that read exactly 0 on this unit to those
-that have no calls to count on a traced `startup` run.  Like `test_golden.py`, it only reads the benchmark's
-files; the run itself writes under the git-ignored `perfbench/_out/`.
+that have no calls to count on a traced `startup` run.  Like
+`test_golden.py`, it only reads the benchmark's files; the run itself writes
+under the git-ignored `perfbench/_out/`.
 """
 
 import json
