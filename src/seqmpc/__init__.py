@@ -14,7 +14,7 @@ Library layout:
   and lists
 """
 
-from .controller import ControllerConfig, ControlDecision, ReferenceState, control_step
+from .controller import ControllerConfig, ControlDecision, DcLinkPi, ReferenceState, control_step
 from .harness import RunMetrics, ScenarioConfig, TimeSeries, run_scenario, sweep
 from .plant import (
     DcLinkState,
@@ -33,6 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ControllerConfig",
     "ControlDecision",
+    "DcLinkPi",
     "ReferenceState",
     "control_step",
     "RunMetrics",

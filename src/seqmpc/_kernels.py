@@ -25,7 +25,12 @@ walk indexes per-layer lists on every node, and that indexing, not the
 arithmetic, was most of its time.  Every expanded node evaluates all three
 of its children.
 `cholesky_lower` is generated the same way, once per matrix size
-(`_cholesky_of_size`): straight-line code with one local per entry.
+(`_cholesky_of_size`): straight-line code with one local per entry.  So is
+the box test `outside_box` (`_box_test_of_size`): one line per row, the
+row's absolute values added left to right from 0, as `sum` added them
+before Python 3.12.  From 3.12 `sum` of floats is compensated, so a `sum`
+form would let the walk, and with it the node counts, depend on the
+Python version.
 
 The plant integrator's substep is straight-line code too: the converter
 voltages, the transforms and the derivatives are written out in the loop
@@ -322,17 +327,40 @@ def outside_box(h, u_check):
     """Whether some row r >= 1 has |u_check[r]| > sum_l |h[r][l]|: the
     choice between the walks of `sd_search`, which give the same result.
 
-    `sd_search` runs it on every call.  At n = 9 it takes 7-12 us per call
-    (timeit over 1 000 perfbench `steady` subproblems, shared 2-core host),
-    about a tenth of a decoder call there, and is true on 4 % of them.
-    With every row's target inside the range its row can reach, the box
-    bound cuts only paths that stray from the target, and that costs more
-    than it saves: on the 3 660 such decoder calls of perfbench `steady`
-    (seed 0) it cut 15 % of the nodes and took 24 % more time.
+    `h` and `u_check` are lists.  The test runs in straight-line code
+    generated once per size (`_box_test_of_size`), each row's sum added
+    left to right from 0.  `sd_search` runs it on every call; at n = 9 it
+    takes 2-4 us per call against 7-11 us for a `sum` over each row
+    (timeit, medians of 9 over 1 000 perfbench `steady` subproblems, shared
+    2-core Xeon, Python 3.11), and is true on 4 % of those calls.  With
+    every row's target inside the range its row can reach, the box bound
+    cuts only paths that stray from the target, and that costs more than it
+    saves: on the 3 660 such decoder calls of perfbench `steady` (seed 0)
+    it cut 15 % of the nodes and took 24 % more time.
     """
-    return any(
-        abs(c) > sum(map(abs, h[r][: r + 1])) for r, c in enumerate(u_check) if r
-    )
+    return _box_test_of_size(len(h))(h, u_check)
+
+
+def _box_test_source(n):
+    """Source of `outside_box(h, u_check) -> bool` for n layers: per row
+    r >= 1, in ascending r, the test |c_r| > 0 + |h_r0| + ... + |h_rr|,
+    added left to right."""
+    lines = ["def outside_box(h, u_check):"]
+    if n > 1:
+        lines.append("    _, " + "".join(f"h_{r}, " for r in range(1, n)) + "= h")
+        lines.append("    _, " + "".join(f"c_{r}, " for r in range(1, n)) + "= u_check")
+    for r in range(1, n):
+        terms = "".join(f" + abs(h_{r}[{l}])" for l in range(r + 1))
+        lines += [f"    if abs(c_{r}) > 0{terms}:", "        return True"]
+    lines.append("    return False")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _box_test_of_size(n):
+    """The compiled `_box_test_source(n)`, built once per size and
+    registered with `linecache` as ``<outside_box n=...>``."""
+    return _compile(_box_test_source(n), f"<outside_box n={n}>", "outside_box")
 
 
 #: layers of the deepest search: CPython compiles at most 20 statically

@@ -4,9 +4,17 @@ Per sampling period: read the plant state, refresh the current/power
 references, condense and solve the machine-side and grid-side integer
 least-squares subproblems for their k best candidates, pick the candidate
 pair with the least predicted DC-link imbalance, and emit the first switch
-block of each chosen sequence.  The sampling period belongs to the scenario;
-the closed loop passes it to `build_references` and `control_step`, and
-`ControllerConfig` holds only the controller's own settings.
+block of each chosen sequence.  The sampling period and the DC-link
+capacitance belong to the scenario; the closed loop passes them to
+`build_references` and `control_step`, and `ControllerConfig` holds only the
+controller's own settings.
+
+References.  `build_references` builds the step's one `ReferenceState` from
+the plant state, the torque and speed references of the outer loop and the
+DC-link PI regulator's integral carried over from the previous step.  The
+regulator's gains, clamp and voltage reference are fixed for a run: they
+live in a `DcLinkPi` built once per run, which the loop passes on every
+step, and the reference state keeps only what changes from step to step.
 
 `standard_sd` mode is the no-balancing baseline: each side keeps a single
 candidate, so the imbalance stage only scores the one pair of best sequences.
@@ -66,23 +74,33 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class ReferenceState:
-    """Reference quantities plus the DC-link PI regulator state.
+class DcLinkPi:
+    """Settings of the DC-link voltage PI regulator, fixed for a run.
 
-    The d-axis current and reactive-power references are structurally zero.
-    `pi_kp`/`pi_ki` act on (v_dc_ref - v_dc); with this plant raising the
-    grid active power discharges the link, so stabilizing gains are negative.
+    `kp`/`ki` act on (v_dc_ref - v_dc); with this plant raising the grid
+    active power discharges the link, so stabilizing gains are negative.
+    The regulator's output, the grid current reference, is clamped to
+    [-clamp, clamp].  The values are not checked here: `ScenarioConfig`
+    checks them once per run.
     """
 
-    t_e_ref: float = 0.0
+    kp: float
+    ki: float
+    clamp: float
+    v_dc_ref: float
+
+
+@dataclass(frozen=True)
+class ReferenceState:
+    """One step's current and power references plus the DC-link PI
+    regulator's integral.
+
+    The d-axis current and reactive-power references are structurally zero.
+    """
+
     i_dq_ref: tuple = (0.0, 0.0)
     pq_ref: tuple = (0.0, 0.0)
     integral: float = 0.0
-    pi_kp: float = -0.5
-    pi_ki: float = -20.0
-    pi_clamp: float = 50.0
-    v_dc_ref: float = 700.0
-    omega_m_ref: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -101,37 +119,32 @@ class ControlDecision:
 
 
 def build_references(
-    st: PlantState, machine: MachineParams, refs: ReferenceState, dt: float
+    st: PlantState,
+    machine: MachineParams,
+    pi: DcLinkPi,
+    t_e_ref: float,
+    omega_m_ref: float,
+    integral: float,
+    dt: float,
 ) -> ReferenceState:
     """Refresh current and power references from the torque reference.
 
     The q-axis current reference inverts the torque map; the grid active
     power reference feeds forward the mechanical power and corrects the
-    DC-link voltage through a clamped PI loop.
+    DC-link voltage through the clamped PI loop `pi`, whose integral enters
+    as `integral` and leaves in the returned state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    i_q_ref = refs.t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
-    err = refs.v_dc_ref - st.dc.v_dc
-    integral = refs.integral + dt * err
-    if refs.pi_ki != 0.0:
-        bound = abs(refs.pi_clamp / refs.pi_ki)
+    i_q_ref = t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
+    err = pi.v_dc_ref - st.dc.v_dc
+    integral = integral + dt * err
+    if pi.ki != 0.0:
+        bound = abs(pi.clamp / pi.ki)
         integral = float(min(max(integral, -bound), bound))
-    i_g_ref = float(
-        min(max(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp), refs.pi_clamp)
-    )
-    p_ref = st.dc.v_dc * i_g_ref + refs.omega_m_ref * refs.t_e_ref
-    return ReferenceState(
-        t_e_ref=refs.t_e_ref,
-        i_dq_ref=(0.0, i_q_ref),
-        pq_ref=(p_ref, 0.0),
-        integral=integral,
-        pi_kp=refs.pi_kp,
-        pi_ki=refs.pi_ki,
-        pi_clamp=refs.pi_clamp,
-        v_dc_ref=refs.v_dc_ref,
-        omega_m_ref=refs.omega_m_ref,
-    )
+    i_g_ref = float(min(max(pi.kp * err + pi.ki * integral, -pi.clamp), pi.clamp))
+    p_ref = st.dc.v_dc * i_g_ref + omega_m_ref * t_e_ref
+    return ReferenceState(i_dq_ref=(0.0, i_q_ref), pq_ref=(p_ref, 0.0), integral=integral)
 
 
 def stack_reference(refs: ReferenceState, n_h: int) -> np.ndarray:
@@ -151,16 +164,17 @@ def control_step(
     u_prev_m: SwitchState,
     u_prev_n: SwitchState,
     t_s: float,
+    c_dc: float,
 ) -> ControlDecision:
     """Solve both subproblems and the imbalance stage for one sampling
-    period `t_s`.
+    period `t_s`, with DC-link capacitance `c_dc`.
 
     Each side's model is built and discretized once; the multistep stacking
     and the imbalance stage share it.  Both sides' subproblems are stacked
     and go through the multistep stacking and the condensation together,
     machine side first.
     """
-    models = build_step_models(st, machine, grid, t_s)
+    models = build_step_models(st, machine, grid, t_s, c_dc)
     multi = build_multistep(models.sides, cfg.n_h)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
     u_prev = np.array([(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)])

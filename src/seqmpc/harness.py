@@ -3,12 +3,14 @@
 A scenario bundles the plant parameters, initial conditions, piecewise
 reference profiles and the controller configuration(s).  `run_scenario`
 alternates the controller and the plant for the requested duration and
-returns a uniformly sampled record of everything; on each step it passes
-the scenario's sampling period to the controller and the plant, and the
-load torque of the profile to the plant.  Metric helpers reduce a record to
-THD / RMSE / switching-frequency / node-count figures; `sweep` crosses
-controller-parameter lists and collects one metrics row per configuration.
-Runs are fully deterministic for a given configuration.
+returns a uniformly sampled record of everything.  The run's constants
+have one owner, `ScenarioConfig`: on each step the loop passes the sampling
+period and the DC-link capacitance to the controller and the plant, the
+DC-link PI settings (built once per run) to `build_references`, and the
+rotor inertia and the profile's load torque to the plant.  Metric helpers
+reduce a record to THD / RMSE / switching-frequency / node-count figures;
+`sweep` crosses controller-parameter lists and collects one metrics row per
+configuration.  Runs are fully deterministic for a given configuration.
 
 `ScenarioConfig`'s field defaults are the only record of each config key's
 type and of whether it is a list: the config file reader and writer read
@@ -27,7 +29,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import _kernels as _k
-from .controller import ControllerConfig, ReferenceState, build_references, control_step
+from .controller import ControllerConfig, DcLinkPi, build_references, control_step
 from .plant import (
     GridParams,
     MachineParams,
@@ -119,6 +121,8 @@ class ScenarioConfig:
             raise ConfigError("duration and t_s must be positive")
         if self.substeps < 1:
             raise ConfigError("substeps must be >= 1")
+        if not (self.c_dc > 0 and self.inertia > 0):
+            raise ConfigError("c_dc and inertia must be positive")
         if self.t_e_max < 0 or self.pi_clamp < 0:
             raise ConfigError("t_e_max and pi_clamp must be >= 0")
         if not 0 < self.steady_fraction <= 1:
@@ -129,7 +133,7 @@ class ScenarioConfig:
             times = [t for t, _ in prof]
             if times != sorted(times):
                 raise ConfigError("profiles must be sorted by time")
-        # the plant parameters and the initial state check themselves
+        # the other plant parameters and the initial state check themselves
         try:
             self.grid()
             self.initial_state()
@@ -141,6 +145,9 @@ class ScenarioConfig:
 
     def grid(self) -> GridParams:
         return GridParams(self.r_n, self.l_n, self.e_peak, self.omega_n)
+
+    def dc_link_pi(self) -> DcLinkPi:
+        return DcLinkPi(self.pi_kp, self.pi_ki, self.pi_clamp, self.v_dc_ref)
 
     def controller(self) -> ControllerConfig:
         for name in ("horizons", "n_ks", "n_ls", "lambdas", "modes"):
@@ -164,7 +171,9 @@ class ScenarioConfig:
         # along the common-mode switch vector only the effort term keeps the
         # condensed Gram matrix positive definite, so a positive but tiny
         # weight fails the factorization; reject it here, not on step 0
-        models = build_step_models(self.initial_state(), self.machine(), self.grid(), self.t_s)
+        models = build_step_models(
+            self.initial_state(), self.machine(), self.grid(), self.t_s, self.c_dc
+        )
         try:
             assemble_qp(
                 build_multistep(models.sides, n_h), np.zeros((2, 2)), np.zeros((2, 2 * n_h)),
@@ -181,8 +190,6 @@ class ScenarioConfig:
             self.machine(),
             v_dc=self.v_dc0,
             v_imb=self.v_imb0,
-            c=self.c_dc,
-            inertia=self.inertia,
             omega_m=self.omega_m0,
             theta_e=self.theta_e0,
         )
@@ -319,6 +326,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     ctrl = controller if controller is not None else cfg.controller()
     machine = cfg.machine()
     grid = cfg.grid()
+    pi = cfg.dc_link_pi()
     state = cfg.initial_state()
     integral = 0.0  # of the DC-link PI regulator
     u_prev_m = SwitchState.zero()
@@ -339,20 +347,12 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
         # reference; positive gain brakes above the speed reference
         t_e_ref = cfg.speed_kp * (state.mech.omega_m - omega_ref) + t_mech
         t_e_ref = float(min(max(t_e_ref, -cfg.t_e_max), cfg.t_e_max))
-        refs = build_references(
-            state,
-            machine,
-            ReferenceState(
-                t_e_ref=t_e_ref, integral=integral, pi_kp=cfg.pi_kp, pi_ki=cfg.pi_ki,
-                pi_clamp=cfg.pi_clamp, v_dc_ref=cfg.v_dc_ref, omega_m_ref=omega_ref,
-            ),
-            cfg.t_s,
-        )
+        refs = build_references(state, machine, pi, t_e_ref, omega_ref, integral, cfg.t_s)
         integral = refs.integral
 
         try:
             decision = control_step(
-                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s
+                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s, cfg.c_dc
             )
             p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
             i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
@@ -362,12 +362,15 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
                 t, i_md, i_mq, i_ma, i_mb, i_mc,
                 i_na, i_nb, state.dc.v_dc, state.dc.v_imb,
                 state.mech.omega_m, electromagnetic_torque(i_mq, machine),
-                refs.t_e_ref, refs.i_dq_ref[1],
+                t_e_ref, refs.i_dq_ref[1],
                 p, q, refs.pq_ref[0], refs.pq_ref[1],
                 s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
                 decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
             )
-            state = plant_step(state, s_m, s_n, machine, grid, t_mech, cfg.t_s, cfg.substeps)
+            state = plant_step(
+                state, s_m, s_n, machine, grid, cfg.c_dc, cfg.inertia, t_mech, cfg.t_s,
+                cfg.substeps,
+            )
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
         except SolverError as exc:

@@ -4,8 +4,11 @@ The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
 holding the applied switch states and the load torque constant over each
 controller period (zero-order hold).  Both are inputs of `plant_step`, which
-the closed loop passes on every step; the state holds what the integration
-advances, plus the DC-link capacitance and the rotor inertia.  The
+the closed loop passes on every step.  The state holds only what the
+integration advances: currents, DC-link voltages, speed, angle and time.
+The DC-link capacitance and the rotor inertia are parameters of the run,
+like the machine and grid parameters; `ScenarioConfig` owns and checks
+them once, and the loop passes them to `plant_step`.  The
 integration itself runs in `_kernels.integrate_plant` on Python floats, one
 straight-line substep per sub-interval (see the `_kernels` module docstring
 for why it is bit-identical to composing the per-operation physics).  The
@@ -58,15 +61,14 @@ class SwitchState:
 
 @dataclass(frozen=True)
 class DcLinkState:
-    """Total DC-link voltage, capacitor imbalance and capacitance."""
+    """Total DC-link voltage and capacitor imbalance."""
 
     v_dc: float
     v_imb: float
-    c: float
 
     def __post_init__(self):
-        if not (self.v_dc > 0.0 and self.c > 0.0):
-            raise ValueError("v_dc and c must be positive")
+        if not self.v_dc > 0.0:
+            raise ValueError("v_dc must be positive")
         if not (math.isfinite(self.v_dc) and math.isfinite(self.v_imb)):
             raise ValueError("non-finite DC-link state")
 
@@ -101,13 +103,10 @@ class GridParams:
 
 @dataclass(frozen=True)
 class MechState:
+    """Rotor speed and electrical angle."""
+
     omega_m: float
     theta_e: float
-    inertia_j: float
-
-    def __post_init__(self):
-        if self.inertia_j <= 0:
-            raise ValueError("inertia must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,11 @@ class PlantState:
         machine: MachineParams,
         v_dc: float = 700.0,
         v_imb: float = 0.0,
-        c: float = 1100e-6,
-        inertia: float = 0.05,
         omega_m: float = 0.0,
         theta_e: float = 0.0,
     ) -> "PlantState":
-        mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI, inertia_j=inertia)
-        dc = DcLinkState(v_dc=v_dc, v_imb=v_imb, c=c)
+        mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI)
+        dc = DcLinkState(v_dc=v_dc, v_imb=v_imb)
         dc.validate_balanced()
         return cls(
             i_m_dq=np.zeros(2),
@@ -183,12 +180,15 @@ def plant_step(
     s_n: SwitchState,
     machine: MachineParams,
     grid: GridParams,
+    c_dc: float,
+    inertia: float,
     t_m: float,
     dt: float,
     substeps: int = 10,
 ) -> PlantState:
     """Advance the plant by one controller period under constant switches
-    and the load torque `t_m`."""
+    and the load torque `t_m`, with DC-link capacitance `c_dc` and rotor
+    inertia `inertia` (both positive; `ScenarioConfig` checks them)."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
     out = _k.integrate_plant(
@@ -199,7 +199,7 @@ def plant_step(
         s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
         machine.r_s, machine.l_s, machine.psi_pm, machine.pole_pairs,
         grid.r_n, grid.l_n, grid.e_peak, grid.omega_n,
-        st.dc.c, st.mech.inertia_j, t_m,
+        c_dc, inertia, t_m,
         dt, substeps,
     )
     i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t = out
@@ -211,7 +211,7 @@ def plant_step(
     return PlantState(
         i_m_dq=np.array([i_md, i_mq]),
         i_n_ab=np.array([i_na, i_nb]),
-        dc=DcLinkState(v_dc=v_dc, v_imb=v_imb, c=st.dc.c),
-        mech=MechState(omega_m, theta_e, st.mech.inertia_j),
+        dc=DcLinkState(v_dc=v_dc, v_imb=v_imb),
+        mech=MechState(omega_m, theta_e),
         t=t,
     )

@@ -294,10 +294,10 @@ class StepModels:
 
 
 def build_step_models(
-    st: PlantState, machine: MachineParams, grid: GridParams, t_s: float
+    st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float
 ) -> StepModels:
     """Both sides' discretized models for the control step at `st`, written
-    into the two-side stack directly.
+    into the two-side stack directly, and the imbalance gain t_s / c_dc.
 
     Each entry is the one that `discretize` computes from
     `build_machine_subsystem` and `build_grid_subsystem`, by the same
@@ -334,7 +334,7 @@ def build_step_models(
     return StepModels(
         sides=sides,
         proj=np.array((CLARKE_PINV_MAT @ park.T, CLARKE_PINV_MAT)),
-        gain=t_s / st.dc.c,
+        gain=t_s / c_dc,
     )
 
 

@@ -32,7 +32,6 @@ def _random_side(rng: np.random.Generator, cfg: ScenarioConfig):
     dc = DcLinkState(
         v_dc=float(rng.uniform(600.0, 800.0)),
         v_imb=float(rng.uniform(-5.0, 5.0)),
-        c=cfg.c_dc,
     )
     if rng.random() < 0.5:
         omega_e = float(rng.uniform(-400.0, 400.0))

@@ -222,7 +222,7 @@ class TestCriterion8Properties:
 
         rng = np.random.default_rng(888)
         cfg = ScenarioConfig()
-        dc = DcLinkState(700.0, 0.0, cfg.c_dc)
+        dc = DcLinkState(700.0, 0.0)
         ok = True
         for _ in range(self.CASES):
             n_h = int(rng.integers(1, 5))

@@ -144,6 +144,7 @@ class TestRun:
             ("plant", "r_s", "-1"),
             ("plant", "l_n", "0"),
             ("plant", "inertia", "0"),
+            ("plant", "c_dc", "0"),
             ("initial", "v_dc0", "inf"),
             ("initial", "v_imb0", "800"),
         ],

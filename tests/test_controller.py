@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from seqmpc.controller import (
     MAX_HORIZON,
     ControllerConfig,
+    DcLinkPi,
     ReferenceState,
     build_references,
     control_step,
@@ -27,6 +29,8 @@ from seqmpc.solver import k_best
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
 T_S = 50e-6
+C_DC = 1100e-6
+PI = DcLinkPi(kp=-0.5, ki=-20.0, clamp=50.0, v_dc_ref=700.0)
 
 
 def running_state(rng):
@@ -34,8 +38,8 @@ def running_state(rng):
     return PlantState(
         i_m_dq=rng.normal(0, 8, 2),
         i_n_ab=rng.normal(0, 8, 2),
-        dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5), 1100e-6),
-        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi), 0.05),
+        dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5)),
+        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi)),
         t=rng.uniform(0, 0.02),
     )
 
@@ -70,56 +74,53 @@ class TestControllerConfig:
 class TestBuildReferences:
     def test_all_zero_at_equilibrium(self):
         st = PlantState.initial(MACHINE, v_dc=700.0)
-        refs = ReferenceState(t_e_ref=0.0, v_dc_ref=700.0)
-        out = build_references(st, MACHINE, refs, T_S)
+        out = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         assert out.i_dq_ref == (0.0, 0.0)
         assert out.pq_ref == (0.0, 0.0)
         assert out.integral == 0.0
 
     def test_torque_inversion(self):
         st = PlantState.initial(MACHINE)
-        refs = ReferenceState(t_e_ref=19.20375)
-        out = build_references(st, MACHINE, refs, T_S)
+        out = build_references(st, MACHINE, PI, 19.20375, 0.0, 0.0, T_S)
         assert out.i_dq_ref[0] == 0.0
         assert out.i_dq_ref[1] == pytest.approx(10.0)
 
     def test_proportional_term(self):
         st = PlantState.initial(MACHINE, v_dc=690.0)
-        refs = ReferenceState(pi_kp=0.5, pi_ki=0.0, v_dc_ref=700.0)
-        out = build_references(st, MACHINE, refs, dt=1e-6)
+        pi = dataclasses.replace(PI, kp=0.5, ki=0.0)
+        out = build_references(st, MACHINE, pi, 0.0, 0.0, 0.0, dt=1e-6)
         i_g_ref = out.pq_ref[0] / st.dc.v_dc
         assert i_g_ref == pytest.approx(5.0)
 
     def test_integral_accumulates_and_clamps(self):
         st = PlantState.initial(MACHINE, v_dc=600.0)
-        refs = ReferenceState(pi_kp=0.0, pi_ki=-20.0, pi_clamp=50.0, v_dc_ref=700.0)
+        pi = dataclasses.replace(PI, kp=0.0)
+        refs = ReferenceState()
         for _ in range(10):
-            refs = build_references(st, MACHINE, refs, dt=0.01)
+            refs = build_references(st, MACHINE, pi, 0.0, 0.0, refs.integral, dt=0.01)
         # 100 V error for 0.1 s -> raw integral 10, bounded by clamp/|ki| = 2.5
         assert refs.integral == pytest.approx(2.5)
         assert abs(refs.pq_ref[0] / st.dc.v_dc) <= 50.0
 
     def test_power_feedforward(self):
         st = PlantState.initial(MACHINE, v_dc=700.0)
-        refs = ReferenceState(t_e_ref=20.0, omega_m_ref=110.0, pi_kp=0.0, pi_ki=0.0)
-        out = build_references(st, MACHINE, refs, T_S)
+        pi = dataclasses.replace(PI, kp=0.0, ki=0.0)
+        out = build_references(st, MACHINE, pi, 20.0, 110.0, 0.0, T_S)
         assert out.pq_ref[0] == pytest.approx(110.0 * 20.0)
         assert out.pq_ref[1] == 0.0
 
 
-def np_clip_references(st, machine, refs, dt):
+def np_clip_references(st, machine, pi, t_e_ref, omega_m_ref, integral, dt):
     """(integral, i_dq_ref, pq_ref) of `build_references`, clamped with
     `np.clip` instead of `min(max(x, lo), hi)`."""
-    i_q_ref = refs.t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
-    err = refs.v_dc_ref - st.dc.v_dc
-    integral = refs.integral + dt * err
-    if refs.pi_ki != 0.0:
-        bound = abs(refs.pi_clamp / refs.pi_ki)
+    i_q_ref = t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
+    err = pi.v_dc_ref - st.dc.v_dc
+    integral = integral + dt * err
+    if pi.ki != 0.0:
+        bound = abs(pi.clamp / pi.ki)
         integral = float(np.clip(integral, -bound, bound))
-    i_g_ref = float(
-        np.clip(refs.pi_kp * err + refs.pi_ki * integral, -refs.pi_clamp, refs.pi_clamp)
-    )
-    p_ref = st.dc.v_dc * i_g_ref + refs.omega_m_ref * refs.t_e_ref
+    i_g_ref = float(np.clip(pi.kp * err + pi.ki * integral, -pi.clamp, pi.clamp))
+    p_ref = st.dc.v_dc * i_g_ref + omega_m_ref * t_e_ref
     return integral, (0.0, i_q_ref), (p_ref, 0.0)
 
 
@@ -147,13 +148,11 @@ class TestClampsMatchNpClip:
             (-0.5, 0.0, -0.0),                     # pi_kp
         )
         for integral, v_dc_ref, pi_clamp, pi_ki, pi_kp in grid:
-            refs = ReferenceState(
-                t_e_ref=10.0, integral=integral, pi_kp=pi_kp, pi_ki=pi_ki,
-                pi_clamp=pi_clamp, v_dc_ref=v_dc_ref, omega_m_ref=-0.0,
-            )
-            out = build_references(st, MACHINE, refs, T_S)
+            pi = DcLinkPi(kp=pi_kp, ki=pi_ki, clamp=pi_clamp, v_dc_ref=v_dc_ref)
+            args = (st, MACHINE, pi, 10.0, -0.0, integral, T_S)
+            out = build_references(*args)
             got = (out.integral, out.i_dq_ref, out.pq_ref)
-            assert repr(got) == repr(np_clip_references(st, MACHINE, refs, T_S))
+            assert repr(got) == repr(np_clip_references(*args))
 
 
 class TestStackReference:
@@ -179,17 +178,16 @@ class TestStackReference:
 
 class TestControlStep:
     def test_standard_mode_equals_single_candidate_sequential(self, rng):
-        refs = ReferenceState(t_e_ref=15.0, omega_m_ref=100.0)
         for _ in range(10):
             st = running_state(rng)
-            refs_k = build_references(st, MACHINE, refs, T_S)
+            refs_k = build_references(st, MACHINE, PI, 15.0, 100.0, 0.0, T_S)
             seq = control_step(
                 st, ControllerConfig(n_h=2, n_k=1, n_l=1), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
             )
             std = control_step(
                 st, ControllerConfig(n_h=2, mode="standard_sd"), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
             )
             assert seq.full_u_m == std.full_u_m
             assert seq.full_u_n == std.full_u_n
@@ -200,11 +198,10 @@ class TestControlStep:
         # response make the all-off sequence exactly optimal on both sides
         quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         st = PlantState.initial(MACHINE, v_dc=700.0)
-        refs = ReferenceState(t_e_ref=0.0, omega_m_ref=0.0)
-        refs = build_references(st, MACHINE, refs, T_S)
+        refs = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         out = control_step(
             st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
-            MACHINE, quiet_grid, SwitchState.zero(), SwitchState.zero(), T_S,
+            MACHINE, quiet_grid, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
         )
         assert out.s_m == SwitchState.zero()
         assert out.s_n == SwitchState.zero()
@@ -212,13 +209,12 @@ class TestControlStep:
         assert (out.full_u_n.levels == 0).all()
 
     def test_applied_block_heads_the_sequence(self, rng):
-        refs = ReferenceState(t_e_ref=10.0, omega_m_ref=90.0)
         for _ in range(10):
             st = running_state(rng)
-            refs_k = build_references(st, MACHINE, refs, T_S)
+            refs_k = build_references(st, MACHINE, PI, 10.0, 90.0, 0.0, T_S)
             out = control_step(
                 st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
             )
             assert_allclose(out.s_m.as_array(), out.full_u_m.first_block())
             assert_allclose(out.s_n.as_array(), out.full_u_n.first_block())
@@ -237,12 +233,12 @@ class TestControlStep:
         from seqmpc.solver import assemble_qp
 
         cfg = ControllerConfig(n_h=2, n_k=4, n_l=4)
-        refs = ReferenceState(t_e_ref=12.0, omega_m_ref=100.0)
         for _ in range(5):
             st = running_state(rng)
-            refs_k = _build(st, MACHINE, refs, T_S)
+            refs_k = _build(st, MACHINE, PI, 12.0, 100.0, 0.0, T_S)
             out = control_step(
-                st, cfg, refs_k, MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S
+                st, cfg, refs_k, MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+                C_DC,
             )
             y_m, y_n = stack_reference(refs_k, cfg.n_h)
             multi_m = build_multistep(
@@ -257,7 +253,7 @@ class TestControlStep:
             cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, SwitchState.zero(), cfg.lam), cfg.n_l)
             assert out.full_u_m in cands_m.sequences
             assert out.full_u_n in cands_n.sequences
-            models = build_step_models(st, MACHINE, GRID, T_S)
+            models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
             for u_m in cands_m.sequences:
                 for u_n in cands_n.sequences:
                     path = predict_imbalance(st, u_m, u_n, models)
@@ -265,10 +261,10 @@ class TestControlStep:
 
     def test_node_telemetry_positive(self, rng):
         st = running_state(rng)
-        refs = build_references(st, MACHINE, ReferenceState(t_e_ref=5.0), T_S)
+        refs = build_references(st, MACHINE, PI, 5.0, 0.0, 0.0, T_S)
         out = control_step(
             st, ControllerConfig(n_h=1, n_k=2, n_l=2), refs,
-            MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+            MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
         )
         assert out.nodes_m >= 3 and out.nodes_n >= 3
         assert out.j_m >= 0.0 and out.j_n >= 0.0 and out.j_o >= 0.0

@@ -328,6 +328,14 @@ class TestConfigFiles:
             with pytest.raises(ConfigError, match="too small"):
                 ScenarioConfig(horizons=(n_h,), lambdas=(1e-12,)).controller()
 
+    @pytest.mark.parametrize(
+        "name, value", [("c_dc", 0.0), ("c_dc", -1e-3), ("inertia", 0.0), ("inertia", -0.05)]
+    )
+    def test_plant_constants_must_be_positive(self, name, value):
+        # the capacitance and the inertia are run constants, checked once here
+        with pytest.raises(ConfigError, match="c_dc and inertia must be positive"):
+            ScenarioConfig(**{name: value})
+
     def test_bad_profile_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[references]\nspeed_rpm = fast\n")

@@ -133,6 +133,40 @@ def test_box_bound_only_removes_nodes(instances, case):
         assert (got_nodes, got_plain) == (k_nodes, k_plain)
 
 
+def sum_outside_box(h, u_check):
+    """The box test with a `sum` over each row, the form the generated
+    `outside_box` replaced (before Python 3.12, `sum` adds floats left to
+    right)."""
+    return any(abs(c) > sum(map(abs, h[r][: r + 1])) for r, c in enumerate(u_check) if r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 18])
+def test_generated_box_test_equals_sum_form(instances, n):
+    rng = np.random.default_rng(SEED + n)
+    cases = [
+        (np.tril(rng.normal(size=(n, n))).tolist(), (scale * rng.normal(size=n)).tolist())
+        for scale in (0.1, 1.0, 3.0, 10.0)
+        for _ in range(50)
+    ]
+    cases += [
+        (qp.factor.tolist(), qp.target.tolist()) for _, qp in instances if 3 * qp.horizon == n
+    ]
+    got = [_kernels.outside_box(h, c) for h, c in cases]
+    assert got == [sum_outside_box(h, c) for h, c in cases]
+    assert n == 1 or len(set(got)) == 2  # both answers occur
+
+
+def test_box_test_adds_left_to_right():
+    # row 2 holds 1 + 2**-52 in exact arithmetic: added left to right from 0
+    # it rounds to 1.0, below its target 1 + 2**-52, so the target is
+    # outside; a compensated sum (math.fsum, or `sum` of floats from
+    # Python 3.12) reaches 1 + 2**-52 and would say inside
+    h = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0**-53, 2.0**-53]]
+    c = [0.0, 0.0, 1.0 + 2.0**-52]
+    assert _kernels.outside_box(h, c)
+    assert not c[2] > math.fsum(map(abs, h[2]))
+
+
 @pytest.mark.parametrize("case", range(len(RECORDED)))
 def test_factors_match_recorded_digests(instances, case):
     _, qp = instances[case]

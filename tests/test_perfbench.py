@@ -53,3 +53,7 @@ def test_traced_startup_run_reports_every_layer_metric():
     assert set(result["metrics"]) ^ {m["name"] for m in spec["per_layer"]} == set()
     zero = {name for name, metric in result["metrics"].items() if metric["value"] == 0}
     assert zero <= ZERO_ON_STARTUP
+    # `select_pair` must still return the applied pair as the sequences that
+    # perfbench compares with each list's best: a pair returned as rows or
+    # indices would compare unequal on every step and read 1
+    assert 0 < result["metrics"]["solver.select_pair.override_frac"]["value"] < 1

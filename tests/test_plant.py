@@ -22,7 +22,9 @@ from seqmpc.plant import (
 
 MACHINE = MachineParams(r_s=0.1379, l_s=0.019, psi_pm=0.42675, pole_pairs=3)
 GRID = GridParams(r_n=0.156, l_n=0.020, e_peak=250.0, omega_n=100.0 * math.pi)
-DC = DcLinkState(v_dc=700.0, v_imb=0.0, c=1100e-6)
+DC = DcLinkState(v_dc=700.0, v_imb=0.0)
+C_DC = 1100e-6
+INERTIA = 0.05
 QUIET_GRID = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
 
 
@@ -124,7 +126,7 @@ class TestIntegratePlant:
                 *(float(v) for v in state), *levels[6 * case : 6 * case + 6],
                 MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm, MACHINE.pole_pairs,
                 GRID.r_n, GRID.l_n, GRID.e_peak, GRID.omega_n,
-                DC.c, 0.05, float(rng.normal(0, 30)), 50e-6, substeps,
+                C_DC, INERTIA, float(rng.normal(0, 30)), 50e-6, substeps,
             )
             assert repr(_kernels.integrate_plant(*args)) == repr(composed_integrate_plant(*args))
 
@@ -133,12 +135,8 @@ def random_state(rng):
     return PlantState(
         i_m_dq=rng.normal(0, 10, 2),
         i_n_ab=rng.normal(0, 10, 2),
-        dc=DcLinkState(v_dc=700.0 + rng.normal(0, 5), v_imb=rng.normal(0, 2), c=1100e-6),
-        mech=MechState(
-            omega_m=rng.uniform(0, 120),
-            theta_e=rng.uniform(0, 2 * math.pi),
-            inertia_j=0.05,
-        ),
+        dc=DcLinkState(v_dc=700.0 + rng.normal(0, 5), v_imb=rng.normal(0, 2)),
+        mech=MechState(omega_m=rng.uniform(0, 120), theta_e=rng.uniform(0, 2 * math.pi)),
         t=rng.uniform(0, 0.02),
     )
 
@@ -285,12 +283,12 @@ class TestTorque:
         assert electromagnetic_torque(i_q, MACHINE) == pytest.approx(t_ref)
 
 
-def rotor_state(omega_m, theta_e, inertia_j, i_q=0.0):
+def rotor_state(omega_m, theta_e, i_q=0.0):
     return PlantState(
         i_m_dq=np.array([0.0, i_q]),
         i_n_ab=np.zeros(2),
         dc=DC,
-        mech=MechState(omega_m, theta_e, inertia_j),
+        mech=MechState(omega_m, theta_e),
         t=0.0,
     )
 
@@ -300,26 +298,29 @@ class TestMechStep:
 
     def test_torque_balance(self):
         i_q = 10.0
-        st = rotor_state(50.0, 1.0, 0.05, i_q)
+        st = rotor_state(50.0, 1.0, i_q)
         t_m = electromagnetic_torque(i_q, MACHINE)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, t_m, 1e-3, 1
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, t_m,
+            1e-3, 1,
         )
         assert out.mech.omega_m == st.mech.omega_m
 
     def test_acceleration(self):
-        st = rotor_state(0.0, 0.0, 0.1)
+        st = rotor_state(0.0, 0.0)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 10.0, 1e-3, 1
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 0.1, 10.0,
+            1e-3, 1,
         )
         assert out.mech.omega_m == pytest.approx(0.1)
 
     def test_angle_stays_wrapped(self):
         # a huge inertia holds ~100 rad/s, so one second turns the rotor
         # through ~48 electrical revolutions
-        st = rotor_state(100.0, 0.0, 1e9)
+        st = rotor_state(100.0, 0.0)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 1.0, 10_000
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
+            1.0, 10_000,
         )
         assert out.mech.omega_m == pytest.approx(100.0)
         assert 0.0 <= out.mech.theta_e < 2 * math.pi
@@ -329,7 +330,8 @@ class TestPlantStep:
     def test_fixed_point(self):
         st = PlantState.initial(MACHINE)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 50e-6, 10
+            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, 0.0,
+            50e-6, 10,
         )
         assert_allclose(out.i_m_dq, st.i_m_dq)
         assert_allclose(out.i_n_ab, st.i_n_ab)
@@ -342,7 +344,7 @@ class TestPlantStep:
         s_n = SwitchState(-1, 1, 0)
         t_m = 3.0
         dt = 50e-6
-        out = plant_step(st, s_m, s_n, MACHINE, GRID, t_m, dt, substeps=1)
+        out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, t_m, dt, substeps=1)
 
         omega_e = MACHINE.pole_pairs * st.mech.omega_m
         u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
@@ -355,11 +357,11 @@ class TestPlantStep:
         i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.mech.theta_e))
         i_n_abc = tr.clarke_pinv(st.i_n_ab)
         dv_dc, dv_imb = dc_link_deriv(
-            (s_m.s_a, s_m.s_b, s_m.s_c), (s_n.s_a, s_n.s_b, s_n.s_c), i_m_abc, i_n_abc, st.dc.c
+            (s_m.s_a, s_m.s_b, s_m.s_c), (s_n.s_a, s_n.s_b, s_n.s_c), i_m_abc, i_n_abc, C_DC
         )
         t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
         # the rotor angle integrates the freshly updated speed
-        omega_m = st.mech.omega_m + dt * (t_m - t_e) / st.mech.inertia_j
+        omega_m = st.mech.omega_m + dt * (t_m - t_e) / INERTIA
         theta_e = (st.mech.theta_e + dt * (MACHINE.pole_pairs * omega_m)) % (2 * math.pi)
 
         assert_allclose(out.i_m_dq, st.i_m_dq + dt * np.array(d_m), rtol=1e-12)
@@ -378,7 +380,7 @@ class TestPlantStep:
         dt = 50e-6
 
         def state_vec(substeps):
-            out = plant_step(st, s_m, s_n, MACHINE, GRID, 5.0, dt, substeps)
+            out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, 5.0, dt, substeps)
             return np.concatenate(
                 [out.i_m_dq, out.i_n_ab, [out.dc.v_dc, out.dc.v_imb, out.mech.omega_m]]
             )
@@ -397,7 +399,7 @@ class TestPlantStep:
             i_m_dq=np.array([7.0, 0.0]),
             i_n_ab=np.zeros(2),
             dc=DC,
-            mech=MechState(0.0, 0.0, 0.05),
+            mech=MechState(0.0, 0.0),
             t=0.0,
         )
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
@@ -407,7 +409,8 @@ class TestPlantStep:
         assert s_m.as_array() @ i_abc > 0
         for _ in range(50):
             st = plant_step(
-                st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, 0.0, 50e-6, 1
+                st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, C_DC, INERTIA, 0.0,
+                50e-6, 1,
             )
             assert st.dc.v_dc > v_prev
             v_prev = st.dc.v_dc
@@ -419,14 +422,15 @@ class TestPlantStep:
             i_m_dq=rng.normal(0, 10, 2),
             i_n_ab=rng.normal(0, 10, 2),
             dc=DC,
-            mech=MechState(0.0, 0.3, 1e9),
+            mech=MechState(0.0, 0.3),
             t=0.0,
         )
         prev_m = np.linalg.norm(st.i_m_dq)
         prev_n = np.linalg.norm(st.i_n_ab)
         for _ in range(100):
             st = plant_step(
-                st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, 0.0, 50e-6, 5
+                st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
+                50e-6, 5,
             )
             cur_m = np.linalg.norm(st.i_m_dq)
             cur_n = np.linalg.norm(st.i_n_ab)

@@ -24,8 +24,9 @@ from seqmpc.prediction import (
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
-DC = DcLinkState(700.0, 0.0, 1100e-6)
+DC = DcLinkState(700.0, 0.0)
 T_S = 50e-6
+C_DC = 1100e-6
 
 
 def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
@@ -34,14 +35,14 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
     return PlantState(
         i_m_dq=i_m,
         i_n_ab=i_n,
-        dc=DcLinkState(700.0, v_imb, 1100e-6),
-        mech=MechState(omega_m, theta, 0.05),
+        dc=DcLinkState(700.0, v_imb),
+        mech=MechState(omega_m, theta),
         t=0.004,
     )
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S)
+    return build_step_models(st, MACHINE, GRID, T_S, C_DC)
 
 
 class TestSwitchSequence:
@@ -211,10 +212,10 @@ def random_state(rng, omega_m=None):
     return PlantState(
         i_m_dq=rng.normal(0, 20, 2),
         i_n_ab=rng.normal(0, 20, 2),
-        dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
+        dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
         mech=MechState(
             float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
-            float(rng.uniform(0, 2 * math.pi)), 0.05,
+            float(rng.uniform(0, 2 * math.pi)),
         ),
         t=float(rng.uniform(0, 0.02)),
     )
@@ -237,18 +238,18 @@ class TestStepModels:
         return m, n, np.array(proj)
 
     def check(self, st, machine=MACHINE, grid=GRID):
-        got = build_step_models(st, machine, grid, T_S)
+        got = build_step_models(st, machine, grid, T_S, C_DC)
         m, n, proj = self.per_side(st, machine, grid)
         for name in self.FIELDS:
             want = np.array((getattr(m, name), getattr(n, name)))
             assert getattr(got.sides, name).tobytes() == want.tobytes(), name
         assert got.proj.tobytes() == proj.tobytes()
         assert got.proj_m.tobytes() == proj[0].tobytes()
-        assert got.gain == T_S / st.dc.c
+        assert got.gain == T_S / C_DC
 
     def test_direct_build_equals_per_side_build_at_standstill(self, rng):
         # omega_e = 0 makes -0.0 entries: Ts * -omega_e and the back-EMF drift
-        self.check(PlantState.initial(MACHINE, v_dc=700.0, c=1100e-6))
+        self.check(PlantState.initial(MACHINE, v_dc=700.0))
         for _ in range(50):
             self.check(random_state(rng, omega_m=0.0))
         # r_n = 0 gives the grid state matrix -0.0 * 0.0 off its diagonal
@@ -304,7 +305,7 @@ class TestPredictImbalance:
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         u_n = SwitchSequence(levels=np.array([0, 1, 1]), horizon=1)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
-        gain = T_S / st.dc.c
+        gain = T_S / C_DC
         i_m_abc = tr.CLARKE_PINV_MAT @ tr.park_matrix(st.mech.theta_e).T @ st.i_m_dq
         i_n_abc = tr.CLARKE_PINV_MAT @ st.i_n_ab
         expected = st.dc.v_imb + gain * (

@@ -39,12 +39,13 @@ from test_kernels import walk
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
-DC = DcLinkState(700.0, 0.0, 1100e-6)
+DC = DcLinkState(700.0, 0.0)
 T_S = 50e-6
+C_DC = 1100e-6
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S)
+    return build_step_models(st, MACHINE, GRID, T_S, C_DC)
 
 
 def qp_from_factor(factor, u_unc, horizon):
@@ -195,7 +196,7 @@ class TestCondensation:
         cfg_cases = 25
         for i in range(cfg_cases):
             n_h = 1 + (i % 2)
-            dc = DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6)
+            dc = DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)))
             if rng.random() < 0.5:
                 sys = build_machine_subsystem(
                     MACHINE, float(rng.uniform(-400, 400)), dc, float(rng.uniform(0, 2 * math.pi))
@@ -224,10 +225,8 @@ class TestTwoSideStack:
         return PlantState(
             i_m_dq=rng.normal(0, 20, 2),
             i_n_ab=rng.normal(0, 20, 2),
-            dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)), 1100e-6),
-            mech=MechState(
-                float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi)), 0.05
-            ),
+            dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
+            mech=MechState(float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi))),
             t=float(rng.uniform(0, 0.02)),
         )
 
@@ -265,7 +264,7 @@ class TestTwoSideStack:
         [(1e-12, "grid"), (0.0, "machine")],
     )
     def test_pivot_failure_names_the_failing_side(self, lam, failing):
-        st = PlantState.initial(MACHINE, v_dc=700.0, c=1100e-6)
+        st = PlantState.initial(MACHINE, v_dc=700.0)
         models = step_models(st)
         n_h = 3
         pivots = {}
@@ -676,8 +675,8 @@ class TestSelectPair:
         return PlantState(
             i_m_dq=np.asarray(i_m_dq, float),
             i_n_ab=np.asarray(i_n_ab, float),
-            dc=DcLinkState(700.0, v_imb, 1100e-6),
-            mech=MechState(omega_m, theta, 0.05),
+            dc=DcLinkState(700.0, v_imb),
+            mech=MechState(omega_m, theta),
             t=0.001,
         )
 
