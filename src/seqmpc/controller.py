@@ -176,21 +176,14 @@ def control_step(
     """
     models = build_step_models(st, machine, grid, t_s, c_dc)
     multi = build_multistep(models.sides, cfg.n_h)
-    x0 = np.array((st.i_m_dq, st.i_n_ab))
-    u_prev = np.array([(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)])
-    qp = assemble_qp(multi, x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam)
+    u_prev = [(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)]
+    qp = assemble_qp(multi, models.x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam)
     qp_m, qp_n = qp.sides()
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
     u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
-    return ControlDecision(
-        s_m=SwitchState.from_array(u_m.first_block()),
-        s_n=SwitchState.from_array(u_n.first_block()),
-        full_u_m=u_m,
-        full_u_n=u_n,
-        j_m=cands_m.costs[im],
-        j_n=cands_n.costs[il],
-        j_o=j_o,
-        nodes_m=cands_m.nodes_visited,
-        nodes_n=cands_n.nodes_visited,
+    return ControlDecision(  # fields in order
+        SwitchState(*u_m.levels[:3].tolist()), SwitchState(*u_n.levels[:3].tolist()),
+        u_m, u_n, cands_m.costs[im], cands_n.costs[il], j_o,
+        cands_m.nodes_visited, cands_n.nodes_visited,
     )

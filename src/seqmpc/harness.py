@@ -40,7 +40,7 @@ from .plant import (
     plant_step,
     power_output,
 )
-from .prediction import build_multistep, build_step_models
+from .prediction import SequenceError, build_multistep, build_step_models
 from .solver import NotPositiveDefiniteError, SolverError, assemble_qp
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
@@ -135,6 +135,7 @@ class ScenarioConfig:
                 raise ConfigError("profiles must be sorted by time")
         # the other plant parameters and the initial state check themselves
         try:
+            self.machine()
             self.grid()
             self.initial_state()
         except ValueError as exc:
@@ -187,7 +188,6 @@ class ScenarioConfig:
 
     def initial_state(self) -> PlantState:
         return PlantState.initial(
-            self.machine(),
             v_dc=self.v_dc0,
             v_imb=self.v_imb0,
             omega_m=self.omega_m0,
@@ -320,8 +320,10 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     """Simulate the closed loop and record every controller period.
 
     Raises SimulationBlowUpError if the plant state leaves the finite
-    range, and SolverError if a step's subproblem cannot be solved, each
-    annotated with the step index.
+    range, and SolverError if a control step's subproblem cannot be solved
+    or a sequence check inside it fails (SequenceError), each annotated with
+    the step index.  Any other exception of a step, a programming error,
+    leaves unchanged.
     """
     ctrl = controller if controller is not None else cfg.controller()
     machine = cfg.machine()
@@ -354,27 +356,29 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             decision = control_step(
                 state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s, cfg.c_dc
             )
-            p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
-            i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
-            s_m, s_n = decision.s_m, decision.s_n
-            # one value per column, in TS_COLUMNS order
-            series.append(
-                t, i_md, i_mq, i_ma, i_mb, i_mc,
-                i_na, i_nb, state.dc.v_dc, state.dc.v_imb,
-                state.mech.omega_m, electromagnetic_torque(i_mq, machine),
-                t_e_ref, refs.i_dq_ref[1],
-                p, q, refs.pq_ref[0], refs.pq_ref[1],
-                s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
-                decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
-            )
+        except (SolverError, SequenceError) as exc:
+            # a sequence check that fails inside a step is a failed step, not a bad config
+            raise SolverError(f"step {step}: {exc}") from exc
+        p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
+        i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
+        s_m, s_n = decision.s_m, decision.s_n
+        # one value per column, in TS_COLUMNS order
+        series.append(
+            t, i_md, i_mq, i_ma, i_mb, i_mc,
+            i_na, i_nb, state.dc.v_dc, state.dc.v_imb,
+            state.mech.omega_m, electromagnetic_torque(i_mq, machine),
+            t_e_ref, refs.i_dq_ref[1],
+            p, q, refs.pq_ref[0], refs.pq_ref[1],
+            s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
+            decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
+        )
+        try:
             state = plant_step(
                 state, s_m, s_n, machine, grid, cfg.c_dc, cfg.inertia, t_mech, cfg.t_s,
                 cfg.substeps,
             )
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
-        except SolverError as exc:
-            raise SolverError(f"step {step}: {exc}") from exc
         u_prev_m, u_prev_n = s_m, s_n
     return series
 

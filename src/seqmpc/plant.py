@@ -54,10 +54,6 @@ class SwitchState:
     def zero(cls) -> "SwitchState":
         return cls(0, 0, 0)
 
-    @classmethod
-    def from_array(cls, arr) -> "SwitchState":
-        return cls(int(arr[0]), int(arr[1]), int(arr[2]))
-
 
 @dataclass(frozen=True)
 class DcLinkState:
@@ -120,14 +116,9 @@ class PlantState:
     t: float
 
     @classmethod
-    def initial(
-        cls,
-        machine: MachineParams,
-        v_dc: float = 700.0,
-        v_imb: float = 0.0,
-        omega_m: float = 0.0,
-        theta_e: float = 0.0,
-    ) -> "PlantState":
+    def initial(cls, v_dc: float, v_imb: float, omega_m: float, theta_e: float) -> "PlantState":
+        """Zero currents at t = 0 with the given DC link, speed and angle;
+        `ScenarioConfig.initial_state` passes the scenario's values."""
         mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI)
         dc = DcLinkState(v_dc=v_dc, v_imb=v_imb)
         dc.validate_balanced()

@@ -40,11 +40,25 @@ candidate at a time.  A 2-D `A @ X` (gemm) and plain Python floats are not:
 OpenBLAS's gemv and dot fuse multiply-adds, gemm blocks differently and
 Python rounds every product, so either would move the predicted imbalance in
 its last bits and could change which of two near-equal pairs is applied.
+
+Call economy: a control step is short, so the NumPy calls around the BLAS
+products cost more than the products themselves (1-3 us each).  What must
+stay is every product above, as the same stacked matmul on the same item
+shapes and strides: the input maps, the state-map powers and the products
+of `build_multistep`, the rollout's gemv and dot calls.  Everything else is
+free to take fewer calls as long as it computes the same IEEE operations
+in the same order: `build_step_models` writes all its Python-float entries,
+the states and the Park rotation into one array and hands out views of it,
+and `imbalance_path` runs the left-to-right running sum as
+`np.add.accumulate`, the ufunc method that `np.cumsum` wraps.  A copy never moves a bit, but the
+layout it leaves can: a strided operand sends a product down another BLAS
+path, so each operand is built C-contiguous like the one it replaces.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +75,13 @@ from .plant import (
 from .transforms import CLARKE_MAT, CLARKE_PINV_MAT, park_matrix
 
 
-class HorizonMismatchError(ValueError):
+class SequenceError(ValueError):
+    """A switch sequence, or a list of them, fails a check: a shape or level
+    outside the alphabet, horizons that disagree, costs out of order.  Inside
+    a control step such a failure is a failed step (see `run_scenario`)."""
+
+
+class HorizonMismatchError(SequenceError):
     """Two stacked quantities disagree on the horizon length."""
 
 
@@ -117,9 +137,6 @@ class SwitchSequence:
     def block(self, stage: int) -> np.ndarray:
         return self.levels[3 * stage : 3 * stage + 3]
 
-    def first_block(self) -> np.ndarray:
-        return self.block(0)
-
     def __eq__(self, other):
         return isinstance(other, SwitchSequence) and self.as_tuple() == other.as_tuple()
 
@@ -131,13 +148,15 @@ _ALPHABET = frozenset(LEVELS)
 
 
 def check_levels(levels: np.ndarray, shape: tuple) -> None:
-    """Raise ValueError unless `levels` has `shape`, whose last axis is the
+    """Raise SequenceError unless `levels` has `shape`, whose last axis is the
     3 * horizon levels of a sequence, and every entry lies in {-1, 0, 1}."""
     if levels.shape != shape:
-        raise ValueError(f"sequence length must be 3 * horizon: shape {levels.shape}, not {shape}")
+        raise SequenceError(
+            f"sequence length must be 3 * horizon: shape {levels.shape}, not {shape}"
+        )
     # on Python ints: two NumPy reductions cost ~3x more on a few levels
     if not _ALPHABET.issuperset(levels.ravel().tolist()):
-        raise ValueError("sequence entries must lie in {-1, 0, 1}")
+        raise SequenceError("sequence entries must lie in {-1, 0, 1}")
 
 
 def build_machine_subsystem(
@@ -240,13 +259,7 @@ def build_multistep(d: DiscreteModel, n_h: int) -> MultistepModel:
     for r in range(1, n_h):
         acc[r] += acc[r - 1]
     drift = (c @ acc).transpose(stage_last).reshape(lead + (ny * n_h,))
-
-    return MultistepModel(
-        forced_map=forced,
-        free_map=free,
-        drift_vec=drift,
-        horizon=n_h,
-    )
+    return MultistepModel(forced, free, drift, n_h)
 
 
 def predict_outputs(m: MultistepModel, x0, u: SwitchSequence) -> np.ndarray:
@@ -269,12 +282,15 @@ class StepModels:
     `proj` stacks the two sides' maps from the model state to the phase
     currents the same way: the machine side's is the Clarke pseudo-inverse
     with the Park rotation folded in (`proj_m`), the grid side's the Clarke
-    pseudo-inverse.  `gain` is Ts / C.
+    pseudo-inverse.  `gain` is Ts / C, and `x0` stacks the two sides' model
+    states at time k, the machine dq currents and the grid alpha/beta
+    currents.
     """
 
     sides: DiscreteModel
     proj: np.ndarray
     gain: float
+    x0: np.ndarray
 
     @property
     def machine(self) -> DiscreteModel:
@@ -297,7 +313,8 @@ def build_step_models(
     st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float
 ) -> StepModels:
     """Both sides' discretized models for the control step at `st`, written
-    into the two-side stack directly, and the imbalance gain t_s / c_dc.
+    into the two-side stack directly, the imbalance gain t_s / c_dc and the
+    stacked model states.
 
     Each entry is the one that `discretize` computes from
     `build_machine_subsystem` and `build_grid_subsystem`, by the same
@@ -306,6 +323,10 @@ def build_step_models(
     included), and the input maps as the same NumPy products
     (BLAS fuses their multiply-adds, which Python floats would not).  So the
     stack is bit-identical to building, discretizing and stacking each side.
+    The Python-float entries, the states, the Park rotation and the
+    inductances go into one array in one call, and the models are views of
+    it; the two input maps are one stacked product, each item the same
+    gemm as the side's own product.
     """
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
@@ -314,27 +335,31 @@ def build_step_models(
     decay_n = -grid.r_n / grid.l_n
     zero_n = 0.0 + t_s * (decay_n * 0.0)  # off the diagonal of I + Ts (decay_n I)
     e_a, e_b = _k.grid_emf2(st.t, grid.e_peak, grid.omega_n)
-    park = park_matrix(st.mech.theta_e)
-    conv = converter_matrix(st.dc)
-    input_mat = np.array((park @ CLARKE_MAT @ conv / machine.l_s, CLARKE_MAT @ conv / grid.l_n))
+    cos_t, sin_t = math.cos(st.mech.theta_e), math.sin(st.mech.theta_e)
+    flat = np.array((
+        # state maps I + Ts F: machine, grid
+        1.0 + t_s * decay_m, 0.0 + t_s * omega_e, 0.0 + t_s * -omega_e, 1.0 + t_s * decay_m,
+        1.0 + t_s * (decay_n * 1.0), zero_n, zero_n, 1.0 + t_s * (decay_n * 1.0),
+        # output maps: machine, grid
+        1.0, 0.0, 0.0, 1.0, e_a, e_b, e_b, -e_a,
+        # drifts Ts h: machine, grid
+        t_s * 0.0, t_s * (-(machine.psi_pm / machine.l_s) * omega_e),
+        t_s * (-e_a / grid.l_n), t_s * (-e_b / grid.l_n),
+        # states: machine dq, grid alpha/beta currents
+        *st.i_m_dq.tolist(), *st.i_n_ab.tolist(),
+        # Park rotation (`park_matrix`) and the two inductances
+        cos_t, sin_t, -sin_t, cos_t, machine.l_s, grid.l_n,
+    ))
+    maps = flat[:16].reshape(2, 2, 2, 2)
+    park = flat[24:28].reshape(2, 2)
+    input_mat = np.array((park @ CLARKE_MAT, CLARKE_MAT)) @ converter_matrix(st.dc)
+    input_mat /= flat[28:30, None, None]
     input_mat *= t_s
-    sides = DiscreteModel(
-        state_mat=np.array((
-            ((1.0 + t_s * decay_m, 0.0 + t_s * omega_e),
-             (0.0 + t_s * -omega_e, 1.0 + t_s * decay_m)),
-            ((1.0 + t_s * (decay_n * 1.0), zero_n), (zero_n, 1.0 + t_s * (decay_n * 1.0))),
-        )),
-        input_mat=input_mat,
-        drift=np.array((
-            (t_s * 0.0, t_s * (-(machine.psi_pm / machine.l_s) * omega_e)),
-            (t_s * (-e_a / grid.l_n), t_s * (-e_b / grid.l_n)),
-        )),
-        output_mat=np.array((((1.0, 0.0), (0.0, 1.0)), ((e_a, e_b), (e_b, -e_a)))),
-    )
     return StepModels(
-        sides=sides,
-        proj=np.array((CLARKE_PINV_MAT @ park.T, CLARKE_PINV_MAT)),
-        gain=t_s / c_dc,
+        DiscreteModel(maps[0], input_mat, flat[16:20].reshape(2, 2), maps[1]),
+        np.array((CLARKE_PINV_MAT @ park.T, CLARKE_PINV_MAT)),
+        t_s / c_dc,
+        flat[20:24].reshape(2, 2),
     )
 
 
@@ -354,8 +379,9 @@ def imbalance_contributions(
     """
     lead = levels.shape[:-2]
     k, n = levels.shape[-2], levels.shape[-1] // 3
-    blocks = levels.reshape(lead + (k, n, 3, 1)).astype(np.float64)
-    driven = model.input_mat[..., None, None, :, :] @ blocks  # B u_j of every stage
+    blocks = np.asarray(levels, dtype=np.float64).reshape(lead + (k, n, 3, 1))
+    # B u_j of every stage but the last, whose input moves no state the rollout reads
+    driven = model.input_mat[..., None, None, :, :] @ blocks[..., : n - 1, :, :]
     state_mat = model.state_mat[..., None, :, :]
     drift = model.drift[..., None, :, None]
     states = np.empty(lead + (k, n, 2, 1))  # the state before each stage's input
@@ -375,7 +401,8 @@ def imbalance_path(v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray) 
     predicted imbalance trajectories of every candidate pair."""
     step = contrib_m[:, None, :] - contrib_n[None, :, :]
     step[:, :, 0] += v_imb0
-    return np.cumsum(step, axis=2)  # left to right: v_j = v_(j-1) + step_j
+    # left to right: v_j = v_(j-1) + step_j, the accumulation `np.cumsum` runs
+    return np.add.accumulate(step, axis=2, out=step)
 
 
 def predict_imbalance(

@@ -26,13 +26,23 @@ and the list's `sequences` are row views of it.
 both sides' subproblems over a leading side axis, machine first (see the
 module docstring of `prediction`).  Its products are stacked matmuls, which
 run each side through the same OpenBLAS call as one side alone (the Gram
-matrix forced' forced is a syrk per item either way); `np.linalg.solve`
-runs one LAPACK gesv per item; `reverse_cholesky` factors the items one
-after the other, machine first, before the solve.  So every array is
-bit-identical to assembling each side by itself, and a side that is not
-positive definite raises NotPositiveDefiniteError with its own pivot, as
-it would alone.  A 2-D gemm over both sides' rows would not be
-bit-identical.
+matrix forced' forced is a syrk per item either way); the solve runs one
+LAPACK gesv per item; `reverse_cholesky` factors the items one after the
+other, machine first, before the solve.  So every array is bit-identical
+to assembling each side by itself, and a side that is not positive
+definite raises NotPositiveDefiniteError with its own pivot, as it would
+alone.  A 2-D gemm over both sides' rows would not be bit-identical.
+
+The products that must stay BLAS, on their layout: forced' forced (syrk),
+forced' residual and free x0 (gemv), and target = factor @ unconstrained
+(gemv on a C-contiguous factor, see `reverse_cholesky`).  The solve calls
+the gufunc that `np.linalg.solve` wraps, `numpy.linalg._umath_linalg.solve`
+with the signature "dd->d", so each item runs the same dgesv.  The wrapper
+adds only type dispatch and an error-state context, more than half of its
+time on a two-side N_h = 3 stack (15 us against 7 us, timeit on a shared
+2-core Xeon, Python 3.11), and the factor has already shown every matrix
+positive definite.  The rest of the condensation is elementwise or a copy,
+written for few NumPy calls (see `prediction`'s "call economy").
 
 `select_pair` rolls out both sides' candidates in one call, over the
 leading side axis of `prediction`'s two-side convention, and scores all
@@ -57,6 +67,7 @@ from .plant import PlantState, SwitchState
 from .prediction import (
     HorizonMismatchError,
     MultistepModel,
+    SequenceError,
     StepModels,
     SwitchSequence,
     check_levels,
@@ -64,6 +75,14 @@ from .prediction import (
     imbalance_contributions,
     imbalance_path,
 )
+
+try:  # private to NumPy: pyproject.toml bounds the versions, tests/test_step_forms.py pins it
+    from numpy.linalg._umath_linalg import solve as _lapack_solve
+except ImportError as exc:
+    raise ImportError(
+        f"seqmpc needs numpy.linalg._umath_linalg.solve, the gufunc behind np.linalg.solve, "
+        f"which NumPy {np.__version__} does not have"
+    ) from exc
 
 #: guard for exhaustive enumeration (27**4 = 531441 sequences)
 MAX_BRUTE_HORIZON = 4
@@ -134,7 +153,7 @@ class CandidateList:
         self.levels = levels = np.asarray(self.levels, dtype=np.int64)
         check_levels(levels, (len(self.costs), 3 * self.horizon))
         if any(b < a for a, b in zip(self.costs, self.costs[1:])):
-            raise ValueError("candidate costs must be nondecreasing")
+            raise SequenceError("candidate costs must be nondecreasing")
         levels.flags.writeable = False
 
     @functools.cached_property
@@ -157,17 +176,21 @@ def reverse_cholesky(q: np.ndarray) -> np.ndarray:
     the decoder needs so that row k of H touches only entries 1..k and the
     layer-by-layer residual accumulation over 1..3N is exact.  The matrices
     of a stack are factored in order, so the first that is not positive
-    definite raises.
+    definite raises.  The factors come back as one C-contiguous array: the
+    decoder's target `factor @ unconstrained` runs BLAS's gemv on that
+    layout, and a strided view of the same entries would take another gemv
+    path and move the target in its last bits.
     """
     q = np.asarray(q, dtype=np.float64)
     n = q.shape[-1]
-    factor = np.empty_like(q)
-    for q_i, h_i in zip(q.reshape(-1, n, n), factor.reshape(-1, n, n)):
-        low, pivot = _k.cholesky_lower(q_i[::-1, ::-1].tolist())
+    lows = []
+    for a in q.reshape(-1, n, n)[:, ::-1, ::-1].tolist():
+        low, pivot = _k.cholesky_lower(a)
         if pivot >= 0:
             raise NotPositiveDefiniteError(n - 1 - pivot)
-        h_i.T[::-1, ::-1] = low  # H[i][j] = low[n-1-j][n-1-i]
-    return factor
+        lows.append(low)
+    factor = np.array(lows)[:, ::-1, ::-1].swapaxes(-1, -2)  # H[i][j] = low[n-1-j][n-1-i]
+    return np.ascontiguousarray(factor).reshape(q.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +209,17 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float):
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
-    x0 = np.asarray(x0, float)
-    y_ref = np.asarray(y_ref, float)
     if isinstance(u_prev, SwitchState):
         u_prev = u_prev.as_array()
+    forced = m.forced_map
+    forced_t = forced.swapaxes(-1, -2)
+    residual = m.free_map @ np.asarray(x0, float)[..., None]
+    residual += m.drift_vec[..., None]
+    residual -= np.asarray(y_ref, float)[..., None]
+    quad = forced_t @ forced
+    quad += effort_gram(m.horizon, weight)
     diff, prev = effort_maps(m.horizon)
-    forced_t = m.forced_map.swapaxes(-1, -2)
-    residual = (m.free_map @ x0[..., None])[..., 0] + m.drift_vec - y_ref
-    quad = forced_t @ m.forced_map + effort_gram(m.horizon, weight)
-    lin = -(forced_t @ residual[..., None]) + weight * (diff.T @ (prev @ u_prev[..., None]))
+    lin = -(forced_t @ residual) + weight * (diff.T @ (prev @ np.asarray(u_prev)[..., None]))
     return quad, lin[..., 0]
 
 
@@ -211,19 +236,18 @@ def assemble_qp(m: MultistepModel, x0, y_ref, u_prev, weight: float) -> QpForm:
     """Condense a subproblem, or a stack of them, and bring it to triangular
     decoding form.  Every matrix is factored before the first solve, so a
     Gram matrix that is not positive definite raises
-    NotPositiveDefiniteError, the first of a stack first."""
+    NotPositiveDefiniteError, the first of a stack first; the solve is
+    then `np.linalg.solve`'s gufunc (see the module docstring).
+    """
     quad, lin = condense(m, x0, y_ref, u_prev, weight)
     factor = reverse_cholesky(quad)
-    unconstrained = np.linalg.solve(quad, lin[..., None])
+    # The gufunc runs without np.linalg.solve's error state, so a singular
+    # matrix would give NaN, not LinAlgError; the pivot floor of
+    # `reverse_cholesky` has already raised for any matrix that is not
+    # positive definite, so no singular matrix gets here.
+    unconstrained = _lapack_solve(quad, lin[..., None], signature="dd->d")
     target = factor @ unconstrained
-    return QpForm(
-        quad=quad,
-        lin=lin,
-        factor=factor,
-        unconstrained=unconstrained[..., 0],
-        target=target[..., 0],
-        horizon=m.horizon,
-    )
+    return QpForm(quad, lin, factor, unconstrained[..., 0], target[..., 0], m.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +260,8 @@ def _list_decode(qp: QpForm, k: int):
     radius trace)."""
     n = qp.factor.shape[0]
     best, nodes, rho_trace = _k.sd_search(qp.factor, qp.target, min(k, 3 ** n))
-    levels = np.array([lv for _, lv in best], dtype=np.int64).reshape(len(best), n)
-    cands = CandidateList(levels, [cost for cost, _ in best], qp.horizon, nodes)
+    costs, levels = zip(*best)  # the list is never empty: the first leaf fills it
+    cands = CandidateList(np.array(levels, dtype=np.int64), list(costs), qp.horizon, nodes)
     return cands, rho_trace
 
 
@@ -340,17 +364,15 @@ def select_pair(
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
     if not k_m or not k_n:
-        raise ValueError("candidate lists must be nonempty")
+        raise SequenceError("candidate lists must be nonempty")
     n_h = machine_cands.horizon
     if n_h != grid_cands.horizon:
         raise HorizonMismatchError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
 
-    levels = np.zeros((2, max(k_m, k_n), 3 * n_h), dtype=np.int64)
+    levels = np.zeros((2, max(k_m, k_n), 3 * n_h))
     levels[0, :k_m] = machine_cands.levels
     levels[1, :k_n] = grid_cands.levels
-    contrib = imbalance_contributions(
-        np.array((st.i_m_dq, st.i_n_ab)), models.sides, levels, models.proj, models.gain
-    )
+    contrib = imbalance_contributions(models.x0, models.sides, levels, models.proj, models.gain)
     paths = imbalance_path(st.dc.v_imb, contrib[0, :k_m], contrib[1, :k_n]).reshape(-1, n_h)
     scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
     # argmin keeps the first minimum; row-major order makes that the lowest

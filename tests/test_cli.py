@@ -4,6 +4,7 @@ from click.testing import CliRunner
 from seqmpc import harness, solver
 from seqmpc.cli import main
 from seqmpc.harness import ScenarioConfig, dump_config
+from seqmpc.prediction import SequenceError
 from seqmpc.solver import NotPositiveDefiniteError
 
 QUICK_ARGS = ["--duration", "0.04", "--substeps", "2", "--horizon", "1", "--nk", "2", "--nl", "2"]
@@ -193,6 +194,28 @@ class TestRun:
         result = runner.invoke(main, ["run", "--duration", "0.1", "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert f"solver error: step {failing}: matrix is not positive definite (pivot 2)" in result.output
+        assert steps == list(range(failing + 1)) and not out.exists()
+
+    def test_sequence_error_in_a_step_names_its_step_and_exits_three(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # a check inside control step `failing` raises; no traceback escapes
+        failing = 3
+        steps = []
+        control_step = harness.control_step
+
+        def checked_step(*args):
+            steps.append(len(steps))
+            if len(steps) > failing:
+                raise SequenceError("candidate costs must be nondecreasing")
+            return control_step(*args)
+
+        monkeypatch.setattr(harness, "control_step", checked_step)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", "--duration", "0.1", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert f"solver error: step {failing}: candidate costs must be nondecreasing" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
         assert steps == list(range(failing + 1)) and not out.exists()
 
 

@@ -73,27 +73,27 @@ class TestControllerConfig:
 
 class TestBuildReferences:
     def test_all_zero_at_equilibrium(self):
-        st = PlantState.initial(MACHINE, v_dc=700.0)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         out = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         assert out.i_dq_ref == (0.0, 0.0)
         assert out.pq_ref == (0.0, 0.0)
         assert out.integral == 0.0
 
     def test_torque_inversion(self):
-        st = PlantState.initial(MACHINE)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         out = build_references(st, MACHINE, PI, 19.20375, 0.0, 0.0, T_S)
         assert out.i_dq_ref[0] == 0.0
         assert out.i_dq_ref[1] == pytest.approx(10.0)
 
     def test_proportional_term(self):
-        st = PlantState.initial(MACHINE, v_dc=690.0)
+        st = PlantState.initial(v_dc=690.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.5, ki=0.0)
         out = build_references(st, MACHINE, pi, 0.0, 0.0, 0.0, dt=1e-6)
         i_g_ref = out.pq_ref[0] / st.dc.v_dc
         assert i_g_ref == pytest.approx(5.0)
 
     def test_integral_accumulates_and_clamps(self):
-        st = PlantState.initial(MACHINE, v_dc=600.0)
+        st = PlantState.initial(v_dc=600.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.0)
         refs = ReferenceState()
         for _ in range(10):
@@ -103,7 +103,7 @@ class TestBuildReferences:
         assert abs(refs.pq_ref[0] / st.dc.v_dc) <= 50.0
 
     def test_power_feedforward(self):
-        st = PlantState.initial(MACHINE, v_dc=700.0)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.0, ki=0.0)
         out = build_references(st, MACHINE, pi, 20.0, 110.0, 0.0, T_S)
         assert out.pq_ref[0] == pytest.approx(110.0 * 20.0)
@@ -139,7 +139,7 @@ class TestClampsMatchNpClip:
             assert repr(float(min(max(x, -bound), bound))) == repr(want)
 
     def test_build_references(self):
-        st = PlantState.initial(MACHINE, v_dc=700.0)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         grid = itertools.product(
             SPECIAL,                               # integral
             (700.0, 600.0, 800.0, math.inf, -math.inf, math.nan),  # v_dc_ref
@@ -197,7 +197,7 @@ class TestControlStep:
         # zero state, dead grid source and references equal to the free
         # response make the all-off sequence exactly optimal on both sides
         quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
-        st = PlantState.initial(MACHINE, v_dc=700.0)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         refs = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         out = control_step(
             st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
@@ -216,8 +216,8 @@ class TestControlStep:
                 st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
                 MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
             )
-            assert_allclose(out.s_m.as_array(), out.full_u_m.first_block())
-            assert_allclose(out.s_n.as_array(), out.full_u_n.first_block())
+            assert_allclose(out.s_m.as_array(), out.full_u_m.block(0))
+            assert_allclose(out.s_n.as_array(), out.full_u_n.block(0))
 
     def test_pair_is_imbalance_optimal_over_candidate_product(self, rng):
         # rebuild the candidate lists independently and check the decision

@@ -22,6 +22,8 @@ from seqmpc.harness import (
     sweep,
     write_sweep_csv,
 )
+from seqmpc.prediction import SequenceError, check_levels
+from seqmpc.solver import SolverError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +170,32 @@ class TestRunScenario:
                 got = harness._state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m)
                 assert (got > limit) == (want > limit)
                 assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_sequence_error_in_a_step_becomes_a_solver_error_naming_the_step(self, monkeypatch):
+        failing = 2
+        control_step = harness.control_step
+        calls = []
+
+        def step(*args):
+            calls.append(args)
+            if len(calls) > failing:
+                check_levels(np.array([0, 2, 0]), (3,))  # raises SequenceError
+            return control_step(*args)
+
+        monkeypatch.setattr(harness, "control_step", step)
+        with pytest.raises(SolverError, match=r"^step 2: sequence entries must lie in") as err:
+            run_scenario(ScenarioConfig(duration=0.001, substeps=2), ControllerConfig(n_h=1))
+        assert isinstance(err.value.__cause__, SequenceError) and len(calls) == failing + 1
+
+    def test_other_value_error_in_a_step_is_not_taken_for_a_solver_error(self, monkeypatch):
+        # a shape error from a bug must keep its type and traceback
+        def step(*args):
+            np.ones(2) @ np.ones(3)
+
+        monkeypatch.setattr(harness, "control_step", step)
+        with pytest.raises(ValueError, match="matmul") as err:
+            run_scenario(ScenarioConfig(duration=0.001, substeps=2), ControllerConfig(n_h=1))
+        assert not isinstance(err.value, SequenceError)
 
     def test_determinism_bytes(self, tmp_path):
         cfg = quick_cfg()

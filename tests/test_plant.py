@@ -148,7 +148,7 @@ class TestSwitchState:
 
     def test_round_trip(self):
         s = SwitchState(1, -1, 0)
-        assert SwitchState.from_array(s.as_array()) == s
+        assert SwitchState(*s.as_array().tolist()) == s
 
 
 class TestConverterVoltage:
@@ -328,7 +328,7 @@ class TestMechStep:
 
 class TestPlantStep:
     def test_fixed_point(self):
-        st = PlantState.initial(MACHINE)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         out = plant_step(
             st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, 0.0,
             50e-6, 10,

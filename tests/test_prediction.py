@@ -60,7 +60,7 @@ class TestSwitchSequence:
 
     def test_blocks_and_hash(self):
         seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
-        assert_allclose(seq.first_block(), [1, 0, -1])
+        assert_allclose(seq.block(0), [1, 0, -1])
         assert_allclose(seq.block(1), [0, 1, 1])
         assert seq == SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
         assert len({seq, seq}) == 1
@@ -249,7 +249,7 @@ class TestStepModels:
 
     def test_direct_build_equals_per_side_build_at_standstill(self, rng):
         # omega_e = 0 makes -0.0 entries: Ts * -omega_e and the back-EMF drift
-        self.check(PlantState.initial(MACHINE, v_dc=700.0))
+        self.check(PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0))
         for _ in range(50):
             self.check(random_state(rng, omega_m=0.0))
         # r_n = 0 gives the grid state matrix -0.0 * 0.0 off its diagonal

@@ -264,7 +264,7 @@ class TestTwoSideStack:
         [(1e-12, "grid"), (0.0, "machine")],
     )
     def test_pivot_failure_names_the_failing_side(self, lam, failing):
-        st = PlantState.initial(MACHINE, v_dc=700.0)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         models = step_models(st)
         n_h = 3
         pivots = {}
