@@ -1,7 +1,7 @@
 """Hot numeric kernels, written for the Python interpreter that runs them.
 
 The plant kernels take and return Python floats.  `cholesky_lower` takes
-and returns lists of rows, and `sd_search` converts its array arguments with
+and returns flat lists, and `sd_search` converts its array arguments with
 ``.tolist()`` on entry; both then work on Python floats, ints and lists
 only: indexing a NumPy array element by element creates a NumPy scalar each
 time and pays NumPy-scalar arithmetic, which made the search several times
@@ -229,42 +229,55 @@ def integrate_plant(
 
 
 def cholesky_lower(a):
-    """Lower Cholesky factor of `a`, a list of rows: (rows of L, pivot).
+    """Lower-triangular H with H.T @ H == q, for the n x n matrix q given as
+    its flat row-major list `a`: (H as a flat row-major list, pivot).
 
-    `pivot` is -1 on success, else the index of the failing pivot.  A pivot
+    H is the lower Cholesky factor L of q with its indices reversed
+    (L L' = J q J, J the exchange matrix), read back as
+    H[i][j] = L[n-1-j][n-1-i]: the orientation in which row i of H touches
+    columns 0..i only, as the decoder's layer-by-layer residual needs, in
+    the C order of the decoder's factor (`solver.reverse_cholesky`).
+    `pivot` is -1 on success, else the row of H whose pivot failed.  A pivot
     at or below n * eps * max|a_ii| counts as failure so that numerically
     singular Gram matrices are rejected instead of producing garbage
-    factors; the rows then hold the entries computed before that pivot.
+    factors; H then holds the entries of L computed before that pivot and
+    zeros elsewhere.
 
     The factorization runs in straight-line code generated once per size
     (`_cholesky_of_size`).
     """
-    return _cholesky_of_size(len(a))(a)
+    return _cholesky_of_size(math.isqrt(len(a)))(a)
 
 
 def _cholesky_source(n):
-    """Source of `cholesky(a) -> (rows, pivot)` for n x n matrices.
+    """Source of `cholesky(a) -> (h, pivot)` for flat n x n matrices.
 
-    Entry (i, j) of the lower triangle lives in the locals a_i_j and l_i_j.
-    Entry l_i_j, j < i, is a_i_j minus the products l_i_k * l_j_k for
-    k = 0..j-1, subtracted left to right, divided by l_j_j; the diagonal
-    subtracts the squares l_i_k * l_i_k the same way before the pivot test
-    and the square root.  That is the row-by-row (Cholesky-Banachiewicz)
-    loop, operation for operation, so the factor, the failing pivot and the
-    partial rows are the loop's to the bit.
+    Entry (i, j) of the lower triangle of the reversed matrix J q J lives
+    in the locals a_i_j and l_i_j.  Entry l_i_j, j < i, is a_i_j minus the
+    products l_i_k * l_j_k for k = 0..j-1, subtracted left to right,
+    divided by l_j_j; the diagonal subtracts the squares l_i_k * l_i_k the
+    same way before the pivot test and the square root.  That is the
+    row-by-row (Cholesky-Banachiewicz) loop on J q J, operation for
+    operation, so L, the failing pivot and the partial rows are the loop's
+    to the bit; only where they are read from and written to is reversed.
     """
-    def rows(done):
-        # the rows with the entries before index pair `done` computed
-        out = []
+    def flat_h(done):
+        # H in row-major order, from the entries of L before index pair `done`
+        entries = []
         for i in range(n):
-            row = [f"l_{i}_{j}" if (i, j) < done else "0.0" for j in range(i + 1)]
-            out.append("[" + ", ".join(row + ["0.0"] * (n - 1 - i)) + "]")
-        return "[" + ", ".join(out) + "]"
+            for j in range(n):
+                r, c = n - 1 - j, n - 1 - i
+                entries.append(f"l_{r}_{c}" if j <= i and (r, c) < done else "0.0")
+        return "[" + ", ".join(entries) + "]"
 
     lines = ["def cholesky(a):"]
-    for i in range(n):
-        names = [f"a_{i}_{j}" for j in range(i + 1)] + ["_"] * (n - 1 - i)
-        lines.append(f"    {', '.join(names)}, = a[{i}]")
+    # q[r][c] is entry (n-1-r, n-1-c) of J q J, read where that is on or below the diagonal
+    names = []
+    for r in range(n):
+        for c in range(n):
+            i, j = n - 1 - r, n - 1 - c
+            names.append(f"a_{i}_{j}" if j <= i else "_")
+    lines.append(f"    {', '.join(names)}, = a")
     diag = ", ".join(f"abs(a_{i}_{i})" for i in range(n))
     lines.append(f"    tol = {n} * EPS * max(max([{diag}]), 1e-300)")
     for i in range(n):
@@ -275,10 +288,10 @@ def _cholesky_source(n):
         lines += [
             f"    s = a_{i}_{i}{terms}",
             "    if s <= tol:",
-            f"        return {rows((i, i))}, {i}",
+            f"        return {flat_h((i, i))}, {n - 1 - i}",
             f"    l_{i}_{i} = sqrt(s)",
         ]
-    lines.append(f"    return {rows((n, 0))}, -1")
+    lines.append(f"    return {flat_h((n, 0))}, -1")
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import MAX_LAYERS
 from .plant import GridParams, MachineParams, PlantState, SwitchState
-from .prediction import SwitchSequence, build_multistep, build_step_models
+from .prediction import StepPlan, SwitchSequence, build_multistep, build_step_models
 # not called here; perfbench's traced `prediction.imbalance.us_per_step` looks it up here
 from .prediction import predict_imbalance  # noqa: F401
 from .solver import assemble_qp, k_best, select_pair
@@ -90,7 +90,7 @@ class DcLinkPi:
     v_dc_ref: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReferenceState:
     """One step's current and power references plus the DC-link PI
     regulator's integral.
@@ -103,9 +103,13 @@ class ReferenceState:
     integral: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlDecision:
-    """Applied first blocks plus the full sequences and per-step telemetry."""
+    """Applied first blocks plus the full sequences and per-step telemetry.
+
+    Nothing in it shares memory with the step plan: the sequences are rows
+    of the decoder's candidate lists, the rest Python values.
+    """
 
     s_m: SwitchState
     s_n: SwitchState
@@ -155,6 +159,13 @@ def stack_reference(refs: ReferenceState, n_h: int) -> np.ndarray:
     return np.array((refs.i_dq_ref * n_h, refs.pq_ref * n_h), dtype=float)
 
 
+def step_plan(cfg: ControllerConfig) -> StepPlan:
+    """The step plan of `control_step` under `cfg`: both sides, its horizon,
+    and its list lengths, the decoder's k capped at the 3^(3N) sequences."""
+    sequences = 3 ** (3 * cfg.n_h)
+    return StepPlan(cfg.n_h, min(cfg.n_k, sequences), min(cfg.n_l, sequences))
+
+
 def control_step(
     st: PlantState,
     cfg: ControllerConfig,
@@ -165,6 +176,7 @@ def control_step(
     u_prev_n: SwitchState,
     t_s: float,
     c_dc: float,
+    plan: StepPlan | None = None,
 ) -> ControlDecision:
     """Solve both subproblems and the imbalance stage for one sampling
     period `t_s`, with DC-link capacitance `c_dc`.
@@ -172,16 +184,20 @@ def control_step(
     Each side's model is built and discretized once; the multistep stacking
     and the imbalance stage share it.  Both sides' subproblems are stacked
     and go through the multistep stacking and the condensation together,
-    machine side first.
+    machine side first.  Every stage works in `plan`'s buffers, which must
+    be `step_plan(cfg)` or one like it; the closed loop passes one for the
+    whole run, and a call without one builds it.
     """
-    models = build_step_models(st, machine, grid, t_s, c_dc)
-    multi = build_multistep(models.sides, cfg.n_h)
+    if plan is None:
+        plan = step_plan(cfg)
+    models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+    multi = build_multistep(models.sides, cfg.n_h, plan)
     u_prev = [(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)]
-    qp = assemble_qp(multi, models.x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam)
-    qp_m, qp_n = qp.sides()
+    assemble_qp(multi, models.x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam, plan)
+    qp_m, qp_n = plan.qp_sides  # the sides of the plan's `qp`, the form assemble_qp returns
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
-    u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
+    u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
     return ControlDecision(  # fields in order
         SwitchState(*u_m.levels[:3].tolist()), SwitchState(*u_n.levels[:3].tolist()),
         u_m, u_n, cands_m.costs[im], cands_n.costs[il], j_o,

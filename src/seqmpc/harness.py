@@ -7,7 +7,9 @@ returns a uniformly sampled record of everything.  The run's constants
 have one owner, `ScenarioConfig`: on each step the loop passes the sampling
 period and the DC-link capacitance to the controller and the plant, the
 DC-link PI settings (built once per run) to `build_references`, and the
-rotor inertia and the profile's load torque to the plant.  Metric helpers
+rotor inertia and the profile's load torque to the plant.  The controller
+also gets the run's step plan, its buffers built once before step 0
+(`controller.step_plan`).  Metric helpers
 reduce a record to THD / RMSE / switching-frequency / node-count figures;
 `sweep` crosses controller-parameter lists and collects one metrics row per
 configuration.  Runs are fully deterministic for a given configuration.
@@ -29,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import _kernels as _k
-from .controller import ControllerConfig, DcLinkPi, build_references, control_step
+from .controller import ControllerConfig, DcLinkPi, build_references, control_step, step_plan
 from .plant import (
     GridParams,
     MachineParams,
@@ -40,7 +42,7 @@ from .plant import (
     plant_step,
     power_output,
 )
-from .prediction import SequenceError, build_multistep, build_step_models
+from .prediction import SequenceError, StepPlan, build_multistep, build_step_models
 from .solver import NotPositiveDefiniteError, SolverError, assemble_qp
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
@@ -172,13 +174,14 @@ class ScenarioConfig:
         # along the common-mode switch vector only the effort term keeps the
         # condensed Gram matrix positive definite, so a positive but tiny
         # weight fails the factorization; reject it here, not on step 0
+        plan = StepPlan(n_h)
         models = build_step_models(
-            self.initial_state(), self.machine(), self.grid(), self.t_s, self.c_dc
+            self.initial_state(), self.machine(), self.grid(), self.t_s, self.c_dc, plan
         )
         try:
             assemble_qp(
-                build_multistep(models.sides, n_h), np.zeros((2, 2)), np.zeros((2, 2 * n_h)),
-                np.zeros((2, 3)), lam / EFFORT_WEIGHT_MARGIN,
+                build_multistep(models.sides, n_h, plan), np.zeros((2, 2)),
+                np.zeros((2, 2 * n_h)), np.zeros((2, 3)), lam / EFFORT_WEIGHT_MARGIN, plan,
             )
         except NotPositiveDefiniteError as exc:
             raise ConfigError(
@@ -333,11 +336,12 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     integral = 0.0  # of the DC-link PI regulator
     u_prev_m = SwitchState.zero()
     u_prev_n = SwitchState.zero()
+    plan = step_plan(ctrl)  # the step's buffers, built once for the run
     series = TimeSeries()
 
     for step in range(cfg.n_steps()):
-        i_md, i_mq = state.i_m_dq.tolist()
-        i_na, i_nb = state.i_n_ab.tolist()
+        i_md, i_mq = state.i_m_dq
+        i_na, i_nb = state.i_n_ab
         scale = _state_scale(i_md, i_mq, i_na, i_nb, state.dc.v_dc, state.mech.omega_m)
         if scale > _DIVERGENCE_LIMIT:
             raise SimulationBlowUpError(f"step {step}: state diverged (|x| > {_DIVERGENCE_LIMIT:g})")
@@ -354,7 +358,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
 
         try:
             decision = control_step(
-                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s, cfg.c_dc
+                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s, cfg.c_dc, plan
             )
         except (SolverError, SequenceError) as exc:
             # a sequence check that fails inside a step is a failed step, not a bad config

@@ -107,10 +107,14 @@ class MechState:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Full simulated system state at one instant."""
+    """Full simulated system state at one instant.
 
-    i_m_dq: np.ndarray
-    i_n_ab: np.ndarray
+    The currents are pairs of Python floats: the machine dq currents and the
+    grid alpha/beta currents.
+    """
+
+    i_m_dq: tuple
+    i_n_ab: tuple
     dc: DcLinkState
     mech: MechState
     t: float
@@ -123,8 +127,8 @@ class PlantState:
         dc = DcLinkState(v_dc=v_dc, v_imb=v_imb)
         dc.validate_balanced()
         return cls(
-            i_m_dq=np.zeros(2),
-            i_n_ab=np.zeros(2),
+            i_m_dq=(0.0, 0.0),
+            i_n_ab=(0.0, 0.0),
             dc=dc,
             mech=mech,
             t=0.0,
@@ -141,10 +145,10 @@ _CONVERTER_PATTERN = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0
 _CONVERTER_PATTERN.flags.writeable = False
 
 
-def converter_matrix(dc: DcLinkState) -> np.ndarray:
-    """3x3 map from a switch vector to the three-phase voltage."""
-    g = (dc.v_dc + dc.v_imb) / 6.0
-    return g * _CONVERTER_PATTERN
+def converter_matrix(dc: DcLinkState, out: np.ndarray | None = None) -> np.ndarray:
+    """3x3 map from a switch vector to the three-phase voltage, written into
+    `out` if given."""
+    return np.multiply(_CONVERTER_PATTERN, (dc.v_dc + dc.v_imb) / 6.0, out=out)
 
 
 def grid_emf(t: float, p: GridParams) -> np.ndarray:
@@ -183,8 +187,7 @@ def plant_step(
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
     out = _k.integrate_plant(
-        float(st.i_m_dq[0]), float(st.i_m_dq[1]),
-        float(st.i_n_ab[0]), float(st.i_n_ab[1]),
+        *st.i_m_dq, *st.i_n_ab,
         st.dc.v_dc, st.dc.v_imb,
         st.mech.omega_m, st.mech.theta_e, st.t,
         s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
@@ -200,8 +203,8 @@ def plant_step(
     if v_dc <= 0.0:
         raise SimulationBlowUpError("DC-link voltage collapsed")
     return PlantState(
-        i_m_dq=np.array([i_md, i_mq]),
-        i_n_ab=np.array([i_na, i_nb]),
+        i_m_dq=(i_md, i_mq),
+        i_n_ab=(i_na, i_nb),
         dc=DcLinkState(v_dc=v_dc, v_imb=v_imb),
         mech=MechState(omega_m, theta_e),
         t=t,

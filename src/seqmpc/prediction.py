@@ -41,18 +41,38 @@ OpenBLAS's gemv and dot fuse multiply-adds, gemm blocks differently and
 Python rounds every product, so either would move the predicted imbalance in
 its last bits and could change which of two near-equal pairs is applied.
 
-Call economy: a control step is short, so the NumPy calls around the BLAS
-products cost more than the products themselves (1-3 us each).  What must
-stay is every product above, as the same stacked matmul on the same item
-shapes and strides: the input maps, the state-map powers and the products
-of `build_multistep`, the rollout's gemv and dot calls.  Everything else is
-free to take fewer calls as long as it computes the same IEEE operations
-in the same order: `build_step_models` writes all its Python-float entries,
-the states and the Park rotation into one array and hands out views of it,
-and `imbalance_path` runs the left-to-right running sum as
-`np.add.accumulate`, the ufunc method that `np.cumsum` wraps.  A copy never moves a bit, but the
-layout it leaves can: a strided operand sends a product down another BLAS
-path, so each operand is built C-contiguous like the one it replaces.
+The step plan.  A control step is short, so the NumPy calls around its
+products cost more than the products themselves (about 1 us each), and
+rebuilding the same views, reshapes and temporaries on every step was most
+of that.  A `StepPlan` is built once for one shape: the leading axes (the
+side axis in the controller), the horizon N and the list lengths k_m and
+k_n.  It holds every operand buffer of the step, the views that the
+products read and write, and the records that the planned functions return
+(`StepModels`, `MultistepModel`, `QpForm` and its two sides), which wrap
+its buffers.  The closed loop builds one per run (`controller.step_plan`)
+and passes it down; a call without one builds a fresh one for its
+arguments, so every call runs the same code.  A step then runs only its
+products, each into one of the plan's buffers, the elementwise writes, one
+flat-index gather that places the forced, free and drift maps of
+`build_multistep` (`_map_index`: the transposes and reshapes that once
+moved the values, run once per shape on their positions), and the decoder.
+
+- Layout rule.  Every product keeps the per-item operands and layout of
+  the single-side product above, and its `out=` is a C-contiguous buffer
+  of the result's shape, the layout a fresh result would have.  So NumPy
+  runs the same BLAS call on the same items, bit for bit.  A buffer that a
+  later product reads as a matrix (the forced and free maps, the factor)
+  must be C-contiguous in any case: a strided matrix operand takes another
+  BLAS path and moves results in their last bits (the pins of
+  tests/test_step_forms.py fail on a plan whose factor buffer is strided).
+  NumPy 2.4.6 gave the same bits for the strided `out=`s tried, but a
+  non-BLAS-able output may also run NumPy's own loop, whose sums are not
+  BLAS's; nothing here relies on either.
+- Aliasing rule.  What a planned function returns is the plan's: it holds
+  the current step until the next call with the same plan overwrites it.
+  Nothing that outlives a step shares memory with a plan: the candidate
+  lists, the applied sequences and everything else reachable from a
+  `ControlDecision` are the decoder's own arrays and Python values.
 """
 
 from __future__ import annotations
@@ -73,6 +93,9 @@ from .plant import (
     converter_matrix,
 )
 from .transforms import CLARKE_MAT, CLARKE_PINV_MAT, park_matrix
+
+#: states and outputs, and inputs (switch levels), of either side's model per stage
+NX, NU = 2, 3
 
 
 class SequenceError(ValueError):
@@ -95,7 +118,7 @@ class LinearSubsystem:
     output_mat: np.ndarray  # 2x2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiscreteModel:
     """Euler-discretized subsystem over one sampling period."""
 
@@ -105,7 +128,7 @@ class DiscreteModel:
     output_mat: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MultistepModel:
     """Condensed horizon model  Y = forced_map U + free_map x0 + drift_vec.
 
@@ -119,6 +142,34 @@ class MultistepModel:
     horizon: int
 
 
+@dataclass(slots=True)
+class QpForm:
+    """Condensed quadratic subproblem in both raw and triangular form
+    (`solver.assemble_qp`).
+
+    Invariants: factor is lower triangular with positive diagonal,
+    factor.T @ factor == quad, quad @ unconstrained == lin, and
+    target == factor @ unconstrained.  The form of a stack of subproblems
+    carries the stack's leading axes on every array; `sides` splits a
+    two-side stack.
+    """
+
+    quad: np.ndarray
+    lin: np.ndarray
+    factor: np.ndarray
+    unconstrained: np.ndarray
+    target: np.ndarray
+    horizon: int
+
+    def sides(self) -> tuple:
+        """(machine, grid): views of the items of a two-side stack."""
+        return tuple(
+            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i],
+                   self.target[i], self.horizon)
+            for i in (0, 1)
+        )
+
+
 @dataclass(frozen=True)
 class SwitchSequence:
     """Stacked per-stage switch vector over the horizon, entries in {-1,0,1}."""
@@ -130,6 +181,16 @@ class SwitchSequence:
         lv = np.asarray(self.levels, dtype=np.int64)
         object.__setattr__(self, "levels", lv)
         check_levels(lv, (3 * self.horizon,))
+
+    @classmethod
+    def of_checked(cls, levels: np.ndarray, horizon: int) -> "SwitchSequence":
+        """The sequence of int64 `levels` that `check_levels` has already
+        passed for this horizon, such as a row of a `CandidateList`'s level
+        stack: built without checking them again."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "levels", levels)
+        object.__setattr__(seq, "horizon", horizon)
+        return seq
 
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.levels)
@@ -228,38 +289,31 @@ def _delay_index(n_h: int) -> np.ndarray:
     return index
 
 
-def build_multistep(d: DiscreteModel, n_h: int) -> MultistepModel:
+def build_multistep(d: DiscreteModel, n_h: int, plan: StepPlan | None = None) -> MultistepModel:
     """Stack the one-step model over `n_h` stages into condensed form.
 
     Broadcasts over leading axes of the model's arrays, such as the side
-    axis of `StepModels.sides` (see the module docstring).
+    axis of `StepModels.sides` (see the module docstring).  The products
+    are the powers A^d, C A^d, the blocks C A^d B and C times the running
+    sums of A^l n; one gather (`_map_index`) places them in the forced, free
+    and drift maps, which are the plan's (a fresh one without `plan`).
     """
-    if n_h < 1:
-        raise ValueError("horizon must be >= 1")
-    a, b, c, n = d.state_mat, d.input_mat, d.output_mat, d.drift
-    lead = a.shape[:-2]
-    k = len(lead)
-    (ny, nx), nu = c.shape[-2:], b.shape[-1]
-    # the stage axis comes first, the leading axes follow it, and moves
-    # behind them once the stages are done
-    stage_last = (*range(1, k + 1), 0, k + 1, k + 2)
-
-    powers = np.empty((n_h + 1,) + a.shape)  # A^d, d = 0..N
-    powers[0] = _identity(nx)
-    for r in range(n_h):
-        np.matmul(a, powers[r], out=powers[r + 1])
-    c_powers = c @ powers  # C A^d
-    blocks = np.zeros((n_h + 1,) + lead + (ny, nu))  # C A^d B once per delay d < N, then zero
-    np.matmul(c_powers[:n_h], b, out=blocks[:n_h])
-    forced = blocks[_delay_index(n_h)].transpose(*range(2, k + 2), 0, k + 2, 1, k + 3)
-    forced = forced.reshape(lead + (ny * n_h, nu * n_h))
-    free = c_powers[1:].transpose(stage_last).reshape(lead + (ny * n_h, nx))
-    acc = powers[:n_h] @ n[..., None]  # A^l n, then running sums over l = 0..r
-    acc[0] = n[..., None]
-    for r in range(1, n_h):
-        acc[r] += acc[r - 1]
-    drift = (c @ acc).transpose(stage_last).reshape(lead + (ny * n_h,))
-    return MultistepModel(forced, free, drift, n_h)
+    if plan is None:
+        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2], ny=d.output_mat.shape[-2])
+    elif plan.n_h != n_h:
+        raise ValueError(f"the plan is for horizon {plan.n_h}, not {n_h}")
+    a, b, c = d.state_mat, d.input_mat, d.output_mat
+    for power, following in plan.power_steps:  # A^d, d = 0..N
+        np.matmul(a, power, out=following)
+    np.matmul(c, plan.powers, out=plan.c_powers)  # C A^d
+    np.matmul(plan.c_powers_head, b, out=plan.blocks_head)  # C A^d B, d < N
+    # A^l n, then running sums over l = 0..r
+    np.copyto(plan.drift_first, d.drift)
+    np.matmul(plan.powers_inner, d.drift[..., None], out=plan.drift_rest)
+    np.add.accumulate(plan.drift_sums, axis=0, out=plan.drift_sums)
+    np.matmul(c, plan.drift_sums, out=plan.c_drift_sums)
+    np.take(plan.products, plan.map_index, out=plan.maps, mode="clip")
+    return plan.multi
 
 
 def predict_outputs(m: MultistepModel, x0, u: SwitchSequence) -> np.ndarray:
@@ -272,7 +326,7 @@ def predict_outputs(m: MultistepModel, x0, u: SwitchSequence) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepModels:
     """Both discretized side models of one control step and the imbalance
     stage's inputs, all frozen at time-k quantities.
@@ -309,12 +363,178 @@ class StepModels:
         return DiscreteModel(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
 
 
+# ---------------------------------------------------------------------------
+# the step plan
+# ---------------------------------------------------------------------------
+
+
+def _views(buffer: np.ndarray, shapes) -> list:
+    """C-contiguous views of consecutive pieces of the flat `buffer`, one
+    per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _product_shapes(lead: tuple, n_h: int, ny: int) -> tuple:
+    """Shapes of the products `build_multistep` gathers its maps from: the
+    blocks C A^d B for d = 0..N (the last one zero), C A^d for d = 0..N and
+    C times the drift sums, stage axis first, for `ny` outputs per stage."""
+    return (
+        (n_h + 1,) + lead + (ny, NU),
+        (n_h + 1,) + lead + (ny, NX),
+        (n_h,) + lead + (ny, 1),
+    )
+
+
+def _map_shapes(lead: tuple, n_h: int, ny: int) -> tuple:
+    """Shapes of the forced, free and drift maps of `build_multistep`."""
+    return lead + (ny * n_h, NU * n_h), lead + (ny * n_h, NX), lead + (ny * n_h,)
+
+
+@functools.lru_cache(maxsize=None)
+def _map_index(lead: tuple, n_h: int, ny: int) -> np.ndarray:
+    """Read-only flat indices into the products (`_product_shapes`, one
+    after the other) of the forced, free and drift maps' entries, one map
+    after the other, each in C order.
+
+    They come from the gather, transposes and reshapes that place the maps
+    (the stage axis moves behind the leading axes), run once on the
+    products' positions: gathering the values by them copies each entry to
+    the same place.
+    """
+    k = len(lead)
+    shapes = _product_shapes(lead, n_h, ny)
+    blocks, c_powers, c_drift = _views(np.arange(sum(map(math.prod, shapes))), shapes)
+    stage_last = (*range(1, k + 1), 0, k + 1, k + 2)
+    forced = blocks[_delay_index(n_h)].transpose(*range(2, k + 2), 0, k + 2, 1, k + 3)
+    maps = (forced, c_powers[1:].transpose(stage_last), c_drift.transpose(stage_last))
+    index = np.concatenate([m.reshape(-1) for m in maps])
+    index.flags.writeable = False
+    return index
+
+
+class StepPlan:
+    """The operand buffers of one control step, the views its products read
+    and write, and the records its planned functions return, for one shape:
+    leading axes `lead` (the side axis, machine first, in the controller),
+    horizon `n_h` and list lengths `k_m` and `k_n` (see the module
+    docstring).  `controller.step_plan` builds the closed loop's; a planned
+    function given none builds a fresh one for its arguments.  The model
+    buffers and the candidate lists' rows exist for two sides only.  Both
+    sides' models have NX outputs per stage; `ny` sizes the multistep maps
+    and the condensation for other models.
+    """
+
+    def __init__(
+        self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,), ny: int = NX
+    ):
+        if n_h < 1:
+            raise ValueError("horizon must be >= 1")
+        self.n_h, self.k_m, self.k_n = n_h, k_m, k_n
+        n, nu = n_h, NU * n_h
+        lead = tuple(lead)
+
+        # `build_step_models`: its Python-float entries (the state maps, the
+        # output maps, the drifts, the states, the Park rotation and the two
+        # inductances), the input maps' left factors, the converter map and
+        # the phase-current maps; each second item is the grid side's
+        # constant Clarke matrix or pseudo-inverse
+        self.values = values = np.empty(30)
+        self.park = values[24:28].reshape(2, 2)
+        self.park_t = self.park.T
+        self.inductances = values[28:30, None, None]
+        self.clarke = np.array((CLARKE_MAT, CLARKE_MAT))
+        self.park_clarke = self.clarke[0]
+        self.converter = np.empty((3, 3))
+        proj = np.array((CLARKE_PINV_MAT, CLARKE_PINV_MAT))
+        self.proj_m = proj[0]
+        sides = DiscreteModel(
+            values[:8].reshape(2, NX, NX), np.empty((2, NX, NU)),
+            values[16:20].reshape(2, NX), values[8:16].reshape(2, NX, NX),
+        )
+        self.models = StepModels(sides, proj, 0.0, values[20:24].reshape(2, NX))
+
+        # `build_multistep`: the powers A^d, the drift sums, the products and
+        # the maps gathered from them
+        self.powers = np.empty((n + 1,) + lead + (NX, NX))
+        self.powers[0] = _identity(NX)
+        self.power_steps = [(self.powers[r], self.powers[r + 1]) for r in range(n)]
+        self.powers_inner = self.powers[1:n]
+        self.drift_sums = np.empty((n,) + lead + (NX, 1))
+        self.drift_first, self.drift_rest = self.drift_sums[0, ..., 0], self.drift_sums[1:]
+        shapes = _product_shapes(lead, n, ny)
+        self.products = np.zeros(sum(map(math.prod, shapes)))  # the zero block stays zero
+        blocks, self.c_powers, self.c_drift_sums = _views(self.products, shapes)
+        self.blocks_head, self.c_powers_head = blocks[:n], self.c_powers[:n]
+        self.map_index = _map_index(lead, n, ny)
+        self.maps = np.empty(self.map_index.size)
+        self.multi = MultistepModel(*_views(self.maps, _map_shapes(lead, n, ny)), n)
+
+        # `solver.condense` and `solver.assemble_qp`
+        self.x0_col = np.empty(lead + (NX, 1))
+        self.x0 = self.x0_col[..., 0]
+        self.residual = np.empty(lead + (ny * n, 1))
+        self.residual_flat = self.residual[..., 0]
+        self.quad = np.empty(lead + (nu, nu))
+        self.forced_residual = np.empty(lead + (nu, 1))
+        self.forced_residual_flat = self.forced_residual[..., 0]
+        self.effort = np.zeros(lead + (nu,))  # weight * u_prev in the first stage, then zero
+        self.effort_first = self.effort[..., :3]
+        self.lin = np.empty(lead + (nu,))
+        self.lin_col = self.lin[..., None]
+        self.factor = np.empty(lead + (nu, nu))
+        self.unconstrained = np.empty(lead + (nu, 1))
+        self.target = np.empty(lead + (nu, 1))
+        self.qp = QpForm(self.quad, self.lin, self.factor, self.unconstrained[..., 0],
+                         self.target[..., 0], n)
+
+        # `imbalance_contributions`: the level stack as floats, the rows of a
+        # shorter list past its end staying zero, and the rollout
+        k = max(k_m, k_n)
+        self.levels = np.zeros(lead + (k, nu))
+        self.magnitudes = np.empty(lead + (k, nu))
+        blocks = self.levels.reshape(lead + (k, n, 3, 1))
+        self.driving = blocks[..., : n - 1, :, :]  # the last stage's input moves no state read
+        self.active = self.magnitudes.reshape(lead + (k, n, 3, 1)).swapaxes(-1, -2)
+        self.driven = np.empty(lead + (k, n - 1, NX, 1))
+        self.states = np.empty(lead + (k, n, NX, 1))
+        self.first_states = np.moveaxis(self.states[..., 0, :, 0], -2, 0)
+        self.carry = np.empty(lead + (k, NX, 1))
+        self.stages = [
+            (self.states[..., j, :, :], self.driven[..., j, :, :], self.states[..., j + 1, :, :])
+            for j in range(n - 1)
+        ]
+        self.currents = np.empty(lead + (k, n, 3, 1))
+        self.dots = np.empty(lead + (k, n, 1, 1))
+        self.dots_flat = self.dots[..., 0, 0]
+        self.contrib = np.empty(lead + (k, n))
+
+        # `imbalance_path` and `solver.select_pair`'s scores
+        self.paths = np.empty((k_m, k_n, n))
+        self.paths_first = self.paths[:, :, 0]
+        rows = self.paths.reshape(-1, n)
+        self.path_rows, self.path_cols = rows[:, None, :], rows[:, :, None]
+        self.scores = np.empty((k_m * k_n, 1, 1))
+        self.scores_flat = self.scores[:, 0, 0]
+
+        if lead == (2,):
+            self.qp_sides = self.qp.sides()
+            self.levels_m, self.levels_n = self.levels[0, :k_m], self.levels[1, :k_n]
+            self.contrib_m, self.contrib_n = self.contrib[0, :k_m], self.contrib[1, :k_n]
+
+
 def build_step_models(
-    st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float
+    st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float,
+    plan: StepPlan | None = None,
 ) -> StepModels:
     """Both sides' discretized models for the control step at `st`, written
     into the two-side stack directly, the imbalance gain t_s / c_dc and the
-    stacked model states.
+    stacked model states: the plan's `models` (a fresh plan's without
+    `plan`).
 
     Each entry is the one that `discretize` computes from
     `build_machine_subsystem` and `build_grid_subsystem`, by the same
@@ -324,19 +544,21 @@ def build_step_models(
     (BLAS fuses their multiply-adds, which Python floats would not).  So the
     stack is bit-identical to building, discretizing and stacking each side.
     The Python-float entries, the states, the Park rotation and the
-    inductances go into one array in one call, and the models are views of
+    inductances go into one buffer in one call, and the models are views of
     it; the two input maps are one stacked product, each item the same
     gemm as the side's own product.
     """
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
+    if plan is None:
+        plan = StepPlan(1)
     omega_e = machine.pole_pairs * st.mech.omega_m
     decay_m = -machine.r_s / machine.l_s
     decay_n = -grid.r_n / grid.l_n
     zero_n = 0.0 + t_s * (decay_n * 0.0)  # off the diagonal of I + Ts (decay_n I)
     e_a, e_b = _k.grid_emf2(st.t, grid.e_peak, grid.omega_n)
     cos_t, sin_t = math.cos(st.mech.theta_e), math.sin(st.mech.theta_e)
-    flat = np.array((
+    plan.values[:] = (
         # state maps I + Ts F: machine, grid
         1.0 + t_s * decay_m, 0.0 + t_s * omega_e, 0.0 + t_s * -omega_e, 1.0 + t_s * decay_m,
         1.0 + t_s * (decay_n * 1.0), zero_n, zero_n, 1.0 + t_s * (decay_n * 1.0),
@@ -346,25 +568,25 @@ def build_step_models(
         t_s * 0.0, t_s * (-(machine.psi_pm / machine.l_s) * omega_e),
         t_s * (-e_a / grid.l_n), t_s * (-e_b / grid.l_n),
         # states: machine dq, grid alpha/beta currents
-        *st.i_m_dq.tolist(), *st.i_n_ab.tolist(),
+        *st.i_m_dq, *st.i_n_ab,
         # Park rotation (`park_matrix`) and the two inductances
         cos_t, sin_t, -sin_t, cos_t, machine.l_s, grid.l_n,
-    ))
-    maps = flat[:16].reshape(2, 2, 2, 2)
-    park = flat[24:28].reshape(2, 2)
-    input_mat = np.array((park @ CLARKE_MAT, CLARKE_MAT)) @ converter_matrix(st.dc)
-    input_mat /= flat[28:30, None, None]
-    input_mat *= t_s
-    return StepModels(
-        DiscreteModel(maps[0], input_mat, flat[16:20].reshape(2, 2), maps[1]),
-        np.array((CLARKE_PINV_MAT @ park.T, CLARKE_PINV_MAT)),
-        t_s / c_dc,
-        flat[20:24].reshape(2, 2),
     )
+    models = plan.models
+    np.matmul(plan.park, CLARKE_MAT, out=plan.park_clarke)
+    input_mat = np.matmul(
+        plan.clarke, converter_matrix(st.dc, out=plan.converter), out=models.sides.input_mat
+    )
+    input_mat /= plan.inductances
+    input_mat *= t_s
+    np.matmul(CLARKE_PINV_MAT, plan.park_t, out=plan.proj_m)
+    models.gain = t_s / c_dc
+    return models
 
 
 def imbalance_contributions(
-    x0, model: DiscreteModel, levels: np.ndarray, proj: np.ndarray, gain: float
+    x0, model: DiscreteModel, levels: np.ndarray, proj: np.ndarray, gain: float,
+    plan: StepPlan | None = None,
 ) -> np.ndarray:
     """(..., k, N) per-stage imbalance increments of k candidate sequences
     of a converter side, given as a (..., k, 3N) level stack.
@@ -376,31 +598,40 @@ def imbalance_contributions(
     together as stacked matrix-vector products (see the module docstring).
     Broadcasts over leading axes of `x0`, the model's arrays, `levels` and
     `proj`, such as the side axis of `StepModels.sides` and `StepModels.proj`.
+    The levels go into the plan's float stack unless they are in it already;
+    the result is the plan's `contrib` (a fresh plan's without `plan`).
     """
-    lead = levels.shape[:-2]
-    k, n = levels.shape[-2], levels.shape[-1] // 3
-    blocks = np.asarray(levels, dtype=np.float64).reshape(lead + (k, n, 3, 1))
-    # B u_j of every stage but the last, whose input moves no state the rollout reads
-    driven = model.input_mat[..., None, None, :, :] @ blocks[..., : n - 1, :, :]
+    if plan is None:
+        k, n = levels.shape[-2], levels.shape[-1] // 3
+        plan = StepPlan(n, k, k, levels.shape[:-2])
+    if levels is not plan.levels:
+        plan.levels[...] = levels
+    np.abs(plan.levels, out=plan.magnitudes)
+    # B u_j of every stage but the last
+    np.matmul(model.input_mat[..., None, None, :, :], plan.driving, out=plan.driven)
     state_mat = model.state_mat[..., None, :, :]
     drift = model.drift[..., None, :, None]
-    states = np.empty(lead + (k, n, 2, 1))  # the state before each stage's input
-    states[..., 0, :, :] = np.asarray(x0, float)[..., None, :, None]
-    for j in range(n - 1):
-        np.add(
-            state_mat @ states[..., j, :, :] + driven[..., j, :, :], drift,
-            out=states[..., j + 1, :, :],
-        )
-    currents = proj[..., None, None, :, :] @ states
-    active = np.abs(blocks).swapaxes(-1, -2)  # |u_j| as (1, 3) rows
-    return gain * (active @ currents)[..., 0, 0]
+    np.copyto(plan.first_states, x0)  # the state before each stage's input
+    carry = plan.carry
+    for state, driven, following in plan.stages:
+        np.matmul(state_mat, state, out=carry)
+        np.add(carry, driven, out=carry)
+        np.add(carry, drift, out=following)
+    np.matmul(proj[..., None, None, :, :], plan.states, out=plan.currents)
+    np.matmul(plan.active, plan.currents, out=plan.dots)  # |u_j| as (1, 3) rows
+    return np.multiply(plan.dots_flat, gain, out=plan.contrib)
 
 
-def imbalance_path(v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray) -> np.ndarray:
+def imbalance_path(
+    v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray, plan: StepPlan | None = None
+) -> np.ndarray:
     """Fold (k_m, N) and (k_n, N) per-stage contributions into the (k_m, k_n, N)
-    predicted imbalance trajectories of every candidate pair."""
-    step = contrib_m[:, None, :] - contrib_n[None, :, :]
-    step[:, :, 0] += v_imb0
+    predicted imbalance trajectories of every candidate pair: the plan's
+    `paths` (a fresh plan's without `plan`)."""
+    if plan is None:
+        plan = StepPlan(contrib_m.shape[-1], len(contrib_m), len(contrib_n))
+    step = np.subtract(contrib_m[:, None, :], contrib_n[None, :, :], out=plan.paths)
+    np.add(plan.paths_first, v_imb0, out=plan.paths_first)
     # left to right: v_j = v_(j-1) + step_j, the accumulation `np.cumsum` runs
     return np.add.accumulate(step, axis=2, out=step)
 

@@ -18,9 +18,10 @@ runs only when some row's |target_r| exceeds sum_l |factor_rl|.
 DC-link imbalance and keeps the minimizer.
 
 A k-best list (`CandidateList`) is the (k, 3N) level stack that the decoder
-or the oracle builds once from its leaves, with their costs; `select_pair`
-rolls the stack out and builds SwitchSequences of the two chosen rows only,
-and the list's `sequences` are row views of it.
+or the oracle builds once from its leaves, with their costs, and checks
+once; `select_pair` rolls the stack out and returns SwitchSequences of the
+two chosen rows only, and the list's `sequences` are row views of it, none
+of them checked again.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first (see the
@@ -41,8 +42,24 @@ with the signature "dd->d", so each item runs the same dgesv.  The wrapper
 adds only type dispatch and an error-state context, more than half of its
 time on a two-side N_h = 3 stack (15 us against 7 us, timeit on a shared
 2-core Xeon, Python 3.11), and the factor has already shown every matrix
-positive definite.  The rest of the condensation is elementwise or a copy,
-written for few NumPy calls (see `prediction`'s "call economy").
+positive definite.  The factor comes from the generated Cholesky kernel
+already in the decoder's orientation and C order, so it is one write into
+the plan's buffer.  The effort term's part of the linear coefficient,
+weight * diff' (prev u_prev), is written as weight * u_prev in the first
+stage and zero after it: the products give exactly these values, +0.0
+included, and lin = that vector - forced' residual is the same IEEE sum as
+-(forced' residual) + that vector.
+
+The step plan (see `prediction`) holds the condensation's buffers: the
+state x0 as a column, the residual, quad, forced' residual, the effort
+vector (zero past the first stage, set once), lin, the factor, the
+unconstrained minimizer and the target; the QpForm that `assemble_qp`
+returns and its two sides wrap them.  Pair selection uses its float level
+stack, the rollout's buffers, the paths and the scores.  Each product
+writes its own C-contiguous buffer (the layout rule); the factor, which the
+target's gemv and the decoder read, must be C-contiguous itself.  The
+arrays of a returned QpForm are the plan's and hold the current step; the
+sequences `select_pair` returns are rows of the lists' own level stacks.
 
 `select_pair` rolls out both sides' candidates in one call, over the
 leading side axis of `prediction`'s two-side convention, and scores all
@@ -67,8 +84,10 @@ from .plant import PlantState, SwitchState
 from .prediction import (
     HorizonMismatchError,
     MultistepModel,
+    QpForm,
     SequenceError,
     StepModels,
+    StepPlan,
     SwitchSequence,
     check_levels,
     effort_maps,
@@ -99,33 +118,6 @@ class NotPositiveDefiniteError(SolverError):
 
 
 @dataclass(frozen=True)
-class QpForm:
-    """Condensed quadratic subproblem in both raw and triangular form.
-
-    Invariants: factor is lower triangular with positive diagonal,
-    factor.T @ factor == quad, quad @ unconstrained == lin, and
-    target == factor @ unconstrained.  The form of a stack of subproblems
-    carries the stack's leading axes on every array; `sides` splits a
-    two-side stack.
-    """
-
-    quad: np.ndarray
-    lin: np.ndarray
-    factor: np.ndarray
-    unconstrained: np.ndarray
-    target: np.ndarray
-    horizon: int
-
-    def sides(self) -> tuple:
-        """(machine, grid): views of the items of a two-side stack."""
-        return tuple(
-            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i],
-                   self.target[i], self.horizon)
-            for i in (0, 1)
-        )
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     best: SwitchSequence
     best_cost: float
@@ -140,8 +132,9 @@ class CandidateList:
 
     `levels` holds the sequences' levels in list order as a read-only int64
     array (an int64 array passed in is made read-only itself); `costs` are
-    nondecreasing.  `sequences` are SwitchSequences whose levels are row
-    views of the stack, built on first use.
+    nondecreasing.  The stack is checked once, here: `sequences` are
+    SwitchSequences whose levels are row views of it, built on first use
+    without checking them again (`SwitchSequence.of_checked`).
     """
 
     levels: np.ndarray
@@ -158,7 +151,7 @@ class CandidateList:
 
     @functools.cached_property
     def sequences(self) -> list:
-        return [SwitchSequence(row, self.horizon) for row in self.levels]
+        return [SwitchSequence.of_checked(row, self.horizon) for row in self.levels]
 
     def __len__(self):
         return len(self.costs)
@@ -169,28 +162,30 @@ class CandidateList:
 # ---------------------------------------------------------------------------
 
 
-def reverse_cholesky(q: np.ndarray) -> np.ndarray:
-    """Lower-triangular H with H.T @ H == q, for each matrix of a stack.
+def reverse_cholesky(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Lower-triangular H with H.T @ H == q, for each matrix of a stack,
+    written into `out` if given.
 
-    Obtained by factoring the index-reversed matrix; this is the orientation
-    the decoder needs so that row k of H touches only entries 1..k and the
-    layer-by-layer residual accumulation over 1..3N is exact.  The matrices
-    of a stack are factored in order, so the first that is not positive
-    definite raises.  The factors come back as one C-contiguous array: the
-    decoder's target `factor @ unconstrained` runs BLAS's gemv on that
-    layout, and a strided view of the same entries would take another gemv
-    path and move the target in its last bits.
+    `_kernels.cholesky_lower` factors the index-reversed matrix and hands
+    back H in this orientation, which the decoder needs so that row k of H
+    touches only entries 1..k and the layer-by-layer residual accumulation
+    over 1..3N is exact.  The matrices of a stack are factored in order, so
+    the first that is not positive definite raises.  The factors come back
+    as one C-contiguous array: the decoder's target `factor @ unconstrained`
+    runs BLAS's gemv on that layout, and a strided view of the same entries
+    would take another gemv path and move the target in its last bits.
     """
     q = np.asarray(q, dtype=np.float64)
     n = q.shape[-1]
-    lows = []
-    for a in q.reshape(-1, n, n)[:, ::-1, ::-1].tolist():
-        low, pivot = _k.cholesky_lower(a)
+    if out is None:
+        out = np.empty(q.shape)
+    rows = out.reshape(-1, n * n)
+    for i, a in enumerate(q.reshape(-1, n * n).tolist()):
+        h, pivot = _k.cholesky_lower(a)
         if pivot >= 0:
-            raise NotPositiveDefiniteError(n - 1 - pivot)
-        lows.append(low)
-    factor = np.array(lows)[:, ::-1, ::-1].swapaxes(-1, -2)  # H[i][j] = low[n-1-j][n-1-i]
-    return np.ascontiguousarray(factor).reshape(q.shape)
+            raise NotPositiveDefiniteError(pivot)
+        rows[i] = h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +193,44 @@ def reverse_cholesky(q: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float):
-    """Quadratic coefficients (quad, lin) of the subproblem cost.
+def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan | None = None):
+    """Quadratic coefficients (quad, lin) of the subproblem cost, the plan's
+    (a fresh plan's without `plan`).
 
     The cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
     U' quad U - 2 lin' U + const.  `u_prev` holds the previous switch
     levels, a SwitchState or an array of them; like `x0` and `y_ref` it
     carries the leading axes of a stacked `m` (see the module docstring).
+    The effort term's part of lin, weight * diff' (prev u_prev), is
+    weight * u_prev in the first stage and zero after it, the same values
+    as the products, signed zeros included; so lin is that vector less
+    forced' residual.
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
+    if plan is None:
+        plan = _qp_plan(m)
     if isinstance(u_prev, SwitchState):
         u_prev = u_prev.as_array()
     forced = m.forced_map
     forced_t = forced.swapaxes(-1, -2)
-    residual = m.free_map @ np.asarray(x0, float)[..., None]
-    residual += m.drift_vec[..., None]
-    residual -= np.asarray(y_ref, float)[..., None]
-    quad = forced_t @ forced
+    np.copyto(plan.x0, x0)
+    residual = np.matmul(m.free_map, plan.x0_col, out=plan.residual)
+    flat = plan.residual_flat
+    flat += m.drift_vec
+    flat -= y_ref
+    quad = np.matmul(forced_t, forced, out=plan.quad)
     quad += effort_gram(m.horizon, weight)
-    diff, prev = effort_maps(m.horizon)
-    lin = -(forced_t @ residual) + weight * (diff.T @ (prev @ np.asarray(u_prev)[..., None]))
-    return quad, lin[..., 0]
+    np.matmul(forced_t, residual, out=plan.forced_residual)
+    np.multiply(u_prev, weight, out=plan.effort_first)
+    return quad, np.subtract(plan.effort, plan.forced_residual_flat, out=plan.lin)
+
+
+def _qp_plan(m: MultistepModel) -> StepPlan:
+    """A fresh plan for condensing `m`."""
+    rows = m.free_map.shape[-2]
+    return StepPlan(m.horizon, lead=m.forced_map.shape[:-2], ny=rows // m.horizon)
 
 
 @functools.lru_cache(maxsize=64)
@@ -232,22 +242,27 @@ def effort_gram(n_h: int, weight: float) -> np.ndarray:
     return gram
 
 
-def assemble_qp(m: MultistepModel, x0, y_ref, u_prev, weight: float) -> QpForm:
+def assemble_qp(
+    m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan | None = None
+) -> QpForm:
     """Condense a subproblem, or a stack of them, and bring it to triangular
-    decoding form.  Every matrix is factored before the first solve, so a
-    Gram matrix that is not positive definite raises
-    NotPositiveDefiniteError, the first of a stack first; the solve is
-    then `np.linalg.solve`'s gufunc (see the module docstring).
+    decoding form: the plan's `qp` (a fresh plan's without `plan`).  Every
+    matrix is factored before the first solve, so a Gram matrix that is not
+    positive definite raises NotPositiveDefiniteError, the first of a stack
+    first; the solve is then `np.linalg.solve`'s gufunc (see the module
+    docstring).
     """
-    quad, lin = condense(m, x0, y_ref, u_prev, weight)
-    factor = reverse_cholesky(quad)
+    if plan is None:
+        plan = _qp_plan(m)
+    quad, lin = condense(m, x0, y_ref, u_prev, weight, plan)
+    factor = reverse_cholesky(quad, plan.factor)
     # The gufunc runs without np.linalg.solve's error state, so a singular
     # matrix would give NaN, not LinAlgError; the pivot floor of
     # `reverse_cholesky` has already raised for any matrix that is not
     # positive definite, so no singular matrix gets here.
-    unconstrained = _lapack_solve(quad, lin[..., None], signature="dd->d")
-    target = factor @ unconstrained
-    return QpForm(quad, lin, factor, unconstrained[..., 0], target[..., 0], m.horizon)
+    _lapack_solve(quad, plan.lin_col, out=plan.unconstrained, signature="dd->d")
+    np.matmul(factor, plan.unconstrained, out=plan.target)
+    return plan.qp
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +368,7 @@ def select_pair(
     machine_cands: CandidateList,
     grid_cands: CandidateList,
     models: StepModels,
+    plan: StepPlan | None = None,
 ):
     """Candidate pair minimizing the predicted squared imbalance norm.
 
@@ -360,7 +376,9 @@ def select_pair(
     the pair with the lowest (machine index, grid index).  Both lists are
     rolled out in one call over a leading side axis, the shorter one padded
     with zero rows that are dropped before scoring.  Returns the two chosen
-    sequences, the pair's score and the chosen indices (machine, grid).
+    sequences, rows of the lists' checked level stacks, the pair's score and
+    the chosen indices (machine, grid).  The plan must be one for the lists'
+    horizon and lengths (a fresh one without `plan`).
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
     if not k_m or not k_n:
@@ -368,20 +386,27 @@ def select_pair(
     n_h = machine_cands.horizon
     if n_h != grid_cands.horizon:
         raise HorizonMismatchError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
+    if plan is None:
+        plan = StepPlan(n_h, k_m, k_n)
+    elif (plan.n_h, plan.k_m, plan.k_n) != (n_h, k_m, k_n):
+        raise ValueError(
+            f"the plan is for horizon {plan.n_h} and lists of {plan.k_m} and {plan.k_n}, "
+            f"not {n_h}, {k_m} and {k_n}"
+        )
 
-    levels = np.zeros((2, max(k_m, k_n), 3 * n_h))
-    levels[0, :k_m] = machine_cands.levels
-    levels[1, :k_n] = grid_cands.levels
-    contrib = imbalance_contributions(models.x0, models.sides, levels, models.proj, models.gain)
-    paths = imbalance_path(st.dc.v_imb, contrib[0, :k_m], contrib[1, :k_n]).reshape(-1, n_h)
-    scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
+    plan.levels_m[...] = machine_cands.levels
+    plan.levels_n[...] = grid_cands.levels
+    imbalance_contributions(models.x0, models.sides, plan.levels, models.proj, models.gain, plan)
+    imbalance_path(st.dc.v_imb, plan.contrib_m, plan.contrib_n, plan)
+    np.matmul(plan.path_rows, plan.path_cols, out=plan.scores)
+    scores = plan.scores_flat
     # argmin keeps the first minimum; row-major order makes that the lowest
     # (machine index, grid index)
     best = int(scores.argmin())
     im, il = divmod(best, k_n)
     return (
-        SwitchSequence(machine_cands.levels[im], n_h),
-        SwitchSequence(grid_cands.levels[il], n_h),
+        SwitchSequence.of_checked(machine_cands.levels[im], n_h),
+        SwitchSequence.of_checked(grid_cands.levels[il], n_h),
         float(scores[best]),
         im,
         il,

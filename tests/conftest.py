@@ -36,14 +36,15 @@ def _workloads():
 def recorded_steps():
     """(label, arguments) of about 200 real `control_step` calls: seed-0 steps
     of perfbench's `steady` and `sweep` scenarios, in closed loop, each call's
-    positional arguments as the loop passed them."""
+    positional arguments as the loop passed them, but for the run's step
+    plan, which holds no input of the step."""
     workloads = _workloads()
     steps = []
     control_step = harness.control_step
 
     def record(label):
         def step(*args):
-            steps.append((label, args))
+            steps.append((label, args[:-1]))
             return control_step(*args)
         return step
 

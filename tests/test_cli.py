@@ -183,10 +183,10 @@ class TestRun:
             steps.append(len(steps))
             return control_step(*args)
 
-        def factor(q):
+        def factor(q, *out):
             if len(steps) > failing:
                 raise NotPositiveDefiniteError(2)
-            return reverse_cholesky(q)
+            return reverse_cholesky(q, *out)
 
         monkeypatch.setattr(harness, "control_step", counted_step)
         monkeypatch.setattr(solver, "reverse_cholesky", factor)

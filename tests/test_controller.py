@@ -36,8 +36,8 @@ PI = DcLinkPi(kp=-0.5, ki=-20.0, clamp=50.0, v_dc_ref=700.0)
 def running_state(rng):
     omega_m = 100.0
     return PlantState(
-        i_m_dq=rng.normal(0, 8, 2),
-        i_n_ab=rng.normal(0, 8, 2),
+        i_m_dq=tuple(rng.normal(0, 8, 2).tolist()),
+        i_n_ab=tuple(rng.normal(0, 8, 2).tolist()),
         dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5)),
         mech=MechState(omega_m, rng.uniform(0, 2 * math.pi)),
         t=rng.uniform(0, 0.02),

@@ -2,8 +2,9 @@
 
 The factor digests and failing pivots below were recorded from the
 NumPy-scalar implementation of `cholesky_lower` that the list-based kernel
-replaced.  The unreversed factors and pivots come from `cholesky_lower`
-itself, the reversed ones from `reverse_cholesky`, which the controller
+replaced.  The unreversed factors and pivots come from `loop_cholesky`, the
+row-by-row loop that the kernel unrolls, the reversed ones from
+`cholesky_lower` itself and from `reverse_cholesky`, which the controller
 runs.  The kernel runs the same IEEE-754 operations in the same order, so
 every value must match bit for bit.  The node counts and radius traces
 were recorded from the decoder without an initial radius, its first leaf
@@ -36,7 +37,7 @@ KS = (1, 4, 10)
 # one row per `random_qp_instance` drawn from SEED, three per horizon 1, 2, 3:
 # (k_best nodes for each k in KS, the same with the plain walk,
 #  sphere_decode radius trace in hex,
-#  digest of cholesky_lower(quad), digest of reverse_cholesky(quad))
+#  digest of loop_cholesky(quad), digest of reverse_cholesky(quad))
 RECORDED = [
     ((12, 24, 36), (39, 39, 39), ["0x1.224c62073f1f9p+5", "0x1.028637983b07ap+5"],
      "7cb8df299114d36d", "ff88ab2c9a0e2a1c"),
@@ -80,7 +81,7 @@ RECORDED = [
     ),
 ]
 
-# (n, rank, cholesky_lower pivot, reverse_cholesky pivot) of rank-deficient
+# (n, rank, loop_cholesky pivot, reverse_cholesky pivot) of rank-deficient
 # Gram matrices b @ b.T, b drawn from SEED with shape (n, rank)
 RECORDED_PIVOTS = [(3, 2, 2, 0), (6, 4, 4, 1), (9, 5, 5, 3), (9, 8, 8, 0), (6, 1, 1, 4)]
 
@@ -109,6 +110,42 @@ def test_decoder_matches_enumeration_and_recorded_search(instances, case):
     assert res.nodes == nodes[0]
     assert res.rho_trace.dtype == np.float64
     assert [x.hex() for x in res.rho_trace.tolist()] == trace
+
+
+def loop_cholesky(a):
+    """The row-by-row loop that `_kernels.cholesky_lower` unrolls per size,
+    on a list of rows: (rows of L with L L' = a, failing pivot).  The
+    reference for the kernel's factor, failing pivot and partial rows, read
+    in its orientation by `loop_reverse_cholesky`."""
+    n = len(a)
+    tol = n * _kernels.EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        a_i = a[i]
+        l_i = low[i]
+        for j in range(i):
+            l_j = low[j]
+            s = a_i[j]
+            for k in range(j):
+                s -= l_i[k] * l_j[k]
+            l_i[j] = s / l_j[j]
+        s = a_i[i]
+        for k in range(i):
+            s -= l_i[k] * l_i[k]
+        if s <= tol:
+            return low, i
+        l_i[i] = math.sqrt(s)
+    return low, -1
+
+
+def loop_reverse_cholesky(a):
+    """`_kernels.cholesky_lower(a)` by `loop_cholesky` on the index-reversed
+    matrix, for the flat n x n matrix `a`: (H as a flat list with
+    H[i][j] = L[n-1-j][n-1-i], failing row of H)."""
+    n = math.isqrt(len(a))
+    low, pivot = loop_cholesky([a[(n - 1 - i) * n : (n - i) * n][::-1] for i in range(n)])
+    h = [low[n - 1 - j][n - 1 - i] if j <= i else 0.0 for i in range(n) for j in range(n)]
+    return h, n - 1 - pivot if pivot >= 0 else -1
 
 
 def walk(factor, target, k, bounded, rho2=math.inf):
@@ -171,9 +208,12 @@ def test_box_test_adds_left_to_right():
 def test_factors_match_recorded_digests(instances, case):
     _, qp = instances[case]
     _, _, _, chol, rev = RECORDED[case]
-    low, pivot = _kernels.cholesky_lower(qp.quad.tolist())
+    low, pivot = loop_cholesky(qp.quad.tolist())
     assert pivot == -1
     assert _digest(np.array(low)) == chol
+    h, pivot = _kernels.cholesky_lower(qp.quad.ravel().tolist())
+    assert pivot == -1
+    assert _digest(np.array(h).reshape(qp.quad.shape)) == rev
     assert _digest(reverse_cholesky(qp.quad)) == rev
 
 
@@ -182,7 +222,8 @@ def test_failing_pivots_match_recorded():
     for n, rank, pivot, rev_pivot in RECORDED_PIVOTS:
         b = rng.normal(size=(n, rank))
         q = b @ b.T
-        assert _kernels.cholesky_lower(q.tolist())[1] == pivot
+        assert loop_cholesky(q.tolist())[1] == pivot
+        assert _kernels.cholesky_lower(q.ravel().tolist())[1] == rev_pivot
         with pytest.raises(NotPositiveDefiniteError) as err:
             reverse_cholesky(q)
         assert err.value.pivot == rev_pivot

@@ -133,8 +133,8 @@ class TestIntegratePlant:
 
 def random_state(rng):
     return PlantState(
-        i_m_dq=rng.normal(0, 10, 2),
-        i_n_ab=rng.normal(0, 10, 2),
+        i_m_dq=tuple(rng.normal(0, 10, 2).tolist()),
+        i_n_ab=tuple(rng.normal(0, 10, 2).tolist()),
         dc=DcLinkState(v_dc=700.0 + rng.normal(0, 5), v_imb=rng.normal(0, 2)),
         mech=MechState(omega_m=rng.uniform(0, 120), theta_e=rng.uniform(0, 2 * math.pi)),
         t=rng.uniform(0, 0.02),
@@ -285,8 +285,8 @@ class TestTorque:
 
 def rotor_state(omega_m, theta_e, i_q=0.0):
     return PlantState(
-        i_m_dq=np.array([0.0, i_q]),
-        i_n_ab=np.zeros(2),
+        i_m_dq=(0.0, i_q),
+        i_n_ab=(0.0, 0.0),
         dc=DC,
         mech=MechState(omega_m, theta_e),
         t=0.0,
@@ -396,8 +396,8 @@ class TestPlantStep:
         # only push the total DC voltage up; a stiff inductance and zero
         # q-current keep the injected phase current effectively constant
         st = PlantState(
-            i_m_dq=np.array([7.0, 0.0]),
-            i_n_ab=np.zeros(2),
+            i_m_dq=(7.0, 0.0),
+            i_n_ab=(0.0, 0.0),
             dc=DC,
             mech=MechState(0.0, 0.0),
             t=0.0,
@@ -419,8 +419,8 @@ class TestPlantStep:
         # enormous inertia pins the speed at zero, so no back-EMF source
         # re-excites the machine current
         st = PlantState(
-            i_m_dq=rng.normal(0, 10, 2),
-            i_n_ab=rng.normal(0, 10, 2),
+            i_m_dq=tuple(rng.normal(0, 10, 2).tolist()),
+            i_n_ab=tuple(rng.normal(0, 10, 2).tolist()),
             dc=DC,
             mech=MechState(0.0, 0.3),
             t=0.0,

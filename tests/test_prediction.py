@@ -30,8 +30,8 @@ C_DC = 1100e-6
 
 
 def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
-    i_m = rng.normal(0, 10, 2) if rng is not None else np.array([3.0, -8.0])
-    i_n = rng.normal(0, 10, 2) if rng is not None else np.array([5.0, 2.0])
+    i_m = tuple(rng.normal(0, 10, 2).tolist()) if rng is not None else (3.0, -8.0)
+    i_n = tuple(rng.normal(0, 10, 2).tolist()) if rng is not None else (5.0, 2.0)
     return PlantState(
         i_m_dq=i_m,
         i_n_ab=i_n,
@@ -210,8 +210,8 @@ class TestMultistep:
 
 def random_state(rng, omega_m=None):
     return PlantState(
-        i_m_dq=rng.normal(0, 20, 2),
-        i_n_ab=rng.normal(0, 20, 2),
+        i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
+        i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
         dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
         mech=MechState(
             float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
@@ -319,7 +319,7 @@ class TestPredictImbalance:
         # the current flips the machine contribution exactly (grid side idle)
         st = make_state()
         flipped = PlantState(
-            i_m_dq=-st.i_m_dq, i_n_ab=st.i_n_ab, dc=st.dc, mech=st.mech, t=st.t
+            i_m_dq=tuple(-i for i in st.i_m_dq), i_n_ab=st.i_n_ab, dc=st.dc, mech=st.mech, t=st.t
         )
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         zeros = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)

@@ -35,7 +35,7 @@ from seqmpc.solver import (
 )
 from seqmpc.transforms import CLARKE_PINV_MAT
 from seqmpc.verify import random_qp_instance, raw_cost_closure
-from test_kernels import walk
+from test_kernels import loop_reverse_cholesky, walk
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -64,33 +64,10 @@ def qp_from_factor(factor, u_unc, horizon):
 
 
 def cholesky(q):
-    """`_kernels.cholesky_lower` on an array: (factor array, failing pivot)."""
-    low, pivot = _kernels.cholesky_lower(np.asarray(q, float).tolist())
-    return np.array(low), pivot
-
-
-def loop_cholesky(a):
-    """The row-by-row loop that `_kernels.cholesky_lower` unrolls per size:
-    the reference for its rows, failing pivot and partial rows."""
-    n = len(a)
-    tol = n * _kernels.EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        a_i = a[i]
-        l_i = low[i]
-        for j in range(i):
-            l_j = low[j]
-            s = a_i[j]
-            for k in range(j):
-                s -= l_i[k] * l_j[k]
-            l_i[j] = s / l_j[j]
-        s = a_i[i]
-        for k in range(i):
-            s -= l_i[k] * l_i[k]
-        if s <= tol:
-            return low, i
-        l_i[i] = math.sqrt(s)
-    return low, -1
+    """`_kernels.cholesky_lower` on an array: (H array, failing row of H)."""
+    q = np.asarray(q, float)
+    h, pivot = _kernels.cholesky_lower(q.ravel().tolist())
+    return np.array(h).reshape(q.shape), pivot
 
 
 class TestCholesky:
@@ -98,18 +75,20 @@ class TestCholesky:
         assert_allclose(cholesky(np.eye(4))[0], np.eye(4))
 
     def test_hand_factor(self):
-        low, _ = cholesky([[4.0, 2.0], [2.0, 2.0]])
-        assert_allclose(low, [[2.0, 0.0], [1.0, 1.0]])
+        # H.T @ H: the factor of the index-reversed matrix, read back
+        h, _ = cholesky([[4.0, 2.0], [2.0, 2.0]])
+        r = math.sqrt(2.0)
+        assert_allclose(h, [[r, 0.0], [r, r]])
 
     def test_reconstruction(self, rng):
         for n in (2, 5, 9):
             for _ in range(20):
                 a = rng.normal(size=(n, n))
                 q = a @ a.T + n * np.eye(n)
-                low, pivot = cholesky(q)
+                h, pivot = cholesky(q)
                 assert pivot == -1
-                assert_allclose(low, np.tril(low))
-                assert np.linalg.norm(low @ low.T - q) <= 1e-12 * np.linalg.norm(q)
+                assert_allclose(h, np.tril(h))
+                assert np.linalg.norm(h.T @ h - q) <= 1e-12 * np.linalg.norm(q)
 
     def test_not_pd_reports_pivot(self):
         assert cholesky(np.diag([1.0, 1.0, -1.0]))[1] == 2
@@ -141,8 +120,8 @@ class TestCholesky:
             cases += [q, q + rng.uniform(0, 1) * np.eye(n)]
         cases.append(np.diag(rng.normal(size=n)))
         for q in cases:
-            a = q.tolist()
-            assert repr(_kernels.cholesky_lower(a)) == repr(loop_cholesky(a))
+            a = q.ravel().tolist()
+            assert repr(_kernels.cholesky_lower(a)) == repr(loop_reverse_cholesky(a))
 
     def test_reverse_factor(self, rng):
         for n in (2, 6, 9):
@@ -223,8 +202,8 @@ class TestTwoSideStack:
     @staticmethod
     def random_state(rng):
         return PlantState(
-            i_m_dq=rng.normal(0, 20, 2),
-            i_n_ab=rng.normal(0, 20, 2),
+            i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
+            i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
             dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
             mech=MechState(float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi))),
             t=float(rng.uniform(0, 0.02)),
@@ -673,8 +652,8 @@ class TestSelectPair:
     @staticmethod
     def make_state(i_m_dq, i_n_ab, v_imb=0.0, omega_m=60.0, theta=0.0):
         return PlantState(
-            i_m_dq=np.asarray(i_m_dq, float),
-            i_n_ab=np.asarray(i_n_ab, float),
+            i_m_dq=tuple(map(float, i_m_dq)),
+            i_n_ab=tuple(map(float, i_n_ab)),
             dc=DcLinkState(700.0, v_imb),
             mech=MechState(omega_m, theta),
             t=0.001,

@@ -32,6 +32,7 @@ from seqmpc.solver import (
     effort_gram,
     reverse_cholesky,
 )
+from test_kernels import loop_cholesky
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -58,11 +59,12 @@ def condense_reference(m, x0, y_ref, u_prev, weight):
 
 
 def reverse_cholesky_reference(q):
-    """Each item's factor written into the stack through a flipped view."""
+    """Each item's loop factor of the index-reversed matrix written into the
+    stack through a flipped view."""
     n = q.shape[-1]
     factor = np.empty_like(q)
     for q_i, h_i in zip(q.reshape(-1, n, n), factor.reshape(-1, n, n)):
-        low, pivot = _kernels.cholesky_lower(q_i[::-1, ::-1].tolist())
+        low, pivot = loop_cholesky(q_i[::-1, ::-1].tolist())
         assert pivot < 0
         h_i.T[::-1, ::-1] = low
     return factor
@@ -109,8 +111,8 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
 
 def random_state(rng):
     return PlantState(
-        i_m_dq=rng.normal(0, 20, 2),
-        i_n_ab=rng.normal(0, 20, 2),
+        i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
+        i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
         dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
         mech=MechState(float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi))),
         t=float(rng.uniform(0, 0.02)),
@@ -159,6 +161,34 @@ class TestCondense:
             for got, want in zip(condense(multi, x0, y_ref, u_prev, lam),
                                  condense_reference(multi, x0, y_ref, u_prev, lam)):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestEffortTerm:
+    """condense writes the effort term's part of lin as weight * u_prev in
+    the first stage and +0.0 after it; the reference multiplies out
+    weight * diff' (prev u_prev)."""
+
+    @pytest.mark.parametrize("n_h", range(1, 7))
+    def test_lin_equals_the_difference_map_form_for_every_level_triple(self, n_h, rng):
+        models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
+        stacked = build_multistep(models.sides, n_h)
+        alone = [build_multistep(side, n_h) for side in (models.machine, models.grid)]
+        x0 = models.x0
+        # a reference equal to the free response leaves a zero residual, so
+        # lin is the effort term alone, zero signs included
+        free = (stacked.free_map @ x0[..., None])[..., 0] + stacked.drift_vec
+        random_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h),
+                               np.tile(rng.normal(0, 3000, 2), n_h)))
+        for y_ref, weight in ((random_ref, 0.1), (free, 0.1), (free, 0.0)):
+            for u_m, u_n in zip(BLOCKS, BLOCKS[::-1]):
+                u_prev = np.array((u_m, u_n))
+                got = condense(stacked, x0, y_ref, u_prev, weight)[1]
+                want = condense_reference(stacked, x0, y_ref, u_prev, weight)[1]
+                assert got.tobytes() == want.tobytes()
+                for i, m in enumerate(alone):
+                    got = condense(m, x0[i], y_ref[i], u_prev[i], weight)[1]
+                    want = condense_reference(m, x0[i], y_ref[i], u_prev[i], weight)[1]
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestReverseCholesky:
