@@ -1,8 +1,8 @@
 """Hot numeric kernels, written for the Python interpreter that runs them.
 
 The plant kernels take and return Python floats.  `cholesky_lower` takes
-and returns flat lists, and `sd_search` converts its array arguments with
-``.tolist()`` on entry; both then work on Python floats, ints and lists
+and returns flat lists, and `sd_search` takes the factor as that flat list
+and the target as a list; both work on Python floats, ints and lists
 only: indexing a NumPy array element by element creates a NumPy scalar each
 time and pays NumPy-scalar arithmetic, which made the search several times
 slower than the same IEEE-754 operations on plain floats.
@@ -340,7 +340,8 @@ def outside_box(h, u_check):
     """Whether some row r >= 1 has |u_check[r]| > sum_l |h[r][l]|: the
     choice between the walks of `sd_search`, which give the same result.
 
-    `h` and `u_check` are lists.  The test runs in straight-line code
+    `h` is the n x n factor as a flat row-major list, as `cholesky_lower`
+    returns it, and `u_check` a list.  The test runs in straight-line code
     generated once per size (`_box_test_of_size`), each row's sum added
     left to right from 0.  `sd_search` runs it on every call; at n = 9 it
     takes 2-4 us per call against 7-11 us for a `sum` over each row
@@ -351,7 +352,7 @@ def outside_box(h, u_check):
     saves: on the 3 660 such decoder calls of perfbench `steady` (seed 0)
     it cut 15 % of the nodes and took 24 % more time.
     """
-    return _box_test_of_size(len(h))(h, u_check)
+    return _box_test_of_size(len(u_check))(h, u_check)
 
 
 def _box_test_source(n):
@@ -360,10 +361,12 @@ def _box_test_source(n):
     added left to right."""
     lines = ["def outside_box(h, u_check):"]
     if n > 1:
-        lines.append("    _, " + "".join(f"h_{r}, " for r in range(1, n)) + "= h")
+        # the entries h_r_l of the rows r >= 1 on and below the diagonal
+        names = (f"h_{r}_{l}" if 0 < r and l <= r else "_" for r in range(n) for l in range(n))
+        lines.append(f"    {', '.join(names)}, = h")
         lines.append("    _, " + "".join(f"c_{r}, " for r in range(1, n)) + "= u_check")
     for r in range(1, n):
-        terms = "".join(f" + abs(h_{r}[{l}])" for l in range(r + 1))
+        terms = "".join(f" + abs(h_{r}_{l})" for l in range(r + 1))
         lines += [f"    if abs(c_{r}) > 0{terms}:", "        return True"]
     lines.append("    return False")
     return "\n".join(lines) + "\n"
@@ -454,14 +457,15 @@ def sd_search(h, u_check, k):
     evaluates all three of its children, so `nodes` is three times the
     number of expanded nodes.
 
+    `h` is the n x n factor as a flat row-major list, as `cholesky_lower`
+    returns it, and `u_check` the target as a list.
+
     Returns (best, nodes, rho_trace): `best` is the sorted list of
     (cost, levels tuple), `nodes` counts residual evaluations, and
     `rho_trace` lists the radius after each change made while the list was
     full.
     """
-    h = h.tolist()
-    u_check = u_check.tolist()
-    search = _search_of_depth(len(h), outside_box(h, u_check))
+    search = _search_of_depth(len(u_check), outside_box(h, u_check))
     best = []
     rho_trace = []
     nodes = search(h, u_check, k, math.inf, best, rho_trace)
@@ -529,7 +533,7 @@ def _order_lines(pad):
 def _search_source(n, bounded):
     """Source of `search(h, c, k, rho2, best, rho_trace) -> nodes`, the
     depth-first walk of `sd_search` over n layers, with the box bound if
-    `bounded`.
+    `bounded`; `h` is the flat n x n factor, unpacked in one statement.
 
     Layer i keeps its state in locals: the target c_i, the diagonal d_i, the
     row entries h_i_j, the prefix cost p_i, and s_r_i, row r's partial sum
@@ -543,9 +547,9 @@ def _search_source(n, bounded):
     difference of row i + 1, y, is the numerator of the next layer's center.
     """
     lines = ["def search(h, c, k, rho2, best, rho_trace):"]
-    for i in range(n):
-        names = [f"h_{i}_{j}" for j in range(i)] + [f"d_{i}"] + ["_"] * (n - 1 - i)
-        lines.append(f"    {', '.join(names)}, = h[{i}]")
+    names = (f"d_{r}" if l == r else f"h_{r}_{l}" if l < r else "_"
+             for r in range(n) for l in range(n))
+    lines.append(f"    {', '.join(names)}, = h")
     lines.append(f"    {', '.join(f'c_{i}' for i in range(n))}, = c")
     if bounded:
         slack = repr(4 * (n + 2) * EPS)  # exact: (n + 2) * 2^-50

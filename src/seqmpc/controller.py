@@ -22,18 +22,23 @@ candidate, so the imbalance stage only scores the one pair of best sequences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import MAX_LAYERS
-from .plant import GridParams, MachineParams, PlantState, SwitchState
+from .plant import LEVELS, GridParams, MachineParams, PlantState, SwitchState
 from .prediction import StepPlan, SwitchSequence, build_multistep, build_step_models
 # not called here; perfbench's traced `prediction.imbalance.us_per_step` looks it up here
 from .prediction import predict_imbalance  # noqa: F401
 from .solver import assemble_qp, k_best, select_pair
 
 MODES = ("sequential", "standard_sd")
+
+#: every switch state a converter side can apply, by its levels: built and
+#: checked once, and shared, as the states are frozen
+SWITCH_STATES = {levels: SwitchState(*levels) for levels in itertools.product(LEVELS, repeat=3)}
 
 #: longest horizon: the decoder is generated with one nested loop per switch
 #: level, three per stage, and compiles at most MAX_LAYERS of them
@@ -151,12 +156,16 @@ def build_references(
     return ReferenceState(i_dq_ref=(0.0, i_q_ref), pq_ref=(p_ref, 0.0), integral=integral)
 
 
-def stack_reference(refs: ReferenceState, n_h: int) -> np.ndarray:
+def stack_reference(refs: ReferenceState, n_h: int, out: np.ndarray | None = None) -> np.ndarray:
     """Stacked constant-over-horizon output references, (2, 2N): the machine
-    side's row first, then the grid side's."""
+    side's row first, then the grid side's, written as Python floats into
+    `out` (a fresh array without)."""
     if n_h < 1:
         raise ValueError("horizon must be >= 1")
-    return np.array((refs.i_dq_ref * n_h, refs.pq_ref * n_h), dtype=float)
+    if out is None:
+        out = np.empty((2, 2 * n_h))
+    out[...] = refs.i_dq_ref * n_h, refs.pq_ref * n_h
+    return out
 
 
 def step_plan(cfg: ControllerConfig) -> StepPlan:
@@ -192,14 +201,17 @@ def control_step(
         plan = step_plan(cfg)
     models = build_step_models(st, machine, grid, t_s, c_dc, plan)
     multi = build_multistep(models.sides, cfg.n_h, plan)
-    u_prev = [(u.s_a, u.s_b, u.s_c) for u in (u_prev_m, u_prev_n)]
-    assemble_qp(multi, models.x0, stack_reference(refs, cfg.n_h), u_prev, cfg.lam, plan)
+    u_prev = plan.u_prev  # the previous levels, Python ints, as floats
+    u_prev[...] = ((u_prev_m.s_a, u_prev_m.s_b, u_prev_m.s_c),
+                   (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
+    y_ref = stack_reference(refs, cfg.n_h, plan.y_ref)
+    assemble_qp(multi, models.x0, y_ref, u_prev, cfg.lam, plan)
     qp_m, qp_n = plan.qp_sides  # the sides of the plan's `qp`, the form assemble_qp returns
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
     u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
     return ControlDecision(  # fields in order
-        SwitchState(*u_m.levels[:3].tolist()), SwitchState(*u_n.levels[:3].tolist()),
+        SWITCH_STATES[cands_m.rows[im][:3]], SWITCH_STATES[cands_n.rows[il][:3]],
         u_m, u_n, cands_m.costs[im], cands_n.costs[il], j_o,
         cands_m.nodes_visited, cands_n.nodes_visited,
     )

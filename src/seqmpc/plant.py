@@ -145,10 +145,9 @@ _CONVERTER_PATTERN = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0
 _CONVERTER_PATTERN.flags.writeable = False
 
 
-def converter_matrix(dc: DcLinkState, out: np.ndarray | None = None) -> np.ndarray:
-    """3x3 map from a switch vector to the three-phase voltage, written into
-    `out` if given."""
-    return np.multiply(_CONVERTER_PATTERN, (dc.v_dc + dc.v_imb) / 6.0, out=out)
+def converter_matrix(dc: DcLinkState) -> np.ndarray:
+    """3x3 map from a switch vector to the three-phase voltage."""
+    return _CONVERTER_PATTERN * ((dc.v_dc + dc.v_imb) / 6.0)
 
 
 def grid_emf(t: float, p: GridParams) -> np.ndarray:

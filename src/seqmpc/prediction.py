@@ -56,6 +56,12 @@ products, each into one of the plan's buffers, the elementwise writes, one
 flat-index gather that places the forced, free and drift maps of
 `build_multistep` (`_map_index`: the transposes and reshapes that once
 moved the values, run once per shape on their positions), and the decoder.
+Every view a product reads or writes is built once, with the plan: the
+state x0 as a column of the models' values, forced', the rollout's
+broadcast views of the side models and the path's rows and columns.  A
+caller's array that is not the plan's own is copied into the plan's
+buffer first (the planned functions check by identity), so there is one
+path through each function.
 
 - Layout rule.  Every product keeps the per-item operands and layout of
   the single-side product above, and its `out=` is a C-contiguous buffer
@@ -68,6 +74,17 @@ moved the values, run once per shape on their positions), and the decoder.
   NumPy 2.4.6 gave the same bits for the strided `out=`s tried, but a
   non-BLAS-able output may also run NumPy's own loop, whose sums are not
   BLAS's; nothing here relies on either.
+- Call-form rule.  Each product goes through the cheapest NumPy entry
+  point that issues the same BLAS call.  A single matrix product runs
+  through `ndarray.dot(b, out)`: the same cblas_dgemm as `np.matmul`, at
+  about a third of its dispatch (0.4-0.8 us against 1.4-1.8 us).  A stacked
+  product runs through `np.matmul`, its `out` passed by position.  A
+  product over an empty stage axis, at N = 1, is skipped, and the product
+  by the identity, A^1 = A @ I, is a copy of A: bit for bit the same for a
+  finite A with no -0.0 entry (see `build_multistep`).  Values that are
+  Python numbers (the references, the previous levels, the model entries)
+  are written into the plan's buffers directly, not through a temporary
+  array.
 - Aliasing rule.  What a planned function returns is the plan's: it holds
   the current step until the next call with the same plan overwrites it.
   Nothing that outlives a step shares memory with a plan: the candidate
@@ -149,9 +166,12 @@ class QpForm:
 
     Invariants: factor is lower triangular with positive diagonal,
     factor.T @ factor == quad, quad @ unconstrained == lin, and
-    target == factor @ unconstrained.  The form of a stack of subproblems
-    carries the stack's leading axes on every array; `sides` splits a
-    two-side stack.
+    target == factor @ unconstrained.  `factor_list` holds the factor's
+    entries as the flat row-major list of Python floats that
+    `_kernels.cholesky_lower` returned, which the decoder reads.  The form
+    of a stack of subproblems carries the stack's leading axes on every
+    array, and its `factor_list` is the list of its items' flat lists, in C
+    order; `sides` splits a two-side stack.
     """
 
     quad: np.ndarray
@@ -160,12 +180,13 @@ class QpForm:
     unconstrained: np.ndarray
     target: np.ndarray
     horizon: int
+    factor_list: list
 
     def sides(self) -> tuple:
         """(machine, grid): views of the items of a two-side stack."""
         return tuple(
             QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i],
-                   self.target[i], self.horizon)
+                   self.target[i], self.horizon, self.factor_list[i])
             for i in (0, 1)
         )
 
@@ -184,9 +205,9 @@ class SwitchSequence:
 
     @classmethod
     def of_checked(cls, levels: np.ndarray, horizon: int) -> "SwitchSequence":
-        """The sequence of int64 `levels` that `check_levels` has already
-        passed for this horizon, such as a row of a `CandidateList`'s level
-        stack: built without checking them again."""
+        """The sequence of int64 `levels` already checked for this horizon,
+        such as a row of a `CandidateList`'s level stack: built without
+        checking them again."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "levels", levels)
         object.__setattr__(seq, "horizon", horizon)
@@ -205,7 +226,8 @@ class SwitchSequence:
         return hash(self.as_tuple())
 
 
-_ALPHABET = frozenset(LEVELS)
+#: the switch levels, for membership tests on Python ints
+ALPHABET = frozenset(LEVELS)
 
 
 def check_levels(levels: np.ndarray, shape: tuple) -> None:
@@ -216,7 +238,7 @@ def check_levels(levels: np.ndarray, shape: tuple) -> None:
             f"sequence length must be 3 * horizon: shape {levels.shape}, not {shape}"
         )
     # on Python ints: two NumPy reductions cost ~3x more on a few levels
-    if not _ALPHABET.issuperset(levels.ravel().tolist()):
+    if not ALPHABET.issuperset(levels.ravel().tolist()):
         raise SequenceError("sequence entries must lie in {-1, 0, 1}")
 
 
@@ -297,22 +319,32 @@ def build_multistep(d: DiscreteModel, n_h: int, plan: StepPlan | None = None) ->
     are the powers A^d, C A^d, the blocks C A^d B and C times the running
     sums of A^l n; one gather (`_map_index`) places them in the forced, free
     and drift maps, which are the plan's (a fresh one without `plan`).
+
+    A^1 is a copy of A, not the product A @ I.  For a finite A with no -0.0
+    entry the two are equal bit for bit, whatever order BLAS sums in: each
+    entry is a_ij * 1 plus terms a_il * 0 = +-0.0, and x + +-0.0 == x but
+    for x = -0.0.  Every state map here has such entries: each is 1.0 + x
+    or 0.0 + x (`discretize`, `build_step_models`), and in round-to-nearest
+    neither sum is ever -0.0.  At N = 1 the products and the running sum of
+    the drift's later stages run over an empty stage axis and are skipped.
     """
     if plan is None:
         plan = StepPlan(n_h, lead=d.state_mat.shape[:-2], ny=d.output_mat.shape[-2])
     elif plan.n_h != n_h:
         raise ValueError(f"the plan is for horizon {plan.n_h}, not {n_h}")
     a, b, c = d.state_mat, d.input_mat, d.output_mat
-    for power, following in plan.power_steps:  # A^d, d = 0..N
-        np.matmul(a, power, out=following)
-    np.matmul(c, plan.powers, out=plan.c_powers)  # C A^d
-    np.matmul(plan.c_powers_head, b, out=plan.blocks_head)  # C A^d B, d < N
-    # A^l n, then running sums over l = 0..r
-    np.copyto(plan.drift_first, d.drift)
-    np.matmul(plan.powers_inner, d.drift[..., None], out=plan.drift_rest)
-    np.add.accumulate(plan.drift_sums, axis=0, out=plan.drift_sums)
-    np.matmul(c, plan.drift_sums, out=plan.c_drift_sums)
-    np.take(plan.products, plan.map_index, out=plan.maps, mode="clip")
+    plan.power_first[...] = a  # A^1 = A @ I, bit for bit (see the docstring)
+    for power, following in plan.power_steps:  # A^d, d = 2..N
+        np.matmul(a, power, following)
+    np.matmul(c, plan.powers, plan.c_powers)  # C A^d
+    np.matmul(plan.c_powers_head, b, plan.blocks_head)  # C A^d B, d < N
+    # A^l n, then running sums over l = 0..r; at N = 1 only A^0 n
+    plan.drift_first[...] = d.drift
+    if n_h > 1:
+        np.matmul(plan.powers_inner, plan.drift_head, plan.drift_rest)
+        np.add.accumulate(plan.drift_sums, 0, None, plan.drift_sums)
+    np.matmul(c, plan.drift_sums, plan.c_drift_sums)
+    np.take(plan.products, plan.map_index, None, plan.maps, "clip")
     return plan.multi
 
 
@@ -437,19 +469,20 @@ class StepPlan:
         self.n_h, self.k_m, self.k_n = n_h, k_m, k_n
         n, nu = n_h, NU * n_h
         lead = tuple(lead)
+        two_sides = lead == (2,)
 
         # `build_step_models`: its Python-float entries (the state maps, the
-        # output maps, the drifts, the states, the Park rotation and the two
-        # inductances), the input maps' left factors, the converter map and
-        # the phase-current maps; each second item is the grid side's
+        # output maps, the drifts, the states, the Park rotation, the two
+        # inductances and the converter map), the input maps' left factors
+        # and the phase-current maps; each second item is the grid side's
         # constant Clarke matrix or pseudo-inverse
-        self.values = values = np.empty(30)
+        self.values = values = np.empty(39)
         self.park = values[24:28].reshape(2, 2)
         self.park_t = self.park.T
         self.inductances = values[28:30, None, None]
+        self.converter = values[30:39].reshape(3, 3)
         self.clarke = np.array((CLARKE_MAT, CLARKE_MAT))
         self.park_clarke = self.clarke[0]
-        self.converter = np.empty((3, 3))
         proj = np.array((CLARKE_PINV_MAT, CLARKE_PINV_MAT))
         self.proj_m = proj[0]
         sides = DiscreteModel(
@@ -462,10 +495,12 @@ class StepPlan:
         # the maps gathered from them
         self.powers = np.empty((n + 1,) + lead + (NX, NX))
         self.powers[0] = _identity(NX)
-        self.power_steps = [(self.powers[r], self.powers[r + 1]) for r in range(n)]
+        self.power_first = self.powers[1]
+        self.power_steps = [(self.powers[r], self.powers[r + 1]) for r in range(1, n)]
         self.powers_inner = self.powers[1:n]
         self.drift_sums = np.empty((n,) + lead + (NX, 1))
-        self.drift_first, self.drift_rest = self.drift_sums[0, ..., 0], self.drift_sums[1:]
+        self.drift_head = self.drift_sums[0]
+        self.drift_first, self.drift_rest = self.drift_head[..., 0], self.drift_sums[1:]
         shapes = _product_shapes(lead, n, ny)
         self.products = np.zeros(sum(map(math.prod, shapes)))  # the zero block stays zero
         blocks, self.c_powers, self.c_drift_sums = _views(self.products, shapes)
@@ -474,14 +509,21 @@ class StepPlan:
         self.maps = np.empty(self.map_index.size)
         self.multi = MultistepModel(*_views(self.maps, _map_shapes(lead, n, ny)), n)
 
-        # `solver.condense` and `solver.assemble_qp`
-        self.x0_col = np.empty(lead + (NX, 1))
+        # `solver.condense` and `solver.assemble_qp`; in the controller the
+        # state x0 is the models' own, a column view of their values
+        self.x0_col = values[20:24].reshape(2, NX, 1) if two_sides else np.empty(lead + (NX, 1))
         self.x0 = self.x0_col[..., 0]
+        if two_sides:
+            self.models.x0 = self.x0
+        self.forced_t = self.multi.forced_map.swapaxes(-1, -2)
         self.residual = np.empty(lead + (ny * n, 1))
         self.residual_flat = self.residual[..., 0]
+        self.y_ref = np.empty(lead + (ny * n,))
         self.quad = np.empty(lead + (nu, nu))
+        self.gram_weight, self.gram = None, None  # weight * D'D for the last weight
         self.forced_residual = np.empty(lead + (nu, 1))
         self.forced_residual_flat = self.forced_residual[..., 0]
+        self.u_prev = np.empty(lead + (3,))
         self.effort = np.zeros(lead + (nu,))  # weight * u_prev in the first stage, then zero
         self.effort_first = self.effort[..., :3]
         self.lin = np.empty(lead + (nu,))
@@ -489,12 +531,31 @@ class StepPlan:
         self.factor = np.empty(lead + (nu, nu))
         self.unconstrained = np.empty(lead + (nu, 1))
         self.target = np.empty(lead + (nu, 1))
+        # the factors as `_kernels.cholesky_lower`'s flat lists, one per item
+        self.factor_lists = [None] * math.prod(lead)
         self.qp = QpForm(self.quad, self.lin, self.factor, self.unconstrained[..., 0],
-                         self.target[..., 0], n)
+                         self.target[..., 0], n, self.factor_lists)
+        qp = self.qp
+        self.qp_items = [
+            QpForm(qp.quad[i], qp.lin[i], qp.factor[i], qp.unconstrained[i], qp.target[i], n, None)
+            for i in np.ndindex(lead)
+        ] if lead else [qp]
 
-        # `imbalance_contributions`: the level stack as floats, the rows of a
-        # shorter list past its end staying zero, and the rollout
+        # `imbalance_contributions`: the model it rolls out (the step's models
+        # for two sides) and its broadcast views, the level stack as floats,
+        # the rows of a shorter list past its end staying zero, and the rollout
         k = max(k_m, k_n)
+        if two_sides:
+            rollout, rollout_proj = sides, proj
+        else:
+            rollout = DiscreteModel(np.empty(lead + (NX, NX)), np.empty(lead + (NX, NU)),
+                                    np.empty(lead + (NX,)), None)
+            rollout_proj = np.empty(lead + (NU, NX))
+        self.rollout, self.rollout_proj = rollout, rollout_proj
+        self.rollout_input = rollout.input_mat[..., None, None, :, :]
+        self.rollout_state = rollout.state_mat[..., None, :, :]
+        self.rollout_drift = rollout.drift[..., None, :, None]
+        self.rollout_current = rollout_proj[..., None, None, :, :]
         self.levels = np.zeros(lead + (k, nu))
         self.magnitudes = np.empty(lead + (k, nu))
         blocks = self.levels.reshape(lead + (k, n, 3, 1))
@@ -521,10 +582,12 @@ class StepPlan:
         self.scores = np.empty((k_m * k_n, 1, 1))
         self.scores_flat = self.scores[:, 0, 0]
 
-        if lead == (2,):
-            self.qp_sides = self.qp.sides()
+        if two_sides:
+            self.qp_sides = self.qp_items
             self.levels_m, self.levels_n = self.levels[0, :k_m], self.levels[1, :k_n]
             self.contrib_m, self.contrib_n = self.contrib[0, :k_m], self.contrib[1, :k_n]
+            self.contrib_m_col = self.contrib_m[:, None, :]
+            self.contrib_n_row = self.contrib_n[None, :, :]
 
 
 def build_step_models(
@@ -543,10 +606,13 @@ def build_step_models(
     included), and the input maps as the same NumPy products
     (BLAS fuses their multiply-adds, which Python floats would not).  So the
     stack is bit-identical to building, discretizing and stacking each side.
-    The Python-float entries, the states, the Park rotation and the
-    inductances go into one buffer in one call, and the models are views of
-    it; the two input maps are one stacked product, each item the same
-    gemm as the side's own product.
+    The Python-float entries, the states, the Park rotation, the
+    inductances and the converter map (the entries of `converter_matrix`,
+    each the same IEEE product) go into one buffer in one call, and the
+    models are views of it; the two input maps are one stacked product,
+    each item the same gemm as the side's own product, and the two
+    single-matrix products go through `ndarray.dot` (see the module
+    docstring).
     """
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
@@ -558,6 +624,9 @@ def build_step_models(
     zero_n = 0.0 + t_s * (decay_n * 0.0)  # off the diagonal of I + Ts (decay_n I)
     e_a, e_b = _k.grid_emf2(st.t, grid.e_peak, grid.omega_n)
     cos_t, sin_t = math.cos(st.mech.theta_e), math.sin(st.mech.theta_e)
+    # `converter_matrix`: its pattern's entries 2.0 and -1.0 times (v_dc + v_imb) / 6
+    g = (st.dc.v_dc + st.dc.v_imb) / 6.0
+    two_g, minus_g = 2.0 * g, -1.0 * g
     plan.values[:] = (
         # state maps I + Ts F: machine, grid
         1.0 + t_s * decay_m, 0.0 + t_s * omega_e, 0.0 + t_s * -omega_e, 1.0 + t_s * decay_m,
@@ -571,15 +640,15 @@ def build_step_models(
         *st.i_m_dq, *st.i_n_ab,
         # Park rotation (`park_matrix`) and the two inductances
         cos_t, sin_t, -sin_t, cos_t, machine.l_s, grid.l_n,
+        # the converter map
+        two_g, minus_g, minus_g, minus_g, two_g, minus_g, minus_g, minus_g, two_g,
     )
     models = plan.models
-    np.matmul(plan.park, CLARKE_MAT, out=plan.park_clarke)
-    input_mat = np.matmul(
-        plan.clarke, converter_matrix(st.dc, out=plan.converter), out=models.sides.input_mat
-    )
+    plan.park.dot(CLARKE_MAT, plan.park_clarke)
+    input_mat = np.matmul(plan.clarke, plan.converter, models.sides.input_mat)
     input_mat /= plan.inductances
     input_mat *= t_s
-    np.matmul(CLARKE_PINV_MAT, plan.park_t, out=plan.proj_m)
+    CLARKE_PINV_MAT.dot(plan.park_t, plan.proj_m)
     models.gain = t_s / c_dc
     return models
 
@@ -598,28 +667,35 @@ def imbalance_contributions(
     together as stacked matrix-vector products (see the module docstring).
     Broadcasts over leading axes of `x0`, the model's arrays, `levels` and
     `proj`, such as the side axis of `StepModels.sides` and `StepModels.proj`.
-    The levels go into the plan's float stack unless they are in it already;
-    the result is the plan's `contrib` (a fresh plan's without `plan`).
+    The levels go into the plan's float stack, and the model and `proj`
+    into the plan's rollout model, unless they are the plan's already (the
+    step's models, for two sides); the result is the plan's `contrib` (a
+    fresh plan's without `plan`).
     """
     if plan is None:
         k, n = levels.shape[-2], levels.shape[-1] // 3
         plan = StepPlan(n, k, k, levels.shape[:-2])
     if levels is not plan.levels:
         plan.levels[...] = levels
-    np.abs(plan.levels, out=plan.magnitudes)
-    # B u_j of every stage but the last
-    np.matmul(model.input_mat[..., None, None, :, :], plan.driving, out=plan.driven)
-    state_mat = model.state_mat[..., None, :, :]
-    drift = model.drift[..., None, :, None]
-    np.copyto(plan.first_states, x0)  # the state before each stage's input
-    carry = plan.carry
+    rollout = plan.rollout
+    if model is not rollout:
+        rollout.state_mat[...] = model.state_mat
+        rollout.input_mat[...] = model.input_mat
+        rollout.drift[...] = model.drift
+    if proj is not plan.rollout_proj:
+        plan.rollout_proj[...] = proj
+    np.abs(plan.levels, plan.magnitudes)
+    if plan.n_h > 1:  # B u_j of every stage but the last
+        np.matmul(plan.rollout_input, plan.driving, plan.driven)
+    plan.first_states[...] = x0  # the state before each stage's input
+    state_mat, drift, carry = plan.rollout_state, plan.rollout_drift, plan.carry
     for state, driven, following in plan.stages:
-        np.matmul(state_mat, state, out=carry)
-        np.add(carry, driven, out=carry)
-        np.add(carry, drift, out=following)
-    np.matmul(proj[..., None, None, :, :], plan.states, out=plan.currents)
-    np.matmul(plan.active, plan.currents, out=plan.dots)  # |u_j| as (1, 3) rows
-    return np.multiply(plan.dots_flat, gain, out=plan.contrib)
+        np.matmul(state_mat, state, carry)
+        np.add(carry, driven, carry)
+        np.add(carry, drift, following)
+    np.matmul(plan.rollout_current, plan.states, plan.currents)
+    np.matmul(plan.active, plan.currents, plan.dots)  # |u_j| as (1, 3) rows
+    return np.multiply(plan.dots_flat, gain, plan.contrib)
 
 
 def imbalance_path(
@@ -627,13 +703,21 @@ def imbalance_path(
 ) -> np.ndarray:
     """Fold (k_m, N) and (k_n, N) per-stage contributions into the (k_m, k_n, N)
     predicted imbalance trajectories of every candidate pair: the plan's
-    `paths` (a fresh plan's without `plan`)."""
+    `paths` (a fresh plan's without `plan`).  The contributions go into the
+    plan's unless they are its own already."""
     if plan is None:
         plan = StepPlan(contrib_m.shape[-1], len(contrib_m), len(contrib_n))
-    step = np.subtract(contrib_m[:, None, :], contrib_n[None, :, :], out=plan.paths)
-    np.add(plan.paths_first, v_imb0, out=plan.paths_first)
+    if contrib_m is not plan.contrib_m:
+        plan.contrib_m[...] = contrib_m
+    if contrib_n is not plan.contrib_n:
+        plan.contrib_n[...] = contrib_n
+    paths = plan.paths
+    np.subtract(plan.contrib_m_col, plan.contrib_n_row, paths)
+    np.add(plan.paths_first, v_imb0, plan.paths_first)
     # left to right: v_j = v_(j-1) + step_j, the accumulation `np.cumsum` runs
-    return np.add.accumulate(step, axis=2, out=step)
+    if plan.n_h > 1:
+        np.add.accumulate(paths, 2, None, paths)
+    return paths
 
 
 def predict_imbalance(

@@ -17,11 +17,12 @@ runs only when some row's |target_r| exceeds sum_l |factor_rl|.
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
 
-A k-best list (`CandidateList`) is the (k, 3N) level stack that the decoder
-or the oracle builds once from its leaves, with their costs, and checks
-once; `select_pair` rolls the stack out and returns SwitchSequences of the
-two chosen rows only, and the list's `sequences` are row views of it, none
-of them checked again.
+A k-best list (`CandidateList`) is built from the (cost, levels) tuples
+of the decoder's walk or of the oracle, checked once on those tuples, and
+holds them with the (k, 3N) int64 level stack made from them; `select_pair`
+rolls the stack out and returns SwitchSequences of the two chosen rows
+only, and the list's `sequences` are row views of it, none of them checked
+again.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first (see the
@@ -37,29 +38,36 @@ alone.  A 2-D gemm over both sides' rows would not be bit-identical.
 The products that must stay BLAS, on their layout: forced' forced (syrk),
 forced' residual and free x0 (gemv), and target = factor @ unconstrained
 (gemv on a C-contiguous factor, see `reverse_cholesky`).  The solve calls
-the gufunc that `np.linalg.solve` wraps, `numpy.linalg._umath_linalg.solve`
-with the signature "dd->d", so each item runs the same dgesv.  The wrapper
-adds only type dispatch and an error-state context, more than half of its
-time on a two-side N_h = 3 stack (15 us against 7 us, timeit on a shared
-2-core Xeon, Python 3.11), and the factor has already shown every matrix
-positive definite.  The factor comes from the generated Cholesky kernel
-already in the decoder's orientation and C order, so it is one write into
-the plan's buffer.  The effort term's part of the linear coefficient,
-weight * diff' (prev u_prev), is written as weight * u_prev in the first
-stage and zero after it: the products give exactly these values, +0.0
-included, and lin = that vector - forced' residual is the same IEEE sum as
--(forced' residual) + that vector.
+the gufunc that `np.linalg.solve` wraps, `numpy.linalg._umath_linalg.solve`,
+on float64 operands, whose loop "dd->d" runs the same dgesv per item, with
+its `out` by position.  The wrapper adds only type dispatch and an
+error-state context, more than half of its time on a two-side N_h = 3
+stack (15 us against 7 us, timeit on a shared 2-core Xeon, Python 3.11),
+and the factor has already shown every matrix positive definite.  The
+factor comes from the generated Cholesky kernel as a flat list already in
+the decoder's orientation and C order: one write into the plan's buffer
+for the target's gemv, and the list itself goes to the decoder
+(`QpForm.factor_list`), which reads it as it is.  The effort term's part of
+the linear coefficient, weight * diff' (prev u_prev), is written as
+weight * u_prev in the first stage and zero after it: the products give
+exactly these values, +0.0 included, and lin = that vector - forced'
+residual is the same IEEE sum as -(forced' residual) + that vector.  The
+previous levels are floats in the plan (an int level converts exactly),
+so weight * u_prev is the IEEE product of NumPy's int64-to-float64
+multiply; the Gram term weight * D'D is held by the plan for its weight.
 
 The step plan (see `prediction`) holds the condensation's buffers: the
-state x0 as a column, the residual, quad, forced' residual, the effort
-vector (zero past the first stage, set once), lin, the factor, the
-unconstrained minimizer and the target; the QpForm that `assemble_qp`
-returns and its two sides wrap them.  Pair selection uses its float level
-stack, the rollout's buffers, the paths and the scores.  Each product
-writes its own C-contiguous buffer (the layout rule); the factor, which the
-target's gemv and the decoder read, must be C-contiguous itself.  The
-arrays of a returned QpForm are the plan's and hold the current step; the
-sequences `select_pair` returns are rows of the lists' own level stacks.
+state x0 as a column, the references, the residual, quad, forced'
+residual, the previous levels, the effort vector (zero past the first
+stage, set once), lin, the factor and its flat lists, the unconstrained
+minimizer and the target; the QpForm that `assemble_qp` returns and its
+two sides wrap them.  The products follow `prediction`'s call-form rule.
+Pair selection uses its float level stack, the rollout's buffers, the
+paths and the scores.  Each product writes its own C-contiguous buffer
+(the layout rule); the factor, which the target's gemv and the decoder
+read, must be C-contiguous itself.  The arrays of a returned QpForm are
+the plan's and hold the current step; the sequences `select_pair` returns
+are rows of the lists' own level stacks.
 
 `select_pair` rolls out both sides' candidates in one call, over the
 leading side axis of `prediction`'s two-side convention, and scores all
@@ -75,6 +83,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
+from operator import gt
 from typing import Callable
 
 import numpy as np
@@ -89,7 +99,7 @@ from .prediction import (
     StepModels,
     StepPlan,
     SwitchSequence,
-    check_levels,
+    ALPHABET,
     effort_maps,
     imbalance_contributions,
     imbalance_path,
@@ -125,29 +135,36 @@ class DecodeResult:
     rho_trace: np.ndarray
 
 
-@dataclass(eq=False)
 class CandidateList:
     """Ordered k-best sequences as one (k, 3N) level stack, with their costs
     and search statistics.
 
-    `levels` holds the sequences' levels in list order as a read-only int64
-    array (an int64 array passed in is made read-only itself); `costs` are
-    nondecreasing.  The stack is checked once, here: `sequences` are
-    SwitchSequences whose levels are row views of it, built on first use
-    without checking them again (`SwitchSequence.of_checked`).
+    Built from `leaves`, the (cost, levels) pairs of a decoder walk or of
+    the oracle in list order, each levels a tuple of ints, and checked
+    once, here, on those tuples: each holds 3 * horizon levels in
+    {-1, 0, 1}, and the costs are nondecreasing.  `rows` keeps the tuples,
+    `costs` the costs as a list, and `levels` stacks the rows into a
+    read-only int64 array.  `sequences` are SwitchSequences whose levels are
+    row views of that stack, built on first use without checking them again
+    (`SwitchSequence.of_checked`).
     """
 
-    levels: np.ndarray
-    costs: list
-    horizon: int
-    nodes_visited: int = 0
-
-    def __post_init__(self):
-        self.levels = levels = np.asarray(self.levels, dtype=np.int64)
-        check_levels(levels, (len(self.costs), 3 * self.horizon))
-        if any(b < a for a, b in zip(self.costs, self.costs[1:])):
+    def __init__(self, leaves, horizon: int, nodes_visited: int = 0):
+        costs, rows = zip(*leaves) if leaves else ((), ())
+        n = 3 * horizon
+        if not ALPHABET.issuperset(chain.from_iterable(rows)):
+            raise SequenceError("sequence entries must lie in {-1, 0, 1}")
+        try:
+            levels = np.array(rows or np.empty((0, n)), dtype=np.int64)
+        except ValueError:  # rows of different lengths
+            levels = None
+        if levels is None or levels.shape != (len(rows), n):
+            raise SequenceError(f"sequence length must be 3 * horizon = {n}")
+        if any(map(gt, costs, costs[1:])):
             raise SequenceError("candidate costs must be nondecreasing")
-        levels.flags.writeable = False
+        levels.setflags(write=False)
+        self.levels, self.rows, self.costs = levels, rows, list(costs)
+        self.horizon, self.nodes_visited = horizon, nodes_visited
 
     @functools.cached_property
     def sequences(self) -> list:
@@ -162,9 +179,13 @@ class CandidateList:
 # ---------------------------------------------------------------------------
 
 
-def reverse_cholesky(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def reverse_cholesky(
+    q: np.ndarray, out: np.ndarray | None = None, lists: list | None = None
+) -> np.ndarray:
     """Lower-triangular H with H.T @ H == q, for each matrix of a stack,
-    written into `out` if given.
+    written into `out` if given; with `lists`, each matrix's factor also
+    goes into it, in stack order, as the flat list that
+    `_kernels.cholesky_lower` returned.
 
     `_kernels.cholesky_lower` factors the index-reversed matrix and hands
     back H in this orientation, which the decoder needs so that row k of H
@@ -185,6 +206,8 @@ def reverse_cholesky(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
         if pivot >= 0:
             raise NotPositiveDefiniteError(pivot)
         rows[i] = h
+        if lists is not None:
+            lists[i] = h
     return out
 
 
@@ -205,26 +228,34 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan
     The effort term's part of lin, weight * diff' (prev u_prev), is
     weight * u_prev in the first stage and zero after it, the same values
     as the products, signed zeros included; so lin is that vector less
-    forced' residual.
+    forced' residual.  `m`, `x0` and `u_prev` are copied into the plan's
+    buffers unless they are the plan's own (`plan.multi`, `plan.x0`,
+    `plan.u_prev`, as in the controller).
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
     if plan is None:
         plan = _qp_plan(m)
-    if isinstance(u_prev, SwitchState):
-        u_prev = u_prev.as_array()
-    forced = m.forced_map
-    forced_t = forced.swapaxes(-1, -2)
-    np.copyto(plan.x0, x0)
-    residual = np.matmul(m.free_map, plan.x0_col, out=plan.residual)
+    multi = plan.multi
+    if m is not multi:
+        multi.forced_map[...] = m.forced_map
+        multi.free_map[...] = m.free_map
+        multi.drift_vec[...] = m.drift_vec
+    if x0 is not plan.x0:
+        plan.x0[...] = x0
+    if u_prev is not plan.u_prev:
+        plan.u_prev[...] = u_prev.as_array() if isinstance(u_prev, SwitchState) else u_prev
+    residual = np.matmul(multi.free_map, plan.x0_col, plan.residual)
     flat = plan.residual_flat
-    flat += m.drift_vec
+    flat += multi.drift_vec
     flat -= y_ref
-    quad = np.matmul(forced_t, forced, out=plan.quad)
-    quad += effort_gram(m.horizon, weight)
-    np.matmul(forced_t, residual, out=plan.forced_residual)
-    np.multiply(u_prev, weight, out=plan.effort_first)
-    return quad, np.subtract(plan.effort, plan.forced_residual_flat, out=plan.lin)
+    quad = np.matmul(plan.forced_t, multi.forced_map, plan.quad)
+    if weight != plan.gram_weight:
+        plan.gram_weight, plan.gram = weight, effort_gram(m.horizon, weight)
+    quad += plan.gram
+    np.matmul(plan.forced_t, residual, plan.forced_residual)
+    np.multiply(plan.u_prev, weight, plan.effort_first)
+    return quad, np.subtract(plan.effort, plan.forced_residual_flat, plan.lin)
 
 
 def _qp_plan(m: MultistepModel) -> StepPlan:
@@ -255,13 +286,16 @@ def assemble_qp(
     if plan is None:
         plan = _qp_plan(m)
     quad, lin = condense(m, x0, y_ref, u_prev, weight, plan)
-    factor = reverse_cholesky(quad, plan.factor)
+    lists = plan.factor_lists
+    factor = reverse_cholesky(quad, plan.factor, lists)
+    for form, h in zip(plan.qp_items, lists):
+        form.factor_list = h
     # The gufunc runs without np.linalg.solve's error state, so a singular
     # matrix would give NaN, not LinAlgError; the pivot floor of
     # `reverse_cholesky` has already raised for any matrix that is not
     # positive definite, so no singular matrix gets here.
-    _lapack_solve(quad, plan.lin_col, out=plan.unconstrained, signature="dd->d")
-    np.matmul(factor, plan.unconstrained, out=plan.target)
+    _lapack_solve(quad, plan.lin_col, plan.unconstrained)
+    np.matmul(factor, plan.unconstrained, plan.target)
     return plan.qp
 
 
@@ -271,13 +305,11 @@ def assemble_qp(
 
 
 def _list_decode(qp: QpForm, k: int):
-    """One `sd_search` pass over `factor` and `target`: (CandidateList,
-    radius trace)."""
-    n = qp.factor.shape[0]
-    best, nodes, rho_trace = _k.sd_search(qp.factor, qp.target, min(k, 3 ** n))
-    costs, levels = zip(*best)  # the list is never empty: the first leaf fills it
-    cands = CandidateList(np.array(levels, dtype=np.int64), list(costs), qp.horizon, nodes)
-    return cands, rho_trace
+    """One `sd_search` pass over the factor's flat list and the target:
+    (CandidateList, radius trace)."""
+    n = len(qp.target)
+    best, nodes, rho_trace = _k.sd_search(qp.factor_list, qp.target.tolist(), min(k, 3 ** n))
+    return CandidateList(best, qp.horizon, nodes), rho_trace
 
 
 def sphere_decode(qp: QpForm) -> DecodeResult:
@@ -353,9 +385,8 @@ def brute_force_kbest(
         )
     # lexsort's last key is the primary one: cost, then the levels in order
     ranked = np.lexsort((*seqs.T[::-1], costs))[:k]
-    return CandidateList(
-        seqs[ranked].astype(np.int64), costs[ranked].tolist(), n_h, seqs.shape[0]
-    )
+    leaves = list(zip(costs[ranked].tolist(), map(tuple, seqs[ranked].tolist())))
+    return CandidateList(leaves, n_h, seqs.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +429,7 @@ def select_pair(
     plan.levels_n[...] = grid_cands.levels
     imbalance_contributions(models.x0, models.sides, plan.levels, models.proj, models.gain, plan)
     imbalance_path(st.dc.v_imb, plan.contrib_m, plan.contrib_n, plan)
-    np.matmul(plan.path_rows, plan.path_cols, out=plan.scores)
+    np.matmul(plan.path_rows, plan.path_cols, plan.scores)
     scores = plan.scores_flat
     # argmin keeps the first minimum; row-major order makes that the lowest
     # (machine index, grid index)

@@ -11,9 +11,12 @@ from seqmpc import harness
 ROOT = Path(__file__).resolve().parent.parent
 
 #: recorded control steps: the first STEADY_STEPS of perfbench's `steady`
-#: unit and the first CELL_STEPS of each of the four cells of its `sweep` unit
+#: unit, the first CELL_STEPS of each of the four cells of its `sweep` unit
+#: and the first STARTUP_STEPS of its `startup` unit, inside the current
+#: transient, where most decoder calls take the bounded walk
 STEADY_STEPS = 100
 CELL_STEPS = 25
+STARTUP_STEPS = 25
 
 
 @pytest.fixture()
@@ -34,10 +37,10 @@ def _workloads():
 
 @pytest.fixture(scope="session")
 def recorded_steps():
-    """(label, arguments) of about 200 real `control_step` calls: seed-0 steps
-    of perfbench's `steady` and `sweep` scenarios, in closed loop, each call's
-    positional arguments as the loop passed them, but for the run's step
-    plan, which holds no input of the step."""
+    """(label, arguments) of 225 real `control_step` calls: seed-0 steps of
+    perfbench's `steady`, `sweep` and `startup` scenarios, in closed loop,
+    each call's positional arguments as the loop passed them, but for the
+    run's step plan, which holds no input of the step."""
     workloads = _workloads()
     steps = []
     control_step = harness.control_step
@@ -52,6 +55,7 @@ def recorded_steps():
     sweep = workloads.scenario("sweep", 0)
     runs += [(f"sweep {ctrl.mode} N_h={ctrl.n_h}", sweep, CELL_STEPS, ctrl)
              for ctrl in sweep.controller_grid()]
+    runs.append(("startup", workloads.scenario("startup", 0), STARTUP_STEPS, None))
     with pytest.MonkeyPatch.context() as patch:
         for label, cfg, count, ctrl in runs:
             patch.setattr(harness, "control_step", record(label))

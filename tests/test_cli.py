@@ -173,6 +173,17 @@ class TestRun:
         assert result.exit_code == 2
         assert "blew up" in result.output
 
+    def test_dc_link_collapse_exits_two(self, runner, tmp_path):
+        # a nanofarad DC link discharges below zero within two periods,
+        # whatever margin the effort weight keeps over the factorization
+        cfg = ScenarioConfig(duration=0.09, c_dc=1e-9)
+        path = tmp_path / "collapse.ini"
+        path.write_text(dump_config(cfg))
+        result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "simulation blew up: step 2: DC-link voltage collapsed" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_solver_error_names_its_step_and_exits_three(self, runner, tmp_path, monkeypatch):
         # every factorization from control step `failing` on fails
         failing = 3

@@ -154,7 +154,7 @@ def walk(factor, target, k, bounded, rho2=math.inf):
     empty list."""
     best, rho_trace = [], []
     search = _kernels._search_of_depth(len(factor), bounded)
-    nodes = search(factor.tolist(), target.tolist(), k, rho2, best, rho_trace)
+    nodes = search(factor.ravel().tolist(), target.tolist(), k, rho2, best, rho_trace)
     return best, nodes, rho_trace
 
 
@@ -188,7 +188,7 @@ def test_generated_box_test_equals_sum_form(instances, n):
     cases += [
         (qp.factor.tolist(), qp.target.tolist()) for _, qp in instances if 3 * qp.horizon == n
     ]
-    got = [_kernels.outside_box(h, c) for h, c in cases]
+    got = [_kernels.outside_box(sum(h, []), c) for h, c in cases]  # the flat factor
     assert got == [sum_outside_box(h, c) for h, c in cases]
     assert n == 1 or len(set(got)) == 2  # both answers occur
 
@@ -200,7 +200,7 @@ def test_box_test_adds_left_to_right():
     # Python 3.12) reaches 1 + 2**-52 and would say inside
     h = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0**-53, 2.0**-53]]
     c = [0.0, 0.0, 1.0 + 2.0**-52]
-    assert _kernels.outside_box(h, c)
+    assert _kernels.outside_box(sum(h, []), c)
     assert not c[2] > math.fsum(map(abs, h[2]))
 
 

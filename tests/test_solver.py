@@ -60,7 +60,13 @@ def qp_from_factor(factor, u_unc, horizon):
         unconstrained=u_unc,
         target=np.ascontiguousarray(factor @ u_unc),
         horizon=horizon,
+        factor_list=factor.ravel().tolist(),
     )
+
+
+def flat_eye(n):
+    """The n x n identity as a flat row-major list, the decoder's factor form."""
+    return np.eye(n).ravel().tolist()
 
 
 def cholesky(q):
@@ -304,16 +310,18 @@ class TestKBest:
             assert got.sequences is got.sequences
 
     def test_candidate_list_validates_its_stack(self):
-        rows = np.array([[1, 0, -1, 0, 1, 1], [0, 0, 0, -1, -1, 1]])
-        cands = CandidateList(rows, [0.5, 2.0], 2)
-        assert cands.levels is rows and not rows.flags.writeable
-        assert cands.sequences == [SwitchSequence(levels=row.copy(), horizon=2) for row in rows]
+        rows = ((1, 0, -1, 0, 1, 1), (0, 0, 0, -1, -1, 1))
+        cands = CandidateList([(0.5, rows[0]), (2.0, rows[1])], 2)
+        assert cands.rows == rows and cands.costs == [0.5, 2.0]
+        assert cands.levels.tolist() == [list(row) for row in rows]
+        assert cands.levels.dtype == np.int64 and not cands.levels.flags.writeable
+        assert cands.sequences == [SwitchSequence(levels=np.array(row), horizon=2) for row in rows]
         with pytest.raises(ValueError, match="entries"):
-            CandidateList(np.array([[0, 2, 0]]), [1.0], 1)
+            CandidateList([(1.0, (0, 2, 0))], 1)
         with pytest.raises(ValueError, match="length"):
-            CandidateList(np.zeros((2, 3), dtype=np.int64), [1.0, 2.0], 2)
+            CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0, 0))], 2)
         with pytest.raises(ValueError, match="length"):
-            CandidateList(np.zeros((2, 3), dtype=np.int64), [1.0], 1)
+            CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0))], 1)
 
     def test_k_one_reduces_to_sphere_decode(self, rng):
         for _ in range(10):
@@ -381,7 +389,7 @@ class TestKBest:
 
     def test_costs_validated(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            CandidateList(np.zeros((2, 3), dtype=np.int64), [2.0, 1.0], 1)
+            CandidateList([(2.0, (0, 0, 0)), (1.0, (0, 0, 0))], 1)
 
     def test_rejects_nonpositive_k(self, rng):
         qp = random_qp_instance(rng, 1)
@@ -549,7 +557,8 @@ class TestLongHorizons:
             for seq, cost in zip(full.sequences, full.costs):
                 assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
             # the k-th cost as a finite radius, on the walk `sd_search` picks
-            best, _, _ = walk(qp.factor, qp.target, 10, _kernels.outside_box(h, t), full.costs[-1])
+            bounded = _kernels.outside_box(qp.factor_list, t)
+            best, _, _ = walk(qp.factor, qp.target, 10, bounded, full.costs[-1])
             assert best == [(c, s.as_tuple()) for c, s in zip(full.costs, full.sequences)]
 
 
@@ -579,16 +588,16 @@ class TestGeneratedSearch:
         for bounded in (False, True):
             best, nodes, _ = walk(np.eye(deepest), np.zeros(deepest), 1, bounded)
             assert best == [(0.0, (0,) * deepest)] and nodes == 3 * deepest
-        assert _kernels.sd_search(np.eye(deepest), np.zeros(deepest), 1)[0] == best
+        assert _kernels.sd_search(flat_eye(deepest), [0.0] * deepest, 1)[0] == best
         with pytest.raises(ValueError, match="1 to 20 layers, got 21"):
-            _kernels.sd_search(np.eye(deepest + 1), np.zeros(deepest + 1), 1)
+            _kernels.sd_search(flat_eye(deepest + 1), [0.0] * (deepest + 1), 1)
 
     def test_traceback_shows_generated_lines(self):
         # a target outside the box picks the bounded walk, and row 0's
         # target does not count
         for target, name in (((1.0, 1.0, 1.0), "bounded"), ((1.0, 0.0, 0.0), "plain")):
             with pytest.raises(ZeroDivisionError) as err:
-                _kernels.sd_search(np.zeros((3, 3)), np.array(target), 1)
+                _kernels.sd_search([0.0] * 9, list(target), 1)
             frame = traceback.extract_tb(err.value.__traceback__)[-1]
             assert frame.filename == f"<sd_search n=3 {name}>"
             assert frame.line == "center = (c_0 - 0.0) / d_0"
@@ -605,15 +614,16 @@ class TestGeneratedSearch:
         x = rng.uniform(-0.45, 0.45, size=n)
         x[:3] = (2.5, -2.0, 1.5)
         target = factor @ x
-        h, t = factor.tolist(), target.tolist()
+        h, t = factor.ravel().tolist(), target.tolist()
         assert _kernels.outside_box(h, t)
         best, nodes, trace = walk(factor, target, 4, True)
-        assert _kernels.sd_search(factor, target, 4) == (best, nodes, trace)
+        assert _kernels.sd_search(h, t, 4) == (best, nodes, trace)
         plain_best, plain_nodes, plain_trace = walk(factor, target, 4, False)
         assert (best, trace) == (plain_best, plain_trace)
         assert nodes <= plain_nodes
         assert best[0][1] == (1, -1, 1) + (0,) * (n - 3)
-        assert [cost for cost, _ in best] == [_kernels.sequence_cost(h, t, lv) for _, lv in best]
+        rows = factor.tolist()
+        assert [cost for cost, _ in best] == [_kernels.sequence_cost(rows, t, lv) for _, lv in best]
 
 
 class TestBruteForce:
@@ -661,8 +671,8 @@ class TestSelectPair:
 
     @staticmethod
     def listify(seqs):
-        levels = np.array([s.levels for s in seqs])
-        return CandidateList(levels, [float(i) for i in range(len(seqs))], seqs[0].horizon)
+        leaves = [(float(i), s.as_tuple()) for i, s in enumerate(seqs)]
+        return CandidateList(leaves, seqs[0].horizon)
 
     def test_single_pair_is_returned(self):
         st = self.make_state([4.0, -2.0], [1.0, 3.0])

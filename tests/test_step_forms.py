@@ -6,8 +6,12 @@ while every BLAS and LAPACK product still runs on the same per-item operands
 and layout.  The replaced forms are kept here as the references, as
 `loop_cholesky` and `sum_outside_box` are kept for the kernels, and each
 rewrite is compared with its reference on random inputs and on the recorded
-steps of perfbench's `steady` and `sweep` scenarios (`recorded_steps` in
-conftest.py).
+steps of perfbench's `steady`, `sweep` and `startup` scenarios
+(`recorded_steps` in conftest.py).  Among the rewrites: single-matrix
+products through `ndarray.dot`, the first power A^1 as a copy of A, the
+products over an empty stage axis at N = 1 skipped, the references and the
+previous levels written from Python values into the plan, and the k-best
+lists built from the walk's (cost, levels) tuples.
 """
 
 import itertools
@@ -16,10 +20,12 @@ import math
 import numpy as np
 import pytest
 
-from seqmpc import _kernels
-from seqmpc.controller import control_step, stack_reference
+from seqmpc import _kernels, solver
+from seqmpc.controller import ReferenceState, control_step, stack_reference, step_plan
 from seqmpc.plant import LEVELS, DcLinkState, GridParams, MachineParams, MechState, PlantState
 from seqmpc.prediction import (
+    DiscreteModel,
+    StepPlan,
     build_multistep,
     build_step_models,
     effort_maps,
@@ -27,11 +33,14 @@ from seqmpc.prediction import (
     imbalance_path,
 )
 from seqmpc.solver import (
+    CandidateList,
     assemble_qp,
     condense,
     effort_gram,
+    k_best,
     reverse_cholesky,
 )
+from seqmpc.transforms import CLARKE_MAT, CLARKE_PINV_MAT
 from test_kernels import loop_cholesky
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
@@ -70,6 +79,56 @@ def reverse_cholesky_reference(q):
     return factor
 
 
+def multistep_products_reference(d, n_h):
+    """(powers, products) of `build_multistep` by the products it once ran:
+    A^1 as A @ I, and the drift's later stages and running sums also over
+    the empty stage axis at N = 1; the products as the plan lays them out
+    (`prediction._product_shapes`), blocks, C A^d and C times the drift
+    sums."""
+    a, b, c = d.state_mat, d.input_mat, d.output_mat
+    powers = np.empty((n_h + 1,) + a.shape[:-2] + (2, 2))
+    powers[0] = np.eye(2)
+    for r in range(n_h):
+        np.matmul(a, powers[r], out=powers[r + 1])
+    c_powers = np.matmul(c, powers)
+    blocks = np.zeros((n_h + 1,) + c_powers.shape[1:-1] + (3,))
+    np.matmul(c_powers[:n_h], b, out=blocks[:n_h])
+    drift_sums = np.empty((n_h,) + a.shape[:-2] + (2, 1))
+    drift_sums[0] = d.drift[..., None]
+    np.matmul(powers[1:n_h], d.drift[..., None], out=drift_sums[1:])
+    np.add.accumulate(drift_sums, axis=0, out=drift_sums)
+    products = np.concatenate([blocks.ravel(), c_powers.ravel(), np.matmul(c, drift_sums).ravel()])
+    return powers, products
+
+
+def imbalance_contributions_reference(x0, model, levels, proj, gain):
+    """The rollout with fresh arrays, every product also over the empty
+    stage axis at N = 1."""
+    k, n = levels.shape[-2], levels.shape[-1] // 3
+    blocks = np.asarray(levels, float).reshape(levels.shape[:-1] + (n, 3, 1))
+    driven = np.matmul(model.input_mat[..., None, None, :, :], blocks[..., : n - 1, :, :])
+    states = np.empty(levels.shape[:-1] + (n, 2, 1))
+    np.moveaxis(states[..., 0, :, 0], -2, 0)[...] = x0
+    for j in range(n - 1):
+        carry = np.matmul(model.state_mat[..., None, :, :], states[..., j, :, :])
+        states[..., j + 1, :, :] = (carry + driven[..., j, :, :]) + model.drift[..., None, :, None]
+    currents = np.matmul(proj[..., None, None, :, :], states)
+    dots = np.matmul(np.abs(blocks).swapaxes(-1, -2), currents)
+    return dots[..., 0, 0] * gain
+
+
+def stack_reference_reference(refs, n_h):
+    """The stacked references as one array from the nested tuples."""
+    return np.array((refs.i_dq_ref * n_h, refs.pq_ref * n_h), dtype=float)
+
+
+def candidate_list_reference(best, horizon, nodes):
+    """(levels bytes, costs, nodes) of a list built the old way: the walk's
+    levels stacked by `np.array`, its costs as a list."""
+    costs, levels = zip(*best)
+    return np.array(levels, dtype=np.int64).tobytes(), list(costs), nodes
+
+
 def imbalance_path_reference(v_imb0, contrib_m, contrib_n):
     step = contrib_m[:, None, :] - contrib_n[None, :, :]
     step[:, :, 0] += v_imb0
@@ -88,7 +147,8 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
     quad, lin = condense_reference(multi, x0, stack_reference(refs, n_h), u_prev, cfg.lam)
     factor = reverse_cholesky_reference(quad)
     target = (factor @ np.linalg.solve(quad, lin[..., None]))[..., 0]
-    lists = [_kernels.sd_search(factor[i], target[i], min(k, 3 ** (3 * n_h)))
+    lists = [_kernels.sd_search(factor[i].ravel().tolist(), target[i].tolist(),
+                                min(k, 3 ** (3 * n_h)))
              for i, k in enumerate((cfg.n_k, cfg.n_l))]
     (best_m, nodes_m, _), (best_n, nodes_n, _) = lists
     levels = np.zeros((2, max(len(best_m), len(best_n)), 3 * n_h), dtype=np.int64)
@@ -131,7 +191,7 @@ def step_subproblems(args):
 
 def test_recorded_steps_cover_both_scenarios(recorded_steps):
     labels = {label for label, _ in recorded_steps}
-    assert len(recorded_steps) == 200 and "steady" in labels
+    assert len(recorded_steps) == 225 and {"steady", "startup"} <= labels
     assert {args[1].n_h for _, args in recorded_steps} == {1, 2, 3}
     assert {args[1].mode for _, args in recorded_steps} == {"sequential", "standard_sd"}
 
@@ -280,3 +340,210 @@ class TestControlStep:
             )
             # repr tells -0.0 from 0.0 and compares every float to the bit
             assert repr(got) == repr(control_step_reference(*args))
+
+
+def random_model(rng, lead):
+    """A discretized model with the entries `discretize` gives a state map,
+    1.0 + x on the diagonal and 0.0 + x off it, some of them +0.0."""
+    state = rng.normal(0, 1e-2, lead + (2, 2))
+    state[rng.random(state.shape) < 0.3] = 0.0
+    state = state + np.eye(2)
+    return DiscreteModel(state, rng.normal(0, 1e3, lead + (2, 3)) * 5e-5,
+                         rng.normal(0, 10, lead + (2,)), rng.normal(0, 300, lead + (2, 2)))
+
+
+class TestSingleMatrixProducts:
+    """`build_step_models` runs `park @ CLARKE_MAT` and
+    `CLARKE_PINV_MAT @ park.T` through `ndarray.dot`, the same gemm as
+    `np.matmul`."""
+
+    def test_dot_equals_matmul_on_recorded_steps(self, recorded_steps):
+        plan = StepPlan(1)
+        for _, args in recorded_steps:
+            st, _, _, machine, grid, _, _, t_s, c_dc = args
+            models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+            assert plan.park_clarke.tobytes() == np.matmul(plan.park, CLARKE_MAT).tobytes()
+            assert models.proj_m.tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
+
+    def test_dot_equals_matmul_on_random_operands(self, rng):
+        park_clarke, proj_m = np.empty((2, 3)), np.empty((3, 2))
+        for theta in rng.uniform(-10, 10, 500):
+            c, s = math.cos(theta), math.sin(theta)
+            for park in (np.array([[c, s], [-s, c]]), rng.normal(size=(2, 2))):
+                park.dot(CLARKE_MAT, park_clarke)
+                assert park_clarke.tobytes() == np.matmul(park, CLARKE_MAT).tobytes()
+                CLARKE_PINV_MAT.dot(park.T, proj_m)
+                assert proj_m.tobytes() == np.matmul(CLARKE_PINV_MAT, park.T).tobytes()
+
+
+class TestMultistepProducts:
+    """A^1 is a copy of A, and at N = 1 the drift's later stages and its
+    running sum are skipped; the powers and products must equal those of
+    A @ I and of the empty products."""
+
+    @staticmethod
+    def assert_same(d, n_h):
+        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2])
+        build_multistep(d, n_h, plan)
+        powers, products = multistep_products_reference(d, n_h)
+        assert plan.powers.tobytes() == powers.tobytes()
+        assert plan.products.tobytes() == products.tobytes()
+
+    def test_equals_the_products_on_recorded_steps(self, recorded_steps):
+        for _, args in recorded_steps:
+            models, *_ = step_subproblems(args)
+            self.assert_same(models.sides, args[1].n_h)
+
+    @pytest.mark.parametrize("n_h", range(1, 7))
+    def test_equals_the_products_on_random_models(self, n_h, rng):
+        for lead in ((), (2,), (3,)):
+            for _ in range(20):
+                self.assert_same(random_model(rng, lead), n_h)
+
+    def test_identity_product_keeps_every_entry_but_negative_zero(self, rng):
+        eye = np.eye(2)
+        for _ in range(3000):
+            a = random_model(rng, ()).state_mat
+            assert (a @ eye).tobytes() == a.tobytes()
+        # the condition the copy rests on: A @ I turns -0.0 into +0.0
+        a = np.array([[1.0, -0.0], [0.0, 1.0]])
+        assert (a @ eye).tobytes() != a.tobytes()
+
+    def test_state_maps_hold_no_negative_zero(self, recorded_steps):
+        for _, args in recorded_steps:
+            models, *_ = step_subproblems(args)
+            a = models.sides.state_mat
+            assert not np.any((a == 0.0) & np.signbit(a))
+
+
+class TestRolloutProducts:
+    @pytest.mark.parametrize("n_h", range(1, 5))
+    def test_equals_the_fresh_rollout_on_random_lists(self, n_h, rng):
+        for _ in range(20):
+            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
+            levels = rng.integers(-1, 2, (2, 4, 3 * n_h))
+            got = imbalance_contributions(models.x0, models.sides, levels, models.proj, models.gain)
+            want = imbalance_contributions_reference(
+                models.x0, models.sides, levels, models.proj, models.gain)
+            assert got.tobytes() == want.tobytes()
+
+    def test_equals_the_fresh_rollout_on_recorded_steps(self, recorded_steps):
+        # the plan's own models, as `select_pair` rolls them out: no copies
+        for _, args in recorded_steps:
+            st, cfg, _, machine, grid, _, _, t_s, c_dc = args
+            n_h = cfg.n_h
+            levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
+            plan = StepPlan(n_h, 4, 4)
+            models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+            got = imbalance_contributions(models.x0, models.sides, levels, models.proj,
+                                          models.gain, plan)
+            want = imbalance_contributions_reference(
+                models.x0, models.sides, levels, models.proj, models.gain)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestPythonValueWrites:
+    """The references and the previous levels go into the plan from Python
+    values: the same floats as the arrays they replaced."""
+
+    @staticmethod
+    def effort(u_prev_m, u_prev_n, weight, n_h):
+        """The effort's first stage as `control_step` writes it."""
+        plan = StepPlan(n_h)
+        u_prev = plan.u_prev
+        u_prev[...] = ((u_prev_m.s_a, u_prev_m.s_b, u_prev_m.s_c),
+                       (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
+        multi = build_multistep(build_step_models(
+            PlantState((0.0, 0.0), (0.0, 0.0), DcLinkState(700.0, 0.0), MechState(0.0, 0.0), 0.0),
+            MACHINE, GRID, T_S, C_DC, plan).sides, n_h, plan)
+        condense(multi, plan.x0, np.zeros((2, 2 * n_h)), u_prev, weight, plan)
+        return plan.effort
+
+    def test_effort_equals_the_multiplied_levels_on_recorded_steps(self, recorded_steps):
+        for _, args in recorded_steps:
+            cfg, u_prev_m, u_prev_n = args[1], args[5], args[6]
+            got = self.effort(u_prev_m, u_prev_n, cfg.lam, cfg.n_h)
+            want = np.zeros((2, 3 * cfg.n_h))
+            want[:, :3] = np.multiply([u_prev_m.as_array(), u_prev_n.as_array()], cfg.lam)
+            assert got.tobytes() == want.tobytes()
+
+    def test_effort_equals_the_multiplied_levels_for_every_level_pair(self, rng):
+        from seqmpc.controller import SWITCH_STATES
+        states = list(SWITCH_STATES.values())
+        for weight in rng.uniform(1e-3, 10.0, 10):
+            for u_m, u_n in zip(states, states[::-1]):
+                got = self.effort(u_m, u_n, weight, 2)
+                want = np.multiply([u_m.as_array(), u_n.as_array()], weight)
+                assert got[:, :3].tobytes() == want.tobytes()
+                assert got[:, 3:].tobytes() == np.zeros((2, 3)).tobytes()
+
+    def test_references_equal_the_stacked_array(self, recorded_steps, rng):
+        refs = [args[2] for _, args in recorded_steps]
+        refs += [ReferenceState(tuple(rng.normal(0, 20, 2).tolist()),
+                                tuple(rng.normal(0, 3e4, 2).tolist())) for _ in range(200)]
+        refs.append(ReferenceState((-0.0, 0.0), (0.0, -0.0)))
+        for ref in refs:
+            for n_h in (1, 2, 3, 6):
+                plan = StepPlan(n_h)
+                got = stack_reference(ref, n_h, plan.y_ref)
+                assert got is plan.y_ref
+                assert got.tobytes() == stack_reference_reference(ref, n_h).tobytes()
+                assert stack_reference(ref, n_h).tobytes() == got.tobytes()
+
+
+class TestCandidateLists:
+    """The lists are built and checked on the walk's own (cost, levels)
+    tuples; the levels, costs and node counts must be those of the stack
+    built the old way."""
+
+    @staticmethod
+    def assert_same(best, horizon, nodes):
+        got = CandidateList(best, horizon, nodes)
+        assert (got.levels.tobytes(), got.costs, got.nodes_visited) == \
+            candidate_list_reference(best, horizon, nodes)
+        assert got.rows == tuple(levels for _, levels in best)
+
+    def test_equals_the_old_stack_on_recorded_steps(self, recorded_steps, monkeypatch):
+        walks = []
+        sd_search = _kernels.sd_search
+
+        def capture(h, u_check, k):
+            result = sd_search(h, u_check, k)
+            walks.append(result)
+            return result
+
+        monkeypatch.setattr(_kernels, "sd_search", capture)
+        for _, args in recorded_steps:
+            walks.clear()
+            control_step(*args)
+            assert len(walks) == 2
+            for (best, nodes, _), n_h in zip(walks, (args[1].n_h,) * 2):
+                self.assert_same(best, n_h, nodes)
+
+    def test_equals_the_old_stack_on_random_subproblems(self, rng):
+        from seqmpc.verify import random_qp_instance
+        for n_h in (1, 2, 3):
+            for k in (1, 4, 10):
+                qp = random_qp_instance(rng, n_h)
+                best, nodes, _ = _kernels.sd_search(qp.factor_list, qp.target.tolist(), k)
+                self.assert_same(best, n_h, nodes)
+                oracle = solver.brute_force_kbest(qp, k, n_h)
+                leaves = list(zip(oracle.costs, oracle.rows))
+                self.assert_same(leaves, n_h, oracle.nodes_visited)
+
+
+class TestFlatFactor:
+    """`assemble_qp` hands each side's factor to the decoder as the flat
+    list the Cholesky kernel returned: the entries of the factor array."""
+
+    def test_factor_lists_are_the_factor_entries(self, recorded_steps):
+        for _, args in recorded_steps:
+            plan = step_plan(args[1])
+            control_step(*args, plan)
+            assert len(plan.qp_sides) == 2
+            for side, flat in zip(plan.qp_sides, plan.factor_lists):
+                assert side.factor_list is flat
+                assert repr(flat) == repr(side.factor.ravel().tolist())
+                assert k_best(side, 1).levels.tobytes() == \
+                    CandidateList(_kernels.sd_search(flat, side.target.tolist(), 1)[0],
+                                  side.horizon).levels.tobytes()

@@ -3,7 +3,7 @@ step returns to the closed loop lives in them.
 
 `run_scenario` builds one `StepPlan` per run and passes it to every control
 step; a call without one builds a fresh plan.  On the recorded steps of
-perfbench's `steady` and `sweep` scenarios (`recorded_steps` in
+perfbench's `steady`, `sweep` and `startup` scenarios (`recorded_steps` in
 conftest.py), a plan reused step after step must give what a fresh plan per
 step gives, byte for byte: the decision, each side's factor and target, the
 candidate lists and the node counts.  The decision must not share memory
@@ -76,7 +76,7 @@ def arrays(obj, seen=None):
 
 
 def test_recorded_runs_are_several_steps_long(recorded_steps):
-    assert [len(steps) for steps in runs(recorded_steps)] == [100, 25, 25, 25, 25]
+    assert [len(steps) for steps in runs(recorded_steps)] == [100, 25, 25, 25, 25, 25]
 
 
 def test_reused_plan_equals_a_fresh_plan_per_step(recorded_steps):
