@@ -153,8 +153,8 @@ def sweep_cmd(config_path, out_dir, **overrides):
 
 
 @main.command()
-@click.option("--seed", type=int, default=0)
-@click.option("--cases", type=int, default=25, help="Random cases per property.")
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--cases", type=click.IntRange(min=1), default=25, help="Random cases per property.")
 def verify(seed, cases):
     """Check the decoder and condensation against enumeration oracles."""
     from . import verify as verify_mod

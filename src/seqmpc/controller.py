@@ -168,13 +168,6 @@ def stack_reference(refs: ReferenceState, n_h: int, out: np.ndarray | None = Non
     return out
 
 
-def step_plan(cfg: ControllerConfig) -> StepPlan:
-    """The step plan of `control_step` under `cfg`: both sides, its horizon,
-    and its list lengths, the decoder's k capped at the 3^(3N) sequences."""
-    sequences = 3 ** (3 * cfg.n_h)
-    return StepPlan(cfg.n_h, min(cfg.n_k, sequences), min(cfg.n_l, sequences))
-
-
 def control_step(
     st: PlantState,
     cfg: ControllerConfig,
@@ -194,11 +187,11 @@ def control_step(
     and the imbalance stage share it.  Both sides' subproblems are stacked
     and go through the multistep stacking and the condensation together,
     machine side first.  Every stage works in `plan`'s buffers, which must
-    be `step_plan(cfg)` or one like it; the closed loop passes one for the
-    whole run, and a call without one builds it.
+    be `StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)` or one like it; the closed loop
+    passes one for the whole run, and a call without one builds it.
     """
     if plan is None:
-        plan = step_plan(cfg)
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
     models = build_step_models(st, machine, grid, t_s, c_dc, plan)
     multi = build_multistep(models.sides, cfg.n_h, plan)
     u_prev = plan.u_prev  # the previous levels, Python ints, as floats
@@ -206,7 +199,7 @@ def control_step(
                    (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
     y_ref = stack_reference(refs, cfg.n_h, plan.y_ref)
     assemble_qp(multi, models.x0, y_ref, u_prev, cfg.lam, plan)
-    qp_m, qp_n = plan.qp_sides  # the sides of the plan's `qp`, the form assemble_qp returns
+    qp_m, qp_n = plan.qp_items  # the sides of the plan's `qp`, the form assemble_qp returns
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
     u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)

@@ -9,7 +9,7 @@ period and the DC-link capacitance to the controller and the plant, the
 DC-link PI settings (built once per run) to `build_references`, and the
 rotor inertia and the profile's load torque to the plant.  The controller
 also gets the run's step plan, its buffers built once before step 0
-(`controller.step_plan`).  Metric helpers
+(`prediction.StepPlan`).  Metric helpers
 reduce a record to THD / RMSE / switching-frequency / node-count figures;
 `sweep` crosses controller-parameter lists and collects one metrics row per
 configuration.  Runs are fully deterministic for a given configuration.
@@ -31,7 +31,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import _kernels as _k
-from .controller import ControllerConfig, DcLinkPi, build_references, control_step, step_plan
+from .controller import ControllerConfig, DcLinkPi, build_references, control_step
 from .plant import (
     GridParams,
     MachineParams,
@@ -336,7 +336,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     integral = 0.0  # of the DC-link PI regulator
     u_prev_m = SwitchState.zero()
     u_prev_n = SwitchState.zero()
-    plan = step_plan(ctrl)  # the step's buffers, built once for the run
+    plan = StepPlan(ctrl.n_h, ctrl.n_k, ctrl.n_l)  # the step's buffers, built once per run
     series = TimeSeries()
 
     for step in range(cfg.n_steps()):
@@ -388,17 +388,10 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
 
 
 def _state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m) -> float:
-    """max(np.abs(i_m_dq).max(), np.abs(i_n_ab).max(), abs(v_dc), abs(omega_m))
-    on Python floats, NaN and inf included: NumPy's max of a current pair is
-    NaN if either entry is, and Python's max keeps a NaN in first place and
-    skips one after it."""
-    m_a, m_b, n_a, n_b = abs(i_md), abs(i_mq), abs(i_na), abs(i_nb)
-    return max(
-        m_a if m_a >= m_b or m_a != m_a else m_b,
-        n_a if n_a >= n_b or n_a != n_a else n_b,
-        abs(v_dc),
-        abs(omega_m),
-    )
+    """The largest magnitude of the state's currents, DC-link voltage and
+    speed.  The state is finite here: `ScenarioConfig` rejects non-finite
+    values, and `plant_step` raises before it returns a non-finite state."""
+    return max(abs(i_md), abs(i_mq), abs(i_na), abs(i_nb), abs(v_dc), abs(omega_m))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +438,7 @@ def thd_window(t_s: float, fundamental_hz: float, window_periods: int, n_samples
     return n
 
 
-def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int = 5):
+def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int):
     """Total harmonic distortion over a trailing integer-period window.
 
     The window (`thd_window`) is rounded to a whole number of samples, the
@@ -463,7 +456,7 @@ def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int =
     return float(np.sqrt(np.sum(spectrum[harmonics] ** 2)) / fund)
 
 
-def thd_spectrum(signal, t_s: float, fundamental_hz: float, window_periods: int = 5):
+def thd_spectrum(signal, t_s: float, fundamental_hz: float, window_periods: int):
     """(frequency, magnitude) arrays of the THD window, amplitude-scaled."""
     signal = np.asarray(signal, float)
     n = thd_window(t_s, fundamental_hz, window_periods, signal.size)

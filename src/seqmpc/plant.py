@@ -68,10 +68,6 @@ class DcLinkState:
         if not (math.isfinite(self.v_dc) and math.isfinite(self.v_imb)):
             raise ValueError("non-finite DC-link state")
 
-    def validate_balanced(self):
-        if abs(self.v_imb) >= self.v_dc:
-            raise ValueError("capacitor imbalance exceeds total voltage")
-
 
 @dataclass(frozen=True)
 class MachineParams:
@@ -125,7 +121,8 @@ class PlantState:
         `ScenarioConfig.initial_state` passes the scenario's values."""
         mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI)
         dc = DcLinkState(v_dc=v_dc, v_imb=v_imb)
-        dc.validate_balanced()
+        if abs(v_imb) >= v_dc:
+            raise ValueError("capacitor imbalance exceeds total voltage")
         return cls(
             i_m_dq=(0.0, 0.0),
             i_n_ab=(0.0, 0.0),
@@ -178,7 +175,7 @@ def plant_step(
     inertia: float,
     t_m: float,
     dt: float,
-    substeps: int = 10,
+    substeps: int,
 ) -> PlantState:
     """Advance the plant by one controller period under constant switches
     and the load torque `t_m`, with DC-link capacitance `c_dc` and rotor

@@ -21,55 +21,52 @@ maps to phase currents); `StepModels.machine` and `StepModels.grid` are
 views of its two items.  `build_multistep` and `imbalance_contributions`,
 like `solver.condense` and `solver.assemble_qp`, broadcast over leading
 axes, so one call serves both sides; on one side's model each is the same
-function with no leading axis.  `solver.select_pair` rolls out both
+function with no leading axis.  The imbalance rollout moves all k
+candidates of a side forward together as stacked matrix-vector products
+(`A @ X[:, :, None]`) and scores them with a stacked self-product
+(`P[:, None, :] @ P[:, :, None]`); `solver.select_pair` rolls out both
 candidate lists in one call, the shorter padded with zero rows that it
-drops before scoring.  Each product is a stacked matmul, which
-NumPy runs item by item through the same OpenBLAS call (gemm or gemv) on
-the same item layout as the single-side product; every other operation is
-elementwise or a copy.  So each side's arrays are bit-identical to those of
-a call on that side alone.  Putting both sides into one 2-D matmul, a gemm
-over the rows of both, would not be: gemm blocks a larger operand
-differently and would move results in their last bits.
-
-Arithmetic convention of the imbalance rollout: all k candidates of a side
-move forward together as stacked matrix-vector products (`A @ X[:, :, None]`)
-and are scored with a stacked self-product (`P[:, None, :] @ P[:, :, None]`).
-NumPy runs each stacked item through the same BLAS gemv or dot call as a
-single `A @ x` or `p @ p`, so the batch is bit-identical to rolling out one
-candidate at a time.  A 2-D `A @ X` (gemm) and plain Python floats are not:
-OpenBLAS's gemv and dot fuse multiply-adds, gemm blocks differently and
-Python rounds every product, so either would move the predicted imbalance in
-its last bits and could change which of two near-equal pairs is applied.
+drops before scoring.
 
 The step plan.  A control step is short, so the NumPy calls around its
-products cost more than the products themselves (about 1 us each), and
-rebuilding the same views, reshapes and temporaries on every step was most
-of that.  A `StepPlan` is built once for one shape: the leading axes (the
-side axis in the controller), the horizon N and the list lengths k_m and
-k_n.  It holds every operand buffer of the step, the views that the
-products read and write, and the records that the planned functions return
-(`StepModels`, `MultistepModel`, `QpForm` and its two sides), which wrap
-its buffers.  The closed loop builds one per run (`controller.step_plan`)
-and passes it down; a call without one builds a fresh one for its
-arguments, so every call runs the same code.  A step then runs only its
-products, each into one of the plan's buffers, the elementwise writes, one
-flat-index gather that places the forced, free and drift maps of
-`build_multistep` (`_map_index`: the transposes and reshapes that once
-moved the values, run once per shape on their positions), and the decoder.
-Every view a product reads or writes is built once, with the plan: the
-state x0 as a column of the models' values, forced', the rollout's
-broadcast views of the side models and the path's rows and columns.  A
-caller's array that is not the plan's own is copied into the plan's
-buffer first (the planned functions check by identity), so there is one
-path through each function.
+products cost more than the products themselves (about 1 us each).  A
+`StepPlan` is built once for one shape: the leading axes (the side axis in
+the controller), the horizon N and the list lengths k_m and k_n.  It holds
+every operand buffer of the step, the views that the products read and
+write, and the records that the planned functions return (`StepModels`,
+`MultistepModel`, `QpForm` and the forms of its items), which wrap its
+buffers.  The closed loop builds one per run and passes it down; a call
+without one builds a fresh one for its arguments, so every call runs the
+same code.  A step then runs only its products, each into one of the
+plan's buffers, the elementwise writes, one flat-index gather that places
+the forced, free and drift maps of `build_multistep` (`_map_index`, the
+maps' transposes and reshapes run once per shape on the products'
+positions), and the decoder.  Every view a product reads or writes is built
+once, with the plan: the state x0 as a column of the models' values,
+forced', the rollout's broadcast views of the side models and the path's
+rows and columns.  A caller's array that is not the plan's own is copied
+into the plan's buffer first (the planned functions check by identity), so
+there is one path through each function.
 
-- Layout rule.  Every product keeps the per-item operands and layout of
-  the single-side product above, and its `out=` is a C-contiguous buffer
-  of the result's shape, the layout a fresh result would have.  So NumPy
-  runs the same BLAS call on the same items, bit for bit.  A buffer that a
-  later product reads as a matrix (the forced and free maps, the factor)
-  must be C-contiguous in any case: a strided matrix operand takes another
-  BLAS path and moves results in their last bits (the pins of
+Bit identity.  Each array of a step, here and in `solver`, is bit-identical
+to computing each side alone and each candidate one at a time with fresh
+NumPy results; tests/test_step_forms.py pins it.  Four rules keep it so.
+
+- Stacking rule.  Each product is a stacked matmul, which NumPy runs item
+  by item through the same OpenBLAS call (gemm, gemv or dot) on the same
+  item layout as the single-side, single-candidate product; every other
+  operation is elementwise or a copy.  One 2-D gemm over the rows of both
+  sides or of all candidates would not be bit-identical: gemm blocks a
+  larger operand differently.  Nor would Python floats: OpenBLAS's gemv and
+  dot fuse multiply-adds, and Python rounds every product.  Either would
+  move results in their last bits and could change which of two near-equal
+  pairs is applied.
+- Layout rule.  Every product's `out=` is a C-contiguous buffer of the
+  result's shape, the layout a fresh result would have.  So NumPy runs the
+  same BLAS call on the same items, bit for bit.  A buffer that a later
+  product reads as a matrix (the forced and free maps, the factor) must be
+  C-contiguous in any case: a strided matrix operand takes another BLAS
+  path and moves results in their last bits (the pins of
   tests/test_step_forms.py fail on a plan whose factor buffer is strided).
   NumPy 2.4.6 gave the same bits for the strided `out=`s tried, but a
   non-BLAS-able output may also run NumPy's own loop, whose sums are not
@@ -113,6 +110,10 @@ from .transforms import CLARKE_MAT, CLARKE_PINV_MAT, park_matrix
 
 #: states and outputs, and inputs (switch levels), of either side's model per stage
 NX, NU = 2, 3
+
+#: read-only identity of a side's state space
+EYE2 = np.eye(NX)
+EYE2.flags.writeable = False
 
 
 class SequenceError(ValueError):
@@ -171,7 +172,7 @@ class QpForm:
     `_kernels.cholesky_lower` returned, which the decoder reads.  The form
     of a stack of subproblems carries the stack's leading axes on every
     array, and its `factor_list` is the list of its items' flat lists, in C
-    order; `sides` splits a two-side stack.
+    order; the plan's `qp_items` are the forms of its items.
     """
 
     quad: np.ndarray
@@ -181,14 +182,6 @@ class QpForm:
     target: np.ndarray
     horizon: int
     factor_list: list
-
-    def sides(self) -> tuple:
-        """(machine, grid): views of the items of a two-side stack."""
-        return tuple(
-            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i],
-                   self.target[i], self.horizon, self.factor_list[i])
-            for i in (0, 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -249,13 +242,13 @@ def build_machine_subsystem(
     f = np.array([[-p.r_s / p.l_s, omega_e], [-omega_e, -p.r_s / p.l_s]])
     g = (park_matrix(theta_e) @ CLARKE_MAT @ converter_matrix(dc)) / p.l_s
     h = np.array([0.0, -(p.psi_pm / p.l_s) * omega_e])
-    return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=_identity(2))
+    return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=EYE2)
 
 
 def build_grid_subsystem(p: GridParams, e_ab, dc: DcLinkState) -> LinearSubsystem:
     """RL grid-filter model in alpha/beta with (P, Q) as the output."""
     e_a, e_b = float(e_ab[0]), float(e_ab[1])
-    f = (-p.r_n / p.l_n) * _identity(2)
+    f = (-p.r_n / p.l_n) * EYE2
     g = (CLARKE_MAT @ converter_matrix(dc)) / p.l_n
     h = np.array([-e_a / p.l_n, -e_b / p.l_n])
     c = np.array([[e_a, e_b], [e_b, -e_a]])
@@ -267,19 +260,11 @@ def discretize(sys: LinearSubsystem, t_s: float) -> DiscreteModel:
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
     return DiscreteModel(
-        state_mat=_identity(2) + t_s * sys.state_mat,
+        state_mat=EYE2 + t_s * sys.state_mat,
         input_mat=t_s * sys.input_mat,
         drift=t_s * sys.drift,
         output_mat=sys.output_mat.copy(),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """Read-only n x n identity, built once per size."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,7 +314,7 @@ def build_multistep(d: DiscreteModel, n_h: int, plan: StepPlan | None = None) ->
     the drift's later stages run over an empty stage axis and are skipped.
     """
     if plan is None:
-        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2], ny=d.output_mat.shape[-2])
+        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2])
     elif plan.n_h != n_h:
         raise ValueError(f"the plan is for horizon {plan.n_h}, not {n_h}")
     a, b, c = d.state_mat, d.input_mat, d.output_mat
@@ -411,24 +396,24 @@ def _views(buffer: np.ndarray, shapes) -> list:
     return views
 
 
-def _product_shapes(lead: tuple, n_h: int, ny: int) -> tuple:
+def _product_shapes(lead: tuple, n_h: int) -> tuple:
     """Shapes of the products `build_multistep` gathers its maps from: the
     blocks C A^d B for d = 0..N (the last one zero), C A^d for d = 0..N and
-    C times the drift sums, stage axis first, for `ny` outputs per stage."""
+    C times the drift sums, stage axis first."""
     return (
-        (n_h + 1,) + lead + (ny, NU),
-        (n_h + 1,) + lead + (ny, NX),
-        (n_h,) + lead + (ny, 1),
+        (n_h + 1,) + lead + (NX, NU),
+        (n_h + 1,) + lead + (NX, NX),
+        (n_h,) + lead + (NX, 1),
     )
 
 
-def _map_shapes(lead: tuple, n_h: int, ny: int) -> tuple:
+def _map_shapes(lead: tuple, n_h: int) -> tuple:
     """Shapes of the forced, free and drift maps of `build_multistep`."""
-    return lead + (ny * n_h, NU * n_h), lead + (ny * n_h, NX), lead + (ny * n_h,)
+    return lead + (NX * n_h, NU * n_h), lead + (NX * n_h, NX), lead + (NX * n_h,)
 
 
 @functools.lru_cache(maxsize=None)
-def _map_index(lead: tuple, n_h: int, ny: int) -> np.ndarray:
+def _map_index(lead: tuple, n_h: int) -> np.ndarray:
     """Read-only flat indices into the products (`_product_shapes`, one
     after the other) of the forced, free and drift maps' entries, one map
     after the other, each in C order.
@@ -439,7 +424,7 @@ def _map_index(lead: tuple, n_h: int, ny: int) -> np.ndarray:
     the same place.
     """
     k = len(lead)
-    shapes = _product_shapes(lead, n_h, ny)
+    shapes = _product_shapes(lead, n_h)
     blocks, c_powers, c_drift = _views(np.arange(sum(map(math.prod, shapes))), shapes)
     stage_last = (*range(1, k + 1), 0, k + 1, k + 2)
     forced = blocks[_delay_index(n_h)].transpose(*range(2, k + 2), 0, k + 2, 1, k + 3)
@@ -453,19 +438,18 @@ class StepPlan:
     """The operand buffers of one control step, the views its products read
     and write, and the records its planned functions return, for one shape:
     leading axes `lead` (the side axis, machine first, in the controller),
-    horizon `n_h` and list lengths `k_m` and `k_n` (see the module
-    docstring).  `controller.step_plan` builds the closed loop's; a planned
+    horizon `n_h` and list lengths `k_m` and `k_n`, each capped at the
+    3^(3N) sequences of the horizon as the decoder caps its k (see the
+    module docstring).  The closed loop builds one per run; a planned
     function given none builds a fresh one for its arguments.  The model
-    buffers and the candidate lists' rows exist for two sides only.  Both
-    sides' models have NX outputs per stage; `ny` sizes the multistep maps
-    and the condensation for other models.
+    buffers and the candidate lists' rows exist for two sides only.
     """
 
-    def __init__(
-        self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,), ny: int = NX
-    ):
+    def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,)):
         if n_h < 1:
             raise ValueError("horizon must be >= 1")
+        sequences = 3 ** (3 * n_h)
+        k_m, k_n = min(k_m, sequences), min(k_n, sequences)
         self.n_h, self.k_m, self.k_n = n_h, k_m, k_n
         n, nu = n_h, NU * n_h
         lead = tuple(lead)
@@ -494,20 +478,20 @@ class StepPlan:
         # `build_multistep`: the powers A^d, the drift sums, the products and
         # the maps gathered from them
         self.powers = np.empty((n + 1,) + lead + (NX, NX))
-        self.powers[0] = _identity(NX)
+        self.powers[0] = EYE2
         self.power_first = self.powers[1]
         self.power_steps = [(self.powers[r], self.powers[r + 1]) for r in range(1, n)]
         self.powers_inner = self.powers[1:n]
         self.drift_sums = np.empty((n,) + lead + (NX, 1))
         self.drift_head = self.drift_sums[0]
         self.drift_first, self.drift_rest = self.drift_head[..., 0], self.drift_sums[1:]
-        shapes = _product_shapes(lead, n, ny)
+        shapes = _product_shapes(lead, n)
         self.products = np.zeros(sum(map(math.prod, shapes)))  # the zero block stays zero
         blocks, self.c_powers, self.c_drift_sums = _views(self.products, shapes)
         self.blocks_head, self.c_powers_head = blocks[:n], self.c_powers[:n]
-        self.map_index = _map_index(lead, n, ny)
+        self.map_index = _map_index(lead, n)
         self.maps = np.empty(self.map_index.size)
-        self.multi = MultistepModel(*_views(self.maps, _map_shapes(lead, n, ny)), n)
+        self.multi = MultistepModel(*_views(self.maps, _map_shapes(lead, n)), n)
 
         # `solver.condense` and `solver.assemble_qp`; in the controller the
         # state x0 is the models' own, a column view of their values
@@ -516,11 +500,10 @@ class StepPlan:
         if two_sides:
             self.models.x0 = self.x0
         self.forced_t = self.multi.forced_map.swapaxes(-1, -2)
-        self.residual = np.empty(lead + (ny * n, 1))
+        self.residual = np.empty(lead + (NX * n, 1))
         self.residual_flat = self.residual[..., 0]
-        self.y_ref = np.empty(lead + (ny * n,))
+        self.y_ref = np.empty(lead + (NX * n,))
         self.quad = np.empty(lead + (nu, nu))
-        self.gram_weight, self.gram = None, None  # weight * D'D for the last weight
         self.forced_residual = np.empty(lead + (nu, 1))
         self.forced_residual_flat = self.forced_residual[..., 0]
         self.u_prev = np.empty(lead + (3,))
@@ -583,7 +566,6 @@ class StepPlan:
         self.scores_flat = self.scores[:, 0, 0]
 
         if two_sides:
-            self.qp_sides = self.qp_items
             self.levels_m, self.levels_n = self.levels[0, :k_m], self.levels[1, :k_n]
             self.contrib_m, self.contrib_n = self.contrib[0, :k_m], self.contrib[1, :k_n]
             self.contrib_m_col = self.contrib_m[:, None, :]

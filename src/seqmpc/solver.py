@@ -25,58 +25,38 @@ only, and the list's `sequences` are row views of it, none of them checked
 again.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
-both sides' subproblems over a leading side axis, machine first (see the
-module docstring of `prediction`).  Its products are stacked matmuls, which
-run each side through the same OpenBLAS call as one side alone (the Gram
-matrix forced' forced is a syrk per item either way); the solve runs one
-LAPACK gesv per item; `reverse_cholesky` factors the items one after the
-other, machine first, before the solve.  So every array is bit-identical
-to assembling each side by itself, and a side that is not positive
+both sides' subproblems over a leading side axis, machine first, in the
+step plan's buffers; it and `select_pair` follow the bit-identity rules of
+`prediction`'s module docstring.  The Gram matrix forced' forced is a syrk
+per item, forced' residual and free x0 are gemvs, and the target
+factor @ unconstrained is a gemv on the C-contiguous factor (see
+`reverse_cholesky`).  `reverse_cholesky` factors the items one after the
+other, machine first, before the solve, so a side that is not positive
 definite raises NotPositiveDefiniteError with its own pivot, as it would
-alone.  A 2-D gemm over both sides' rows would not be bit-identical.
+alone.
 
-The products that must stay BLAS, on their layout: forced' forced (syrk),
-forced' residual and free x0 (gemv), and target = factor @ unconstrained
-(gemv on a C-contiguous factor, see `reverse_cholesky`).  The solve calls
-the gufunc that `np.linalg.solve` wraps, `numpy.linalg._umath_linalg.solve`,
-on float64 operands, whose loop "dd->d" runs the same dgesv per item, with
-its `out` by position.  The wrapper adds only type dispatch and an
-error-state context, more than half of its time on a two-side N_h = 3
-stack (15 us against 7 us, timeit on a shared 2-core Xeon, Python 3.11),
-and the factor has already shown every matrix positive definite.  The
-factor comes from the generated Cholesky kernel as a flat list already in
-the decoder's orientation and C order: one write into the plan's buffer
-for the target's gemv, and the list itself goes to the decoder
-(`QpForm.factor_list`), which reads it as it is.  The effort term's part of
-the linear coefficient, weight * diff' (prev u_prev), is written as
-weight * u_prev in the first stage and zero after it: the products give
-exactly these values, +0.0 included, and lin = that vector - forced'
-residual is the same IEEE sum as -(forced' residual) + that vector.  The
-previous levels are floats in the plan (an int level converts exactly),
+The solve calls the gufunc that `np.linalg.solve` wraps,
+`numpy.linalg._umath_linalg.solve`, on float64 operands, its `out` by
+position: its loop "dd->d" runs the same dgesv per item, without the
+wrapper's type dispatch and error-state context, which cost more than half
+of its time on a two-side N_h = 3 stack (15 us against 7 us, timeit on a
+shared 2-core Xeon, Python 3.11); the factor has already shown every matrix
+positive definite.  The factor comes from the generated Cholesky kernel as
+a flat list already in the decoder's orientation and C order: one write
+into the plan's buffer for the target's gemv, and the list itself goes to
+the decoder (`QpForm.factor_list`), which reads it as it is.  The effort
+term's part of the linear coefficient, weight * diff' (prev u_prev), is
+written as weight * u_prev in the first stage and zero after it: the
+products give exactly these values, +0.0 included, and lin = that vector -
+forced' residual is the same IEEE sum as -(forced' residual) + that vector.
+The previous levels are floats in the plan (an int level converts exactly),
 so weight * u_prev is the IEEE product of NumPy's int64-to-float64
-multiply; the Gram term weight * D'D is held by the plan for its weight.
+multiply; the Gram term weight * D'D is `effort_gram`'s cached array.
 
-The step plan (see `prediction`) holds the condensation's buffers: the
-state x0 as a column, the references, the residual, quad, forced'
-residual, the previous levels, the effort vector (zero past the first
-stage, set once), lin, the factor and its flat lists, the unconstrained
-minimizer and the target; the QpForm that `assemble_qp` returns and its
-two sides wrap them.  The products follow `prediction`'s call-form rule.
-Pair selection uses its float level stack, the rollout's buffers, the
-paths and the scores.  Each product writes its own C-contiguous buffer
-(the layout rule); the factor, which the target's gemv and the decoder
-read, must be C-contiguous itself.  The arrays of a returned QpForm are
-the plan's and hold the current step; the sequences `select_pair` returns
-are rows of the lists' own level stacks.
-
-`select_pair` rolls out both sides' candidates in one call, over the
-leading side axis of `prediction`'s two-side convention, and scores all
-k_m * k_n paths with one stacked self-product.  Stacked matmuls run NumPy's
-per-item gemv and dot, the same OpenBLAS calls (fused multiply-adds
-included) as scoring one pair at a time, so the scores are bit-identical to
-the per-pair loop; a 2-D gemm or Python-float arithmetic would not be.
-The `standard_sd` baseline is its 1x1 case: the stacked self-product of the
-single path runs the same dot call as `path @ path`.
+`select_pair` rolls out both sides' candidates in one call and scores all
+k_m * k_n paths with one stacked self-product.  The `standard_sd` baseline
+is its 1x1 case: the stacked self-product of the single path runs the same
+dot call as `path @ path`.
 """
 
 from __future__ import annotations
@@ -235,7 +215,7 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
     if plan is None:
-        plan = _qp_plan(m)
+        plan = StepPlan(m.horizon, lead=m.forced_map.shape[:-2])
     multi = plan.multi
     if m is not multi:
         multi.forced_map[...] = m.forced_map
@@ -250,18 +230,10 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan
     flat += multi.drift_vec
     flat -= y_ref
     quad = np.matmul(plan.forced_t, multi.forced_map, plan.quad)
-    if weight != plan.gram_weight:
-        plan.gram_weight, plan.gram = weight, effort_gram(m.horizon, weight)
-    quad += plan.gram
+    quad += effort_gram(m.horizon, weight)
     np.matmul(plan.forced_t, residual, plan.forced_residual)
     np.multiply(plan.u_prev, weight, plan.effort_first)
     return quad, np.subtract(plan.effort, plan.forced_residual_flat, plan.lin)
-
-
-def _qp_plan(m: MultistepModel) -> StepPlan:
-    """A fresh plan for condensing `m`."""
-    rows = m.free_map.shape[-2]
-    return StepPlan(m.horizon, lead=m.forced_map.shape[:-2], ny=rows // m.horizon)
 
 
 @functools.lru_cache(maxsize=64)
@@ -284,7 +256,7 @@ def assemble_qp(
     docstring).
     """
     if plan is None:
-        plan = _qp_plan(m)
+        plan = StepPlan(m.horizon, lead=m.forced_map.shape[:-2])
     quad, lin = condense(m, x0, y_ref, u_prev, weight, plan)
     lists = plan.factor_lists
     factor = reverse_cholesky(quad, plan.factor, lists)

@@ -324,3 +324,27 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--seed", "3", "--cases", "5"])
         assert result.exit_code == 0, result.output
         assert "pass  kbest_vs_bruteforce" in result.output
+
+    @pytest.mark.parametrize(
+        "flags, option",
+        [(["--cases", "0"], "--cases"), (["--cases", "-3"], "--cases"), (["--seed", "-1"], "--seed")],
+        ids=["cases-0", "cases-negative", "seed-negative"],
+    )
+    def test_count_that_checks_nothing_exits_one(self, runner, flags, option):
+        result = runner.invoke(main, ["verify", *flags])
+        assert result.exit_code == 1, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert "Traceback" not in result.output and "pass  " not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_failing_property_exits_three(self, runner, monkeypatch):
+        from seqmpc import verify
+
+        def run_all(seed, cases):
+            return [("kbest_vs_bruteforce", True, "ok"), ("made_up", False, "1 of 5 differed")]
+
+        monkeypatch.setattr(verify, "run_all", run_all)
+        result = runner.invoke(main, ["verify"])
+        assert result.exit_code == 3, result.output
+        assert "pass  kbest_vs_bruteforce: ok" in result.output
+        assert "FAIL  made_up: 1 of 5 differed" in result.output

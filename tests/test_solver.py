@@ -10,6 +10,7 @@ from seqmpc import _kernels
 from seqmpc.plant import DcLinkState, GridParams, MachineParams, MechState, PlantState, SwitchState
 from seqmpc.prediction import (
     MultistepModel,
+    StepPlan,
     SwitchSequence,
     build_grid_subsystem,
     build_machine_subsystem,
@@ -154,11 +155,11 @@ class TestCondensation:
             assemble_qp(m, np.zeros(2), np.zeros(4), SwitchState.zero(), 0.0)
 
     def test_reference_on_free_response_gives_zero_minimizer(self):
-        # identity forced map and a reference equal to the free response
+        # a forced map of the first two levels and a reference equal to the free response
         m = MultistepModel(
-            forced_map=np.eye(3),
-            free_map=np.ones((3, 2)),
-            drift_vec=np.array([0.5, -1.0, 2.0]),
+            forced_map=np.eye(2, 3),
+            free_map=np.ones((2, 2)),
+            drift_vec=np.array([0.5, -1.0]),
             horizon=1,
         )
         x0 = np.array([1.0, 2.0])
@@ -225,8 +226,10 @@ class TestTwoSideStack:
             u_prev = [SwitchState(*(int(v) for v in rng.integers(-1, 2, 3))) for _ in range(2)]
             lam = float(rng.uniform(0.01, 1.0))
             multi = build_multistep(models.sides, n_h)
+            plan = StepPlan(n_h)
             qp = assemble_qp(
-                multi, np.array(x0), np.array(y_ref), np.array([u.as_array() for u in u_prev]), lam
+                multi, np.array(x0), np.array(y_ref), np.array([u.as_array() for u in u_prev]), lam,
+                plan,
             )
             for i, side in enumerate((models.machine, models.grid)):
                 for name in ("state_mat", "input_mat", "drift", "output_mat"):
@@ -237,7 +240,7 @@ class TestTwoSideStack:
                 qp_alone = assemble_qp(alone, x0[i], y_ref[i], u_prev[i], lam)
                 for name in self.QP_FIELDS:
                     assert getattr(qp, name)[i].tobytes() == getattr(qp_alone, name).tobytes()
-            for view, i in zip(qp.sides(), (0, 1)):
+            for view, i in zip(plan.qp_items, (0, 1)):
                 for name in self.QP_FIELDS:
                     assert np.shares_memory(getattr(view, name), getattr(qp, name))
                     assert getattr(view, name).tobytes() == getattr(qp, name)[i].tobytes()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from seqmpc import _kernels, solver
-from seqmpc.controller import ReferenceState, control_step, stack_reference, step_plan
+from seqmpc.controller import ReferenceState, control_step, stack_reference
 from seqmpc.plant import LEVELS, DcLinkState, GridParams, MachineParams, MechState, PlantState
 from seqmpc.prediction import (
     DiscreteModel,
@@ -267,10 +267,11 @@ class TestReverseCholesky:
         # strided factor, so its layout is part of the result
         for _, args in recorded_steps:
             _, multi, x0, y_ref, u_prev = step_subproblems(args)
-            qp = assemble_qp(multi, x0, y_ref, u_prev, args[1].lam)
+            plan = StepPlan(args[1].n_h)
+            qp = assemble_qp(multi, x0, y_ref, u_prev, args[1].lam, plan)
             assert qp.factor.tobytes() == reverse_cholesky_reference(qp.quad).tobytes()
             assert qp.factor.flags.c_contiguous
-            assert all(side.factor.flags.c_contiguous for side in qp.sides())
+            assert all(side.factor.flags.c_contiguous for side in plan.qp_items)
 
 
 class TestSolve:
@@ -538,10 +539,11 @@ class TestFlatFactor:
 
     def test_factor_lists_are_the_factor_entries(self, recorded_steps):
         for _, args in recorded_steps:
-            plan = step_plan(args[1])
+            cfg = args[1]
+            plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
             control_step(*args, plan)
-            assert len(plan.qp_sides) == 2
-            for side, flat in zip(plan.qp_sides, plan.factor_lists):
+            assert len(plan.qp_items) == 2
+            for side, flat in zip(plan.qp_items, plan.factor_lists):
                 assert side.factor_list is flat
                 assert repr(flat) == repr(side.factor.ravel().tolist())
                 assert k_best(side, 1).levels.tobytes() == \

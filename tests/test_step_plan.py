@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from seqmpc import controller
-from seqmpc.controller import control_step, step_plan
+from seqmpc.controller import ControllerConfig, control_step
+from seqmpc.harness import ScenarioConfig, run_scenario
 from seqmpc.prediction import StepPlan
 
 
@@ -81,14 +82,16 @@ def test_recorded_runs_are_several_steps_long(recorded_steps):
 
 def test_reused_plan_equals_a_fresh_plan_per_step(recorded_steps):
     for steps in runs(recorded_steps):
-        plan = step_plan(steps[0][1])
+        cfg = steps[0][1]
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
         for args in steps:
             assert traced_step(args, plan) == traced_step(args, None)
 
 
 def test_decision_shares_no_memory_with_the_plan(recorded_steps):
     for steps in runs(recorded_steps):
-        plan = step_plan(steps[0][1])
+        cfg = steps[0][1]
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
         buffers = arrays(plan)
         assert len(buffers) > 50
         for args in steps[:5]:
@@ -101,7 +104,8 @@ def test_decision_shares_no_memory_with_the_plan(recorded_steps):
 
 def test_kept_decision_is_unchanged_after_the_next_step(recorded_steps):
     for steps in runs(recorded_steps):
-        plan = step_plan(steps[0][1])
+        cfg = steps[0][1]
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
         kept = [control_step(*args, plan) for args in steps]
         for decision, args in zip(kept, steps):
             assert decision_bytes(decision) == decision_bytes(control_step(*args))
@@ -114,3 +118,19 @@ def test_plan_for_another_shape_is_refused(recorded_steps):
         control_step(*args, StepPlan(cfg.n_h + 1, cfg.n_k, cfg.n_l))
     with pytest.raises(ValueError, match="lists"):
         control_step(*args, StepPlan(cfg.n_h, cfg.n_k - 1, cfg.n_l))
+
+
+def test_list_lengths_are_capped_at_the_horizons_sequences():
+    plan = StepPlan(1, 40, 30)
+    assert (plan.k_m, plan.k_n) == (27, 27)
+    assert plan.paths.shape == (27, 27, 1)
+    wide = StepPlan(2, 40, 30)
+    assert (wide.k_m, wide.k_n) == (40, 30)
+
+
+def test_run_asking_for_more_candidates_than_the_horizon_has():
+    # 27 sequences at N_h = 1: each list holds all of them
+    series = run_scenario(
+        ScenarioConfig(duration=0.0005), ControllerConfig(n_h=1, n_k=40, n_l=30)
+    )
+    assert len(series) == 10
