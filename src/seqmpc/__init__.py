@@ -17,10 +17,8 @@ Library layout:
 from .controller import ControllerConfig, ControlDecision, DcLinkPi, ReferenceState, control_step
 from .harness import RunMetrics, ScenarioConfig, TimeSeries, run_scenario, sweep
 from .plant import (
-    DcLinkState,
     GridParams,
     MachineParams,
-    MechState,
     PlantState,
     SwitchState,
     plant_step,
@@ -41,10 +39,8 @@ __all__ = [
     "TimeSeries",
     "run_scenario",
     "sweep",
-    "DcLinkState",
     "GridParams",
     "MachineParams",
-    "MechState",
     "PlantState",
     "SwitchState",
     "plant_step",

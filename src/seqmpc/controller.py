@@ -146,13 +146,13 @@ def build_references(
     if dt <= 0:
         raise ValueError("dt must be positive")
     i_q_ref = t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
-    err = pi.v_dc_ref - st.dc.v_dc
+    err = pi.v_dc_ref - st.v_dc
     integral = integral + dt * err
     if pi.ki != 0.0:
         bound = abs(pi.clamp / pi.ki)
         integral = float(min(max(integral, -bound), bound))
     i_g_ref = float(min(max(pi.kp * err + pi.ki * integral, -pi.clamp), pi.clamp))
-    p_ref = st.dc.v_dc * i_g_ref + omega_m_ref * t_e_ref
+    p_ref = st.v_dc * i_g_ref + omega_m_ref * t_e_ref
     return ReferenceState(i_dq_ref=(0.0, i_q_ref), pq_ref=(p_ref, 0.0), integral=integral)
 
 

@@ -169,12 +169,14 @@ class ScenarioConfig:
     def _controller(self, n_h, n_k, n_l, lam, mode) -> ControllerConfig:
         try:
             ctrl = ControllerConfig(n_h=n_h, n_k=n_k, n_l=n_l, lam=lam, mode=mode)
+            # the run's plan, after `standard_sd` sets its lists to one: it
+            # rejects too many candidate pairs before allocating
+            plan = StepPlan(n_h, ctrl.n_k, ctrl.n_l)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # along the common-mode switch vector only the effort term keeps the
         # condensed Gram matrix positive definite, so a positive but tiny
         # weight fails the factorization; reject it here, not on step 0
-        plan = StepPlan(n_h)
         models = build_step_models(
             self.initial_state(), self.machine(), self.grid(), self.t_s, self.c_dc, plan
         )
@@ -342,7 +344,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     for step in range(cfg.n_steps()):
         i_md, i_mq = state.i_m_dq
         i_na, i_nb = state.i_n_ab
-        scale = _state_scale(i_md, i_mq, i_na, i_nb, state.dc.v_dc, state.mech.omega_m)
+        scale = _state_scale(i_md, i_mq, i_na, i_nb, state.v_dc, state.omega_m)
         if scale > _DIVERGENCE_LIMIT:
             raise SimulationBlowUpError(f"step {step}: state diverged (|x| > {_DIVERGENCE_LIMIT:g})")
         t = step * cfg.t_s
@@ -351,7 +353,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
 
         # proportional speed loop with load feedforward supplies the torque
         # reference; positive gain brakes above the speed reference
-        t_e_ref = cfg.speed_kp * (state.mech.omega_m - omega_ref) + t_mech
+        t_e_ref = cfg.speed_kp * (state.omega_m - omega_ref) + t_mech
         t_e_ref = float(min(max(t_e_ref, -cfg.t_e_max), cfg.t_e_max))
         refs = build_references(state, machine, pi, t_e_ref, omega_ref, integral, cfg.t_s)
         integral = refs.integral
@@ -364,13 +366,13 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             # a sequence check that fails inside a step is a failed step, not a bad config
             raise SolverError(f"step {step}: {exc}") from exc
         p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
-        i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.mech.theta_e))
+        i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.theta_e))
         s_m, s_n = decision.s_m, decision.s_n
         # one value per column, in TS_COLUMNS order
         series.append(
             t, i_md, i_mq, i_ma, i_mb, i_mc,
-            i_na, i_nb, state.dc.v_dc, state.dc.v_imb,
-            state.mech.omega_m, electromagnetic_torque(i_mq, machine),
+            i_na, i_nb, state.v_dc, state.v_imb,
+            state.omega_m, electromagnetic_torque(i_mq, machine),
             t_e_ref, refs.i_dq_ref[1],
             p, q, refs.pq_ref[0], refs.pq_ref[1],
             s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,

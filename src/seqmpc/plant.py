@@ -4,15 +4,19 @@ The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
 holding the applied switch states and the load torque constant over each
 controller period (zero-order hold).  Both are inputs of `plant_step`, which
-the closed loop passes on every step.  The state holds only what the
-integration advances: currents, DC-link voltages, speed, angle and time.
+the closed loop passes on every step.  The state is one flat record,
+`PlantState`, of what the integration advances, in `integrate_plant`'s
+order: the currents, the DC-link voltage and imbalance, the speed, the angle
+and the time.  `PlantState.initial` checks the outside values a run starts
+from; `plant_step` checks only that the integration stayed finite with a
+positive DC-link voltage, and builds the next record unchecked.
 The DC-link capacitance and the rotor inertia are parameters of the run,
 like the machine and grid parameters; `ScenarioConfig` owns and checks
 them once, and the loop passes them to `plant_step`.  The
 integration itself runs in `_kernels.integrate_plant` on Python floats, one
 straight-line substep per sub-interval (see the `_kernels` module docstring
 for why it is bit-identical to composing the per-operation physics).  The
-state types are frozen dataclasses, built directly rather than through
+state is a frozen dataclass, built directly rather than through
 `dataclasses.replace`, which costs several microseconds per call on every
 control step.
 """
@@ -56,20 +60,6 @@ class SwitchState:
 
 
 @dataclass(frozen=True)
-class DcLinkState:
-    """Total DC-link voltage and capacitor imbalance."""
-
-    v_dc: float
-    v_imb: float
-
-    def __post_init__(self):
-        if not self.v_dc > 0.0:
-            raise ValueError("v_dc must be positive")
-        if not (math.isfinite(self.v_dc) and math.isfinite(self.v_imb)):
-            raise ValueError("non-finite DC-link state")
-
-
-@dataclass(frozen=True)
 class MachineParams:
     r_s: float
     l_s: float
@@ -94,42 +84,31 @@ class GridParams:
 
 
 @dataclass(frozen=True)
-class MechState:
-    """Rotor speed and electrical angle."""
-
-    omega_m: float
-    theta_e: float
-
-
-@dataclass(frozen=True)
 class PlantState:
-    """Full simulated system state at one instant.
-
-    The currents are pairs of Python floats: the machine dq currents and the
-    grid alpha/beta currents.
-    """
+    """Full simulated system state at one instant: the machine dq currents
+    and the grid alpha/beta currents (pairs of Python floats), the total
+    DC-link voltage and the capacitor imbalance, the rotor speed, the
+    electrical angle and the time."""
 
     i_m_dq: tuple
     i_n_ab: tuple
-    dc: DcLinkState
-    mech: MechState
+    v_dc: float
+    v_imb: float
+    omega_m: float
+    theta_e: float
     t: float
 
     @classmethod
     def initial(cls, v_dc: float, v_imb: float, omega_m: float, theta_e: float) -> "PlantState":
         """Zero currents at t = 0 with the given DC link, speed and angle;
         `ScenarioConfig.initial_state` passes the scenario's values."""
-        mech = MechState(omega_m=omega_m, theta_e=theta_e % _k.TWO_PI)
-        dc = DcLinkState(v_dc=v_dc, v_imb=v_imb)
+        if not v_dc > 0.0:
+            raise ValueError("v_dc must be positive")
+        if not (math.isfinite(v_dc) and math.isfinite(v_imb)):
+            raise ValueError("non-finite DC-link state")
         if abs(v_imb) >= v_dc:
             raise ValueError("capacitor imbalance exceeds total voltage")
-        return cls(
-            i_m_dq=(0.0, 0.0),
-            i_n_ab=(0.0, 0.0),
-            dc=dc,
-            mech=mech,
-            t=0.0,
-        )
+        return cls((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_m, theta_e % _k.TWO_PI, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +121,9 @@ _CONVERTER_PATTERN = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0
 _CONVERTER_PATTERN.flags.writeable = False
 
 
-def converter_matrix(dc: DcLinkState) -> np.ndarray:
+def converter_matrix(v_dc: float, v_imb: float) -> np.ndarray:
     """3x3 map from a switch vector to the three-phase voltage."""
-    return _CONVERTER_PATTERN * ((dc.v_dc + dc.v_imb) / 6.0)
+    return _CONVERTER_PATTERN * ((v_dc + v_imb) / 6.0)
 
 
 def grid_emf(t: float, p: GridParams) -> np.ndarray:
@@ -184,8 +163,7 @@ def plant_step(
         raise ValueError("dt must be positive and substeps >= 1")
     out = _k.integrate_plant(
         *st.i_m_dq, *st.i_n_ab,
-        st.dc.v_dc, st.dc.v_imb,
-        st.mech.omega_m, st.mech.theta_e, st.t,
+        st.v_dc, st.v_imb, st.omega_m, st.theta_e, st.t,
         s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
         machine.r_s, machine.l_s, machine.psi_pm, machine.pole_pairs,
         grid.r_n, grid.l_n, grid.e_peak, grid.omega_n,
@@ -198,10 +176,4 @@ def plant_step(
             raise SimulationBlowUpError("plant state became non-finite")
     if v_dc <= 0.0:
         raise SimulationBlowUpError("DC-link voltage collapsed")
-    return PlantState(
-        i_m_dq=(i_md, i_mq),
-        i_n_ab=(i_na, i_nb),
-        dc=DcLinkState(v_dc=v_dc, v_imb=v_imb),
-        mech=MechState(omega_m, theta_e),
-        t=t,
-    )
+    return PlantState((i_md, i_mq), (i_na, i_nb), v_dc, v_imb, omega_m, theta_e, t)

@@ -100,7 +100,6 @@ import numpy as np
 from . import _kernels as _k
 from .plant import (
     LEVELS,
-    DcLinkState,
     GridParams,
     MachineParams,
     PlantState,
@@ -236,20 +235,20 @@ def check_levels(levels: np.ndarray, shape: tuple) -> None:
 
 
 def build_machine_subsystem(
-    p: MachineParams, omega_e: float, dc: DcLinkState, theta_e: float
+    p: MachineParams, omega_e: float, v_dc: float, v_imb: float, theta_e: float
 ) -> LinearSubsystem:
     """PMSG stator model in dq with switch-integer input and identity output."""
     f = np.array([[-p.r_s / p.l_s, omega_e], [-omega_e, -p.r_s / p.l_s]])
-    g = (park_matrix(theta_e) @ CLARKE_MAT @ converter_matrix(dc)) / p.l_s
+    g = (park_matrix(theta_e) @ CLARKE_MAT @ converter_matrix(v_dc, v_imb)) / p.l_s
     h = np.array([0.0, -(p.psi_pm / p.l_s) * omega_e])
     return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=EYE2)
 
 
-def build_grid_subsystem(p: GridParams, e_ab, dc: DcLinkState) -> LinearSubsystem:
+def build_grid_subsystem(p: GridParams, e_ab, v_dc: float, v_imb: float) -> LinearSubsystem:
     """RL grid-filter model in alpha/beta with (P, Q) as the output."""
     e_a, e_b = float(e_ab[0]), float(e_ab[1])
     f = (-p.r_n / p.l_n) * EYE2
-    g = (CLARKE_MAT @ converter_matrix(dc)) / p.l_n
+    g = (CLARKE_MAT @ converter_matrix(v_dc, v_imb)) / p.l_n
     h = np.array([-e_a / p.l_n, -e_b / p.l_n])
     c = np.array([[e_a, e_b], [e_b, -e_a]])
     return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=c)
@@ -434,21 +433,38 @@ def _map_index(lead: tuple, n_h: int) -> np.ndarray:
     return index
 
 
+#: most candidate pairs a plan scores: its path and score buffers hold
+#: k_m * k_n * (N + 1) floats, so the product of two list lengths that each
+#: pass the controller's checks could exhaust memory; 2^16 pairs take at most
+#: 3.7 MB at the longest horizon, N = 6, and the largest product any
+#: configuration here uses is 40 * 30
+MAX_PAIRS = 2**16
+
+
 class StepPlan:
     """The operand buffers of one control step, the views its products read
     and write, and the records its planned functions return, for one shape:
     leading axes `lead` (the side axis, machine first, in the controller),
     horizon `n_h` and list lengths `k_m` and `k_n`, each capped at the
     3^(3N) sequences of the horizon as the decoder caps its k (see the
-    module docstring).  The closed loop builds one per run; a planned
-    function given none builds a fresh one for its arguments.  The model
-    buffers and the candidate lists' rows exist for two sides only.
+    module docstring).  Raises ValueError, before allocating anything, when
+    the capped lengths give more than MAX_PAIRS pairs.  The closed loop
+    builds one per run; a planned function given none builds a fresh one
+    for its arguments.  The model buffers and the candidate lists' rows
+    exist for two sides only.
     """
 
     def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,)):
         if n_h < 1:
             raise ValueError("horizon must be >= 1")
         sequences = 3 ** (3 * n_h)
+        pairs = min(k_m, sequences) * min(k_n, sequences)
+        if pairs > MAX_PAIRS:
+            raise ValueError(
+                f"n_k={k_m} and n_l={k_n} at N_h={n_h} give {pairs} candidate pairs "
+                f"(each list capped at the horizon's {sequences} sequences); "
+                f"at most {MAX_PAIRS} are scored"
+            )
         k_m, k_n = min(k_m, sequences), min(k_n, sequences)
         self.n_h, self.k_m, self.k_n = n_h, k_m, k_n
         n, nu = n_h, NU * n_h
@@ -600,14 +616,14 @@ def build_step_models(
         raise ValueError("sampling period must be positive")
     if plan is None:
         plan = StepPlan(1)
-    omega_e = machine.pole_pairs * st.mech.omega_m
+    omega_e = machine.pole_pairs * st.omega_m
     decay_m = -machine.r_s / machine.l_s
     decay_n = -grid.r_n / grid.l_n
     zero_n = 0.0 + t_s * (decay_n * 0.0)  # off the diagonal of I + Ts (decay_n I)
     e_a, e_b = _k.grid_emf2(st.t, grid.e_peak, grid.omega_n)
-    cos_t, sin_t = math.cos(st.mech.theta_e), math.sin(st.mech.theta_e)
+    cos_t, sin_t = math.cos(st.theta_e), math.sin(st.theta_e)
     # `converter_matrix`: its pattern's entries 2.0 and -1.0 times (v_dc + v_imb) / 6
-    g = (st.dc.v_dc + st.dc.v_imb) / 6.0
+    g = (st.v_dc + st.v_imb) / 6.0
     two_g, minus_g = 2.0 * g, -1.0 * g
     plan.values[:] = (
         # state maps I + Ts F: machine, grid
@@ -722,4 +738,4 @@ def predict_imbalance(
     contrib_n = imbalance_contributions(
         st.i_n_ab, models.grid, u_n.levels[None, :], CLARKE_PINV_MAT, models.gain
     )
-    return imbalance_path(st.dc.v_imb, contrib_m, contrib_n)[0, 0]
+    return imbalance_path(st.v_imb, contrib_m, contrib_n)[0, 0]

@@ -400,7 +400,7 @@ def select_pair(
     plan.levels_m[...] = machine_cands.levels
     plan.levels_n[...] = grid_cands.levels
     imbalance_contributions(models.x0, models.sides, plan.levels, models.proj, models.gain, plan)
-    imbalance_path(st.dc.v_imb, plan.contrib_m, plan.contrib_n, plan)
+    imbalance_path(st.v_imb, plan.contrib_m, plan.contrib_n, plan)
     np.matmul(plan.path_rows, plan.path_cols, plan.scores)
     scores = plan.scores_flat
     # argmin keeps the first minimum; row-major order makes that the lowest

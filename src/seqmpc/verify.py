@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .harness import ScenarioConfig
-from .plant import DcLinkState, SwitchState, grid_emf
+from .plant import SwitchState, grid_emf
 from .prediction import (
     SwitchSequence,
     build_grid_subsystem,
@@ -29,16 +29,14 @@ def _random_side(rng: np.random.Generator, cfg: ScenarioConfig):
     """(continuous side model, output reference scale) of a random but
     plausible controller state: the machine side or the grid side, each with
     probability one half, at a random DC-link state."""
-    dc = DcLinkState(
-        v_dc=float(rng.uniform(600.0, 800.0)),
-        v_imb=float(rng.uniform(-5.0, 5.0)),
-    )
+    v_dc = float(rng.uniform(600.0, 800.0))
+    v_imb = float(rng.uniform(-5.0, 5.0))
     if rng.random() < 0.5:
         omega_e = float(rng.uniform(-400.0, 400.0))
         theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
-        return build_machine_subsystem(cfg.machine(), omega_e, dc, theta_e), 15.0
+        return build_machine_subsystem(cfg.machine(), omega_e, v_dc, v_imb, theta_e), 15.0
     e_ab = grid_emf(float(rng.uniform(0.0, 0.02)), cfg.grid())
-    return build_grid_subsystem(cfg.grid(), e_ab, dc), 3000.0
+    return build_grid_subsystem(cfg.grid(), e_ab, v_dc, v_imb), 3000.0
 
 
 def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:

@@ -217,16 +217,14 @@ class TestCriterion8Properties:
         assert ok
 
     def test_effort_of_constant_sequence_is_zero(self):
-        from seqmpc.plant import DcLinkState
         from seqmpc.prediction import build_grid_subsystem
 
         rng = np.random.default_rng(888)
         cfg = ScenarioConfig()
-        dc = DcLinkState(700.0, 0.0)
         ok = True
         for _ in range(self.CASES):
             n_h = int(rng.integers(1, 5))
-            d = discretize(build_grid_subsystem(cfg.grid(), rng.normal(0, 300, 2), dc), cfg.t_s)
+            d = discretize(build_grid_subsystem(cfg.grid(), rng.normal(0, 300, 2), 700.0, 0.0), cfg.t_s)
             m = build_multistep(d, n_h)
             u = rng.integers(-1, 2, 3)
             diff_mat, prev_sel = effort_maps(m.horizon)

@@ -147,6 +147,8 @@ class TestRun:
             ("plant", "inertia", "0"),
             ("plant", "c_dc", "0"),
             ("initial", "v_dc0", "inf"),
+            ("initial", "v_dc0", "0"),
+            ("initial", "v_dc0", "-700"),
             ("initial", "v_imb0", "800"),
         ],
     )

@@ -16,10 +16,8 @@ from seqmpc.controller import (
     stack_reference,
 )
 from seqmpc.plant import (
-    DcLinkState,
     GridParams,
     MachineParams,
-    MechState,
     PlantState,
     SwitchState,
 )
@@ -38,8 +36,10 @@ def running_state(rng):
     return PlantState(
         i_m_dq=tuple(rng.normal(0, 8, 2).tolist()),
         i_n_ab=tuple(rng.normal(0, 8, 2).tolist()),
-        dc=DcLinkState(700.0 + rng.normal(0, 2), rng.normal(0, 0.5)),
-        mech=MechState(omega_m, rng.uniform(0, 2 * math.pi)),
+        v_dc=700.0 + rng.normal(0, 2),
+        v_imb=rng.normal(0, 0.5),
+        omega_m=omega_m,
+        theta_e=rng.uniform(0, 2 * math.pi),
         t=rng.uniform(0, 0.02),
     )
 
@@ -89,7 +89,7 @@ class TestBuildReferences:
         st = PlantState.initial(v_dc=690.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.5, ki=0.0)
         out = build_references(st, MACHINE, pi, 0.0, 0.0, 0.0, dt=1e-6)
-        i_g_ref = out.pq_ref[0] / st.dc.v_dc
+        i_g_ref = out.pq_ref[0] / st.v_dc
         assert i_g_ref == pytest.approx(5.0)
 
     def test_integral_accumulates_and_clamps(self):
@@ -100,7 +100,7 @@ class TestBuildReferences:
             refs = build_references(st, MACHINE, pi, 0.0, 0.0, refs.integral, dt=0.01)
         # 100 V error for 0.1 s -> raw integral 10, bounded by clamp/|ki| = 2.5
         assert refs.integral == pytest.approx(2.5)
-        assert abs(refs.pq_ref[0] / st.dc.v_dc) <= 50.0
+        assert abs(refs.pq_ref[0] / st.v_dc) <= 50.0
 
     def test_power_feedforward(self):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
@@ -114,13 +114,13 @@ def np_clip_references(st, machine, pi, t_e_ref, omega_m_ref, integral, dt):
     """(integral, i_dq_ref, pq_ref) of `build_references`, clamped with
     `np.clip` instead of `min(max(x, lo), hi)`."""
     i_q_ref = t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
-    err = pi.v_dc_ref - st.dc.v_dc
+    err = pi.v_dc_ref - st.v_dc
     integral = integral + dt * err
     if pi.ki != 0.0:
         bound = abs(pi.clamp / pi.ki)
         integral = float(np.clip(integral, -bound, bound))
     i_g_ref = float(np.clip(pi.kp * err + pi.ki * integral, -pi.clamp, pi.clamp))
-    p_ref = st.dc.v_dc * i_g_ref + omega_m_ref * t_e_ref
+    p_ref = st.v_dc * i_g_ref + omega_m_ref * t_e_ref
     return integral, (0.0, i_q_ref), (p_ref, 0.0)
 
 
@@ -242,11 +242,11 @@ class TestControlStep:
             )
             y_m, y_n = stack_reference(refs_k, cfg.n_h)
             multi_m = build_multistep(
-                discretize(build_machine_subsystem(MACHINE, MACHINE.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e), T_S),
+                discretize(build_machine_subsystem(MACHINE, MACHINE.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e), T_S),
                 cfg.n_h,
             )
             multi_n = build_multistep(
-                discretize(build_grid_subsystem(GRID, grid_emf(st.t, GRID), st.dc), T_S),
+                discretize(build_grid_subsystem(GRID, grid_emf(st.t, GRID), st.v_dc, st.v_imb), T_S),
                 cfg.n_h,
             )
             cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, SwitchState.zero(), cfg.lam), cfg.n_k)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqmpc import harness
+from seqmpc import harness, prediction
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import (
     ConfigError,
@@ -355,6 +355,24 @@ class TestConfigFiles:
         for n_h in (1, 3):
             with pytest.raises(ConfigError, match="too small"):
                 ScenarioConfig(horizons=(n_h,), lambdas=(1e-12,)).controller()
+
+    def test_too_many_candidate_pairs_rejected_at_load_time(self, monkeypatch):
+        # 20000 x 20000 would ask the step plan for gigabytes; it must fail
+        # as a config error before the plan allocates anything
+        big = ScenarioConfig(n_ks=(20000,), n_ls=(20000,))
+        grid = ScenarioConfig(n_ks=(20000, 4), n_ls=(20000,))
+        sd = ScenarioConfig(n_ks=(20000,), modes=("standard_sd",))
+        with monkeypatch.context() as m:
+            m.setattr(prediction, "np", None)  # a plan allocation fails the test
+            for cfg in (big, grid):
+                with pytest.raises(ConfigError, match="n_k=20000 and n_l=20000 at N_h=3"):
+                    cfg.controller_grid()
+            with pytest.raises(ConfigError, match="n_k=20000 and n_l=20000 at N_h=3"):
+                big.controller()
+        # standard_sd keeps one candidate per side whatever the lists ask
+        assert (sd.controller().n_k, sd.controller().n_l) == (1, 1)
+        wide = ScenarioConfig(horizons=(1,), n_ks=(40,), n_ls=(30,)).controller()
+        assert (wide.n_h, wide.n_k, wide.n_l) == (1, 40, 30)
 
     @pytest.mark.parametrize(
         "name, value", [("c_dc", 0.0), ("c_dc", -1e-3), ("inertia", 0.0), ("inertia", -0.05)]

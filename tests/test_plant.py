@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,10 @@ from numpy.testing import assert_allclose
 from seqmpc import _kernels
 from seqmpc import transforms as tr
 from seqmpc.plant import (
-    DcLinkState,
     GridParams,
     MachineParams,
-    MechState,
     PlantState,
+    SimulationBlowUpError,
     SwitchState,
     converter_matrix,
     electromagnetic_torque,
@@ -22,7 +22,7 @@ from seqmpc.plant import (
 
 MACHINE = MachineParams(r_s=0.1379, l_s=0.019, psi_pm=0.42675, pole_pairs=3)
 GRID = GridParams(r_n=0.156, l_n=0.020, e_peak=250.0, omega_n=100.0 * math.pi)
-DC = DcLinkState(v_dc=700.0, v_imb=0.0)
+DC = (700.0, 0.0)  # v_dc, v_imb
 C_DC = 1100e-6
 INERTIA = 0.05
 QUIET_GRID = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
@@ -135,8 +135,10 @@ def random_state(rng):
     return PlantState(
         i_m_dq=tuple(rng.normal(0, 10, 2).tolist()),
         i_n_ab=tuple(rng.normal(0, 10, 2).tolist()),
-        dc=DcLinkState(v_dc=700.0 + rng.normal(0, 5), v_imb=rng.normal(0, 2)),
-        mech=MechState(omega_m=rng.uniform(0, 120), theta_e=rng.uniform(0, 2 * math.pi)),
+        v_dc=700.0 + rng.normal(0, 5),
+        v_imb=rng.normal(0, 2),
+        omega_m=rng.uniform(0, 120),
+        theta_e=rng.uniform(0, 2 * math.pi),
         t=rng.uniform(0, 0.02),
     )
 
@@ -153,15 +155,15 @@ class TestSwitchState:
 
 class TestConverterVoltage:
     def test_zero_switches(self):
-        assert_allclose(converter_voltage3(0, 0, 0, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(converter_voltage3(0, 0, 0, *DC), np.zeros(3))
 
     def test_line_to_line(self):
-        u = converter_voltage3(1, -1, 0, DC.v_dc, DC.v_imb)
+        u = converter_voltage3(1, -1, 0, *DC)
         assert_allclose(u, [350.0, -350.0, 0.0])
 
     def test_common_mode_nullspace(self):
-        assert_allclose(converter_voltage3(1, 1, 1, DC.v_dc, DC.v_imb), np.zeros(3))
-        assert_allclose(converter_voltage3(-1, -1, -1, DC.v_dc, DC.v_imb), np.zeros(3))
+        assert_allclose(converter_voltage3(1, 1, 1, *DC), np.zeros(3))
+        assert_allclose(converter_voltage3(-1, -1, -1, *DC), np.zeros(3))
 
     def test_rows_sum_to_zero(self, rng):
         for _ in range(50):
@@ -173,7 +175,7 @@ class TestConverterVoltage:
         for _ in range(20):
             s = [int(v) for v in rng.integers(-1, 2, 3)]
             assert_allclose(
-                converter_matrix(DC) @ s, converter_voltage3(*s, DC.v_dc, DC.v_imb)
+                converter_matrix(*DC) @ s, converter_voltage3(*s, *DC)
             )
 
 
@@ -287,10 +289,53 @@ def rotor_state(omega_m, theta_e, i_q=0.0):
     return PlantState(
         i_m_dq=(0.0, i_q),
         i_n_ab=(0.0, 0.0),
-        dc=DC,
-        mech=MechState(omega_m, theta_e),
+        v_dc=700.0,
+        v_imb=0.0,
+        omega_m=omega_m,
+        theta_e=theta_e,
         t=0.0,
     )
+
+
+class TestPlantState:
+    def test_one_flat_record_in_the_integrators_order(self, rng):
+        # plant_step returns `integrate_plant`'s nine floats as they come,
+        # the currents paired
+        names = [f.name for f in dataclasses.fields(PlantState)]
+        assert names == ["i_m_dq", "i_n_ab", "v_dc", "v_imb", "omega_m", "theta_e", "t"]
+        st = random_state(rng)
+        s_m, s_n = SwitchState(1, 0, -1), SwitchState(0, 1, -1)
+        out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, 2.0, 50e-6, 3)
+        want = _kernels.integrate_plant(
+            *st.i_m_dq, *st.i_n_ab, st.v_dc, st.v_imb, st.omega_m, st.theta_e, st.t,
+            1, 0, -1, 0, 1, -1,
+            MACHINE.r_s, MACHINE.l_s, MACHINE.psi_pm, MACHINE.pole_pairs,
+            GRID.r_n, GRID.l_n, GRID.e_peak, GRID.omega_n,
+            C_DC, INERTIA, 2.0, 50e-6, 3,
+        )
+        got = (*out.i_m_dq, *out.i_n_ab, out.v_dc, out.v_imb, out.omega_m, out.theta_e, out.t)
+        assert repr(got) == repr(want)
+
+    def test_initial_state(self):
+        st = PlantState.initial(v_dc=700.0, v_imb=-3.0, omega_m=12.0, theta_e=7.0)
+        assert st == PlantState((0.0, 0.0), (0.0, 0.0), 700.0, -3.0, 12.0, 7.0 % (2 * math.pi), 0.0)
+
+    @pytest.mark.parametrize(
+        "v_dc, v_imb, message",
+        [
+            (0.0, 0.0, "v_dc must be positive"),
+            (-700.0, 0.0, "v_dc must be positive"),
+            (math.nan, 0.0, "v_dc must be positive"),
+            (math.inf, 0.0, "non-finite DC-link state"),
+            (700.0, math.nan, "non-finite DC-link state"),
+            (700.0, -math.inf, "non-finite DC-link state"),
+            (700.0, 700.0, "capacitor imbalance exceeds total voltage"),
+            (700.0, -800.0, "capacitor imbalance exceeds total voltage"),
+        ],
+    )
+    def test_initial_rejects_a_bad_dc_link(self, v_dc, v_imb, message):
+        with pytest.raises(ValueError, match=message):
+            PlantState.initial(v_dc=v_dc, v_imb=v_imb, omega_m=0.0, theta_e=0.0)
 
 
 class TestMechStep:
@@ -304,7 +349,7 @@ class TestMechStep:
             st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, t_m,
             1e-3, 1,
         )
-        assert out.mech.omega_m == st.mech.omega_m
+        assert out.omega_m == st.omega_m
 
     def test_acceleration(self):
         st = rotor_state(0.0, 0.0)
@@ -312,7 +357,7 @@ class TestMechStep:
             st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 0.1, 10.0,
             1e-3, 1,
         )
-        assert out.mech.omega_m == pytest.approx(0.1)
+        assert out.omega_m == pytest.approx(0.1)
 
     def test_angle_stays_wrapped(self):
         # a huge inertia holds ~100 rad/s, so one second turns the rotor
@@ -322,8 +367,8 @@ class TestMechStep:
             st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
             1.0, 10_000,
         )
-        assert out.mech.omega_m == pytest.approx(100.0)
-        assert 0.0 <= out.mech.theta_e < 2 * math.pi
+        assert out.omega_m == pytest.approx(100.0)
+        assert 0.0 <= out.theta_e < 2 * math.pi
 
 
 class TestPlantStep:
@@ -335,8 +380,8 @@ class TestPlantStep:
         )
         assert_allclose(out.i_m_dq, st.i_m_dq)
         assert_allclose(out.i_n_ab, st.i_n_ab)
-        assert out.dc.v_dc == st.dc.v_dc
-        assert out.mech.omega_m == st.mech.omega_m
+        assert out.v_dc == st.v_dc
+        assert out.omega_m == st.omega_m
 
     def test_single_substep_equals_composed_euler(self, rng):
         st = random_state(rng)
@@ -346,30 +391,30 @@ class TestPlantStep:
         dt = 50e-6
         out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, t_m, dt, substeps=1)
 
-        omega_e = MACHINE.pole_pairs * st.mech.omega_m
-        u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.dc.v_dc, st.dc.v_imb)
-        u_n = converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.dc.v_dc, st.dc.v_imb)
-        u_m_dq = tr.park(tr.clarke(u_m), st.mech.theta_e)
+        omega_e = MACHINE.pole_pairs * st.omega_m
+        u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.v_dc, st.v_imb)
+        u_n = converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.v_dc, st.v_imb)
+        u_m_dq = tr.park(tr.clarke(u_m), st.theta_e)
         u_n_ab = tr.clarke(u_n)
         e_ab = grid_emf(st.t, GRID)
         d_m = machine_deriv(st.i_m_dq, u_m_dq, omega_e)
         d_n = grid_deriv(st.i_n_ab, u_n_ab, e_ab)
-        i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.mech.theta_e))
+        i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.theta_e))
         i_n_abc = tr.clarke_pinv(st.i_n_ab)
         dv_dc, dv_imb = dc_link_deriv(
             (s_m.s_a, s_m.s_b, s_m.s_c), (s_n.s_a, s_n.s_b, s_n.s_c), i_m_abc, i_n_abc, C_DC
         )
         t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
         # the rotor angle integrates the freshly updated speed
-        omega_m = st.mech.omega_m + dt * (t_m - t_e) / INERTIA
-        theta_e = (st.mech.theta_e + dt * (MACHINE.pole_pairs * omega_m)) % (2 * math.pi)
+        omega_m = st.omega_m + dt * (t_m - t_e) / INERTIA
+        theta_e = (st.theta_e + dt * (MACHINE.pole_pairs * omega_m)) % (2 * math.pi)
 
         assert_allclose(out.i_m_dq, st.i_m_dq + dt * np.array(d_m), rtol=1e-12)
         assert_allclose(out.i_n_ab, st.i_n_ab + dt * np.array(d_n), rtol=1e-12)
-        assert out.dc.v_dc == pytest.approx(st.dc.v_dc + dt * dv_dc, rel=1e-12)
-        assert out.dc.v_imb == pytest.approx(st.dc.v_imb + dt * dv_imb, rel=1e-12)
-        assert out.mech.omega_m == pytest.approx(omega_m, rel=1e-12)
-        assert out.mech.theta_e == pytest.approx(theta_e, rel=1e-12)
+        assert out.v_dc == pytest.approx(st.v_dc + dt * dv_dc, rel=1e-12)
+        assert out.v_imb == pytest.approx(st.v_imb + dt * dv_imb, rel=1e-12)
+        assert out.omega_m == pytest.approx(omega_m, rel=1e-12)
+        assert out.theta_e == pytest.approx(theta_e, rel=1e-12)
 
     def test_substep_refinement_is_first_order(self, rng):
         # halving the substep size should roughly halve the distance to a
@@ -382,7 +427,7 @@ class TestPlantStep:
         def state_vec(substeps):
             out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, 5.0, dt, substeps)
             return np.concatenate(
-                [out.i_m_dq, out.i_n_ab, [out.dc.v_dc, out.dc.v_imb, out.mech.omega_m]]
+                [out.i_m_dq, out.i_n_ab, [out.v_dc, out.v_imb, out.omega_m]]
             )
 
         ref = state_vec(512)
@@ -391,6 +436,16 @@ class TestPlantStep:
         assert err[0] / err[1] == pytest.approx(2.0, rel=0.35)
         assert err[1] / err[2] == pytest.approx(2.0, rel=0.35)
 
+    def test_overflowing_step_blows_up(self):
+        # a vanishing capacitance overflows the DC-link derivative; the
+        # blow-up guard is the only check on an integrated state
+        st = PlantState((10.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(SimulationBlowUpError, match="^plant state became non-finite$"):
+            plant_step(
+                st, SwitchState(1, 0, -1), SwitchState.zero(), MACHINE, GRID, 5e-324, INERTIA,
+                0.0, 50e-6, 1,
+            )
+
     def test_dc_energy_sign(self):
         # constant positive machine-side injection with idle grid side can
         # only push the total DC voltage up; a stiff inductance and zero
@@ -398,12 +453,14 @@ class TestPlantStep:
         st = PlantState(
             i_m_dq=(7.0, 0.0),
             i_n_ab=(0.0, 0.0),
-            dc=DC,
-            mech=MechState(0.0, 0.0),
+            v_dc=700.0,
+            v_imb=0.0,
+            omega_m=0.0,
+            theta_e=0.0,
             t=0.0,
         )
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
-        v_prev = st.dc.v_dc
+        v_prev = st.v_dc
         s_m = SwitchState(1, 0, 0)
         i_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, 0.0))
         assert s_m.as_array() @ i_abc > 0
@@ -412,8 +469,8 @@ class TestPlantStep:
                 st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, C_DC, INERTIA, 0.0,
                 50e-6, 1,
             )
-            assert st.dc.v_dc > v_prev
-            v_prev = st.dc.v_dc
+            assert st.v_dc > v_prev
+            v_prev = st.v_dc
 
     def test_unforced_decay(self, rng):
         # enormous inertia pins the speed at zero, so no back-EMF source
@@ -421,8 +478,10 @@ class TestPlantStep:
         st = PlantState(
             i_m_dq=tuple(rng.normal(0, 10, 2).tolist()),
             i_n_ab=tuple(rng.normal(0, 10, 2).tolist()),
-            dc=DC,
-            mech=MechState(0.0, 0.3),
+            v_dc=700.0,
+            v_imb=0.0,
+            omega_m=0.0,
+            theta_e=0.3,
             t=0.0,
         )
         prev_m = np.linalg.norm(st.i_m_dq)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc import transforms as tr
-from seqmpc.plant import DcLinkState, GridParams, MachineParams, MechState, PlantState, grid_emf
+from seqmpc.plant import GridParams, MachineParams, PlantState, grid_emf
 from seqmpc.prediction import (
     DiscreteModel,
     HorizonMismatchError,
@@ -24,7 +25,7 @@ from seqmpc.prediction import (
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
-DC = DcLinkState(700.0, 0.0)
+DC = (700.0, 0.0)  # v_dc, v_imb
 T_S = 50e-6
 C_DC = 1100e-6
 
@@ -35,8 +36,10 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
     return PlantState(
         i_m_dq=i_m,
         i_n_ab=i_n,
-        dc=DcLinkState(700.0, v_imb),
-        mech=MechState(omega_m, theta),
+        v_dc=700.0,
+        v_imb=v_imb,
+        omega_m=omega_m,
+        theta_e=theta,
         t=0.004,
     )
 
@@ -75,17 +78,17 @@ class TestDiscretize:
         assert_allclose(d.drift, np.zeros(2))
 
     def test_grid_decay_factor(self):
-        d = discretize(build_grid_subsystem(GRID, np.zeros(2), DC), T_S)
+        d = discretize(build_grid_subsystem(GRID, np.zeros(2), *DC), T_S)
         assert_allclose(np.diag(d.state_mat), [0.99961, 0.99961])
 
     def test_drift_zero_iff_source_zero(self):
-        d = discretize(build_machine_subsystem(MACHINE, 0.0, DC, 0.0), T_S)
+        d = discretize(build_machine_subsystem(MACHINE, 0.0, *DC, 0.0), T_S)
         assert_allclose(d.drift, np.zeros(2))
 
 
 class TestMachineSubsystem:
     def test_standstill_structure(self):
-        sys = build_machine_subsystem(MACHINE, 0.0, DC, 0.5)
+        sys = build_machine_subsystem(MACHINE, 0.0, *DC, 0.5)
         assert_allclose(sys.state_mat, -MACHINE.r_s / MACHINE.l_s * np.eye(2))
         assert_allclose(sys.drift, np.zeros(2))
         assert_allclose(sys.output_mat, np.eye(2))
@@ -93,11 +96,11 @@ class TestMachineSubsystem:
     def test_common_mode_nullspace(self):
         # entries are O(1e4), so the nullspace holds to roundoff at that scale
         for theta in (0.0, 0.9, 4.4):
-            sys = build_machine_subsystem(MACHINE, 200.0, DC, theta)
+            sys = build_machine_subsystem(MACHINE, 200.0, *DC, theta)
             assert_allclose(sys.input_mat @ np.ones(3), np.zeros(2), atol=1e-9)
 
     def test_input_chain_matches_transforms(self):
-        sys = build_machine_subsystem(MACHINE, 0.0, DC, 0.0)
+        sys = build_machine_subsystem(MACHINE, 0.0, *DC, 0.0)
         s = np.array([1, -1, 0])
         expected = tr.clarke([350.0, -350.0, 0.0]) / MACHINE.l_s
         assert_allclose(sys.input_mat @ s, expected, rtol=1e-12)
@@ -105,20 +108,20 @@ class TestMachineSubsystem:
 
 class TestGridSubsystem:
     def test_dead_source(self):
-        sys = build_grid_subsystem(GRID, np.zeros(2), DC)
+        sys = build_grid_subsystem(GRID, np.zeros(2), *DC)
         assert_allclose(sys.output_mat, np.zeros((2, 2)))
         assert_allclose(sys.drift, np.zeros(2))
 
     def test_output_determinant(self, rng):
         for _ in range(25):
             e = rng.normal(0, 300, 2)
-            sys = build_grid_subsystem(GRID, e, DC)
+            sys = build_grid_subsystem(GRID, e, *DC)
             assert np.linalg.det(sys.output_mat) == pytest.approx(
                 -(e[0] ** 2 + e[1] ** 2), rel=1e-12
             )
 
     def test_pole_location(self):
-        sys = build_grid_subsystem(GRID, grid_emf(0.0, GRID), DC)
+        sys = build_grid_subsystem(GRID, grid_emf(0.0, GRID), *DC)
         assert_allclose(np.linalg.eigvals(sys.state_mat), [-7.8, -7.8])
 
 
@@ -148,9 +151,9 @@ class TestMultistep:
         for i in range(20):
             omega = 0.0 if i == 0 else rng.uniform(-400, 400)  # rest gives a -0.0 drift
             if i % 2 == 0:
-                sys = build_machine_subsystem(MACHINE, omega, DC, rng.uniform(0, 2 * math.pi))
+                sys = build_machine_subsystem(MACHINE, omega, *DC, rng.uniform(0, 2 * math.pi))
             else:
-                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), DC)
+                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
             d = discretize(sys, T_S)
             m = build_multistep(d, n_h)
             want = stacked_block_by_block(d, n_h)
@@ -158,7 +161,7 @@ class TestMultistep:
                 assert got.tobytes() == ref.tobytes()
 
     def test_single_stage_blocks(self):
-        d = discretize(build_machine_subsystem(MACHINE, 150.0, DC, 0.3), T_S)
+        d = discretize(build_machine_subsystem(MACHINE, 150.0, *DC, 0.3), T_S)
         m = build_multistep(d, 1)
         assert_allclose(m.forced_map, d.output_mat @ d.input_mat)
         assert_allclose(m.free_map, d.output_mat @ d.state_mat)
@@ -189,10 +192,10 @@ class TestMultistep:
         for _ in range(20):
             if rng.random() < 0.5:
                 sys = build_machine_subsystem(
-                    MACHINE, rng.uniform(-400, 400), DC, rng.uniform(0, 2 * math.pi)
+                    MACHINE, rng.uniform(-400, 400), *DC, rng.uniform(0, 2 * math.pi)
                 )
             else:
-                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), DC)
+                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
             d = discretize(sys, T_S)
             m = build_multistep(d, n_h)
             x0 = rng.normal(0, 10, 2)
@@ -212,11 +215,10 @@ def random_state(rng, omega_m=None):
     return PlantState(
         i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
         i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
-        dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
-        mech=MechState(
-            float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
-            float(rng.uniform(0, 2 * math.pi)),
-        ),
+        v_dc=float(rng.uniform(600, 800)),
+        v_imb=float(rng.uniform(-5, 5)),
+        omega_m=float(rng.uniform(-200, 200)) if omega_m is None else omega_m,
+        theta_e=float(rng.uniform(0, 2 * math.pi)),
         t=float(rng.uniform(0, 0.02)),
     )
 
@@ -229,12 +231,12 @@ class TestStepModels:
         """Each side built and discretized on its own, then stacked."""
         m = discretize(
             build_machine_subsystem(
-                machine, machine.pole_pairs * st.mech.omega_m, st.dc, st.mech.theta_e
+                machine, machine.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e
             ),
             T_S,
         )
-        n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.dc), T_S)
-        proj = (tr.CLARKE_PINV_MAT @ tr.park_matrix(st.mech.theta_e).T, tr.CLARKE_PINV_MAT)
+        n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.v_dc, st.v_imb), T_S)
+        proj = (tr.CLARKE_PINV_MAT @ tr.park_matrix(st.theta_e).T, tr.CLARKE_PINV_MAT)
         return m, n, np.array(proj)
 
     def check(self, st, machine=MACHINE, grid=GRID):
@@ -306,9 +308,9 @@ class TestPredictImbalance:
         u_n = SwitchSequence(levels=np.array([0, 1, 1]), horizon=1)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         gain = T_S / C_DC
-        i_m_abc = tr.CLARKE_PINV_MAT @ tr.park_matrix(st.mech.theta_e).T @ st.i_m_dq
+        i_m_abc = tr.CLARKE_PINV_MAT @ tr.park_matrix(st.theta_e).T @ st.i_m_dq
         i_n_abc = tr.CLARKE_PINV_MAT @ st.i_n_ab
-        expected = st.dc.v_imb + gain * (
+        expected = st.v_imb + gain * (
             np.abs(u_m.levels) @ i_m_abc - np.abs(u_n.levels) @ i_n_abc
         )
         assert path.shape == (1,)
@@ -318,13 +320,11 @@ class TestPredictImbalance:
         # the one-stage update is linear in the machine current, so flipping
         # the current flips the machine contribution exactly (grid side idle)
         st = make_state()
-        flipped = PlantState(
-            i_m_dq=tuple(-i for i in st.i_m_dq), i_n_ab=st.i_n_ab, dc=st.dc, mech=st.mech, t=st.t
-        )
+        flipped = dataclasses.replace(st, i_m_dq=tuple(-i for i in st.i_m_dq))
         u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
         zeros = SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)
-        base = predict_imbalance(st, u_m, zeros, step_models(st)) - st.dc.v_imb
-        neg = predict_imbalance(flipped, u_m, zeros, step_models(flipped)) - st.dc.v_imb
+        base = predict_imbalance(st, u_m, zeros, step_models(st)) - st.v_imb
+        neg = predict_imbalance(flipped, u_m, zeros, step_models(flipped)) - st.v_imb
         assert_allclose(neg, -base, rtol=1e-9)
 
     def test_horizon_mismatch_raises(self):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc import _kernels
-from seqmpc.plant import DcLinkState, GridParams, MachineParams, MechState, PlantState, SwitchState
+from seqmpc.plant import GridParams, MachineParams, PlantState, SwitchState
 from seqmpc.prediction import (
     MultistepModel,
     StepPlan,
@@ -40,7 +40,7 @@ from test_kernels import loop_reverse_cholesky, walk
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
-DC = DcLinkState(700.0, 0.0)
+DC = (700.0, 0.0)  # v_dc, v_imb
 T_S = 50e-6
 C_DC = 1100e-6
 
@@ -143,13 +143,13 @@ class TestCholesky:
 
 class TestCondensation:
     def test_zero_weight_reduces_to_gram_matrix(self):
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, DC, 0.4), T_S)
+        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         m = build_multistep(d, 2)
         quad, _ = condense(m, np.zeros(2), np.zeros(4), SwitchState.zero(), 0.0)
         assert_allclose(quad, m.forced_map.T @ m.forced_map)
 
     def test_zero_weight_rank_deficiency_is_reported(self):
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, DC, 0.4), T_S)
+        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         m = build_multistep(d, 2)
         with pytest.raises(NotPositiveDefiniteError):
             assemble_qp(m, np.zeros(2), np.zeros(4), SwitchState.zero(), 0.0)
@@ -182,14 +182,15 @@ class TestCondensation:
         cfg_cases = 25
         for i in range(cfg_cases):
             n_h = 1 + (i % 2)
-            dc = DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5)))
+            v_dc, v_imb = float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))
             if rng.random() < 0.5:
                 sys = build_machine_subsystem(
-                    MACHINE, float(rng.uniform(-400, 400)), dc, float(rng.uniform(0, 2 * math.pi))
+                    MACHINE, float(rng.uniform(-400, 400)), v_dc, v_imb,
+                    float(rng.uniform(0, 2 * math.pi)),
                 )
                 y_ref = np.tile(rng.normal(0, 15, 2), n_h)
             else:
-                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), dc)
+                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), v_dc, v_imb)
                 y_ref = np.tile(rng.normal(0, 3000, 2), n_h)
             m = build_multistep(discretize(sys, T_S), n_h)
             x0 = rng.normal(0, 15, 2)
@@ -211,8 +212,10 @@ class TestTwoSideStack:
         return PlantState(
             i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
             i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
-            dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
-            mech=MechState(float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi))),
+            v_dc=float(rng.uniform(600, 800)),
+            v_imb=float(rng.uniform(-5, 5)),
+            omega_m=float(rng.uniform(-200, 200)),
+            theta_e=float(rng.uniform(0, 2 * math.pi)),
             t=float(rng.uniform(0, 0.02)),
         )
 
@@ -667,8 +670,10 @@ class TestSelectPair:
         return PlantState(
             i_m_dq=tuple(map(float, i_m_dq)),
             i_n_ab=tuple(map(float, i_n_ab)),
-            dc=DcLinkState(700.0, v_imb),
-            mech=MechState(omega_m, theta),
+            v_dc=700.0,
+            v_imb=v_imb,
+            omega_m=omega_m,
+            theta_e=theta,
             t=0.001,
         )
 
@@ -779,7 +784,7 @@ class TestSelectPair:
 
         c_m = contributions(st.i_m_dq, models.machine, u_m, models.proj_m)
         c_n = contributions(st.i_n_ab, models.grid, u_n, CLARKE_PINV_MAT)
-        v, path = st.dc.v_imb, []
+        v, path = st.v_imb, []
         for a, b in zip(c_m, c_n):
             v = v + (a - b)
             path.append(v)
@@ -802,7 +807,7 @@ class TestSelectPair:
         contrib_n = imbalance_contributions(
             st.i_n_ab, models.grid, cands_n.levels, CLARKE_PINV_MAT, models.gain
         )
-        batched = imbalance_path(st.dc.v_imb, contrib_m, contrib_n)
+        batched = imbalance_path(st.v_imb, contrib_m, contrib_n)
         for (a, b), path in paths.items():
             assert np.array_equal(batched[a, b], path)
         return im, il
@@ -847,7 +852,7 @@ class TestSelectPair:
         from seqmpc.prediction import effort_maps
         from seqmpc.solver import effort_gram
 
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, DC, 0.4), T_S)
+        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         for n_h in (1, 2, 3):
             m = build_multistep(d, n_h)
             diff, prev = effort_maps(n_h)

@@ -22,7 +22,7 @@ import pytest
 
 from seqmpc import _kernels, solver
 from seqmpc.controller import ReferenceState, control_step, stack_reference
-from seqmpc.plant import LEVELS, DcLinkState, GridParams, MachineParams, MechState, PlantState
+from seqmpc.plant import LEVELS, GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     DiscreteModel,
     StepPlan,
@@ -156,7 +156,7 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
     levels[1, : len(best_n)] = [lv for _, lv in best_n]
     contrib = imbalance_contributions(x0, models.sides, levels, models.proj, models.gain)
     paths = imbalance_path_reference(
-        st.dc.v_imb, contrib[0, : len(best_m)], contrib[1, : len(best_n)]
+        st.v_imb, contrib[0, : len(best_m)], contrib[1, : len(best_n)]
     ).reshape(-1, n_h)
     scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
     im, il = divmod(int(scores.argmin()), len(best_n))
@@ -173,8 +173,10 @@ def random_state(rng):
     return PlantState(
         i_m_dq=tuple(rng.normal(0, 20, 2).tolist()),
         i_n_ab=tuple(rng.normal(0, 20, 2).tolist()),
-        dc=DcLinkState(float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))),
-        mech=MechState(float(rng.uniform(-200, 200)), float(rng.uniform(0, 2 * math.pi))),
+        v_dc=float(rng.uniform(600, 800)),
+        v_imb=float(rng.uniform(-5, 5)),
+        omega_m=float(rng.uniform(-200, 200)),
+        theta_e=float(rng.uniform(0, 2 * math.pi)),
         t=float(rng.uniform(0, 0.02)),
     )
 
@@ -319,8 +321,8 @@ class TestImbalancePath:
             contrib = imbalance_contributions(
                 models.x0, models.sides, levels, models.proj, models.gain
             )
-            got = imbalance_path(st.dc.v_imb, contrib[0], contrib[1])
-            want = imbalance_path_reference(st.dc.v_imb, contrib[0], contrib[1])
+            got = imbalance_path(st.v_imb, contrib[0], contrib[1])
+            want = imbalance_path_reference(st.v_imb, contrib[0], contrib[1])
             assert got.tobytes() == want.tobytes()
 
 
@@ -455,7 +457,7 @@ class TestPythonValueWrites:
         u_prev[...] = ((u_prev_m.s_a, u_prev_m.s_b, u_prev_m.s_c),
                        (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
         multi = build_multistep(build_step_models(
-            PlantState((0.0, 0.0), (0.0, 0.0), DcLinkState(700.0, 0.0), MechState(0.0, 0.0), 0.0),
+            PlantState((0.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0),
             MACHINE, GRID, T_S, C_DC, plan).sides, n_h, plan)
         condense(multi, plan.x0, np.zeros((2, 2 * n_h)), u_prev, weight, plan)
         return plan.effort

@@ -128,6 +128,18 @@ def test_list_lengths_are_capped_at_the_horizons_sequences():
     assert (wide.k_m, wide.k_n) == (40, 30)
 
 
+def test_more_pairs_than_the_cap_are_rejected_before_allocating(monkeypatch):
+    from seqmpc import prediction
+
+    StepPlan(2, 256, 256)  # exactly MAX_PAIRS
+    StepPlan(1, 20000, 20000)  # capped at 27 * 27 pairs
+    monkeypatch.setattr(prediction, "np", None)  # any allocation now fails the test
+    with pytest.raises(ValueError, match=r"n_k=257 and n_l=256 at N_h=2 give 65792"):
+        StepPlan(2, 257, 256)
+    with pytest.raises(ValueError, match=r"n_k=20000 and n_l=20000 at N_h=3"):
+        StepPlan(3, 20000, 20000)
+
+
 def test_run_asking_for_more_candidates_than_the_horizon_has():
     # 27 sequences at N_h = 1: each list holds all of them
     series = run_scenario(
