@@ -224,7 +224,9 @@ class TestCriterion8Properties:
         ok = True
         for _ in range(self.CASES):
             n_h = int(rng.integers(1, 5))
-            d = discretize(build_grid_subsystem(cfg.grid(), rng.normal(0, 300, 2), 700.0, 0.0), cfg.t_s)
+            d = discretize(
+                build_grid_subsystem(cfg.grid(), rng.normal(0, 300, 2), 700.0, 0.0), cfg.t_s
+            )
             m = build_multistep(d, n_h)
             u = rng.integers(-1, 2, 3)
             diff_mat, prev_sel = effort_maps(m.horizon)

@@ -318,7 +318,8 @@ class TestPlantState:
 
     def test_initial_state(self):
         st = PlantState.initial(v_dc=700.0, v_imb=-3.0, omega_m=12.0, theta_e=7.0)
-        assert st == PlantState((0.0, 0.0), (0.0, 0.0), 700.0, -3.0, 12.0, 7.0 % (2 * math.pi), 0.0)
+        theta_e = 7.0 % (2 * math.pi)
+        assert st == PlantState((0.0, 0.0), (0.0, 0.0), 700.0, -3.0, 12.0, theta_e, 0.0)
 
     @pytest.mark.parametrize(
         "v_dc, v_imb, message",
