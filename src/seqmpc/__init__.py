@@ -16,13 +16,7 @@ Library layout:
 
 from .controller import ControllerConfig, ControlDecision, DcLinkPi, ReferenceState, control_step
 from .harness import RunMetrics, ScenarioConfig, TimeSeries, run_scenario, sweep
-from .plant import (
-    GridParams,
-    MachineParams,
-    PlantState,
-    SwitchState,
-    plant_step,
-)
+from .plant import GridParams, MachineParams, PlantState, plant_step
 from .prediction import SwitchSequence
 from .solver import CandidateList, QpForm, brute_force_kbest, k_best, sphere_decode
 
@@ -42,7 +36,6 @@ __all__ = [
     "GridParams",
     "MachineParams",
     "PlantState",
-    "SwitchState",
     "plant_step",
     "SwitchSequence",
     "CandidateList",

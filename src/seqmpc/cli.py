@@ -48,6 +48,17 @@ def _load(config_path, overrides) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _out_dir(out_dir) -> Path:
+    """`out_dir` as a Path, checked before step 0 and created only when the
+    outputs are written: ConfigError unless it, or else its nearest existing
+    ancestor, is a directory."""
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return out
+
+
 def _common_options(fn):
     # each override flag stores its value under the ScenarioConfig field it sets
     options = [
@@ -105,6 +116,7 @@ def run(config_path, out_dir, **overrides):
         cfg = _load(config_path, overrides)
         ctrl = cfg.controller()
         cfg.check_metric_windows()
+        out = _out_dir(out_dir)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -122,7 +134,6 @@ def run(config_path, out_dir, **overrides):
         # e.g. a run without fundamental current
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     series.write_csv(out / "timeseries.csv")
     write_metrics_csv(metrics, ctrl, out / "metrics.csv")
@@ -140,11 +151,11 @@ def sweep_cmd(config_path, out_dir, **overrides):
         cfg = _load(config_path, overrides)
         cfg.controller_grid()  # the controller checks first: their messages are more specific
         cfg.check_metric_windows()
+        out = _out_dir(out_dir)
         rows = sweep(cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, out / "metrics.csv")
     failed = [r for r in rows if r["status"] != "ok"]

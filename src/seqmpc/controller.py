@@ -4,7 +4,10 @@ Per sampling period: read the plant state, refresh the current/power
 references, condense and solve the machine-side and grid-side integer
 least-squares subproblems for their k best candidates, pick the candidate
 pair with the least predicted DC-link imbalance, and emit the first switch
-block of each chosen sequence.  The sampling period and the DC-link
+block of each chosen sequence as a level tuple, three Python ints taken from
+the candidate list's row (`CandidateList` checked the levels once when the
+decoder made them).  The previous step's level tuples come back in as
+`u_prev_m` and `u_prev_n`, unchecked.  The sampling period and the DC-link
 capacitance belong to the scenario; the closed loop passes them to
 `build_references` and `control_step`, and `ControllerConfig` holds only the
 controller's own settings.
@@ -22,23 +25,18 @@ candidate, so the imbalance stage only scores the one pair of best sequences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import MAX_LAYERS
-from .plant import LEVELS, GridParams, MachineParams, PlantState, SwitchState
+from .plant import GridParams, MachineParams, PlantState
 from .prediction import StepPlan, SwitchSequence, build_multistep, build_step_models
 # not called here; perfbench's traced `prediction.imbalance.us_per_step` looks it up here
 from .prediction import predict_imbalance  # noqa: F401
 from .solver import assemble_qp, k_best, select_pair
 
 MODES = ("sequential", "standard_sd")
-
-#: every switch state a converter side can apply, by its levels: built and
-#: checked once, and shared, as the states are frozen
-SWITCH_STATES = {levels: SwitchState(*levels) for levels in itertools.product(LEVELS, repeat=3)}
 
 #: longest horizon: the decoder is generated with one nested loop per switch
 #: level, three per stage, and compiles at most MAX_LAYERS of them
@@ -116,8 +114,8 @@ class ControlDecision:
     of the decoder's candidate lists, the rest Python values.
     """
 
-    s_m: SwitchState
-    s_n: SwitchState
+    s_m: tuple
+    s_n: tuple
     full_u_m: SwitchSequence
     full_u_n: SwitchSequence
     j_m: float
@@ -174,8 +172,8 @@ def control_step(
     refs: ReferenceState,
     machine: MachineParams,
     grid: GridParams,
-    u_prev_m: SwitchState,
-    u_prev_n: SwitchState,
+    u_prev_m: tuple,
+    u_prev_n: tuple,
     t_s: float,
     c_dc: float,
     plan: StepPlan | None = None,
@@ -195,8 +193,7 @@ def control_step(
     models = build_step_models(st, machine, grid, t_s, c_dc, plan)
     multi = build_multistep(models.sides, cfg.n_h, plan)
     u_prev = plan.u_prev  # the previous levels, Python ints, as floats
-    u_prev[...] = ((u_prev_m.s_a, u_prev_m.s_b, u_prev_m.s_c),
-                   (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
+    u_prev[...] = u_prev_m, u_prev_n
     y_ref = stack_reference(refs, cfg.n_h, plan.y_ref)
     assemble_qp(multi, models.x0, y_ref, u_prev, cfg.lam, plan)
     qp_m, qp_n = plan.qp_items  # the sides of the plan's `qp`, the form assemble_qp returns
@@ -204,7 +201,7 @@ def control_step(
     cands_n = k_best(qp_n, cfg.n_l)
     u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
     return ControlDecision(  # fields in order
-        SWITCH_STATES[cands_m.rows[im][:3]], SWITCH_STATES[cands_n.rows[il][:3]],
+        cands_m.rows[im][:3], cands_n.rows[il][:3],
         u_m, u_n, cands_m.costs[im], cands_n.costs[il], j_o,
         cands_m.nodes_visited, cands_n.nodes_visited,
     )

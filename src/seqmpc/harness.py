@@ -37,7 +37,6 @@ from .plant import (
     MachineParams,
     PlantState,
     SimulationBlowUpError,
-    SwitchState,
     electromagnetic_torque,
     plant_step,
     power_output,
@@ -336,8 +335,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     pi = cfg.dc_link_pi()
     state = cfg.initial_state()
     integral = 0.0  # of the DC-link PI regulator
-    u_prev_m = SwitchState.zero()
-    u_prev_n = SwitchState.zero()
+    u_prev_m = u_prev_n = (0, 0, 0)  # the level tuples applied before step 0
     plan = StepPlan(ctrl.n_h, ctrl.n_k, ctrl.n_l)  # the step's buffers, built once per run
     series = TimeSeries()
 
@@ -375,7 +373,7 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             state.omega_m, electromagnetic_torque(i_mq, machine),
             t_e_ref, refs.i_dq_ref[1],
             p, q, refs.pq_ref[0], refs.pq_ref[1],
-            s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
+            *s_m, *s_n,
             decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
         )
         try:
@@ -622,11 +620,21 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a flat key-value scenario file into a ScenarioConfig."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse a flat key-value scenario file into a ScenarioConfig.
+
+    The file is UTF-8, with no `%` interpolation; a file the parser rejects
+    (no section header, a repeated key or section, bytes that are not
+    UTF-8) and keys under `[DEFAULT]` raise ConfigError like an unknown key.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if parser.defaults():  # they would reach every section as its own keys
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     known = {name: section for section, names in _SECTIONS.items() for name in names}
     overrides = {}
     for section in parser.sections():

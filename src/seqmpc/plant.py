@@ -4,12 +4,15 @@ The plant integrates the machine dq currents, grid alpha/beta currents,
 DC-link voltages and the mechanical speed with fixed-step explicit Euler,
 holding the applied switch states and the load torque constant over each
 controller period (zero-order hold).  Both are inputs of `plant_step`, which
-the closed loop passes on every step.  The state is one flat record,
-`PlantState`, of what the integration advances, in `integrate_plant`'s
-order: the currents, the DC-link voltage and imbalance, the speed, the angle
-and the time.  `PlantState.initial` checks the outside values a run starts
-from; `plant_step` checks only that the integration stayed finite with a
-positive DC-link voltage, and builds the next record unchecked.
+the closed loop passes on every step.  A side's switch state is a level
+tuple, three Python ints (s_a, s_b, s_c) in `LEVELS`: the first block of a
+candidate row, checked once where `solver.CandidateList` is built, and taken
+unchecked here.  The state is one flat record, `PlantState`, of what the
+integration advances, in `integrate_plant`'s order: the currents, the
+DC-link voltage and imbalance, the speed, the angle and the time.
+`PlantState.initial` checks the outside values a run starts from;
+`plant_step` checks only that the integration stayed finite with a positive
+DC-link voltage, and builds the next record unchecked.
 The DC-link capacitance and the rotor inertia are parameters of the run,
 like the machine and grid parameters; `ScenarioConfig` owns and checks
 them once, and the loop passes them to `plant_step`.  The
@@ -36,27 +39,6 @@ LEVELS = (-1, 0, 1)
 
 class SimulationBlowUpError(RuntimeError):
     """The integrated state became non-finite."""
-
-
-@dataclass(frozen=True)
-class SwitchState:
-    """Per-phase levels of one converter side, each in {-1, 0, 1}."""
-
-    s_a: int
-    s_b: int
-    s_c: int
-
-    def __post_init__(self):
-        for s in (self.s_a, self.s_b, self.s_c):
-            if s not in LEVELS:
-                raise ValueError(f"switch level {s} not in {{-1, 0, 1}}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s_a, self.s_b, self.s_c], dtype=np.int64)
-
-    @classmethod
-    def zero(cls) -> "SwitchState":
-        return cls(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +128,8 @@ def electromagnetic_torque(i_q: float, p: MachineParams) -> float:
 
 def plant_step(
     st: PlantState,
-    s_m: SwitchState,
-    s_n: SwitchState,
+    s_m: tuple,
+    s_n: tuple,
     machine: MachineParams,
     grid: GridParams,
     c_dc: float,
@@ -156,15 +138,16 @@ def plant_step(
     dt: float,
     substeps: int,
 ) -> PlantState:
-    """Advance the plant by one controller period under constant switches
-    and the load torque `t_m`, with DC-link capacitance `c_dc` and rotor
-    inertia `inertia` (both positive; `ScenarioConfig` checks them)."""
+    """Advance the plant by one controller period under the constant level
+    tuples `s_m` and `s_n` (unchecked) and the load torque `t_m`, with
+    DC-link capacitance `c_dc` and rotor inertia `inertia` (both positive;
+    `ScenarioConfig` checks them)."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
     out = _k.integrate_plant(
         *st.i_m_dq, *st.i_n_ab,
         st.v_dc, st.v_imb, st.omega_m, st.theta_e, st.t,
-        s_m.s_a, s_m.s_b, s_m.s_c, s_n.s_a, s_n.s_b, s_n.s_c,
+        *s_m, *s_n,
         machine.r_s, machine.l_s, machine.psi_pm, machine.pole_pairs,
         grid.r_n, grid.l_n, grid.e_peak, grid.omega_n,
         c_dc, inertia, t_m,

@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as _k
-from .plant import PlantState, SwitchState
+from .plant import PlantState
 from .prediction import (
     HorizonMismatchError,
     MultistepModel,
@@ -203,8 +203,8 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan
     The cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
     U' quad U - 2 lin' U + const.  `u_prev` holds the previous switch
-    levels, a SwitchState or an array of them; like `x0` and `y_ref` it
-    carries the leading axes of a stacked `m` (see the module docstring).
+    levels, a level tuple (three ints) or an array; like `x0` and `y_ref`
+    it carries the leading axes of a stacked `m` (see the module docstring).
     The effort term's part of lin, weight * diff' (prev u_prev), is
     weight * u_prev in the first stage and zero after it, the same values
     as the products, signed zeros included; so lin is that vector less
@@ -224,7 +224,7 @@ def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan
     if x0 is not plan.x0:
         plan.x0[...] = x0
     if u_prev is not plan.u_prev:
-        plan.u_prev[...] = u_prev.as_array() if isinstance(u_prev, SwitchState) else u_prev
+        plan.u_prev[...] = u_prev
     residual = np.matmul(multi.free_map, plan.x0_col, plan.residual)
     flat = plan.residual_flat
     flat += multi.drift_vec

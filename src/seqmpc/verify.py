@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .harness import ScenarioConfig
-from .plant import SwitchState, grid_emf
+from .plant import grid_emf
 from .prediction import (
     SwitchSequence,
     build_grid_subsystem,
@@ -45,16 +45,16 @@ def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
     sys, ref_scale = _random_side(rng, cfg)
     x0 = rng.normal(0.0, 15.0, size=2)
     y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
-    u_prev = SwitchState(*(int(v) for v in rng.integers(-1, 2, size=3)))
+    u_prev = tuple(int(v) for v in rng.integers(-1, 2, size=3))
     model = build_multistep(discretize(sys, cfg.t_s), n_h)
     return assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
 
 
-def raw_cost_closure(model, x0, y_ref, u_prev: SwitchState, weight: float):
+def raw_cost_closure(model, x0, y_ref, u_prev, weight: float):
     """The uncondensed tracking-plus-effort cost as a sequence callable."""
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
-    prev = u_prev.as_array()
+    prev = np.asarray(u_prev)
     diff_mat, prev_sel = effort_maps(model.horizon)
 
     def cost(seq: SwitchSequence) -> float:
@@ -93,7 +93,7 @@ def check_condensation(seed: int, cases: int, horizons=(1, 2)):
         sys, ref_scale = _random_side(rng, cfg)
         y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
         x0 = rng.normal(0.0, 15.0, size=2)
-        u_prev = SwitchState(*(int(v) for v in rng.integers(-1, 2, size=3)))
+        u_prev = tuple(int(v) for v in rng.integers(-1, 2, size=3))
         model = build_multistep(discretize(sys, cfg.t_s), n_h)
         qp = assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
         raw = raw_cost_closure(model, x0, y_ref, u_prev, weight=0.1)

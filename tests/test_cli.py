@@ -295,6 +295,38 @@ class TestSweep:
         assert not (tmp_path / "o").exists()
 
 
+class TestBothCommands:
+    """Load-time errors that `run` and `sweep` share: both exit 1 before
+    step 0 and create nothing."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unparsable_config_exits_one_with_a_message(self, runner, tmp_path, command):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("duration = 0.2\n")  # no section header
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, "--config", str(bad), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+    def test_out_that_is_not_a_directory_exits_one_before_step_zero(
+        self, runner, tmp_path, monkeypatch, command, below
+    ):
+        steps = []
+        monkeypatch.setattr(harness, "control_step", lambda *args: steps.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / below if below else taken
+        result = runner.invoke(main, [command, "--duration", "0.1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "is not a directory" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not steps and taken.read_text() == "keep\n"
+
+
 class TestUsageErrors:
     """click's usage errors exit 1, like a config error; 2 means a blow-up."""
 

@@ -15,12 +15,7 @@ from seqmpc.controller import (
     control_step,
     stack_reference,
 )
-from seqmpc.plant import (
-    GridParams,
-    MachineParams,
-    PlantState,
-    SwitchState,
-)
+from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import build_step_models, predict_imbalance
 from seqmpc.solver import k_best
 
@@ -183,11 +178,11 @@ class TestControlStep:
             refs_k = build_references(st, MACHINE, PI, 15.0, 100.0, 0.0, T_S)
             seq = control_step(
                 st, ControllerConfig(n_h=2, n_k=1, n_l=1), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
+                MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             std = control_step(
                 st, ControllerConfig(n_h=2, mode="standard_sd"), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
+                MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             assert seq.full_u_m == std.full_u_m
             assert seq.full_u_n == std.full_u_n
@@ -201,10 +196,10 @@ class TestControlStep:
         refs = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         out = control_step(
             st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
-            MACHINE, quiet_grid, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
+            MACHINE, quiet_grid, (0, 0, 0), (0, 0, 0), T_S, C_DC,
         )
-        assert out.s_m == SwitchState.zero()
-        assert out.s_n == SwitchState.zero()
+        assert out.s_m == (0, 0, 0)
+        assert out.s_n == (0, 0, 0)
         assert (out.full_u_m.levels == 0).all()
         assert (out.full_u_n.levels == 0).all()
 
@@ -214,10 +209,13 @@ class TestControlStep:
             refs_k = build_references(st, MACHINE, PI, 10.0, 90.0, 0.0, T_S)
             out = control_step(
                 st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
-                MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
+                MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
-            assert_allclose(out.s_m.as_array(), out.full_u_m.block(0))
-            assert_allclose(out.s_n.as_array(), out.full_u_n.block(0))
+            # the applied blocks are level tuples of three Python ints
+            for s, seq in ((out.s_m, out.full_u_m), (out.s_n, out.full_u_n)):
+                assert type(s) is tuple and len(s) == 3
+                assert all(type(v) is int for v in s)
+                assert s == tuple(seq.levels[:3].tolist())
 
     def test_pair_is_imbalance_optimal_over_candidate_product(self, rng):
         # rebuild the candidate lists independently and check the decision
@@ -237,7 +235,7 @@ class TestControlStep:
             st = running_state(rng)
             refs_k = _build(st, MACHINE, PI, 12.0, 100.0, 0.0, T_S)
             out = control_step(
-                st, cfg, refs_k, MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S,
+                st, cfg, refs_k, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S,
                 C_DC,
             )
             y_m, y_n = stack_reference(refs_k, cfg.n_h)
@@ -249,8 +247,8 @@ class TestControlStep:
                 discretize(build_grid_subsystem(GRID, grid_emf(st.t, GRID), st.v_dc, st.v_imb), T_S),
                 cfg.n_h,
             )
-            cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, SwitchState.zero(), cfg.lam), cfg.n_k)
-            cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, SwitchState.zero(), cfg.lam), cfg.n_l)
+            cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, (0, 0, 0), cfg.lam), cfg.n_k)
+            cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, (0, 0, 0), cfg.lam), cfg.n_l)
             assert out.full_u_m in cands_m.sequences
             assert out.full_u_n in cands_n.sequences
             models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
@@ -264,7 +262,7 @@ class TestControlStep:
         refs = build_references(st, MACHINE, PI, 5.0, 0.0, 0.0, T_S)
         out = control_step(
             st, ControllerConfig(n_h=1, n_k=2, n_l=2), refs,
-            MACHINE, GRID, SwitchState.zero(), SwitchState.zero(), T_S, C_DC,
+            MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
         )
         assert out.nodes_m >= 3 and out.nodes_n >= 3
         assert out.j_m >= 0.0 and out.j_n >= 0.0 and out.j_o >= 0.0

@@ -341,6 +341,28 @@ class TestConfigFiles:
             with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"duration = 0.2\n", "no section headers"),
+            (b"[scenario]\nduration = 0.2\nduration = 0.3\n", "option 'duration' .* already exists"),
+            (b"[scenario]\nduration = 0.2\n[scenario]\nt_s = 5e-5\n", "section 'scenario' already exists"),
+            (b"[scenario]\nduration = 5%\n", "bad value for duration: '5%'"),
+            (b"[scenario]\nduration = 0.2\xff\n", "can't decode byte 0xff"),
+            (b"[DEFAULT]\nduration = 0.2\n", "unknown section \\[DEFAULT\\]"),
+            (b"[DEFAULT]\nduration = 0.2\n[plant]\nc_dc = 1e-3\n", "unknown section \\[DEFAULT\\]"),
+        ],
+        ids=["no-header", "repeated-key", "repeated-section", "percent", "not-utf-8",
+             "default-alone", "default-with-section"],
+    )
+    def test_unreadable_file_is_a_config_error(self, tmp_path, content, message):
+        # the parser's own errors, and keys under [DEFAULT], which would
+        # otherwise load silently or count as keys of every other section
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_sections_cover_exactly_the_fields(self):
         keys = [name for names in harness._SECTIONS.values() for name in names]
         assert len(keys) == len(set(keys))

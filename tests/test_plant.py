@@ -12,7 +12,6 @@ from seqmpc.plant import (
     MachineParams,
     PlantState,
     SimulationBlowUpError,
-    SwitchState,
     converter_matrix,
     electromagnetic_torque,
     grid_emf,
@@ -141,16 +140,6 @@ def random_state(rng):
         theta_e=rng.uniform(0, 2 * math.pi),
         t=rng.uniform(0, 0.02),
     )
-
-
-class TestSwitchState:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SwitchState(2, 0, 0)
-
-    def test_round_trip(self):
-        s = SwitchState(1, -1, 0)
-        assert SwitchState(*s.as_array().tolist()) == s
 
 
 class TestConverterVoltage:
@@ -304,7 +293,7 @@ class TestPlantState:
         names = [f.name for f in dataclasses.fields(PlantState)]
         assert names == ["i_m_dq", "i_n_ab", "v_dc", "v_imb", "omega_m", "theta_e", "t"]
         st = random_state(rng)
-        s_m, s_n = SwitchState(1, 0, -1), SwitchState(0, 1, -1)
+        s_m, s_n = (1, 0, -1), (0, 1, -1)
         out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, 2.0, 50e-6, 3)
         want = _kernels.integrate_plant(
             *st.i_m_dq, *st.i_n_ab, st.v_dc, st.v_imb, st.omega_m, st.theta_e, st.t,
@@ -347,7 +336,7 @@ class TestMechStep:
         st = rotor_state(50.0, 1.0, i_q)
         t_m = electromagnetic_torque(i_q, MACHINE)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, t_m,
+            st, (0, 0, 0), (0, 0, 0), MACHINE, QUIET_GRID, C_DC, INERTIA, t_m,
             1e-3, 1,
         )
         assert out.omega_m == st.omega_m
@@ -355,7 +344,7 @@ class TestMechStep:
     def test_acceleration(self):
         st = rotor_state(0.0, 0.0)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 0.1, 10.0,
+            st, (0, 0, 0), (0, 0, 0), MACHINE, QUIET_GRID, C_DC, 0.1, 10.0,
             1e-3, 1,
         )
         assert out.omega_m == pytest.approx(0.1)
@@ -365,7 +354,7 @@ class TestMechStep:
         # through ~48 electrical revolutions
         st = rotor_state(100.0, 0.0)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
+            st, (0, 0, 0), (0, 0, 0), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
             1.0, 10_000,
         )
         assert out.omega_m == pytest.approx(100.0)
@@ -376,7 +365,7 @@ class TestPlantStep:
     def test_fixed_point(self):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         out = plant_step(
-            st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, INERTIA, 0.0,
+            st, (0, 0, 0), (0, 0, 0), MACHINE, QUIET_GRID, C_DC, INERTIA, 0.0,
             50e-6, 10,
         )
         assert_allclose(out.i_m_dq, st.i_m_dq)
@@ -386,15 +375,15 @@ class TestPlantStep:
 
     def test_single_substep_equals_composed_euler(self, rng):
         st = random_state(rng)
-        s_m = SwitchState(1, 0, -1)
-        s_n = SwitchState(-1, 1, 0)
+        s_m = (1, 0, -1)
+        s_n = (-1, 1, 0)
         t_m = 3.0
         dt = 50e-6
         out = plant_step(st, s_m, s_n, MACHINE, GRID, C_DC, INERTIA, t_m, dt, substeps=1)
 
         omega_e = MACHINE.pole_pairs * st.omega_m
-        u_m = converter_voltage3(s_m.s_a, s_m.s_b, s_m.s_c, st.v_dc, st.v_imb)
-        u_n = converter_voltage3(s_n.s_a, s_n.s_b, s_n.s_c, st.v_dc, st.v_imb)
+        u_m = converter_voltage3(*s_m, st.v_dc, st.v_imb)
+        u_n = converter_voltage3(*s_n, st.v_dc, st.v_imb)
         u_m_dq = tr.park(tr.clarke(u_m), st.theta_e)
         u_n_ab = tr.clarke(u_n)
         e_ab = grid_emf(st.t, GRID)
@@ -403,7 +392,7 @@ class TestPlantStep:
         i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.theta_e))
         i_n_abc = tr.clarke_pinv(st.i_n_ab)
         dv_dc, dv_imb = dc_link_deriv(
-            (s_m.s_a, s_m.s_b, s_m.s_c), (s_n.s_a, s_n.s_b, s_n.s_c), i_m_abc, i_n_abc, C_DC
+            s_m, s_n, i_m_abc, i_n_abc, C_DC
         )
         t_e = electromagnetic_torque(st.i_m_dq[1], MACHINE)
         # the rotor angle integrates the freshly updated speed
@@ -421,8 +410,8 @@ class TestPlantStep:
         # halving the substep size should roughly halve the distance to a
         # fine-grained reference (explicit Euler is order one)
         st = random_state(rng)
-        s_m = SwitchState(1, -1, 0)
-        s_n = SwitchState(0, -1, 1)
+        s_m = (1, -1, 0)
+        s_n = (0, -1, 1)
         dt = 50e-6
 
         def state_vec(substeps):
@@ -443,7 +432,7 @@ class TestPlantStep:
         st = PlantState((10.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(SimulationBlowUpError, match="^plant state became non-finite$"):
             plant_step(
-                st, SwitchState(1, 0, -1), SwitchState.zero(), MACHINE, GRID, 5e-324, INERTIA,
+                st, (1, 0, -1), (0, 0, 0), MACHINE, GRID, 5e-324, INERTIA,
                 0.0, 50e-6, 1,
             )
 
@@ -462,12 +451,12 @@ class TestPlantStep:
         )
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
         v_prev = st.v_dc
-        s_m = SwitchState(1, 0, 0)
+        s_m = (1, 0, 0)
         i_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, 0.0))
-        assert s_m.as_array() @ i_abc > 0
+        assert np.array(s_m) @ i_abc > 0
         for _ in range(50):
             st = plant_step(
-                st, s_m, SwitchState.zero(), stiff_machine, QUIET_GRID, C_DC, INERTIA, 0.0,
+                st, s_m, (0, 0, 0), stiff_machine, QUIET_GRID, C_DC, INERTIA, 0.0,
                 50e-6, 1,
             )
             assert st.v_dc > v_prev
@@ -489,7 +478,7 @@ class TestPlantStep:
         prev_n = np.linalg.norm(st.i_n_ab)
         for _ in range(100):
             st = plant_step(
-                st, SwitchState.zero(), SwitchState.zero(), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
+                st, (0, 0, 0), (0, 0, 0), MACHINE, QUIET_GRID, C_DC, 1e9, 0.0,
                 50e-6, 5,
             )
             cur_m = np.linalg.norm(st.i_m_dq)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc import _kernels
-from seqmpc.plant import GridParams, MachineParams, PlantState, SwitchState
+from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     MultistepModel,
     StepPlan,
@@ -145,14 +145,14 @@ class TestCondensation:
     def test_zero_weight_reduces_to_gram_matrix(self):
         d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         m = build_multistep(d, 2)
-        quad, _ = condense(m, np.zeros(2), np.zeros(4), SwitchState.zero(), 0.0)
+        quad, _ = condense(m, np.zeros(2), np.zeros(4), (0, 0, 0), 0.0)
         assert_allclose(quad, m.forced_map.T @ m.forced_map)
 
     def test_zero_weight_rank_deficiency_is_reported(self):
         d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         m = build_multistep(d, 2)
         with pytest.raises(NotPositiveDefiniteError):
-            assemble_qp(m, np.zeros(2), np.zeros(4), SwitchState.zero(), 0.0)
+            assemble_qp(m, np.zeros(2), np.zeros(4), (0, 0, 0), 0.0)
 
     def test_reference_on_free_response_gives_zero_minimizer(self):
         # a forced map of the first two levels and a reference equal to the free response
@@ -164,7 +164,7 @@ class TestCondensation:
         )
         x0 = np.array([1.0, 2.0])
         y_ref = m.free_map @ x0 + m.drift_vec
-        qp = assemble_qp(m, x0, y_ref, SwitchState.zero(), 0.1)
+        qp = assemble_qp(m, x0, y_ref, (0, 0, 0), 0.1)
         assert_allclose(qp.lin, np.zeros(3), atol=1e-12)
         assert_allclose(qp.unconstrained, np.zeros(3), atol=1e-12)
 
@@ -194,7 +194,7 @@ class TestCondensation:
                 y_ref = np.tile(rng.normal(0, 3000, 2), n_h)
             m = build_multistep(discretize(sys, T_S), n_h)
             x0 = rng.normal(0, 15, 2)
-            u_prev = SwitchState(*(int(v) for v in rng.integers(-1, 2, 3)))
+            u_prev = tuple(int(v) for v in rng.integers(-1, 2, 3))
             qp = assemble_qp(m, x0, y_ref, u_prev, 0.1)
             raw = raw_cost_closure(m, x0, y_ref, u_prev, 0.1)
             assert brute_force_kbest(raw, 1, n_h).sequences[0] == brute_force_kbest(qp, 1, n_h).sequences[0]
@@ -226,12 +226,12 @@ class TestTwoSideStack:
             models = step_models(st)
             x0 = (st.i_m_dq, st.i_n_ab)
             y_ref = (np.tile(rng.normal(0, 15, 2), n_h), np.tile(rng.normal(0, 3000, 2), n_h))
-            u_prev = [SwitchState(*(int(v) for v in rng.integers(-1, 2, 3))) for _ in range(2)]
+            u_prev = [tuple(int(v) for v in rng.integers(-1, 2, 3)) for _ in range(2)]
             lam = float(rng.uniform(0.01, 1.0))
             multi = build_multistep(models.sides, n_h)
             plan = StepPlan(n_h)
             qp = assemble_qp(
-                multi, np.array(x0), np.array(y_ref), np.array([u.as_array() for u in u_prev]), lam,
+                multi, np.array(x0), np.array(y_ref), np.array(u_prev), lam,
                 plan,
             )
             for i, side in enumerate((models.machine, models.grid)):
@@ -262,7 +262,7 @@ class TestTwoSideStack:
         for name, side in (("machine", models.machine), ("grid", models.grid)):
             try:
                 assemble_qp(build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
-                            SwitchState.zero(), lam)
+                            (0, 0, 0), lam)
             except NotPositiveDefiniteError as exc:
                 pivots[name] = exc.pivot
         assert failing in pivots and ("machine" in pivots) == (failing == "machine")
@@ -864,7 +864,7 @@ class TestSelectPair:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 5.0
-            quad, _ = condense(m, np.zeros(2), np.zeros(2 * n_h), SwitchState.zero(), 0.1)
+            quad, _ = condense(m, np.zeros(2), np.zeros(2 * n_h), (0, 0, 0), 0.1)
             assert np.array_equal(quad, m.forced_map.T @ m.forced_map + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):

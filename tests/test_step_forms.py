@@ -143,7 +143,7 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
     n_h = cfg.n_h
     multi = build_multistep(models.sides, n_h)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
-    u_prev = np.array([u.as_array() for u in (u_prev_m, u_prev_n)])
+    u_prev = np.array((u_prev_m, u_prev_n))
     quad, lin = condense_reference(multi, x0, stack_reference(refs, n_h), u_prev, cfg.lam)
     factor = reverse_cholesky_reference(quad)
     target = (factor @ np.linalg.solve(quad, lin[..., None]))[..., 0]
@@ -186,7 +186,7 @@ def step_subproblems(args):
     the controller builds them."""
     st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s, c_dc = args
     models = build_step_models(st, machine, grid, t_s, c_dc)
-    u_prev = np.array([u.as_array() for u in (u_prev_m, u_prev_n)])
+    u_prev = np.array((u_prev_m, u_prev_n))
     return (models, build_multistep(models.sides, cfg.n_h), models.x0,
             stack_reference(refs, cfg.n_h), u_prev)
 
@@ -337,7 +337,7 @@ class TestControlStep:
         for _, args in recorded_steps:
             d = control_step(*args)
             got = (
-                tuple(d.s_m.as_array().tolist()), tuple(d.s_n.as_array().tolist()),
+                d.s_m, d.s_n,
                 d.full_u_m.as_tuple(), d.full_u_n.as_tuple(),
                 d.j_m, d.j_n, d.j_o, d.nodes_m, d.nodes_n,
             )
@@ -454,8 +454,7 @@ class TestPythonValueWrites:
         """The effort's first stage as `control_step` writes it."""
         plan = StepPlan(n_h)
         u_prev = plan.u_prev
-        u_prev[...] = ((u_prev_m.s_a, u_prev_m.s_b, u_prev_m.s_c),
-                       (u_prev_n.s_a, u_prev_n.s_b, u_prev_n.s_c))
+        u_prev[...] = u_prev_m, u_prev_n
         multi = build_multistep(build_step_models(
             PlantState((0.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0),
             MACHINE, GRID, T_S, C_DC, plan).sides, n_h, plan)
@@ -467,16 +466,15 @@ class TestPythonValueWrites:
             cfg, u_prev_m, u_prev_n = args[1], args[5], args[6]
             got = self.effort(u_prev_m, u_prev_n, cfg.lam, cfg.n_h)
             want = np.zeros((2, 3 * cfg.n_h))
-            want[:, :3] = np.multiply([u_prev_m.as_array(), u_prev_n.as_array()], cfg.lam)
+            want[:, :3] = np.multiply([u_prev_m, u_prev_n], cfg.lam)
             assert got.tobytes() == want.tobytes()
 
     def test_effort_equals_the_multiplied_levels_for_every_level_pair(self, rng):
-        from seqmpc.controller import SWITCH_STATES
-        states = list(SWITCH_STATES.values())
+        states = list(itertools.product(LEVELS, repeat=3))
         for weight in rng.uniform(1e-3, 10.0, 10):
             for u_m, u_n in zip(states, states[::-1]):
                 got = self.effort(u_m, u_n, weight, 2)
-                want = np.multiply([u_m.as_array(), u_n.as_array()], weight)
+                want = np.multiply([u_m, u_n], weight)
                 assert got[:, :3].tobytes() == want.tobytes()
                 assert got[:, 3:].tobytes() == np.zeros((2, 3)).tobytes()
 
