@@ -2,16 +2,15 @@
 
 Library layout:
 
-- `transforms`: Clarke/Park frames and the pseudo-inverse reconstruction
 - `plant`: ground-truth NPC back-to-back PMSG simulation
-- `prediction`: Euler one-step models built once per step, condensed multistep models,
-  batched imbalance rollout
+- `prediction`: the power-invariant Clarke matrices and the Park rotation, Euler one-step
+  models built once per step, condensed multistep models, batched imbalance rollout
 - `solver`: condensation, one-pass list sphere decoder (k best), enumeration oracle,
   pair selection
 - `controller`: one receding-horizon control step
 - `harness`: scenarios, closed-loop driver, metrics, sweeps, CSV/config I/O
-- `_kernels`: hot loops (plant integration, Cholesky, decoder search) on Python floats
-  and lists
+- `_kernels`: scalar Clarke/Park transforms and grid EMF, hot loops (plant integration,
+  Cholesky, decoder search) on Python floats and lists
 """
 
 from .controller import ControllerConfig, ControlDecision, DcLinkPi, ReferenceState, control_step

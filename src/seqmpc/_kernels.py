@@ -57,7 +57,8 @@ EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 # ---------------------------------------------------------------------------
-# coordinate transforms (scalar form shared by plant and integrator)
+# coordinate transforms (scalar form for the recorder and the model build;
+# the integrator writes them out inline)
 # ---------------------------------------------------------------------------
 
 
@@ -102,10 +103,6 @@ def grid_emf2(t, e_peak, omega_n):
     eb = e_peak * math.cos(ph - TWO_PI / 3.0)
     ec = e_peak * math.cos(ph + TWO_PI / 3.0)
     return clarke3(ea, eb, ec)
-
-
-def torque_of_iq(i_q, pole_pairs, psi_pm):
-    return 1.5 * pole_pairs * psi_pm * i_q
 
 
 def integrate_plant(

@@ -130,7 +130,11 @@ class ScenarioConfig:
             raise ConfigError("steady_fraction must lie in (0, 1]")
         if self.thd_periods < 1:
             raise ConfigError("thd_periods must be >= 1")
-        for prof in (self.speed_rpm, self.torque_nm):
+        for name in ("speed_rpm", "torque_nm"):
+            prof = getattr(self, name)
+            # a tuple, as `_floats` checks only tuples for finite numbers
+            if not (isinstance(prof, tuple) and prof and all(map(_is_pair, prof))):
+                raise ConfigError(f"{name} must be a nonempty tuple of (time, value) pairs")
             times = [t for t, _ in prof]
             if times != sorted(times):
                 raise ConfigError("profiles must be sorted by time")
@@ -238,6 +242,13 @@ def _floats(value):
             yield from _floats(item)
     elif isinstance(value, float):
         yield value
+
+
+def _is_pair(item) -> bool:
+    """Whether a profile item is a (time, value) tuple of two real numbers."""
+    return isinstance(item, tuple) and len(item) == 2 and all(
+        isinstance(v, (int, float)) for v in item
+    )
 
 
 def steady_slice(n_samples: int, fraction: float) -> slice:

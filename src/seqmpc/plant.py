@@ -108,11 +108,6 @@ def converter_matrix(v_dc: float, v_imb: float) -> np.ndarray:
     return _CONVERTER_PATTERN * ((v_dc + v_imb) / 6.0)
 
 
-def grid_emf(t: float, p: GridParams) -> np.ndarray:
-    """Grid EMF in alpha/beta at time `t` (balanced three-phase source)."""
-    return np.array(_k.grid_emf2(t, p.e_peak, p.omega_n))
-
-
 def power_output(x_ab, e_ab):
     """Active and reactive power delivered at the grid connection."""
     e_a, e_b = float(e_ab[0]), float(e_ab[1])
@@ -123,7 +118,7 @@ def power_output(x_ab, e_ab):
 
 
 def electromagnetic_torque(i_q: float, p: MachineParams) -> float:
-    return _k.torque_of_iq(float(i_q), p.pole_pairs, p.psi_pm)
+    return 1.5 * p.pole_pairs * p.psi_pm * float(i_q)
 
 
 def plant_step(

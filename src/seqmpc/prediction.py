@@ -105,7 +105,14 @@ from .plant import (
     PlantState,
     converter_matrix,
 )
-from .transforms import CLARKE_MAT, CLARKE_PINV_MAT, park_matrix
+
+#: 2x3 power-invariant Clarke matrix (abc -> alpha/beta), the scaling that
+#: every power and torque expression assumes
+CLARKE_MAT = _k.SQRT23 * np.array([[1.0, -0.5, -0.5], [0.0, _k.SQRT3_2, -_k.SQRT3_2]])
+
+#: 3x2 Moore-Penrose pseudo-inverse of CLARKE_MAT: its transpose, since the
+#: scaled matrix satisfies T @ T.T = I
+CLARKE_PINV_MAT = CLARKE_MAT.T.copy()
 
 #: states and outputs, and inputs (switch levels), of either side's model per stage
 NX, NU = 2, 3
@@ -191,9 +198,10 @@ class SwitchSequence:
     horizon: int
 
     def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=np.int64)
-        object.__setattr__(self, "levels", lv)
+        # checked as given, so that a float such as 0.9 is not cast to a level
+        lv = np.asarray(self.levels)
         check_levels(lv, (3 * self.horizon,))
+        object.__setattr__(self, "levels", lv.astype(np.int64, copy=False))
 
     @classmethod
     def of_checked(cls, levels: np.ndarray, horizon: int) -> "SwitchSequence":
@@ -232,6 +240,12 @@ def check_levels(levels: np.ndarray, shape: tuple) -> None:
     # on Python ints: two NumPy reductions cost ~3x more on a few levels
     if not ALPHABET.issuperset(levels.ravel().tolist()):
         raise SequenceError("sequence entries must lie in {-1, 0, 1}")
+
+
+def park_matrix(theta: float) -> np.ndarray:
+    """The Park rotation alpha/beta -> dq at electrical angle `theta`."""
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array([[ct, st], [-st, ct]])
 
 
 def build_machine_subsystem(

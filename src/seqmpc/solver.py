@@ -122,11 +122,12 @@ class CandidateList:
     Built from `leaves`, the (cost, levels) pairs of a decoder walk or of
     the oracle in list order, each levels a tuple of ints, and checked
     once, here, on those tuples: each holds 3 * horizon levels in
-    {-1, 0, 1}, and the costs are nondecreasing.  `rows` keeps the tuples,
-    `costs` the costs as a list, and `levels` stacks the rows into a
-    read-only int64 array.  `sequences` are SwitchSequences whose levels are
-    row views of that stack, built on first use without checking them again
-    (`SwitchSequence.of_checked`).
+    {-1, 0, 1}, and the costs are nondecreasing.  `levels` stacks the rows
+    into a read-only int64 array, `rows` reads them back from it as tuples of
+    Python ints (so a level given as True or 1.0 is stored as the int 1), and
+    `costs` holds the costs as a list.  `sequences` are SwitchSequences
+    whose levels are row views of that stack, built on first use without
+    checking them again (`SwitchSequence.of_checked`).
     """
 
     def __init__(self, leaves, horizon: int, nodes_visited: int = 0):
@@ -143,7 +144,8 @@ class CandidateList:
         if any(map(gt, costs, costs[1:])):
             raise SequenceError("candidate costs must be nondecreasing")
         levels.setflags(write=False)
-        self.levels, self.rows, self.costs = levels, rows, list(costs)
+        self.levels, self.costs = levels, list(costs)
+        self.rows = tuple(map(tuple, levels.tolist()))
         self.horizon, self.nodes_visited = horizon, nodes_visited
 
     @functools.cached_property

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernels as _k
 from .harness import ScenarioConfig
-from .plant import grid_emf
 from .prediction import (
     SwitchSequence,
     build_grid_subsystem,
@@ -35,7 +35,7 @@ def _random_side(rng: np.random.Generator, cfg: ScenarioConfig):
         omega_e = float(rng.uniform(-400.0, 400.0))
         theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
         return build_machine_subsystem(cfg.machine(), omega_e, v_dc, v_imb, theta_e), 15.0
-    e_ab = grid_emf(float(rng.uniform(0.0, 0.02)), cfg.grid())
+    e_ab = _k.grid_emf2(float(rng.uniform(0.0, 0.02)), cfg.e_peak, cfg.omega_n)
     return build_grid_subsystem(cfg.grid(), e_ab, v_dc, v_imb), 3000.0
 
 

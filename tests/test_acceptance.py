@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from seqmpc import transforms as tr
+from seqmpc import _kernels
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import ScenarioConfig, compute_metrics, run_scenario
 from seqmpc.prediction import build_multistep, discretize, effort_maps
@@ -192,17 +192,17 @@ class TestCriterion8Properties:
         theta = rng.uniform(-10, 10, self.CASES)
         ok = True
         for i in range(self.CASES):
-            ab = tr.clarke(v3[i])
-            back = tr.clarke(tr.clarke_pinv(v2[i]))
+            ab = _kernels.clarke3(*v3[i])
+            back = _kernels.clarke3(*_kernels.clarke_pinv2(*v2[i]))
             ok &= np.allclose(back, v2[i], rtol=1e-12, atol=1e-9)
-            common = tr.clarke(np.full(3, v3[i, 0]))
+            common = _kernels.clarke3(*np.full(3, v3[i, 0]))
             ok &= np.allclose(common, 0.0, atol=1e-9)
-            dq = tr.park(ab, theta[i])
+            dq = _kernels.park2(*ab, theta[i])
             ok &= math.isclose(
                 float(np.linalg.norm(dq)), float(np.linalg.norm(ab)),
                 rel_tol=1e-9, abs_tol=1e-9,
             )
-            ok &= np.allclose(tr.park_inv(dq, theta[i]), ab, rtol=1e-9, atol=1e-9)
+            ok &= np.allclose(_kernels.park_inv2(*dq, theta[i]), ab, rtol=1e-9, atol=1e-9)
         report(
             "criterion 8a (transform invariants)",
             ok, f"{self.CASES} random cases (round trips, isometry, common mode)",

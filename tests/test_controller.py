@@ -221,7 +221,7 @@ class TestControlStep:
         # rebuild the candidate lists independently and check the decision
         # minimizes the predicted imbalance norm over every pair
         from seqmpc.controller import build_references as _build
-        from seqmpc.plant import grid_emf
+        from seqmpc import _kernels
         from seqmpc.prediction import (
             build_grid_subsystem,
             build_machine_subsystem,
@@ -244,7 +244,7 @@ class TestControlStep:
                 cfg.n_h,
             )
             multi_n = build_multistep(
-                discretize(build_grid_subsystem(GRID, grid_emf(st.t, GRID), st.v_dc, st.v_imb), T_S),
+                discretize(build_grid_subsystem(GRID, _kernels.grid_emf2(st.t, GRID.e_peak, GRID.omega_n), st.v_dc, st.v_imb), T_S),
                 cfg.n_h,
             )
             cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, (0, 0, 0), cfg.lam), cfg.n_k)

@@ -135,6 +135,17 @@ class TestProfiles:
         with pytest.raises(ConfigError):
             ScenarioConfig(speed_rpm=((0.1, 5.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("name", ["speed_rpm", "torque_nm"])
+    @pytest.mark.parametrize(
+        "profile",
+        [(), ((0.0,),), ((0.0, 1.0, 2.0),), (5.0,), (("a", "b"),), [(0.0, 1.0)]],
+        ids=["empty", "single", "triple", "number", "strings", "list"],
+    )
+    def test_profile_that_is_not_time_value_pairs_rejected(self, name, profile):
+        # an empty profile used to load and fail with IndexError on step 0
+        with pytest.raises(ConfigError, match=f"{name} must be a nonempty tuple"):
+            ScenarioConfig(**{name: profile})
+
 
 class TestRunScenario:
     def test_record_count(self):

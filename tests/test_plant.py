@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc import _kernels
-from seqmpc import transforms as tr
 from seqmpc.plant import (
     GridParams,
     MachineParams,
@@ -14,7 +13,6 @@ from seqmpc.plant import (
     SimulationBlowUpError,
     converter_matrix,
     electromagnetic_torque,
-    grid_emf,
     plant_step,
     power_output,
 )
@@ -94,7 +92,7 @@ def composed_integrate_plant(
             s_ma, s_mb, s_mc, s_na, s_nb, s_nc, ima, imb, imc, ina, inb, inc, c_dc
         )
 
-        t_e = _kernels.torque_of_iq(i_mq, pole_pairs, psi_pm)
+        t_e = 1.5 * pole_pairs * psi_pm * i_mq
         domega = (t_mech - t_e) / inertia
 
         i_md = i_md + h * dmd
@@ -238,15 +236,23 @@ class TestGridDerivative:
 
 class TestGridEmf:
     def test_phase_zero(self):
-        assert_allclose(grid_emf(0.0, GRID), [306.186, 0.0], atol=1e-3)
-        assert_allclose(grid_emf(0.0, GRID), tr.clarke((250.0, -125.0, -125.0)), rtol=1e-12)
+        e_ab = _kernels.grid_emf2(0.0, GRID.e_peak, GRID.omega_n)
+        assert_allclose(e_ab, [306.186, 0.0], atol=1e-3)
+        assert_allclose(e_ab, _kernels.clarke3(250.0, -125.0, -125.0), rtol=1e-12)
 
     def test_constant_magnitude(self):
-        norms = [np.linalg.norm(grid_emf(t, GRID)) for t in np.linspace(0, 0.04, 57)]
+        norms = [
+            np.linalg.norm(_kernels.grid_emf2(t, GRID.e_peak, GRID.omega_n))
+            for t in np.linspace(0, 0.04, 57)
+        ]
         assert_allclose(norms, norms[0], rtol=1e-12)
 
     def test_period(self):
-        assert_allclose(grid_emf(0.02, GRID), grid_emf(0.0, GRID), atol=1e-9)
+        assert_allclose(
+            _kernels.grid_emf2(0.02, GRID.e_peak, GRID.omega_n),
+            _kernels.grid_emf2(0.0, GRID.e_peak, GRID.omega_n),
+            atol=1e-9,
+        )
         assert 2 * math.pi / GRID.omega_n == pytest.approx(0.02)
 
 
@@ -384,13 +390,13 @@ class TestPlantStep:
         omega_e = MACHINE.pole_pairs * st.omega_m
         u_m = converter_voltage3(*s_m, st.v_dc, st.v_imb)
         u_n = converter_voltage3(*s_n, st.v_dc, st.v_imb)
-        u_m_dq = tr.park(tr.clarke(u_m), st.theta_e)
-        u_n_ab = tr.clarke(u_n)
-        e_ab = grid_emf(st.t, GRID)
+        u_m_dq = _kernels.park2(*_kernels.clarke3(*u_m), st.theta_e)
+        u_n_ab = _kernels.clarke3(*u_n)
+        e_ab = _kernels.grid_emf2(st.t, GRID.e_peak, GRID.omega_n)
         d_m = machine_deriv(st.i_m_dq, u_m_dq, omega_e)
         d_n = grid_deriv(st.i_n_ab, u_n_ab, e_ab)
-        i_m_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, st.theta_e))
-        i_n_abc = tr.clarke_pinv(st.i_n_ab)
+        i_m_abc = _kernels.clarke_pinv2(*_kernels.park_inv2(*st.i_m_dq, st.theta_e))
+        i_n_abc = _kernels.clarke_pinv2(*st.i_n_ab)
         dv_dc, dv_imb = dc_link_deriv(
             s_m, s_n, i_m_abc, i_n_abc, C_DC
         )
@@ -452,7 +458,7 @@ class TestPlantStep:
         stiff_machine = MachineParams(r_s=0.0, l_s=1e6, psi_pm=0.42675, pole_pairs=3)
         v_prev = st.v_dc
         s_m = (1, 0, 0)
-        i_abc = tr.clarke_pinv(tr.park_inv(st.i_m_dq, 0.0))
+        i_abc = _kernels.clarke_pinv2(*_kernels.park_inv2(*st.i_m_dq, 0.0))
         assert np.array(s_m) @ i_abc > 0
         for _ in range(50):
             st = plant_step(

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from seqmpc import transforms as tr
-from seqmpc.plant import GridParams, MachineParams, PlantState, grid_emf
+from seqmpc import _kernels
+from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
+    CLARKE_PINV_MAT,
     DiscreteModel,
     HorizonMismatchError,
     LinearSubsystem,
@@ -19,6 +20,7 @@ from seqmpc.prediction import (
     discretize,
     effort_maps,
     imbalance_contributions,
+    park_matrix,
     predict_imbalance,
     predict_outputs,
 )
@@ -61,6 +63,14 @@ class TestSwitchSequence:
             with pytest.raises(ValueError, match="length"):
                 SwitchSequence(levels=np.array(levels, dtype=np.int64), horizon=2)
 
+    def test_checks_values_before_converting_them(self):
+        # a cast to int64 first would read 0.9 and -0.7 as 0 and 1.5 as 1
+        for levels in ([0.9, -0.7, 0.0], [1.5, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="entries"):
+                SwitchSequence(levels=np.array(levels), horizon=1)
+        seq = SwitchSequence(levels=np.array([1.0, -1.0, 0.0]), horizon=1)
+        assert seq.levels.dtype == np.int64 and seq.as_tuple() == (1, -1, 0)
+
     def test_blocks_and_hash(self):
         seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
         assert_allclose(seq.block(0), [1, 0, -1])
@@ -102,7 +112,7 @@ class TestMachineSubsystem:
     def test_input_chain_matches_transforms(self):
         sys = build_machine_subsystem(MACHINE, 0.0, *DC, 0.0)
         s = np.array([1, -1, 0])
-        expected = tr.clarke([350.0, -350.0, 0.0]) / MACHINE.l_s
+        expected = np.array(_kernels.clarke3(350.0, -350.0, 0.0)) / MACHINE.l_s
         assert_allclose(sys.input_mat @ s, expected, rtol=1e-12)
 
 
@@ -121,7 +131,7 @@ class TestGridSubsystem:
             )
 
     def test_pole_location(self):
-        sys = build_grid_subsystem(GRID, grid_emf(0.0, GRID), *DC)
+        sys = build_grid_subsystem(GRID, _kernels.grid_emf2(0.0, GRID.e_peak, GRID.omega_n), *DC)
         assert_allclose(np.linalg.eigvals(sys.state_mat), [-7.8, -7.8])
 
 
@@ -235,8 +245,9 @@ class TestStepModels:
             ),
             T_S,
         )
-        n = discretize(build_grid_subsystem(grid, grid_emf(st.t, grid), st.v_dc, st.v_imb), T_S)
-        proj = (tr.CLARKE_PINV_MAT @ tr.park_matrix(st.theta_e).T, tr.CLARKE_PINV_MAT)
+        e_ab = _kernels.grid_emf2(st.t, grid.e_peak, grid.omega_n)
+        n = discretize(build_grid_subsystem(grid, e_ab, st.v_dc, st.v_imb), T_S)
+        proj = (CLARKE_PINV_MAT @ park_matrix(st.theta_e).T, CLARKE_PINV_MAT)
         return m, n, np.array(proj)
 
     def check(self, st, machine=MACHINE, grid=GRID):
@@ -288,7 +299,7 @@ class TestImbalanceContributions:
                 st.i_m_dq, models.machine, lv_m, models.proj_m, models.gain
             )
             alone_n = imbalance_contributions(
-                st.i_n_ab, models.grid, lv_n, tr.CLARKE_PINV_MAT, models.gain
+                st.i_n_ab, models.grid, lv_n, CLARKE_PINV_MAT, models.gain
             )
             assert both[0, :k_m].tobytes() == alone_m.tobytes()
             assert both[1, :k_n].tobytes() == alone_n.tobytes()
@@ -308,8 +319,8 @@ class TestPredictImbalance:
         u_n = SwitchSequence(levels=np.array([0, 1, 1]), horizon=1)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         gain = T_S / C_DC
-        i_m_abc = tr.CLARKE_PINV_MAT @ tr.park_matrix(st.theta_e).T @ st.i_m_dq
-        i_n_abc = tr.CLARKE_PINV_MAT @ st.i_n_ab
+        i_m_abc = CLARKE_PINV_MAT @ park_matrix(st.theta_e).T @ st.i_m_dq
+        i_n_abc = CLARKE_PINV_MAT @ st.i_n_ab
         expected = st.v_imb + gain * (
             np.abs(u_m.levels) @ i_m_abc - np.abs(u_n.levels) @ i_n_abc
         )

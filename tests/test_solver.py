@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from seqmpc import _kernels
 from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
+    CLARKE_PINV_MAT,
     MultistepModel,
     StepPlan,
     SwitchSequence,
@@ -34,7 +35,6 @@ from seqmpc.solver import (
     select_pair,
     sphere_decode,
 )
-from seqmpc.transforms import CLARKE_PINV_MAT
 from seqmpc.verify import random_qp_instance, raw_cost_closure
 from test_kernels import loop_reverse_cholesky, walk
 
@@ -328,6 +328,14 @@ class TestKBest:
             CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0, 0))], 2)
         with pytest.raises(ValueError, match="length"):
             CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0))], 1)
+
+    def test_candidate_rows_hold_python_ints(self):
+        # a bool, a float and a NumPy int equal to levels pass the alphabet
+        # check; the rows, whose blocks are the applied switch states, are
+        # read back from the int64 stack as ints
+        cands = CandidateList([(0.0, (True, 1.0, np.int64(0)))], 1)
+        assert cands.rows == ((1, 1, 0),)
+        assert all(type(v) is int for row in cands.rows for v in row)
 
     def test_k_one_reduces_to_sphere_decode(self, rng):
         for _ in range(10):

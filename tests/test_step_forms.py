@@ -24,6 +24,8 @@ from seqmpc import _kernels, solver
 from seqmpc.controller import ReferenceState, control_step, stack_reference
 from seqmpc.plant import LEVELS, GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
+    CLARKE_MAT,
+    CLARKE_PINV_MAT,
     DiscreteModel,
     StepPlan,
     build_multistep,
@@ -40,7 +42,6 @@ from seqmpc.solver import (
     k_best,
     reverse_cholesky,
 )
-from seqmpc.transforms import CLARKE_MAT, CLARKE_PINV_MAT
 from test_kernels import loop_cholesky
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
