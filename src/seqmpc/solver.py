@@ -145,7 +145,11 @@ class CandidateList:
             raise SequenceError("candidate costs must be nondecreasing")
         levels.setflags(write=False)
         self.levels, self.costs = levels, list(costs)
-        self.rows = tuple(map(tuple, levels.tolist()))
+        # from a list, not an iterator: `tuple(map(...))` allocates at a guessed
+        # size and shrinks the result, which leaves the collector's allocation
+        # count one higher per list, enough for a collection every few hundred
+        # steps
+        self.rows = tuple([tuple(r) for r in levels.tolist()])
         self.horizon, self.nodes_visited = horizon, nodes_visited
 
     @functools.cached_property
