@@ -6,11 +6,12 @@ least-squares subproblems for their k best candidates, pick the candidate
 pair with the least predicted DC-link imbalance, and emit the first switch
 block of each chosen sequence as a level tuple, three Python ints taken from
 the candidate list's row (`CandidateList` checked the levels once when the
-decoder made them).  The previous step's level tuples come back in as
-`u_prev_m` and `u_prev_n`, unchecked.  The sampling period and the DC-link
-capacitance belong to the scenario; the closed loop passes them to
-`build_references` and `control_step`, and `ControllerConfig` holds only the
-controller's own settings.
+decoder made them).  The decision carries the chosen pair as two ranks
+into the step's k-best lists, not as sequences.  The previous step's level
+tuples come back in as `u_prev_m` and `u_prev_n`, unchecked.  The sampling
+period and the DC-link capacitance belong to the scenario; the closed loop
+passes them to `build_references` and `control_step`, and
+`ControllerConfig` holds only the controller's own settings.
 
 References.  `build_references` builds the step's one `ReferenceState` from
 the plant state, the torque and speed references of the outer loop and the
@@ -31,7 +32,7 @@ import numpy as np
 
 from ._kernels import MAX_LAYERS
 from .plant import GridParams, MachineParams, PlantState
-from .prediction import StepPlan, SwitchSequence, build_multistep, build_step_models
+from .prediction import StepPlan, build_multistep, build_step_models
 # not called here; perfbench's traced `prediction.imbalance.us_per_step` looks it up here
 from .prediction import predict_imbalance  # noqa: F401
 from .solver import assemble_qp, k_best, select_pair
@@ -108,16 +109,18 @@ class ReferenceState:
 
 @dataclass(slots=True)
 class ControlDecision:
-    """Applied first blocks plus the full sequences and per-step telemetry.
+    """Applied first blocks, the chosen ranks and per-step telemetry.
 
-    Nothing in it shares memory with the step plan: the sequences are rows
-    of the decoder's candidate lists, the rest Python values.
+    `rank_m` and `rank_n` index the chosen sequences in the step's machine
+    and grid k-best lists (`select_pair`'s choice); `s_m` and `s_n` are the
+    first blocks of those rows.  Every field is a Python value, so nothing
+    in it shares memory with the step plan.
     """
 
     s_m: tuple
     s_n: tuple
-    full_u_m: SwitchSequence
-    full_u_n: SwitchSequence
+    rank_m: int
+    rank_n: int
     j_m: float
     j_n: float
     j_o: float
@@ -199,9 +202,9 @@ def control_step(
     qp_m, qp_n = plan.qp_items  # the sides of the plan's `qp`, the form assemble_qp returns
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
-    u_m, u_n, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
+    _, _, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
     return ControlDecision(  # fields in order
         cands_m.rows[im][:3], cands_n.rows[il][:3],
-        u_m, u_n, cands_m.costs[im], cands_n.costs[il], j_o,
+        im, il, cands_m.costs[im], cands_n.costs[il], j_o,
         cands_m.nodes_visited, cands_n.nodes_visited,
     )

@@ -206,8 +206,10 @@ class ScenarioConfig:
         return int(round(self.duration / self.t_s))
 
     def fundamental_hz(self) -> float:
-        """Machine electrical frequency implied by the final speed reference."""
-        rpm = self.speed_rpm[-1][1]
+        """Machine electrical frequency implied by the speed reference in
+        effect at the run's last step, the one `run_scenario` looks up
+        there (a profile entry after the run's end is never reached)."""
+        rpm = profile_value(self.speed_rpm, (self.n_steps() - 1) * self.t_s)
         return self.pole_pairs * rpm / 60.0
 
     def check_metric_windows(self):
@@ -468,11 +470,19 @@ def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int):
 
 
 def thd_spectrum(signal, t_s: float, fundamental_hz: float, window_periods: int):
-    """(frequency, magnitude) arrays of the THD window, amplitude-scaled."""
+    """(frequency, magnitude) arrays of the THD window, amplitude-scaled.
+
+    A bin with a conjugate twin holds half of its component's amplitude, so
+    it is scaled by 2/n; the 0 Hz bin, and the Nyquist bin of an even n,
+    have none and are scaled by 1/n.
+    """
     signal = np.asarray(signal, float)
     n = thd_window(t_s, fundamental_hz, window_periods, signal.size)
     window = signal[-n:]
     mags = np.abs(np.fft.rfft(window)) * 2.0 / n
+    mags[0] /= 2.0
+    if n % 2 == 0:
+        mags[-1] /= 2.0
     freqs = np.fft.rfftfreq(n, t_s)
     return freqs, mags
 

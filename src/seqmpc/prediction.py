@@ -14,6 +14,12 @@ to `discretize` of `build_machine_subsystem` and `build_grid_subsystem`
 (which stay as the per-side definition); the multistep stacking and the
 imbalance rollout reuse them.
 
+A switch sequence goes in as level rows: its 3N levels, a tuple of ints or
+a 1-D int array (a stack of them for the rollout), as `predict_outputs` and
+`predict_imbalance` take it.  They do not check the levels; the one level
+check is `solver.CandidateList`'s.  `SwitchSequence` is an output record of
+one list row, which nothing here takes as input.
+
 Two-side convention: the machine and grid subproblems have the same shape,
 so `build_step_models` stacks the two discretized models over a leading
 side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
@@ -85,8 +91,8 @@ NumPy results; tests/test_step_forms.py pins it.  Four rules keep it so.
 - Aliasing rule.  What a planned function returns is the plan's: it holds
   the current step until the next call with the same plan overwrites it.
   Nothing that outlives a step shares memory with a plan: the candidate
-  lists, the applied sequences and everything else reachable from a
-  `ControlDecision` are the decoder's own arrays and Python values.
+  lists are the decoder's own arrays and Python values, and everything
+  reachable from a `ControlDecision` is a Python value.
 """
 
 from __future__ import annotations
@@ -99,7 +105,6 @@ import numpy as np
 
 from . import _kernels as _k
 from .plant import (
-    LEVELS,
     GridParams,
     MachineParams,
     PlantState,
@@ -190,56 +195,28 @@ class QpForm:
     factor_list: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SwitchSequence:
-    """Stacked per-stage switch vector over the horizon, entries in {-1,0,1}."""
+    """One row of a k-best list as a record: its 3N levels and the horizon N.
+
+    An output view only, built from rows that `solver.CandidateList` has
+    already checked: `CandidateList.sequences`, `solver.select_pair`'s
+    return and `solver.DecodeResult.best`.  No function takes one as input;
+    a switch sequence goes in as level rows.  Two are equal when their
+    levels are.
+    """
 
     levels: np.ndarray
     horizon: int
 
-    def __post_init__(self):
-        # checked as given, so that a float such as 0.9 is not cast to a level
-        lv = np.asarray(self.levels)
-        check_levels(lv, (3 * self.horizon,))
-        object.__setattr__(self, "levels", lv.astype(np.int64, copy=False))
-
-    @classmethod
-    def of_checked(cls, levels: np.ndarray, horizon: int) -> "SwitchSequence":
-        """The sequence of int64 `levels` already checked for this horizon,
-        such as a row of a `CandidateList`'s level stack: built without
-        checking them again."""
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "levels", levels)
-        object.__setattr__(seq, "horizon", horizon)
-        return seq
-
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.levels)
-
-    def block(self, stage: int) -> np.ndarray:
-        return self.levels[3 * stage : 3 * stage + 3]
 
     def __eq__(self, other):
         return isinstance(other, SwitchSequence) and self.as_tuple() == other.as_tuple()
 
     def __hash__(self):
         return hash(self.as_tuple())
-
-
-#: the switch levels, for membership tests on Python ints
-ALPHABET = frozenset(LEVELS)
-
-
-def check_levels(levels: np.ndarray, shape: tuple) -> None:
-    """Raise SequenceError unless `levels` has `shape`, whose last axis is the
-    3 * horizon levels of a sequence, and every entry lies in {-1, 0, 1}."""
-    if levels.shape != shape:
-        raise SequenceError(
-            f"sequence length must be 3 * horizon: shape {levels.shape}, not {shape}"
-        )
-    # on Python ints: two NumPy reductions cost ~3x more on a few levels
-    if not ALPHABET.issuperset(levels.ravel().tolist()):
-        raise SequenceError("sequence entries must lie in {-1, 0, 1}")
 
 
 def park_matrix(theta: float) -> np.ndarray:
@@ -346,9 +323,10 @@ def build_multistep(d: DiscreteModel, n_h: int, plan: StepPlan | None = None) ->
     return plan.multi
 
 
-def predict_outputs(m: MultistepModel, x0, u: SwitchSequence) -> np.ndarray:
-    """Stacked output trajectory for one candidate input sequence."""
-    return m.forced_map @ u.levels + m.free_map @ np.asarray(x0, float) + m.drift_vec
+def predict_outputs(m: MultistepModel, x0, levels) -> np.ndarray:
+    """Stacked output trajectory for one candidate sequence, given as its
+    3N levels (a tuple of ints or a 1-D int array)."""
+    return m.forced_map @ np.asarray(levels) + m.free_map @ np.asarray(x0, float) + m.drift_vec
 
 
 # ---------------------------------------------------------------------------
@@ -732,24 +710,25 @@ def imbalance_path(
     return paths
 
 
-def predict_imbalance(
-    st: PlantState, u_m: SwitchSequence, u_n: SwitchSequence, models: StepModels
-) -> np.ndarray:
-    """Predicted DC-link imbalance trajectory for one candidate pair.
+def predict_imbalance(st: PlantState, levels_m, levels_n, models: StepModels) -> np.ndarray:
+    """Predicted DC-link imbalance trajectory for one candidate pair, each
+    side's sequence given as its 3N levels (a tuple of ints or a 1-D int
+    array); the horizon N is their length over 3.
 
     Both side models are frozen at time-k quantities; the imbalance update
     is bilinear in |switch| and the reconstructed phase currents.  The
     controller scores pairs with `solver.select_pair`; this one-pair form is
     the reference that tests compare it with.
     """
-    if u_m.horizon != u_n.horizon:
+    levels_m, levels_n = np.asarray(levels_m), np.asarray(levels_n)
+    if len(levels_m) != len(levels_n):
         raise HorizonMismatchError(
-            f"machine horizon {u_m.horizon} != grid horizon {u_n.horizon}"
+            f"machine horizon {len(levels_m) // 3} != grid horizon {len(levels_n) // 3}"
         )
     contrib_m = imbalance_contributions(
-        st.i_m_dq, models.machine, u_m.levels[None, :], models.proj_m, models.gain
+        st.i_m_dq, models.machine, levels_m[None, :], models.proj_m, models.gain
     )
     contrib_n = imbalance_contributions(
-        st.i_n_ab, models.grid, u_n.levels[None, :], CLARKE_PINV_MAT, models.gain
+        st.i_n_ab, models.grid, levels_n[None, :], CLARKE_PINV_MAT, models.gain
     )
     return imbalance_path(st.v_imb, contrib_m, contrib_n)[0, 0]

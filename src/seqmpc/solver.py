@@ -19,10 +19,12 @@ DC-link imbalance and keeps the minimizer.
 
 A k-best list (`CandidateList`) is built from the (cost, levels) tuples
 of the decoder's walk or of the oracle, checked once on those tuples, and
-holds them with the (k, 3N) int64 level stack made from them; `select_pair`
-rolls the stack out and returns SwitchSequences of the two chosen rows
-only, and the list's `sequences` are row views of it, none of them checked
-again.
+holds them with the (k, 3N) int64 level stack made from them.  It is the
+one place a level is checked.  `select_pair` rolls the stack out and
+returns the chosen ranks, with SwitchSequences of the two chosen rows; the
+list's `sequences` are row views of the stack.  A SwitchSequence is an
+unchecked output record that nothing takes as input: the oracle's cost
+callable and `prediction`'s one-candidate forms take level rows.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first, in the
@@ -33,7 +35,8 @@ factor @ unconstrained is a gemv on the C-contiguous factor (see
 `reverse_cholesky`).  `reverse_cholesky` factors the items one after the
 other, machine first, before the solve, so a side that is not positive
 definite raises NotPositiveDefiniteError with its own pivot, as it would
-alone.
+alone, and with its index, which the message names as `machine side` or
+`grid side`.
 
 The solve calls the gufunc that `np.linalg.solve` wraps,
 `numpy.linalg._umath_linalg.solve`, on float64 operands, its `out` by
@@ -70,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as _k
-from .plant import PlantState
+from .plant import LEVELS, PlantState
 from .prediction import (
     HorizonMismatchError,
     MultistepModel,
@@ -79,7 +82,6 @@ from .prediction import (
     StepModels,
     StepPlan,
     SwitchSequence,
-    ALPHABET,
     effort_maps,
     imbalance_contributions,
     imbalance_path,
@@ -96,15 +98,26 @@ except ImportError as exc:
 #: guard for exhaustive enumeration (27**4 = 531441 sequences)
 MAX_BRUTE_HORIZON = 4
 
+#: the switch levels, for membership tests on Python ints
+ALPHABET = frozenset(LEVELS)
+
 
 class SolverError(RuntimeError):
     """Base class for decoder-level failures."""
 
 
 class NotPositiveDefiniteError(SolverError):
-    def __init__(self, pivot: int):
-        super().__init__(f"matrix is not positive definite (pivot {pivot})")
-        self.pivot = pivot
+    """A matrix to factor is not positive definite at `pivot`.  `item` is its
+    index in the stack of shape `stack` factored, None for a single matrix.
+    A stack of two is the controller's two sides, machine first, so the
+    message names the side."""
+
+    def __init__(self, pivot: int, item: int = 0, stack: tuple = ()):
+        message = f"matrix is not positive definite (pivot {pivot})"
+        if stack == (2,):
+            message = f"{('machine', 'grid')[item]} side: {message}"
+        super().__init__(message)
+        self.pivot, self.item = pivot, item if stack else None
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,9 @@ class CandidateList:
     into a read-only int64 array, `rows` reads them back from it as tuples of
     Python ints (so a level given as True or 1.0 is stored as the int 1), and
     `costs` holds the costs as a list.  `sequences` are SwitchSequences
-    whose levels are row views of that stack, built on first use without
-    checking them again (`SwitchSequence.of_checked`).
+    whose levels are row views of that stack, built on first use.  This is
+    the one place a level is checked: every other function takes rows that
+    a CandidateList has checked, or level rows it reads as numbers.
     """
 
     def __init__(self, leaves, horizon: int, nodes_visited: int = 0):
@@ -154,7 +168,7 @@ class CandidateList:
 
     @functools.cached_property
     def sequences(self) -> list:
-        return [SwitchSequence.of_checked(row, self.horizon) for row in self.levels]
+        return [SwitchSequence(row, self.horizon) for row in self.levels]
 
     def __len__(self):
         return len(self.costs)
@@ -190,7 +204,7 @@ def reverse_cholesky(
     for i, a in enumerate(q.reshape(-1, n * n).tolist()):
         h, pivot = _k.cholesky_lower(a)
         if pivot >= 0:
-            raise NotPositiveDefiniteError(pivot)
+            raise NotPositiveDefiniteError(pivot, i, q.shape[:-2])
         rows[i] = h
         if lists is not None:
             lists[i] = h
@@ -349,7 +363,7 @@ def brute_force_kbest(
     """Enumeration oracle: sort all sequences by (cost, lexicographic).
 
     Accepts either a QpForm (scored with the decoder's own residual metric)
-    or an arbitrary cost callable on SwitchSequence.
+    or an arbitrary cost callable on a sequence's levels, a tuple of 3N ints.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -358,9 +372,7 @@ def brute_force_kbest(
         costs = _enumeration_costs(qp_or_cost, seqs)
     else:
         cost_fn: Callable = qp_or_cost
-        costs = np.array(
-            [cost_fn(SwitchSequence(levels=row, horizon=n_h)) for row in seqs]
-        )
+        costs = np.array([cost_fn(tuple(row)) for row in seqs.tolist()])
     # lexsort's last key is the primary one: cost, then the levels in order
     ranked = np.lexsort((*seqs.T[::-1], costs))[:k]
     leaves = list(zip(costs[ranked].tolist(), map(tuple, seqs[ranked].tolist())))
@@ -386,7 +398,7 @@ def select_pair(
     rolled out in one call over a leading side axis, the shorter one padded
     with zero rows that are dropped before scoring.  Returns the two chosen
     sequences, rows of the lists' checked level stacks, the pair's score and
-    the chosen indices (machine, grid).  The plan must be one for the lists'
+    the chosen ranks (machine, grid).  The plan must be one for the lists'
     horizon and lengths (a fresh one without `plan`).
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
@@ -414,8 +426,8 @@ def select_pair(
     best = int(scores.argmin())
     im, il = divmod(best, k_n)
     return (
-        SwitchSequence.of_checked(machine_cands.levels[im], n_h),
-        SwitchSequence.of_checked(grid_cands.levels[il], n_h),
+        SwitchSequence(machine_cands.levels[im], n_h),
+        SwitchSequence(grid_cands.levels[il], n_h),
         float(scores[best]),
         im,
         il,

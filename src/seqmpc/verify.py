@@ -14,7 +14,6 @@ import numpy as np
 from . import _kernels as _k
 from .harness import ScenarioConfig
 from .prediction import (
-    SwitchSequence,
     build_grid_subsystem,
     build_machine_subsystem,
     build_multistep,
@@ -51,15 +50,16 @@ def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
 
 
 def raw_cost_closure(model, x0, y_ref, u_prev, weight: float):
-    """The uncondensed tracking-plus-effort cost as a sequence callable."""
+    """The uncondensed tracking-plus-effort cost as a callable on a
+    sequence's levels."""
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
     prev = np.asarray(u_prev)
     diff_mat, prev_sel = effort_maps(model.horizon)
 
-    def cost(seq: SwitchSequence) -> float:
-        y = predict_outputs(model, x0, seq)
-        du = diff_mat @ seq.levels - prev_sel @ prev
+    def cost(levels) -> float:
+        y = predict_outputs(model, x0, levels)
+        du = diff_mat @ np.asarray(levels) - prev_sel @ prev
         track = y - y_ref
         return float(track @ track + weight * (du @ du))
 
@@ -97,8 +97,8 @@ def check_condensation(seed: int, cases: int, horizons=(1, 2)):
         model = build_multistep(discretize(sys, cfg.t_s), n_h)
         qp = assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
         raw = raw_cost_closure(model, x0, y_ref, u_prev, weight=0.1)
-        raw_best = brute_force_kbest(raw, 1, n_h).sequences[0]
-        qp_best = brute_force_kbest(qp, 1, n_h).sequences[0]
+        raw_best = brute_force_kbest(raw, 1, n_h).rows[0]
+        qp_best = brute_force_kbest(qp, 1, n_h).rows[0]
         if raw_best != qp_best:
             return False, f"argmin mismatch on case {i} (n_h={n_h})"
     return True, f"{cases} condensed argmins matched the raw cost"
@@ -115,12 +115,11 @@ def check_stacking(seed: int, cases: int, horizons=(1, 2, 3)):
         multi = build_multistep(model, n_h)
         x0 = rng.normal(0.0, 15.0, size=2)
         levels = rng.integers(-1, 2, size=3 * n_h)
-        seq = SwitchSequence(levels=levels, horizon=n_h)
-        stacked = predict_outputs(multi, x0, seq)
+        stacked = predict_outputs(multi, x0, levels)
         x = x0.copy()
         iterated = []
         for j in range(n_h):
-            x = model.state_mat @ x + model.input_mat @ seq.block(j) + model.drift
+            x = model.state_mat @ x + model.input_mat @ levels[3 * j : 3 * j + 3] + model.drift
             iterated.append(model.output_mat @ x)
         iterated = np.concatenate(iterated)
         scale = max(1.0, float(np.max(np.abs(iterated))))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from seqmpc import controller
 from seqmpc.controller import (
     MAX_HORIZON,
     ControllerConfig,
@@ -171,21 +172,40 @@ class TestStackReference:
             assert y_m.shape == (2 * n_h,) and y_n.shape == (2 * n_h,)
 
 
+def decide(*args):
+    """(decision, its chosen machine and grid rows, the machine and grid
+    k-best lists) of one control step, the lists captured from `k_best` as
+    the step makes them."""
+    lists = []
+
+    def capture(qp, k):
+        cands = k_best(qp, k)
+        lists.append(cands)
+        return cands
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "k_best", capture)
+        decision = control_step(*args)
+    cands_m, cands_n = lists
+    rows = (cands_m.rows[decision.rank_m], cands_n.rows[decision.rank_n])
+    return decision, rows, cands_m, cands_n
+
+
 class TestControlStep:
     def test_standard_mode_equals_single_candidate_sequential(self, rng):
         for _ in range(10):
             st = running_state(rng)
             refs_k = build_references(st, MACHINE, PI, 15.0, 100.0, 0.0, T_S)
-            seq = control_step(
+            seq, seq_rows, *_ = decide(
                 st, ControllerConfig(n_h=2, n_k=1, n_l=1), refs_k,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
-            std = control_step(
+            std, std_rows, *_ = decide(
                 st, ControllerConfig(n_h=2, mode="standard_sd"), refs_k,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
-            assert seq.full_u_m == std.full_u_m
-            assert seq.full_u_n == std.full_u_n
+            assert (seq.rank_m, seq.rank_n) == (std.rank_m, std.rank_n) == (0, 0)
+            assert seq_rows == std_rows
             assert seq.s_m == std.s_m and seq.s_n == std.s_n
 
     def test_quiet_plant_yields_zero_decision(self):
@@ -194,28 +214,28 @@ class TestControlStep:
         quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         refs = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
-        out = control_step(
+        out, (row_m, row_n), *_ = decide(
             st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
             MACHINE, quiet_grid, (0, 0, 0), (0, 0, 0), T_S, C_DC,
         )
         assert out.s_m == (0, 0, 0)
         assert out.s_n == (0, 0, 0)
-        assert (out.full_u_m.levels == 0).all()
-        assert (out.full_u_n.levels == 0).all()
+        assert row_m == (0,) * 6
+        assert row_n == (0,) * 6
 
     def test_applied_block_heads_the_sequence(self, rng):
         for _ in range(10):
             st = running_state(rng)
             refs_k = build_references(st, MACHINE, PI, 10.0, 90.0, 0.0, T_S)
-            out = control_step(
+            out, rows, *_ = decide(
                 st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             # the applied blocks are level tuples of three Python ints
-            for s, seq in ((out.s_m, out.full_u_m), (out.s_n, out.full_u_n)):
+            for s, row in zip((out.s_m, out.s_n), rows):
                 assert type(s) is tuple and len(s) == 3
                 assert all(type(v) is int for v in s)
-                assert s == tuple(seq.levels[:3].tolist())
+                assert s == row[:3]
 
     def test_pair_is_imbalance_optimal_over_candidate_product(self, rng):
         # rebuild the candidate lists independently and check the decision
@@ -234,7 +254,7 @@ class TestControlStep:
         for _ in range(5):
             st = running_state(rng)
             refs_k = _build(st, MACHINE, PI, 12.0, 100.0, 0.0, T_S)
-            out = control_step(
+            out, (row_m, row_n), *_ = decide(
                 st, cfg, refs_k, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S,
                 C_DC,
             )
@@ -249,11 +269,11 @@ class TestControlStep:
             )
             cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, (0, 0, 0), cfg.lam), cfg.n_k)
             cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, (0, 0, 0), cfg.lam), cfg.n_l)
-            assert out.full_u_m in cands_m.sequences
-            assert out.full_u_n in cands_n.sequences
+            assert row_m in cands_m.rows
+            assert row_n in cands_n.rows
             models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
-            for u_m in cands_m.sequences:
-                for u_n in cands_n.sequences:
+            for u_m in cands_m.rows:
+                for u_n in cands_n.rows:
                     path = predict_imbalance(st, u_m, u_n, models)
                     assert out.j_o <= float(path @ path) + 1e-15
 

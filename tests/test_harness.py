@@ -20,10 +20,11 @@ from seqmpc.harness import (
     profile_value,
     run_scenario,
     sweep,
+    thd_spectrum,
     write_sweep_csv,
 )
-from seqmpc.prediction import SequenceError, check_levels
-from seqmpc.solver import SolverError
+from seqmpc.prediction import SequenceError
+from seqmpc.solver import CandidateList, SolverError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,6 +96,27 @@ class TestThd:
         with pytest.raises(ValueError):
             compute_thd(np.ones(10), 1 / self.FS, 50.0, 5)
 
+    def test_spectrum_scales_bins_without_a_twin_by_one_over_n(self):
+        # an even window of 2 000 samples: 0 Hz and Nyquist have no conjugate
+        # twin, the tone's bin has one
+        k = np.arange(2000)
+        x = 3.0 + 10.0 * np.cos(2 * np.pi * 50.0 * k / self.FS) + 0.5 * (-1.0) ** k
+        freqs, mags = thd_spectrum(x, 1 / self.FS, 50.0, 5)
+        assert freqs[-1] == self.FS / 2
+        assert mags[0] == pytest.approx(3.0, rel=1e-12)
+        assert mags[5] == pytest.approx(10.0, rel=1e-12)
+        assert mags[-1] == pytest.approx(0.5, rel=1e-12)
+        # an odd window of 1 999 samples has no Nyquist bin: its last bin has
+        # a twin and keeps 2/n
+        k = np.arange(1999)
+        f0 = self.FS / 1999
+        x = 3.0 + 10.0 * np.cos(2 * np.pi * f0 * k / self.FS) + 0.5 * np.cos(np.pi * 1998 * k / 1999)
+        freqs, mags = thd_spectrum(x, 1 / self.FS, f0, 1)
+        assert len(mags) == 1000 and freqs[-1] < self.FS / 2
+        assert mags[0] == pytest.approx(3.0, rel=1e-12)
+        assert mags[1] == pytest.approx(10.0, rel=1e-12)
+        assert mags[-1] == pytest.approx(0.5, rel=1e-12)
+
 
 class TestSwitchingFrequency:
     T_S = 50e-6
@@ -130,6 +152,25 @@ class TestProfiles:
         assert profile_value(prof, 0.05) == 1.0
         assert profile_value(prof, 0.1) == 5.0
         assert profile_value(prof, 0.3) == -2.0
+
+    def test_fundamental_is_the_speed_in_effect_at_the_last_step(self):
+        # a profile entry after the run's end is never reached, so the THD
+        # window is placed for the speed the run holds (56.25 Hz, not 100 Hz)
+        late = ScenarioConfig(duration=0.2, speed_rpm=((0.0, 1125.0), (1.0, 2000.0)))
+        assert late.fundamental_hz() == ScenarioConfig(duration=0.2).fundamental_hz() == 56.25
+        # an entry reached at the last step, t = 3 999 * t_s, is in effect
+        reached = ScenarioConfig(duration=0.2, speed_rpm=((0.0, 1125.0), (3999 * 50e-6, 2000.0)))
+        assert reached.fundamental_hz() == 100.0
+        beyond = ScenarioConfig(duration=0.2, speed_rpm=((0.0, 1125.0), (4000 * 50e-6, 2000.0)))
+        assert beyond.fundamental_hz() == 56.25
+
+    def test_metrics_of_a_run_ignore_a_profile_entry_it_never_reaches(self):
+        one = quick_cfg()
+        two = quick_cfg(speed_rpm=((0.0, 1125.0), (1.0, 2000.0)))
+        ctrl = ControllerConfig(n_h=1)
+        series_one, series_two = run_scenario(one, ctrl), run_scenario(two, ctrl)
+        assert series_one.data == series_two.data
+        assert compute_metrics(series_two, two) == compute_metrics(series_one, one)
 
     def test_unsorted_profile_rejected(self):
         with pytest.raises(ConfigError):
@@ -190,7 +231,7 @@ class TestRunScenario:
         def step(*args):
             calls.append(args)
             if len(calls) > failing:
-                check_levels(np.array([0, 2, 0]), (3,))  # raises SequenceError
+                CandidateList([(0.0, (0, 2, 0))], 1)  # raises SequenceError
             return control_step(*args)
 
         monkeypatch.setattr(harness, "control_step", step)

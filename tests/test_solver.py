@@ -265,11 +265,18 @@ class TestTwoSideStack:
                             (0, 0, 0), lam)
             except NotPositiveDefiniteError as exc:
                 pivots[name] = exc.pivot
+                # a single matrix carries no index, and its message names no side
+                assert exc.item is None
+                assert str(exc) == f"matrix is not positive definite (pivot {exc.pivot})"
         assert failing in pivots and ("machine" in pivots) == (failing == "machine")
         with pytest.raises(NotPositiveDefiniteError) as err:
             assemble_qp(build_multistep(models.sides, n_h), np.zeros((2, 2)),
                         np.zeros((2, 2 * n_h)), np.zeros((2, 3), dtype=np.int64), lam)
         assert err.value.pivot == pivots[failing]
+        assert err.value.item == ("machine", "grid").index(failing)
+        assert str(err.value) == (
+            f"{failing} side: matrix is not positive definite (pivot {pivots[failing]})"
+        )
 
 
 class TestSphereDecode:
@@ -324,6 +331,19 @@ class TestKBest:
         assert cands.sequences == [SwitchSequence(levels=np.array(row), horizon=2) for row in rows]
         with pytest.raises(ValueError, match="entries"):
             CandidateList([(1.0, (0, 2, 0))], 1)
+        for levels in ((2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, -2), (1, -1, 0, 2, -2, 0)):
+            with pytest.raises(ValueError, match="entries"):
+                CandidateList([(1.0, levels)], 2)
+        # a float is checked as given, not cast to a level first (0.9 and -0.7
+        # would read as 0, 1.5 as 1)
+        for levels in ((0.9, -0.7, 0.0), (1.5, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="entries"):
+                CandidateList([(1.0, levels)], 1)
+        with pytest.raises(ValueError, match="length"):
+            CandidateList([(1.0, (0, 0, 0, 1))], 1)
+        for levels in ((), (0, 0), (1, 0, -1, 1, 0)):
+            with pytest.raises(ValueError, match="length"):
+                CandidateList([(1.0, levels)], 2)
         with pytest.raises(ValueError, match="length"):
             CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0, 0))], 2)
         with pytest.raises(ValueError, match="length"):
@@ -642,12 +662,12 @@ class TestGeneratedSearch:
 
 class TestBruteForce:
     def test_constant_cost_is_pure_lexicographic(self):
-        got = brute_force_kbest(lambda seq: 1.0, 5, 1)
+        got = brute_force_kbest(lambda levels: 1.0, 5, 1)
         expected = list(itertools.product((-1, 0, 1), repeat=3))[:5]
         assert [s.as_tuple() for s in got.sequences] == expected
 
     def test_k_larger_than_alphabet_truncates(self):
-        got = brute_force_kbest(lambda seq: float(np.sum(seq.levels)), 100, 1)
+        got = brute_force_kbest(lambda levels: float(sum(levels)), 100, 1)
         assert len(got) == 27
 
     def test_horizon_guard(self):
@@ -686,18 +706,18 @@ class TestSelectPair:
         )
 
     @staticmethod
-    def listify(seqs):
-        leaves = [(float(i), s.as_tuple()) for i, s in enumerate(seqs)]
-        return CandidateList(leaves, seqs[0].horizon)
+    def listify(rows):
+        """A list of level rows (tuples or 1-D int arrays), costs 0, 1, ..."""
+        leaves = [(float(i), tuple(np.asarray(row).tolist())) for i, row in enumerate(rows)]
+        return CandidateList(leaves, len(rows[0]) // 3)
 
     def test_single_pair_is_returned(self):
         st = self.make_state([4.0, -2.0], [1.0, 3.0])
-        u_m = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
-        u_n = SwitchSequence(levels=np.array([0, 1, -1]), horizon=1)
+        u_m, u_n = (1, 0, -1), (0, 1, -1)
         got_m, got_n, j_o, im, il = select_pair(
             st, self.listify([u_m]), self.listify([u_n]), step_models(st)
         )
-        assert got_m == u_m and got_n == u_n and (im, il) == (0, 0)
+        assert got_m.as_tuple() == u_m and got_n.as_tuple() == u_n and (im, il) == (0, 0)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
 
@@ -711,28 +731,22 @@ class TestSelectPair:
                 omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
             )
             models = step_models(st)
-            u_m, u_n = (
-                SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in "mn"
-            )
+            u_m, u_n = (tuple(rng.integers(-1, 2, 3 * n_h).tolist()) for _ in "mn")
             cands_m, cands_n = self.listify([u_m]), self.listify([u_n])
             got_m, got_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
             assert (im, il) == (0, 0)
-            assert got_m == u_m and got_n == u_n
+            assert got_m.as_tuple() == u_m and got_n.as_tuple() == u_n
             path = predict_imbalance(st, u_m, u_n, models)
             assert j_o.hex() == float(path @ path).hex()
 
     def test_minimizes_over_all_pairs(self, rng):
         st = self.make_state(rng.normal(0, 10, 2), rng.normal(0, 10, 2), v_imb=0.8)
         n_h = 2
-        cands_m = self.listify(
-            [SwitchSequence(levels=rng.integers(-1, 2, 6), horizon=n_h) for _ in range(4)]
-        )
-        cands_n = self.listify(
-            [SwitchSequence(levels=rng.integers(-1, 2, 6), horizon=n_h) for _ in range(4)]
-        )
+        cands_m = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(4)])
+        cands_n = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(4)])
         _, _, j_o, _, _ = select_pair(st, cands_m, cands_n, step_models(st))
-        for u_m in cands_m.sequences:
-            for u_n in cands_n.sequences:
+        for u_m in cands_m.rows:
+            for u_n in cands_n.rows:
                 path = predict_imbalance(st, u_m, u_n, step_models(st))
                 assert j_o <= float(path @ path) + 1e-15
 
@@ -741,9 +755,7 @@ class TestSelectPair:
         # cancel stage by stage, keeping the predicted imbalance at zero
         i_ab = np.array([6.0, -3.0])
         st = self.make_state(i_ab, i_ab, v_imb=0.0, omega_m=0.0, theta=0.0)
-        matched = SwitchSequence(levels=np.array([1, 0, -1]), horizon=1)
-        off_m = SwitchSequence(levels=np.array([1, 1, 0]), horizon=1)
-        off_n = SwitchSequence(levels=np.array([0, 0, 1]), horizon=1)
+        matched, off_m, off_n = (1, 0, -1), (1, 1, 0), (0, 0, 1)
         got_m, got_n, j_o, im, il = select_pair(
             st,
             self.listify([off_m, matched]),
@@ -751,26 +763,23 @@ class TestSelectPair:
             step_models(st),
         )
         assert j_o == pytest.approx(0.0, abs=1e-18)
-        assert got_m == matched and got_n == matched and (im, il) == (1, 1)
+        assert got_m.as_tuple() == matched and got_n.as_tuple() == matched and (im, il) == (1, 1)
 
     def test_tie_prefers_lowest_indices(self):
         st = self.make_state([0.0, 0.0], [0.0, 0.0])
-        seqs = [
-            SwitchSequence(levels=np.array([1, -1, 0]), horizon=1),
-            SwitchSequence(levels=np.array([0, 1, -1]), horizon=1),
-        ]
+        seqs = [(1, -1, 0), (0, 1, -1)]
         got_m, got_n, j_o, im, il = select_pair(
             st, self.listify(seqs), self.listify(seqs), step_models(st)
         )
         # zero currents make every pair cost identical, so indices decide
-        assert got_m == seqs[0] and got_n == seqs[0] and (im, il) == (0, 0)
+        assert got_m.as_tuple() == seqs[0] and got_n.as_tuple() == seqs[0] and (im, il) == (0, 0)
 
     @staticmethod
     def per_pair_reference(st, cands_m, cands_n, models):
         """Lowest (im, il) of the least score, pair by pair, and every path."""
         best, paths = None, {}
-        for im, u_m in enumerate(cands_m.sequences):
-            for il, u_n in enumerate(cands_n.sequences):
+        for im, u_m in enumerate(cands_m.rows):
+            for il, u_n in enumerate(cands_n.rows):
                 path = predict_imbalance(st, u_m, u_n, models)
                 paths[im, il] = path
                 j_o = float(path @ path)
@@ -782,10 +791,10 @@ class TestSelectPair:
     def one_at_a_time(st, u_m, u_n, models):
         """The imbalance path of one pair with 1-D NumPy matvecs and dots,
         stage by stage: the arithmetic the batched stage must reproduce."""
-        def contributions(x, model, seq, proj):
-            out = []
-            for j in range(seq.horizon):
-                blk = seq.block(j)
+        def contributions(x, model, levels, proj):
+            out, levels = [], np.asarray(levels)
+            for j in range(len(levels) // 3):
+                blk = levels[3 * j : 3 * j + 3]
                 out.append(models.gain * float(np.abs(blk) @ (proj @ x)))
                 x = model.state_mat @ x + model.input_mat @ blk + model.drift
             return out
@@ -802,7 +811,7 @@ class TestSelectPair:
         models = step_models(st)
         (want_j, im, il), paths = self.per_pair_reference(st, cands_m, cands_n, models)
         for (a, b), path in paths.items():
-            want = self.one_at_a_time(st, cands_m.sequences[a], cands_n.sequences[b], models)
+            want = self.one_at_a_time(st, cands_m.rows[a], cands_n.rows[b], models)
             assert np.array_equal(path, want)
         got_m, got_n, j_o, got_im, got_il = select_pair(st, cands_m, cands_n, models)
         assert (got_im, got_il) == (im, il)
@@ -829,12 +838,8 @@ class TestSelectPair:
                 omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
             )
             k_n = int(rng.integers(1, k + 1))
-            cands_m = self.listify(
-                [SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in range(k)]
-            )
-            cands_n = self.listify(
-                [SwitchSequence(levels=rng.integers(-1, 2, 3 * n_h), horizon=n_h) for _ in range(k_n)]
-            )
+            cands_m = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(k)])
+            cands_n = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(k_n)])
             self.check_against_reference(st, cands_m, cands_n)
 
     @pytest.mark.parametrize("n_h", [1, 2, 3])
@@ -852,7 +857,7 @@ class TestSelectPair:
                 base = [rng.integers(-1, 2, 3 * n_h) for _ in range(3)]
                 twins = [np.concatenate([lv[:-3], -lv[-3:]]) for lv in base]
                 levels = base + twins + base
-                sides.append(self.listify([SwitchSequence(levels=lv, horizon=n_h) for lv in levels]))
+                sides.append(self.listify(levels))
             im, il = self.check_against_reference(st, *sides)
             assert im < 3 and il < 3
 
@@ -879,7 +884,7 @@ class TestSelectPair:
         from seqmpc.prediction import HorizonMismatchError
 
         st = self.make_state([1.0, 0.0], [0.0, 1.0])
-        one = self.listify([SwitchSequence(levels=np.zeros(3, dtype=int), horizon=1)])
-        two = self.listify([SwitchSequence(levels=np.zeros(6, dtype=int), horizon=2)])
+        one = self.listify([np.zeros(3, dtype=int)])
+        two = self.listify([np.zeros(6, dtype=int)])
         with pytest.raises(HorizonMismatchError):
             select_pair(st, one, two, step_models(st))

@@ -43,6 +43,7 @@ from seqmpc.solver import (
     reverse_cholesky,
 )
 from test_kernels import loop_cholesky
+from test_step_plan import traced
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -138,8 +139,8 @@ def imbalance_path_reference(v_imb0, contrib_m, contrib_n):
 
 def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s, c_dc):
     """The decision by the replaced forms, np.linalg.solve and an int level
-    stack padded with zero rows: (applied blocks, sequences, costs, score,
-    nodes)."""
+    stack padded with zero rows: (applied blocks, ranks, chosen rows, costs,
+    score, nodes)."""
     models = build_step_models(st, machine, grid, t_s, c_dc)
     n_h = cfg.n_h
     multi = build_multistep(models.sides, n_h)
@@ -162,7 +163,7 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
     scores = (paths[:, None, :] @ paths[:, :, None])[:, 0, 0]
     im, il = divmod(int(scores.argmin()), len(best_n))
     (j_m, u_m), (j_n, u_n) = best_m[im], best_n[il]
-    return u_m[:3], u_n[:3], u_m, u_n, j_m, j_n, float(scores.min()), nodes_m, nodes_n
+    return u_m[:3], u_n[:3], im, il, u_m, u_n, j_m, j_n, float(scores.min()), nodes_m, nodes_n
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +337,10 @@ class TestControlStep:
 
     def test_decision_equals_the_reference_forms_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            d = control_step(*args)
+            d, (cands_m, cands_n), _ = traced(args, None)
             got = (
-                d.s_m, d.s_n,
-                d.full_u_m.as_tuple(), d.full_u_n.as_tuple(),
+                d.s_m, d.s_n, d.rank_m, d.rank_n,
+                cands_m.rows[d.rank_m], cands_n.rows[d.rank_n],
                 d.j_m, d.j_n, d.j_o, d.nodes_m, d.nodes_n,
             )
             # repr tells -0.0 from 0.0 and compares every float to the bit

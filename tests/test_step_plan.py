@@ -5,9 +5,10 @@ step returns to the closed loop lives in them.
 step; a call without one builds a fresh plan.  On the recorded steps of
 perfbench's `steady`, `sweep` and `startup` scenarios (`recorded_steps` in
 conftest.py), a plan reused step after step must give what a fresh plan per
-step gives, byte for byte: the decision, each side's factor and target, the
-candidate lists and the node counts.  The decision must not share memory
-with the plan, so a decision kept from one step is unchanged after the next.
+step gives, byte for byte: the decision and the rows its ranks choose, each
+side's factor and target, the candidate lists and the node counts.  Neither
+the decision nor the lists it ranks may share memory with the plan, so a
+decision kept from one step, with its lists, is unchanged after the next.
 """
 
 import dataclasses
@@ -22,22 +23,26 @@ from seqmpc.harness import ScenarioConfig, run_scenario
 from seqmpc.prediction import StepPlan
 
 
-def decision_bytes(d):
-    """Every field of a decision, floats to the bit and levels as bytes."""
+def decision_bytes(d, cands_m, cands_n):
+    """Every field of a decision and the two rows its ranks choose in the
+    machine and grid lists, floats to the bit and levels as bytes."""
     return repr((
-        d.s_m, d.s_n, d.full_u_m.levels.tobytes(), d.full_u_n.levels.tobytes(),
-        d.full_u_m.horizon, d.full_u_n.horizon, d.j_m, d.j_n, d.j_o, d.nodes_m, d.nodes_n,
+        d.s_m, d.s_n, d.rank_m, d.rank_n,
+        cands_m.levels[d.rank_m].tobytes(), cands_n.levels[d.rank_n].tobytes(),
+        cands_m.horizon, cands_n.horizon, d.j_m, d.j_n, d.j_o, d.nodes_m, d.nodes_n,
     ))
 
 
-def traced_step(args, plan):
-    """(decision, per side (factor, target, list levels, costs, nodes)) of one
-    control step, the lists captured from `k_best` as it returns them."""
-    seen = []
+def traced(args, plan):
+    """(decision, [machine list, grid list], per side (factor, target, list
+    levels, costs, nodes)) of one control step, the lists captured from
+    `k_best` as it returns them."""
+    lists, seen = [], []
     k_best = controller.k_best
 
     def capture(qp, k):
         cands = k_best(qp, k)
+        lists.append(cands)
         seen.append((qp.factor.tobytes(), qp.target.tobytes(), cands.levels.tobytes(),
                      repr(cands.costs), cands.nodes_visited))
         return cands
@@ -45,7 +50,14 @@ def traced_step(args, plan):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(controller, "k_best", capture)
         decision = control_step(*args, plan)
-    return decision_bytes(decision), seen
+    return decision, lists, seen
+
+
+def traced_step(args, plan):
+    """(decision and chosen rows as bytes, per side (factor, target, list
+    levels, costs, nodes)) of one control step."""
+    decision, lists, seen = traced(args, plan)
+    return decision_bytes(decision, *lists), seen
 
 
 def runs(recorded_steps):
@@ -95,9 +107,10 @@ def test_decision_shares_no_memory_with_the_plan(recorded_steps):
         buffers = arrays(plan)
         assert len(buffers) > 50
         for args in steps[:5]:
-            decision = control_step(*args, plan)
-            held = arrays(decision)
-            assert len(held) == 2  # the two applied sequences' levels
+            decision, lists, _ = traced(args, plan)
+            assert arrays(decision) == []  # ranks and Python values
+            held = arrays(lists)
+            assert len(held) == 2  # the two lists' level stacks
             for a, b in itertools.product(held, buffers):
                 assert not np.shares_memory(a, b)
 
@@ -106,9 +119,9 @@ def test_kept_decision_is_unchanged_after_the_next_step(recorded_steps):
     for steps in runs(recorded_steps):
         cfg = steps[0][1]
         plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
-        kept = [control_step(*args, plan) for args in steps]
-        for decision, args in zip(kept, steps):
-            assert decision_bytes(decision) == decision_bytes(control_step(*args))
+        kept = [traced(args, plan)[:2] for args in steps]
+        for (decision, lists), args in zip(kept, steps):
+            assert decision_bytes(decision, *lists) == traced_step(args, None)[0]
 
 
 def test_plan_for_another_shape_is_refused(recorded_steps):
