@@ -26,7 +26,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -208,9 +208,10 @@ class ScenarioConfig:
     def fundamental_hz(self) -> float:
         """Machine electrical frequency implied by the speed reference in
         effect at the run's last step, the one `run_scenario` looks up
-        there (a profile entry after the run's end is never reached)."""
+        there (a profile entry after the run's end is never reached); a
+        reversed rotation has the frequency of its magnitude."""
         rpm = profile_value(self.speed_rpm, (self.n_steps() - 1) * self.t_s)
-        return self.pole_pairs * rpm / 60.0
+        return self.pole_pairs * abs(rpm) / 60.0
 
     def check_metric_windows(self):
         """Raise ConfigError unless the run covers the windows that
@@ -283,15 +284,11 @@ TS_COLUMNS = (
 )
 
 
-@dataclass
 class TimeSeries:
     """Column store of per-step records, sampled at the controller period."""
 
-    data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.data:
-            self.data = {name: [] for name in TS_COLUMNS}
+    def __init__(self):
+        self.data = {name: [] for name in TS_COLUMNS}
         self._appends = tuple(self.data[name].append for name in TS_COLUMNS)
 
     def append(self, *row):

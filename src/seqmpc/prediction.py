@@ -17,8 +17,8 @@ imbalance rollout reuse them.
 A switch sequence goes in as level rows: its 3N levels, a tuple of ints or
 a 1-D int array (a stack of them for the rollout), as `predict_outputs` and
 `predict_imbalance` take it.  They do not check the levels; the one level
-check is `solver.CandidateList`'s.  `SwitchSequence` is an output record of
-one list row, which nothing here takes as input.
+check is `solver.CandidateList`'s.  `SwitchSequence` is a list row as a
+tuple, an output record that nothing here takes as input.
 
 Two-side convention: the machine and grid subproblems have the same shape,
 so `build_step_models` stacks the two discretized models over a leading
@@ -91,8 +91,8 @@ NumPy results; tests/test_step_forms.py pins it.  Four rules keep it so.
 - Aliasing rule.  What a planned function returns is the plan's: it holds
   the current step until the next call with the same plan overwrites it.
   Nothing that outlives a step shares memory with a plan: the candidate
-  lists are the decoder's own arrays and Python values, and everything
-  reachable from a `ControlDecision` is a Python value.
+  lists and everything reachable from a `ControlDecision` are Python
+  values.
 """
 
 from __future__ import annotations
@@ -131,10 +131,6 @@ class SequenceError(ValueError):
     """A switch sequence, or a list of them, fails a check: a shape or level
     outside the alphabet, horizons that disagree, costs out of order.  Inside
     a control step such a failure is a failed step (see `run_scenario`)."""
-
-
-class HorizonMismatchError(SequenceError):
-    """Two stacked quantities disagree on the horizon length."""
 
 
 @dataclass(frozen=True)
@@ -195,28 +191,19 @@ class QpForm:
     factor_list: list
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SwitchSequence:
-    """One row of a k-best list as a record: its 3N levels and the horizon N.
+class SwitchSequence(tuple):
+    """One row of a k-best list, its 3N levels, as a tuple.
 
-    An output view only, built from rows that `solver.CandidateList` has
-    already checked: `CandidateList.sequences`, `solver.select_pair`'s
-    return and `solver.DecodeResult.best`.  No function takes one as input;
-    a switch sequence goes in as level rows.  Two are equal when their
-    levels are.
+    An output record only, of rows that `solver.CandidateList` has already
+    checked: `CandidateList.sequences` and `solver.DecodeResult.best`.  No
+    function takes one as input; a switch sequence goes in as level rows.
+    It compares and hashes as its levels' tuple.
     """
 
-    levels: np.ndarray
-    horizon: int
+    __slots__ = ()
 
     def as_tuple(self) -> tuple:
-        return tuple(int(v) for v in self.levels)
-
-    def __eq__(self, other):
-        return isinstance(other, SwitchSequence) and self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
+        return tuple(self)
 
 
 def park_matrix(theta: float) -> np.ndarray:
@@ -722,7 +709,7 @@ def predict_imbalance(st: PlantState, levels_m, levels_n, models: StepModels) ->
     """
     levels_m, levels_n = np.asarray(levels_m), np.asarray(levels_n)
     if len(levels_m) != len(levels_n):
-        raise HorizonMismatchError(
+        raise SequenceError(
             f"machine horizon {len(levels_m) // 3} != grid horizon {len(levels_n) // 3}"
         )
     contrib_m = imbalance_contributions(

@@ -17,14 +17,14 @@ runs only when some row's |target_r| exceeds sum_l |factor_rl|.
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
 
-A k-best list (`CandidateList`) is built from the (cost, levels) tuples
-of the decoder's walk or of the oracle, checked once on those tuples, and
-holds them with the (k, 3N) int64 level stack made from them.  It is the
-one place a level is checked.  `select_pair` rolls the stack out and
-returns the chosen ranks, with SwitchSequences of the two chosen rows; the
-list's `sequences` are row views of the stack.  A SwitchSequence is an
-unchecked output record that nothing takes as input: the oracle's cost
-callable and `prediction`'s one-candidate forms take level rows.
+A k-best list (`CandidateList`) is the (cost, levels) tuples of the
+decoder's walk or of the oracle, checked once: its `rows` are the walk's
+level tuples as they are.  It is the one place a level is checked.
+`select_pair` copies the rows into the step plan's float level stack,
+rolls them out and returns the two chosen rows with the chosen ranks.  The
+list's `sequences` are SwitchSequences of its rows, the tuple subclass
+that `DecodeResult.best` holds; nothing takes one as input: the oracle's
+cost callable and `prediction`'s one-candidate forms take level rows.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first, in the
@@ -75,7 +75,6 @@ import numpy as np
 from . import _kernels as _k
 from .plant import LEVELS, PlantState
 from .prediction import (
-    HorizonMismatchError,
     MultistepModel,
     QpForm,
     SequenceError,
@@ -129,46 +128,37 @@ class DecodeResult:
 
 
 class CandidateList:
-    """Ordered k-best sequences as one (k, 3N) level stack, with their costs
-    and search statistics.
+    """Ordered k-best sequences as level rows, with their costs and search
+    statistics.
 
     Built from `leaves`, the (cost, levels) pairs of a decoder walk or of
     the oracle in list order, each levels a tuple of ints, and checked
-    once, here, on those tuples: each holds 3 * horizon levels in
-    {-1, 0, 1}, and the costs are nondecreasing.  `levels` stacks the rows
-    into a read-only int64 array, `rows` reads them back from it as tuples of
-    Python ints (so a level given as True or 1.0 is stored as the int 1), and
-    `costs` holds the costs as a list.  `sequences` are SwitchSequences
-    whose levels are row views of that stack, built on first use.  This is
-    the one place a level is checked: every other function takes rows that
-    a CandidateList has checked, or level rows it reads as numbers.
+    once, here, on those tuples: each holds 3 * horizon levels, each a
+    Python int in {-1, 0, 1} (a bool, a float or a NumPy integer is
+    rejected, though it may compare equal to one), and the costs are
+    nondecreasing.  `rows` is the tuple of those level tuples, `costs` the
+    costs as a list, and `sequences` their SwitchSequences, built on first
+    use.  This is the one place a level is checked: every other function
+    takes rows that a CandidateList has checked, or level rows it reads as
+    numbers.
     """
 
     def __init__(self, leaves, horizon: int, nodes_visited: int = 0):
         costs, rows = zip(*leaves) if leaves else ((), ())
         n = 3 * horizon
-        if not ALPHABET.issuperset(chain.from_iterable(rows)):
+        levels = [*chain.from_iterable(rows)]
+        if not (ALPHABET.issuperset(levels) and {int}.issuperset(map(type, levels))):
             raise SequenceError("sequence entries must lie in {-1, 0, 1}")
-        try:
-            levels = np.array(rows or np.empty((0, n)), dtype=np.int64)
-        except ValueError:  # rows of different lengths
-            levels = None
-        if levels is None or levels.shape != (len(rows), n):
+        if not {n}.issuperset(map(len, rows)):
             raise SequenceError(f"sequence length must be 3 * horizon = {n}")
         if any(map(gt, costs, costs[1:])):
             raise SequenceError("candidate costs must be nondecreasing")
-        levels.setflags(write=False)
-        self.levels, self.costs = levels, list(costs)
-        # from a list, not an iterator: `tuple(map(...))` allocates at a guessed
-        # size and shrinks the result, which leaves the collector's allocation
-        # count one higher per list, enough for a collection every few hundred
-        # steps
-        self.rows = tuple([tuple(r) for r in levels.tolist()])
+        self.rows, self.costs = rows, list(costs)
         self.horizon, self.nodes_visited = horizon, nodes_visited
 
     @functools.cached_property
     def sequences(self) -> list:
-        return [SwitchSequence(row, self.horizon) for row in self.levels]
+        return [SwitchSequence(row) for row in self.rows]
 
     def __len__(self):
         return len(self.costs)
@@ -397,16 +387,16 @@ def select_pair(
     the pair with the lowest (machine index, grid index).  Both lists are
     rolled out in one call over a leading side axis, the shorter one padded
     with zero rows that are dropped before scoring.  Returns the two chosen
-    sequences, rows of the lists' checked level stacks, the pair's score and
-    the chosen ranks (machine, grid).  The plan must be one for the lists'
-    horizon and lengths (a fresh one without `plan`).
+    level rows, the lists' own tuples, the pair's score and the chosen
+    ranks (machine, grid).  The plan must be one for the lists' horizon and
+    lengths (a fresh one without `plan`).
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
     if not k_m or not k_n:
         raise SequenceError("candidate lists must be nonempty")
     n_h = machine_cands.horizon
     if n_h != grid_cands.horizon:
-        raise HorizonMismatchError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
+        raise SequenceError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
     if plan is None:
         plan = StepPlan(n_h, k_m, k_n)
     elif (plan.n_h, plan.k_m, plan.k_n) != (n_h, k_m, k_n):
@@ -415,8 +405,8 @@ def select_pair(
             f"not {n_h}, {k_m} and {k_n}"
         )
 
-    plan.levels_m[...] = machine_cands.levels
-    plan.levels_n[...] = grid_cands.levels
+    plan.levels_m[...] = machine_cands.rows
+    plan.levels_n[...] = grid_cands.rows
     imbalance_contributions(models.x0, models.sides, plan.levels, models.proj, models.gain, plan)
     imbalance_path(st.v_imb, plan.contrib_m, plan.contrib_n, plan)
     np.matmul(plan.path_rows, plan.path_cols, plan.scores)
@@ -425,10 +415,4 @@ def select_pair(
     # (machine index, grid index)
     best = int(scores.argmin())
     im, il = divmod(best, k_n)
-    return (
-        SwitchSequence(machine_cands.levels[im], n_h),
-        SwitchSequence(grid_cands.levels[il], n_h),
-        float(scores[best]),
-        im,
-        il,
-    )
+    return machine_cands.rows[im], grid_cands.rows[il], float(scores[best]), im, il

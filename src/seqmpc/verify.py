@@ -76,7 +76,7 @@ def check_kbest_vs_bruteforce(seed: int, cases: int, horizons=(1, 2), ks=(1, 4, 
             for k in ks:
                 got = k_best(qp, k)
                 want = brute_force_kbest(qp, k, n_h)
-                if not np.array_equal(got.levels, want.levels):
+                if got.rows != want.rows:
                     return False, f"sequence mismatch at n_h={n_h}, k={k}"
                 if not np.allclose(got.costs, want.costs, rtol=0, atol=1e-9):
                     return False, f"cost mismatch at n_h={n_h}, k={k}"
@@ -134,7 +134,7 @@ def check_exclusion_soundness(seed: int, cases: int):
     for _ in range(cases):
         qp = random_qp_instance(rng, 1)
         cands = k_best(qp, int(rng.integers(2, 11)))
-        keys = [tuple(row) for row in cands.levels.tolist()]
+        keys = list(cands.rows)
         if len(set(keys)) != len(keys):
             return False, "duplicate sequence in a k-best list"
         ranked = list(zip(cands.costs, keys))

@@ -57,6 +57,17 @@ class TestRun:
         metrics_line = (out / "metrics.csv").read_text().splitlines()[1]
         assert metrics_line.startswith("1,1,1,0.05,standard_sd")
 
+    def test_reversed_rotation_runs(self, runner, tmp_path):
+        # a negative speed reference places the THD window at the frequency
+        # of its magnitude, as the mirrored run at +1125 rpm would
+        cfg = ScenarioConfig(duration=0.04, substeps=2, thd_periods=1, horizons=(1,), n_ks=(2,),
+                             n_ls=(2,), speed_rpm=((0.0, -1125.0),), torque_nm=((0.0, -25.0),))
+        path, out = tmp_path / "reversed.ini", tmp_path / "out"
+        path.write_text(dump_config(cfg))
+        result = runner.invoke(main, ["run", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
     def test_window_too_long_exits_one(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["run", *QUICK_ARGS, "--out", str(out)])

@@ -164,6 +164,13 @@ class TestProfiles:
         beyond = ScenarioConfig(duration=0.2, speed_rpm=((0.0, 1125.0), (4000 * 50e-6, 2000.0)))
         assert beyond.fundamental_hz() == 56.25
 
+    def test_reversed_rotation_has_the_frequency_of_its_magnitude(self):
+        reversed_ = ScenarioConfig(speed_rpm=((0.0, -1125.0),))
+        assert reversed_.fundamental_hz() == ScenarioConfig().fundamental_hz() == 56.25
+        reversed_.check_metric_windows()
+        with pytest.raises(ConfigError, match="at 0 Hz .*fundamental frequency must be positive"):
+            ScenarioConfig(speed_rpm=((0.0, 0.0),)).check_metric_windows()
+
     def test_metrics_of_a_run_ignore_a_profile_entry_it_never_reaches(self):
         one = quick_cfg()
         two = quick_cfg(speed_rpm=((0.0, 1125.0), (1.0, 2000.0)))

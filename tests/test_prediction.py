@@ -10,8 +10,8 @@ from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_PINV_MAT,
     DiscreteModel,
-    HorizonMismatchError,
     LinearSubsystem,
+    SequenceError,
     SwitchSequence,
     build_grid_subsystem,
     build_machine_subsystem,
@@ -52,9 +52,9 @@ def step_models(st):
 
 class TestSwitchSequence:
     def test_blocks_and_hash(self):
-        seq = SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
+        seq = SwitchSequence((1, 0, -1, 0, 1, 1))
         assert seq.as_tuple()[:3] == (1, 0, -1) and seq.as_tuple()[3:] == (0, 1, 1)
-        assert seq == SwitchSequence(levels=np.array([1, 0, -1, 0, 1, 1]), horizon=2)
+        assert seq == SwitchSequence((1, 0, -1, 0, 1, 1))
         assert len({seq, seq}) == 1
 
 
@@ -318,5 +318,5 @@ class TestPredictImbalance:
     def test_horizon_mismatch_raises(self):
         st = make_state()
         u_m, u_n = np.zeros(3, dtype=int), np.zeros(6, dtype=int)
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(SequenceError, match="horizon"):
             predict_imbalance(st, u_m, u_n, step_models(st))

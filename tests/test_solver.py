@@ -11,6 +11,7 @@ from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_PINV_MAT,
     MultistepModel,
+    SequenceError,
     StepPlan,
     SwitchSequence,
     build_grid_subsystem,
@@ -314,21 +315,20 @@ class TestKBest:
     def test_candidate_stack_matches_sequences(self, rng):
         for n_h, k in ((1, 4), (2, 10), (3, 4)):
             got = k_best(random_qp_instance(rng, n_h), k)
-            assert got.levels.shape == (k, 3 * n_h) and not got.levels.flags.writeable
-            assert got.levels.dtype == np.int64 and len(got.costs) == len(got) == k
-            for row, seq in zip(got.levels, got.sequences):
-                assert np.array_equal(row, seq.levels) and seq.horizon == n_h
-                # a row view of the stack, not a copy
-                assert np.shares_memory(seq.levels, got.levels)
+            assert len(got.rows) == k and all(len(row) == 3 * n_h for row in got.rows)
+            assert all(type(v) is int for row in got.rows for v in row)
+            assert len(got.costs) == len(got) == k
+            for row, seq in zip(got.rows, got.sequences):
+                # each sequence is its row
+                assert seq == row and seq.as_tuple() == row
             assert got.sequences is got.sequences
 
     def test_candidate_list_validates_its_stack(self):
         rows = ((1, 0, -1, 0, 1, 1), (0, 0, 0, -1, -1, 1))
         cands = CandidateList([(0.5, rows[0]), (2.0, rows[1])], 2)
         assert cands.rows == rows and cands.costs == [0.5, 2.0]
-        assert cands.levels.tolist() == [list(row) for row in rows]
-        assert cands.levels.dtype == np.int64 and not cands.levels.flags.writeable
-        assert cands.sequences == [SwitchSequence(levels=np.array(row), horizon=2) for row in rows]
+        assert all(type(v) is int for row in cands.rows for v in row)
+        assert cands.sequences == [SwitchSequence(row) for row in rows]
         with pytest.raises(ValueError, match="entries"):
             CandidateList([(1.0, (0, 2, 0))], 1)
         for levels in ((2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, -2), (1, -1, 0, 2, -2, 0)):
@@ -350,10 +350,13 @@ class TestKBest:
             CandidateList([(1.0, (0, 0, 0)), (2.0, (0, 0))], 1)
 
     def test_candidate_rows_hold_python_ints(self):
-        # a bool, a float and a NumPy int equal to levels pass the alphabet
-        # check; the rows, whose blocks are the applied switch states, are
-        # read back from the int64 stack as ints
-        cands = CandidateList([(0.0, (True, 1.0, np.int64(0)))], 1)
+        # a bool, a float and a NumPy int compare equal to levels, but the
+        # rows, whose blocks are the applied switch states, hold Python ints
+        # only, so each is rejected
+        for level in (True, 1.0, np.int64(0)):
+            with pytest.raises(SequenceError, match="entries"):
+                CandidateList([(0.0, (level, 1, 0))], 1)
+        cands = CandidateList([(0.0, (1, 1, 0))], 1)
         assert cands.rows == ((1, 1, 0),)
         assert all(type(v) is int for row in cands.rows for v in row)
 
@@ -586,7 +589,7 @@ class TestLongHorizons:
             qp = random_qp_instance(rng, n_h)
             h, t = qp.factor.tolist(), qp.target.tolist()
             short, full = k_best(qp, 4), k_best(qp, 10)
-            assert np.array_equal(short.levels, full.levels[:4])
+            assert short.rows == full.rows[:4]
             assert short.costs == full.costs[:4]
             for seq, cost in zip(full.sequences, full.costs):
                 assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
@@ -687,9 +690,9 @@ class TestBruteForce:
         got = brute_force_kbest(qp, len(seqs), n_h)
         assert got.costs == [c for c, _ in want]
         assert [s.as_tuple() for s in got.sequences] == [u for _, u in want]
-        # the oracle's sequences carry int64 levels, as the decoder's do
-        assert got.levels.dtype == np.int64
-        assert all(s.levels.dtype == np.int64 for s in got.sequences)
+        # the oracle's rows hold Python ints, as the decoder's do
+        assert all(type(v) is int for row in got.rows for v in row)
+        assert all(s == row for s, row in zip(got.sequences, got.rows))
 
 
 class TestSelectPair:
@@ -717,7 +720,7 @@ class TestSelectPair:
         got_m, got_n, j_o, im, il = select_pair(
             st, self.listify([u_m]), self.listify([u_n]), step_models(st)
         )
-        assert got_m.as_tuple() == u_m and got_n.as_tuple() == u_n and (im, il) == (0, 0)
+        assert got_m == u_m and got_n == u_n and (im, il) == (0, 0)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
 
@@ -735,7 +738,7 @@ class TestSelectPair:
             cands_m, cands_n = self.listify([u_m]), self.listify([u_n])
             got_m, got_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
             assert (im, il) == (0, 0)
-            assert got_m.as_tuple() == u_m and got_n.as_tuple() == u_n
+            assert got_m == u_m and got_n == u_n
             path = predict_imbalance(st, u_m, u_n, models)
             assert j_o.hex() == float(path @ path).hex()
 
@@ -763,7 +766,7 @@ class TestSelectPair:
             step_models(st),
         )
         assert j_o == pytest.approx(0.0, abs=1e-18)
-        assert got_m.as_tuple() == matched and got_n.as_tuple() == matched and (im, il) == (1, 1)
+        assert got_m == matched and got_n == matched and (im, il) == (1, 1)
 
     def test_tie_prefers_lowest_indices(self):
         st = self.make_state([0.0, 0.0], [0.0, 0.0])
@@ -772,7 +775,7 @@ class TestSelectPair:
             st, self.listify(seqs), self.listify(seqs), step_models(st)
         )
         # zero currents make every pair cost identical, so indices decide
-        assert got_m.as_tuple() == seqs[0] and got_n.as_tuple() == seqs[0] and (im, il) == (0, 0)
+        assert got_m == seqs[0] and got_n == seqs[0] and (im, il) == (0, 0)
 
     @staticmethod
     def per_pair_reference(st, cands_m, cands_n, models):
@@ -819,10 +822,10 @@ class TestSelectPair:
         assert j_o == want_j
         # the batched rollout reproduces every per-pair path bit for bit
         contrib_m = imbalance_contributions(
-            st.i_m_dq, models.machine, cands_m.levels, models.proj_m, models.gain
+            st.i_m_dq, models.machine, np.array(cands_m.rows), models.proj_m, models.gain
         )
         contrib_n = imbalance_contributions(
-            st.i_n_ab, models.grid, cands_n.levels, CLARKE_PINV_MAT, models.gain
+            st.i_n_ab, models.grid, np.array(cands_n.rows), CLARKE_PINV_MAT, models.gain
         )
         batched = imbalance_path(st.v_imb, contrib_m, contrib_n)
         for (a, b), path in paths.items():
@@ -881,10 +884,8 @@ class TestSelectPair:
             assert np.array_equal(quad, m.forced_map.T @ m.forced_map + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):
-        from seqmpc.prediction import HorizonMismatchError
-
         st = self.make_state([1.0, 0.0], [0.0, 1.0])
         one = self.listify([np.zeros(3, dtype=int)])
         two = self.listify([np.zeros(6, dtype=int)])
-        with pytest.raises(HorizonMismatchError):
+        with pytest.raises(SequenceError, match="horizon"):
             select_pair(st, one, two, step_models(st))

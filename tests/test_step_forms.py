@@ -502,7 +502,7 @@ class TestCandidateLists:
     @staticmethod
     def assert_same(best, horizon, nodes):
         got = CandidateList(best, horizon, nodes)
-        assert (got.levels.tobytes(), got.costs, got.nodes_visited) == \
+        assert (np.array(got.rows, dtype=np.int64).tobytes(), got.costs, got.nodes_visited) == \
             candidate_list_reference(best, horizon, nodes)
         assert got.rows == tuple(levels for _, levels in best)
 
@@ -548,6 +548,6 @@ class TestFlatFactor:
             for side, flat in zip(plan.qp_items, plan.factor_lists):
                 assert side.factor_list is flat
                 assert repr(flat) == repr(side.factor.ravel().tolist())
-                assert k_best(side, 1).levels.tobytes() == \
+                assert k_best(side, 1).rows == \
                     CandidateList(_kernels.sd_search(flat, side.target.tolist(), 1)[0],
-                                  side.horizon).levels.tobytes()
+                                  side.horizon).rows
