@@ -13,7 +13,7 @@ Library layout:
   Cholesky, decoder search) on Python floats and lists
 """
 
-from .controller import ControllerConfig, ControlDecision, DcLinkPi, ReferenceState, control_step
+from .controller import ControllerConfig, ControlDecision, DcLinkPi, control_step
 from .harness import RunMetrics, ScenarioConfig, TimeSeries, run_scenario, sweep
 from .plant import GridParams, MachineParams, PlantState, plant_step
 from .prediction import SwitchSequence
@@ -25,7 +25,6 @@ __all__ = [
     "ControllerConfig",
     "ControlDecision",
     "DcLinkPi",
-    "ReferenceState",
     "control_step",
     "RunMetrics",
     "ScenarioConfig",

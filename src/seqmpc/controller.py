@@ -13,12 +13,15 @@ period and the DC-link capacitance belong to the scenario; the closed loop
 passes them to `build_references` and `control_step`, and
 `ControllerConfig` holds only the controller's own settings.
 
-References.  `build_references` builds the step's one `ReferenceState` from
+References.  The machine side tracks the dq current reference (0, i_q_ref)
+and the grid side the power reference (p_ref, 0): the d-axis current and
+reactive-power references are structurally zero, so only `i_q_ref` and
+`p_ref` change from step to step.  `build_references` computes them from
 the plant state, the torque and speed references of the outer loop and the
-DC-link PI regulator's integral carried over from the previous step.  The
-regulator's gains, clamp and voltage reference are fixed for a run: they
-live in a `DcLinkPi` built once per run, which the loop passes on every
-step, and the reference state keeps only what changes from step to step.
+DC-link PI regulator's integral carried over from the previous step, and
+returns them with the new integral.  The regulator's gains, clamp and
+voltage reference are fixed for a run: they live in a `DcLinkPi` built once
+per run, which the loop passes on every step.
 
 `standard_sd` mode is the no-balancing baseline: each side keeps a single
 candidate, so the imbalance stage only scores the one pair of best sequences.
@@ -27,8 +30,6 @@ candidate, so the imbalance stage only scores the one pair of best sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._kernels import MAX_LAYERS
 from .plant import GridParams, MachineParams, PlantState
@@ -95,19 +96,6 @@ class DcLinkPi:
 
 
 @dataclass(slots=True)
-class ReferenceState:
-    """One step's current and power references plus the DC-link PI
-    regulator's integral.
-
-    The d-axis current and reactive-power references are structurally zero.
-    """
-
-    i_dq_ref: tuple = (0.0, 0.0)
-    pq_ref: tuple = (0.0, 0.0)
-    integral: float = 0.0
-
-
-@dataclass(slots=True)
 class ControlDecision:
     """Applied first blocks, the chosen ranks and per-step telemetry.
 
@@ -136,13 +124,15 @@ def build_references(
     omega_m_ref: float,
     integral: float,
     dt: float,
-) -> ReferenceState:
-    """Refresh current and power references from the torque reference.
+) -> tuple[float, float, float]:
+    """(i_q_ref, p_ref, integral): the step's references and the PI
+    regulator's new integral.
 
     The q-axis current reference inverts the torque map; the grid active
     power reference feeds forward the mechanical power and corrects the
     DC-link voltage through the clamped PI loop `pi`, whose integral enters
-    as `integral` and leaves in the returned state.
+    as `integral`.  The d-axis current and reactive-power references are
+    structurally zero and not returned.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -154,25 +144,14 @@ def build_references(
         integral = float(min(max(integral, -bound), bound))
     i_g_ref = float(min(max(pi.kp * err + pi.ki * integral, -pi.clamp), pi.clamp))
     p_ref = st.v_dc * i_g_ref + omega_m_ref * t_e_ref
-    return ReferenceState(i_dq_ref=(0.0, i_q_ref), pq_ref=(p_ref, 0.0), integral=integral)
-
-
-def stack_reference(refs: ReferenceState, n_h: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Stacked constant-over-horizon output references, (2, 2N): the machine
-    side's row first, then the grid side's, written as Python floats into
-    `out` (a fresh array without)."""
-    if n_h < 1:
-        raise ValueError("horizon must be >= 1")
-    if out is None:
-        out = np.empty((2, 2 * n_h))
-    out[...] = refs.i_dq_ref * n_h, refs.pq_ref * n_h
-    return out
+    return i_q_ref, p_ref, integral
 
 
 def control_step(
     st: PlantState,
     cfg: ControllerConfig,
-    refs: ReferenceState,
+    i_q_ref: float,
+    p_ref: float,
     machine: MachineParams,
     grid: GridParams,
     u_prev_m: tuple,
@@ -197,8 +176,8 @@ def control_step(
     multi = build_multistep(models.sides, cfg.n_h, plan)
     u_prev = plan.u_prev  # the previous levels, Python ints, as floats
     u_prev[...] = u_prev_m, u_prev_n
-    y_ref = stack_reference(refs, cfg.n_h, plan.y_ref)
-    assemble_qp(multi, models.x0, y_ref, u_prev, cfg.lam, plan)
+    plan.y_ref[...] = (0.0, i_q_ref) * cfg.n_h, (p_ref, 0.0) * cfg.n_h  # constant over the horizon
+    assemble_qp(multi, models.x0, plan.y_ref, u_prev, cfg.lam, plan)
     qp_m, qp_n = plan.qp_items  # the sides of the plan's `qp`, the form assemble_qp returns
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)

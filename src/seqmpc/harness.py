@@ -363,12 +363,14 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
         # reference; positive gain brakes above the speed reference
         t_e_ref = cfg.speed_kp * (state.omega_m - omega_ref) + t_mech
         t_e_ref = float(min(max(t_e_ref, -cfg.t_e_max), cfg.t_e_max))
-        refs = build_references(state, machine, pi, t_e_ref, omega_ref, integral, cfg.t_s)
-        integral = refs.integral
+        i_q_ref, p_ref, integral = build_references(
+            state, machine, pi, t_e_ref, omega_ref, integral, cfg.t_s
+        )
 
         try:
             decision = control_step(
-                state, ctrl, refs, machine, grid, u_prev_m, u_prev_n, cfg.t_s, cfg.c_dc, plan
+                state, ctrl, i_q_ref, p_ref, machine, grid, u_prev_m, u_prev_n, cfg.t_s,
+                cfg.c_dc, plan,
             )
         except (SolverError, SequenceError) as exc:
             # a sequence check that fails inside a step is a failed step, not a bad config
@@ -381,8 +383,8 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
             t, i_md, i_mq, i_ma, i_mb, i_mc,
             i_na, i_nb, state.v_dc, state.v_imb,
             state.omega_m, electromagnetic_torque(i_mq, machine),
-            t_e_ref, refs.i_dq_ref[1],
-            p, q, refs.pq_ref[0], refs.pq_ref[1],
+            t_e_ref, i_q_ref,
+            p, q, p_ref, 0.0,  # the reactive-power reference is structurally zero
             *s_m, *s_n,
             decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
         )
@@ -537,7 +539,10 @@ SWEEP_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode", "status") + METRIC_COLUM
 
 
 def sweep(cfg: ScenarioConfig):
-    """Run every controller configuration of the grid; failures become rows.
+    """Run every controller configuration of the grid; a cell that fails as
+    a run can fail (SolverError, SimulationBlowUpError, or a ValueError of
+    the metrics, ConfigError included) becomes an `error:` row.  Any other
+    exception is a bug and propagates.
 
     Returns a list of row dicts keyed by SWEEP_COLUMNS.
     """
@@ -553,7 +558,7 @@ def sweep(cfg: ScenarioConfig):
         try:
             series = run_scenario(cfg, ctrl)
             row.update(status="ok", **asdict(compute_metrics(series, cfg)))
-        except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
+        except (SolverError, SimulationBlowUpError, ValueError) as exc:
             row.update(status=f"error: {exc}", **dict.fromkeys(METRIC_COLUMNS, math.nan))
         rows.append(row)
     return rows

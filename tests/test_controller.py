@@ -4,17 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from seqmpc import controller
 from seqmpc.controller import (
     MAX_HORIZON,
     ControllerConfig,
     DcLinkPi,
-    ReferenceState,
     build_references,
     control_step,
-    stack_reference,
 )
 from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import build_step_models, predict_imbalance
@@ -71,43 +68,39 @@ class TestBuildReferences:
     def test_all_zero_at_equilibrium(self):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         out = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
-        assert out.i_dq_ref == (0.0, 0.0)
-        assert out.pq_ref == (0.0, 0.0)
-        assert out.integral == 0.0
+        assert out == (0.0, 0.0, 0.0) and all(type(v) is float for v in out)
 
     def test_torque_inversion(self):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
-        out = build_references(st, MACHINE, PI, 19.20375, 0.0, 0.0, T_S)
-        assert out.i_dq_ref[0] == 0.0
-        assert out.i_dq_ref[1] == pytest.approx(10.0)
+        i_q_ref, _, _ = build_references(st, MACHINE, PI, 19.20375, 0.0, 0.0, T_S)
+        assert i_q_ref == pytest.approx(10.0)
 
     def test_proportional_term(self):
         st = PlantState.initial(v_dc=690.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.5, ki=0.0)
-        out = build_references(st, MACHINE, pi, 0.0, 0.0, 0.0, dt=1e-6)
-        i_g_ref = out.pq_ref[0] / st.v_dc
+        _, p_ref, _ = build_references(st, MACHINE, pi, 0.0, 0.0, 0.0, dt=1e-6)
+        i_g_ref = p_ref / st.v_dc
         assert i_g_ref == pytest.approx(5.0)
 
     def test_integral_accumulates_and_clamps(self):
         st = PlantState.initial(v_dc=600.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.0)
-        refs = ReferenceState()
+        integral = 0.0
         for _ in range(10):
-            refs = build_references(st, MACHINE, pi, 0.0, 0.0, refs.integral, dt=0.01)
+            _, p_ref, integral = build_references(st, MACHINE, pi, 0.0, 0.0, integral, dt=0.01)
         # 100 V error for 0.1 s -> raw integral 10, bounded by clamp/|ki| = 2.5
-        assert refs.integral == pytest.approx(2.5)
-        assert abs(refs.pq_ref[0] / st.v_dc) <= 50.0
+        assert integral == pytest.approx(2.5)
+        assert abs(p_ref / st.v_dc) <= 50.0
 
     def test_power_feedforward(self):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
         pi = dataclasses.replace(PI, kp=0.0, ki=0.0)
-        out = build_references(st, MACHINE, pi, 20.0, 110.0, 0.0, T_S)
-        assert out.pq_ref[0] == pytest.approx(110.0 * 20.0)
-        assert out.pq_ref[1] == 0.0
+        _, p_ref, _ = build_references(st, MACHINE, pi, 20.0, 110.0, 0.0, T_S)
+        assert p_ref == pytest.approx(110.0 * 20.0)
 
 
 def np_clip_references(st, machine, pi, t_e_ref, omega_m_ref, integral, dt):
-    """(integral, i_dq_ref, pq_ref) of `build_references`, clamped with
+    """(i_q_ref, p_ref, integral) of `build_references`, clamped with
     `np.clip` instead of `min(max(x, lo), hi)`."""
     i_q_ref = t_e_ref / (1.5 * machine.pole_pairs * machine.psi_pm)
     err = pi.v_dc_ref - st.v_dc
@@ -117,7 +110,7 @@ def np_clip_references(st, machine, pi, t_e_ref, omega_m_ref, integral, dt):
         integral = float(np.clip(integral, -bound, bound))
     i_g_ref = float(np.clip(pi.kp * err + pi.ki * integral, -pi.clamp, pi.clamp))
     p_ref = st.v_dc * i_g_ref + omega_m_ref * t_e_ref
-    return integral, (0.0, i_q_ref), (p_ref, 0.0)
+    return i_q_ref, p_ref, integral
 
 
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5, 1e300)
@@ -146,30 +139,7 @@ class TestClampsMatchNpClip:
         for integral, v_dc_ref, pi_clamp, pi_ki, pi_kp in grid:
             pi = DcLinkPi(kp=pi_kp, ki=pi_ki, clamp=pi_clamp, v_dc_ref=v_dc_ref)
             args = (st, MACHINE, pi, 10.0, -0.0, integral, T_S)
-            out = build_references(*args)
-            got = (out.integral, out.i_dq_ref, out.pq_ref)
-            assert repr(got) == repr(np_clip_references(*args))
-
-
-class TestStackReference:
-    def test_single_stage(self):
-        refs = ReferenceState(i_dq_ref=(0.0, 4.0), pq_ref=(100.0, 0.0))
-        y_m, y_n = stack_reference(refs, 1)
-        assert_allclose(y_m, [0.0, 4.0])
-        assert_allclose(y_n, [100.0, 0.0])
-
-    def test_repeats_over_horizon(self):
-        refs = ReferenceState(i_dq_ref=(0.0, 4.0), pq_ref=(100.0, 0.0))
-        y_m, y_n = stack_reference(refs, 3)
-        assert y_m.shape == (6,)
-        assert_allclose(y_m, [0.0, 4.0] * 3)
-        assert_allclose(y_n, [100.0, 0.0] * 3)
-
-    def test_length_scales_with_horizon(self):
-        refs = ReferenceState()
-        for n_h in (1, 2, 5):
-            y_m, y_n = stack_reference(refs, n_h)
-            assert y_m.shape == (2 * n_h,) and y_n.shape == (2 * n_h,)
+            assert repr(build_references(*args)) == repr(np_clip_references(*args))
 
 
 def decide(*args):
@@ -195,13 +165,13 @@ class TestControlStep:
     def test_standard_mode_equals_single_candidate_sequential(self, rng):
         for _ in range(10):
             st = running_state(rng)
-            refs_k = build_references(st, MACHINE, PI, 15.0, 100.0, 0.0, T_S)
+            i_q_ref, p_ref, _ = build_references(st, MACHINE, PI, 15.0, 100.0, 0.0, T_S)
             seq, seq_rows, *_ = decide(
-                st, ControllerConfig(n_h=2, n_k=1, n_l=1), refs_k,
+                st, ControllerConfig(n_h=2, n_k=1, n_l=1), i_q_ref, p_ref,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             std, std_rows, *_ = decide(
-                st, ControllerConfig(n_h=2, mode="standard_sd"), refs_k,
+                st, ControllerConfig(n_h=2, mode="standard_sd"), i_q_ref, p_ref,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             assert (seq.rank_m, seq.rank_n) == (std.rank_m, std.rank_n) == (0, 0)
@@ -213,9 +183,9 @@ class TestControlStep:
         # response make the all-off sequence exactly optimal on both sides
         quiet_grid = GridParams(0.156, 0.020, 0.0, 100.0 * math.pi)
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
-        refs = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
+        i_q_ref, p_ref, _ = build_references(st, MACHINE, PI, 0.0, 0.0, 0.0, T_S)
         out, (row_m, row_n), *_ = decide(
-            st, ControllerConfig(n_h=2, n_k=3, n_l=3), refs,
+            st, ControllerConfig(n_h=2, n_k=3, n_l=3), i_q_ref, p_ref,
             MACHINE, quiet_grid, (0, 0, 0), (0, 0, 0), T_S, C_DC,
         )
         assert out.s_m == (0, 0, 0)
@@ -226,9 +196,9 @@ class TestControlStep:
     def test_applied_block_heads_the_sequence(self, rng):
         for _ in range(10):
             st = running_state(rng)
-            refs_k = build_references(st, MACHINE, PI, 10.0, 90.0, 0.0, T_S)
+            i_q_ref, p_ref, _ = build_references(st, MACHINE, PI, 10.0, 90.0, 0.0, T_S)
             out, rows, *_ = decide(
-                st, ControllerConfig(n_h=2, n_k=3, n_l=2), refs_k,
+                st, ControllerConfig(n_h=2, n_k=3, n_l=2), i_q_ref, p_ref,
                 MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
             )
             # the applied blocks are level tuples of three Python ints
@@ -253,12 +223,12 @@ class TestControlStep:
         cfg = ControllerConfig(n_h=2, n_k=4, n_l=4)
         for _ in range(5):
             st = running_state(rng)
-            refs_k = _build(st, MACHINE, PI, 12.0, 100.0, 0.0, T_S)
+            i_q_ref, p_ref, _ = _build(st, MACHINE, PI, 12.0, 100.0, 0.0, T_S)
             out, (row_m, row_n), *_ = decide(
-                st, cfg, refs_k, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S,
+                st, cfg, i_q_ref, p_ref, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S,
                 C_DC,
             )
-            y_m, y_n = stack_reference(refs_k, cfg.n_h)
+            y_m, y_n = np.array(((0.0, i_q_ref) * cfg.n_h, (p_ref, 0.0) * cfg.n_h))
             multi_m = build_multistep(
                 discretize(build_machine_subsystem(MACHINE, MACHINE.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e), T_S),
                 cfg.n_h,
@@ -279,9 +249,9 @@ class TestControlStep:
 
     def test_node_telemetry_positive(self, rng):
         st = running_state(rng)
-        refs = build_references(st, MACHINE, PI, 5.0, 0.0, 0.0, T_S)
+        i_q_ref, p_ref, _ = build_references(st, MACHINE, PI, 5.0, 0.0, 0.0, T_S)
         out = control_step(
-            st, ControllerConfig(n_h=1, n_k=2, n_l=2), refs,
+            st, ControllerConfig(n_h=1, n_k=2, n_l=2), i_q_ref, p_ref,
             MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
         )
         assert out.nodes_m >= 3 and out.nodes_n >= 3

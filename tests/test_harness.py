@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,22 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r["status"].startswith("error") for r in rows)
 
+    @pytest.mark.parametrize("error", [TypeError, SolverError])
+    def test_only_a_run_failure_becomes_a_row(self, monkeypatch, error):
+        # a bug in a cell keeps its type and traceback; a failed solve is a row
+        def step(*args):
+            raise error("cell failure")
+
+        monkeypatch.setattr(harness, "control_step", step)
+        cfg = quick_cfg(horizons=(1,))
+        if error is TypeError:
+            with pytest.raises(TypeError, match="^cell failure$"):
+                sweep(cfg)
+        else:
+            rows = sweep(cfg)
+            assert [r["status"] for r in rows] == ["error: step 0: cell failure"]
+            assert all(math.isnan(rows[0][name]) for name in harness.METRIC_COLUMNS)
+
     def test_csv_round_trip(self, tmp_path):
         cfg = quick_cfg(horizons=(1,))
         rows = sweep(cfg)
@@ -468,3 +486,29 @@ class TestConfigFiles:
         path.write_text("[references]\nspeed_rpm = fast\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="reads CPython's collector count")
+@pytest.mark.parametrize("omega_m0", [0.0, 1125.0 * 2.0 * math.pi / 60.0],
+                         ids=["standstill", "1125rpm"])
+def test_closed_loop_keeps_no_container_per_step(omega_m0):
+    """`gc.get_count()[0]` is CPython's generation-0 count: container objects
+    allocated less those freed since the last collection.  The loop runs
+    near the collector's threshold, so a container kept per step would start
+    collections of a millisecond and more inside the measured loop; twice
+    the steps must not grow the count by more than the run's fixed part."""
+    cfg = ScenarioConfig(omega_m0=omega_m0)
+    run_scenario(dataclasses.replace(cfg, duration=50 * cfg.t_s))  # generates the kernels
+    growth = []
+    for steps in (200, 400):
+        run = dataclasses.replace(cfg, duration=steps * cfg.t_s)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            run_scenario(run)
+            growth.append(gc.get_count()[0] - before)
+        finally:
+            gc.enable()
+    assert growth[1] - growth[0] <= 2, growth

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from seqmpc import _kernels, solver
-from seqmpc.controller import ReferenceState, control_step, stack_reference
+from seqmpc.controller import control_step
 from seqmpc.plant import LEVELS, GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_MAT,
@@ -119,9 +119,11 @@ def imbalance_contributions_reference(x0, model, levels, proj, gain):
     return dots[..., 0, 0] * gain
 
 
-def stack_reference_reference(refs, n_h):
-    """The stacked references as one array from the nested tuples."""
-    return np.array((refs.i_dq_ref * n_h, refs.pq_ref * n_h), dtype=float)
+def stack_reference_reference(i_q_ref, p_ref, n_h):
+    """The stacked references, (2, 2N), as one array from the nested tuples
+    of the dq current reference (0, i_q_ref) and the power reference
+    (p_ref, 0)."""
+    return np.array(((0.0, i_q_ref) * n_h, (p_ref, 0.0) * n_h), dtype=float)
 
 
 def candidate_list_reference(best, horizon, nodes):
@@ -137,7 +139,8 @@ def imbalance_path_reference(v_imb0, contrib_m, contrib_n):
     return np.cumsum(step, axis=2)
 
 
-def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s, c_dc):
+def control_step_reference(st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_prev_n, t_s,
+                           c_dc):
     """The decision by the replaced forms, np.linalg.solve and an int level
     stack padded with zero rows: (applied blocks, ranks, chosen rows, costs,
     score, nodes)."""
@@ -146,7 +149,8 @@ def control_step_reference(st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s
     multi = build_multistep(models.sides, n_h)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
     u_prev = np.array((u_prev_m, u_prev_n))
-    quad, lin = condense_reference(multi, x0, stack_reference(refs, n_h), u_prev, cfg.lam)
+    y_ref = stack_reference_reference(i_q_ref, p_ref, n_h)
+    quad, lin = condense_reference(multi, x0, y_ref, u_prev, cfg.lam)
     factor = reverse_cholesky_reference(quad)
     target = (factor @ np.linalg.solve(quad, lin[..., None]))[..., 0]
     lists = [_kernels.sd_search(factor[i].ravel().tolist(), target[i].tolist(),
@@ -186,11 +190,11 @@ def random_state(rng):
 def step_subproblems(args):
     """(models, multistep model, x0, y_ref, u_prev) of a recorded step, as
     the controller builds them."""
-    st, cfg, refs, machine, grid, u_prev_m, u_prev_n, t_s, c_dc = args
+    st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_prev_n, t_s, c_dc = args
     models = build_step_models(st, machine, grid, t_s, c_dc)
     u_prev = np.array((u_prev_m, u_prev_n))
     return (models, build_multistep(models.sides, cfg.n_h), models.x0,
-            stack_reference(refs, cfg.n_h), u_prev)
+            stack_reference_reference(i_q_ref, p_ref, cfg.n_h), u_prev)
 
 
 def test_recorded_steps_cover_both_scenarios(recorded_steps):
@@ -365,7 +369,7 @@ class TestSingleMatrixProducts:
     def test_dot_equals_matmul_on_recorded_steps(self, recorded_steps):
         plan = StepPlan(1)
         for _, args in recorded_steps:
-            st, _, _, machine, grid, _, _, t_s, c_dc = args
+            st, _, _, _, machine, grid, _, _, t_s, c_dc = args
             models = build_step_models(st, machine, grid, t_s, c_dc, plan)
             assert plan.park_clarke.tobytes() == np.matmul(plan.park, CLARKE_MAT).tobytes()
             assert models.proj_m.tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
@@ -435,7 +439,7 @@ class TestRolloutProducts:
     def test_equals_the_fresh_rollout_on_recorded_steps(self, recorded_steps):
         # the plan's own models, as `select_pair` rolls them out: no copies
         for _, args in recorded_steps:
-            st, cfg, _, machine, grid, _, _, t_s, c_dc = args
+            st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
             n_h = cfg.n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
             plan = StepPlan(n_h, 4, 4)
@@ -465,7 +469,7 @@ class TestPythonValueWrites:
 
     def test_effort_equals_the_multiplied_levels_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            cfg, u_prev_m, u_prev_n = args[1], args[5], args[6]
+            cfg, u_prev_m, u_prev_n = args[1], args[6], args[7]
             got = self.effort(u_prev_m, u_prev_n, cfg.lam, cfg.n_h)
             want = np.zeros((2, 3 * cfg.n_h))
             want[:, :3] = np.multiply([u_prev_m, u_prev_n], cfg.lam)
@@ -481,17 +485,24 @@ class TestPythonValueWrites:
                 assert got[:, 3:].tobytes() == np.zeros((2, 3)).tobytes()
 
     def test_references_equal_the_stacked_array(self, recorded_steps, rng):
-        refs = [args[2] for _, args in recorded_steps]
-        refs += [ReferenceState(tuple(rng.normal(0, 20, 2).tolist()),
-                                tuple(rng.normal(0, 3e4, 2).tolist())) for _ in range(200)]
-        refs.append(ReferenceState((-0.0, 0.0), (0.0, -0.0)))
-        for ref in refs:
-            for n_h in (1, 2, 3, 6):
-                plan = StepPlan(n_h)
-                got = stack_reference(ref, n_h, plan.y_ref)
-                assert got is plan.y_ref
-                assert got.tobytes() == stack_reference_reference(ref, n_h).tobytes()
-                assert stack_reference(ref, n_h).tobytes() == got.tobytes()
+        # the recorded steps' own references, Python floats, then 200 random
+        # pairs and a pair of negative zeros put in their place
+        steps = [args for _, args in recorded_steps]
+        pairs = [args[2:4] for args in steps]
+        assert all(type(v) is float for pair in pairs for v in pair)
+        pairs += [tuple(pair) for pair in rng.normal(0, (20, 3e4), (200, 2)).tolist()]
+        pairs.append((-0.0, -0.0))
+        horizons = set()
+        for i, (i_q_ref, p_ref) in enumerate(pairs):
+            args = steps[i % len(steps)]
+            cfg = args[1]
+            plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+            control_step(*args[:2], i_q_ref, p_ref, *args[4:], plan)
+            assert plan.y_ref.shape == (2, 2 * cfg.n_h)
+            want = stack_reference_reference(i_q_ref, p_ref, cfg.n_h)
+            assert plan.y_ref.tobytes() == want.tobytes()
+            horizons.add(cfg.n_h)
+        assert horizons == {1, 2, 3}
 
 
 class TestCandidateLists:
