@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from seqmpc import controller
 from seqmpc.controller import (
@@ -14,7 +15,7 @@ from seqmpc.controller import (
     control_step,
 )
 from seqmpc.plant import GridParams, MachineParams, PlantState
-from seqmpc.prediction import build_step_models, predict_imbalance
+from seqmpc.prediction import StepPlan, build_step_models, predict_imbalance
 from seqmpc.solver import k_best
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
@@ -140,6 +141,37 @@ class TestClampsMatchNpClip:
             pi = DcLinkPi(kp=pi_kp, ki=pi_ki, clamp=pi_clamp, v_dc_ref=v_dc_ref)
             args = (st, MACHINE, pi, 10.0, -0.0, integral, T_S)
             assert repr(build_references(*args)) == repr(np_clip_references(*args))
+
+
+class TestStackReference:
+    """`control_step` writes the references into its plan as the rows
+    (0, i_q_ref) and (p_ref, 0), each repeated over the horizon."""
+
+    @staticmethod
+    def stacked(i_q_ref, p_ref, n_h):
+        """The plan's (2, 2N) references after one control step."""
+        cfg = ControllerConfig(n_h=n_h, n_k=2, n_l=2)
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=100.0, theta_e=0.3)
+        control_step(st, cfg, i_q_ref, p_ref, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S, C_DC,
+                     plan)
+        return plan.y_ref
+
+    def test_single_stage(self):
+        y_m, y_n = self.stacked(4.0, 100.0, 1)
+        assert_allclose(y_m, [0.0, 4.0])
+        assert_allclose(y_n, [100.0, 0.0])
+
+    def test_repeats_over_horizon(self):
+        y_m, y_n = self.stacked(4.0, 100.0, 3)
+        assert y_m.shape == (6,)
+        assert_allclose(y_m, [0.0, 4.0] * 3)
+        assert_allclose(y_n, [100.0, 0.0] * 3)
+
+    def test_length_scales_with_horizon(self):
+        for n_h in (1, 2, 5):
+            y_m, y_n = self.stacked(0.0, 0.0, n_h)
+            assert y_m.shape == (2 * n_h,) and y_n.shape == (2 * n_h,)
 
 
 def decide(*args):
