@@ -234,11 +234,10 @@ def cholesky_lower(a):
     H[i][j] = L[n-1-j][n-1-i]: the orientation in which row i of H touches
     columns 0..i only, as the decoder's layer-by-layer residual needs, in
     the C order of the decoder's factor (`solver.reverse_cholesky`).
-    `pivot` is -1 on success, else the row of H whose pivot failed.  A pivot
-    at or below n * eps * max|a_ii| counts as failure so that numerically
-    singular Gram matrices are rejected instead of producing garbage
-    factors; H then holds the entries of L computed before that pivot and
-    zeros elsewhere.
+    `pivot` is -1 on success, else the row of H whose pivot failed, and H
+    is then None.  A pivot at or below n * eps * max|a_ii| counts as
+    failure so that numerically singular Gram matrices are rejected instead
+    of producing garbage factors.
 
     The factorization runs in straight-line code generated once per size
     (`_cholesky_of_size`).
@@ -255,16 +254,16 @@ def _cholesky_source(n):
     divided by l_j_j; the diagonal subtracts the squares l_i_k * l_i_k the
     same way before the pivot test and the square root.  That is the
     row-by-row (Cholesky-Banachiewicz) loop on J q J, operation for
-    operation, so L, the failing pivot and the partial rows are the loop's
-    to the bit; only where they are read from and written to is reversed.
+    operation, so L and the failing pivot are the loop's to the bit; only
+    where they are read from and written to is reversed.  A failed pivot
+    returns (None, pivot).
     """
-    def flat_h(done):
-        # H in row-major order, from the entries of L before index pair `done`
+    def flat_h():
+        # H in row-major order, from the entries of L
         entries = []
         for i in range(n):
             for j in range(n):
-                r, c = n - 1 - j, n - 1 - i
-                entries.append(f"l_{r}_{c}" if j <= i and (r, c) < done else "0.0")
+                entries.append(f"l_{n - 1 - j}_{n - 1 - i}" if j <= i else "0.0")
         return "[" + ", ".join(entries) + "]"
 
     lines = ["def cholesky(a):"]
@@ -285,10 +284,10 @@ def _cholesky_source(n):
         lines += [
             f"    s = a_{i}_{i}{terms}",
             "    if s <= tol:",
-            f"        return {flat_h((i, i))}, {n - 1 - i}",
+            f"        return None, {n - 1 - i}",
             f"    l_{i}_{i} = sqrt(s)",
         ]
-    lines.append(f"    return {flat_h((n, 0))}, -1")
+    lines.append(f"    return {flat_h()}, -1")
     return "\n".join(lines) + "\n"
 
 

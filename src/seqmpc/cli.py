@@ -130,7 +130,7 @@ def run(config_path, out_dir, **overrides):
         sys.exit(EXIT_SOLVER)
     try:
         metrics = compute_metrics(series, cfg)
-    except ValueError as exc:
+    except ConfigError as exc:
         # e.g. a run without fundamental current
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

@@ -224,7 +224,7 @@ class ScenarioConfig:
         steps = self.n_steps()
         try:
             thd_window(self.t_s, self.fundamental_hz(), self.thd_periods, steps)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(
                 f"THD window of {self.thd_periods} periods at {self.fundamental_hz():g} Hz "
                 f"against a run of {steps} steps: {exc}"
@@ -439,14 +439,14 @@ def thd_window(t_s: float, fundamental_hz: float, window_periods: int, n_samples
     """Samples in the THD window: `window_periods` periods of the
     fundamental, rounded to the nearest whole number of samples.
 
-    Raises ValueError unless the fundamental is positive and the window
+    Raises ConfigError unless the fundamental is positive and the window
     fits `n_samples` samples with at least two samples per period.
     """
     if fundamental_hz <= 0:
-        raise ValueError("fundamental frequency must be positive")
+        raise ConfigError("fundamental frequency must be positive")
     n = int(round(window_periods / (fundamental_hz * t_s)))
     if n < 2 * window_periods or n > n_samples:
-        raise ValueError("window does not fit the signal")
+        raise ConfigError("window does not fit the signal")
     return n
 
 
@@ -463,7 +463,7 @@ def compute_thd(signal, t_s: float, fundamental_hz: float, window_periods: int):
     spectrum = np.abs(np.fft.rfft(window))
     fund = spectrum[window_periods]
     if fund == 0.0:
-        raise ValueError("zero fundamental magnitude")
+        raise ConfigError("zero fundamental magnitude")
     harmonics = np.arange(2 * window_periods, spectrum.size, window_periods)
     return float(np.sqrt(np.sum(spectrum[harmonics] ** 2)) / fund)
 
@@ -540,9 +540,10 @@ SWEEP_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode", "status") + METRIC_COLUM
 
 def sweep(cfg: ScenarioConfig):
     """Run every controller configuration of the grid; a cell that fails as
-    a run can fail (SolverError, SimulationBlowUpError, or a ValueError of
-    the metrics, ConfigError included) becomes an `error:` row.  Any other
-    exception is a bug and propagates.
+    a run can fail (SolverError, SimulationBlowUpError, or a ConfigError of
+    the metrics, such as a THD window without fundamental current) becomes
+    an `error:` row.  Any other exception, a plain ValueError included, is
+    a bug and propagates.
 
     Returns a list of row dicts keyed by SWEEP_COLUMNS.
     """
@@ -558,7 +559,7 @@ def sweep(cfg: ScenarioConfig):
         try:
             series = run_scenario(cfg, ctrl)
             row.update(status="ok", **asdict(compute_metrics(series, cfg)))
-        except (SolverError, SimulationBlowUpError, ValueError) as exc:
+        except (SolverError, SimulationBlowUpError, ConfigError) as exc:
             row.update(status=f"error: {exc}", **dict.fromkeys(METRIC_COLUMNS, math.nan))
         rows.append(row)
     return rows

@@ -133,24 +133,20 @@ class SequenceError(ValueError):
     a control step such a failure is a failed step (see `run_scenario`)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinearSubsystem:
-    """Continuous model  x' = state_mat x + input_mat u + drift,  y = output_mat x."""
+    """A side's linear model with output  y = output_mat x.
+
+    The builders' continuous model is  x' = state_mat x + input_mat u +
+    drift; the one-step model of `discretize` and `build_step_models` is
+    x+ = state_mat x + input_mat u + drift over one sampling period, and
+    may stack sides over leading axes.
+    """
 
     state_mat: np.ndarray  # 2x2
-    input_mat: np.ndarray  # 2x3, switch integers -> state derivative
+    input_mat: np.ndarray  # 2x3, switch integers -> state derivative or step
     drift: np.ndarray      # 2
     output_mat: np.ndarray  # 2x2
-
-
-@dataclass(slots=True)
-class DiscreteModel:
-    """Euler-discretized subsystem over one sampling period."""
-
-    state_mat: np.ndarray
-    input_mat: np.ndarray
-    drift: np.ndarray
-    output_mat: np.ndarray
 
 
 @dataclass(slots=True)
@@ -195,9 +191,9 @@ class SwitchSequence(tuple):
     """One row of a k-best list, its 3N levels, as a tuple.
 
     An output record only, of rows that `solver.CandidateList` has already
-    checked: `CandidateList.sequences` and `solver.DecodeResult.best`.  No
-    function takes one as input; a switch sequence goes in as level rows.
-    It compares and hashes as its levels' tuple.
+    checked: `CandidateList.sequences`.  No function takes one as input; a
+    switch sequence goes in as level rows.  It compares and hashes as its
+    levels' tuple.
     """
 
     __slots__ = ()
@@ -232,11 +228,11 @@ def build_grid_subsystem(p: GridParams, e_ab, v_dc: float, v_imb: float) -> Line
     return LinearSubsystem(state_mat=f, input_mat=g, drift=h, output_mat=c)
 
 
-def discretize(sys: LinearSubsystem, t_s: float) -> DiscreteModel:
+def discretize(sys: LinearSubsystem, t_s: float) -> LinearSubsystem:
     """One-step Euler discretization: x+ = (I + Ts F) x + Ts G u + Ts h."""
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
-    return DiscreteModel(
+    return LinearSubsystem(
         state_mat=EYE2 + t_s * sys.state_mat,
         input_mat=t_s * sys.input_mat,
         drift=t_s * sys.drift,
@@ -273,7 +269,7 @@ def _delay_index(n_h: int) -> np.ndarray:
     return index
 
 
-def build_multistep(d: DiscreteModel, n_h: int, plan: StepPlan | None = None) -> MultistepModel:
+def build_multistep(d: LinearSubsystem, n_h: int, plan: StepPlan | None = None) -> MultistepModel:
     """Stack the one-step model over `n_h` stages into condensed form.
 
     Broadcasts over leading axes of the model's arrays, such as the side
@@ -336,26 +332,26 @@ class StepModels:
     currents.
     """
 
-    sides: DiscreteModel
+    sides: LinearSubsystem
     proj: np.ndarray
     gain: float
     x0: np.ndarray
 
     @property
-    def machine(self) -> DiscreteModel:
+    def machine(self) -> LinearSubsystem:
         return self._side(0)
 
     @property
-    def grid(self) -> DiscreteModel:
+    def grid(self) -> LinearSubsystem:
         return self._side(1)
 
     @property
     def proj_m(self) -> np.ndarray:
         return self.proj[0]
 
-    def _side(self, i: int) -> DiscreteModel:
+    def _side(self, i: int) -> LinearSubsystem:
         s = self.sides
-        return DiscreteModel(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
+        return LinearSubsystem(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ class StepPlan:
         self.park_clarke = self.clarke[0]
         proj = np.array((CLARKE_PINV_MAT, CLARKE_PINV_MAT))
         self.proj_m = proj[0]
-        sides = DiscreteModel(
+        sides = LinearSubsystem(
             values[:8].reshape(2, NX, NX), np.empty((2, NX, NU)),
             values[16:20].reshape(2, NX), values[8:16].reshape(2, NX, NX),
         )
@@ -526,8 +522,8 @@ class StepPlan:
         if two_sides:
             rollout, rollout_proj = sides, proj
         else:
-            rollout = DiscreteModel(np.empty(lead + (NX, NX)), np.empty(lead + (NX, NU)),
-                                    np.empty(lead + (NX,)), None)
+            rollout = LinearSubsystem(np.empty(lead + (NX, NX)), np.empty(lead + (NX, NU)),
+                                      np.empty(lead + (NX,)), None)
             rollout_proj = np.empty(lead + (NU, NX))
         self.rollout, self.rollout_proj = rollout, rollout_proj
         self.rollout_input = rollout.input_mat[..., None, None, :, :]
@@ -631,7 +627,7 @@ def build_step_models(
 
 
 def imbalance_contributions(
-    x0, model: DiscreteModel, levels: np.ndarray, proj: np.ndarray, gain: float,
+    x0, model: LinearSubsystem, levels: np.ndarray, proj: np.ndarray, gain: float,
     plan: StepPlan | None = None,
 ) -> np.ndarray:
     """(..., k, N) per-stage imbalance increments of k candidate sequences

@@ -5,14 +5,15 @@ sequences in {-1,0,1}^(3N) is condensed to an equivalent triangular form
 min ||target - factor @ U||^2 with `factor` lower triangular, then solved
 exactly by depth-first branch and bound.  `k_best` runs one pass of a list
 sphere decoder that keeps the k cheapest sequences and shrinks the radius to
-the k-th cost once it has k; `sphere_decode` is its k=1 case.  Besides the
-radius test the search cuts a node when its cost plus a lower bound on the
-layers below it exceeds the radius: every level lies in [-1, 1], so once
-the levels above are fixed, row r leaves a residual of at least
-|target_r - s_r| less the sum of |factor_rl| over its free levels l, s_r
-being the row's partial sum over the fixed ones (see `_kernels.sd_search`
-for why the cut is exact in floating point, ties included).  The bound
-runs only when some row's |target_r| exceeds sum_l |factor_rl|.
+the k-th cost once it has k; `sphere_decode` is its k=1 list with the
+walk's radius trace.  Besides the radius test the search cuts a node when
+its cost plus a lower bound on the layers below it exceeds the radius:
+every level lies in [-1, 1], so once the levels above are fixed, row r
+leaves a residual of at least |target_r - s_r| less the sum of
+|factor_rl| over its free levels l, s_r being the row's partial sum over
+the fixed ones (see `_kernels.sd_search` for why the cut is exact in
+floating point, ties included).  The bound runs only when some row's
+|target_r| exceeds sum_l |factor_rl|.
 `brute_force_kbest` is the independent enumeration oracle.  The inner loop
 (`select_pair`) scores every machine/grid candidate pair by its predicted
 DC-link imbalance and keeps the minimizer.
@@ -22,9 +23,9 @@ decoder's walk or of the oracle, checked once: its `rows` are the walk's
 level tuples as they are.  It is the one place a level is checked.
 `select_pair` copies the rows into the step plan's float level stack,
 rolls them out and returns the two chosen rows with the chosen ranks.  The
-list's `sequences` are SwitchSequences of its rows, the tuple subclass
-that `DecodeResult.best` holds; nothing takes one as input: the oracle's
-cost callable and `prediction`'s one-candidate forms take level rows.
+list's `sequences` are SwitchSequences of its rows, a tuple subclass
+that nothing takes as input: the oracle's cost callable and
+`prediction`'s one-candidate forms take level rows.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
 both sides' subproblems over a leading side axis, machine first, in the
@@ -65,7 +66,6 @@ dot call as `path @ path`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from operator import gt
 from typing import Callable
@@ -117,14 +117,6 @@ class NotPositiveDefiniteError(SolverError):
             message = f"{('machine', 'grid')[item]} side: {message}"
         super().__init__(message)
         self.pivot, self.item = pivot, item if stack else None
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    best: SwitchSequence
-    best_cost: float
-    nodes: int
-    rho_trace: np.ndarray
 
 
 class CandidateList:
@@ -294,20 +286,16 @@ def _list_decode(qp: QpForm, k: int):
     return CandidateList(best, qp.horizon, nodes), rho_trace
 
 
-def sphere_decode(qp: QpForm) -> DecodeResult:
-    """Exact minimizer of the triangular form: `k_best`'s decoder call at
-    k = 1.
+def sphere_decode(qp: QpForm):
+    """Exact minimizer of the triangular form: `_list_decode` at k = 1, the
+    (CandidateList, rho_trace) pair of `k_best`'s decoder call.
 
-    `rho_trace` is the nonincreasing sequence of squared radii the search
-    used, the first of them the cost of the first leaf it reached.
+    The list holds the one best row, its cost and the search's node count;
+    `rho_trace` is the walk's list of Python floats, the nonincreasing
+    squared radii the search used, the first of them the cost of the first
+    leaf it reached.
     """
-    cands, rho_trace = _list_decode(qp, 1)
-    return DecodeResult(
-        best=cands.sequences[0],
-        best_cost=cands.costs[0],
-        nodes=cands.nodes_visited,
-        rho_trace=np.array(rho_trace, dtype=np.float64),
-    )
+    return _list_decode(qp, 1)
 
 
 def k_best(qp: QpForm, k: int) -> CandidateList:

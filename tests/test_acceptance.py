@@ -240,8 +240,8 @@ class TestCriterion8Properties:
         ok = True
         for _ in range(self.CASES):
             qp = random_qp_instance(rng, 1)
-            res = sphere_decode(qp)
-            ok &= bool((np.diff(res.rho_trace) <= 0).all())
+            _, trace = sphere_decode(qp)
+            ok &= bool((np.diff(trace) <= 0).all())
             cands = k_best(qp, 6)
             keys = [s.as_tuple() for s in cands.sequences]
             ok &= len(set(keys)) == len(keys)

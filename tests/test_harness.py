@@ -326,16 +326,17 @@ class TestSweep:
         assert len(rows) == 2
         assert all(r["status"].startswith("error") for r in rows)
 
-    @pytest.mark.parametrize("error", [TypeError, SolverError])
+    @pytest.mark.parametrize("error", [TypeError, ValueError, SolverError])
     def test_only_a_run_failure_becomes_a_row(self, monkeypatch, error):
-        # a bug in a cell keeps its type and traceback; a failed solve is a row
+        # a bug in a cell, a plain ValueError included, keeps its type and
+        # traceback; a failed solve is a row
         def step(*args):
             raise error("cell failure")
 
         monkeypatch.setattr(harness, "control_step", step)
         cfg = quick_cfg(horizons=(1,))
-        if error is TypeError:
-            with pytest.raises(TypeError, match="^cell failure$"):
+        if error is not SolverError:
+            with pytest.raises(error, match="^cell failure$"):
                 sweep(cfg)
         else:
             rows = sweep(cfg)

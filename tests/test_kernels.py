@@ -106,17 +106,17 @@ def test_decoder_matches_enumeration_and_recorded_search(instances, case):
         assert cands.sequences == oracle.sequences[:k]
         assert cands.costs == oracle.costs[:k]
         assert cands.nodes_visited == k_nodes <= k_plain
-    res = sphere_decode(qp)
-    assert res.nodes == nodes[0]
-    assert res.rho_trace.dtype == np.float64
-    assert [x.hex() for x in res.rho_trace.tolist()] == trace
+    cands, rho_trace = sphere_decode(qp)
+    assert cands.nodes_visited == nodes[0]
+    assert all(type(x) is float for x in rho_trace)
+    assert [x.hex() for x in rho_trace] == trace
 
 
 def loop_cholesky(a):
     """The row-by-row loop that `_kernels.cholesky_lower` unrolls per size,
     on a list of rows: (rows of L with L L' = a, failing pivot).  The
-    reference for the kernel's factor, failing pivot and partial rows, read
-    in its orientation by `loop_reverse_cholesky`."""
+    reference for the kernel's factor and failing pivot, read in its
+    orientation by `loop_reverse_cholesky`."""
     n = len(a)
     tol = n * _kernels.EPS * max(max([abs(a[i][i]) for i in range(n)]), 1e-300)
     low = [[0.0] * n for _ in range(n)]

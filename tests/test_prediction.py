@@ -9,7 +9,6 @@ from seqmpc import _kernels
 from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_PINV_MAT,
-    DiscreteModel,
     LinearSubsystem,
     SequenceError,
     SwitchSequence,
@@ -160,7 +159,7 @@ class TestMultistep:
         assert_allclose(prev_sel, np.eye(3))
 
     def test_identity_transition_stacks_input_blocks(self):
-        d = DiscreteModel(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
+        d = LinearSubsystem(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
         m = build_multistep(d, 2)
         cb = d.input_mat
         assert_allclose(m.forced_map[:2, :3], cb)

@@ -72,10 +72,11 @@ def flat_eye(n):
 
 
 def cholesky(q):
-    """`_kernels.cholesky_lower` on an array: (H array, failing row of H)."""
+    """`_kernels.cholesky_lower` on an array: (H array, or None for a failed
+    factor, failing row of H)."""
     q = np.asarray(q, float)
     h, pivot = _kernels.cholesky_lower(q.ravel().tolist())
-    return np.array(h).reshape(q.shape), pivot
+    return None if h is None else np.array(h).reshape(q.shape), pivot
 
 
 class TestCholesky:
@@ -99,7 +100,8 @@ class TestCholesky:
                 assert np.linalg.norm(h.T @ h - q) <= 1e-12 * np.linalg.norm(q)
 
     def test_not_pd_reports_pivot(self):
-        assert cholesky(np.diag([1.0, 1.0, -1.0]))[1] == 2
+        h, pivot = cholesky(np.diag([1.0, 1.0, -1.0]))
+        assert h is None and pivot == 2
 
     def test_stack_raises_for_its_first_failing_matrix(self, rng):
         # rank-deficient Gram matrices whose reversed factors fail at
@@ -119,17 +121,25 @@ class TestCholesky:
     @pytest.mark.parametrize("n", range(1, 19))
     def test_generated_equals_loop_reference(self, n, rng):
         # full-rank, rank-deficient and indefinite matrices over a wide
-        # range of scales; repr compares every float bit for bit, zero
-        # signs included, and the failing pivot with its partial rows
+        # range of scales; repr compares every float of a factor bit for
+        # bit, zero signs included, and a failed factor is exactly
+        # (None, the loop's failing pivot)
         cases = []
         for rank in range(n + 1):
             b = rng.normal(size=(n, max(rank, 1))) * 10.0 ** rng.uniform(-4, 4)
             q = b @ b.T if rank else -np.eye(n)
             cases += [q, q + rng.uniform(0, 1) * np.eye(n)]
         cases.append(np.diag(rng.normal(size=n)))
+        failed = 0
         for q in cases:
             a = q.ravel().tolist()
-            assert repr(_kernels.cholesky_lower(a)) == repr(loop_reverse_cholesky(a))
+            got, (h, pivot) = _kernels.cholesky_lower(a), loop_reverse_cholesky(a)
+            if pivot < 0:
+                assert repr(got) == repr((h, pivot))
+            else:
+                assert got == (None, pivot)
+                failed += 1
+        assert failed  # the indefinite cases fail, at the least
 
     def test_reverse_factor(self, rng):
         for n in (2, 6, 9):
@@ -284,24 +294,24 @@ class TestSphereDecode:
     def test_matches_enumeration_single_stage(self, rng):
         for _ in range(50):
             qp = random_qp_instance(rng, 1)
-            res = sphere_decode(qp)
+            cands, _ = sphere_decode(qp)
             want = brute_force_kbest(qp, 1, 1).sequences[0]
-            assert res.best == want
+            assert cands.sequences[0] == want
 
     def test_zero_residual_leaf(self):
         u_unc = np.array([1.0, 0.0, -1.0])
         qp = qp_from_factor(1e-3 * np.eye(3), u_unc, 1)
-        res = sphere_decode(qp)
-        assert res.best.as_tuple() == (1, 0, -1)
-        assert res.best_cost == 0.0
+        cands, _ = sphere_decode(qp)
+        assert cands.sequences[0].as_tuple() == (1, 0, -1)
+        assert cands.costs[0] == 0.0
 
     def test_radius_trace_is_nonincreasing(self, rng):
         for _ in range(50):
             qp = random_qp_instance(rng, 2)
-            res = sphere_decode(qp)
-            trace = res.rho_trace
-            assert (np.diff(trace) <= 0).all()
-            assert trace[-1] == res.best_cost
+            cands, trace = sphere_decode(qp)
+            assert type(trace) is list and all(type(r) is float for r in trace)
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
+            assert trace[-1] == cands.costs[0]
 
 
 class TestKBest:
@@ -364,9 +374,11 @@ class TestKBest:
         for _ in range(10):
             qp = random_qp_instance(rng, 2)
             got = k_best(qp, 1)
-            res = sphere_decode(qp)
-            assert got.sequences[0] == res.best
-            assert got.nodes_visited == res.nodes
+            cands, _ = sphere_decode(qp)
+            assert type(cands) is CandidateList
+            assert cands.sequences[0] == got.sequences[0]
+            assert (cands.rows, cands.costs) == (got.rows, got.costs)
+            assert cands.nodes_visited == got.nodes_visited
 
     @pytest.mark.parametrize("n_h,k", [(1, 4), (1, 10), (2, 4), (2, 10)])
     def test_matches_enumeration(self, n_h, k, rng):

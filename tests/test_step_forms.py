@@ -26,7 +26,7 @@ from seqmpc.plant import LEVELS, GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_MAT,
     CLARKE_PINV_MAT,
-    DiscreteModel,
+    LinearSubsystem,
     StepPlan,
     build_multistep,
     build_step_models,
@@ -357,8 +357,8 @@ def random_model(rng, lead):
     state = rng.normal(0, 1e-2, lead + (2, 2))
     state[rng.random(state.shape) < 0.3] = 0.0
     state = state + np.eye(2)
-    return DiscreteModel(state, rng.normal(0, 1e3, lead + (2, 3)) * 5e-5,
-                         rng.normal(0, 10, lead + (2,)), rng.normal(0, 300, lead + (2, 2)))
+    return LinearSubsystem(state, rng.normal(0, 1e3, lead + (2, 3)) * 5e-5,
+                           rng.normal(0, 10, lead + (2,)), rng.normal(0, 300, lead + (2, 2)))
 
 
 class TestSingleMatrixProducts:
