@@ -86,7 +86,8 @@ class DcLinkPi:
     active power discharges the link, so stabilizing gains are negative.
     The regulator's output, the grid current reference, is clamped to
     [-clamp, clamp].  The values are not checked here: `ScenarioConfig`
-    checks them once per run.
+    checks once per run that the clamp is not negative and the reference
+    is positive.
     """
 
     kp: float

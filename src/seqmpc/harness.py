@@ -3,7 +3,9 @@
 A scenario bundles the plant parameters, initial conditions, piecewise
 reference profiles and the controller configuration(s).  `run_scenario`
 alternates the controller and the plant for the requested duration and
-returns a uniformly sampled record of everything.  The run's constants
+returns a uniformly sampled record of everything, a `TimeSeries` whose
+columns are typed arrays of 8 bytes a value, so a long run or a sweep
+cell keeps no Python object per recorded value.  The run's constants
 have one owner, `ScenarioConfig`: on each step the loop passes the sampling
 period and the DC-link capacitance to the controller and the plant, the
 DC-link PI settings (built once per run) to `build_references`, and the
@@ -26,6 +28,7 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -124,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError("substeps must be >= 1")
         if not (self.c_dc > 0 and self.inertia > 0):
             raise ConfigError("c_dc and inertia must be positive")
+        if self.v_dc_ref <= 0:
+            raise ConfigError("v_dc_ref must be positive")
         if self.t_e_max < 0 or self.pi_clamp < 0:
             raise ConfigError("t_e_max and pi_clamp must be >= 0")
         if not 0 < self.steady_fraction <= 1:
@@ -285,10 +290,18 @@ TS_COLUMNS = (
 
 
 class TimeSeries:
-    """Column store of per-step records, sampled at the controller period."""
+    """Column store of per-step records, sampled at the controller period.
+
+    Each column is an `array.array` of 8-byte values: `'q'` (int64) for the
+    switch levels and the node counts, `'d'` (float64) for the rest.  A
+    typed array holds a value in its 8 bytes where a list holds a pointer
+    to a Python object, about 25 bytes a value in all, so a run's record
+    costs a third of the memory.  An append converts the value, and a
+    float given to an int column raises TypeError.
+    """
 
     def __init__(self):
-        self.data = {name: [] for name in TS_COLUMNS}
+        self.data = {name: array(_typecode(name)) for name in TS_COLUMNS}
         self._appends = tuple(self.data[name].append for name in TS_COLUMNS)
 
     def append(self, *row):
@@ -297,7 +310,9 @@ class TimeSeries:
             add(value)
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(self.data[name])
+        """A float64 or int64 copy of one column.  Not a view: an array
+        that exports its buffer raises BufferError on the next append."""
+        return np.array(self.data[name])
 
     def __len__(self):
         return len(self.data["t"])
@@ -306,8 +321,18 @@ class TimeSeries:
         return steady_slice(len(self), fraction)
 
     def write_csv(self, path):
+        """One CSV row per step, formatted as `_fmt` formats each value."""
+        columns = [self.data[name] for name in TS_COLUMNS]
+        fmt = ",".join("%d" if c.typecode == "q" else FLOAT_FMT for c in columns) + "\n"
         with open(path, "w", newline="") as fh:
-            _write_rows(fh, TS_COLUMNS, zip(*(self.data[c] for c in TS_COLUMNS)))
+            fh.write(",".join(TS_COLUMNS) + "\n")
+            fh.writelines(fmt % row for row in zip(*columns))
+
+
+def _typecode(name: str) -> str:
+    """A column's `array` typecode: int64 for the switch levels and the node
+    counts, float64 for the rest."""
+    return "q" if name.startswith(("s_m_", "s_n_", "nodes_")) else "d"
 
 
 def _fmt(value) -> str:

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py, the paired benchmark runner: its summary of
-synthetic runs (medians, quartiles, pairs won, ties, the unresolved rule)
-and a usage error.  No benchmark runs here."""
+synthetic runs (medians, quartiles, pairs won, ties, the unresolved rule,
+the units attempted next to the peak RSS), the seed it passes on, and a
+usage error.  No benchmark runs here."""
 
 import importlib.util
 import json
@@ -107,3 +108,39 @@ def test_an_unknown_workload_is_a_usage_error(tmp_path):
     )
     assert result.returncode == 2 and "invalid choice: 'nope'" in result.stderr
     assert not out.exists()
+
+
+def test_peak_rss_comes_with_each_sides_attempted_range():
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    records = runs([45.5, 45.4, 43.9], [43.3, 43.2, 41.6], name="peak_rss_mb", workload="sweep")
+    # records alternate parent, change / change, parent / parent, change
+    for record, attempted in zip(records, [12, 12, 11, 12, 8, 9]):
+        record["attempted"] = attempted
+    records[-1].pop("attempted")  # a run without a result reports none
+    got = bench_pairs.summarize(records, metrics)["sweep"]["peak_rss_mb"]
+    assert got["attempted"] == {"parent": [8, 12], "change": [11, 12]}
+    assert (got["change_wins"], got["parent_wins"]) == (3, 0)
+    other = bench_pairs.summarize(runs([1.0], [1.0]), METRICS)["steady"]["ctrl_ms_p50"]
+    assert "attempted" not in other
+
+
+def test_the_seed_reaches_the_command_and_the_record_name(tmp_path, monkeypatch):
+    calls = []
+
+    def run_once(commit, workload, seed):
+        calls.append((workload, seed))
+        return {"exit": 0, "correct": True, "attempted": 3, "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["HEAD", "HEAD", "--out", str(out), "--pairs", "2",
+                             "--workloads", "steady", "--seed", "7"])
+    assert code == 0 and calls == [("steady", 7)] * 4
+    got = json.loads(out.read_text())
+    assert got["seed"] == 7
+    assert got["command"][-6:] == ["--workload", "W", "--seed", "7", "--trace", "0"]
+    assert got["summary"]["steady"]["peak_rss_mb"]["attempted"] == {
+        "parent": [3, 3], "change": [3, 3]
+    }
+    assert bench_pairs.record_name("steady", 7) == "steady-seed7-trace0.json"
+    assert bench_pairs.run_args(0) == ("--seed", "0", "--trace", "0")

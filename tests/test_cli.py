@@ -157,6 +157,7 @@ class TestRun:
             ("plant", "l_n", "0"),
             ("plant", "inertia", "0"),
             ("plant", "c_dc", "0"),
+            ("plant", "v_dc_ref", "-700"),
             ("initial", "v_dc0", "inf"),
             ("initial", "v_dc0", "0"),
             ("initial", "v_dc0", "-700"),

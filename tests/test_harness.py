@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import platform
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from seqmpc import harness, prediction
 from seqmpc.controller import ControllerConfig
 from seqmpc.harness import (
+    TS_COLUMNS,
     ConfigError,
     ScenarioConfig,
+    TimeSeries,
     compute_metrics,
     compute_rmse,
     compute_switching_frequency,
@@ -195,6 +198,70 @@ class TestProfiles:
         # an empty profile used to load and fail with IndexError on step 0
         with pytest.raises(ConfigError, match=f"{name} must be a nonempty tuple"):
             ScenarioConfig(**{name: profile})
+
+
+INT_COLUMNS = ("s_m_a", "s_m_b", "s_m_c", "s_n_a", "s_n_b", "s_n_c", "nodes_m", "nodes_n")
+
+
+def fresh_row(step):
+    """A row of new value objects: floats, and ints beyond the small-int cache."""
+    return tuple(
+        1000 * step + k if name in INT_COLUMNS else step * 0.5 + k / 32.0
+        for k, name in enumerate(TS_COLUMNS)
+    )
+
+
+class TestTimeSeries:
+    def test_retains_about_eight_bytes_per_value(self):
+        steps = 2000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = TimeSeries()
+            for step in range(steps):
+                series.append(*fresh_row(step))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == steps
+        # a list of Python objects holds about 27 bytes per value
+        assert retained / (steps * len(TS_COLUMNS)) <= 10.0
+
+    def test_columns_are_float64_or_int64_copies(self):
+        series = TimeSeries()
+        series.append(*fresh_row(1))
+        for name in TS_COLUMNS:
+            typecode, dtype = ("q", np.int64) if name in INT_COLUMNS else ("d", np.float64)
+            assert series.data[name].typecode == typecode, name
+            col = series.column(name)
+            assert col.dtype == dtype, name
+            want = col.copy()
+            col[0] = -7
+            assert np.array_equal(series.column(name), want)
+        series.append(*fresh_row(2))  # a view left exporting the buffer would raise BufferError
+        assert len(series) == 2
+        assert series.column("nodes_n").tolist() == [1028, 2028]
+        assert series.column("t").tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize("name", ["s_m_a", "s_n_c", "nodes_m"])
+    def test_float_in_a_level_or_node_column_is_rejected(self, name):
+        row = list(fresh_row(1))
+        row[TS_COLUMNS.index(name)] = 1.0
+        with pytest.raises(TypeError):
+            TimeSeries().append(*row)
+
+    def test_csv_prints_levels_as_ints_and_floats_as_the_float_format(self, tmp_path):
+        series = TimeSeries()
+        row = list(fresh_row(3))
+        row[0] = 1 / 3
+        series.append(*row)
+        path = tmp_path / "ts.csv"
+        series.write_csv(path)
+        header, line = path.read_text().splitlines()
+        assert header == ",".join(TS_COLUMNS)
+        fields = dict(zip(TS_COLUMNS, line.split(","), strict=True))
+        assert fields["t"] == "0.333333333" and fields["i_m_d"] == "1.53125"
+        assert fields["s_m_a"] == "3018" and fields["nodes_n"] == "3028"
 
 
 class TestRunScenario:
@@ -475,11 +542,17 @@ class TestConfigFiles:
         assert (wide.n_h, wide.n_k, wide.n_l) == (1, 40, 30)
 
     @pytest.mark.parametrize(
-        "name, value", [("c_dc", 0.0), ("c_dc", -1e-3), ("inertia", 0.0), ("inertia", -0.05)]
+        "name, value",
+        [
+            ("c_dc", 0.0), ("c_dc", -1e-3), ("inertia", 0.0), ("inertia", -0.05),
+            ("v_dc_ref", 0.0), ("v_dc_ref", -700.0),
+        ],
     )
     def test_plant_constants_must_be_positive(self, name, value):
-        # the capacitance and the inertia are run constants, checked once here
-        with pytest.raises(ConfigError, match="c_dc and inertia must be positive"):
+        # the capacitance, the inertia and the DC-link reference are run
+        # constants, checked once here
+        message = "v_dc_ref" if name == "v_dc_ref" else "c_dc and inertia"
+        with pytest.raises(ConfigError, match=f"{message} must be positive"):
             ScenarioConfig(**{name: value})
 
     def test_bad_profile_rejected(self, tmp_path):

@@ -1,17 +1,18 @@
 """Run the benchmark in alternating parent/change pairs and summarise it.
 
 Usage: python tools/bench_pairs.py PARENT CHANGE --out FILE [--pairs N]
-                                   [--workloads W ...]
+                                   [--workloads W ...] [--seed S]
 
 PARENT and CHANGE are commits of this repository.  For each of N pairs
 (default 5) and each workload W (default: every workload of BENCHMARK.json),
 the benchmark command of BENCHMARK.json runs once on each commit as
-`python3 perfbench/run.py --workload W --seed 0 --trace 0`, the parent first
-in even-numbered pairs and the change first in odd ones.  Runs go one at a
+`python3 perfbench/run.py --workload W --seed S --trace 0` (S defaults to 0;
+another seed checks a claim on inputs it was not written on), the parent
+first in even-numbered pairs and the change first in odd ones.  Runs go one at a
 time, each in a fresh `git archive` checkout in a temporary directory that
 is removed after the run.
 
-FILE gets one JSON object: the two commits, the command, and per run its
+FILE gets one JSON object: the two commits, the seed, the command, and per run its
 side, commit, workload, pair, exit code, `correct`, `attempted`, `failed`,
 the perfbench checks, the five end-to-end metrics and `tail_percentile`,
 the percentile perfbench chose for `ctrl_ms_tail` (from the run's record
@@ -21,7 +22,9 @@ the pairs each side won by the metric's `better` (a tie counts for
 neither), the parent's inclusive quartiles and their spread relative to
 its median next to the metric's `bound`, `unresolved` when that spread
 exceeds the bound, and `worse_beyond_bound` when the change's median is
-worse than the parent's by more than the bound.  The host, the method and
+worse than the parent's by more than the bound.  Next to `peak_rss_mb` it
+gives each side's fewest and most `attempted` units, since a run that
+completes more units reads a higher peak.  The host, the method and
 a verdict are for the reader to add.
 
 Exits 1 if any run exits non-zero or is not `correct`, after writing FILE,
@@ -44,7 +47,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-RUN_ARGS = ("--seed", "0", "--trace", "0")
+#: the metric that grows with the units a run completes
+RSS = "peak_rss_mb"
+
+
+def run_args(seed: int) -> tuple:
+    """The benchmark command's arguments after `--workload W`."""
+    return ("--seed", str(seed), "--trace", "0")
+
+
+def record_name(workload: str, seed: int) -> str:
+    """The file name of a run's record under perfbench/_out/results/."""
+    return f"{workload}-seed{seed}-trace0.json"
 
 
 def quartiles(values) -> list:
@@ -103,6 +117,16 @@ def summarize(runs, end_to_end) -> dict:
                 "unresolved": spread > bound,
                 "worse_beyond_bound": sign * (change / parent - 1) < -bound,
             }
+            if name == RSS:
+                attempted = {
+                    side: [run["attempted"] for run in mine
+                           if run["side"] == side and "attempted" in run]
+                    for side in ("parent", "change")
+                }
+                entry[name]["attempted"] = {
+                    side: [min(counts), max(counts)] if counts else None
+                    for side, counts in attempted.items()
+                }
         summary[workload] = entry
     return summary
 
@@ -118,20 +142,20 @@ def checkout(commit: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
-def run_once(commit: str, workload: str) -> dict:
+def run_once(commit: str, workload: str, seed: int) -> dict:
     """Exit code, outcome, checks, end-to-end metrics and tail percentile of
     one benchmark run on a fresh checkout of `commit`."""
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         checkout(commit, tmp)
-        proc = subprocess.run([*BENCHMARK["command"], "--workload", workload, *RUN_ARGS],
+        proc = subprocess.run([*BENCHMARK["command"], "--workload", workload, *run_args(seed)],
                               cwd=tmp, capture_output=True, text=True)
         out = {"exit": proc.returncode, "correct": False}
         lines = proc.stdout.strip().splitlines()
         try:
             result = json.loads(lines[-1])
             record = json.loads(
-                (tmp / "perfbench" / "_out" / "results" / f"{workload}-seed0-trace0.json").read_text()
+                (tmp / "perfbench" / "_out" / "results" / record_name(workload, seed)).read_text()
             )
         except (IndexError, ValueError, OSError) as exc:
             out["error"] = f"no result: {exc}; stderr: {proc.stderr.strip()[-300:]}"
@@ -166,6 +190,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -181,14 +206,15 @@ def main(argv=None) -> int:
             for side in sides:
                 run = {"side": side, "commit": commits[side], "workload": workload,
                        "pair": pair, "time": time.strftime("%H:%M:%S")}
-                run.update(run_once(commits[side], workload))
+                run.update(run_once(commits[side], workload, args.seed))
                 runs.append(run)
                 print(f"pair {pair} {workload} {side} {commits[side]}: exit {run['exit']}, "
                       f"correct {run['correct']}", file=sys.stderr)
 
     args.out.write_text(json.dumps({
         **commits,
-        "command": [*BENCHMARK["command"], "--workload", "W", *RUN_ARGS],
+        "seed": args.seed,
+        "command": [*BENCHMARK["command"], "--workload", "W", *run_args(args.seed)],
         "pairs": args.pairs,
         "summary": summarize(runs, BENCHMARK["end_to_end"]),
         "runs": runs,
