@@ -301,7 +301,10 @@ class TimeSeries:
     """
 
     def __init__(self):
-        self.data = {name: array(_typecode(name)) for name in TS_COLUMNS}
+        self.data = {
+            name: array("q" if name.startswith(("s_m_", "s_n_", "nodes_")) else "d")
+            for name in TS_COLUMNS
+        }
         self._appends = tuple(self.data[name].append for name in TS_COLUMNS)
 
     def append(self, *row):
@@ -327,12 +330,6 @@ class TimeSeries:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(TS_COLUMNS) + "\n")
             fh.writelines(fmt % row for row in zip(*columns))
-
-
-def _typecode(name: str) -> str:
-    """A column's `array` typecode: int64 for the switch levels and the node
-    counts, float64 for the rest."""
-    return "q" if name.startswith(("s_m_", "s_n_", "nodes_")) else "d"
 
 
 def _fmt(value) -> str:

@@ -8,15 +8,15 @@ PARENT and CHANGE are commits of this repository.  For each of N pairs
 the benchmark command of BENCHMARK.json runs once on each commit as
 `python3 perfbench/run.py --workload W --seed S --trace 0` (S defaults to 0;
 another seed checks a claim on inputs it was not written on), the parent
-first in even-numbered pairs and the change first in odd ones.  Runs go one at a
-time, each in a fresh `git archive` checkout in a temporary directory that
-is removed after the run.
+first in even-numbered pairs and the change first in odd ones.  Runs go one
+at a time, each in a fresh `git archive` checkout in a temporary directory
+that is removed after the run.
 
-FILE gets one JSON object: the two commits, the seed, the command, and per run its
-side, commit, workload, pair, exit code, `correct`, `attempted`, `failed`,
-the perfbench checks, the five end-to-end metrics and `tail_percentile`,
-the percentile perfbench chose for `ctrl_ms_tail` (from the run's record
-under perfbench/_out/results/).  Its `summary` holds per workload and
+FILE gets one JSON object: the two commits, the seed, the command, and per
+run its side, commit, workload, pair, exit code, `correct`, `attempted`,
+`failed`, the perfbench checks, the five end-to-end metrics and
+`tail_percentile`, the percentile perfbench chose for `ctrl_ms_tail` (from
+the run's record under perfbench/_out/results/).  Its `summary` holds per workload and
 metric the parent and change medians, the change relative to the parent,
 the pairs each side won by the metric's `better` (a tie counts for
 neither), the parent's inclusive quartiles and their spread relative to
