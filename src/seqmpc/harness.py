@@ -324,12 +324,8 @@ class TimeSeries:
         return steady_slice(len(self), fraction)
 
     def write_csv(self, path):
-        """One CSV row per step, formatted as `_fmt` formats each value."""
-        columns = [self.data[name] for name in TS_COLUMNS]
-        fmt = ",".join("%d" if c.typecode == "q" else FLOAT_FMT for c in columns) + "\n"
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(TS_COLUMNS) + "\n")
-            fh.writelines(fmt % row for row in zip(*columns))
+            _write_rows(fh, TS_COLUMNS, zip(*(self.data[c] for c in TS_COLUMNS)))
 
 
 def _fmt(value) -> str:

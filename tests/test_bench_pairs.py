@@ -110,18 +110,18 @@ def test_an_unknown_workload_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_peak_rss_comes_with_each_sides_attempted_range():
+def test_each_workload_gives_each_sides_attempted_range():
     metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
     records = runs([45.5, 45.4, 43.9], [43.3, 43.2, 41.6], name="peak_rss_mb", workload="sweep")
     # records alternate parent, change / change, parent / parent, change
     for record, attempted in zip(records, [12, 12, 11, 12, 8, 9]):
         record["attempted"] = attempted
     records[-1].pop("attempted")  # a run without a result reports none
-    got = bench_pairs.summarize(records, metrics)["sweep"]["peak_rss_mb"]
+    got = bench_pairs.summarize(records, metrics)["sweep"]
     assert got["attempted"] == {"parent": [8, 12], "change": [11, 12]}
-    assert (got["change_wins"], got["parent_wins"]) == (3, 0)
-    other = bench_pairs.summarize(runs([1.0], [1.0]), METRICS)["steady"]["ctrl_ms_p50"]
-    assert "attempted" not in other
+    assert (got["peak_rss_mb"]["change_wins"], got["peak_rss_mb"]["parent_wins"]) == (3, 0)
+    other = bench_pairs.summarize(runs([1.0], [1.0]), METRICS)["steady"]
+    assert other["attempted"] == {"parent": None, "change": None}
 
 
 def test_the_seed_reaches_the_command_and_the_record_name(tmp_path, monkeypatch):
@@ -139,7 +139,7 @@ def test_the_seed_reaches_the_command_and_the_record_name(tmp_path, monkeypatch)
     got = json.loads(out.read_text())
     assert got["seed"] == 7
     assert got["command"][-6:] == ["--workload", "W", "--seed", "7", "--trace", "0"]
-    assert got["summary"]["steady"]["peak_rss_mb"]["attempted"] == {
+    assert got["summary"]["steady"]["attempted"] == {
         "parent": [3, 3], "change": [3, 3]
     }
     assert bench_pairs.record_name("steady", 7) == "steady-seed7-trace0.json"

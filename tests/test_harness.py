@@ -214,7 +214,9 @@ def fresh_row(step):
 class TestTimeSeries:
     def test_retains_about_eight_bytes_per_value(self):
         steps = 2000
-        tracemalloc.start()
+        started = not tracemalloc.is_tracing()  # a running tracer is left running
+        if started:
+            tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             series = TimeSeries()
@@ -222,7 +224,8 @@ class TestTimeSeries:
                 series.append(*fresh_row(step))
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
-            tracemalloc.stop()
+            if started:
+                tracemalloc.stop()
         assert len(series) == steps
         # a list of Python objects holds about 27 bytes per value
         assert retained / (steps * len(TS_COLUMNS)) <= 10.0

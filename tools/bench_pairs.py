@@ -22,9 +22,9 @@ the pairs each side won by the metric's `better` (a tie counts for
 neither), the parent's inclusive quartiles and their spread relative to
 its median next to the metric's `bound`, `unresolved` when that spread
 exceeds the bound, and `worse_beyond_bound` when the change's median is
-worse than the parent's by more than the bound.  Next to `peak_rss_mb` it
-gives each side's fewest and most `attempted` units, since a run that
-completes more units reads a higher peak.  The host, the method and
+worse than the parent's by more than the bound, and per workload each
+side's fewest and most `attempted` units, since a run that completes more
+units reads a higher `peak_rss_mb`.  The host, the method and
 a verdict are for the reader to add.
 
 Exits 1 if any run exits non-zero or is not `correct`, after writing FILE,
@@ -47,8 +47,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: the metric that grows with the units a run completes
-RSS = "peak_rss_mb"
 
 
 def run_args(seed: int) -> tuple:
@@ -70,11 +68,12 @@ def quartiles(values) -> list:
 
 
 def summarize(runs, end_to_end) -> dict:
-    """{workload: {"pairs", "all_correct", metric: {...}}} of `runs` (the
-    records this tool writes) for each metric of `end_to_end` (BENCHMARK.json's
-    list of {"name", "better", "bound"}).  A metric that no parent run or no
-    change run reports is None.  The metrics are positive, so each median
-    has a relative change."""
+    """{workload: {"pairs", "all_correct", "attempted", metric: {...}}} of
+    `runs` (the records this tool writes) for each metric of `end_to_end`
+    (BENCHMARK.json's list of {"name", "better", "bound"}).  "attempted" is
+    each side's [fewest, most] units, None for a side whose runs report none.
+    A metric that no parent run or no change run reports is None.  The
+    metrics are positive, so each median has a relative change."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -84,7 +83,11 @@ def summarize(runs, end_to_end) -> dict:
         entry = {
             "pairs": len(pairs),
             "all_correct": all(run["exit"] == 0 and run["correct"] for run in mine),
+            "attempted": {},
         }
+        for side in ("parent", "change"):
+            counts = [run["attempted"] for run in mine if run["side"] == side and "attempted" in run]
+            entry["attempted"][side] = [min(counts), max(counts)] if counts else None
         for metric in end_to_end:
             name, bound = metric["name"], metric["bound"]
             sign = 1 if metric["better"] == "higher" else -1
@@ -117,16 +120,6 @@ def summarize(runs, end_to_end) -> dict:
                 "unresolved": spread > bound,
                 "worse_beyond_bound": sign * (change / parent - 1) < -bound,
             }
-            if name == RSS:
-                attempted = {
-                    side: [run["attempted"] for run in mine
-                           if run["side"] == side and "attempted" in run]
-                    for side in ("parent", "change")
-                }
-                entry[name]["attempted"] = {
-                    side: [min(counts), max(counts)] if counts else None
-                    for side, counts in attempted.items()
-                }
         summary[workload] = entry
     return summary
 
