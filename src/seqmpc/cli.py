@@ -117,23 +117,18 @@ def run(config_path, out_dir, **overrides):
         ctrl = cfg.controller()
         cfg.check_metric_windows()
         out = _out_dir(out_dir)
+        series = run_scenario(cfg, ctrl)
+        # a ConfigError of the metrics: e.g. a run without fundamental current
+        metrics = compute_metrics(series, cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    try:
-        series = run_scenario(cfg, ctrl)
     except SimulationBlowUpError as exc:
         click.echo(f"simulation blew up: {exc}", err=True)
         sys.exit(EXIT_BLOWUP)
     except SolverError as exc:
         click.echo(f"solver error: {exc}", err=True)
         sys.exit(EXIT_SOLVER)
-    try:
-        metrics = compute_metrics(series, cfg)
-    except ConfigError as exc:
-        # e.g. a run without fundamental current
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     out.mkdir(parents=True, exist_ok=True)
     series.write_csv(out / "timeseries.csv")
     write_metrics_csv(metrics, ctrl, out / "metrics.csv")

@@ -52,9 +52,6 @@ RPM_TO_RAD_S = 2.0 * math.pi / 60.0
 #: CSV floats are printed with this format for byte-stable output
 FLOAT_FMT = "%.9g"
 
-#: any state magnitude beyond this is treated as a diverged simulation
-_DIVERGENCE_LIMIT = 1e9
-
 #: an accepted effort weight must still factor on step 0 when divided by
 #: this, which covers e.g. a DC-link voltage or grid EMF twice the initial one
 EFFORT_WEIGHT_MARGIN = 4.0
@@ -308,9 +305,22 @@ class TimeSeries:
         self._appends = tuple(self.data[name].append for name in TS_COLUMNS)
 
     def append(self, *row):
-        """Record one step: one value per column, in TS_COLUMNS order."""
-        for add, value in zip(self._appends, row, strict=True):
-            add(value)
+        """Record one step: one value per column, in TS_COLUMNS order.  A
+        row of the wrong length (ValueError) or with a value a column
+        cannot hold (TypeError, OverflowError) leaves every column as it
+        was."""
+        if len(row) != len(TS_COLUMNS):
+            raise ValueError(f"a row holds {len(TS_COLUMNS)} values, not {len(row)}")
+        try:
+            for add, value in zip(self._appends, row):
+                add(value)
+        except BaseException:
+            # the columns are appended in order, so the last one still has
+            # its length from before the call
+            n = len(self.data[TS_COLUMNS[-1]])
+            for col in self.data.values():
+                del col[n:]
+            raise
 
     def column(self, name: str) -> np.ndarray:
         """A float64 or int64 copy of one column.  Not a view: an array
@@ -351,11 +361,14 @@ def _write_rows(fh, header, rows):
 def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None) -> TimeSeries:
     """Simulate the closed loop and record every controller period.
 
-    Raises SimulationBlowUpError if the plant state leaves the finite
-    range, and SolverError if a control step's subproblem cannot be solved
-    or a sequence check inside it fails (SequenceError), each annotated with
-    the step index.  Any other exception of a step, a programming error,
-    leaves unchanged.
+    A failed step raises with its index in the message: SolverError if
+    the control step's subproblem cannot be solved or a sequence check
+    inside it fails (SequenceError), and SimulationBlowUpError if the plant
+    step diverges (`plant_step`, the run's one blow-up check: an integrated
+    quantity beyond `plant.DIVERGENCE_LIMIT` in magnitude, or a collapsed
+    DC link).  `ScenarioConfig` starts the run from a state within that
+    bound.  Any other exception of a step, a programming error, leaves
+    unchanged.
     """
     ctrl = controller if controller is not None else cfg.controller()
     machine = cfg.machine()
@@ -370,9 +383,6 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
     for step in range(cfg.n_steps()):
         i_md, i_mq = state.i_m_dq
         i_na, i_nb = state.i_n_ab
-        scale = _state_scale(i_md, i_mq, i_na, i_nb, state.v_dc, state.omega_m)
-        if scale > _DIVERGENCE_LIMIT:
-            raise SimulationBlowUpError(f"step {step}: state diverged (|x| > {_DIVERGENCE_LIMIT:g})")
         t = step * cfg.t_s
         omega_ref = profile_value(cfg.speed_rpm, t) * RPM_TO_RAD_S
         t_mech = profile_value(cfg.torque_nm, t)
@@ -390,38 +400,30 @@ def run_scenario(cfg: ScenarioConfig, controller: ControllerConfig | None = None
                 state, ctrl, i_q_ref, p_ref, machine, grid, u_prev_m, u_prev_n, cfg.t_s,
                 cfg.c_dc, plan,
             )
-        except (SolverError, SequenceError) as exc:
-            # a sequence check that fails inside a step is a failed step, not a bad config
-            raise SolverError(f"step {step}: {exc}") from exc
-        p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
-        i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.theta_e))
-        s_m, s_n = decision.s_m, decision.s_n
-        # one value per column, in TS_COLUMNS order
-        series.append(
-            t, i_md, i_mq, i_ma, i_mb, i_mc,
-            i_na, i_nb, state.v_dc, state.v_imb,
-            state.omega_m, electromagnetic_torque(i_mq, machine),
-            t_e_ref, i_q_ref,
-            p, q, p_ref, 0.0,  # the reactive-power reference is structurally zero
-            *s_m, *s_n,
-            decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
-        )
-        try:
+            p, q = power_output((i_na, i_nb), _k.grid_emf2(state.t, grid.e_peak, grid.omega_n))
+            i_ma, i_mb, i_mc = _k.clarke_pinv2(*_k.park_inv2(i_md, i_mq, state.theta_e))
+            s_m, s_n = decision.s_m, decision.s_n
+            # one value per column, in TS_COLUMNS order
+            series.append(
+                t, i_md, i_mq, i_ma, i_mb, i_mc,
+                i_na, i_nb, state.v_dc, state.v_imb,
+                state.omega_m, electromagnetic_torque(i_mq, machine),
+                t_e_ref, i_q_ref,
+                p, q, p_ref, 0.0,  # the reactive-power reference is structurally zero
+                *s_m, *s_n,
+                decision.j_m, decision.j_n, decision.j_o, decision.nodes_m, decision.nodes_n,
+            )
             state = plant_step(
                 state, s_m, s_n, machine, grid, cfg.c_dc, cfg.inertia, t_mech, cfg.t_s,
                 cfg.substeps,
             )
+        except (SolverError, SequenceError) as exc:
+            # a sequence check that fails inside a step is a failed step, not a bad config
+            raise SolverError(f"step {step}: {exc}") from exc
         except SimulationBlowUpError as exc:
             raise SimulationBlowUpError(f"step {step}: {exc}") from exc
         u_prev_m, u_prev_n = s_m, s_n
     return series
-
-
-def _state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m) -> float:
-    """The largest magnitude of the state's currents, DC-link voltage and
-    speed.  The state is finite here: `ScenarioConfig` rejects non-finite
-    values, and `plant_step` raises before it returns a non-finite state."""
-    return max(abs(i_md), abs(i_mq), abs(i_na), abs(i_nb), abs(v_dc), abs(omega_m))
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +565,19 @@ def sweep(cfg: ScenarioConfig):
     an `error:` row.  Any other exception, a plain ValueError included, is
     a bug and propagates.
 
-    Returns a list of row dicts keyed by SWEEP_COLUMNS.
+    Each distinct controller runs once: cells that build equal
+    `ControllerConfig`s, as `standard_sd` cells differing only in n_k or
+    n_l do, get copies of one row.  Returns a list of row dicts keyed by
+    SWEEP_COLUMNS, one per cell in grid order.
     """
     grid = cfg.controller_grid()
     if not grid:
         raise ConfigError("empty controller grid")
-    rows = []
+    rows = {}
     for ctrl in grid:
-        row = {
+        if ctrl in rows:
+            continue
+        row = rows[ctrl] = {
             "n_h": ctrl.n_h, "n_k": ctrl.n_k, "n_l": ctrl.n_l,
             "lambda": ctrl.lam, "mode": ctrl.mode,
         }
@@ -579,8 +586,7 @@ def sweep(cfg: ScenarioConfig):
             row.update(status="ok", **asdict(compute_metrics(series, cfg)))
         except (SolverError, SimulationBlowUpError, ConfigError) as exc:
             row.update(status=f"error: {exc}", **dict.fromkeys(METRIC_COLUMNS, math.nan))
-        rows.append(row)
-    return rows
+    return [dict(rows[ctrl]) for ctrl in grid]
 
 
 def write_sweep_csv(rows, path):

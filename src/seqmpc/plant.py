@@ -10,9 +10,12 @@ candidate row, checked once where `solver.CandidateList` is built, and taken
 unchecked here.  The state is one flat record, `PlantState`, of what the
 integration advances, in `integrate_plant`'s order: the currents, the
 DC-link voltage and imbalance, the speed, the angle and the time.
-`PlantState.initial` checks the outside values a run starts from;
-`plant_step` checks only that the integration stayed finite with a positive
-DC-link voltage, and builds the next record unchecked.
+`PlantState.initial` checks the outside values a run starts from, among
+them that the DC-link voltage and the speed lie within `DIVERGENCE_LIMIT`.
+`plant_step` is the simulation's one blow-up check: it raises
+`SimulationBlowUpError` when an integrated quantity leaves that bound (a NaN
+or an infinity included) or the DC-link voltage collapses, and builds the
+next record unchecked.
 The DC-link capacitance and the rotor inertia are parameters of the run,
 like the machine and grid parameters; `ScenarioConfig` owns and checks
 them once, and the loop passes them to `plant_step`.  The
@@ -37,8 +40,12 @@ from . import _kernels as _k
 LEVELS = (-1, 0, 1)
 
 
+#: an integrated quantity beyond this magnitude is a diverged simulation
+DIVERGENCE_LIMIT = 1e9
+
+
 class SimulationBlowUpError(RuntimeError):
-    """The integrated state became non-finite."""
+    """The integrated state diverged or the DC link collapsed."""
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,18 @@ class PlantState:
     @classmethod
     def initial(cls, v_dc: float, v_imb: float, omega_m: float, theta_e: float) -> "PlantState":
         """Zero currents at t = 0 with the given DC link, speed and angle;
-        `ScenarioConfig.initial_state` passes the scenario's values."""
+        `ScenarioConfig.initial_state` passes the scenario's values.  The
+        DC-link voltage and the speed must lie within `DIVERGENCE_LIMIT`
+        (the imbalance then does too), so step 0 starts from a state that
+        `plant_step` would accept."""
         if not v_dc > 0.0:
             raise ValueError("v_dc must be positive")
         if not (math.isfinite(v_dc) and math.isfinite(v_imb)):
             raise ValueError("non-finite DC-link state")
         if abs(v_imb) >= v_dc:
             raise ValueError("capacitor imbalance exceeds total voltage")
+        if not (v_dc <= DIVERGENCE_LIMIT and abs(omega_m) <= DIVERGENCE_LIMIT):
+            raise ValueError(f"initial |v_dc| and |omega_m| must not exceed {DIVERGENCE_LIMIT:g}")
         return cls((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_m, theta_e % _k.TWO_PI, 0.0)
 
 
@@ -136,10 +148,16 @@ def plant_step(
     """Advance the plant by one controller period under the constant level
     tuples `s_m` and `s_n` (unchecked) and the load torque `t_m`, with
     DC-link capacitance `c_dc` and rotor inertia `inertia` (both positive;
-    `ScenarioConfig` checks them)."""
+    `ScenarioConfig` checks them).
+
+    Raises SimulationBlowUpError when any of the seven integrated quantities
+    (the four currents, v_dc, v_imb and omega_m) is not within
+    `DIVERGENCE_LIMIT` in magnitude, NaN and infinities included, or when
+    v_dc is not positive.  The angle needs no test: it is reduced mod 2 pi
+    from the bounded speed, and t only counts the periods."""
     if dt <= 0 or substeps < 1:
         raise ValueError("dt must be positive and substeps >= 1")
-    out = _k.integrate_plant(
+    i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t = _k.integrate_plant(
         *st.i_m_dq, *st.i_n_ab,
         st.v_dc, st.v_imb, st.omega_m, st.theta_e, st.t,
         *s_m, *s_n,
@@ -148,10 +166,9 @@ def plant_step(
         c_dc, inertia, t_m,
         dt, substeps,
     )
-    i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m, theta_e, t = out
-    for v in out:
-        if not math.isfinite(v):
-            raise SimulationBlowUpError("plant state became non-finite")
+    for v in (i_md, i_mq, i_na, i_nb, v_dc, v_imb, omega_m):
+        if not abs(v) <= DIVERGENCE_LIMIT:  # also false for NaN
+            raise SimulationBlowUpError(f"plant state diverged (|x| > {DIVERGENCE_LIMIT:g})")
     if v_dc <= 0.0:
         raise SimulationBlowUpError("DC-link voltage collapsed")
     return PlantState((i_md, i_mq), (i_na, i_nb), v_dc, v_imb, omega_m, theta_e, t)

@@ -132,6 +132,8 @@ def test_the_seed_reaches_the_command_and_the_record_name(tmp_path, monkeypatch)
         return {"exit": 0, "correct": True, "attempted": 3, "peak_rss_mb": 40.0}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    # no `git rev-parse`: the test runs outside a git checkout too
+    monkeypatch.setattr(bench_pairs, "resolve", lambda commit: commit)
     out = tmp_path / "bench.json"
     code = bench_pairs.main(["HEAD", "HEAD", "--out", str(out), "--pairs", "2",
                              "--workloads", "steady", "--seed", "7"])

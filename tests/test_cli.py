@@ -177,6 +177,18 @@ class TestRun:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not steps and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["omega_m0", "v_dc0"])
+    def test_initial_state_beyond_the_divergence_limit_exits_one(self, runner, tmp_path, key):
+        # it used to pass the load checks and fail the effort-weight check
+        # with a message about lam
+        path = tmp_path / "far.ini"
+        path.write_text(f"[initial]\n{key} = 2e9\n")
+        result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "config error: initial |v_dc| and |omega_m| must not exceed 1e+09" in result.output
+        assert "lam" not in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler
         # integration violently unstable within a few periods

@@ -28,6 +28,7 @@ from seqmpc.harness import (
     thd_spectrum,
     write_sweep_csv,
 )
+from seqmpc.plant import SimulationBlowUpError
 from seqmpc.prediction import SequenceError
 from seqmpc.solver import CandidateList, SolverError
 
@@ -253,6 +254,27 @@ class TestTimeSeries:
         with pytest.raises(TypeError):
             TimeSeries().append(*row)
 
+    @pytest.mark.parametrize(
+        "bad", ["s_m_a", "nodes_n", 28, 30, 0], ids=lambda bad: f"{bad}",
+    )
+    def test_a_rejected_row_leaves_every_column_as_it_was(self, bad):
+        # a float in an int column, or a row of the wrong length
+        series = TimeSeries()
+        series.append(*fresh_row(1))
+        if isinstance(bad, str):
+            row = list(fresh_row(2))
+            row[TS_COLUMNS.index(bad)] = 1.0
+            error = TypeError
+        else:
+            row = (fresh_row(2) * 2)[:bad]
+            error = ValueError
+        with pytest.raises(error):
+            series.append(*row)
+        assert len(series) == 1
+        assert {len(col) for col in series.data.values()} == {1}
+        series.append(*fresh_row(2))
+        assert series.column("nodes_n").tolist() == [1028, 2028]
+
     def test_csv_prints_levels_as_ints_and_floats_as_the_float_format(self, tmp_path):
         series = TimeSeries()
         row = list(fresh_row(3))
@@ -286,21 +308,22 @@ class TestRunScenario:
         assert np.abs(series.column("v_imb")).max() == 0.0
         assert series.column("v_dc").max() == 700.0
 
-    def test_divergence_scale_decides_like_numpy(self):
-        # the divergence test runs on Python floats; it must decide as the
-        # NumPy form max(|i_m|.max(), |i_n|.max(), |v_dc|, |omega_m|) > limit
-        # does on every state the loop can reach, all of them finite
-        values = (0.0, -3.0, 2e9, -2e9)
-        limit = harness._DIVERGENCE_LIMIT
-        for i_md, i_mq, i_na, i_nb in itertools.product(values, repeat=4):
-            for v_dc, omega_m in ((700.0, 5.0), (700.0, -2e9), (2e9, 5.0)):
-                want = max(
-                    np.abs(np.array([i_md, i_mq])).max(), np.abs(np.array([i_na, i_nb])).max(),
-                    abs(v_dc), abs(omega_m),
-                )
-                got = harness._state_scale(i_md, i_mq, i_na, i_nb, v_dc, omega_m)
-                assert (got > limit) == (want > limit)
-                assert got == want
+    def test_a_diverging_run_names_the_step_whose_plant_step_failed(self, monkeypatch):
+        # a nanohenry stator inductance makes the explicit Euler integration
+        # diverge within a few periods; `plant_step` is the one blow-up check
+        steps = []
+        plant_step = harness.plant_step
+
+        def counted_step(*args):
+            steps.append(len(steps))
+            return plant_step(*args)
+
+        monkeypatch.setattr(harness, "plant_step", counted_step)
+        cfg = ScenarioConfig(duration=0.09, substeps=2, l_s=1e-9, horizons=(1,))
+        with pytest.raises(SimulationBlowUpError) as err:
+            run_scenario(cfg)
+        assert str(err.value) == f"step {steps[-1]}: plant state diverged (|x| > 1e+09)"
+        assert steps[-1] == 1
 
     def test_sequence_error_in_a_step_becomes_a_solver_error_naming_the_step(self, monkeypatch):
         failing = 2
@@ -412,6 +435,27 @@ class TestSweep:
             rows = sweep(cfg)
             assert [r["status"] for r in rows] == ["error: step 0: cell failure"]
             assert all(math.isnan(rows[0][name]) for name in harness.METRIC_COLUMNS)
+
+    def test_each_distinct_controller_runs_once(self, monkeypatch):
+        # standard_sd sets its lists to one, so its cells for n_k = 1 and 2
+        # are one controller; the repeated cell gets a copy of the first row
+        cfg = quick_cfg(horizons=(1,), n_ks=(1, 2), modes=("sequential", "standard_sd"))
+        runs = []
+        run = harness.run_scenario
+
+        def counted_run(cfg, ctrl):
+            runs.append(ctrl)
+            return run(cfg, ctrl)
+
+        monkeypatch.setattr(harness, "run_scenario", counted_run)
+        rows = sweep(cfg)
+        assert len(rows) == 4 and len(runs) == len(set(runs)) == 3
+        assert rows[1] == rows[3] and rows[1] is not rows[3]
+        cells = itertools.product(cfg.horizons, cfg.n_ks, cfg.n_ls, cfg.lambdas, cfg.modes)
+        names = ("horizons", "n_ks", "n_ls", "lambdas", "modes")
+        alone = [sweep(dataclasses.replace(cfg, **{n: (v,) for n, v in zip(names, cell)}))
+                 for cell in cells]
+        assert rows == [cell_rows[0] for cell_rows in alone]
 
     def test_csv_round_trip(self, tmp_path):
         cfg = quick_cfg(horizons=(1,))

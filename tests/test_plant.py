@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from seqmpc import _kernels
 from seqmpc.plant import (
+    DIVERGENCE_LIMIT,
     GridParams,
     MachineParams,
     PlantState,
@@ -333,6 +334,24 @@ class TestPlantState:
         with pytest.raises(ValueError, match=message):
             PlantState.initial(v_dc=v_dc, v_imb=v_imb, omega_m=0.0, theta_e=0.0)
 
+    @pytest.mark.parametrize(
+        "v_dc, omega_m, message",
+        [
+            (2e9, 0.0, r"must not exceed 1e\+09"),
+            (-2e9, 0.0, "v_dc must be positive"),
+            (700.0, 2e9, r"must not exceed 1e\+09"),
+            (700.0, -2e9, r"must not exceed 1e\+09"),
+            (700.0, math.nan, r"must not exceed 1e\+09"),
+        ],
+    )
+    def test_initial_rejects_a_state_beyond_the_divergence_limit(self, v_dc, omega_m, message):
+        # a state `plant_step` would reject may not start a run either
+        with pytest.raises(ValueError, match=message):
+            PlantState.initial(v_dc=v_dc, v_imb=0.0, omega_m=omega_m, theta_e=0.0)
+        st = PlantState.initial(v_dc=DIVERGENCE_LIMIT, v_imb=0.0, omega_m=-DIVERGENCE_LIMIT,
+                                theta_e=0.0)
+        assert (st.v_dc, st.omega_m) == (1e9, -1e9)
+
 
 class TestMechStep:
     """Rotor speed and angle as `plant_step` integrates them."""
@@ -436,11 +455,36 @@ class TestPlantStep:
         # a vanishing capacitance overflows the DC-link derivative; the
         # blow-up guard is the only check on an integrated state
         st = PlantState((10.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(SimulationBlowUpError, match="^plant state became non-finite$"):
+        diverged = r"^plant state diverged \(\|x\| > 1e\+09\)$"
+        with pytest.raises(SimulationBlowUpError, match=diverged):
             plant_step(
                 st, (1, 0, -1), (0, 0, 0), MACHINE, GRID, 5e-324, INERTIA,
                 0.0, 50e-6, 1,
             )
+
+    @pytest.mark.parametrize("position", range(7))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e9, -2e9, 1e9, -1e9])
+    def test_each_integrated_quantity_is_bounded(self, monkeypatch, position, value):
+        # the seven integrated quantities, in `integrate_plant`'s order: the
+        # four currents, v_dc, v_imb and omega_m; the angle and the time follow
+        out = [3.0, -3.0, 0.0, 5.0, 700.0, -2.0, 10.0, 0.5, 1e-4]
+        out[position] = value
+        monkeypatch.setattr(_kernels, "integrate_plant", lambda *args: tuple(out))
+        st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
+
+        def step():
+            return plant_step(st, (0, 0, 0), (0, 0, 0), MACHINE, GRID, C_DC, INERTIA,
+                              0.0, 50e-6, 1)
+
+        if not abs(value) <= 1e9:
+            with pytest.raises(SimulationBlowUpError, match=r"^plant state diverged"):
+                step()
+        elif position == 4 and value < 0:
+            with pytest.raises(SimulationBlowUpError, match="^DC-link voltage collapsed$"):
+                step()
+        else:
+            got = step()
+            assert (*got.i_m_dq, *got.i_n_ab, got.v_dc, got.v_imb, got.omega_m)[position] == value
 
     def test_dc_energy_sign(self):
         # constant positive machine-side injection with idle grid side can
