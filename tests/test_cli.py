@@ -179,8 +179,8 @@ class TestRun:
 
     @pytest.mark.parametrize("key", ["omega_m0", "v_dc0"])
     def test_initial_state_beyond_the_divergence_limit_exits_one(self, runner, tmp_path, key):
-        # it used to pass the load checks and fail the effort-weight check
-        # with a message about lam
+        # the plant's initial-state check runs first and names the bound;
+        # the effort-weight check after it would blame lam
         path = tmp_path / "far.ini"
         path.write_text(f"[initial]\n{key} = 2e9\n")
         result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -254,9 +254,7 @@ class TestTimeSeries:
         with pytest.raises(TypeError):
             TimeSeries().append(*row)
 
-    @pytest.mark.parametrize(
-        "bad", ["s_m_a", "nodes_n", 28, 30, 0], ids=lambda bad: f"{bad}",
-    )
+    @pytest.mark.parametrize("bad", ["s_m_a", "nodes_n", 28, 30, 0], ids=str)
     def test_a_rejected_row_leaves_every_column_as_it_was(self, bad):
         # a float in an int column, or a row of the wrong length
         series = TimeSeries()
