@@ -192,7 +192,8 @@ class ScenarioConfig:
             )
         except NotPositiveDefiniteError as exc:
             raise ConfigError(
-                f"effort weight lam={lam:g} is too small for this plant at horizon {n_h}"
+                f"effort weight lam={lam:g} is too small for this plant and initial state "
+                f"at horizon {n_h} ({exc})"
             ) from exc
         return ctrl
 

@@ -15,24 +15,27 @@ to `discretize` of `build_machine_subsystem` and `build_grid_subsystem`
 imbalance rollout reuse them.
 
 A switch sequence goes in as level rows: its 3N levels, a tuple of ints or
-a 1-D int array (a stack of them for the rollout), as `predict_outputs` and
-`predict_imbalance` take it.  They do not check the levels; the one level
-check is `solver.CandidateList`'s.  `SwitchSequence` is a list row as a
-tuple, an output record that nothing here takes as input.
+a 1-D int array, as `predict_outputs` and `predict_imbalance` take it.
+They do not check the levels; the one level check is
+`solver.CandidateList`'s.  `SwitchSequence` is a list row as a tuple, an
+output record that nothing here takes as input.
 
 Two-side convention: the machine and grid subproblems have the same shape,
 so `build_step_models` stacks the two discretized models over a leading
 side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
-maps to phase currents); `StepModels.machine` and `StepModels.grid` are
-views of its two items.  `build_multistep` and `imbalance_contributions`,
-like `solver.condense` and `solver.assemble_qp`, broadcast over leading
-axes, so one call serves both sides; on one side's model each is the same
-function with no leading axis.  The imbalance rollout moves all k
-candidates of a side forward together as stacked matrix-vector products
-(`A @ X[:, :, None]`) and scores them with a stacked self-product
-(`P[:, None, :] @ P[:, :, None]`); `solver.select_pair` rolls out both
-candidate lists in one call, the shorter padded with zero rows that it
-drops before scoring.
+maps to phase currents); side i is item i of each.  `build_multistep`, like
+`solver.condense` and `solver.assemble_qp`, broadcasts over leading axes,
+so one call serves both sides; on one side's model it is the same function
+with no leading axis.  The imbalance stage serves the two-side step only:
+`imbalance_contributions` rolls out the plan's level stack, both candidate
+lists at once, the shorter padded with zero rows, on the plan's models,
+moving all k candidates of a side forward together as stacked
+matrix-vector products (`A @ X[:, :, None]`); `imbalance_path` folds the
+plan's contributions into every pair's path, and `solver.select_pair`
+scores them with a stacked self-product (`P[:, None, :] @ P[:, :, None]`),
+dropping the padding rows.  `predict_imbalance`, the one-pair form, is its
+independent reference: a stage-by-stage rollout with 1-D products that
+shares no buffer or function with the planned one.
 
 The step plan.  A control step is short, so the NumPy calls around its
 products cost more than the products themselves (about 1 us each).  A
@@ -41,18 +44,22 @@ the controller), the horizon N and the list lengths k_m and k_n.  It holds
 every operand buffer of the step, the views that the products read and
 write, and the records that the planned functions return (`StepModels`,
 `MultistepModel`, `QpForm` and the forms of its items), which wrap its
-buffers.  The closed loop builds one per run and passes it down; a call
-without one builds a fresh one for its arguments, so every call runs the
-same code.  A step then runs only its products, each into one of the
-plan's buffers, the elementwise writes, one flat-index gather that places
-the forced, free and drift maps of `build_multistep` (`_map_index`, the
-maps' transposes and reshapes run once per shape on the products'
-positions), and the decoder.  Every view a product reads or writes is built
-once, with the plan: the state x0 as a column of the models' values,
-forced', the rollout's broadcast views of the side models and the path's
-rows and columns.  A caller's array that is not the plan's own is copied
-into the plan's buffer first (the planned functions check by identity), so
-there is one path through each function.
+buffers.  The closed loop builds one per run and passes it down.  The
+model build and the condensation (`build_step_models`, `build_multistep`,
+`solver.condense` and `solver.assemble_qp`) run one path with or without
+a plan: a call without one builds a fresh one for its arguments.  The
+imbalance stage reads the plan and nothing else: its two functions take
+the plan alone, and `select_pair` takes the plan's own models only.  A
+step then runs only its products, each into one of the plan's buffers,
+the elementwise writes, one flat-index gather that places the forced, free
+and drift maps of `build_multistep` (`_map_index`, the maps' transposes
+and reshapes run once per shape on the products' positions), and the
+decoder.  Every view a product reads or writes is built once, with the plan:
+the state x0 as a column of the models' values, forced', the rollout's
+broadcast views of the side models and the path's rows and columns.  A
+caller's array that is not the plan's own is copied into the plan's buffer
+first (`solver.condense` checks by identity), so there is one path through
+each function.
 
 Bit identity.  Each array of a step, here and in `solver`, is bit-identical
 to computing each side alone and each candidate one at a time with fresh
@@ -323,35 +330,18 @@ class StepModels:
     stage's inputs, all frozen at time-k quantities.
 
     `sides` stacks the two models over a leading side axis, machine first
-    (see the module docstring); `machine` and `grid` are views of its items.
-    `proj` stacks the two sides' maps from the model state to the phase
-    currents the same way: the machine side's is the Clarke pseudo-inverse
-    with the Park rotation folded in (`proj_m`), the grid side's the Clarke
-    pseudo-inverse.  `gain` is Ts / C, and `x0` stacks the two sides' model
-    states at time k, the machine dq currents and the grid alpha/beta
-    currents.
+    (see the module docstring).  `proj` stacks the two sides' maps from the
+    model state to the phase currents the same way: the machine side's is
+    the Clarke pseudo-inverse with the Park rotation folded in, the grid
+    side's the Clarke pseudo-inverse.  `gain` is Ts / C, and `x0` stacks the
+    two sides' model states at time k, the machine dq currents and the grid
+    alpha/beta currents.
     """
 
     sides: LinearSubsystem
     proj: np.ndarray
     gain: float
     x0: np.ndarray
-
-    @property
-    def machine(self) -> LinearSubsystem:
-        return self._side(0)
-
-    @property
-    def grid(self) -> LinearSubsystem:
-        return self._side(1)
-
-    @property
-    def proj_m(self) -> np.ndarray:
-        return self.proj[0]
-
-    def _side(self, i: int) -> LinearSubsystem:
-        s = self.sides
-        return LinearSubsystem(s.state_mat[i], s.input_mat[i], s.drift[i], s.output_mat[i])
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +414,9 @@ class StepPlan:
     3^(3N) sequences of the horizon as the decoder caps its k (see the
     module docstring).  Raises ValueError, before allocating anything, when
     the capped lengths give more than MAX_PAIRS pairs.  The closed loop
-    builds one per run; a planned function given none builds a fresh one
-    for its arguments.  The model buffers and the candidate lists' rows
-    exist for two sides only.
+    builds one per run; a model-build or condensation function given none
+    builds a fresh one for its arguments.  The model buffers and the
+    imbalance stage's buffers exist for two sides only, whatever `lead`.
     """
 
     def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,)):
@@ -515,38 +505,35 @@ class StepPlan:
             for i in np.ndindex(lead)
         ] if lead else [qp]
 
-        # `imbalance_contributions`: the model it rolls out (the step's models
-        # for two sides) and its broadcast views, the level stack as floats,
-        # the rows of a shorter list past its end staying zero, and the rollout
+        # `imbalance_contributions`, on the step's two models: their
+        # broadcast views, the level stack as floats, the rows of a shorter
+        # list past its end staying zero, and the rollout
         k = max(k_m, k_n)
-        if two_sides:
-            rollout, rollout_proj = sides, proj
-        else:
-            rollout = LinearSubsystem(np.empty(lead + (NX, NX)), np.empty(lead + (NX, NU)),
-                                      np.empty(lead + (NX,)), None)
-            rollout_proj = np.empty(lead + (NU, NX))
-        self.rollout, self.rollout_proj = rollout, rollout_proj
-        self.rollout_input = rollout.input_mat[..., None, None, :, :]
-        self.rollout_state = rollout.state_mat[..., None, :, :]
-        self.rollout_drift = rollout.drift[..., None, :, None]
-        self.rollout_current = rollout_proj[..., None, None, :, :]
-        self.levels = np.zeros(lead + (k, nu))
-        self.magnitudes = np.empty(lead + (k, nu))
-        blocks = self.levels.reshape(lead + (k, n, 3, 1))
+        self.rollout_input = sides.input_mat[..., None, None, :, :]
+        self.rollout_state = sides.state_mat[..., None, :, :]
+        self.rollout_drift = sides.drift[..., None, :, None]
+        self.rollout_current = proj[..., None, None, :, :]
+        self.levels = np.zeros((2, k, nu))
+        self.magnitudes = np.empty((2, k, nu))
+        blocks = self.levels.reshape(2, k, n, 3, 1)
         self.driving = blocks[..., : n - 1, :, :]  # the last stage's input moves no state read
-        self.active = self.magnitudes.reshape(lead + (k, n, 3, 1)).swapaxes(-1, -2)
-        self.driven = np.empty(lead + (k, n - 1, NX, 1))
-        self.states = np.empty(lead + (k, n, NX, 1))
+        self.active = self.magnitudes.reshape(2, k, n, 3, 1).swapaxes(-1, -2)
+        self.driven = np.empty((2, k, n - 1, NX, 1))
+        self.states = np.empty((2, k, n, NX, 1))
         self.first_states = np.moveaxis(self.states[..., 0, :, 0], -2, 0)
-        self.carry = np.empty(lead + (k, NX, 1))
+        self.carry = np.empty((2, k, NX, 1))
         self.stages = [
             (self.states[..., j, :, :], self.driven[..., j, :, :], self.states[..., j + 1, :, :])
             for j in range(n - 1)
         ]
-        self.currents = np.empty(lead + (k, n, 3, 1))
-        self.dots = np.empty(lead + (k, n, 1, 1))
+        self.currents = np.empty((2, k, n, 3, 1))
+        self.dots = np.empty((2, k, n, 1, 1))
         self.dots_flat = self.dots[..., 0, 0]
-        self.contrib = np.empty(lead + (k, n))
+        self.contrib = np.empty((2, k, n))
+        self.levels_m, self.levels_n = self.levels[0, :k_m], self.levels[1, :k_n]
+        self.contrib_m, self.contrib_n = self.contrib[0, :k_m], self.contrib[1, :k_n]
+        self.contrib_m_col = self.contrib_m[:, None, :]
+        self.contrib_n_row = self.contrib_n[None, :, :]
 
         # `imbalance_path` and `solver.select_pair`'s scores
         self.paths = np.empty((k_m, k_n, n))
@@ -555,12 +542,6 @@ class StepPlan:
         self.path_rows, self.path_cols = rows[:, None, :], rows[:, :, None]
         self.scores = np.empty((k_m * k_n, 1, 1))
         self.scores_flat = self.scores[:, 0, 0]
-
-        if two_sides:
-            self.levels_m, self.levels_n = self.levels[0, :k_m], self.levels[1, :k_n]
-            self.contrib_m, self.contrib_n = self.contrib[0, :k_m], self.contrib[1, :k_n]
-            self.contrib_m_col = self.contrib_m[:, None, :]
-            self.contrib_n_row = self.contrib_n[None, :, :]
 
 
 def build_step_models(
@@ -626,41 +607,23 @@ def build_step_models(
     return models
 
 
-def imbalance_contributions(
-    x0, model: LinearSubsystem, levels: np.ndarray, proj: np.ndarray, gain: float,
-    plan: StepPlan | None = None,
-) -> np.ndarray:
-    """(..., k, N) per-stage imbalance increments of k candidate sequences
-    of a converter side, given as a (..., k, 3N) level stack.
+def imbalance_contributions(plan: StepPlan) -> np.ndarray:
+    """(2, k, N) per-stage imbalance increments of the plan's level stack
+    `levels`, machine first, rolled out on the plan's `models`: the plan's
+    `contrib`.
 
-    `proj` reconstructs the three-phase current from the model state (Clarke
-    pseudo-inverse, with the Park rotation folded in on the machine side);
-    `gain` is Ts / C.  Stage j uses the state before that stage's input is
-    applied, then propagates the state one Euler step.  All candidates move
-    together as stacked matrix-vector products (see the module docstring).
-    Broadcasts over leading axes of `x0`, the model's arrays, `levels` and
-    `proj`, such as the side axis of `StepModels.sides` and `StepModels.proj`.
-    The levels go into the plan's float stack, and the model and `proj`
-    into the plan's rollout model, unless they are the plan's already (the
-    step's models, for two sides); the result is the plan's `contrib` (a
-    fresh plan's without `plan`).
+    Each side's `proj` in the models reconstructs the three-phase current
+    from the model state (Clarke pseudo-inverse, with the Park rotation
+    folded in on the machine side); `gain` is Ts / C.  Stage j uses the
+    state before that stage's input is applied, then propagates the state
+    one Euler step from `x0`.  All candidates of both sides move together as
+    stacked matrix-vector products (see the module docstring).
     """
-    if plan is None:
-        k, n = levels.shape[-2], levels.shape[-1] // 3
-        plan = StepPlan(n, k, k, levels.shape[:-2])
-    if levels is not plan.levels:
-        plan.levels[...] = levels
-    rollout = plan.rollout
-    if model is not rollout:
-        rollout.state_mat[...] = model.state_mat
-        rollout.input_mat[...] = model.input_mat
-        rollout.drift[...] = model.drift
-    if proj is not plan.rollout_proj:
-        plan.rollout_proj[...] = proj
+    models = plan.models
     np.abs(plan.levels, plan.magnitudes)
     if plan.n_h > 1:  # B u_j of every stage but the last
         np.matmul(plan.rollout_input, plan.driving, plan.driven)
-    plan.first_states[...] = x0  # the state before each stage's input
+    plan.first_states[...] = models.x0  # the state before each stage's input
     state_mat, drift, carry = plan.rollout_state, plan.rollout_drift, plan.carry
     for state, driven, following in plan.stages:
         np.matmul(state_mat, state, carry)
@@ -668,22 +631,13 @@ def imbalance_contributions(
         np.add(carry, drift, following)
     np.matmul(plan.rollout_current, plan.states, plan.currents)
     np.matmul(plan.active, plan.currents, plan.dots)  # |u_j| as (1, 3) rows
-    return np.multiply(plan.dots_flat, gain, plan.contrib)
+    return np.multiply(plan.dots_flat, models.gain, plan.contrib)
 
 
-def imbalance_path(
-    v_imb0: float, contrib_m: np.ndarray, contrib_n: np.ndarray, plan: StepPlan | None = None
-) -> np.ndarray:
-    """Fold (k_m, N) and (k_n, N) per-stage contributions into the (k_m, k_n, N)
-    predicted imbalance trajectories of every candidate pair: the plan's
-    `paths` (a fresh plan's without `plan`).  The contributions go into the
-    plan's unless they are its own already."""
-    if plan is None:
-        plan = StepPlan(contrib_m.shape[-1], len(contrib_m), len(contrib_n))
-    if contrib_m is not plan.contrib_m:
-        plan.contrib_m[...] = contrib_m
-    if contrib_n is not plan.contrib_n:
-        plan.contrib_n[...] = contrib_n
+def imbalance_path(v_imb0: float, plan: StepPlan) -> np.ndarray:
+    """Fold the plan's (k_m, N) and (k_n, N) per-stage contributions,
+    `contrib_m` and `contrib_n`, into the (k_m, k_n, N) predicted imbalance
+    trajectories of every candidate pair: the plan's `paths`."""
     paths = plan.paths
     np.subtract(plan.contrib_m_col, plan.contrib_n_row, paths)
     np.add(plan.paths_first, v_imb0, plan.paths_first)
@@ -701,17 +655,25 @@ def predict_imbalance(st: PlantState, levels_m, levels_n, models: StepModels) ->
     Both side models are frozen at time-k quantities; the imbalance update
     is bilinear in |switch| and the reconstructed phase currents.  The
     controller scores pairs with `solver.select_pair`; this one-pair form is
-    the reference that tests compare it with.
+    the reference that tests compare it with.  It rolls out one stage at a
+    time with 1-D NumPy products on side i of `models.sides` and
+    `models.proj`, from the states of `st`, and shares no buffer or
+    function with the planned rollout.
     """
     levels_m, levels_n = np.asarray(levels_m), np.asarray(levels_n)
     if len(levels_m) != len(levels_n):
         raise SequenceError(
             f"machine horizon {len(levels_m) // 3} != grid horizon {len(levels_n) // 3}"
         )
-    contrib_m = imbalance_contributions(
-        st.i_m_dq, models.machine, levels_m[None, :], models.proj_m, models.gain
-    )
-    contrib_n = imbalance_contributions(
-        st.i_n_ab, models.grid, levels_n[None, :], CLARKE_PINV_MAT, models.gain
-    )
-    return imbalance_path(st.v_imb, contrib_m, contrib_n)[0, 0]
+    sides, contribs = models.sides, []
+    for i, (x, levels) in enumerate(((st.i_m_dq, levels_m), (st.i_n_ab, levels_n))):
+        x, contrib = np.asarray(x, float), []
+        for blk in levels.reshape(-1, 3):
+            contrib.append(models.gain * float(np.abs(blk) @ (models.proj[i] @ x)))
+            x = sides.state_mat[i] @ x + sides.input_mat[i] @ blk + sides.drift[i]
+        contribs.append(contrib)
+    v, path = st.v_imb, []
+    for a, b in zip(*contribs):
+        v = v + (a - b)
+        path.append(v)
+    return np.array(path)

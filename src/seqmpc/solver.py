@@ -21,10 +21,11 @@ DC-link imbalance and keeps the minimizer.
 A k-best list (`CandidateList`) is the (cost, levels) tuples of the
 decoder's walk or of the oracle, checked once: its `rows` are the walk's
 level tuples as they are.  It is the one place a level is checked.
-`select_pair` copies the rows into the step plan's float level stack,
-rolls them out and returns the two chosen rows with the chosen ranks.  The
-list's `sequences` are SwitchSequences of its rows, a tuple subclass
-that nothing takes as input: the oracle's cost callable and
+`select_pair` copies the rows into the step plan's float level stack (the
+nested-tuple assignment, the cheapest form measured), rolls them out on
+the plan's own models and returns the two chosen rows with the chosen
+ranks.  The list's `sequences` are SwitchSequences of its rows, a tuple
+subclass that nothing takes as input: the oracle's cost callable and
 `prediction`'s one-candidate forms take level rows.
 
 `assemble_qp` condenses one subproblem or, in the controller, the stack of
@@ -57,10 +58,15 @@ The previous levels are floats in the plan (an int level converts exactly),
 so weight * u_prev is the IEEE product of NumPy's int64-to-float64
 multiply; the Gram term weight * D'D is `effort_gram`'s cached array.
 
-`select_pair` rolls out both sides' candidates in one call and scores all
-k_m * k_n paths with one stacked self-product.  The `standard_sd` baseline
-is its 1x1 case: the stacked self-product of the single path runs the same
-dot call as `path @ path`.
+`select_pair` serves the controller's two-side step only: it takes the
+step plan and the models built into it (`prediction.build_step_models`
+with that plan), rolls out both sides' candidates in one call of
+`prediction.imbalance_contributions` and scores all k_m * k_n paths of
+`prediction.imbalance_path` with one stacked self-product.  The
+`standard_sd` baseline is its 1x1 case: the stacked self-product of the
+single path runs the same dot call as `path @ path`, and
+`prediction.predict_imbalance`, the independent one-pair reference, gives
+each path bit for bit.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ from .prediction import (
     MultistepModel,
     QpForm,
     SequenceError,
-    StepModels,
     StepPlan,
     SwitchSequence,
     effort_maps,
@@ -366,18 +371,19 @@ def select_pair(
     st: PlantState,
     machine_cands: CandidateList,
     grid_cands: CandidateList,
-    models: StepModels,
-    plan: StepPlan | None = None,
+    models,
+    plan: StepPlan,
 ):
     """Candidate pair minimizing the predicted squared imbalance norm.
 
     All len(machine_cands) * len(grid_cands) pairs are evaluated; ties keep
-    the pair with the lowest (machine index, grid index).  Both lists are
-    rolled out in one call over a leading side axis, the shorter one padded
-    with zero rows that are dropped before scoring.  Returns the two chosen
-    level rows, the lists' own tuples, the pair's score and the chosen
-    ranks (machine, grid).  The plan must be one for the lists' horizon and
-    lengths (a fresh one without `plan`).
+    the pair with the lowest (machine index, grid index).  The rows go into
+    the plan's level stack, and both lists are rolled out in one call on
+    the plan's models, the shorter one padded with zero rows that are
+    dropped before scoring.  Returns the two chosen level rows, the lists'
+    own tuples, the pair's score and the chosen ranks (machine, grid).
+    Raises ValueError unless the plan is one for the lists' horizon and
+    lengths and `models` are its own, as `build_step_models` returns them.
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
     if not k_m or not k_n:
@@ -385,18 +391,18 @@ def select_pair(
     n_h = machine_cands.horizon
     if n_h != grid_cands.horizon:
         raise SequenceError(f"horizons differ: {n_h} vs {grid_cands.horizon}")
-    if plan is None:
-        plan = StepPlan(n_h, k_m, k_n)
-    elif (plan.n_h, plan.k_m, plan.k_n) != (n_h, k_m, k_n):
+    if (plan.n_h, plan.k_m, plan.k_n) != (n_h, k_m, k_n):
         raise ValueError(
             f"the plan is for horizon {plan.n_h} and lists of {plan.k_m} and {plan.k_n}, "
             f"not {n_h}, {k_m} and {k_n}"
         )
+    if models is not plan.models:
+        raise ValueError("the models are not the plan's own: build them with this plan")
 
     plan.levels_m[...] = machine_cands.rows
     plan.levels_n[...] = grid_cands.rows
-    imbalance_contributions(models.x0, models.sides, plan.levels, models.proj, models.gain, plan)
-    imbalance_path(st.v_imb, plan.contrib_m, plan.contrib_n, plan)
+    imbalance_contributions(plan)
+    imbalance_path(st.v_imb, plan)
     np.matmul(plan.path_rows, plan.path_cols, plan.scores)
     scores = plan.scores_flat
     # argmin keeps the first minimum; row-major order makes that the lowest

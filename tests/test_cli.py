@@ -189,6 +189,29 @@ class TestRun:
         assert "lam" not in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, side, pivot",
+        # a fast initial rotor breaks the machine side's factor; a tiny
+        # effort weight at standstill breaks the grid side's first
+        [("initial", "omega_m0", "1e8", "machine", 8), ("controller", "lambdas", "1e-12", "grid", 6)],
+    )
+    def test_effort_weight_check_names_the_failing_side(
+        self, runner, tmp_path, section, key, value, side, pivot
+    ):
+        path = tmp_path / "factor.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        result = runner.invoke(
+            main, ["run", "--config", str(path), "--duration", "0.01", "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "too small" in result.output
+        assert (
+            f"for this plant and initial state at horizon 3 ({side} side: "
+            f"matrix is not positive definite (pivot {pivot}))"
+        ) in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
     def test_blowup_exits_two(self, runner, tmp_path):
         # a microhenry-scale stator inductance makes the explicit Euler
         # integration violently unstable within a few periods

@@ -17,12 +17,14 @@ from seqmpc.prediction import (
     build_multistep,
     build_step_models,
     discretize,
+    StepPlan,
     effort_maps,
     imbalance_contributions,
     park_matrix,
     predict_imbalance,
     predict_outputs,
 )
+from test_step_forms import imbalance_contributions_reference, side_models_reference
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -214,28 +216,13 @@ def random_state(rng, omega_m=None):
 class TestStepModels:
     FIELDS = ("state_mat", "input_mat", "drift", "output_mat")
 
-    @staticmethod
-    def per_side(st, machine, grid):
-        """Each side built and discretized on its own, then stacked."""
-        m = discretize(
-            build_machine_subsystem(
-                machine, machine.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e
-            ),
-            T_S,
-        )
-        e_ab = _kernels.grid_emf2(st.t, grid.e_peak, grid.omega_n)
-        n = discretize(build_grid_subsystem(grid, e_ab, st.v_dc, st.v_imb), T_S)
-        proj = (CLARKE_PINV_MAT @ park_matrix(st.theta_e).T, CLARKE_PINV_MAT)
-        return m, n, np.array(proj)
-
     def check(self, st, machine=MACHINE, grid=GRID):
         got = build_step_models(st, machine, grid, T_S, C_DC)
-        m, n, proj = self.per_side(st, machine, grid)
+        m, n, proj = side_models_reference(st, machine, grid, T_S)
         for name in self.FIELDS:
             want = np.array((getattr(m, name), getattr(n, name)))
             assert getattr(got.sides, name).tobytes() == want.tobytes(), name
         assert got.proj.tobytes() == proj.tobytes()
-        assert got.proj_m.tobytes() == proj[0].tobytes()
         assert got.gain == T_S / C_DC
 
     def test_direct_build_equals_per_side_build_at_standstill(self, rng):
@@ -250,12 +237,6 @@ class TestStepModels:
         for _ in range(300):
             self.check(random_state(rng))
 
-    def test_sides_are_views(self, rng):
-        models = step_models(random_state(rng))
-        for i, side in enumerate((models.machine, models.grid)):
-            for name in self.FIELDS:
-                assert np.shares_memory(getattr(side, name), getattr(models.sides, name))
-
 
 class TestImbalanceContributions:
     @pytest.mark.parametrize("n_h", range(1, 7))
@@ -263,21 +244,20 @@ class TestImbalanceContributions:
         # the shorter list is padded with zero rows, as select_pair does
         for _ in range(40):
             st = random_state(rng)
-            models = step_models(st)
             k_m, k_n = (int(k) for k in rng.integers(1, 11, 2))
+            plan = StepPlan(n_h, k_m, k_n)
+            models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
             lv_m = rng.integers(-1, 2, (k_m, 3 * n_h))
             lv_n = rng.integers(-1, 2, (k_n, 3 * n_h))
-            levels = np.zeros((2, max(k_m, k_n), 3 * n_h), dtype=np.int64)
-            levels[0, :k_m] = lv_m
-            levels[1, :k_n] = lv_n
-            x0 = np.array((st.i_m_dq, st.i_n_ab))
-            both = imbalance_contributions(x0, models.sides, levels, models.proj, models.gain)
+            plan.levels_m[...], plan.levels_n[...] = lv_m, lv_n
+            both = imbalance_contributions(plan)
             assert both.shape == (2, max(k_m, k_n), n_h)
-            alone_m = imbalance_contributions(
-                st.i_m_dq, models.machine, lv_m, models.proj_m, models.gain
+            machine, grid, proj = side_models_reference(st, MACHINE, GRID, T_S)
+            alone_m = imbalance_contributions_reference(
+                st.i_m_dq, machine, lv_m, proj[0], models.gain
             )
-            alone_n = imbalance_contributions(
-                st.i_n_ab, models.grid, lv_n, CLARKE_PINV_MAT, models.gain
+            alone_n = imbalance_contributions_reference(
+                st.i_n_ab, grid, lv_n, CLARKE_PINV_MAT, models.gain
             )
             assert both[0, :k_m].tobytes() == alone_m.tobytes()
             assert both[1, :k_n].tobytes() == alone_n.tobytes()

@@ -19,8 +19,6 @@ from seqmpc.prediction import (
     build_multistep,
     build_step_models,
     discretize,
-    imbalance_contributions,
-    imbalance_path,
     predict_imbalance,
 )
 from seqmpc.solver import (
@@ -38,6 +36,7 @@ from seqmpc.solver import (
 )
 from seqmpc.verify import random_qp_instance, raw_cost_closure
 from test_kernels import loop_reverse_cholesky, walk
+from test_step_forms import side_models_reference
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -48,6 +47,14 @@ C_DC = 1100e-6
 
 def step_models(st):
     return build_step_models(st, MACHINE, GRID, T_S, C_DC)
+
+
+def select(st, cands_m, cands_n):
+    """`select_pair` on a plan for the lists' horizon and lengths, with the
+    step's models built into it: (its result, the plan)."""
+    plan = StepPlan(cands_m.horizon, len(cands_m), len(cands_n))
+    models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+    return select_pair(st, cands_m, cands_n, models, plan), plan
 
 
 def qp_from_factor(factor, u_unc, horizon):
@@ -245,7 +252,7 @@ class TestTwoSideStack:
                 multi, np.array(x0), np.array(y_ref), np.array(u_prev), lam,
                 plan,
             )
-            for i, side in enumerate((models.machine, models.grid)):
+            for i, side in enumerate(side_models_reference(st)[:2]):
                 for name in ("state_mat", "input_mat", "drift", "output_mat"):
                     assert getattr(models.sides, name)[i].tobytes() == getattr(side, name).tobytes()
                 alone = build_multistep(side, n_h)
@@ -270,7 +277,7 @@ class TestTwoSideStack:
         models = step_models(st)
         n_h = 3
         pivots = {}
-        for name, side in (("machine", models.machine), ("grid", models.grid)):
+        for name, side in zip(("machine", "grid"), side_models_reference(st)):
             try:
                 assemble_qp(build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
                             (0, 0, 0), lam)
@@ -729,9 +736,7 @@ class TestSelectPair:
     def test_single_pair_is_returned(self):
         st = self.make_state([4.0, -2.0], [1.0, 3.0])
         u_m, u_n = (1, 0, -1), (0, 1, -1)
-        got_m, got_n, j_o, im, il = select_pair(
-            st, self.listify([u_m]), self.listify([u_n]), step_models(st)
-        )
+        (got_m, got_n, j_o, im, il), _ = select(st, self.listify([u_m]), self.listify([u_n]))
         assert got_m == u_m and got_n == u_n and (im, il) == (0, 0)
         path = predict_imbalance(st, u_m, u_n, step_models(st))
         assert j_o == pytest.approx(float(path @ path))
@@ -745,13 +750,12 @@ class TestSelectPair:
                 rng.normal(0, 15, 2), rng.normal(0, 15, 2), v_imb=rng.normal(0, 2),
                 omega_m=rng.uniform(-150, 150), theta=rng.uniform(0, 2 * math.pi),
             )
-            models = step_models(st)
             u_m, u_n = (tuple(rng.integers(-1, 2, 3 * n_h).tolist()) for _ in "mn")
             cands_m, cands_n = self.listify([u_m]), self.listify([u_n])
-            got_m, got_n, j_o, im, il = select_pair(st, cands_m, cands_n, models)
+            (got_m, got_n, j_o, im, il), _ = select(st, cands_m, cands_n)
             assert (im, il) == (0, 0)
             assert got_m == u_m and got_n == u_n
-            path = predict_imbalance(st, u_m, u_n, models)
+            path = predict_imbalance(st, u_m, u_n, step_models(st))
             assert j_o.hex() == float(path @ path).hex()
 
     def test_minimizes_over_all_pairs(self, rng):
@@ -759,7 +763,7 @@ class TestSelectPair:
         n_h = 2
         cands_m = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(4)])
         cands_n = self.listify([rng.integers(-1, 2, 3 * n_h) for _ in range(4)])
-        _, _, j_o, _, _ = select_pair(st, cands_m, cands_n, step_models(st))
+        (_, _, j_o, _, _), _ = select(st, cands_m, cands_n)
         for u_m in cands_m.rows:
             for u_n in cands_n.rows:
                 path = predict_imbalance(st, u_m, u_n, step_models(st))
@@ -771,11 +775,8 @@ class TestSelectPair:
         i_ab = np.array([6.0, -3.0])
         st = self.make_state(i_ab, i_ab, v_imb=0.0, omega_m=0.0, theta=0.0)
         matched, off_m, off_n = (1, 0, -1), (1, 1, 0), (0, 0, 1)
-        got_m, got_n, j_o, im, il = select_pair(
-            st,
-            self.listify([off_m, matched]),
-            self.listify([off_n, matched]),
-            step_models(st),
+        (got_m, got_n, j_o, im, il), _ = select(
+            st, self.listify([off_m, matched]), self.listify([off_n, matched])
         )
         assert j_o == pytest.approx(0.0, abs=1e-18)
         assert got_m == matched and got_n == matched and (im, il) == (1, 1)
@@ -783,9 +784,7 @@ class TestSelectPair:
     def test_tie_prefers_lowest_indices(self):
         st = self.make_state([0.0, 0.0], [0.0, 0.0])
         seqs = [(1, -1, 0), (0, 1, -1)]
-        got_m, got_n, j_o, im, il = select_pair(
-            st, self.listify(seqs), self.listify(seqs), step_models(st)
-        )
+        (got_m, got_n, j_o, im, il), _ = select(st, self.listify(seqs), self.listify(seqs))
         # zero currents make every pair cost identical, so indices decide
         assert got_m == seqs[0] and got_n == seqs[0] and (im, il) == (0, 0)
 
@@ -803,19 +802,23 @@ class TestSelectPair:
         return best, paths
 
     @staticmethod
-    def one_at_a_time(st, u_m, u_n, models):
+    def one_at_a_time(st, u_m, u_n):
         """The imbalance path of one pair with 1-D NumPy matvecs and dots,
-        stage by stage: the arithmetic the batched stage must reproduce."""
+        stage by stage, on each side's model by the per-side definition:
+        the arithmetic the batched stage must reproduce."""
+        gain = T_S / C_DC
+
         def contributions(x, model, levels, proj):
             out, levels = [], np.asarray(levels)
             for j in range(len(levels) // 3):
                 blk = levels[3 * j : 3 * j + 3]
-                out.append(models.gain * float(np.abs(blk) @ (proj @ x)))
+                out.append(gain * float(np.abs(blk) @ (proj @ x)))
                 x = model.state_mat @ x + model.input_mat @ blk + model.drift
             return out
 
-        c_m = contributions(st.i_m_dq, models.machine, u_m, models.proj_m)
-        c_n = contributions(st.i_n_ab, models.grid, u_n, CLARKE_PINV_MAT)
+        machine, grid, proj = side_models_reference(st)
+        c_m = contributions(st.i_m_dq, machine, u_m, proj[0])
+        c_n = contributions(st.i_n_ab, grid, u_n, CLARKE_PINV_MAT)
         v, path = st.v_imb, []
         for a, b in zip(c_m, c_n):
             v = v + (a - b)
@@ -826,20 +829,15 @@ class TestSelectPair:
         models = step_models(st)
         (want_j, im, il), paths = self.per_pair_reference(st, cands_m, cands_n, models)
         for (a, b), path in paths.items():
-            want = self.one_at_a_time(st, cands_m.rows[a], cands_n.rows[b], models)
+            want = self.one_at_a_time(st, cands_m.rows[a], cands_n.rows[b])
             assert np.array_equal(path, want)
-        got_m, got_n, j_o, got_im, got_il = select_pair(st, cands_m, cands_n, models)
+        (got_m, got_n, j_o, got_im, got_il), plan = select(st, cands_m, cands_n)
         assert (got_im, got_il) == (im, il)
         assert got_m == cands_m.sequences[im] and got_n == cands_n.sequences[il]
         assert j_o == want_j
         # the batched rollout reproduces every per-pair path bit for bit
-        contrib_m = imbalance_contributions(
-            st.i_m_dq, models.machine, np.array(cands_m.rows), models.proj_m, models.gain
-        )
-        contrib_n = imbalance_contributions(
-            st.i_n_ab, models.grid, np.array(cands_n.rows), CLARKE_PINV_MAT, models.gain
-        )
-        batched = imbalance_path(st.v_imb, contrib_m, contrib_n)
+        batched = plan.paths
+        assert batched.shape == (len(cands_m), len(cands_n), cands_m.horizon)
         for (a, b), path in paths.items():
             assert np.array_equal(batched[a, b], path)
         return im, il
@@ -900,4 +898,18 @@ class TestSelectPair:
         one = self.listify([np.zeros(3, dtype=int)])
         two = self.listify([np.zeros(6, dtype=int)])
         with pytest.raises(SequenceError, match="horizon"):
-            select_pair(st, one, two, step_models(st))
+            select(st, one, two)
+
+    def test_refuses_models_that_are_not_the_plans_own(self):
+        # models built without the plan, or into another plan of the same
+        # shape, would leave the plan's own models unbuilt for the rollout
+        st = self.make_state([4.0, -2.0], [1.0, 3.0])
+        cands = self.listify([(1, 0, -1), (0, 1, -1)])
+        plan = StepPlan(1, 2, 2)
+        build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+        for models in (step_models(st), build_step_models(st, MACHINE, GRID, T_S, C_DC,
+                                                          StepPlan(1, 2, 2))):
+            with pytest.raises(ValueError, match="not the plan's own"):
+                select_pair(st, cands, cands, models, plan)
+        assert select_pair(st, cands, cands, plan.models, plan)[3:] == \
+            select(st, cands, cands)[0][3:]

@@ -28,11 +28,16 @@ from seqmpc.prediction import (
     CLARKE_PINV_MAT,
     LinearSubsystem,
     StepPlan,
+    build_grid_subsystem,
+    build_machine_subsystem,
     build_multistep,
     build_step_models,
+    discretize,
     effort_maps,
     imbalance_contributions,
     imbalance_path,
+    park_matrix,
+    predict_imbalance,
 )
 from seqmpc.solver import (
     CandidateList,
@@ -57,6 +62,22 @@ BLOCKS = np.array(list(itertools.product(LEVELS, repeat=3)), dtype=np.int64)
 # ---------------------------------------------------------------------------
 # the replaced forms
 # ---------------------------------------------------------------------------
+
+
+def side_models_reference(st, machine=MACHINE, grid=GRID, t_s=T_S):
+    """(machine model, grid model, proj) of the step at `st`, each side built
+    and discretized on its own by the per-side definition, and the two
+    sides' maps to phase currents stacked."""
+    m = discretize(
+        build_machine_subsystem(
+            machine, machine.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e
+        ),
+        t_s,
+    )
+    e_ab = _kernels.grid_emf2(st.t, grid.e_peak, grid.omega_n)
+    n = discretize(build_grid_subsystem(grid, e_ab, st.v_dc, st.v_imb), t_s)
+    proj = (CLARKE_PINV_MAT @ park_matrix(st.theta_e).T, CLARKE_PINV_MAT)
+    return m, n, np.array(proj)
 
 
 def condense_reference(m, x0, y_ref, u_prev, weight):
@@ -160,7 +181,7 @@ def control_step_reference(st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_p
     levels = np.zeros((2, max(len(best_m), len(best_n)), 3 * n_h), dtype=np.int64)
     levels[0, : len(best_m)] = [lv for _, lv in best_m]
     levels[1, : len(best_n)] = [lv for _, lv in best_n]
-    contrib = imbalance_contributions(x0, models.sides, levels, models.proj, models.gain)
+    contrib = imbalance_contributions_reference(x0, models.sides, levels, models.proj, models.gain)
     paths = imbalance_path_reference(
         st.v_imb, contrib[0, : len(best_m)], contrib[1, : len(best_n)]
     ).reshape(-1, n_h)
@@ -238,9 +259,10 @@ class TestEffortTerm:
 
     @pytest.mark.parametrize("n_h", range(1, 7))
     def test_lin_equals_the_difference_map_form_for_every_level_triple(self, n_h, rng):
-        models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
+        st = random_state(rng)
+        models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
         stacked = build_multistep(models.sides, n_h)
-        alone = [build_multistep(side, n_h) for side in (models.machine, models.grid)]
+        alone = [build_multistep(side, n_h) for side in side_models_reference(st)[:2]]
         x0 = models.x0
         # a reference equal to the free response leaves a zero residual, so
         # lin is the effort term alone, zero signs included
@@ -301,22 +323,27 @@ class TestSolve:
 
     def test_gufunc_equals_np_linalg_solve_on_a_single_random_side(self, rng):
         for n_h in range(1, 7):
-            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
-            multi = build_multistep(models.machine, n_h)
-            qp = assemble_qp(multi, models.x0[0], np.tile(rng.normal(0, 15, 2), n_h),
+            st = random_state(rng)
+            multi = build_multistep(side_models_reference(st)[0], n_h)
+            qp = assemble_qp(multi, st.i_m_dq, np.tile(rng.normal(0, 15, 2), n_h),
                              rng.integers(-1, 2, 3), 0.1)
             want = np.linalg.solve(qp.quad, qp.lin[..., None])[..., 0]
             assert qp.unconstrained.tobytes() == want.tobytes()
 
 
 class TestImbalancePath:
+    """`imbalance_path` folds the plan's contributions in place; the
+    reference is `np.cumsum` of fresh arrays."""
+
     @pytest.mark.parametrize("n_h", range(1, 7))
     def test_equals_cumsum_on_random_contributions(self, n_h, rng):
         for k_m, k_n in ((1, 1), (4, 4), (3, 10)):
             contrib_m = rng.normal(0, 1e-3, (k_m, n_h))
             contrib_n = rng.normal(0, 1e-3, (k_n, n_h))
             v_imb0 = float(rng.normal(0, 2))
-            got = imbalance_path(v_imb0, contrib_m, contrib_n)
+            plan = StepPlan(n_h, k_m, k_n)
+            plan.contrib_m[...], plan.contrib_n[...] = contrib_m, contrib_n
+            got = imbalance_path(v_imb0, plan)
             assert got.tobytes() == imbalance_path_reference(v_imb0, contrib_m, contrib_n).tobytes()
 
     def test_equals_cumsum_on_recorded_steps(self, recorded_steps):
@@ -324,15 +351,40 @@ class TestImbalancePath:
             models, *_ = step_subproblems(args)
             st, n_h = args[0], args[1].n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
-            contrib = imbalance_contributions(
+            contrib = imbalance_contributions_reference(
                 models.x0, models.sides, levels, models.proj, models.gain
             )
-            got = imbalance_path(st.v_imb, contrib[0], contrib[1])
+            plan = StepPlan(n_h, 4, 4)
+            plan.contrib[...] = contrib
+            got = imbalance_path(st.v_imb, plan)
             want = imbalance_path_reference(st.v_imb, contrib[0], contrib[1])
             assert got.tobytes() == want.tobytes()
 
 
 class TestControlStep:
+    def test_one_pair_reference_equals_the_planned_paths_on_recorded_steps(
+        self, recorded_steps
+    ):
+        # `predict_imbalance` shares no code with the planned rollout, so it
+        # is an independent reference for every pair the step scores
+        pairs = 0
+        for _, args in recorded_steps:
+            st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
+            plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+            d, (cands_m, cands_n), _ = traced(args, plan)
+            models = build_step_models(st, machine, grid, t_s, c_dc)
+            scores = []
+            for im, u_m in enumerate(cands_m.rows):
+                for il, u_n in enumerate(cands_n.rows):
+                    path = predict_imbalance(st, u_m, u_n, models)
+                    assert path.tobytes() == plan.paths[im, il].tobytes()
+                    scores.append(float(path @ path))
+            best = min(range(len(scores)), key=scores.__getitem__)
+            assert (d.rank_m, d.rank_n) == divmod(best, len(cands_n))
+            assert d.j_o.hex() == scores[best].hex()
+            pairs += len(scores)
+        assert pairs > len(recorded_steps)
+
     def test_step_models_stack_the_states(self, recorded_steps):
         for _, args in recorded_steps:
             st = args[0]
@@ -372,7 +424,7 @@ class TestSingleMatrixProducts:
             st, _, _, _, machine, grid, _, _, t_s, c_dc = args
             models = build_step_models(st, machine, grid, t_s, c_dc, plan)
             assert plan.park_clarke.tobytes() == np.matmul(plan.park, CLARKE_MAT).tobytes()
-            assert models.proj_m.tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
+            assert models.proj[0].tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
 
     def test_dot_equals_matmul_on_random_operands(self, rng):
         park_clarke, proj_m = np.empty((2, 3)), np.empty((3, 2))
@@ -426,26 +478,30 @@ class TestMultistepProducts:
 
 
 class TestRolloutProducts:
+    """`imbalance_contributions` rolls out the plan's level stack on the
+    plan's models, as `select_pair` does."""
+
     @pytest.mark.parametrize("n_h", range(1, 5))
     def test_equals_the_fresh_rollout_on_random_lists(self, n_h, rng):
         for _ in range(20):
-            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
+            plan = StepPlan(n_h, 4, 4)
+            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
             levels = rng.integers(-1, 2, (2, 4, 3 * n_h))
-            got = imbalance_contributions(models.x0, models.sides, levels, models.proj, models.gain)
+            plan.levels[...] = levels
+            got = imbalance_contributions(plan)
             want = imbalance_contributions_reference(
                 models.x0, models.sides, levels, models.proj, models.gain)
             assert got.tobytes() == want.tobytes()
 
     def test_equals_the_fresh_rollout_on_recorded_steps(self, recorded_steps):
-        # the plan's own models, as `select_pair` rolls them out: no copies
         for _, args in recorded_steps:
             st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
             n_h = cfg.n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
             plan = StepPlan(n_h, 4, 4)
             models = build_step_models(st, machine, grid, t_s, c_dc, plan)
-            got = imbalance_contributions(models.x0, models.sides, levels, models.proj,
-                                          models.gain, plan)
+            plan.levels[...] = levels
+            got = imbalance_contributions(plan)
             want = imbalance_contributions_reference(
                 models.x0, models.sides, levels, models.proj, models.gain)
             assert got.tobytes() == want.tobytes()
