@@ -165,24 +165,25 @@ def control_step(
     period `t_s`, with DC-link capacitance `c_dc`.
 
     Each side's model is built and discretized once; the multistep stacking
-    and the imbalance stage share it.  Both sides' subproblems are stacked
-    and go through the multistep stacking and the condensation together,
-    machine side first.  Every stage works in `plan`'s buffers, which must
-    be `StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)` or one like it; the closed loop
-    passes one for the whole run, and a call without one builds it.
+    and the imbalance stage share it.  The step's inputs go into `plan`, and
+    every stage reads and writes its buffers, both sides together, machine
+    first.  The plan must be `StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)` or one
+    like it: a plan for another horizon raises ValueError before anything
+    is written into it.  The closed loop passes one for the whole run, and
+    a call without one builds it.
     """
     if plan is None:
         plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
-    models = build_step_models(st, machine, grid, t_s, c_dc, plan)
-    multi = build_multistep(models.sides, cfg.n_h, plan)
-    u_prev = plan.u_prev  # the previous levels, Python ints, as floats
-    u_prev[...] = u_prev_m, u_prev_n
+    elif plan.n_h != cfg.n_h:
+        raise ValueError(f"the plan is for horizon {plan.n_h}, not {cfg.n_h}")
+    build_step_models(st, machine, grid, t_s, c_dc, plan)
+    build_multistep(plan)
+    plan.u_prev[...] = u_prev_m, u_prev_n  # the previous levels, Python ints, as floats
     plan.y_ref[...] = (0.0, i_q_ref) * cfg.n_h, (p_ref, 0.0) * cfg.n_h  # constant over the horizon
-    assemble_qp(multi, models.x0, plan.y_ref, u_prev, cfg.lam, plan)
-    qp_m, qp_n = plan.qp_items  # the sides of the plan's `qp`, the form assemble_qp returns
+    qp_m, qp_n = assemble_qp(cfg.lam, plan)
     cands_m = k_best(qp_m, cfg.n_k)
     cands_n = k_best(qp_n, cfg.n_l)
-    _, _, j_o, im, il = select_pair(st, cands_m, cands_n, models, plan)
+    _, _, j_o, im, il = select_pair(st, cands_m, cands_n, plan)
     return ControlDecision(  # fields in order
         cands_m.rows[im][:3], cands_n.rows[il][:3],
         im, il, cands_m.costs[im], cands_n.costs[il], j_o,

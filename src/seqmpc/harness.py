@@ -181,15 +181,16 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
         # along the common-mode switch vector only the effort term keeps the
         # condensed Gram matrix positive definite, so a positive but tiny
-        # weight fails the factorization; reject it here, not on step 0
-        models = build_step_models(
+        # weight fails the factorization; reject it here, not on step 0: at
+        # the initial state, whose currents are zero, with zero references
+        # and previous levels
+        build_step_models(
             self.initial_state(), self.machine(), self.grid(), self.t_s, self.c_dc, plan
         )
+        build_multistep(plan)
+        plan.y_ref[...] = plan.u_prev[...] = 0.0
         try:
-            assemble_qp(
-                build_multistep(models.sides, n_h, plan), np.zeros((2, 2)),
-                np.zeros((2, 2 * n_h)), np.zeros((2, 3)), lam / EFFORT_WEIGHT_MARGIN, plan,
-            )
+            assemble_qp(lam / EFFORT_WEIGHT_MARGIN, plan)
         except NotPositiveDefiniteError as exc:
             raise ConfigError(
                 f"effort weight lam={lam:g} is too small for this plant and initial state "

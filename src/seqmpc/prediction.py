@@ -21,12 +21,12 @@ They do not check the levels; the one level check is
 output record that nothing here takes as input.
 
 Two-side convention: the machine and grid subproblems have the same shape,
-so `build_step_models` stacks the two discretized models over a leading
+so `build_step_models` stacks the two discretized models over a first
 side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
-maps to phase currents); side i is item i of each.  `build_multistep`, like
-`solver.condense` and `solver.assemble_qp`, broadcasts over leading axes,
-so one call serves both sides; on one side's model it is the same function
-with no leading axis.  The imbalance stage serves the two-side step only:
+maps to phase currents); side i is item i of each.  Every stage of the
+step serves both sides at once and reads the two-side step plan:
+`build_multistep`, `solver.condense` and `solver.assemble_qp` run each
+product as one stacked call over the side axis.  The imbalance stage:
 `imbalance_contributions` rolls out the plan's level stack, both candidate
 lists at once, the shorter padded with zero rows, on the plan's models,
 moving all k candidates of a side forward together as stacked
@@ -39,27 +39,24 @@ shares no buffer or function with the planned one.
 
 The step plan.  A control step is short, so the NumPy calls around its
 products cost more than the products themselves (about 1 us each).  A
-`StepPlan` is built once for one shape: the leading axes (the side axis in
-the controller), the horizon N and the list lengths k_m and k_n.  It holds
-every operand buffer of the step, the views that the products read and
-write, and the records that the planned functions return (`StepModels`,
-`MultistepModel`, `QpForm` and the forms of its items), which wrap its
-buffers.  The closed loop builds one per run and passes it down.  The
-model build and the condensation (`build_step_models`, `build_multistep`,
-`solver.condense` and `solver.assemble_qp`) run one path with or without
-a plan: a call without one builds a fresh one for its arguments.  The
-imbalance stage reads the plan and nothing else: its two functions take
-the plan alone, and `select_pair` takes the plan's own models only.  A
+`StepPlan` is the one carrier of a control step.  It is built once for one
+shape, the horizon N and the list lengths k_m and k_n, always for the two
+sides.  It holds every operand buffer of the step, the step's inputs (the
+states, which are the models' own, the references and the previous
+levels), the views that the products read and write, and the records that
+the planned functions return (`StepModels`, `MultistepModel` and the two
+sides' `QpForm`s), which wrap its buffers.  The closed loop builds one per
+run and passes it down; `controller.control_step` writes the step's inputs
+into it.  Each stage takes the plan, reads from it and writes into it:
+`build_step_models`, `build_multistep`, `solver.condense`,
+`solver.assemble_qp`, the two imbalance functions and `select_pair`.  A
 step then runs only its products, each into one of the plan's buffers,
 the elementwise writes, one flat-index gather that places the forced, free
 and drift maps of `build_multistep` (`_map_index`, the maps' transposes
-and reshapes run once per shape on the products' positions), and the
+and reshapes run once per horizon on the products' positions), and the
 decoder.  Every view a product reads or writes is built once, with the plan:
 the state x0 as a column of the models' values, forced', the rollout's
-broadcast views of the side models and the path's rows and columns.  A
-caller's array that is not the plan's own is copied into the plan's buffer
-first (`solver.condense` checks by identity), so there is one path through
-each function.
+broadcast views of the side models and the path's rows and columns.
 
 Bit identity.  Each array of a step, here and in `solver`, is bit-identical
 to computing each side alone and each candidate one at a time with fresh
@@ -146,8 +143,9 @@ class LinearSubsystem:
 
     The builders' continuous model is  x' = state_mat x + input_mat u +
     drift; the one-step model of `discretize` and `build_step_models` is
-    x+ = state_mat x + input_mat u + drift over one sampling period, and
-    may stack sides over leading axes.
+    x+ = state_mat x + input_mat u + drift over one sampling period.  In
+    `StepModels.sides` each array stacks the two sides over a first side
+    axis, machine first.
     """
 
     state_mat: np.ndarray  # 2x2
@@ -179,10 +177,8 @@ class QpForm:
     factor.T @ factor == quad, quad @ unconstrained == lin, and
     target == factor @ unconstrained.  `factor_list` holds the factor's
     entries as the flat row-major list of Python floats that
-    `_kernels.cholesky_lower` returned, which the decoder reads.  The form
-    of a stack of subproblems carries the stack's leading axes on every
-    array, and its `factor_list` is the list of its items' flat lists, in C
-    order; the plan's `qp_items` are the forms of its items.
+    `_kernels.cholesky_lower` returned, which the decoder reads.  The
+    plan's `qp_items` are the two sides' forms, views of its buffers.
     """
 
     quad: np.ndarray
@@ -276,36 +272,32 @@ def _delay_index(n_h: int) -> np.ndarray:
     return index
 
 
-def build_multistep(d: LinearSubsystem, n_h: int, plan: StepPlan | None = None) -> MultistepModel:
-    """Stack the one-step model over `n_h` stages into condensed form.
+def build_multistep(plan: StepPlan) -> MultistepModel:
+    """Stack the plan's one-step models (`StepModels.sides`, both sides at
+    once) over its `n_h` stages into condensed form: the plan's `multi`.
 
-    Broadcasts over leading axes of the model's arrays, such as the side
-    axis of `StepModels.sides` (see the module docstring).  The products
-    are the powers A^d, C A^d, the blocks C A^d B and C times the running
-    sums of A^l n; one gather (`_map_index`) places them in the forced, free
-    and drift maps, which are the plan's (a fresh one without `plan`).
+    The products are the powers A^d, C A^d, the blocks C A^d B and C times
+    the running sums of A^l n; one gather (`_map_index`) places them in the
+    forced, free and drift maps.
 
     A^1 is a copy of A, not the product A @ I.  For a finite A with no -0.0
     entry the two are equal bit for bit, whatever order BLAS sums in: each
     entry is a_ij * 1 plus terms a_il * 0 = +-0.0, and x + +-0.0 == x but
     for x = -0.0.  Every state map here has such entries: each is 1.0 + x
-    or 0.0 + x (`discretize`, `build_step_models`), and in round-to-nearest
-    neither sum is ever -0.0.  At N = 1 the products and the running sum of
-    the drift's later stages run over an empty stage axis and are skipped.
+    or 0.0 + x (`build_step_models`), and in round-to-nearest neither sum is
+    ever -0.0.  At N = 1 the products and the running sum of the drift's
+    later stages run over an empty stage axis and are skipped.
     """
-    if plan is None:
-        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2])
-    elif plan.n_h != n_h:
-        raise ValueError(f"the plan is for horizon {plan.n_h}, not {n_h}")
-    a, b, c = d.state_mat, d.input_mat, d.output_mat
+    sides = plan.models.sides
+    a, b, c = sides.state_mat, sides.input_mat, sides.output_mat
     plan.power_first[...] = a  # A^1 = A @ I, bit for bit (see the docstring)
     for power, following in plan.power_steps:  # A^d, d = 2..N
         np.matmul(a, power, following)
     np.matmul(c, plan.powers, plan.c_powers)  # C A^d
     np.matmul(plan.c_powers_head, b, plan.blocks_head)  # C A^d B, d < N
     # A^l n, then running sums over l = 0..r; at N = 1 only A^0 n
-    plan.drift_first[...] = d.drift
-    if n_h > 1:
+    plan.drift_first[...] = sides.drift
+    if plan.n_h > 1:
         np.matmul(plan.powers_inner, plan.drift_head, plan.drift_rest)
         np.add.accumulate(plan.drift_sums, 0, None, plan.drift_sums)
     np.matmul(c, plan.drift_sums, plan.c_drift_sums)
@@ -329,7 +321,7 @@ class StepModels:
     """Both discretized side models of one control step and the imbalance
     stage's inputs, all frozen at time-k quantities.
 
-    `sides` stacks the two models over a leading side axis, machine first
+    `sides` stacks the two models over a first side axis, machine first
     (see the module docstring).  `proj` stacks the two sides' maps from the
     model state to the phase currents the same way: the machine side's is
     the Clarke pseudo-inverse with the Park rotation folded in, the grid
@@ -360,39 +352,33 @@ def _views(buffer: np.ndarray, shapes) -> list:
     return views
 
 
-def _product_shapes(lead: tuple, n_h: int) -> tuple:
+def _product_shapes(n_h: int) -> tuple:
     """Shapes of the products `build_multistep` gathers its maps from: the
     blocks C A^d B for d = 0..N (the last one zero), C A^d for d = 0..N and
-    C times the drift sums, stage axis first."""
-    return (
-        (n_h + 1,) + lead + (NX, NU),
-        (n_h + 1,) + lead + (NX, NX),
-        (n_h,) + lead + (NX, 1),
-    )
+    C times the drift sums, stage axis first, side axis second."""
+    return (n_h + 1, 2, NX, NU), (n_h + 1, 2, NX, NX), (n_h, 2, NX, 1)
 
 
-def _map_shapes(lead: tuple, n_h: int) -> tuple:
+def _map_shapes(n_h: int) -> tuple:
     """Shapes of the forced, free and drift maps of `build_multistep`."""
-    return lead + (NX * n_h, NU * n_h), lead + (NX * n_h, NX), lead + (NX * n_h,)
+    return (2, NX * n_h, NU * n_h), (2, NX * n_h, NX), (2, NX * n_h)
 
 
 @functools.lru_cache(maxsize=None)
-def _map_index(lead: tuple, n_h: int) -> np.ndarray:
+def _map_index(n_h: int) -> np.ndarray:
     """Read-only flat indices into the products (`_product_shapes`, one
     after the other) of the forced, free and drift maps' entries, one map
     after the other, each in C order.
 
     They come from the gather, transposes and reshapes that place the maps
-    (the stage axis moves behind the leading axes), run once on the
-    products' positions: gathering the values by them copies each entry to
-    the same place.
+    (the stage axis moves behind the side axis), run once on the products'
+    positions: gathering the values by them copies each entry to the same
+    place.
     """
-    k = len(lead)
-    shapes = _product_shapes(lead, n_h)
+    shapes = _product_shapes(n_h)
     blocks, c_powers, c_drift = _views(np.arange(sum(map(math.prod, shapes))), shapes)
-    stage_last = (*range(1, k + 1), 0, k + 1, k + 2)
-    forced = blocks[_delay_index(n_h)].transpose(*range(2, k + 2), 0, k + 2, 1, k + 3)
-    maps = (forced, c_powers[1:].transpose(stage_last), c_drift.transpose(stage_last))
+    forced = blocks[_delay_index(n_h)].transpose(2, 0, 3, 1, 4)
+    maps = (forced, c_powers[1:].transpose(1, 0, 2, 3), c_drift.transpose(1, 0, 2, 3))
     index = np.concatenate([m.reshape(-1) for m in maps])
     index.flags.writeable = False
     return index
@@ -407,19 +393,16 @@ MAX_PAIRS = 2**16
 
 
 class StepPlan:
-    """The operand buffers of one control step, the views its products read
-    and write, and the records its planned functions return, for one shape:
-    leading axes `lead` (the side axis, machine first, in the controller),
-    horizon `n_h` and list lengths `k_m` and `k_n`, each capped at the
-    3^(3N) sequences of the horizon as the decoder caps its k (see the
-    module docstring).  Raises ValueError, before allocating anything, when
-    the capped lengths give more than MAX_PAIRS pairs.  The closed loop
-    builds one per run; a model-build or condensation function given none
-    builds a fresh one for its arguments.  The model buffers and the
-    imbalance stage's buffers exist for two sides only, whatever `lead`.
+    """The operand buffers of one two-side control step, machine first, the
+    views its products read and write, and the records its planned
+    functions return, for one shape: horizon `n_h` and list lengths `k_m`
+    and `k_n`, each capped at the 3^(3N) sequences of the horizon as the
+    decoder caps its k (see the module docstring).  Raises ValueError,
+    before allocating anything, when the capped lengths give more than
+    MAX_PAIRS pairs.  The closed loop builds one per run.
     """
 
-    def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1, lead: tuple = (2,)):
+    def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1):
         if n_h < 1:
             raise ValueError("horizon must be >= 1")
         sequences = 3 ** (3 * n_h)
@@ -433,8 +416,6 @@ class StepPlan:
         k_m, k_n = min(k_m, sequences), min(k_n, sequences)
         self.n_h, self.k_m, self.k_n = n_h, k_m, k_n
         n, nu = n_h, NU * n_h
-        lead = tuple(lead)
-        two_sides = lead == (2,)
 
         # `build_step_models`: its Python-float entries (the state maps, the
         # output maps, the drifts, the states, the Park rotation, the two
@@ -454,56 +435,54 @@ class StepPlan:
             values[:8].reshape(2, NX, NX), np.empty((2, NX, NU)),
             values[16:20].reshape(2, NX), values[8:16].reshape(2, NX, NX),
         )
-        self.models = StepModels(sides, proj, 0.0, values[20:24].reshape(2, NX))
+        # the states x0, also a column for `solver.condense`
+        self.x0_col = values[20:24].reshape(2, NX, 1)
+        self.x0 = self.x0_col[..., 0]
+        self.models = StepModels(sides, proj, 0.0, self.x0)
 
         # `build_multistep`: the powers A^d, the drift sums, the products and
         # the maps gathered from them
-        self.powers = np.empty((n + 1,) + lead + (NX, NX))
+        self.powers = np.empty((n + 1, 2, NX, NX))
         self.powers[0] = EYE2
         self.power_first = self.powers[1]
         self.power_steps = [(self.powers[r], self.powers[r + 1]) for r in range(1, n)]
         self.powers_inner = self.powers[1:n]
-        self.drift_sums = np.empty((n,) + lead + (NX, 1))
+        self.drift_sums = np.empty((n, 2, NX, 1))
         self.drift_head = self.drift_sums[0]
         self.drift_first, self.drift_rest = self.drift_head[..., 0], self.drift_sums[1:]
-        shapes = _product_shapes(lead, n)
+        shapes = _product_shapes(n)
         self.products = np.zeros(sum(map(math.prod, shapes)))  # the zero block stays zero
         blocks, self.c_powers, self.c_drift_sums = _views(self.products, shapes)
         self.blocks_head, self.c_powers_head = blocks[:n], self.c_powers[:n]
-        self.map_index = _map_index(lead, n)
+        self.map_index = _map_index(n)
         self.maps = np.empty(self.map_index.size)
-        self.multi = MultistepModel(*_views(self.maps, _map_shapes(lead, n)), n)
+        self.multi = MultistepModel(*_views(self.maps, _map_shapes(n)), n)
 
-        # `solver.condense` and `solver.assemble_qp`; in the controller the
-        # state x0 is the models' own, a column view of their values
-        self.x0_col = values[20:24].reshape(2, NX, 1) if two_sides else np.empty(lead + (NX, 1))
-        self.x0 = self.x0_col[..., 0]
-        if two_sides:
-            self.models.x0 = self.x0
+        # `solver.condense` and `solver.assemble_qp`: the inputs the step
+        # writes (the references and the previous levels), the operands and
+        # the two sides' forms
         self.forced_t = self.multi.forced_map.swapaxes(-1, -2)
-        self.residual = np.empty(lead + (NX * n, 1))
+        self.residual = np.empty((2, NX * n, 1))
         self.residual_flat = self.residual[..., 0]
-        self.y_ref = np.empty(lead + (NX * n,))
-        self.quad = np.empty(lead + (nu, nu))
-        self.forced_residual = np.empty(lead + (nu, 1))
+        self.y_ref = np.empty((2, NX * n))
+        self.quad = np.empty((2, nu, nu))
+        self.forced_residual = np.empty((2, nu, 1))
         self.forced_residual_flat = self.forced_residual[..., 0]
-        self.u_prev = np.empty(lead + (3,))
-        self.effort = np.zeros(lead + (nu,))  # weight * u_prev in the first stage, then zero
+        self.u_prev = np.empty((2, 3))
+        self.effort = np.zeros((2, nu))  # weight * u_prev in the first stage, then zero
         self.effort_first = self.effort[..., :3]
-        self.lin = np.empty(lead + (nu,))
+        self.lin = np.empty((2, nu))
         self.lin_col = self.lin[..., None]
-        self.factor = np.empty(lead + (nu, nu))
-        self.unconstrained = np.empty(lead + (nu, 1))
-        self.target = np.empty(lead + (nu, 1))
-        # the factors as `_kernels.cholesky_lower`'s flat lists, one per item
-        self.factor_lists = [None] * math.prod(lead)
-        self.qp = QpForm(self.quad, self.lin, self.factor, self.unconstrained[..., 0],
-                         self.target[..., 0], n, self.factor_lists)
-        qp = self.qp
+        self.factor = np.empty((2, nu, nu))
+        self.unconstrained = np.empty((2, nu, 1))
+        self.target = np.empty((2, nu, 1))
+        # the factors as `_kernels.cholesky_lower`'s flat lists, one per side
+        self.factor_lists = [None, None]
         self.qp_items = [
-            QpForm(qp.quad[i], qp.lin[i], qp.factor[i], qp.unconstrained[i], qp.target[i], n, None)
-            for i in np.ndindex(lead)
-        ] if lead else [qp]
+            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i, :, 0],
+                   self.target[i, :, 0], n, None)
+            for i in range(2)
+        ]
 
         # `imbalance_contributions`, on the step's two models: their
         # broadcast views, the level stack as floats, the rows of a shorter
@@ -546,12 +525,11 @@ class StepPlan:
 
 def build_step_models(
     st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float,
-    plan: StepPlan | None = None,
+    plan: StepPlan,
 ) -> StepModels:
     """Both sides' discretized models for the control step at `st`, written
     into the two-side stack directly, the imbalance gain t_s / c_dc and the
-    stacked model states: the plan's `models` (a fresh plan's without
-    `plan`).
+    stacked model states: the plan's `models`.
 
     Each entry is the one that `discretize` computes from
     `build_machine_subsystem` and `build_grid_subsystem`, by the same
@@ -570,8 +548,6 @@ def build_step_models(
     """
     if t_s <= 0:
         raise ValueError("sampling period must be positive")
-    if plan is None:
-        plan = StepPlan(1)
     omega_e = machine.pole_pairs * st.omega_m
     decay_m = -machine.r_s / machine.l_s
     decay_n = -grid.r_n / grid.l_n

@@ -28,13 +28,14 @@ ranks.  The list's `sequences` are SwitchSequences of its rows, a tuple
 subclass that nothing takes as input: the oracle's cost callable and
 `prediction`'s one-candidate forms take level rows.
 
-`assemble_qp` condenses one subproblem or, in the controller, the stack of
-both sides' subproblems over a leading side axis, machine first, in the
-step plan's buffers; it and `select_pair` follow the bit-identity rules of
-`prediction`'s module docstring.  The Gram matrix forced' forced is a syrk
-per item, forced' residual and free x0 are gemvs, and the target
-factor @ unconstrained is a gemv on the C-contiguous factor (see
-`reverse_cholesky`).  `reverse_cholesky` factors the items one after the
+`assemble_qp` condenses both sides' subproblems, stacked over the step
+plan's side axis, machine first: it reads the plan's multistep maps,
+states, references and previous levels, writes into its buffers and
+returns the plan's two forms.  It and `select_pair` follow the
+bit-identity rules of `prediction`'s module docstring.  The Gram matrix
+forced' forced is a syrk per item, forced' residual and free x0 are
+gemvs, and the target factor @ unconstrained is a gemv on the
+C-contiguous factor (see `reverse_cholesky`).  `reverse_cholesky` factors the items one after the
 other, machine first, before the solve, so a side that is not positive
 definite raises NotPositiveDefiniteError with its own pivot, as it would
 alone, and with its index, which the message names as `machine side` or
@@ -59,7 +60,7 @@ so weight * u_prev is the IEEE product of NumPy's int64-to-float64
 multiply; the Gram term weight * D'D is `effort_gram`'s cached array.
 
 `select_pair` serves the controller's two-side step only: it takes the
-step plan and the models built into it (`prediction.build_step_models`
+step plan, with the models built into it (`prediction.build_step_models`
 with that plan), rolls out both sides' candidates in one call of
 `prediction.imbalance_contributions` and scores all k_m * k_n paths of
 `prediction.imbalance_path` with one stacked self-product.  The
@@ -81,7 +82,6 @@ import numpy as np
 from . import _kernels as _k
 from .plant import LEVELS, PlantState
 from .prediction import (
-    MultistepModel,
     QpForm,
     SequenceError,
     StepPlan,
@@ -203,41 +203,27 @@ def reverse_cholesky(
 # ---------------------------------------------------------------------------
 
 
-def condense(m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan | None = None):
-    """Quadratic coefficients (quad, lin) of the subproblem cost, the plan's
-    (a fresh plan's without `plan`).
+def condense(weight: float, plan: StepPlan):
+    """Quadratic coefficients (quad, lin) of both sides' subproblem costs,
+    machine first, from the plan's multistep maps `multi`, states `x0`,
+    references `y_ref` and previous levels `u_prev`: the plan's.
 
-    The cost ||forced U + free x0 + drift - y_ref||^2
+    Each side's cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
-    U' quad U - 2 lin' U + const.  `u_prev` holds the previous switch
-    levels, a level tuple (three ints) or an array; like `x0` and `y_ref`
-    it carries the leading axes of a stacked `m` (see the module docstring).
-    The effort term's part of lin, weight * diff' (prev u_prev), is
-    weight * u_prev in the first stage and zero after it, the same values
-    as the products, signed zeros included; so lin is that vector less
-    forced' residual.  `m`, `x0` and `u_prev` are copied into the plan's
-    buffers unless they are the plan's own (`plan.multi`, `plan.x0`,
-    `plan.u_prev`, as in the controller).
+    U' quad U - 2 lin' U + const.  The effort term's part of lin,
+    weight * diff' (prev u_prev), is weight * u_prev in the first stage and
+    zero after it, the same values as the products, signed zeros included;
+    so lin is that vector less forced' residual.
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
-    if plan is None:
-        plan = StepPlan(m.horizon, lead=m.forced_map.shape[:-2])
     multi = plan.multi
-    if m is not multi:
-        multi.forced_map[...] = m.forced_map
-        multi.free_map[...] = m.free_map
-        multi.drift_vec[...] = m.drift_vec
-    if x0 is not plan.x0:
-        plan.x0[...] = x0
-    if u_prev is not plan.u_prev:
-        plan.u_prev[...] = u_prev
     residual = np.matmul(multi.free_map, plan.x0_col, plan.residual)
     flat = plan.residual_flat
     flat += multi.drift_vec
-    flat -= y_ref
+    flat -= plan.y_ref
     quad = np.matmul(plan.forced_t, multi.forced_map, plan.quad)
-    quad += effort_gram(m.horizon, weight)
+    quad += effort_gram(plan.n_h, weight)
     np.matmul(plan.forced_t, residual, plan.forced_residual)
     np.multiply(plan.u_prev, weight, plan.effort_first)
     return quad, np.subtract(plan.effort, plan.forced_residual_flat, plan.lin)
@@ -252,19 +238,15 @@ def effort_gram(n_h: int, weight: float) -> np.ndarray:
     return gram
 
 
-def assemble_qp(
-    m: MultistepModel, x0, y_ref, u_prev, weight: float, plan: StepPlan | None = None
-) -> QpForm:
-    """Condense a subproblem, or a stack of them, and bring it to triangular
-    decoding form: the plan's `qp` (a fresh plan's without `plan`).  Every
-    matrix is factored before the first solve, so a Gram matrix that is not
-    positive definite raises NotPositiveDefiniteError, the first of a stack
-    first; the solve is then `np.linalg.solve`'s gufunc (see the module
-    docstring).
+def assemble_qp(weight: float, plan: StepPlan) -> list:
+    """Condense both sides' subproblems (`condense`) and bring them to
+    triangular decoding form: the plan's `qp_items`, the machine form and
+    then the grid form.  Both Gram matrices are factored before the first
+    solve, so one that is not positive definite raises
+    NotPositiveDefiniteError, the machine side's first; the solve is then
+    `np.linalg.solve`'s gufunc (see the module docstring).
     """
-    if plan is None:
-        plan = StepPlan(m.horizon, lead=m.forced_map.shape[:-2])
-    quad, lin = condense(m, x0, y_ref, u_prev, weight, plan)
+    quad, lin = condense(weight, plan)
     lists = plan.factor_lists
     factor = reverse_cholesky(quad, plan.factor, lists)
     for form, h in zip(plan.qp_items, lists):
@@ -275,7 +257,7 @@ def assemble_qp(
     # positive definite, so no singular matrix gets here.
     _lapack_solve(quad, plan.lin_col, plan.unconstrained)
     np.matmul(factor, plan.unconstrained, plan.target)
-    return plan.qp
+    return plan.qp_items
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +353,6 @@ def select_pair(
     st: PlantState,
     machine_cands: CandidateList,
     grid_cands: CandidateList,
-    models,
     plan: StepPlan,
 ):
     """Candidate pair minimizing the predicted squared imbalance norm.
@@ -382,8 +363,9 @@ def select_pair(
     the plan's models, the shorter one padded with zero rows that are
     dropped before scoring.  Returns the two chosen level rows, the lists'
     own tuples, the pair's score and the chosen ranks (machine, grid).
-    Raises ValueError unless the plan is one for the lists' horizon and
-    lengths and `models` are its own, as `build_step_models` returns them.
+    The plan's models are the step's (`prediction.build_step_models` with
+    this plan).  Raises ValueError unless the plan is one for the lists'
+    horizon and lengths.
     """
     k_m, k_n = len(machine_cands), len(grid_cands)
     if not k_m or not k_n:
@@ -396,8 +378,6 @@ def select_pair(
             f"the plan is for horizon {plan.n_h} and lists of {plan.k_m} and {plan.k_n}, "
             f"not {n_h}, {k_m} and {k_n}"
         )
-    if models is not plan.models:
-        raise ValueError("the models are not the plan's own: build them with this plan")
 
     plan.levels_m[...] = machine_cands.rows
     plan.levels_n[...] = grid_cands.rows

@@ -9,44 +9,69 @@ the test suite.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from . import _kernels as _k
 from .harness import ScenarioConfig
+from .plant import PlantState
 from .prediction import (
-    build_grid_subsystem,
-    build_machine_subsystem,
+    LinearSubsystem,
+    MultistepModel,
+    StepPlan,
     build_multistep,
-    discretize,
+    build_step_models,
     effort_maps,
     predict_outputs,
 )
 from .solver import QpForm, assemble_qp, brute_force_kbest, k_best
 
+#: output reference scales of the machine side (A) and the grid side (W, var)
+REF_SCALES = (15.0, 3000.0)
 
-def _random_side(rng: np.random.Generator, cfg: ScenarioConfig):
-    """(continuous side model, output reference scale) of a random but
-    plausible controller state: the machine side or the grid side, each with
-    probability one half, at a random DC-link state."""
+
+def _random_step(rng: np.random.Generator, n_h: int):
+    """(plan, side) of a random but plausible controller state: a fresh
+    plan for horizon `n_h` holding the step's models and multistep maps at
+    a random DC-link state, and the side drawn, 0 (the machine, at a random
+    electrical speed and angle) or 1 (the grid, at a random time), each with
+    probability one half.  Every current, reference and previous level in
+    the plan is zero; the caller draws the side's own."""
+    cfg = ScenarioConfig()
     v_dc = float(rng.uniform(600.0, 800.0))
     v_imb = float(rng.uniform(-5.0, 5.0))
-    if rng.random() < 0.5:
+    omega_e = theta_e = t = 0.0
+    side = 0 if rng.random() < 0.5 else 1
+    if side == 0:
         omega_e = float(rng.uniform(-400.0, 400.0))
         theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
-        return build_machine_subsystem(cfg.machine(), omega_e, v_dc, v_imb, theta_e), 15.0
-    e_ab = _k.grid_emf2(float(rng.uniform(0.0, 0.02)), cfg.e_peak, cfg.omega_n)
-    return build_grid_subsystem(cfg.grid(), e_ab, v_dc, v_imb), 3000.0
+    else:
+        t = float(rng.uniform(0.0, 0.02))
+    # one pole pair, so that the electrical speed is the drawn one exactly
+    machine = dataclasses.replace(cfg.machine(), pole_pairs=1)
+    st = PlantState((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_e, theta_e, t)
+    plan = StepPlan(n_h)
+    build_step_models(st, machine, cfg.grid(), cfg.t_s, cfg.c_dc, plan)
+    build_multistep(plan)
+    plan.y_ref[...] = plan.u_prev[...] = 0.0
+    return plan, side
+
+
+def _side_multistep(plan: StepPlan, side: int) -> MultistepModel:
+    """The plan's multistep maps of one side."""
+    multi = plan.multi
+    return MultistepModel(
+        multi.forced_map[side], multi.free_map[side], multi.drift_vec[side], plan.n_h
+    )
 
 
 def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
     """A condensed subproblem from a random but plausible controller state."""
-    cfg = ScenarioConfig()
-    sys, ref_scale = _random_side(rng, cfg)
-    x0 = rng.normal(0.0, 15.0, size=2)
-    y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
-    u_prev = tuple(int(v) for v in rng.integers(-1, 2, size=3))
-    model = build_multistep(discretize(sys, cfg.t_s), n_h)
-    return assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
+    plan, side = _random_step(rng, n_h)
+    plan.x0[side] = rng.normal(0.0, 15.0, size=2)
+    plan.y_ref[side] = np.tile(rng.normal(0.0, REF_SCALES[side], size=2), n_h)
+    plan.u_prev[side] = rng.integers(-1, 2, size=3)
+    return assemble_qp(0.1, plan)[side]
 
 
 def raw_cost_closure(model, x0, y_ref, u_prev, weight: float):
@@ -87,16 +112,15 @@ def check_kbest_vs_bruteforce(seed: int, cases: int, horizons=(1, 2), ks=(1, 4, 
 def check_condensation(seed: int, cases: int, horizons=(1, 2)):
     """Raw-cost argmin must equal the triangular-form argmin by enumeration."""
     rng = np.random.default_rng(seed)
-    cfg = ScenarioConfig()
     for i in range(cases):
         n_h = horizons[i % len(horizons)]
-        sys, ref_scale = _random_side(rng, cfg)
-        y_ref = np.tile(rng.normal(0.0, ref_scale, size=2), n_h)
+        plan, side = _random_step(rng, n_h)
+        y_ref = np.tile(rng.normal(0.0, REF_SCALES[side], size=2), n_h)
         x0 = rng.normal(0.0, 15.0, size=2)
         u_prev = tuple(int(v) for v in rng.integers(-1, 2, size=3))
-        model = build_multistep(discretize(sys, cfg.t_s), n_h)
-        qp = assemble_qp(model, x0, y_ref, u_prev, weight=0.1)
-        raw = raw_cost_closure(model, x0, y_ref, u_prev, weight=0.1)
+        plan.y_ref[side], plan.x0[side], plan.u_prev[side] = y_ref, x0, u_prev
+        qp = assemble_qp(0.1, plan)[side]
+        raw = raw_cost_closure(_side_multistep(plan, side), x0, y_ref, u_prev, weight=0.1)
         raw_best = brute_force_kbest(raw, 1, n_h).rows[0]
         qp_best = brute_force_kbest(qp, 1, n_h).rows[0]
         if raw_best != qp_best:
@@ -107,12 +131,13 @@ def check_condensation(seed: int, cases: int, horizons=(1, 2)):
 def check_stacking(seed: int, cases: int, horizons=(1, 2, 3)):
     """Condensed prediction must equal iterating the one-step model."""
     rng = np.random.default_rng(seed)
-    cfg = ScenarioConfig()
     for i in range(cases):
         n_h = horizons[i % len(horizons)]
-        sys, _ = _random_side(rng, cfg)
-        model = discretize(sys, cfg.t_s)
-        multi = build_multistep(model, n_h)
+        plan, side = _random_step(rng, n_h)
+        sides = plan.models.sides
+        model = LinearSubsystem(sides.state_mat[side], sides.input_mat[side],
+                                sides.drift[side], sides.output_mat[side])
+        multi = _side_multistep(plan, side)
         x0 = rng.normal(0.0, 15.0, size=2)
         levels = rng.integers(-1, 2, size=3 * n_h)
         stacked = predict_outputs(multi, x0, levels)

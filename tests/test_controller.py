@@ -247,10 +247,10 @@ class TestControlStep:
         from seqmpc.prediction import (
             build_grid_subsystem,
             build_machine_subsystem,
-            build_multistep,
             discretize,
         )
         from seqmpc.solver import assemble_qp
+        from test_step_forms import plan_of_sides
 
         cfg = ControllerConfig(n_h=2, n_k=4, n_l=4)
         for _ in range(5):
@@ -260,20 +260,20 @@ class TestControlStep:
                 st, cfg, i_q_ref, p_ref, MACHINE, GRID, (0, 0, 0), (0, 0, 0), T_S,
                 C_DC,
             )
-            y_m, y_n = np.array(((0.0, i_q_ref) * cfg.n_h, (p_ref, 0.0) * cfg.n_h))
-            multi_m = build_multistep(
+            # each side's model by the per-side definition, in a plan of its own
+            plan = plan_of_sides((
                 discretize(build_machine_subsystem(MACHINE, MACHINE.pole_pairs * st.omega_m, st.v_dc, st.v_imb, st.theta_e), T_S),
-                cfg.n_h,
-            )
-            multi_n = build_multistep(
                 discretize(build_grid_subsystem(GRID, _kernels.grid_emf2(st.t, GRID.e_peak, GRID.omega_n), st.v_dc, st.v_imb), T_S),
-                cfg.n_h,
-            )
-            cands_m = k_best(assemble_qp(multi_m, st.i_m_dq, y_m, (0, 0, 0), cfg.lam), cfg.n_k)
-            cands_n = k_best(assemble_qp(multi_n, st.i_n_ab, y_n, (0, 0, 0), cfg.lam), cfg.n_l)
+            ), cfg.n_h)
+            plan.x0[...] = st.i_m_dq, st.i_n_ab
+            plan.y_ref[...] = ((0.0, i_q_ref) * cfg.n_h, (p_ref, 0.0) * cfg.n_h)
+            plan.u_prev[...] = 0.0
+            qp_m, qp_n = assemble_qp(cfg.lam, plan)
+            cands_m = k_best(qp_m, cfg.n_k)
+            cands_n = k_best(qp_n, cfg.n_l)
             assert row_m in cands_m.rows
             assert row_n in cands_n.rows
-            models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
+            models = build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(cfg.n_h))
             for u_m in cands_m.rows:
                 for u_n in cands_n.rows:
                     path = predict_imbalance(st, u_m, u_n, models)

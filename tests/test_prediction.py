@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqmpc import _kernels
+from seqmpc.harness import ScenarioConfig
 from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_PINV_MAT,
@@ -14,7 +15,6 @@ from seqmpc.prediction import (
     SwitchSequence,
     build_grid_subsystem,
     build_machine_subsystem,
-    build_multistep,
     build_step_models,
     discretize,
     StepPlan,
@@ -24,7 +24,12 @@ from seqmpc.prediction import (
     predict_imbalance,
     predict_outputs,
 )
-from test_step_forms import imbalance_contributions_reference, side_models_reference
+from test_step_forms import (
+    imbalance_contributions_reference,
+    plan_of_sides,
+    side_models_reference,
+    side_multistep,
+)
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -48,7 +53,14 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S, C_DC)
+    return build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(1))
+
+
+def side_maps(sides, n_h):
+    """The multistep models of the one-side models `sides`, machine then
+    grid, each an item of one plan's two-side maps."""
+    multi = plan_of_sides(sides, n_h).multi
+    return [side_multistep(multi, i) for i in range(2)]
 
 
 class TestSwitchSequence:
@@ -138,21 +150,20 @@ def stacked_block_by_block(d, n_h):
 class TestMultistep:
     @pytest.mark.parametrize("n_h", [1, 2, 3, 5])
     def test_batched_stacking_equals_block_by_block_exactly(self, n_h, rng):
+        # each case a machine model and a grid model, stacked in one plan
         for i in range(20):
             omega = 0.0 if i == 0 else rng.uniform(-400, 400)  # rest gives a -0.0 drift
-            if i % 2 == 0:
-                sys = build_machine_subsystem(MACHINE, omega, *DC, rng.uniform(0, 2 * math.pi))
-            else:
-                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
-            d = discretize(sys, T_S)
-            m = build_multistep(d, n_h)
-            want = stacked_block_by_block(d, n_h)
-            for got, ref in zip((m.forced_map, m.free_map, m.drift_vec), want):
-                assert got.tobytes() == ref.tobytes()
+            machine = build_machine_subsystem(MACHINE, omega, *DC, rng.uniform(0, 2 * math.pi))
+            grid = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
+            sides = [discretize(sys, T_S) for sys in (machine, grid)]
+            for d, m in zip(sides, side_maps(sides, n_h)):
+                want = stacked_block_by_block(d, n_h)
+                for got, ref in zip((m.forced_map, m.free_map, m.drift_vec), want):
+                    assert got.tobytes() == ref.tobytes()
 
     def test_single_stage_blocks(self):
         d = discretize(build_machine_subsystem(MACHINE, 150.0, *DC, 0.3), T_S)
-        m = build_multistep(d, 1)
+        m = side_maps([d, d], 1)[0]
         assert_allclose(m.forced_map, d.output_mat @ d.input_mat)
         assert_allclose(m.free_map, d.output_mat @ d.state_mat)
         assert_allclose(m.drift_vec, d.output_mat @ d.drift)
@@ -162,7 +173,7 @@ class TestMultistep:
 
     def test_identity_transition_stacks_input_blocks(self):
         d = LinearSubsystem(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
-        m = build_multistep(d, 2)
+        m = side_maps([d, d], 2)[0]
         cb = d.input_mat
         assert_allclose(m.forced_map[:2, :3], cb)
         assert_allclose(m.forced_map[:2, 3:], np.zeros((2, 3)))
@@ -178,27 +189,26 @@ class TestMultistep:
 
     @pytest.mark.parametrize("n_h", [1, 2, 3, 5])
     def test_stacked_equals_iterated(self, n_h, rng):
-        # the condensed map must reproduce stage-by-stage iteration exactly
+        # the condensed map must reproduce stage-by-stage iteration exactly,
+        # on each side of the plan
         for _ in range(20):
-            if rng.random() < 0.5:
-                sys = build_machine_subsystem(
-                    MACHINE, rng.uniform(-400, 400), *DC, rng.uniform(0, 2 * math.pi)
-                )
-            else:
-                sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
-            d = discretize(sys, T_S)
-            m = build_multistep(d, n_h)
-            x0 = rng.normal(0, 10, 2)
-            levels = rng.integers(-1, 2, 3 * n_h)
-            stacked = predict_outputs(m, x0, levels)
-            x = x0.copy()
-            rows = []
-            for j in range(n_h):
-                x = d.state_mat @ x + d.input_mat @ levels[3 * j : 3 * j + 3] + d.drift
-                rows.append(d.output_mat @ x)
-            iterated = np.concatenate(rows)
-            scale = max(1.0, np.abs(iterated).max())
-            assert_allclose(stacked, iterated, rtol=0, atol=1e-9 * scale)
+            machine = build_machine_subsystem(
+                MACHINE, rng.uniform(-400, 400), *DC, rng.uniform(0, 2 * math.pi)
+            )
+            grid = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
+            sides = [discretize(sys, T_S) for sys in (machine, grid)]
+            for d, m in zip(sides, side_maps(sides, n_h)):
+                x0 = rng.normal(0, 10, 2)
+                levels = rng.integers(-1, 2, 3 * n_h)
+                stacked = predict_outputs(m, x0, levels)
+                x = x0.copy()
+                rows = []
+                for j in range(n_h):
+                    x = d.state_mat @ x + d.input_mat @ levels[3 * j : 3 * j + 3] + d.drift
+                    rows.append(d.output_mat @ x)
+                iterated = np.concatenate(rows)
+                scale = max(1.0, np.abs(iterated).max())
+                assert_allclose(stacked, iterated, rtol=0, atol=1e-9 * scale)
 
 
 def random_state(rng, omega_m=None):
@@ -217,7 +227,7 @@ class TestStepModels:
     FIELDS = ("state_mat", "input_mat", "drift", "output_mat")
 
     def check(self, st, machine=MACHINE, grid=GRID):
-        got = build_step_models(st, machine, grid, T_S, C_DC)
+        got = build_step_models(st, machine, grid, T_S, C_DC, StepPlan(1))
         m, n, proj = side_models_reference(st, machine, grid, T_S)
         for name in self.FIELDS:
             want = np.array((getattr(m, name), getattr(n, name)))
@@ -236,6 +246,24 @@ class TestStepModels:
     def test_direct_build_equals_per_side_build_at_random_states(self, rng):
         for _ in range(300):
             self.check(random_state(rng))
+
+    def test_one_pole_pair_machine_at_the_electrical_speed(self, rng):
+        # `seqmpc verify` draws the machine's electrical speed and builds its
+        # subproblems with one pole pair at omega_m = omega_e, so that the
+        # plan's machine model is the per-side build at that speed
+        cfg = ScenarioConfig()
+        machine = dataclasses.replace(cfg.machine(), pole_pairs=1)
+        for i in range(300):
+            v_dc, v_imb = float(rng.uniform(600.0, 800.0)), float(rng.uniform(-5.0, 5.0))
+            omega_e = (0.0, -0.0)[i] if i < 2 else float(rng.uniform(-400.0, 400.0))
+            theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
+            st = PlantState((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_e, theta_e, 0.0)
+            got = build_step_models(st, machine, cfg.grid(), cfg.t_s, cfg.c_dc, StepPlan(1))
+            want = discretize(
+                build_machine_subsystem(machine, omega_e, v_dc, v_imb, theta_e), cfg.t_s
+            )
+            for name in self.FIELDS:
+                assert getattr(got.sides, name)[0].tobytes() == getattr(want, name).tobytes()
 
 
 class TestImbalanceContributions:

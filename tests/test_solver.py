@@ -36,7 +36,14 @@ from seqmpc.solver import (
 )
 from seqmpc.verify import random_qp_instance, raw_cost_closure
 from test_kernels import loop_reverse_cholesky, walk
-from test_step_forms import side_models_reference
+from test_prediction import stacked_block_by_block
+from test_step_forms import (
+    condense_reference,
+    plan_of_sides,
+    reverse_cholesky_reference,
+    side_models_reference,
+    side_multistep,
+)
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
 GRID = GridParams(0.156, 0.020, 250.0, 100.0 * math.pi)
@@ -46,15 +53,36 @@ C_DC = 1100e-6
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S, C_DC)
+    return build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(1))
 
 
 def select(st, cands_m, cands_n):
     """`select_pair` on a plan for the lists' horizon and lengths, with the
     step's models built into it: (its result, the plan)."""
     plan = StepPlan(cands_m.horizon, len(cands_m), len(cands_n))
-    models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
-    return select_pair(st, cands_m, cands_n, models, plan), plan
+    build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+    return select_pair(st, cands_m, cands_n, plan), plan
+
+
+def step_plan(st, n_h, y_ref=0.0, x0=None, u_prev=0.0):
+    """A plan for horizon `n_h` holding the step's models at `st` and their
+    multistep maps, with the given references and previous levels, and the
+    states `x0` in place of those of `st` if given."""
+    plan = StepPlan(n_h)
+    build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+    build_multistep(plan)
+    if x0 is not None:
+        plan.x0[...] = x0
+    plan.y_ref[...], plan.u_prev[...] = y_ref, u_prev
+    return plan
+
+
+def machine_state(omega_e, theta_e, v_dc=DC[0], v_imb=DC[1]):
+    """A state with zero currents at which the machine side's model is the
+    one of `build_machine_subsystem(MACHINE, omega_e, v_dc, v_imb, theta_e)`
+    (exactly so when omega_e is a multiple of the pole pairs)."""
+    return PlantState((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_e / MACHINE.pole_pairs,
+                      theta_e, 0.0)
 
 
 def qp_from_factor(factor, u_unc, horizon):
@@ -161,30 +189,33 @@ class TestCholesky:
 
 class TestCondensation:
     def test_zero_weight_reduces_to_gram_matrix(self):
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
-        m = build_multistep(d, 2)
-        quad, _ = condense(m, np.zeros(2), np.zeros(4), (0, 0, 0), 0.0)
-        assert_allclose(quad, m.forced_map.T @ m.forced_map)
+        plan = step_plan(machine_state(120.0, 0.4), 2)
+        quad, _ = condense(0.0, plan)
+        for i in range(2):
+            forced = plan.multi.forced_map[i]
+            assert_allclose(quad[i], forced.T @ forced)
 
     def test_zero_weight_rank_deficiency_is_reported(self):
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
-        m = build_multistep(d, 2)
-        with pytest.raises(NotPositiveDefiniteError):
-            assemble_qp(m, np.zeros(2), np.zeros(4), (0, 0, 0), 0.0)
+        # the machine side's Gram matrix, factored first, is singular
+        plan = step_plan(machine_state(120.0, 0.4), 2)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            assemble_qp(0.0, plan)
+        assert err.value.item == 0
 
     def test_reference_on_free_response_gives_zero_minimizer(self):
-        # a forced map of the first two levels and a reference equal to the free response
-        m = MultistepModel(
-            forced_map=np.eye(2, 3),
-            free_map=np.ones((2, 2)),
-            drift_vec=np.array([0.5, -1.0]),
-            horizon=1,
-        )
-        x0 = np.array([1.0, 2.0])
-        y_ref = m.free_map @ x0 + m.drift_vec
-        qp = assemble_qp(m, x0, y_ref, (0, 0, 0), 0.1)
-        assert_allclose(qp.lin, np.zeros(3), atol=1e-12)
-        assert_allclose(qp.unconstrained, np.zeros(3), atol=1e-12)
+        # a forced map of the first two levels and a reference equal to the
+        # free response, on both sides
+        plan = StepPlan(1)
+        m = plan.multi
+        m.forced_map[...] = np.eye(2, 3)
+        m.free_map[...] = np.ones((2, 2))
+        m.drift_vec[...] = np.array([0.5, -1.0])
+        plan.x0[...] = np.array([1.0, 2.0])
+        plan.y_ref[...] = m.free_map[0] @ plan.x0[0] + m.drift_vec[0]
+        plan.u_prev[...] = 0.0
+        for qp in assemble_qp(0.1, plan):
+            assert_allclose(qp.lin, np.zeros(3), atol=1e-12)
+            assert_allclose(qp.unconstrained, np.zeros(3), atol=1e-12)
 
     def test_qp_invariants(self, rng):
         for n_h in (1, 2):
@@ -196,24 +227,30 @@ class TestCondensation:
 
     def test_integer_argmin_survives_condensation(self, rng):
         # the raw tracking-plus-effort cost and the triangular form must
-        # rank the best integer point identically (enumeration oracle)
+        # rank the best integer point identically (enumeration oracle), on
+        # the side drawn; the other side's inputs are zero
         cfg_cases = 25
         for i in range(cfg_cases):
             n_h = 1 + (i % 2)
             v_dc, v_imb = float(rng.uniform(600, 800)), float(rng.uniform(-5, 5))
             if rng.random() < 0.5:
+                side = 0
                 sys = build_machine_subsystem(
                     MACHINE, float(rng.uniform(-400, 400)), v_dc, v_imb,
                     float(rng.uniform(0, 2 * math.pi)),
                 )
                 y_ref = np.tile(rng.normal(0, 15, 2), n_h)
             else:
+                side = 1
                 sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), v_dc, v_imb)
                 y_ref = np.tile(rng.normal(0, 3000, 2), n_h)
-            m = build_multistep(discretize(sys, T_S), n_h)
+            plan = plan_of_sides([discretize(sys, T_S)] * 2, n_h)
+            m = side_multistep(plan.multi, side)
             x0 = rng.normal(0, 15, 2)
             u_prev = tuple(int(v) for v in rng.integers(-1, 2, 3))
-            qp = assemble_qp(m, x0, y_ref, u_prev, 0.1)
+            plan.x0[...] = plan.y_ref[...] = plan.u_prev[...] = 0.0
+            plan.x0[side], plan.y_ref[side], plan.u_prev[side] = x0, y_ref, u_prev
+            qp = assemble_qp(0.1, plan)[side]
             raw = raw_cost_closure(m, x0, y_ref, u_prev, 0.1)
             assert brute_force_kbest(raw, 1, n_h).sequences[0] == brute_force_kbest(qp, 1, n_h).sequences[0]
 
@@ -241,30 +278,31 @@ class TestTwoSideStack:
     def test_stacked_equals_single_sides_byte_for_byte(self, n_h, rng):
         for _ in range(200):
             st = self.random_state(rng)
-            models = step_models(st)
-            x0 = (st.i_m_dq, st.i_n_ab)
-            y_ref = (np.tile(rng.normal(0, 15, 2), n_h), np.tile(rng.normal(0, 3000, 2), n_h))
-            u_prev = [tuple(int(v) for v in rng.integers(-1, 2, 3)) for _ in range(2)]
+            x0 = np.array((st.i_m_dq, st.i_n_ab))
+            y_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h),
+                              np.tile(rng.normal(0, 3000, 2), n_h)))
+            u_prev = np.array([tuple(int(v) for v in rng.integers(-1, 2, 3)) for _ in range(2)])
             lam = float(rng.uniform(0.01, 1.0))
-            multi = build_multistep(models.sides, n_h)
-            plan = StepPlan(n_h)
-            qp = assemble_qp(
-                multi, np.array(x0), np.array(y_ref), np.array(u_prev), lam,
-                plan,
-            )
+            plan = step_plan(st, n_h, y_ref, u_prev=u_prev)
+            models, multi = plan.models, plan.multi
+            qp = assemble_qp(lam, plan)
+            assert qp is plan.qp_items
             for i, side in enumerate(side_models_reference(st)[:2]):
                 for name in ("state_mat", "input_mat", "drift", "output_mat"):
                     assert getattr(models.sides, name)[i].tobytes() == getattr(side, name).tobytes()
-                alone = build_multistep(side, n_h)
+                alone = MultistepModel(*stacked_block_by_block(side, n_h), n_h)
                 for name in self.FIELDS:
                     assert getattr(multi, name)[i].tobytes() == getattr(alone, name).tobytes()
-                qp_alone = assemble_qp(alone, x0[i], y_ref[i], u_prev[i], lam)
+                # the side alone by the references: condensation, factor, solve
+                quad, lin = condense_reference(alone, x0[i], y_ref[i], u_prev[i], lam)
+                factor = reverse_cholesky_reference(quad)
+                unconstrained = np.linalg.solve(quad, lin[..., None])[..., 0]
+                target = (factor @ unconstrained[..., None])[..., 0]
+                want = dict(quad=quad, lin=lin, factor=factor, unconstrained=unconstrained,
+                            target=target)
                 for name in self.QP_FIELDS:
-                    assert getattr(qp, name)[i].tobytes() == getattr(qp_alone, name).tobytes()
-            for view, i in zip(plan.qp_items, (0, 1)):
-                for name in self.QP_FIELDS:
-                    assert np.shares_memory(getattr(view, name), getattr(qp, name))
-                    assert getattr(view, name).tobytes() == getattr(qp, name)[i].tobytes()
+                    assert getattr(qp[i], name).tobytes() == want[name].tobytes()
+                    assert np.shares_memory(getattr(qp[i], name), getattr(plan, name))
 
     @pytest.mark.parametrize(
         "lam, failing",
@@ -274,13 +312,15 @@ class TestTwoSideStack:
     )
     def test_pivot_failure_names_the_failing_side(self, lam, failing):
         st = PlantState.initial(v_dc=700.0, v_imb=0.0, omega_m=0.0, theta_e=0.0)
-        models = step_models(st)
         n_h = 3
         pivots = {}
         for name, side in zip(("machine", "grid"), side_models_reference(st)):
+            # each side's Gram matrix alone, by the references
+            alone = MultistepModel(*stacked_block_by_block(side, n_h), n_h)
+            quad, _ = condense_reference(alone, np.zeros(2), np.zeros(2 * n_h),
+                                         np.zeros(3, dtype=np.int64), lam)
             try:
-                assemble_qp(build_multistep(side, n_h), np.zeros(2), np.zeros(2 * n_h),
-                            (0, 0, 0), lam)
+                reverse_cholesky(quad)
             except NotPositiveDefiniteError as exc:
                 pivots[name] = exc.pivot
                 # a single matrix carries no index, and its message names no side
@@ -288,8 +328,7 @@ class TestTwoSideStack:
                 assert str(exc) == f"matrix is not positive definite (pivot {exc.pivot})"
         assert failing in pivots and ("machine" in pivots) == (failing == "machine")
         with pytest.raises(NotPositiveDefiniteError) as err:
-            assemble_qp(build_multistep(models.sides, n_h), np.zeros((2, 2)),
-                        np.zeros((2, 2 * n_h)), np.zeros((2, 3), dtype=np.int64), lam)
+            assemble_qp(lam, step_plan(st, n_h))
         assert err.value.pivot == pivots[failing]
         assert err.value.item == ("machine", "grid").index(failing)
         assert str(err.value) == (
@@ -878,9 +917,8 @@ class TestSelectPair:
         from seqmpc.prediction import effort_maps
         from seqmpc.solver import effort_gram
 
-        d = discretize(build_machine_subsystem(MACHINE, 120.0, *DC, 0.4), T_S)
         for n_h in (1, 2, 3):
-            m = build_multistep(d, n_h)
+            plan = step_plan(machine_state(120.0, 0.4), n_h)
             diff, prev = effort_maps(n_h)
             assert effort_maps(n_h)[0] is diff and effort_maps(n_h)[1] is prev
             gram = effort_gram(n_h, 0.1)
@@ -890,8 +928,10 @@ class TestSelectPair:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 5.0
-            quad, _ = condense(m, np.zeros(2), np.zeros(2 * n_h), (0, 0, 0), 0.1)
-            assert np.array_equal(quad, m.forced_map.T @ m.forced_map + 0.1 * (diff.T @ diff))
+            quad, _ = condense(0.1, plan)
+            for i in range(2):
+                forced = plan.multi.forced_map[i]
+                assert np.array_equal(quad[i], forced.T @ forced + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):
         st = self.make_state([1.0, 0.0], [0.0, 1.0])
@@ -899,17 +939,3 @@ class TestSelectPair:
         two = self.listify([np.zeros(6, dtype=int)])
         with pytest.raises(SequenceError, match="horizon"):
             select(st, one, two)
-
-    def test_refuses_models_that_are_not_the_plans_own(self):
-        # models built without the plan, or into another plan of the same
-        # shape, would leave the plan's own models unbuilt for the rollout
-        st = self.make_state([4.0, -2.0], [1.0, 3.0])
-        cands = self.listify([(1, 0, -1), (0, 1, -1)])
-        plan = StepPlan(1, 2, 2)
-        build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
-        for models in (step_models(st), build_step_models(st, MACHINE, GRID, T_S, C_DC,
-                                                          StepPlan(1, 2, 2))):
-            with pytest.raises(ValueError, match="not the plan's own"):
-                select_pair(st, cands, cands, models, plan)
-        assert select_pair(st, cands, cands, plan.models, plan)[3:] == \
-            select(st, cands, cands)[0][3:]

@@ -23,10 +23,12 @@ import pytest
 from seqmpc import _kernels, solver
 from seqmpc.controller import control_step
 from seqmpc.plant import LEVELS, GridParams, MachineParams, PlantState
+from seqmpc import prediction
 from seqmpc.prediction import (
     CLARKE_MAT,
     CLARKE_PINV_MAT,
     LinearSubsystem,
+    MultistepModel,
     StepPlan,
     build_grid_subsystem,
     build_machine_subsystem,
@@ -78,6 +80,30 @@ def side_models_reference(st, machine=MACHINE, grid=GRID, t_s=T_S):
     n = discretize(build_grid_subsystem(grid, e_ab, st.v_dc, st.v_imb), t_s)
     proj = (CLARKE_PINV_MAT @ park_matrix(st.theta_e).T, CLARKE_PINV_MAT)
     return m, n, np.array(proj)
+
+
+def plan_of_sides(sides, n_h, k_m=1, k_n=1):
+    """A plan whose step models are the one-side models `sides`, machine
+    then grid, written into its side stack, with their multistep maps
+    built."""
+    plan = StepPlan(n_h, k_m, k_n)
+    for name in ("state_mat", "input_mat", "drift", "output_mat"):
+        getattr(plan.models.sides, name)[...] = [getattr(side, name) for side in sides]
+    build_multistep(plan)
+    return plan
+
+
+def side_multistep(multi, i):
+    """Side i of a two-side multistep model, as a one-side model."""
+    return MultistepModel(multi.forced_map[i], multi.free_map[i], multi.drift_vec[i],
+                          multi.horizon)
+
+
+def side_products(plan, i):
+    """Side i of the plan's products, laid out as one side's products
+    (`multistep_products_reference` of that side)."""
+    views = prediction._views(plan.products, prediction._product_shapes(plan.n_h))
+    return np.concatenate([view[:, i].ravel() for view in views])
 
 
 def condense_reference(m, x0, y_ref, u_prev, weight):
@@ -165,9 +191,10 @@ def control_step_reference(st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_p
     """The decision by the replaced forms, np.linalg.solve and an int level
     stack padded with zero rows: (applied blocks, ranks, chosen rows, costs,
     score, nodes)."""
-    models = build_step_models(st, machine, grid, t_s, c_dc)
     n_h = cfg.n_h
-    multi = build_multistep(models.sides, n_h)
+    plan = StepPlan(n_h)
+    models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+    multi = build_multistep(plan)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
     u_prev = np.array((u_prev_m, u_prev_n))
     y_ref = stack_reference_reference(i_q_ref, p_ref, n_h)
@@ -209,13 +236,18 @@ def random_state(rng):
 
 
 def step_subproblems(args):
-    """(models, multistep model, x0, y_ref, u_prev) of a recorded step, as
-    the controller builds them."""
+    """(plan, x0, y_ref, u_prev) of a recorded step: a plan holding the
+    step's models, multistep maps, references and previous levels as the
+    controller writes them, and the states, references and previous levels
+    as fresh arrays."""
     st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_prev_n, t_s, c_dc = args
-    models = build_step_models(st, machine, grid, t_s, c_dc)
+    plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+    build_step_models(st, machine, grid, t_s, c_dc, plan)
+    build_multistep(plan)
+    y_ref = stack_reference_reference(i_q_ref, p_ref, cfg.n_h)
     u_prev = np.array((u_prev_m, u_prev_n))
-    return (models, build_multistep(models.sides, cfg.n_h), models.x0,
-            stack_reference_reference(i_q_ref, p_ref, cfg.n_h), u_prev)
+    plan.y_ref[...], plan.u_prev[...] = y_ref, u_prev
+    return plan, np.array((st.i_m_dq, st.i_n_ab)), y_ref, u_prev
 
 
 def test_recorded_steps_cover_both_scenarios(recorded_steps):
@@ -234,21 +266,23 @@ class TestCondense:
     @pytest.mark.parametrize("n_h", range(1, 7))
     def test_equals_the_multiplied_out_form_on_random_steps(self, n_h, rng):
         for _ in range(40):
-            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC)
-            multi = build_multistep(models.sides, n_h)
+            plan = StepPlan(n_h)
+            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
+            multi = build_multistep(plan)
             y_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h), np.tile(rng.normal(0, 3000, 2), n_h)))
             u_prev = rng.integers(-1, 2, (2, 3))
             weight = float(rng.uniform(0.01, 1.0))
-            for got, want in zip(condense(multi, models.x0, y_ref, u_prev, weight),
+            plan.y_ref[...], plan.u_prev[...] = y_ref, u_prev
+            for got, want in zip(condense(weight, plan),
                                  condense_reference(multi, models.x0, y_ref, u_prev, weight)):
                 assert got.tobytes() == want.tobytes()
 
     def test_equals_the_multiplied_out_form_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            _, multi, x0, y_ref, u_prev = step_subproblems(args)
+            plan, x0, y_ref, u_prev = step_subproblems(args)
             lam = args[1].lam
-            for got, want in zip(condense(multi, x0, y_ref, u_prev, lam),
-                                 condense_reference(multi, x0, y_ref, u_prev, lam)):
+            for got, want in zip(condense(lam, plan),
+                                 condense_reference(plan.multi, x0, y_ref, u_prev, lam)):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -260,9 +294,10 @@ class TestEffortTerm:
     @pytest.mark.parametrize("n_h", range(1, 7))
     def test_lin_equals_the_difference_map_form_for_every_level_triple(self, n_h, rng):
         st = random_state(rng)
-        models = build_step_models(st, MACHINE, GRID, T_S, C_DC)
-        stacked = build_multistep(models.sides, n_h)
-        alone = [build_multistep(side, n_h) for side in side_models_reference(st)[:2]]
+        plan = StepPlan(n_h)
+        models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+        stacked = build_multistep(plan)
+        alone = [side_multistep(stacked, i) for i in range(2)]
         x0 = models.x0
         # a reference equal to the free response leaves a zero residual, so
         # lin is the effort term alone, zero signs included
@@ -270,15 +305,17 @@ class TestEffortTerm:
         random_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h),
                                np.tile(rng.normal(0, 3000, 2), n_h)))
         for y_ref, weight in ((random_ref, 0.1), (free, 0.1), (free, 0.0)):
+            plan.y_ref[...] = y_ref
             for u_m, u_n in zip(BLOCKS, BLOCKS[::-1]):
                 u_prev = np.array((u_m, u_n))
-                got = condense(stacked, x0, y_ref, u_prev, weight)[1]
+                plan.u_prev[...] = u_prev
+                got = condense(weight, plan)[1]
                 want = condense_reference(stacked, x0, y_ref, u_prev, weight)[1]
                 assert got.tobytes() == want.tobytes()
+                # each side's item is the reference applied to that side alone
                 for i, m in enumerate(alone):
-                    got = condense(m, x0[i], y_ref[i], u_prev[i], weight)[1]
                     want = condense_reference(m, x0[i], y_ref[i], u_prev[i], weight)[1]
-                    assert got.tobytes() == want.tobytes()
+                    assert got[i].tobytes() == want.tobytes()
 
 
 class TestReverseCholesky:
@@ -296,12 +333,11 @@ class TestReverseCholesky:
         # `target = factor @ unconstrained` takes another gemv path on a
         # strided factor, so its layout is part of the result
         for _, args in recorded_steps:
-            _, multi, x0, y_ref, u_prev = step_subproblems(args)
-            plan = StepPlan(args[1].n_h)
-            qp = assemble_qp(multi, x0, y_ref, u_prev, args[1].lam, plan)
-            assert qp.factor.tobytes() == reverse_cholesky_reference(qp.quad).tobytes()
-            assert qp.factor.flags.c_contiguous
-            assert all(side.factor.flags.c_contiguous for side in plan.qp_items)
+            plan, *_ = step_subproblems(args)
+            sides = assemble_qp(args[1].lam, plan)
+            assert plan.factor.tobytes() == reverse_cholesky_reference(plan.quad).tobytes()
+            assert plan.factor.flags.c_contiguous
+            assert all(side.factor.flags.c_contiguous for side in sides)
 
 
 class TestSolve:
@@ -315,18 +351,24 @@ class TestSolve:
 
     def test_gufunc_equals_np_linalg_solve_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            _, multi, x0, y_ref, u_prev = step_subproblems(args)
-            qp = assemble_qp(multi, x0, y_ref, u_prev, args[1].lam)
-            want = np.linalg.solve(qp.quad, qp.lin[..., None])[..., 0]
-            assert qp.unconstrained.tobytes() == want.tobytes()
-            assert qp.target.tobytes() == (qp.factor @ want[..., None])[..., 0].tobytes()
+            plan, *_ = step_subproblems(args)
+            assemble_qp(args[1].lam, plan)
+            want = np.linalg.solve(plan.quad, plan.lin[..., None])[..., 0]
+            assert plan.unconstrained[..., 0].tobytes() == want.tobytes()
+            assert plan.target[..., 0].tobytes() == (plan.factor @ want[..., None])[..., 0].tobytes()
 
     def test_gufunc_equals_np_linalg_solve_on_a_single_random_side(self, rng):
+        # the machine side's item of the stack, solved alone; the grid
+        # side's references and previous levels are zero
         for n_h in range(1, 7):
             st = random_state(rng)
-            multi = build_multistep(side_models_reference(st)[0], n_h)
-            qp = assemble_qp(multi, st.i_m_dq, np.tile(rng.normal(0, 15, 2), n_h),
-                             rng.integers(-1, 2, 3), 0.1)
+            plan = StepPlan(n_h)
+            build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+            build_multistep(plan)
+            plan.y_ref[...] = plan.u_prev[...] = 0.0
+            plan.y_ref[0] = np.tile(rng.normal(0, 15, 2), n_h)
+            plan.u_prev[0] = rng.integers(-1, 2, 3)
+            qp = assemble_qp(0.1, plan)[0]
             want = np.linalg.solve(qp.quad, qp.lin[..., None])[..., 0]
             assert qp.unconstrained.tobytes() == want.tobytes()
 
@@ -348,7 +390,7 @@ class TestImbalancePath:
 
     def test_equals_cumsum_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            models, *_ = step_subproblems(args)
+            models = step_subproblems(args)[0].models
             st, n_h = args[0], args[1].n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
             contrib = imbalance_contributions_reference(
@@ -372,7 +414,7 @@ class TestControlStep:
             st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
             plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
             d, (cands_m, cands_n), _ = traced(args, plan)
-            models = build_step_models(st, machine, grid, t_s, c_dc)
+            models = build_step_models(st, machine, grid, t_s, c_dc, StepPlan(cfg.n_h))
             scores = []
             for im, u_m in enumerate(cands_m.rows):
                 for il, u_n in enumerate(cands_n.rows):
@@ -388,7 +430,7 @@ class TestControlStep:
     def test_step_models_stack_the_states(self, recorded_steps):
         for _, args in recorded_steps:
             st = args[0]
-            models, *_ = step_subproblems(args)
+            models = step_subproblems(args)[0].models
             assert models.x0.tobytes() == np.array((st.i_m_dq, st.i_n_ab)).tobytes()
 
     def test_decision_equals_the_reference_forms_on_recorded_steps(self, recorded_steps):
@@ -443,23 +485,28 @@ class TestMultistepProducts:
     A @ I and of the empty products."""
 
     @staticmethod
-    def assert_same(d, n_h):
-        plan = StepPlan(n_h, lead=d.state_mat.shape[:-2])
-        build_multistep(d, n_h, plan)
-        powers, products = multistep_products_reference(d, n_h)
+    def assert_same(plan):
+        """The built plan's powers and products, both sides and each side
+        alone, against the references."""
+        sides = plan.models.sides
+        powers, products = multistep_products_reference(sides, plan.n_h)
         assert plan.powers.tobytes() == powers.tobytes()
         assert plan.products.tobytes() == products.tobytes()
+        for i in range(2):
+            side = LinearSubsystem(sides.state_mat[i], sides.input_mat[i], sides.drift[i],
+                                   sides.output_mat[i])
+            powers, products = multistep_products_reference(side, plan.n_h)
+            assert plan.powers[:, i].tobytes() == powers.tobytes()
+            assert side_products(plan, i).tobytes() == products.tobytes()
 
     def test_equals_the_products_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            models, *_ = step_subproblems(args)
-            self.assert_same(models.sides, args[1].n_h)
+            self.assert_same(step_subproblems(args)[0])
 
     @pytest.mark.parametrize("n_h", range(1, 7))
     def test_equals_the_products_on_random_models(self, n_h, rng):
-        for lead in ((), (2,), (3,)):
-            for _ in range(20):
-                self.assert_same(random_model(rng, lead), n_h)
+        for _ in range(30):
+            self.assert_same(plan_of_sides([random_model(rng, ()) for _ in "mn"], n_h))
 
     def test_identity_product_keeps_every_entry_but_negative_zero(self, rng):
         eye = np.eye(2)
@@ -472,8 +519,7 @@ class TestMultistepProducts:
 
     def test_state_maps_hold_no_negative_zero(self, recorded_steps):
         for _, args in recorded_steps:
-            models, *_ = step_subproblems(args)
-            a = models.sides.state_mat
+            a = step_subproblems(args)[0].models.sides.state_mat
             assert not np.any((a == 0.0) & np.signbit(a))
 
 
@@ -515,12 +561,12 @@ class TestPythonValueWrites:
     def effort(u_prev_m, u_prev_n, weight, n_h):
         """The effort's first stage as `control_step` writes it."""
         plan = StepPlan(n_h)
-        u_prev = plan.u_prev
-        u_prev[...] = u_prev_m, u_prev_n
-        multi = build_multistep(build_step_models(
-            PlantState((0.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0),
-            MACHINE, GRID, T_S, C_DC, plan).sides, n_h, plan)
-        condense(multi, plan.x0, np.zeros((2, 2 * n_h)), u_prev, weight, plan)
+        plan.u_prev[...] = u_prev_m, u_prev_n
+        build_step_models(PlantState((0.0, 0.0), (0.0, 0.0), 700.0, 0.0, 0.0, 0.0, 0.0),
+                          MACHINE, GRID, T_S, C_DC, plan)
+        build_multistep(plan)
+        plan.y_ref[...] = 0.0
+        condense(weight, plan)
         return plan.effort
 
     def test_effort_equals_the_multiplied_levels_on_recorded_steps(self, recorded_steps):
