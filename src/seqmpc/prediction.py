@@ -26,7 +26,7 @@ side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
 maps to phase currents); side i is item i of each.  Every stage of the
 step serves both sides at once and reads the two-side step plan:
 `build_multistep`, `solver.condense` and `solver.assemble_qp` run each
-product as one stacked call over the side axis.  The imbalance stage:
+product as one stacked call over the side axis.  In the imbalance stage,
 `imbalance_contributions` rolls out the plan's level stack, both candidate
 lists at once, the shorter padded with zero rows, on the plan's models,
 moving all k candidates of a side forward together as stacked
