@@ -22,41 +22,45 @@ output record that nothing here takes as input.
 
 Two-side convention: the machine and grid subproblems have the same shape,
 so `build_step_models` stacks the two discretized models over a first
-side axis, machine first (`StepModels.sides`, and `StepModels.proj` for the
-maps to phase currents); side i is item i of each.  Every stage of the
-step serves both sides at once and reads the two-side step plan:
-`build_multistep`, `solver.condense` and `solver.assemble_qp` run each
-product as one stacked call over the side axis.  In the imbalance stage,
-`imbalance_contributions` rolls out the plan's level stack, both candidate
-lists at once, the shorter padded with zero rows, on the plan's models,
-moving all k candidates of a side forward together as stacked
-matrix-vector products (`A @ X[:, :, None]`); `imbalance_path` folds the
-plan's contributions into every pair's path, and `solver.select_pair`
-scores them with a stacked self-product (`P[:, None, :] @ P[:, :, None]`),
-dropping the padding rows.  `predict_imbalance`, the one-pair form, is its
-independent reference: a stage-by-stage rollout with 1-D products that
-shares no buffer or function with the planned one.
+side axis, machine first, into the step plan's `state_mat`, `input_mat`,
+`drift` and `output_mat` (and `proj` for the maps to phase currents); side
+i is item i of each.  Every stage of the step serves both sides at once and
+reads the two-side step plan: `build_multistep`, `solver.condense` and
+`solver.assemble_qp` run each product as one stacked call over the side
+axis.  In the imbalance stage, `imbalance_contributions` rolls out the
+plan's level stack, both candidate lists at once, the shorter padded with
+zero rows, on the plan's models, moving all k candidates of a side forward
+together as stacked matrix-vector products (`A @ X[:, :, None]`);
+`imbalance_path` folds the plan's contributions into every pair's path, and
+`solver.select_pair` scores them with a stacked self-product
+(`P[:, None, :] @ P[:, :, None]`), dropping the padding rows.
+`predict_imbalance`, the one-pair form, is its independent reference: a
+stage-by-stage rollout with 1-D products on one side of the plan's models
+at a time, which shares no buffer or function with the planned one.
 
 The step plan.  A control step is short, so the NumPy calls around its
 products cost more than the products themselves (about 1 us each).  A
-`StepPlan` is the one carrier of a control step.  It is built once for one
+`StepPlan` is the one record of a control step.  It is built once for one
 shape, the horizon N and the list lengths k_m and k_n, always for the two
 sides.  It holds every operand buffer of the step, the step's inputs (the
-states, which are the models' own, the references and the previous
-levels), the views that the products read and write, and the records that
-the planned functions return (`StepModels`, `MultistepModel` and the two
-sides' `QpForm`s), which wrap its buffers.  The closed loop builds one per
-run and passes it down; `controller.control_step` writes the step's inputs
-into it.  Each stage takes the plan, reads from it and writes into it:
-`build_step_models`, `build_multistep`, `solver.condense`,
-`solver.assemble_qp`, the two imbalance functions and `select_pair`.  A
-step then runs only its products, each into one of the plan's buffers,
-the elementwise writes, one flat-index gather that places the forced, free
-and drift maps of `build_multistep` (`_map_index`, the maps' transposes
-and reshapes run once per horizon on the products' positions), and the
-decoder.  Every view a product reads or writes is built once, with the plan:
-the state x0 as a column of the models' values, forced', the rollout's
-broadcast views of the side models and the path's rows and columns.
+states, the references and the previous levels), its models (the side
+models, `proj`, `gain` and the states `x0`), its multistep maps
+(`forced_map`, `free_map`, `drift_vec`), the views that the products read
+and write, and the two sides' `QpForm`s, which wrap its buffers.  The
+closed loop builds one per run and passes it down;
+`controller.control_step` writes the step's inputs into it.  Each stage
+takes the plan, reads from it and writes into it: `build_step_models`,
+`build_multistep`, `solver.condense`, `solver.assemble_qp`, the two
+imbalance functions and `select_pair`.  A step then runs only its products,
+each into one of the plan's buffers, the elementwise writes, one flat-index
+gather that places the forced, free and drift maps of `build_multistep`
+(`_map_index`, the maps' transposes and reshapes run once per horizon on
+the products' positions), and the decoder.  Every view a product reads or
+writes is built once, with the plan: the state x0 as a column of the
+models' values, forced', the rollout's broadcast views of the side models
+and the path's rows and columns.  The one-side reference forms,
+`predict_outputs` and `predict_imbalance`, read a side of the plan's
+models and maps by its index.
 
 Bit identity.  Each array of a step, here and in `solver`, is bit-identical
 to computing each side alone and each candidate one at a time with fresh
@@ -92,11 +96,11 @@ NumPy results; tests/test_step_forms.py pins it.  Four rules keep it so.
   Python numbers (the references, the previous levels, the model entries)
   are written into the plan's buffers directly, not through a temporary
   array.
-- Aliasing rule.  What a planned function returns is the plan's: it holds
-  the current step until the next call with the same plan overwrites it.
-  Nothing that outlives a step shares memory with a plan: the candidate
-  lists and everything reachable from a `ControlDecision` are Python
-  values.
+- Aliasing rule.  What a planned function writes or returns is the plan's:
+  it holds the current step until the next call with the same plan
+  overwrites it.  Nothing that outlives a step shares memory with a plan:
+  the candidate lists and everything reachable from a `ControlDecision`
+  are Python values.
 """
 
 from __future__ import annotations
@@ -143,29 +147,16 @@ class LinearSubsystem:
 
     The builders' continuous model is  x' = state_mat x + input_mat u +
     drift; the one-step model of `discretize` and `build_step_models` is
-    x+ = state_mat x + input_mat u + drift over one sampling period.  In
-    `StepModels.sides` each array stacks the two sides over a first side
-    axis, machine first.
+    x+ = state_mat x + input_mat u + drift over one sampling period.  A
+    `StepPlan` holds the step's two one-step models as its own
+    `state_mat`, `input_mat`, `drift` and `output_mat`, each stacking the
+    two sides over a first side axis, machine first.
     """
 
     state_mat: np.ndarray  # 2x2
     input_mat: np.ndarray  # 2x3, switch integers -> state derivative or step
     drift: np.ndarray      # 2
     output_mat: np.ndarray  # 2x2
-
-
-@dataclass(slots=True)
-class MultistepModel:
-    """Condensed horizon model  Y = forced_map U + free_map x0 + drift_vec.
-
-    The switching effort diff_mat @ U - prev_sel @ u_prev depends on the
-    horizon alone: `effort_maps(horizon)` gives both maps.
-    """
-
-    forced_map: np.ndarray  # (2N, 3N), block lower triangular
-    free_map: np.ndarray    # (2N, 2)
-    drift_vec: np.ndarray   # (2N,)
-    horizon: int
 
 
 @dataclass(slots=True)
@@ -272,9 +263,13 @@ def _delay_index(n_h: int) -> np.ndarray:
     return index
 
 
-def build_multistep(plan: StepPlan) -> MultistepModel:
-    """Stack the plan's one-step models (`StepModels.sides`, both sides at
-    once) over its `n_h` stages into condensed form: the plan's `multi`.
+def build_multistep(plan: StepPlan) -> None:
+    """Stack the plan's one-step models, both sides at once, over its `n_h`
+    stages into the condensed form  Y = forced_map U + free_map x0 +
+    drift_vec: the plan's `forced_map` (2, 2N, 3N), block lower triangular,
+    `free_map` (2, 2N, 2) and `drift_vec` (2, 2N).  The switching effort
+    diff_mat @ U - prev_sel @ u_prev depends on the horizon alone:
+    `effort_maps(n_h)` gives both maps.
 
     The products are the powers A^d, C A^d, the blocks C A^d B and C times
     the running sums of A^l n; one gather (`_map_index`) places them in the
@@ -288,52 +283,32 @@ def build_multistep(plan: StepPlan) -> MultistepModel:
     ever -0.0.  At N = 1 the products and the running sum of the drift's
     later stages run over an empty stage axis and are skipped.
     """
-    sides = plan.models.sides
-    a, b, c = sides.state_mat, sides.input_mat, sides.output_mat
+    a, b, c = plan.state_mat, plan.input_mat, plan.output_mat
     plan.power_first[...] = a  # A^1 = A @ I, bit for bit (see the docstring)
     for power, following in plan.power_steps:  # A^d, d = 2..N
         np.matmul(a, power, following)
     np.matmul(c, plan.powers, plan.c_powers)  # C A^d
     np.matmul(plan.c_powers_head, b, plan.blocks_head)  # C A^d B, d < N
     # A^l n, then running sums over l = 0..r; at N = 1 only A^0 n
-    plan.drift_first[...] = sides.drift
+    plan.drift_first[...] = plan.drift
     if plan.n_h > 1:
         np.matmul(plan.powers_inner, plan.drift_head, plan.drift_rest)
         np.add.accumulate(plan.drift_sums, 0, None, plan.drift_sums)
     np.matmul(c, plan.drift_sums, plan.c_drift_sums)
     np.take(plan.products, plan.map_index, None, plan.maps, "clip")
-    return plan.multi
 
 
-def predict_outputs(m: MultistepModel, x0, levels) -> np.ndarray:
-    """Stacked output trajectory for one candidate sequence, given as its
-    3N levels (a tuple of ints or a 1-D int array)."""
-    return m.forced_map @ np.asarray(levels) + m.free_map @ np.asarray(x0, float) + m.drift_vec
+def predict_outputs(plan: StepPlan, side: int, x0, levels) -> np.ndarray:
+    """Stacked output trajectory of side `side` of the plan's multistep maps
+    (0 the machine, 1 the grid) from state `x0` for one candidate sequence,
+    given as its 3N levels (a tuple of ints or a 1-D int array)."""
+    return (plan.forced_map[side] @ np.asarray(levels)
+            + plan.free_map[side] @ np.asarray(x0, float) + plan.drift_vec[side])
 
 
 # ---------------------------------------------------------------------------
 # DC-link imbalance rollout
 # ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class StepModels:
-    """Both discretized side models of one control step and the imbalance
-    stage's inputs, all frozen at time-k quantities.
-
-    `sides` stacks the two models over a first side axis, machine first
-    (see the module docstring).  `proj` stacks the two sides' maps from the
-    model state to the phase currents the same way: the machine side's is
-    the Clarke pseudo-inverse with the Park rotation folded in, the grid
-    side's the Clarke pseudo-inverse.  `gain` is Ts / C, and `x0` stacks the
-    two sides' model states at time k, the machine dq currents and the grid
-    alpha/beta currents.
-    """
-
-    sides: LinearSubsystem
-    proj: np.ndarray
-    gain: float
-    x0: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +368,24 @@ MAX_PAIRS = 2**16
 
 
 class StepPlan:
-    """The operand buffers of one two-side control step, machine first, the
-    views its products read and write, and the records its planned
-    functions return, for one shape: horizon `n_h` and list lengths `k_m`
-    and `k_n`, each capped at the 3^(3N) sequences of the horizon as the
-    decoder caps its k (see the module docstring).  Raises ValueError,
-    before allocating anything, when the capped lengths give more than
-    MAX_PAIRS pairs.  The closed loop builds one per run.
+    """The operand buffers of one two-side control step, machine first, and
+    the views its products read and write, for one shape: horizon `n_h` and
+    list lengths `k_m` and `k_n`, each capped at the 3^(3N) sequences of the
+    horizon as the decoder caps its k (see the module docstring).  Raises
+    ValueError, before allocating anything, when the capped lengths give
+    more than MAX_PAIRS pairs.  The closed loop builds one per run.
+
+    The step's models, all frozen at time-k quantities, are attributes of
+    the plan (`build_step_models`): `state_mat`, `input_mat`, `drift` and
+    `output_mat` stack the two one-step models (`LinearSubsystem`'s
+    fields) over a first side axis, machine first; `proj` stacks the two
+    sides' maps from the model state to the phase currents the same way,
+    the machine side's the Clarke pseudo-inverse with the Park rotation
+    folded in, the grid side's the Clarke pseudo-inverse; `gain` is Ts / C,
+    and `x0` stacks the two sides' model states at time k, the machine dq
+    currents and the grid alpha/beta currents.  `forced_map`, `free_map`
+    and `drift_vec` are the condensed maps of `build_multistep`, and
+    `qp_items` the two sides' `QpForm`s of `solver.assemble_qp`.
     """
 
     def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1):
@@ -429,16 +415,16 @@ class StepPlan:
         self.converter = values[30:39].reshape(3, 3)
         self.clarke = np.array((CLARKE_MAT, CLARKE_MAT))
         self.park_clarke = self.clarke[0]
-        proj = np.array((CLARKE_PINV_MAT, CLARKE_PINV_MAT))
-        self.proj_m = proj[0]
-        sides = LinearSubsystem(
-            values[:8].reshape(2, NX, NX), np.empty((2, NX, NU)),
-            values[16:20].reshape(2, NX), values[8:16].reshape(2, NX, NX),
-        )
+        self.proj = np.array((CLARKE_PINV_MAT, CLARKE_PINV_MAT))
+        self.proj_m = self.proj[0]
+        self.state_mat = values[:8].reshape(2, NX, NX)
+        self.output_mat = values[8:16].reshape(2, NX, NX)
+        self.drift = values[16:20].reshape(2, NX)
+        self.input_mat = np.empty((2, NX, NU))
+        self.gain = 0.0
         # the states x0, also a column for `solver.condense`
         self.x0_col = values[20:24].reshape(2, NX, 1)
         self.x0 = self.x0_col[..., 0]
-        self.models = StepModels(sides, proj, 0.0, self.x0)
 
         # `build_multistep`: the powers A^d, the drift sums, the products and
         # the maps gathered from them
@@ -456,12 +442,12 @@ class StepPlan:
         self.blocks_head, self.c_powers_head = blocks[:n], self.c_powers[:n]
         self.map_index = _map_index(n)
         self.maps = np.empty(self.map_index.size)
-        self.multi = MultistepModel(*_views(self.maps, _map_shapes(n)), n)
+        self.forced_map, self.free_map, self.drift_vec = _views(self.maps, _map_shapes(n))
 
         # `solver.condense` and `solver.assemble_qp`: the inputs the step
         # writes (the references and the previous levels), the operands and
         # the two sides' forms
-        self.forced_t = self.multi.forced_map.swapaxes(-1, -2)
+        self.forced_t = self.forced_map.swapaxes(-1, -2)
         self.residual = np.empty((2, NX * n, 1))
         self.residual_flat = self.residual[..., 0]
         self.y_ref = np.empty((2, NX * n))
@@ -488,10 +474,10 @@ class StepPlan:
         # broadcast views, the level stack as floats, the rows of a shorter
         # list past its end staying zero, and the rollout
         k = max(k_m, k_n)
-        self.rollout_input = sides.input_mat[..., None, None, :, :]
-        self.rollout_state = sides.state_mat[..., None, :, :]
-        self.rollout_drift = sides.drift[..., None, :, None]
-        self.rollout_current = proj[..., None, None, :, :]
+        self.rollout_input = self.input_mat[..., None, None, :, :]
+        self.rollout_state = self.state_mat[..., None, :, :]
+        self.rollout_drift = self.drift[..., None, :, None]
+        self.rollout_current = self.proj[..., None, None, :, :]
         self.levels = np.zeros((2, k, nu))
         self.magnitudes = np.empty((2, k, nu))
         blocks = self.levels.reshape(2, k, n, 3, 1)
@@ -526,10 +512,11 @@ class StepPlan:
 def build_step_models(
     st: PlantState, machine: MachineParams, grid: GridParams, t_s: float, c_dc: float,
     plan: StepPlan,
-) -> StepModels:
+) -> None:
     """Both sides' discretized models for the control step at `st`, written
-    into the two-side stack directly, the imbalance gain t_s / c_dc and the
-    stacked model states: the plan's `models`.
+    into the plan's two-side stack directly (`state_mat`, `input_mat`,
+    `drift`, `output_mat` and `proj`), the imbalance gain t_s / c_dc (the
+    plan's `gain`) and the stacked model states (its `x0`).
 
     Each entry is the one that `discretize` computes from
     `build_machine_subsystem` and `build_grid_subsystem`, by the same
@@ -573,33 +560,30 @@ def build_step_models(
         # the converter map
         two_g, minus_g, minus_g, minus_g, two_g, minus_g, minus_g, minus_g, two_g,
     )
-    models = plan.models
     plan.park.dot(CLARKE_MAT, plan.park_clarke)
-    input_mat = np.matmul(plan.clarke, plan.converter, models.sides.input_mat)
+    input_mat = np.matmul(plan.clarke, plan.converter, plan.input_mat)
     input_mat /= plan.inductances
     input_mat *= t_s
     CLARKE_PINV_MAT.dot(plan.park_t, plan.proj_m)
-    models.gain = t_s / c_dc
-    return models
+    plan.gain = t_s / c_dc
 
 
 def imbalance_contributions(plan: StepPlan) -> np.ndarray:
     """(2, k, N) per-stage imbalance increments of the plan's level stack
-    `levels`, machine first, rolled out on the plan's `models`: the plan's
+    `levels`, machine first, rolled out on the plan's models: the plan's
     `contrib`.
 
-    Each side's `proj` in the models reconstructs the three-phase current
-    from the model state (Clarke pseudo-inverse, with the Park rotation
+    Each side's item of the plan's `proj` reconstructs the three-phase
+    current from the model state (Clarke pseudo-inverse, with the Park rotation
     folded in on the machine side); `gain` is Ts / C.  Stage j uses the
     state before that stage's input is applied, then propagates the state
     one Euler step from `x0`.  All candidates of both sides move together as
     stacked matrix-vector products (see the module docstring).
     """
-    models = plan.models
     np.abs(plan.levels, plan.magnitudes)
     if plan.n_h > 1:  # B u_j of every stage but the last
         np.matmul(plan.rollout_input, plan.driving, plan.driven)
-    plan.first_states[...] = models.x0  # the state before each stage's input
+    plan.first_states[...] = plan.x0  # the state before each stage's input
     state_mat, drift, carry = plan.rollout_state, plan.rollout_drift, plan.carry
     for state, driven, following in plan.stages:
         np.matmul(state_mat, state, carry)
@@ -607,7 +591,7 @@ def imbalance_contributions(plan: StepPlan) -> np.ndarray:
         np.add(carry, drift, following)
     np.matmul(plan.rollout_current, plan.states, plan.currents)
     np.matmul(plan.active, plan.currents, plan.dots)  # |u_j| as (1, 3) rows
-    return np.multiply(plan.dots_flat, models.gain, plan.contrib)
+    return np.multiply(plan.dots_flat, plan.gain, plan.contrib)
 
 
 def imbalance_path(v_imb0: float, plan: StepPlan) -> np.ndarray:
@@ -623,7 +607,7 @@ def imbalance_path(v_imb0: float, plan: StepPlan) -> np.ndarray:
     return paths
 
 
-def predict_imbalance(st: PlantState, levels_m, levels_n, models: StepModels) -> np.ndarray:
+def predict_imbalance(st: PlantState, levels_m, levels_n, plan: StepPlan) -> np.ndarray:
     """Predicted DC-link imbalance trajectory for one candidate pair, each
     side's sequence given as its 3N levels (a tuple of ints or a 1-D int
     array); the horizon N is their length over 3.
@@ -632,21 +616,22 @@ def predict_imbalance(st: PlantState, levels_m, levels_n, models: StepModels) ->
     is bilinear in |switch| and the reconstructed phase currents.  The
     controller scores pairs with `solver.select_pair`; this one-pair form is
     the reference that tests compare it with.  It rolls out one stage at a
-    time with 1-D NumPy products on side i of `models.sides` and
-    `models.proj`, from the states of `st`, and shares no buffer or
-    function with the planned rollout.
+    time with 1-D NumPy products on side i of the plan's models
+    (`build_step_models`), its `state_mat`, `input_mat`, `drift` and `proj`
+    items i, from the states of `st`, and shares no buffer or function with
+    the planned rollout.
     """
     levels_m, levels_n = np.asarray(levels_m), np.asarray(levels_n)
     if len(levels_m) != len(levels_n):
         raise SequenceError(
             f"machine horizon {len(levels_m) // 3} != grid horizon {len(levels_n) // 3}"
         )
-    sides, contribs = models.sides, []
+    contribs = []
     for i, (x, levels) in enumerate(((st.i_m_dq, levels_m), (st.i_n_ab, levels_n))):
         x, contrib = np.asarray(x, float), []
         for blk in levels.reshape(-1, 3):
-            contrib.append(models.gain * float(np.abs(blk) @ (models.proj[i] @ x)))
-            x = sides.state_mat[i] @ x + sides.input_mat[i] @ blk + sides.drift[i]
+            contrib.append(plan.gain * float(np.abs(blk) @ (plan.proj[i] @ x)))
+            x = plan.state_mat[i] @ x + plan.input_mat[i] @ blk + plan.drift[i]
         contribs.append(contrib)
     v, path = st.v_imb, []
     for a, b in zip(*contribs):

@@ -205,8 +205,9 @@ def reverse_cholesky(
 
 def condense(weight: float, plan: StepPlan):
     """Quadratic coefficients (quad, lin) of both sides' subproblem costs,
-    machine first, from the plan's multistep maps `multi`, states `x0`,
-    references `y_ref` and previous levels `u_prev`: the plan's.
+    machine first, from the plan's multistep maps `forced_map`, `free_map`
+    and `drift_vec`, states `x0`, references `y_ref` and previous levels
+    `u_prev`: the plan's `quad` and `lin`.
 
     Each side's cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
@@ -217,12 +218,11 @@ def condense(weight: float, plan: StepPlan):
     """
     if weight < 0:
         raise ValueError("effort weight must be nonnegative")
-    multi = plan.multi
-    residual = np.matmul(multi.free_map, plan.x0_col, plan.residual)
+    residual = np.matmul(plan.free_map, plan.x0_col, plan.residual)
     flat = plan.residual_flat
-    flat += multi.drift_vec
+    flat += plan.drift_vec
     flat -= plan.y_ref
-    quad = np.matmul(plan.forced_t, multi.forced_map, plan.quad)
+    quad = np.matmul(plan.forced_t, plan.forced_map, plan.quad)
     quad += effort_gram(plan.n_h, weight)
     np.matmul(plan.forced_t, residual, plan.forced_residual)
     np.multiply(plan.u_prev, weight, plan.effort_first)

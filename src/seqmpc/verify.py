@@ -16,8 +16,6 @@ import numpy as np
 from .harness import ScenarioConfig
 from .plant import PlantState
 from .prediction import (
-    LinearSubsystem,
-    MultistepModel,
     StepPlan,
     build_multistep,
     build_step_models,
@@ -57,14 +55,6 @@ def _random_step(rng: np.random.Generator, n_h: int):
     return plan, side
 
 
-def _side_multistep(plan: StepPlan, side: int) -> MultistepModel:
-    """The plan's multistep maps of one side."""
-    multi = plan.multi
-    return MultistepModel(
-        multi.forced_map[side], multi.free_map[side], multi.drift_vec[side], plan.n_h
-    )
-
-
 def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
     """A condensed subproblem from a random but plausible controller state."""
     plan, side = _random_step(rng, n_h)
@@ -74,16 +64,17 @@ def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
     return assemble_qp(0.1, plan)[side]
 
 
-def raw_cost_closure(model, x0, y_ref, u_prev, weight: float):
-    """The uncondensed tracking-plus-effort cost as a callable on a
-    sequence's levels."""
+def raw_cost_closure(plan: StepPlan, side: int, x0, y_ref, u_prev, weight: float):
+    """The uncondensed tracking-plus-effort cost of side `side` of the
+    plan's multistep maps as a callable on a sequence's levels; it reads
+    the plan's maps when called."""
     x0 = np.asarray(x0, float)
     y_ref = np.asarray(y_ref, float)
     prev = np.asarray(u_prev)
-    diff_mat, prev_sel = effort_maps(model.horizon)
+    diff_mat, prev_sel = effort_maps(plan.n_h)
 
     def cost(levels) -> float:
-        y = predict_outputs(model, x0, levels)
+        y = predict_outputs(plan, side, x0, levels)
         du = diff_mat @ np.asarray(levels) - prev_sel @ prev
         track = y - y_ref
         return float(track @ track + weight * (du @ du))
@@ -120,7 +111,7 @@ def check_condensation(seed: int, cases: int, horizons=(1, 2)):
         u_prev = tuple(int(v) for v in rng.integers(-1, 2, size=3))
         plan.y_ref[side], plan.x0[side], plan.u_prev[side] = y_ref, x0, u_prev
         qp = assemble_qp(0.1, plan)[side]
-        raw = raw_cost_closure(_side_multistep(plan, side), x0, y_ref, u_prev, weight=0.1)
+        raw = raw_cost_closure(plan, side, x0, y_ref, u_prev, weight=0.1)
         raw_best = brute_force_kbest(raw, 1, n_h).rows[0]
         qp_best = brute_force_kbest(qp, 1, n_h).rows[0]
         if raw_best != qp_best:
@@ -134,18 +125,16 @@ def check_stacking(seed: int, cases: int, horizons=(1, 2, 3)):
     for i in range(cases):
         n_h = horizons[i % len(horizons)]
         plan, side = _random_step(rng, n_h)
-        sides = plan.models.sides
-        model = LinearSubsystem(sides.state_mat[side], sides.input_mat[side],
-                                sides.drift[side], sides.output_mat[side])
-        multi = _side_multistep(plan, side)
+        a, b = plan.state_mat[side], plan.input_mat[side]
+        n, c = plan.drift[side], plan.output_mat[side]
         x0 = rng.normal(0.0, 15.0, size=2)
         levels = rng.integers(-1, 2, size=3 * n_h)
-        stacked = predict_outputs(multi, x0, levels)
+        stacked = predict_outputs(plan, side, x0, levels)
         x = x0.copy()
         iterated = []
         for j in range(n_h):
-            x = model.state_mat @ x + model.input_mat @ levels[3 * j : 3 * j + 3] + model.drift
-            iterated.append(model.output_mat @ x)
+            x = a @ x + b @ levels[3 * j : 3 * j + 3] + n
+            iterated.append(c @ x)
         iterated = np.concatenate(iterated)
         scale = max(1.0, float(np.max(np.abs(iterated))))
         if not np.allclose(stacked, iterated, rtol=0, atol=1e-9 * scale):

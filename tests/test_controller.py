@@ -273,7 +273,8 @@ class TestControlStep:
             cands_n = k_best(qp_n, cfg.n_l)
             assert row_m in cands_m.rows
             assert row_n in cands_n.rows
-            models = build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(cfg.n_h))
+            models = StepPlan(cfg.n_h)
+            build_step_models(st, MACHINE, GRID, T_S, C_DC, models)
             for u_m in cands_m.rows:
                 for u_n in cands_n.rows:
                     path = predict_imbalance(st, u_m, u_n, models)

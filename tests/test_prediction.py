@@ -28,7 +28,6 @@ from test_step_forms import (
     imbalance_contributions_reference,
     plan_of_sides,
     side_models_reference,
-    side_multistep,
 )
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
@@ -53,14 +52,17 @@ def make_state(rng=None, omega_m=80.0, theta=0.7, v_imb=0.0):
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(1))
+    """A plan for horizon 1 holding the step's models at `st`."""
+    plan = StepPlan(1)
+    build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+    return plan
 
 
 def side_maps(sides, n_h):
-    """The multistep models of the one-side models `sides`, machine then
-    grid, each an item of one plan's two-side maps."""
-    multi = plan_of_sides(sides, n_h).multi
-    return [side_multistep(multi, i) for i in range(2)]
+    """(forced, free, drift) maps of the one-side models `sides`, machine
+    then grid, each an item of one plan's two-side maps."""
+    plan = plan_of_sides(sides, n_h)
+    return [(plan.forced_map[i], plan.free_map[i], plan.drift_vec[i]) for i in range(2)]
 
 
 class TestSwitchSequence:
@@ -156,29 +158,29 @@ class TestMultistep:
             machine = build_machine_subsystem(MACHINE, omega, *DC, rng.uniform(0, 2 * math.pi))
             grid = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
             sides = [discretize(sys, T_S) for sys in (machine, grid)]
-            for d, m in zip(sides, side_maps(sides, n_h)):
+            for d, maps in zip(sides, side_maps(sides, n_h)):
                 want = stacked_block_by_block(d, n_h)
-                for got, ref in zip((m.forced_map, m.free_map, m.drift_vec), want):
+                for got, ref in zip(maps, want):
                     assert got.tobytes() == ref.tobytes()
 
     def test_single_stage_blocks(self):
         d = discretize(build_machine_subsystem(MACHINE, 150.0, *DC, 0.3), T_S)
-        m = side_maps([d, d], 1)[0]
-        assert_allclose(m.forced_map, d.output_mat @ d.input_mat)
-        assert_allclose(m.free_map, d.output_mat @ d.state_mat)
-        assert_allclose(m.drift_vec, d.output_mat @ d.drift)
+        forced, free, drift = side_maps([d, d], 1)[0]
+        assert_allclose(forced, d.output_mat @ d.input_mat)
+        assert_allclose(free, d.output_mat @ d.state_mat)
+        assert_allclose(drift, d.output_mat @ d.drift)
         diff_mat, prev_sel = effort_maps(1)
         assert_allclose(diff_mat, np.eye(3))
         assert_allclose(prev_sel, np.eye(3))
 
     def test_identity_transition_stacks_input_blocks(self):
         d = LinearSubsystem(np.eye(2), np.arange(6.0).reshape(2, 3), np.zeros(2), np.eye(2))
-        m = side_maps([d, d], 2)[0]
+        forced = side_maps([d, d], 2)[0][0]
         cb = d.input_mat
-        assert_allclose(m.forced_map[:2, :3], cb)
-        assert_allclose(m.forced_map[:2, 3:], np.zeros((2, 3)))
-        assert_allclose(m.forced_map[2:, :3], cb)
-        assert_allclose(m.forced_map[2:, 3:], cb)
+        assert_allclose(forced[:2, :3], cb)
+        assert_allclose(forced[:2, 3:], np.zeros((2, 3)))
+        assert_allclose(forced[2:, :3], cb)
+        assert_allclose(forced[2:, 3:], cb)
 
     def test_constant_sequence_has_zero_effort(self, rng):
         for n_h in (1, 2, 4):
@@ -197,10 +199,11 @@ class TestMultistep:
             )
             grid = build_grid_subsystem(GRID, rng.normal(0, 300, 2), *DC)
             sides = [discretize(sys, T_S) for sys in (machine, grid)]
-            for d, m in zip(sides, side_maps(sides, n_h)):
+            plan = plan_of_sides(sides, n_h)
+            for i, d in enumerate(sides):
                 x0 = rng.normal(0, 10, 2)
                 levels = rng.integers(-1, 2, 3 * n_h)
-                stacked = predict_outputs(m, x0, levels)
+                stacked = predict_outputs(plan, i, x0, levels)
                 x = x0.copy()
                 rows = []
                 for j in range(n_h):
@@ -223,15 +226,16 @@ def random_state(rng, omega_m=None):
     )
 
 
-class TestStepModels:
+class TestModelBuild:
     FIELDS = ("state_mat", "input_mat", "drift", "output_mat")
 
     def check(self, st, machine=MACHINE, grid=GRID):
-        got = build_step_models(st, machine, grid, T_S, C_DC, StepPlan(1))
+        got = StepPlan(1)
+        build_step_models(st, machine, grid, T_S, C_DC, got)
         m, n, proj = side_models_reference(st, machine, grid, T_S)
         for name in self.FIELDS:
             want = np.array((getattr(m, name), getattr(n, name)))
-            assert getattr(got.sides, name).tobytes() == want.tobytes(), name
+            assert getattr(got, name).tobytes() == want.tobytes(), name
         assert got.proj.tobytes() == proj.tobytes()
         assert got.gain == T_S / C_DC
 
@@ -258,12 +262,13 @@ class TestStepModels:
             omega_e = (0.0, -0.0)[i] if i < 2 else float(rng.uniform(-400.0, 400.0))
             theta_e = float(rng.uniform(0.0, 2.0 * np.pi))
             st = PlantState((0.0, 0.0), (0.0, 0.0), v_dc, v_imb, omega_e, theta_e, 0.0)
-            got = build_step_models(st, machine, cfg.grid(), cfg.t_s, cfg.c_dc, StepPlan(1))
+            got = StepPlan(1)
+            build_step_models(st, machine, cfg.grid(), cfg.t_s, cfg.c_dc, got)
             want = discretize(
                 build_machine_subsystem(machine, omega_e, v_dc, v_imb, theta_e), cfg.t_s
             )
             for name in self.FIELDS:
-                assert getattr(got.sides, name)[0].tobytes() == getattr(want, name).tobytes()
+                assert getattr(got, name)[0].tobytes() == getattr(want, name).tobytes()
 
 
 class TestImbalanceContributions:
@@ -274,7 +279,7 @@ class TestImbalanceContributions:
             st = random_state(rng)
             k_m, k_n = (int(k) for k in rng.integers(1, 11, 2))
             plan = StepPlan(n_h, k_m, k_n)
-            models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+            build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
             lv_m = rng.integers(-1, 2, (k_m, 3 * n_h))
             lv_n = rng.integers(-1, 2, (k_n, 3 * n_h))
             plan.levels_m[...], plan.levels_n[...] = lv_m, lv_n
@@ -282,10 +287,10 @@ class TestImbalanceContributions:
             assert both.shape == (2, max(k_m, k_n), n_h)
             machine, grid, proj = side_models_reference(st, MACHINE, GRID, T_S)
             alone_m = imbalance_contributions_reference(
-                st.i_m_dq, machine, lv_m, proj[0], models.gain
+                st.i_m_dq, machine, lv_m, proj[0], plan.gain
             )
             alone_n = imbalance_contributions_reference(
-                st.i_n_ab, grid, lv_n, CLARKE_PINV_MAT, models.gain
+                st.i_n_ab, grid, lv_n, CLARKE_PINV_MAT, plan.gain
             )
             assert both[0, :k_m].tobytes() == alone_m.tobytes()
             assert both[1, :k_n].tobytes() == alone_n.tobytes()

@@ -10,7 +10,6 @@ from seqmpc import _kernels
 from seqmpc.plant import GridParams, MachineParams, PlantState
 from seqmpc.prediction import (
     CLARKE_PINV_MAT,
-    MultistepModel,
     SequenceError,
     StepPlan,
     SwitchSequence,
@@ -42,7 +41,6 @@ from test_step_forms import (
     plan_of_sides,
     reverse_cholesky_reference,
     side_models_reference,
-    side_multistep,
 )
 
 MACHINE = MachineParams(0.1379, 0.019, 0.42675, 3)
@@ -53,7 +51,10 @@ C_DC = 1100e-6
 
 
 def step_models(st):
-    return build_step_models(st, MACHINE, GRID, T_S, C_DC, StepPlan(1))
+    """A plan for horizon 1 holding the step's models at `st`."""
+    plan = StepPlan(1)
+    build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+    return plan
 
 
 def select(st, cands_m, cands_n):
@@ -192,7 +193,7 @@ class TestCondensation:
         plan = step_plan(machine_state(120.0, 0.4), 2)
         quad, _ = condense(0.0, plan)
         for i in range(2):
-            forced = plan.multi.forced_map[i]
+            forced = plan.forced_map[i]
             assert_allclose(quad[i], forced.T @ forced)
 
     def test_zero_weight_rank_deficiency_is_reported(self):
@@ -206,12 +207,11 @@ class TestCondensation:
         # a forced map of the first two levels and a reference equal to the
         # free response, on both sides
         plan = StepPlan(1)
-        m = plan.multi
-        m.forced_map[...] = np.eye(2, 3)
-        m.free_map[...] = np.ones((2, 2))
-        m.drift_vec[...] = np.array([0.5, -1.0])
+        plan.forced_map[...] = np.eye(2, 3)
+        plan.free_map[...] = np.ones((2, 2))
+        plan.drift_vec[...] = np.array([0.5, -1.0])
         plan.x0[...] = np.array([1.0, 2.0])
-        plan.y_ref[...] = m.free_map[0] @ plan.x0[0] + m.drift_vec[0]
+        plan.y_ref[...] = plan.free_map[0] @ plan.x0[0] + plan.drift_vec[0]
         plan.u_prev[...] = 0.0
         for qp in assemble_qp(0.1, plan):
             assert_allclose(qp.lin, np.zeros(3), atol=1e-12)
@@ -245,13 +245,12 @@ class TestCondensation:
                 sys = build_grid_subsystem(GRID, rng.normal(0, 300, 2), v_dc, v_imb)
                 y_ref = np.tile(rng.normal(0, 3000, 2), n_h)
             plan = plan_of_sides([discretize(sys, T_S)] * 2, n_h)
-            m = side_multistep(plan.multi, side)
             x0 = rng.normal(0, 15, 2)
             u_prev = tuple(int(v) for v in rng.integers(-1, 2, 3))
             plan.x0[...] = plan.y_ref[...] = plan.u_prev[...] = 0.0
             plan.x0[side], plan.y_ref[side], plan.u_prev[side] = x0, y_ref, u_prev
             qp = assemble_qp(0.1, plan)[side]
-            raw = raw_cost_closure(m, x0, y_ref, u_prev, 0.1)
+            raw = raw_cost_closure(plan, side, x0, y_ref, u_prev, 0.1)
             assert brute_force_kbest(raw, 1, n_h).sequences[0] == brute_force_kbest(qp, 1, n_h).sequences[0]
 
 
@@ -284,15 +283,14 @@ class TestTwoSideStack:
             u_prev = np.array([tuple(int(v) for v in rng.integers(-1, 2, 3)) for _ in range(2)])
             lam = float(rng.uniform(0.01, 1.0))
             plan = step_plan(st, n_h, y_ref, u_prev=u_prev)
-            models, multi = plan.models, plan.multi
             qp = assemble_qp(lam, plan)
             assert qp is plan.qp_items
             for i, side in enumerate(side_models_reference(st)[:2]):
                 for name in ("state_mat", "input_mat", "drift", "output_mat"):
-                    assert getattr(models.sides, name)[i].tobytes() == getattr(side, name).tobytes()
-                alone = MultistepModel(*stacked_block_by_block(side, n_h), n_h)
-                for name in self.FIELDS:
-                    assert getattr(multi, name)[i].tobytes() == getattr(alone, name).tobytes()
+                    assert getattr(plan, name)[i].tobytes() == getattr(side, name).tobytes()
+                alone = stacked_block_by_block(side, n_h)
+                for name, want in zip(self.FIELDS, alone):
+                    assert getattr(plan, name)[i].tobytes() == want.tobytes()
                 # the side alone by the references: condensation, factor, solve
                 quad, lin = condense_reference(alone, x0[i], y_ref[i], u_prev[i], lam)
                 factor = reverse_cholesky_reference(quad)
@@ -316,7 +314,7 @@ class TestTwoSideStack:
         pivots = {}
         for name, side in zip(("machine", "grid"), side_models_reference(st)):
             # each side's Gram matrix alone, by the references
-            alone = MultistepModel(*stacked_block_by_block(side, n_h), n_h)
+            alone = stacked_block_by_block(side, n_h)
             quad, _ = condense_reference(alone, np.zeros(2), np.zeros(2 * n_h),
                                          np.zeros(3, dtype=np.int64), lam)
             try:
@@ -930,7 +928,7 @@ class TestSelectPair:
                     arr[0, 0] = 5.0
             quad, _ = condense(0.1, plan)
             for i in range(2):
-                forced = plan.multi.forced_map[i]
+                forced = plan.forced_map[i]
                 assert np.array_equal(quad[i], forced.T @ forced + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):

@@ -28,7 +28,6 @@ from seqmpc.prediction import (
     CLARKE_MAT,
     CLARKE_PINV_MAT,
     LinearSubsystem,
-    MultistepModel,
     StepPlan,
     build_grid_subsystem,
     build_machine_subsystem,
@@ -88,15 +87,15 @@ def plan_of_sides(sides, n_h, k_m=1, k_n=1):
     built."""
     plan = StepPlan(n_h, k_m, k_n)
     for name in ("state_mat", "input_mat", "drift", "output_mat"):
-        getattr(plan.models.sides, name)[...] = [getattr(side, name) for side in sides]
+        getattr(plan, name)[...] = [getattr(side, name) for side in sides]
     build_multistep(plan)
     return plan
 
 
-def side_multistep(multi, i):
-    """Side i of a two-side multistep model, as a one-side model."""
-    return MultistepModel(multi.forced_map[i], multi.free_map[i], multi.drift_vec[i],
-                          multi.horizon)
+def plan_maps(plan, side=...):
+    """(forced, free, drift) multistep maps of the plan, both sides or side
+    `side` alone."""
+    return plan.forced_map[side], plan.free_map[side], plan.drift_vec[side]
 
 
 def side_products(plan, i):
@@ -106,12 +105,15 @@ def side_products(plan, i):
     return np.concatenate([view[:, i].ravel() for view in views])
 
 
-def condense_reference(m, x0, y_ref, u_prev, weight):
-    """(quad, lin) with the residual formed as a flat vector."""
-    forced_t = m.forced_map.swapaxes(-1, -2)
-    residual = (m.free_map @ np.asarray(x0, float)[..., None])[..., 0] + m.drift_vec - y_ref
-    quad = forced_t @ m.forced_map + effort_gram(m.horizon, weight)
-    diff, prev = effort_maps(m.horizon)
+def condense_reference(maps, x0, y_ref, u_prev, weight):
+    """(quad, lin) of the (forced, free, drift) multistep `maps` with the
+    residual formed as a flat vector."""
+    forced, free, drift = maps
+    horizon = forced.shape[-1] // 3
+    forced_t = forced.swapaxes(-1, -2)
+    residual = (free @ np.asarray(x0, float)[..., None])[..., 0] + drift - y_ref
+    quad = forced_t @ forced + effort_gram(horizon, weight)
+    diff, prev = effort_maps(horizon)
     lin = -(forced_t @ residual[..., None]) + weight * (diff.T @ (prev @ u_prev[..., None]))
     return quad, lin[..., 0]
 
@@ -193,12 +195,12 @@ def control_step_reference(st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_p
     score, nodes)."""
     n_h = cfg.n_h
     plan = StepPlan(n_h)
-    models = build_step_models(st, machine, grid, t_s, c_dc, plan)
-    multi = build_multistep(plan)
+    build_step_models(st, machine, grid, t_s, c_dc, plan)
+    build_multistep(plan)
     x0 = np.array((st.i_m_dq, st.i_n_ab))
     u_prev = np.array((u_prev_m, u_prev_n))
     y_ref = stack_reference_reference(i_q_ref, p_ref, n_h)
-    quad, lin = condense_reference(multi, x0, y_ref, u_prev, cfg.lam)
+    quad, lin = condense_reference(plan_maps(plan), x0, y_ref, u_prev, cfg.lam)
     factor = reverse_cholesky_reference(quad)
     target = (factor @ np.linalg.solve(quad, lin[..., None]))[..., 0]
     lists = [_kernels.sd_search(factor[i].ravel().tolist(), target[i].tolist(),
@@ -208,7 +210,7 @@ def control_step_reference(st, cfg, i_q_ref, p_ref, machine, grid, u_prev_m, u_p
     levels = np.zeros((2, max(len(best_m), len(best_n)), 3 * n_h), dtype=np.int64)
     levels[0, : len(best_m)] = [lv for _, lv in best_m]
     levels[1, : len(best_n)] = [lv for _, lv in best_n]
-    contrib = imbalance_contributions_reference(x0, models.sides, levels, models.proj, models.gain)
+    contrib = imbalance_contributions_reference(x0, plan, levels, plan.proj, plan.gain)
     paths = imbalance_path_reference(
         st.v_imb, contrib[0, : len(best_m)], contrib[1, : len(best_n)]
     ).reshape(-1, n_h)
@@ -267,14 +269,15 @@ class TestCondense:
     def test_equals_the_multiplied_out_form_on_random_steps(self, n_h, rng):
         for _ in range(40):
             plan = StepPlan(n_h)
-            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
-            multi = build_multistep(plan)
+            build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
+            build_multistep(plan)
             y_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h), np.tile(rng.normal(0, 3000, 2), n_h)))
             u_prev = rng.integers(-1, 2, (2, 3))
             weight = float(rng.uniform(0.01, 1.0))
             plan.y_ref[...], plan.u_prev[...] = y_ref, u_prev
             for got, want in zip(condense(weight, plan),
-                                 condense_reference(multi, models.x0, y_ref, u_prev, weight)):
+                                 condense_reference(plan_maps(plan), plan.x0, y_ref, u_prev,
+                                                    weight)):
                 assert got.tobytes() == want.tobytes()
 
     def test_equals_the_multiplied_out_form_on_recorded_steps(self, recorded_steps):
@@ -282,7 +285,7 @@ class TestCondense:
             plan, x0, y_ref, u_prev = step_subproblems(args)
             lam = args[1].lam
             for got, want in zip(condense(lam, plan),
-                                 condense_reference(plan.multi, x0, y_ref, u_prev, lam)):
+                                 condense_reference(plan_maps(plan), x0, y_ref, u_prev, lam)):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -295,13 +298,14 @@ class TestEffortTerm:
     def test_lin_equals_the_difference_map_form_for_every_level_triple(self, n_h, rng):
         st = random_state(rng)
         plan = StepPlan(n_h)
-        models = build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
-        stacked = build_multistep(plan)
-        alone = [side_multistep(stacked, i) for i in range(2)]
-        x0 = models.x0
+        build_step_models(st, MACHINE, GRID, T_S, C_DC, plan)
+        build_multistep(plan)
+        stacked = plan_maps(plan)
+        alone = [plan_maps(plan, i) for i in range(2)]
+        x0 = plan.x0
         # a reference equal to the free response leaves a zero residual, so
         # lin is the effort term alone, zero signs included
-        free = (stacked.free_map @ x0[..., None])[..., 0] + stacked.drift_vec
+        free = (plan.free_map @ x0[..., None])[..., 0] + plan.drift_vec
         random_ref = np.array((np.tile(rng.normal(0, 15, 2), n_h),
                                np.tile(rng.normal(0, 3000, 2), n_h)))
         for y_ref, weight in ((random_ref, 0.1), (free, 0.1), (free, 0.0)):
@@ -390,11 +394,11 @@ class TestImbalancePath:
 
     def test_equals_cumsum_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
-            models = step_subproblems(args)[0].models
+            models = step_subproblems(args)[0]
             st, n_h = args[0], args[1].n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
             contrib = imbalance_contributions_reference(
-                models.x0, models.sides, levels, models.proj, models.gain
+                models.x0, models, levels, models.proj, models.gain
             )
             plan = StepPlan(n_h, 4, 4)
             plan.contrib[...] = contrib
@@ -414,7 +418,8 @@ class TestControlStep:
             st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
             plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
             d, (cands_m, cands_n), _ = traced(args, plan)
-            models = build_step_models(st, machine, grid, t_s, c_dc, StepPlan(cfg.n_h))
+            models = StepPlan(cfg.n_h)
+            build_step_models(st, machine, grid, t_s, c_dc, models)
             scores = []
             for im, u_m in enumerate(cands_m.rows):
                 for il, u_n in enumerate(cands_n.rows):
@@ -430,7 +435,7 @@ class TestControlStep:
     def test_step_models_stack_the_states(self, recorded_steps):
         for _, args in recorded_steps:
             st = args[0]
-            models = step_subproblems(args)[0].models
+            models = step_subproblems(args)[0]
             assert models.x0.tobytes() == np.array((st.i_m_dq, st.i_n_ab)).tobytes()
 
     def test_decision_equals_the_reference_forms_on_recorded_steps(self, recorded_steps):
@@ -464,9 +469,9 @@ class TestSingleMatrixProducts:
         plan = StepPlan(1)
         for _, args in recorded_steps:
             st, _, _, _, machine, grid, _, _, t_s, c_dc = args
-            models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+            build_step_models(st, machine, grid, t_s, c_dc, plan)
             assert plan.park_clarke.tobytes() == np.matmul(plan.park, CLARKE_MAT).tobytes()
-            assert models.proj[0].tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
+            assert plan.proj[0].tobytes() == np.matmul(CLARKE_PINV_MAT, plan.park.T).tobytes()
 
     def test_dot_equals_matmul_on_random_operands(self, rng):
         park_clarke, proj_m = np.empty((2, 3)), np.empty((3, 2))
@@ -488,13 +493,12 @@ class TestMultistepProducts:
     def assert_same(plan):
         """The built plan's powers and products, both sides and each side
         alone, against the references."""
-        sides = plan.models.sides
-        powers, products = multistep_products_reference(sides, plan.n_h)
+        powers, products = multistep_products_reference(plan, plan.n_h)
         assert plan.powers.tobytes() == powers.tobytes()
         assert plan.products.tobytes() == products.tobytes()
         for i in range(2):
-            side = LinearSubsystem(sides.state_mat[i], sides.input_mat[i], sides.drift[i],
-                                   sides.output_mat[i])
+            side = LinearSubsystem(plan.state_mat[i], plan.input_mat[i], plan.drift[i],
+                                   plan.output_mat[i])
             powers, products = multistep_products_reference(side, plan.n_h)
             assert plan.powers[:, i].tobytes() == powers.tobytes()
             assert side_products(plan, i).tobytes() == products.tobytes()
@@ -519,7 +523,7 @@ class TestMultistepProducts:
 
     def test_state_maps_hold_no_negative_zero(self, recorded_steps):
         for _, args in recorded_steps:
-            a = step_subproblems(args)[0].models.sides.state_mat
+            a = step_subproblems(args)[0].state_mat
             assert not np.any((a == 0.0) & np.signbit(a))
 
 
@@ -531,12 +535,12 @@ class TestRolloutProducts:
     def test_equals_the_fresh_rollout_on_random_lists(self, n_h, rng):
         for _ in range(20):
             plan = StepPlan(n_h, 4, 4)
-            models = build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
+            build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
             levels = rng.integers(-1, 2, (2, 4, 3 * n_h))
             plan.levels[...] = levels
             got = imbalance_contributions(plan)
             want = imbalance_contributions_reference(
-                models.x0, models.sides, levels, models.proj, models.gain)
+                plan.x0, plan, levels, plan.proj, plan.gain)
             assert got.tobytes() == want.tobytes()
 
     def test_equals_the_fresh_rollout_on_recorded_steps(self, recorded_steps):
@@ -545,11 +549,11 @@ class TestRolloutProducts:
             n_h = cfg.n_h
             levels = BLOCKS[np.arange(2 * 4 * n_h) % 27].reshape(2, 4, 3 * n_h)
             plan = StepPlan(n_h, 4, 4)
-            models = build_step_models(st, machine, grid, t_s, c_dc, plan)
+            build_step_models(st, machine, grid, t_s, c_dc, plan)
             plan.levels[...] = levels
             got = imbalance_contributions(plan)
             want = imbalance_contributions_reference(
-                models.x0, models.sides, levels, models.proj, models.gain)
+                plan.x0, plan, levels, plan.proj, plan.gain)
             assert got.tobytes() == want.tobytes()
 
 
