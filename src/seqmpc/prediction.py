@@ -574,10 +574,10 @@ def imbalance_contributions(plan: StepPlan) -> np.ndarray:
     `contrib`.
 
     Each side's item of the plan's `proj` reconstructs the three-phase
-    current from the model state (Clarke pseudo-inverse, with the Park rotation
-    folded in on the machine side); `gain` is Ts / C.  Stage j uses the
-    state before that stage's input is applied, then propagates the state
-    one Euler step from `x0`.  All candidates of both sides move together as
+    current from the model state (Clarke pseudo-inverse, with the Park
+    rotation folded in on the machine side); `gain` is Ts / C.  Stage j
+    uses the state before that stage's input is applied, then propagates
+    the state one Euler step from `x0`.  All candidates of both sides move together as
     stacked matrix-vector products (see the module docstring).
     """
     np.abs(plan.levels, plan.magnitudes)

@@ -1,7 +1,7 @@
 import pytest
 from click.testing import CliRunner
 
-from seqmpc import harness, solver
+from seqmpc import harness, solver, verify
 from seqmpc.cli import main
 from seqmpc.harness import ScenarioConfig, dump_config
 from seqmpc.prediction import SequenceError
@@ -358,6 +358,30 @@ class TestBothCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "flags, content, message",
+        [
+            (["--duration", "0"], None, "duration and t_s must be positive"),
+            (["--substeps", "0"], None, "substeps must be >= 1"),
+            ([], "[foo]\nduration = 0.2\n", "unknown section [foo]"),
+        ],
+        ids=["duration-0", "substeps-0", "unknown-section"],
+    )
+    def test_rejected_scenario_exits_one_with_a_message(
+        self, runner, tmp_path, command, flags, content, message
+    ):
+        if content is not None:
+            bad = tmp_path / "bad.ini"
+            bad.write_text(content)
+            flags = ["--config", str(bad)]
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, *flags, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"config error: {message}" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
     def test_out_that_is_not_a_directory_exits_one_before_step_zero(
         self, runner, tmp_path, monkeypatch, command, below
@@ -429,3 +453,62 @@ class TestVerify:
         assert result.exit_code == 3, result.output
         assert "pass  kbest_vs_bruteforce: ok" in result.output
         assert "FAIL  made_up: 1 of 5 differed" in result.output
+
+
+class TestVerifyFailureBranches:
+    """Each property of `seqmpc verify` fails on a planted fault, with its
+    own message, so that none of them passes whatever the code does."""
+
+    def test_sequence_mismatch(self, monkeypatch):
+        # the oracle's list of k + 1 for a list of k
+        monkeypatch.setattr(
+            verify, "k_best", lambda qp, k: solver.brute_force_kbest(qp, k + 1, qp.horizon)
+        )
+        assert verify.check_kbest_vs_bruteforce(0, 1) == (False, "sequence mismatch at n_h=1, k=1")
+
+    def test_cost_mismatch(self, monkeypatch):
+        def shifted(qp, k, n_h):
+            # the oracle's rows, every cost 1e-6 higher
+            want = solver.brute_force_kbest(qp, k, n_h)
+            leaves = [(cost + 1e-6, row) for cost, row in zip(want.costs, want.rows)]
+            return solver.CandidateList(leaves, n_h, want.nodes_visited)
+
+        monkeypatch.setattr(verify, "brute_force_kbest", shifted)
+        assert verify.check_kbest_vs_bruteforce(0, 1) == (False, "cost mismatch at n_h=1, k=1")
+
+    def test_argmin_mismatch(self, monkeypatch):
+        raw_cost_closure = verify.raw_cost_closure
+
+        def negated(*args, **kwargs):
+            cost = raw_cost_closure(*args, **kwargs)
+            return lambda levels: -cost(levels)
+
+        monkeypatch.setattr(verify, "raw_cost_closure", negated)
+        assert verify.check_condensation(1, 1) == (False, "argmin mismatch on case 0 (n_h=1)")
+
+    def test_stacked_iterated_mismatch(self, monkeypatch):
+        predict_outputs = verify.predict_outputs
+        monkeypatch.setattr(verify, "predict_outputs", lambda *args: predict_outputs(*args) + 1.0)
+        assert verify.check_stacking(2, 1) == (
+            False, "stacked/iterated mismatch on case 0 (n_h=1)"
+        )
+
+    def test_duplicate_row(self, monkeypatch):
+        def repeated(qp, k):
+            # the decoder's list with its first row repeated in place of its last
+            cands = solver.k_best(qp, k)
+            leaves = list(zip(cands.costs, cands.rows))
+            return solver.CandidateList(leaves[:1] + leaves[:-1], qp.horizon)
+
+        monkeypatch.setattr(verify, "k_best", repeated)
+        assert verify.check_exclusion_soundness(3, 1) == (
+            False, "duplicate sequence in a k-best list"
+        )
+
+    def test_order(self, monkeypatch):
+        # two rows of equal cost in reverse lexicographic order
+        reversed_rows = solver.CandidateList([(1.0, (1, 0, 0)), (1.0, (0, 0, 0))], 1)
+        monkeypatch.setattr(verify, "k_best", lambda qp, k: reversed_rows)
+        assert verify.check_exclusion_soundness(3, 1) == (
+            False, "k-best list is not in (cost, lexicographic) order"
+        )

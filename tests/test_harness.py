@@ -541,9 +541,10 @@ class TestConfigFiles:
             (b"[scenario]\nduration = 0.2\xff\n", "can't decode byte 0xff"),
             (b"[DEFAULT]\nduration = 0.2\n", "unknown section \\[DEFAULT\\]"),
             (b"[DEFAULT]\nduration = 0.2\n[plant]\nc_dc = 1e-3\n", "unknown section \\[DEFAULT\\]"),
+            (b"[foo]\nduration = 0.2\n", "unknown section \\[foo\\]"),
         ],
         ids=["no-header", "repeated-key", "repeated-section", "percent", "not-utf-8",
-             "default-alone", "default-with-section"],
+             "default-alone", "default-with-section", "unknown-section"],
     )
     def test_unreadable_file_is_a_config_error(self, tmp_path, content, message):
         # the parser's own errors, and keys under [DEFAULT], which would
@@ -591,13 +592,20 @@ class TestConfigFiles:
         [
             ("c_dc", 0.0), ("c_dc", -1e-3), ("inertia", 0.0), ("inertia", -0.05),
             ("v_dc_ref", 0.0), ("v_dc_ref", -700.0),
+            ("duration", 0.0), ("t_s", -5e-5), ("substeps", 0),
         ],
     )
     def test_plant_constants_must_be_positive(self, name, value):
-        # the capacitance, the inertia and the DC-link reference are run
+        # the capacitance, the inertia, the DC-link reference, the run's
+        # length, the sampling period and the plant's substeps are run
         # constants, checked once here
-        message = "v_dc_ref" if name == "v_dc_ref" else "c_dc and inertia"
-        with pytest.raises(ConfigError, match=f"{message} must be positive"):
+        message = {
+            "v_dc_ref": "v_dc_ref must be positive",
+            "duration": "duration and t_s must be positive",
+            "t_s": "duration and t_s must be positive",
+            "substeps": "substeps must be >= 1",
+        }.get(name, "c_dc and inertia must be positive")
+        with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**{name: value})
 
     def test_bad_profile_rejected(self, tmp_path):

@@ -26,6 +26,7 @@ from seqmpc.prediction import (
 )
 from test_step_forms import (
     imbalance_contributions_reference,
+    plan_maps,
     plan_of_sides,
     side_models_reference,
 )
@@ -62,7 +63,7 @@ def side_maps(sides, n_h):
     """(forced, free, drift) maps of the one-side models `sides`, machine
     then grid, each an item of one plan's two-side maps."""
     plan = plan_of_sides(sides, n_h)
-    return [(plan.forced_map[i], plan.free_map[i], plan.drift_vec[i]) for i in range(2)]
+    return [plan_maps(plan, i) for i in range(2)]
 
 
 class TestSwitchSequence:
