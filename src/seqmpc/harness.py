@@ -44,7 +44,7 @@ from .plant import (
     plant_step,
     power_output,
 )
-from .prediction import SequenceError, StepPlan, build_multistep, build_step_models
+from .prediction import SequenceError, StepPlan, build_multistep, build_step_models, effort_maps
 from .solver import NotPositiveDefiniteError, SolverError, assemble_qp
 
 RPM_TO_RAD_S = 2.0 * math.pi / 60.0
@@ -179,6 +179,14 @@ class ScenarioConfig:
             plan = StepPlan(n_h, ctrl.n_k, ctrl.n_l)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the effort term's Gram matrix lam * D'D (`solver.effort_gram`) must
+        # be finite; its largest entry is lam times the largest of D'D
+        diff, _ = effort_maps(n_h)
+        if not math.isfinite(lam * float((diff.T @ diff).max())):
+            raise ConfigError(
+                f"effort weight lam={lam:g} is too large: its Gram matrix overflows "
+                f"at horizon {n_h}"
+            )
         # along the common-mode switch vector only the effort term keeps the
         # condensed Gram matrix positive definite, so a positive but tiny
         # weight fails the factorization; reject it here, not on step 0: at
@@ -557,7 +565,14 @@ def compute_metrics(series: TimeSeries, cfg: ScenarioConfig) -> RunMetrics:
 # ---------------------------------------------------------------------------
 
 METRIC_COLUMNS = tuple(f.name for f in fields(RunMetrics))
-SWEEP_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode", "status") + METRIC_COLUMNS
+#: the columns of a controller configuration, `controller_values` of one
+CONTROLLER_COLUMNS = ("n_h", "n_k", "n_l", "lambda", "mode")
+SWEEP_COLUMNS = CONTROLLER_COLUMNS + ("status",) + METRIC_COLUMNS
+
+
+def controller_values(ctrl: ControllerConfig) -> tuple:
+    """`ctrl`'s values in CONTROLLER_COLUMNS order."""
+    return ctrl.n_h, ctrl.n_k, ctrl.n_l, ctrl.lam, ctrl.mode
 
 
 def sweep(cfg: ScenarioConfig):
@@ -579,10 +594,7 @@ def sweep(cfg: ScenarioConfig):
     for ctrl in grid:
         if ctrl in rows:
             continue
-        row = rows[ctrl] = {
-            "n_h": ctrl.n_h, "n_k": ctrl.n_k, "n_l": ctrl.n_l,
-            "lambda": ctrl.lam, "mode": ctrl.mode,
-        }
+        row = rows[ctrl] = dict(zip(CONTROLLER_COLUMNS, controller_values(ctrl)))
         try:
             series = run_scenario(cfg, ctrl)
             row.update(status="ok", **asdict(compute_metrics(series, cfg)))
@@ -597,10 +609,9 @@ def write_sweep_csv(rows, path):
 
 
 def write_metrics_csv(metrics: RunMetrics, ctrl: ControllerConfig, path):
-    header = ("n_h", "n_k", "n_l", "lambda", "mode") + METRIC_COLUMNS
-    row = [ctrl.n_h, ctrl.n_k, ctrl.n_l, ctrl.lam, ctrl.mode, *astuple(metrics)]
     with open(path, "w", newline="") as fh:
-        _write_rows(fh, header, [row])
+        _write_rows(fh, CONTROLLER_COLUMNS + METRIC_COLUMNS,
+                    [controller_values(ctrl) + astuple(metrics)])
 
 
 def write_spectrum_csv(series: TimeSeries, cfg: ScenarioConfig, path):

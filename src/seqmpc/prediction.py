@@ -45,13 +45,14 @@ shape, the horizon N and the list lengths k_m and k_n, always for the two
 sides.  It holds every operand buffer of the step, the step's inputs (the
 states, the references and the previous levels), its models (the side
 models, `proj`, `gain` and the states `x0`), its multistep maps
-(`forced_map`, `free_map`, `drift_vec`), the views that the products read
-and write, and the two sides' `QpForm`s, which wrap its buffers.  The
-closed loop builds one per run and passes it down;
-`controller.control_step` writes the step's inputs into it.  Each stage
-takes the plan, reads from it and writes into it: `build_step_models`,
-`build_multistep`, `solver.condense`, `solver.assemble_qp`, the two
-imbalance functions and `select_pair`.  A step then runs only its products,
+(`forced_map`, `free_map`, `drift_vec`), the two sides' subproblems
+(`quad`, `lin`, `factor`, `unconstrained`, `target`) and the views that
+the products read and write.  The closed loop builds one per run and
+passes it down; `controller.control_step` writes the step's inputs into
+it.  Each stage takes the plan, reads from it and writes into it:
+`build_step_models`, `build_multistep`, `solver.condense`,
+`solver.assemble_qp`, the two imbalance functions and `select_pair`.
+Only `assemble_qp` and `select_pair` return anything, Python values.  A step then runs only its products,
 each into one of the plan's buffers, the elementwise writes, one flat-index
 gather that places the forced, free and drift maps of `build_multistep`
 (`_map_index`, the maps' transposes and reshapes run once per horizon on
@@ -96,11 +97,8 @@ NumPy results; tests/test_step_forms.py pins it.  Four rules keep it so.
   Python numbers (the references, the previous levels, the model entries)
   are written into the plan's buffers directly, not through a temporary
   array.
-- Aliasing rule.  What a planned function writes or returns is the plan's:
-  it holds the current step until the next call with the same plan
-  overwrites it.  Nothing that outlives a step shares memory with a plan:
-  the candidate lists and everything reachable from a `ControlDecision`
-  are Python values.
+- Aliasing rule.  Nothing a stage returns shares memory with the plan,
+  whose arrays hold the current step until the next step overwrites them.
 """
 
 from __future__ import annotations
@@ -161,24 +159,18 @@ class LinearSubsystem:
 
 @dataclass(slots=True)
 class QpForm:
-    """Condensed quadratic subproblem in both raw and triangular form
-    (`solver.assemble_qp`).
+    """One side's subproblem in triangular form, min ||target - H U||^2
+    over the 3 * horizon levels U, as the decoder and the oracle read it
+    (`solver.assemble_qp`): Python values only, none of them the plan's.
 
-    Invariants: factor is lower triangular with positive diagonal,
-    factor.T @ factor == quad, quad @ unconstrained == lin, and
-    target == factor @ unconstrained.  `factor_list` holds the factor's
-    entries as the flat row-major list of Python floats that
-    `_kernels.cholesky_lower` returned, which the decoder reads.  The
-    plan's `qp_items` are the two sides' forms, views of its buffers.
+    `factor` is H as the flat row-major list of Python floats that
+    `_kernels.cholesky_lower` returned, lower triangular with positive
+    diagonal; `target` is a list of Python floats.
     """
 
-    quad: np.ndarray
-    lin: np.ndarray
-    factor: np.ndarray
-    unconstrained: np.ndarray
-    target: np.ndarray
+    factor: list
+    target: list
     horizon: int
-    factor_list: list
 
 
 class SwitchSequence(tuple):
@@ -385,7 +377,8 @@ class StepPlan:
     and `x0` stacks the two sides' model states at time k, the machine dq
     currents and the grid alpha/beta currents.  `forced_map`, `free_map`
     and `drift_vec` are the condensed maps of `build_multistep`, and
-    `qp_items` the two sides' `QpForm`s of `solver.assemble_qp`.
+    `quad`, `lin`, `factor`, `unconstrained` and `target` the two sides'
+    subproblems of `solver.assemble_qp` (see its invariants).
     """
 
     def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1):
@@ -445,8 +438,7 @@ class StepPlan:
         self.forced_map, self.free_map, self.drift_vec = _views(self.maps, _map_shapes(n))
 
         # `solver.condense` and `solver.assemble_qp`: the inputs the step
-        # writes (the references and the previous levels), the operands and
-        # the two sides' forms
+        # writes (the references and the previous levels) and the operands
         self.forced_t = self.forced_map.swapaxes(-1, -2)
         self.residual = np.empty((2, NX * n, 1))
         self.residual_flat = self.residual[..., 0]
@@ -462,13 +454,7 @@ class StepPlan:
         self.factor = np.empty((2, nu, nu))
         self.unconstrained = np.empty((2, nu, 1))
         self.target = np.empty((2, nu, 1))
-        # the factors as `_kernels.cholesky_lower`'s flat lists, one per side
-        self.factor_lists = [None, None]
-        self.qp_items = [
-            QpForm(self.quad[i], self.lin[i], self.factor[i], self.unconstrained[i, :, 0],
-                   self.target[i, :, 0], n, None)
-            for i in range(2)
-        ]
+        self.target_flat = self.target[..., 0]
 
         # `imbalance_contributions`, on the step's two models: their
         # broadcast views, the level stack as floats, the rows of a shorter
@@ -568,10 +554,10 @@ def build_step_models(
     plan.gain = t_s / c_dc
 
 
-def imbalance_contributions(plan: StepPlan) -> np.ndarray:
-    """(2, k, N) per-stage imbalance increments of the plan's level stack
-    `levels`, machine first, rolled out on the plan's models: the plan's
-    `contrib`.
+def imbalance_contributions(plan: StepPlan) -> None:
+    """The (2, k, N) per-stage imbalance increments of the plan's level
+    stack `levels`, machine first, rolled out on the plan's models, written
+    into the plan's `contrib`.
 
     Each side's item of the plan's `proj` reconstructs the three-phase
     current from the model state (Clarke pseudo-inverse, with the Park
@@ -591,20 +577,19 @@ def imbalance_contributions(plan: StepPlan) -> np.ndarray:
         np.add(carry, drift, following)
     np.matmul(plan.rollout_current, plan.states, plan.currents)
     np.matmul(plan.active, plan.currents, plan.dots)  # |u_j| as (1, 3) rows
-    return np.multiply(plan.dots_flat, plan.gain, plan.contrib)
+    np.multiply(plan.dots_flat, plan.gain, plan.contrib)
 
 
-def imbalance_path(v_imb0: float, plan: StepPlan) -> np.ndarray:
+def imbalance_path(v_imb0: float, plan: StepPlan) -> None:
     """Fold the plan's (k_m, N) and (k_n, N) per-stage contributions,
     `contrib_m` and `contrib_n`, into the (k_m, k_n, N) predicted imbalance
-    trajectories of every candidate pair: the plan's `paths`."""
+    trajectories of every candidate pair, written into the plan's `paths`."""
     paths = plan.paths
     np.subtract(plan.contrib_m_col, plan.contrib_n_row, paths)
     np.add(plan.paths_first, v_imb0, plan.paths_first)
     # left to right: v_j = v_(j-1) + step_j, the accumulation `np.cumsum` runs
     if plan.n_h > 1:
         np.add.accumulate(paths, 2, None, paths)
-    return paths
 
 
 def predict_imbalance(st: PlantState, levels_m, levels_n, plan: StepPlan) -> np.ndarray:

@@ -30,8 +30,12 @@ subclass that nothing takes as input: the oracle's cost callable and
 
 `assemble_qp` condenses both sides' subproblems, stacked over the step
 plan's side axis, machine first: it reads the plan's multistep maps,
-states, references and previous levels, writes into its buffers and
-returns the plan's two forms.  It and `select_pair` follow the
+states, references and previous levels, writes the plan's `quad`, `lin`,
+`factor`, `unconstrained` and `target` and returns the two sides'
+`QpForm`s, fresh Python values for the decoder.  Item i of those buffers
+is side i's subproblem: `factor` is lower triangular with positive
+diagonal, factor.T @ factor == quad, quad @ unconstrained == lin and
+target == factor @ unconstrained.  It and `select_pair` follow the
 bit-identity rules of `prediction`'s module docstring.  The Gram matrix
 forced' forced is a syrk per item, forced' residual and free x0 are
 gemvs, and the target factor @ unconstrained is a gemv on the
@@ -50,7 +54,7 @@ shared 2-core Xeon, Python 3.11); the factor has already shown every matrix
 positive definite.  The factor comes from the generated Cholesky kernel as
 a flat list already in the decoder's orientation and C order: one write
 into the plan's buffer for the target's gemv, and the list itself goes to
-the decoder (`QpForm.factor_list`), which reads it as it is.  The effort
+the decoder (`QpForm.factor`), which reads it as it is.  The effort
 term's part of the linear coefficient, weight * diff' (prev u_prev), is
 written as weight * u_prev in the first stage and zero after it: the
 products give exactly these values, +0.0 included, and lin = that vector -
@@ -170,8 +174,8 @@ def reverse_cholesky(
     q: np.ndarray, out: np.ndarray | None = None, lists: list | None = None
 ) -> np.ndarray:
     """Lower-triangular H with H.T @ H == q, for each matrix of a stack,
-    written into `out` if given; with `lists`, each matrix's factor also
-    goes into it, in stack order, as the flat list that
+    written into `out` if given; with `lists`, each matrix's factor is also
+    appended to it, in stack order, as the flat list that
     `_kernels.cholesky_lower` returned.
 
     `_kernels.cholesky_lower` factors the index-reversed matrix and hands
@@ -194,7 +198,7 @@ def reverse_cholesky(
             raise NotPositiveDefiniteError(pivot, i, q.shape[:-2])
         rows[i] = h
         if lists is not None:
-            lists[i] = h
+            lists.append(h)
     return out
 
 
@@ -203,11 +207,11 @@ def reverse_cholesky(
 # ---------------------------------------------------------------------------
 
 
-def condense(weight: float, plan: StepPlan):
-    """Quadratic coefficients (quad, lin) of both sides' subproblem costs,
-    machine first, from the plan's multistep maps `forced_map`, `free_map`
-    and `drift_vec`, states `x0`, references `y_ref` and previous levels
-    `u_prev`: the plan's `quad` and `lin`.
+def condense(weight: float, plan: StepPlan) -> None:
+    """Quadratic coefficients of both sides' subproblem costs, machine
+    first, from the plan's multistep maps `forced_map`, `free_map` and
+    `drift_vec`, states `x0`, references `y_ref` and previous levels
+    `u_prev`, written into the plan's `quad` and `lin`.
 
     Each side's cost ||forced U + free x0 + drift - y_ref||^2
     + weight ||diff U - prev u_prev||^2 expands to
@@ -226,7 +230,7 @@ def condense(weight: float, plan: StepPlan):
     quad += effort_gram(plan.n_h, weight)
     np.matmul(plan.forced_t, residual, plan.forced_residual)
     np.multiply(plan.u_prev, weight, plan.effort_first)
-    return quad, np.subtract(plan.effort, plan.forced_residual_flat, plan.lin)
+    np.subtract(plan.effort, plan.forced_residual_flat, plan.lin)
 
 
 @functools.lru_cache(maxsize=64)
@@ -240,24 +244,22 @@ def effort_gram(n_h: int, weight: float) -> np.ndarray:
 
 def assemble_qp(weight: float, plan: StepPlan) -> list:
     """Condense both sides' subproblems (`condense`) and bring them to
-    triangular decoding form: the plan's `qp_items`, the machine form and
-    then the grid form.  Both Gram matrices are factored before the first
-    solve, so one that is not positive definite raises
+    triangular decoding form in the plan's buffers; returns the machine
+    form and then the grid form.  Both Gram matrices are factored before
+    the first solve, so one that is not positive definite raises
     NotPositiveDefiniteError, the machine side's first; the solve is then
     `np.linalg.solve`'s gufunc (see the module docstring).
     """
-    quad, lin = condense(weight, plan)
-    lists = plan.factor_lists
-    factor = reverse_cholesky(quad, plan.factor, lists)
-    for form, h in zip(plan.qp_items, lists):
-        form.factor_list = h
+    condense(weight, plan)
+    factors = []
+    reverse_cholesky(plan.quad, plan.factor, factors)
     # The gufunc runs without np.linalg.solve's error state, so a singular
     # matrix would give NaN, not LinAlgError; the pivot floor of
     # `reverse_cholesky` has already raised for any matrix that is not
     # positive definite, so no singular matrix gets here.
-    _lapack_solve(quad, plan.lin_col, plan.unconstrained)
-    np.matmul(factor, plan.unconstrained, plan.target)
-    return plan.qp_items
+    _lapack_solve(plan.quad, plan.lin_col, plan.unconstrained)
+    np.matmul(plan.factor, plan.unconstrained, plan.target)
+    return [QpForm(h, t, plan.n_h) for h, t in zip(factors, plan.target_flat.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +270,7 @@ def assemble_qp(weight: float, plan: StepPlan) -> list:
 def _list_decode(qp: QpForm, k: int):
     """One `sd_search` pass over the factor's flat list and the target:
     (CandidateList, radius trace)."""
-    n = len(qp.target)
-    best, nodes, rho_trace = _k.sd_search(qp.factor_list, qp.target.tolist(), min(k, 3 ** n))
+    best, nodes, rho_trace = _k.sd_search(qp.factor, qp.target, min(k, 3 ** len(qp.target)))
     return CandidateList(best, qp.horizon, nodes), rho_trace
 
 
@@ -313,11 +314,12 @@ def _enumeration_costs(qp: QpForm, seqs: np.ndarray) -> np.ndarray:
     Python floats, so every cost is the same IEEE-754 value.
     """
     h, t = qp.factor, qp.target
+    n = len(t)
     total = np.zeros(seqs.shape[0])
-    for r in range(h.shape[0]):
+    for r in range(n):
         s = np.zeros(seqs.shape[0])
         for j in range(r + 1):
-            s = s + h[r, j] * seqs[:, j]
+            s = s + h[r * n + j] * seqs[:, j]
         total = total + (t[r] - s) ** 2
     return total
 

@@ -55,13 +55,20 @@ def _random_step(rng: np.random.Generator, n_h: int):
     return plan, side
 
 
-def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
-    """A condensed subproblem from a random but plausible controller state."""
+def random_subproblem(rng: np.random.Generator, n_h: int):
+    """(form, plan, side) of a condensed subproblem from a random but
+    plausible controller state: side `side`'s `QpForm`, and the plan whose
+    buffers hold its arrays as item `side`."""
     plan, side = _random_step(rng, n_h)
     plan.x0[side] = rng.normal(0.0, 15.0, size=2)
     plan.y_ref[side] = np.tile(rng.normal(0.0, REF_SCALES[side], size=2), n_h)
     plan.u_prev[side] = rng.integers(-1, 2, size=3)
-    return assemble_qp(0.1, plan)[side]
+    return assemble_qp(0.1, plan)[side], plan, side
+
+
+def random_qp_instance(rng: np.random.Generator, n_h: int) -> QpForm:
+    """A condensed subproblem from a random but plausible controller state."""
+    return random_subproblem(rng, n_h)[0]
 
 
 def raw_cost_closure(plan: StepPlan, side: int, x0, y_ref, u_prev, weight: float):

@@ -143,6 +143,17 @@ class TestRun:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not (tmp_path / "o").exists()
 
+    def test_huge_effort_weight_exits_one(self, runner, tmp_path):
+        # its Gram matrix would overflow on step 0
+        result = runner.invoke(
+            main,
+            ["run", "--duration", "0.01", "--lambda", "1e308", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "config error:" in result.output and "too large" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

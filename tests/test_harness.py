@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import platform
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -568,6 +569,19 @@ class TestConfigFiles:
         for n_h in (1, 3):
             with pytest.raises(ConfigError, match="too small"):
                 ScenarioConfig(horizons=(n_h,), lambdas=(1e-12,)).controller()
+
+    def test_effort_weight_ceiling(self):
+        # a weight whose Gram matrix lam * D'D overflows is rejected at load
+        # time, with no warning, instead of failing step 0; D'D's largest
+        # entry is 2 from N = 2 on, 1 at N = 1
+        with pytest.raises(ConfigError, match="too large"):
+            ScenarioConfig(lambdas=(1e308,)).controller()
+        half = sys.float_info.max / 2.0
+        with pytest.raises(ConfigError, match="lam=8.98847e[+]307 is too large.* horizon 2"):
+            ScenarioConfig(horizons=(2,), lambdas=(math.nextafter(half, math.inf),)).controller()
+        for n_h, lam in ((3, 5e307), (3, half), (1, 1e308)):
+            cfg = ScenarioConfig(duration=0.0005, horizons=(n_h,), lambdas=(lam,))
+            assert len(run_scenario(cfg, cfg.controller())) == 10
 
     def test_too_many_candidate_pairs_rejected_at_load_time(self, monkeypatch):
         # 20000 x 20000 would ask the step plan for gigabytes; it must fail

@@ -29,12 +29,12 @@ from seqmpc.solver import (
     reverse_cholesky,
     sphere_decode,
 )
-from seqmpc.verify import random_qp_instance
+from seqmpc.verify import random_subproblem
 
 SEED = 20261018
 KS = (1, 4, 10)
 
-# one row per `random_qp_instance` drawn from SEED, three per horizon 1, 2, 3:
+# one row per `random_subproblem` drawn from SEED, three per horizon 1, 2, 3:
 # (k_best nodes for each k in KS, the same with the plain walk,
 #  sphere_decode radius trace in hex,
 #  digest of loop_cholesky(quad), digest of reverse_cholesky(quad))
@@ -87,9 +87,17 @@ RECORDED_PIVOTS = [(3, 2, 2, 0), (6, 4, 4, 1), (9, 5, 5, 3), (9, 8, 8, 0), (6, 1
 
 
 @pytest.fixture(scope="module")
-def instances():
+def subproblems():
+    """(n_h, form, Gram matrix) of each row of RECORDED, the Gram matrix
+    being item `side` of the plan's `quad`."""
     rng = np.random.default_rng(SEED)
-    return [(n_h, random_qp_instance(rng, n_h)) for n_h in (1, 2, 3) for _ in range(3)]
+    drawn = [(n_h, random_subproblem(rng, n_h)) for n_h in (1, 2, 3) for _ in range(3)]
+    return [(n_h, qp, plan.quad[side]) for n_h, (qp, plan, side) in drawn]
+
+
+@pytest.fixture(scope="module")
+def instances(subproblems):
+    return [(n_h, qp) for n_h, qp, _ in subproblems]
 
 
 def _digest(a: np.ndarray) -> str:
@@ -149,12 +157,12 @@ def loop_reverse_cholesky(a):
 
 
 def walk(factor, target, k, bounded, rho2=math.inf):
-    """(best, nodes, rho_trace) of `sd_search`'s bounded or plain walk,
-    whatever `outside_box` says, started at squared radius `rho2` with an
-    empty list."""
+    """(best, nodes, rho_trace) of `sd_search`'s bounded or plain walk on
+    the flat factor list and the target list, whatever `outside_box` says,
+    started at squared radius `rho2` with an empty list."""
     best, rho_trace = [], []
-    search = _kernels._search_of_depth(len(factor), bounded)
-    nodes = search(factor.ravel().tolist(), target.tolist(), k, rho2, best, rho_trace)
+    search = _kernels._search_of_depth(len(target), bounded)
+    nodes = search(factor, target, k, rho2, best, rho_trace)
     return best, nodes, rho_trace
 
 
@@ -186,7 +194,8 @@ def test_generated_box_test_equals_sum_form(instances, n):
         for _ in range(50)
     ]
     cases += [
-        (qp.factor.tolist(), qp.target.tolist()) for _, qp in instances if 3 * qp.horizon == n
+        (np.reshape(qp.factor, (n, n)).tolist(), qp.target)
+        for _, qp in instances if 3 * qp.horizon == n
     ]
     got = [_kernels.outside_box(sum(h, []), c) for h, c in cases]  # the flat factor
     assert got == [sum_outside_box(h, c) for h, c in cases]
@@ -205,16 +214,17 @@ def test_box_test_adds_left_to_right():
 
 
 @pytest.mark.parametrize("case", range(len(RECORDED)))
-def test_factors_match_recorded_digests(instances, case):
-    _, qp = instances[case]
+def test_factors_match_recorded_digests(subproblems, case):
+    _, qp, quad = subproblems[case]
     _, _, _, chol, rev = RECORDED[case]
-    low, pivot = loop_cholesky(qp.quad.tolist())
+    low, pivot = loop_cholesky(quad.tolist())
     assert pivot == -1
     assert _digest(np.array(low)) == chol
-    h, pivot = _kernels.cholesky_lower(qp.quad.ravel().tolist())
+    h, pivot = _kernels.cholesky_lower(quad.ravel().tolist())
     assert pivot == -1
-    assert _digest(np.array(h).reshape(qp.quad.shape)) == rev
-    assert _digest(reverse_cholesky(qp.quad)) == rev
+    assert _digest(np.array(h).reshape(quad.shape)) == rev
+    assert _digest(reverse_cholesky(quad)) == rev
+    assert h == qp.factor  # the decoder's factor is the kernel's list
 
 
 def test_failing_pivots_match_recorded():

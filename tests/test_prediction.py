@@ -284,7 +284,8 @@ class TestImbalanceContributions:
             lv_m = rng.integers(-1, 2, (k_m, 3 * n_h))
             lv_n = rng.integers(-1, 2, (k_n, 3 * n_h))
             plan.levels_m[...], plan.levels_n[...] = lv_m, lv_n
-            both = imbalance_contributions(plan)
+            imbalance_contributions(plan)
+            both = plan.contrib
             assert both.shape == (2, max(k_m, k_n), n_h)
             machine, grid, proj = side_models_reference(st, MACHINE, GRID, T_S)
             alone_m = imbalance_contributions_reference(

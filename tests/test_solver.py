@@ -33,7 +33,7 @@ from seqmpc.solver import (
     select_pair,
     sphere_decode,
 )
-from seqmpc.verify import random_qp_instance, raw_cost_closure
+from seqmpc.verify import random_qp_instance, random_subproblem, raw_cost_closure
 from test_kernels import loop_reverse_cholesky, walk
 from test_prediction import stacked_block_by_block
 from test_step_forms import (
@@ -87,19 +87,19 @@ def machine_state(omega_e, theta_e, v_dc=DC[0], v_imb=DC[1]):
 
 
 def qp_from_factor(factor, u_unc, horizon):
-    """Hand-built QpForm for synthetic decoder scenarios."""
-    factor = np.asarray(factor, float)
+    """Hand-built QpForm for synthetic decoder scenarios: the factor, an
+    array or the decoder's flat list, and the target factor @ u_unc."""
+    n = 3 * horizon
+    factor = np.reshape(np.asarray(factor, float), (n, n))
     u_unc = np.asarray(u_unc, float)
-    quad = factor.T @ factor
-    return QpForm(
-        quad=quad,
-        lin=quad @ u_unc,
-        factor=np.ascontiguousarray(factor),
-        unconstrained=u_unc,
-        target=np.ascontiguousarray(factor @ u_unc),
-        horizon=horizon,
-        factor_list=factor.ravel().tolist(),
-    )
+    target = np.ascontiguousarray(factor @ u_unc)
+    return QpForm(factor=factor.ravel().tolist(), target=target.tolist(), horizon=horizon)
+
+
+def factor_rows(qp):
+    """The form's factor as a list of rows, as `_kernels.sequence_cost` takes it."""
+    n = len(qp.target)
+    return np.reshape(qp.factor, (n, n)).tolist()
 
 
 def flat_eye(n):
@@ -191,10 +191,10 @@ class TestCholesky:
 class TestCondensation:
     def test_zero_weight_reduces_to_gram_matrix(self):
         plan = step_plan(machine_state(120.0, 0.4), 2)
-        quad, _ = condense(0.0, plan)
+        condense(0.0, plan)
         for i in range(2):
             forced = plan.forced_map[i]
-            assert_allclose(quad[i], forced.T @ forced)
+            assert_allclose(plan.quad[i], forced.T @ forced)
 
     def test_zero_weight_rank_deficiency_is_reported(self):
         # the machine side's Gram matrix, factored first, is singular
@@ -213,17 +213,22 @@ class TestCondensation:
         plan.x0[...] = np.array([1.0, 2.0])
         plan.y_ref[...] = plan.free_map[0] @ plan.x0[0] + plan.drift_vec[0]
         plan.u_prev[...] = 0.0
-        for qp in assemble_qp(0.1, plan):
-            assert_allclose(qp.lin, np.zeros(3), atol=1e-12)
-            assert_allclose(qp.unconstrained, np.zeros(3), atol=1e-12)
+        assemble_qp(0.1, plan)
+        for i in range(2):
+            assert_allclose(plan.lin[i], np.zeros(3), atol=1e-12)
+            assert_allclose(plan.unconstrained[i, :, 0], np.zeros(3), atol=1e-12)
 
     def test_qp_invariants(self, rng):
         for n_h in (1, 2):
-            qp = random_qp_instance(rng, n_h)
-            assert_allclose(qp.factor, np.tril(qp.factor))
-            assert np.linalg.norm(qp.factor.T @ qp.factor - qp.quad) <= 1e-9 * np.linalg.norm(qp.quad)
-            assert_allclose(qp.quad @ qp.unconstrained, qp.lin, rtol=1e-8)
-            assert_allclose(qp.target, qp.factor @ qp.unconstrained)
+            qp, plan, side = random_subproblem(rng, n_h)
+            quad, lin, factor = plan.quad[side], plan.lin[side], plan.factor[side]
+            unconstrained, target = plan.unconstrained[side, :, 0], plan.target[side, :, 0]
+            assert_allclose(factor, np.tril(factor))
+            assert np.linalg.norm(factor.T @ factor - quad) <= 1e-9 * np.linalg.norm(quad)
+            assert_allclose(quad @ unconstrained, lin, rtol=1e-8)
+            assert_allclose(target, factor @ unconstrained)
+            # the form is the side's factor and target as Python values
+            assert qp.factor == factor.ravel().tolist() and qp.target == target.tolist()
 
     def test_integer_argmin_survives_condensation(self, rng):
         # the raw tracking-plus-effort cost and the triangular form must
@@ -284,7 +289,7 @@ class TestTwoSideStack:
             lam = float(rng.uniform(0.01, 1.0))
             plan = step_plan(st, n_h, y_ref, u_prev=u_prev)
             qp = assemble_qp(lam, plan)
-            assert qp is plan.qp_items
+            assert len(qp) == 2
             for i, side in enumerate(side_models_reference(st)[:2]):
                 for name in ("state_mat", "input_mat", "drift", "output_mat"):
                     assert getattr(plan, name)[i].tobytes() == getattr(side, name).tobytes()
@@ -299,8 +304,12 @@ class TestTwoSideStack:
                 want = dict(quad=quad, lin=lin, factor=factor, unconstrained=unconstrained,
                             target=target)
                 for name in self.QP_FIELDS:
-                    assert getattr(qp[i], name).tobytes() == want[name].tobytes()
-                    assert np.shares_memory(getattr(qp[i], name), getattr(plan, name))
+                    got = getattr(plan, name)[i].reshape(want[name].shape)
+                    assert got.tobytes() == want[name].tobytes()
+                # the side's form holds its factor and target as Python floats
+                assert repr(qp[i].factor) == repr(factor.ravel().tolist())
+                assert repr(qp[i].target) == repr(target.tolist())
+                assert qp[i].horizon == n_h
 
     @pytest.mark.parametrize(
         "lam, failing",
@@ -643,14 +652,14 @@ class TestLongHorizons:
     def test_lists_are_consistent(self, n_h, rng):
         for _ in range(3):
             qp = random_qp_instance(rng, n_h)
-            h, t = qp.factor.tolist(), qp.target.tolist()
+            h, t = factor_rows(qp), qp.target
             short, full = k_best(qp, 4), k_best(qp, 10)
             assert short.rows == full.rows[:4]
             assert short.costs == full.costs[:4]
             for seq, cost in zip(full.sequences, full.costs):
                 assert cost == _kernels.sequence_cost(h, t, seq.as_tuple())
             # the k-th cost as a finite radius, on the walk `sd_search` picks
-            bounded = _kernels.outside_box(qp.factor_list, t)
+            bounded = _kernels.outside_box(qp.factor, t)
             best, _, _ = walk(qp.factor, qp.target, 10, bounded, full.costs[-1])
             assert best == [(c, s.as_tuple()) for c, s in zip(full.costs, full.sequences)]
 
@@ -679,7 +688,7 @@ class TestGeneratedSearch:
     def test_depth_limit(self):
         deepest = _kernels.MAX_LAYERS
         for bounded in (False, True):
-            best, nodes, _ = walk(np.eye(deepest), np.zeros(deepest), 1, bounded)
+            best, nodes, _ = walk(flat_eye(deepest), [0.0] * deepest, 1, bounded)
             assert best == [(0.0, (0,) * deepest)] and nodes == 3 * deepest
         assert _kernels.sd_search(flat_eye(deepest), [0.0] * deepest, 1)[0] == best
         with pytest.raises(ValueError, match="1 to 20 layers, got 21"):
@@ -709,9 +718,9 @@ class TestGeneratedSearch:
         target = factor @ x
         h, t = factor.ravel().tolist(), target.tolist()
         assert _kernels.outside_box(h, t)
-        best, nodes, trace = walk(factor, target, 4, True)
+        best, nodes, trace = walk(h, t, 4, True)
         assert _kernels.sd_search(h, t, 4) == (best, nodes, trace)
-        plain_best, plain_nodes, plain_trace = walk(factor, target, 4, False)
+        plain_best, plain_nodes, plain_trace = walk(h, t, 4, False)
         assert (best, trace) == (plain_best, plain_trace)
         assert nodes <= plain_nodes
         assert best[0][1] == (1, -1, 1) + (0,) * (n - 3)
@@ -738,7 +747,7 @@ class TestBruteForce:
         # the loop reference: one `sequence_cost` per sequence, ranked by a
         # Python sort on (cost, levels)
         qp = random_qp_instance(rng, n_h)
-        h, t = qp.factor.tolist(), qp.target.tolist()
+        h, t = factor_rows(qp), qp.target
         seqs = list(itertools.product((-1, 0, 1), repeat=3 * n_h))
         assert all_sequences(n_h).dtype == np.int8
         assert all_sequences(n_h).tolist() == [list(u) for u in seqs]
@@ -926,10 +935,10 @@ class TestSelectPair:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 5.0
-            quad, _ = condense(0.1, plan)
+            condense(0.1, plan)
             for i in range(2):
                 forced = plan.forced_map[i]
-                assert np.array_equal(quad[i], forced.T @ forced + 0.1 * (diff.T @ diff))
+                assert np.array_equal(plan.quad[i], forced.T @ forced + 0.1 * (diff.T @ diff))
 
     def test_horizon_mismatch_raises(self):
         st = self.make_state([1.0, 0.0], [0.0, 1.0])

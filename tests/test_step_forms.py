@@ -275,7 +275,8 @@ class TestCondense:
             u_prev = rng.integers(-1, 2, (2, 3))
             weight = float(rng.uniform(0.01, 1.0))
             plan.y_ref[...], plan.u_prev[...] = y_ref, u_prev
-            for got, want in zip(condense(weight, plan),
+            condense(weight, plan)
+            for got, want in zip((plan.quad, plan.lin),
                                  condense_reference(plan_maps(plan), plan.x0, y_ref, u_prev,
                                                     weight)):
                 assert got.tobytes() == want.tobytes()
@@ -284,7 +285,8 @@ class TestCondense:
         for _, args in recorded_steps:
             plan, x0, y_ref, u_prev = step_subproblems(args)
             lam = args[1].lam
-            for got, want in zip(condense(lam, plan),
+            condense(lam, plan)
+            for got, want in zip((plan.quad, plan.lin),
                                  condense_reference(plan_maps(plan), x0, y_ref, u_prev, lam)):
                 assert got.tobytes() == want.tobytes()
 
@@ -313,7 +315,8 @@ class TestEffortTerm:
             for u_m, u_n in zip(BLOCKS, BLOCKS[::-1]):
                 u_prev = np.array((u_m, u_n))
                 plan.u_prev[...] = u_prev
-                got = condense(weight, plan)[1]
+                condense(weight, plan)
+                got = plan.lin
                 want = condense_reference(stacked, x0, y_ref, u_prev, weight)[1]
                 assert got.tobytes() == want.tobytes()
                 # each side's item is the reference applied to that side alone
@@ -341,7 +344,8 @@ class TestReverseCholesky:
             sides = assemble_qp(args[1].lam, plan)
             assert plan.factor.tobytes() == reverse_cholesky_reference(plan.quad).tobytes()
             assert plan.factor.flags.c_contiguous
-            assert all(side.factor.flags.c_contiguous for side in sides)
+            # each side's form holds the same entries as a flat list
+            assert np.array([side.factor for side in sides]).tobytes() == plan.factor.tobytes()
 
 
 class TestSolve:
@@ -372,9 +376,9 @@ class TestSolve:
             plan.y_ref[...] = plan.u_prev[...] = 0.0
             plan.y_ref[0] = np.tile(rng.normal(0, 15, 2), n_h)
             plan.u_prev[0] = rng.integers(-1, 2, 3)
-            qp = assemble_qp(0.1, plan)[0]
-            want = np.linalg.solve(qp.quad, qp.lin[..., None])[..., 0]
-            assert qp.unconstrained.tobytes() == want.tobytes()
+            assemble_qp(0.1, plan)
+            want = np.linalg.solve(plan.quad[0], plan.lin[0, :, None])[..., 0]
+            assert plan.unconstrained[0, :, 0].tobytes() == want.tobytes()
 
 
 class TestImbalancePath:
@@ -389,8 +393,9 @@ class TestImbalancePath:
             v_imb0 = float(rng.normal(0, 2))
             plan = StepPlan(n_h, k_m, k_n)
             plan.contrib_m[...], plan.contrib_n[...] = contrib_m, contrib_n
-            got = imbalance_path(v_imb0, plan)
-            assert got.tobytes() == imbalance_path_reference(v_imb0, contrib_m, contrib_n).tobytes()
+            imbalance_path(v_imb0, plan)
+            want = imbalance_path_reference(v_imb0, contrib_m, contrib_n)
+            assert plan.paths.tobytes() == want.tobytes()
 
     def test_equals_cumsum_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
@@ -402,9 +407,9 @@ class TestImbalancePath:
             )
             plan = StepPlan(n_h, 4, 4)
             plan.contrib[...] = contrib
-            got = imbalance_path(st.v_imb, plan)
+            imbalance_path(st.v_imb, plan)
             want = imbalance_path_reference(st.v_imb, contrib[0], contrib[1])
-            assert got.tobytes() == want.tobytes()
+            assert plan.paths.tobytes() == want.tobytes()
 
 
 class TestControlStep:
@@ -538,10 +543,10 @@ class TestRolloutProducts:
             build_step_models(random_state(rng), MACHINE, GRID, T_S, C_DC, plan)
             levels = rng.integers(-1, 2, (2, 4, 3 * n_h))
             plan.levels[...] = levels
-            got = imbalance_contributions(plan)
+            imbalance_contributions(plan)
             want = imbalance_contributions_reference(
                 plan.x0, plan, levels, plan.proj, plan.gain)
-            assert got.tobytes() == want.tobytes()
+            assert plan.contrib.tobytes() == want.tobytes()
 
     def test_equals_the_fresh_rollout_on_recorded_steps(self, recorded_steps):
         for _, args in recorded_steps:
@@ -551,10 +556,10 @@ class TestRolloutProducts:
             plan = StepPlan(n_h, 4, 4)
             build_step_models(st, machine, grid, t_s, c_dc, plan)
             plan.levels[...] = levels
-            got = imbalance_contributions(plan)
+            imbalance_contributions(plan)
             want = imbalance_contributions_reference(
                 plan.x0, plan, levels, plan.proj, plan.gain)
-            assert got.tobytes() == want.tobytes()
+            assert plan.contrib.tobytes() == want.tobytes()
 
 
 class TestPythonValueWrites:
@@ -645,7 +650,7 @@ class TestCandidateLists:
         for n_h in (1, 2, 3):
             for k in (1, 4, 10):
                 qp = random_qp_instance(rng, n_h)
-                best, nodes, _ = _kernels.sd_search(qp.factor_list, qp.target.tolist(), k)
+                best, nodes, _ = _kernels.sd_search(qp.factor, qp.target, k)
                 self.assert_same(best, n_h, nodes)
                 oracle = solver.brute_force_kbest(qp, k, n_h)
                 leaves = list(zip(oracle.costs, oracle.rows))
@@ -656,15 +661,25 @@ class TestFlatFactor:
     """`assemble_qp` hands each side's factor to the decoder as the flat
     list the Cholesky kernel returned: the entries of the factor array."""
 
-    def test_factor_lists_are_the_factor_entries(self, recorded_steps):
+    def test_factor_lists_are_the_factor_entries(self, recorded_steps, monkeypatch):
+        lists = []
+        cholesky_lower = _kernels.cholesky_lower
+
+        def capture(a):
+            h, pivot = cholesky_lower(a)
+            lists.append(h)
+            return h, pivot
+
+        monkeypatch.setattr(_kernels, "cholesky_lower", capture)
         for _, args in recorded_steps:
-            cfg = args[1]
-            plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
-            control_step(*args, plan)
-            assert len(plan.qp_items) == 2
-            for side, flat in zip(plan.qp_items, plan.factor_lists):
-                assert side.factor_list is flat
-                assert repr(flat) == repr(side.factor.ravel().tolist())
+            plan, *_ = step_subproblems(args)
+            lists.clear()
+            sides = assemble_qp(args[1].lam, plan)
+            assert len(sides) == len(lists) == 2
+            for i, (side, flat) in enumerate(zip(sides, lists)):
+                assert side.factor is flat
+                assert repr(flat) == repr(plan.factor[i].ravel().tolist())
+                assert repr(side.target) == repr(plan.target[i, :, 0].tolist())
                 assert k_best(side, 1).rows == \
-                    CandidateList(_kernels.sd_search(flat, side.target.tolist(), 1)[0],
+                    CandidateList(_kernels.sd_search(flat, side.target, 1)[0],
                                   side.horizon).rows

@@ -20,7 +20,15 @@ import pytest
 from seqmpc import controller
 from seqmpc.controller import ControllerConfig, control_step
 from seqmpc.harness import ScenarioConfig, run_scenario
-from seqmpc.prediction import StepPlan
+from seqmpc.prediction import (
+    QpForm,
+    StepPlan,
+    build_multistep,
+    build_step_models,
+    imbalance_contributions,
+    imbalance_path,
+)
+from seqmpc.solver import condense
 
 
 def decision_bytes(d, cands_m, cands_n):
@@ -43,7 +51,7 @@ def traced(args, plan):
     def capture(qp, k):
         cands = k_best(qp, k)
         lists.append(cands)
-        seen.append((qp.factor.tobytes(), qp.target.tobytes(), repr(cands.rows),
+        seen.append((repr(qp.factor), repr(qp.target), repr(cands.rows),
                      repr(cands.costs), cands.nodes_visited))
         return cands
 
@@ -119,6 +127,54 @@ def test_kept_decision_is_unchanged_after_the_next_step(recorded_steps):
         kept = [traced(args, plan)[:2] for args in steps]
         for (decision, lists), args in zip(kept, steps):
             assert decision_bytes(decision, *lists) == traced_step(args, None)[0]
+
+
+def step_forms(args, plan):
+    """The two forms `assemble_qp` returns in one control step."""
+    forms = []
+    assemble_qp = controller.assemble_qp
+
+    def capture(lam, plan):
+        forms.extend(assemble_qp(lam, plan))
+        return forms
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller, "assemble_qp", capture)
+        control_step(*args, plan)
+    return forms
+
+
+def test_forms_are_python_values_that_outlive_the_step(recorded_steps):
+    # each form is the decoder's input alone, kept from its step while the
+    # same plan runs the next ones
+    assert [f.name for f in dataclasses.fields(QpForm)] == ["factor", "target", "horizon"]
+    for steps in runs(recorded_steps):
+        cfg = steps[0][1]
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+        kept = []
+        for args in steps[:5]:
+            forms = step_forms(args, plan)
+            assert len(forms) == 2 and arrays(forms) == []
+            for qp in forms:
+                assert type(qp.horizon) is int and qp.horizon == cfg.n_h
+                assert type(qp.factor) is list and type(qp.target) is list
+                assert {type(v) for v in qp.factor + qp.target} == {float}
+            kept.append((forms, repr(forms)))
+        for (forms, when_returned), args in zip(kept, steps):
+            assert repr(forms) == when_returned == repr(step_forms(args, None))
+
+
+def test_planned_stages_return_nothing(recorded_steps):
+    # a step's arrays are reached only as the plan's attributes
+    for _, args in recorded_steps[::25]:
+        st, cfg, _, _, machine, grid, _, _, t_s, c_dc = args
+        plan = StepPlan(cfg.n_h, cfg.n_k, cfg.n_l)
+        control_step(*args, plan)
+        assert build_step_models(st, machine, grid, t_s, c_dc, plan) is None
+        assert build_multistep(plan) is None
+        assert condense(cfg.lam, plan) is None
+        assert imbalance_contributions(plan) is None
+        assert imbalance_path(st.v_imb, plan) is None
 
 
 def test_plan_for_another_shape_is_refused(recorded_steps):
