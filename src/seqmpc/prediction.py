@@ -51,15 +51,16 @@ the products read and write.  The closed loop builds one per run and
 passes it down; `controller.control_step` writes the step's inputs into
 it.  Each stage takes the plan, reads from it and writes into it:
 `build_step_models`, `build_multistep`, `solver.condense`,
-`solver.assemble_qp`, the two imbalance functions and `select_pair`.
-Only `assemble_qp` and `select_pair` return anything, Python values.  A step then runs only its products,
-each into one of the plan's buffers, the elementwise writes, one flat-index
-gather that places the forced, free and drift maps of `build_multistep`
-(`_map_index`, the maps' transposes and reshapes run once per horizon on
-the products' positions), and the decoder.  Every view a product reads or
-writes is built once, with the plan: the state x0 as a column of the
-models' values, forced', the rollout's broadcast views of the side models
-and the path's rows and columns.  The one-side reference forms,
+`solver.assemble_qp`, the two imbalance functions and `select_pair`, and
+only `assemble_qp` and `select_pair` return anything, Python values.  A
+step then runs only its products, each into one of the plan's buffers, the
+elementwise writes, one flat-index gather that places the forced, free and
+drift maps of `build_multistep` (`_map_index`, the maps' transposes and
+reshapes run once per horizon on the products' positions), and the
+decoder.  Every view a product reads or writes is built once, with the
+plan: the state x0 as a column of the models' values, forced', the
+rollout's broadcast views of the side models and the path's rows and
+columns.  The one-side reference forms,
 `predict_outputs` and `predict_imbalance`, read a side of the plan's
 models and maps by its index.
 
@@ -378,7 +379,8 @@ class StepPlan:
     currents and the grid alpha/beta currents.  `forced_map`, `free_map`
     and `drift_vec` are the condensed maps of `build_multistep`, and
     `quad`, `lin`, `factor`, `unconstrained` and `target` the two sides'
-    subproblems of `solver.assemble_qp` (see its invariants).
+    subproblems of `solver.assemble_qp` (their invariants are in `solver`'s
+    module docstring).
     """
 
     def __init__(self, n_h: int, k_m: int = 1, k_n: int = 1):
